@@ -56,6 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
+    ctx = None
     try:
         config = load_config(args.config, stage_dir=args.stage_dir, seed=args.seed)
         ctx = RunContext(config, read_cache=not args.no_cache)
@@ -77,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     except EvontreeError as exc:
         log.error("%s", exc)
         return 1
+    finally:
+        if ctx is not None:
+            ctx.close()
     return EXIT_OK
 
 

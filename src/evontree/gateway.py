@@ -4,7 +4,8 @@ Two request kinds exist. Generation returns free text; scoring returns the
 log-probabilities a model assigns to the tokens of a fixed completion after
 a prompt. Both go through a content-addressed cache keyed by the request
 plus the serving endpoint's identity, so switching endpoints or models never
-replays stale responses.
+replays stale responses. The cache is one SQLite database per cache
+directory, shared safely by threads, gateways and processes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass
@@ -86,7 +87,7 @@ class HttpBackend:
             resp = self._session.post(url, json=body, timeout=self.timeout_s)
         except requests.RequestException as exc:
             raise TransportError(f"POST {url} failed: {exc}") from exc
-        if resp.status_code >= 500:
+        if resp.status_code == 429 or resp.status_code >= 500:
             raise TransportError(f"POST {url} returned {resp.status_code}")
         if resp.status_code != 200:
             raise ProtocolError(f"POST {url} returned {resp.status_code}: {resp.text[:200]}")
@@ -112,46 +113,75 @@ def _cache_key(identity: str, model: str, kind: str, body: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class ResponseCache:
-    """File-per-response cache under cache_dir/<first 2 hex>/<key>.json.
+CACHE_FILE = "responses.sqlite3"
+CACHE_BUSY_TIMEOUT_S = 60.0
+# SQLite's page cache per connection, in KiB. Lookups are random by key and
+# the OS already caches the file, so a large page cache only adds memory.
+CACHE_PAGE_CACHE_KIB = 256
 
-    Writes go to a temp file then rename, so a crash never leaves a
-    half-written entry that a later run would trust.
+
+class ResponseCache:
+    """Response cache in one SQLite database, cache_dir/responses.sqlite3.
+
+    Each put is its own committed transaction, so a crash never leaves a
+    half-written entry that a later run would trust, and every other
+    connection to the file sees the entry as soon as put returns. The
+    database runs in WAL mode; writers in other processes wait up to
+    CACHE_BUSY_TIMEOUT_S for the write lock. One connection serves all
+    threads of this instance, behind a lock. A stored value that does not
+    decode counts as a miss and is replaced by the next put of its key.
     """
 
     def __init__(self, cache_dir: Path) -> None:
         self.cache_dir = Path(cache_dir)
-
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.json"
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.path = self.cache_dir / CACHE_FILE
+        self._lock = threading.Lock()
+        # Autocommit (isolation_level=None): every statement commits alone.
+        self._conn = sqlite3.connect(self.path, timeout=CACHE_BUSY_TIMEOUT_S,
+                                     isolation_level=None, check_same_thread=False)
+        # Values come back as bytes, so an entry that is not valid UTF-8
+        # fails in json.loads (a miss) rather than inside sqlite3.
+        self._conn.text_factory = bytes
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(f"PRAGMA cache_size=-{CACHE_PAGE_CACHE_KIB}")
+        self._conn.execute("CREATE TABLE IF NOT EXISTS responses "
+                           "(key TEXT PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID")
 
     def get(self, key: str) -> dict | None:
-        path = self._path(key)
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT value FROM responses WHERE key = ?", (key,)).fetchone()
+        if row is None:
             return None
-        except (ValueError, OSError):
-            log.warning("discarding unreadable cache entry %s", path)
+        try:
+            return json.loads(row[0])
+        except ValueError:
+            log.warning("discarding undecodable cache entry %s in %s", key, self.path)
             return None
 
     def put(self, key: str, value: dict) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Writer-unique temp name: concurrent writes of the same key must not
-        # race on a shared temp file.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(value, ensure_ascii=False), encoding="utf-8")
-        tmp.replace(path)
+        text = json.dumps(value, ensure_ascii=False)
+        with self._lock:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO responses (key, value) VALUES (?, ?)", (key, text))
+
+    def close(self) -> None:
+        """Close the connection. The last connection to close folds the
+        write-ahead log back into the database and deletes it. Idempotent."""
+        with self._lock:
+            self._conn.close()
 
 
 class ModelGateway:
     """Caching, retrying front door for all model calls.
 
-    Retries apply to transport failures only; protocol violations (bad
-    status, malformed body) fail immediately since retrying cannot fix
-    a disagreement about the wire format. With read_cache=False the cache
-    is still written, so a later run can reuse the responses.
+    Retries apply to transport failures only (network errors, 429 and 5xx);
+    protocol violations (any other bad status, malformed body) fail
+    immediately since retrying cannot fix a disagreement about the wire
+    format. With read_cache=False the cache is still written, so a later
+    run can reuse the responses.
     """
 
     def __init__(
@@ -171,6 +201,11 @@ class ModelGateway:
         self._sleep = sleep
         self.calls = 0
         self.cache_hits = 0
+
+    def close(self) -> None:
+        """Close the response cache; the gateway makes no calls after this."""
+        if self.cache is not None:
+            self.cache.close()
 
     def _call(self, kind: str, body: dict, bypass_cache: bool) -> dict:
         key = _cache_key(self.backend.identity, self.model, kind, body)

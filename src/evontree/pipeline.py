@@ -147,6 +147,12 @@ class RunContext:
                 read_cache=self.read_cache)
         return self._judge_gateway
 
+    def close(self) -> None:
+        """Close the gateways this context opened."""
+        for gateway in (self._gateway, self._judge_gateway):
+            if gateway is not None:
+                gateway.close()
+
     def model_identity(self) -> str:
         model_cfg = self.config.model
         if model_cfg.kind == "synthetic":
@@ -308,13 +314,11 @@ def stage_calibrate(ctx: RunContext) -> None:
     sweep = SweepSpec(lo=ctx.config.calibration.sweep_lo, hi=ctx.config.calibration.sweep_hi)
     by_relation = {}
     unparseable = 0
-    workers = ctx.config.scoring.max_in_flight
     for relation in Relation:
         if not any(st.triple.relation is relation for st in scored):
             continue
-        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-            samples, dropped = collect_samples(ctx.gateway(), scored, relation,
-                                               map_fn=pool.map)
+        samples, dropped = collect_samples(ctx.gateway(), scored, relation,
+                                           map_fn=ctx.map_concurrent)
         unparseable += dropped
         by_relation[relation.value] = calibrate_relation(samples, sweep)
     outcome = CalibrationOutcome(sweep=sweep, prompt_set=PROMPT_SET_VERSION,
@@ -500,7 +504,7 @@ def stage_report(ctx: RunContext) -> None:
         try:
             verdicts, judge_unparseable = judge_triples(
                 judge_gateway, audited,
-                map_fn=lambda fn, items: ctx.map_concurrent(fn, list(items)))
+                map_fn=ctx.map_concurrent)
         except JudgeUnavailableError as exc:
             log.warning("judge unavailable, reporting without accuracy: %s", exc)
             judge_unavailable = True

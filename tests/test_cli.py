@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from evontree.cli import EXIT_CONFIG, EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main
+from evontree.gateway import CACHE_FILE
 
 CONFIG_OBJ = {
     "model": {
@@ -39,6 +40,11 @@ class TestExitCodes:
         tmp, _ = finished_run
         assert (tmp / "out" / "corpus.jsonl").exists()
         assert (tmp / "out" / "manifest.json").exists()
+
+    def test_run_closes_the_response_cache(self, finished_run):
+        # Closing folds the write-ahead log back in; no -wal or -shm is left.
+        tmp, _ = finished_run
+        assert [p.name for p in (tmp / "out" / "cache").iterdir()] == [CACHE_FILE]
 
     def test_config_error_exits_2(self, tmp_path):
         config = write_config(tmp_path, {**CONFIG_OBJ, "typo_section": {}})

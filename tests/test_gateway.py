@@ -1,16 +1,27 @@
 from __future__ import annotations
 
+import inspect
 import json
+import os
+import sqlite3
+import subprocess
+import sys
+import textwrap
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import evontree
 from evontree.errors import EmptySpanError, ProtocolError, TransportError
 from evontree.gateway import (
+    CACHE_FILE,
     GenerateRequest,
     HttpBackend,
     ModelGateway,
+    ResponseCache,
     ScoreRequest,
     _cache_key,
 )
@@ -85,10 +96,17 @@ class TestCache:
         gw, backend = make_gateway(tmp_path)
         req = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)
         gw.generate(req)
-        entry = next((tmp_path / "cache").rglob("*.json"))
-        entry.write_text("{not json", encoding="utf-8")
-        assert gw.generate(req) == "gen:x"
-        assert len(backend.calls) == 2
+        # Not JSON, cut short, not UTF-8.
+        for n, bad_value in enumerate(["{not json", '{"text": "ge', b"\xc3\x28"], start=2):
+            with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as db, db:
+                updated = db.execute("UPDATE responses SET value = CAST(? AS TEXT)",
+                                     (bad_value,))
+                assert updated.rowcount == 1
+            assert gw.generate(req) == "gen:x"
+            assert len(backend.calls) == n
+            # The refetched response replaced the bad row: the next call is a hit.
+            assert gw.generate(req) == "gen:x"
+            assert len(backend.calls) == n
 
     def test_no_cache_dir_disables_cache(self):
         backend = FakeBackend()
@@ -98,6 +116,110 @@ class TestCache:
         gw.generate(req)
         gw.generate(req)
         assert len(backend.calls) == 2
+
+
+def cache_value(i: int) -> dict:
+    return {"text": "v" * (i % 50) + str(i), "i": i}
+
+
+def run_cache_writer(cache_dir: Path, body: str) -> subprocess.Popen:
+    """Run `body` in a fresh interpreter, with `cache` bound to a
+    ResponseCache on cache_dir and `cache_value` defined as here."""
+    script = "\n".join([
+        "import os, sys, threading, time",
+        "from evontree.gateway import ResponseCache",
+        "cache = ResponseCache(sys.argv[1])",
+        inspect.getsource(cache_value),
+        textwrap.dedent(body),
+    ])
+    src = str(Path(evontree.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-c", script, str(cache_dir)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+class TestCacheConcurrency:
+    N_KEYS = 300
+
+    def test_processes_and_threads_write_overlapping_keys(self, tmp_path):
+        # Two processes, four threads each, every thread writing all keys
+        # in its own order; a short switch interval forces interleaving.
+        body = f"""
+            sys.setswitchinterval(1e-5)
+            errors = []
+            def write(offset):
+                try:
+                    for n in range({self.N_KEYS}):
+                        i = (n * 7 + offset) % {self.N_KEYS}
+                        cache.put(str(i), cache_value(i))
+                        j = (i * 13) % {self.N_KEYS}
+                        got = cache.get(str(j))
+                        assert got is None or got == cache_value(j), got
+                except Exception as exc:
+                    errors.append(repr(exc))
+            threads = [threading.Thread(target=write, args=(k * 37,)) for k in range(4)]
+            for t in threads: t.start()
+            for t in threads: t.join(60)
+            assert not any(t.is_alive() for t in threads), "writer thread hung"
+            assert not errors, errors
+            cache.close()
+        """
+        procs = [run_cache_writer(tmp_path, body) for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        cache = ResponseCache(tmp_path)
+        try:
+            for i in range(self.N_KEYS):
+                assert cache.get(str(i)) == cache_value(i)
+        finally:
+            cache.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [CACHE_FILE]
+
+    def test_two_instances_see_each_others_writes(self, tmp_path):
+        # The case of a judge gateway on its own endpoint sharing the cache.
+        a, b = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        try:
+            a.put("k1", {"text": "from a"})
+            assert b.get("k1") == {"text": "from a"}
+            b.put("k2", {"text": "from b"})
+            assert a.get("k2") == {"text": "from b"}
+            b.put("k1", {"text": "replaced by b"})
+            assert a.get("k1") == {"text": "replaced by b"}
+        finally:
+            a.close()
+            b.close()
+
+    def test_writer_killed_mid_write_leaves_trusted_entries_only(self, tmp_path):
+        # Threads keep writing while the main thread ends the process
+        # abruptly: no close, no checkpoint, likely a write in progress.
+        body = """
+            written = [0]  # a rough, racy tally: it only has to pass 200
+            def write(start):
+                for i in range(start, 10**9, 4):
+                    cache.put(str(i), cache_value(i))
+                    written[0] += 1
+            for k in range(4):
+                threading.Thread(target=write, args=(k,), daemon=True).start()
+            deadline = time.monotonic() + 30
+            while written[0] < 200 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            os._exit(0)
+        """
+        proc = run_cache_writer(tmp_path, body)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        cache = ResponseCache(tmp_path)
+        try:
+            with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+                assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+                keys = [k for (k,) in db.execute("SELECT key FROM responses")]
+            assert len(keys) >= 200
+            for key in keys:
+                assert cache.get(key) == cache_value(int(key))
+        finally:
+            cache.close()
 
 
 class TestRetry:
@@ -253,3 +375,34 @@ class TestHttpWireFormat:
                 gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
         finally:
             server.shutdown()
+
+    def test_http_429_is_retried(self, tmp_path):
+        statuses = [429, 200]
+
+        class RateLimitHandler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                status = statuses.pop(0)
+                out = json.dumps({"text": "ok"}).encode() if status == 200 else b""
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(out)))
+                self.end_headers()
+                self.wfile.write(out)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), RateLimitHandler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        delays = []
+        try:
+            gw = ModelGateway(HttpBackend(f"http://127.0.0.1:{server.server_address[1]}"),
+                              model="m", cache_dir=tmp_path,
+                              retry_backoff_s=(0.5,), sleep=delays.append)
+            assert gw.generate(GenerateRequest(prompt="x", max_tokens=4,
+                                               temperature=0.0)) == "ok"
+            assert statuses == []
+            assert delays == [0.5]
+        finally:
+            server.shutdown()
+            server.server_close()
