@@ -85,6 +85,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ScoringConfig:
+    # Concurrent requests to an HTTP endpoint. The in-process synthetic
+    # model answers on the calling thread, so it ignores this.
     max_in_flight: int = 8
 
 

@@ -69,3 +69,7 @@ class MissingUpstreamError(EvontreeError):
 
 class JudgeUnavailableError(EvontreeError):
     """The judge endpoint failed; reports degrade to accuracy-free mode."""
+
+
+class CacheCorruptError(EvontreeError):
+    """The response cache file exists but is not a readable SQLite database."""

@@ -22,7 +22,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import EmptySpanError, ProtocolError, TransportError
+from .errors import CacheCorruptError, EmptySpanError, ProtocolError, TransportError
 
 log = logging.getLogger(__name__)
 
@@ -102,6 +102,10 @@ class HttpBackend:
     def score(self, body: dict) -> dict:
         return self._post("/v1/score", body)
 
+    def close(self) -> None:
+        """Close the session and its pooled keep-alive connections."""
+        self._session.close()
+
 
 def _cache_key(identity: str, model: str, kind: str, body: dict) -> str:
     canonical = json.dumps(
@@ -143,11 +147,20 @@ class ResponseCache:
         # Values come back as bytes, so an entry that is not valid UTF-8
         # fails in json.loads (a miss) rather than inside sqlite3.
         self._conn.text_factory = bytes
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(f"PRAGMA cache_size=-{CACHE_PAGE_CACHE_KIB}")
-        self._conn.execute("CREATE TABLE IF NOT EXISTS responses "
-                           "(key TEXT PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID")
+        try:
+            # The first statement reads the file header.
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(f"PRAGMA cache_size=-{CACHE_PAGE_CACHE_KIB}")
+            self._conn.execute("CREATE TABLE IF NOT EXISTS responses "
+                               "(key TEXT PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID")
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            if isinstance(exc, sqlite3.OperationalError):  # locked, unwritable, ...
+                raise
+            raise CacheCorruptError(
+                f"response cache {self.path} is not a usable SQLite database ({exc}); "
+                "move or delete it to start with an empty cache") from exc
 
     def get(self, key: str) -> dict | None:
         with self._lock:
@@ -203,9 +216,13 @@ class ModelGateway:
         self.cache_hits = 0
 
     def close(self) -> None:
-        """Close the response cache; the gateway makes no calls after this."""
+        """Close the response cache, then the backend if it has a close
+        method; the gateway makes no calls after this."""
         if self.cache is not None:
             self.cache.close()
+        close_backend = getattr(self.backend, "close", None)
+        if close_backend is not None:
+            close_backend()
 
     def _call(self, kind: str, body: dict, bypass_cache: bool) -> dict:
         key = _cache_key(self.backend.identity, self.model, kind, body)

@@ -9,13 +9,15 @@ byte. A manifest records, per stage, the hashes of everything read and
 written, plus enough provenance (config hash, prompt and template set
 versions, model identity) to trace an artifact back to its settings.
 
-Stages run sequentially; inside a stage, gateway-bound work fans out over
-a thread pool bounded by scoring.max_in_flight.
+Stages run sequentially. Inside a stage, requests to an HTTP endpoint fan
+out over a thread pool bounded by scoring.max_in_flight; requests to an
+in-process backend run one by one on the calling thread.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -161,11 +163,18 @@ class RunContext:
             return f"synthetic://{spec.seed}/{gt_hash}#{model_cfg.name}"
         return f"{model_cfg.endpoint}#{model_cfg.name}"
 
-    def map_concurrent(self, fn: Callable, items: Sequence) -> list:
-        """Apply fn over items, preserving order, bounded by max_in_flight."""
+    def map_concurrent(self, fn: Callable, items: Sequence, gateway: ModelGateway) -> list:
+        """Apply fn, which sends requests through gateway, over items,
+        preserving order.
+
+        Only requests to an HTTP endpoint fan out, over at most
+        scoring.max_in_flight threads: they wait on the network. An
+        in-process backend holds the interpreter lock while it works, so
+        threads only add lock contention; its items run on this thread.
+        """
         items = list(items)
         workers = self.config.scoring.max_in_flight
-        if workers <= 1 or len(items) <= 1:
+        if not isinstance(gateway.backend, HttpBackend) or workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
@@ -296,7 +305,7 @@ def _score_records(ctx: RunContext, triples: Sequence[Triple],
             log.warning("leaving %r unscored: %s", triple, exc)
             return None
 
-    results = ctx.map_concurrent(one, triples)
+    results = ctx.map_concurrent(one, triples, gateway)
     scored = [r for r in results if r is not None]
     return scored, len(results) - len(scored)
 
@@ -312,13 +321,14 @@ def stage_calibrate(ctx: RunContext) -> None:
         TripleRecord(st.triple, TripleClass.RAW, scores=st.values) for st in scored])
 
     sweep = SweepSpec(lo=ctx.config.calibration.sweep_lo, hi=ctx.config.calibration.sweep_hi)
+    gateway = ctx.gateway()
+    map_fn = functools.partial(ctx.map_concurrent, gateway=gateway)
     by_relation = {}
     unparseable = 0
     for relation in Relation:
         if not any(st.triple.relation is relation for st in scored):
             continue
-        samples, dropped = collect_samples(ctx.gateway(), scored, relation,
-                                           map_fn=ctx.map_concurrent)
+        samples, dropped = collect_samples(gateway, scored, relation, map_fn=map_fn)
         unparseable += dropped
         by_relation[relation.value] = calibrate_relation(samples, sweep)
     outcome = CalibrationOutcome(sweep=sweep, prompt_set=PROMPT_SET_VERSION,
@@ -504,7 +514,7 @@ def stage_report(ctx: RunContext) -> None:
         try:
             verdicts, judge_unparseable = judge_triples(
                 judge_gateway, audited,
-                map_fn=ctx.map_concurrent)
+                map_fn=functools.partial(ctx.map_concurrent, gateway=judge_gateway))
         except JudgeUnavailableError as exc:
             log.warning("judge unavailable, reporting without accuracy: %s", exc)
             judge_unavailable = True

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import random
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,16 @@ class TestExitCodes:
             "output": {"dir": "out"},
         })
         assert main(["extract", "--config", str(config)]) == EXIT_GATEWAY
+
+    def test_corrupt_cache_file_exits_1_with_a_message(self, tmp_path, caplog):
+        config = write_config(tmp_path, CONFIG_OBJ)
+        cache_file = tmp_path / "out" / "cache" / CACHE_FILE
+        cache_file.parent.mkdir(parents=True)
+        cache_file.write_bytes(random.Random(0).randbytes(5000))
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["run", "--config", str(config)]) == 1
+        assert str(cache_file) in caplog.text
+        assert "move or delete" in caplog.text
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

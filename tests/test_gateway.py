@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import random
 import sqlite3
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import evontree
-from evontree.errors import EmptySpanError, ProtocolError, TransportError
+from evontree.errors import CacheCorruptError, EmptySpanError, ProtocolError, TransportError
 from evontree.gateway import (
     CACHE_FILE,
     GenerateRequest,
@@ -107,6 +108,14 @@ class TestCache:
             # The refetched response replaced the bad row: the next call is a hit.
             assert gw.generate(req) == "gen:x"
             assert len(backend.calls) == n
+
+    def test_file_that_is_not_a_database_is_reported(self, tmp_path):
+        path = tmp_path / CACHE_FILE
+        path.write_bytes(random.Random(0).randbytes(5000))
+        with pytest.raises(CacheCorruptError, match="move or delete") as exc_info:
+            ResponseCache(tmp_path)
+        assert str(path) in str(exc_info.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [CACHE_FILE]
 
     def test_no_cache_dir_disables_cache(self):
         backend = FakeBackend()
@@ -324,6 +333,7 @@ def wire_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpWireFormat:
@@ -356,6 +366,16 @@ class TestHttpWireFormat:
         assert body == {"model": "med-model", "prompt": "statement. Answer:",
                         "completion": " True"}
 
+    def test_close_closes_the_http_session(self, wire_server, tmp_path):
+        backend = HttpBackend(wire_server)
+        gw = ModelGateway(backend, model="med-model", cache_dir=tmp_path,
+                          retry_backoff_s=(0.0,), sleep=lambda s: None)
+        gw.generate(GenerateRequest(prompt="hi", max_tokens=16, temperature=0.0))
+        pools = backend._session.get_adapter(wire_server).poolmanager.pools
+        assert len(pools) == 1  # the keep-alive connection's pool
+        gw.close()
+        assert len(pools) == 0
+
     def test_http_500_is_transport_error(self, tmp_path):
         class ErrHandler(BaseHTTPRequestHandler):
             def do_POST(self):
@@ -375,6 +395,7 @@ class TestHttpWireFormat:
                 gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_http_429_is_retried(self, tmp_path):
         statuses = [429, 200]

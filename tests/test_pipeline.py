@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from evontree.config import parse_config
+import evontree.pipeline as pipeline
+from evontree.config import ENDPOINT_ENV_VAR, parse_config
 from evontree.errors import MissingUpstreamError
-from evontree.gateway import ModelGateway
+from evontree.gateway import HttpBackend, ModelGateway
 from evontree.ontology import Relation, TripleClass, read_triple_file
 from evontree.pipeline import STAGE_ORDER, RunContext, run_all, run_stage, stage_sweep
 from evontree.scoring import confirm_decision
 from evontree.synthesis import read_corpus
-from evontree.synthetic import GroundTruth, SyntheticBackend, SyntheticModel
+from evontree.synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
 
 # Verified to produce every class non-empty: enough synonym pairs for both
 # label polarities, hallucinated children for false triples.
@@ -42,6 +48,60 @@ ARTIFACT_NAMES = (
     "gaps.jsonl", "corpus.jsonl", "report.json", "report.csv",
     "roc_curve.csv", "confirm_hist.csv", "manifest.json", "ground_truth.json",
 )
+
+
+def synthetic_backend(cfg) -> SyntheticBackend:
+    """The in-process backend a RunContext builds for cfg's synthetic model."""
+    spec = cfg.model.synthetic
+    gt = sample_ground_truth(depth=spec.depth, branching=spec.branching,
+                             synonym_rate=spec.synonym_rate, seed=spec.seed,
+                             n_roots=spec.n_roots)
+    return SyntheticBackend(SyntheticModel(gt, spec.noise, seed=spec.seed,
+                                           hallucination_rate=spec.hallucination_rate))
+
+
+@contextmanager
+def serve_over_http(backend):
+    """Serve backend on a loopback port as an HTTP model endpoint; yields its URL."""
+    routes = {"/v1/generate": backend.generate, "/v1/score": backend.score}
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive, as a real endpoint
+        disable_nagle_algorithm = True
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            out = json.dumps(routes[self.path](body)).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(out)))
+            self.end_headers()
+            self.wfile.write(out)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every thread pool the pipeline builds, in order."""
+    built = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -146,19 +206,85 @@ class TestDeterminism:
         run_stage(completed_run, "confirm")
         assert path.read_bytes() == before
 
-    def test_serial_scoring_equals_concurrent(self, completed_run, tmp_path):
-        cache = completed_run.config.output.resolved_cache_dir()
-        from dataclasses import replace
+    def test_serial_scoring_equals_concurrent(self, completed_run, tmp_path, pools,
+                                              monkeypatch):
+        # Only requests to an HTTP endpoint fan out, so the model is served
+        # over loopback HTTP; each run has its own cache, so every request
+        # reaches the server.
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        scored_raw = {}
+        with serve_over_http(synthetic_backend(make_config(tmp_path))) as url:
+            for workers in (1, 4):
+                cfg = make_config(tmp_path, out_name=f"out{workers}",
+                                  cache_name=f"cache{workers}",
+                                  model={"kind": "http", "name": "synthetic", "endpoint": url},
+                                  scoring={"max_in_flight": workers})
+                ctx = RunContext(cfg)
+                try:
+                    run_stage(ctx, "extract")
+                    run_stage(ctx, "calibrate")
+                finally:
+                    ctx.close()
+                scored_raw[workers] = ctx.paths.scored_raw.read_bytes()
+        assert pools and set(pools) == {4}  # the concurrent run used a real pool
+        assert scored_raw[1] == scored_raw[4]
+        assert scored_raw[4] == completed_run.paths.scored_raw.read_bytes()
 
-        from evontree.config import OutputConfig, ScoringConfig
-        cfg = make_config(tmp_path, out_name="serial")
-        cfg = replace(cfg, scoring=ScoringConfig(max_in_flight=1),
-                      output=OutputConfig(dir=tmp_path / "serial", cache_dir=cache))
-        ctx = RunContext(cfg)
-        run_stage(ctx, "extract")
-        run_stage(ctx, "calibrate")
-        a = (completed_run.paths.out_dir / "scored_raw.jsonl").read_bytes()
-        assert (ctx.paths.out_dir / "scored_raw.jsonl").read_bytes() == a
+
+class TestMapConcurrent:
+    def test_in_process_backend_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("in-process work opened a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        ctx = RunContext(make_config(tmp_path, scoring={"max_in_flight": 8}))
+        try:
+            threads = []
+
+            def fn(item):
+                threads.append(threading.get_ident())
+                return item * 2
+
+            assert ctx.map_concurrent(fn, range(20), ctx.gateway()) == [i * 2 for i in range(20)]
+            assert set(threads) == {threading.get_ident()}
+            # Every stage that maps over model requests, the judge included.
+            assert ctx.config.model.judge.kind == "self"
+            run_all(ctx)
+        finally:
+            ctx.close()
+
+    def test_http_backend_fans_out_in_order(self, tmp_path, pools):
+        ctx = RunContext(make_config(tmp_path, scoring={"max_in_flight": 3}))
+        gateway = ModelGateway(HttpBackend("http://127.0.0.1:1"), model="m", cache_dir=None)
+        try:
+            def fn(item):
+                time.sleep(0.002 * (10 - item))  # later items finish first
+                return item, threading.get_ident()
+
+            results = ctx.map_concurrent(fn, range(10), gateway)
+        finally:
+            gateway.close()
+        assert [item for item, _ in results] == list(range(10))
+        assert threading.get_ident() not in {thread for _, thread in results}
+        assert pools == [3]
+
+    def test_http_judge_fans_out_with_a_synthetic_model(self, completed_run, tmp_path,
+                                                        pools):
+        with serve_over_http(synthetic_backend(make_config(tmp_path))) as url:
+            model = {**BASE_MODEL,
+                     "judge": {"kind": "http", "endpoint": url, "model": "judge"}}
+            ctx = RunContext(make_config(tmp_path, model=model,
+                                         scoring={"max_in_flight": 4}))
+            try:
+                run_all(ctx)
+            finally:
+                ctx.close()
+        assert pools == [4]  # the judge's calls only
+        report = json.loads(ctx.paths.report_json.read_text())
+        assert report["judge"] == "http" and not report["judge_unavailable"]
+        # The served model judges from the same reference as the self judge.
+        assert (ctx.paths.report_csv.read_bytes()
+                == completed_run.paths.report_csv.read_bytes())
 
 
 class TestPerfectSignal:
@@ -218,11 +344,7 @@ class TestDegradation:
 
         cfg = make_config(tmp_path)
         ctx = RunContext(cfg)
-        spec = cfg.model.synthetic
-        inner = SyntheticBackend(SyntheticModel(
-            ctx.ground_truth(), spec.noise, seed=spec.seed,
-            hallucination_rate=spec.hallucination_rate))
-        ctx._gateway = ModelGateway(EmptySpanBackend(inner, poison="'T0N1'"),
+        ctx._gateway = ModelGateway(EmptySpanBackend(synthetic_backend(cfg), poison="'T0N1'"),
                                     model="synthetic", cache_dir=None)
         run_stage(ctx, "extract")
         run_stage(ctx, "calibrate")
