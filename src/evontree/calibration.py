@@ -15,10 +15,10 @@ import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .errors import DegenerateLabelsError, InvalidParamsError, UnparseableError
-from .gateway import GenerateRequest, ModelGateway
+from .gateway import GenerateRequest, ModelGateway, chunked
 from .ontology import Relation, Triple
 from .scoring import ProbeTemplate, ScoredTriple, templates_for
 
@@ -89,47 +89,45 @@ def parse_label(text: str) -> bool:
     return match.group(1).casefold() == "true"
 
 
+def label_request(triple: Triple, template: ProbeTemplate) -> GenerateRequest:
+    """One greedy generation from the instantiated statement."""
+    prompt = template.instantiate(triple.subject, triple.object)
+    return GenerateRequest(prompt=prompt, max_tokens=8, temperature=0.0)
+
+
 def one_shot_label(gateway: ModelGateway, triple: Triple, template: ProbeTemplate) -> bool:
     """Ask the model once, greedily, whether the instantiated statement holds."""
-    prompt = template.instantiate(triple.subject, triple.object)
-    text = gateway.generate(GenerateRequest(prompt=prompt, max_tokens=8, temperature=0.0))
-    return parse_label(text)
+    return parse_label(gateway.generate(label_request(triple, template)))
 
 
 def collect_samples(
     gateway: ModelGateway,
     scored: Sequence[ScoredTriple],
     relation: Relation,
-    map_fn: Callable[..., Iterable] = map,
 ) -> tuple[dict[int, list[LabeledScore]], int]:
     """Label every (triple, template) pair and pair each label with that
-    template's confirm value.
+    template's confirm value, one gateway batch of label requests at a time.
 
     Unparseable answers drop the single sample and are tallied, never fatal:
-    one garbled response should not sink a calibration run. map_fn exists so
-    callers can hand in an executor map for concurrent labeling.
+    one garbled response should not sink a calibration run.
     """
     templates = templates_for(relation)
-    tasks = [(st, idx)
+    tasks = ((st, template, value)
              for st in scored if st.triple.relation is relation
-             for idx in range(len(templates))]
-
-    def label_one(task: tuple[ScoredTriple, int]) -> bool | None:
-        st, idx = task
-        try:
-            return one_shot_label(gateway, st.triple, templates[idx])
-        except UnparseableError as exc:
-            log.warning("dropping unparseable label for %s: %s", st.triple, exc)
-            return None
-
+             for template, value in zip(templates, st.values))
     samples: dict[int, list[LabeledScore]] = {t.paraphrase_id: [] for t in templates}
     unparseable = 0
-    for (st, idx), label in zip(tasks, map_fn(label_one, tasks)):
-        if label is None:
-            unparseable += 1
-            continue
-        samples[templates[idx].paraphrase_id].append(
-            LabeledScore(score=st.values[idx], label=label))
+    for chunk in chunked(tasks):
+        texts = gateway.generate_many([label_request(st.triple, template)
+                                       for st, template, _ in chunk])
+        for (st, template, value), text in zip(chunk, texts):
+            try:
+                label = parse_label(text)
+            except UnparseableError as exc:
+                log.warning("dropping unparseable label for %s: %s", st.triple, exc)
+                unparseable += 1
+                continue
+            samples[template.paraphrase_id].append(LabeledScore(score=value, label=label))
     return samples, unparseable
 
 

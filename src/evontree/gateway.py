@@ -6,6 +6,12 @@ a prompt. Both go through a content-addressed cache keyed by the request
 plus the serving endpoint's identity, so switching endpoints or models never
 replays stale responses. The cache is one SQLite database per cache
 directory, shared safely by threads, gateways and processes.
+
+Requests travel in batches: ModelGateway.score_many and generate_many take
+a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup
+and one committed transaction for the responses it fetched. A single
+generate or score is a batch of one, so it commits alone, as does
+ResponseCache.put.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ import logging
 import sqlite3
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 import requests
 
@@ -28,6 +36,24 @@ log = logging.getLogger(__name__)
 
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
+
+# Requests per batch: one cache lookup and one commit each. Large enough
+# that commits cost little next to the requests, small enough that a batch
+# never holds a whole stage's requests, and below SQLite's oldest limit of
+# 999 parameters per statement.
+BATCH_SIZE = 256
+
+# The per-stage counters ModelGateway.counters() reports.
+GATEWAY_COUNTERS = ("requests", "cache_hits", "backend_calls", "cache_commits")
+
+T = TypeVar("T")
+
+
+def chunked(items: Iterable[T], size: int = BATCH_SIZE) -> Iterator[list[T]]:
+    """Consecutive lists of at most size items, in order."""
+    it = iter(items)
+    while chunk := list(islice(it, size)):
+        yield chunk
 
 
 @dataclass(frozen=True)
@@ -127,13 +153,14 @@ CACHE_PAGE_CACHE_KIB = 256
 class ResponseCache:
     """Response cache in one SQLite database, cache_dir/responses.sqlite3.
 
-    Each put is its own committed transaction, so a crash never leaves a
-    half-written entry that a later run would trust, and every other
-    connection to the file sees the entry as soon as put returns. The
-    database runs in WAL mode; writers in other processes wait up to
-    CACHE_BUSY_TIMEOUT_S for the write lock. One connection serves all
-    threads of this instance, behind a lock. A stored value that does not
-    decode counts as a miss and is replaced by the next put of its key.
+    put_many stores its entries in one committed transaction and put is its
+    one-entry case, so a crash never leaves a half-written entry that a
+    later run would trust, and every other connection to the file sees the
+    entries as soon as the call returns. The database runs in WAL mode;
+    writers in other processes wait up to CACHE_BUSY_TIMEOUT_S for the
+    write lock. One connection serves all threads of this instance, behind
+    a lock. A stored value that does not decode counts as a miss and is
+    replaced by the next put of its key.
     """
 
     def __init__(self, cache_dir: Path) -> None:
@@ -141,15 +168,21 @@ class ResponseCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.path = self.cache_dir / CACHE_FILE
         self._lock = threading.Lock()
-        # Autocommit (isolation_level=None): every statement commits alone.
+        # Autocommit (isolation_level=None): a statement outside an explicit
+        # BEGIN commits alone.
         self._conn = sqlite3.connect(self.path, timeout=CACHE_BUSY_TIMEOUT_S,
                                      isolation_level=None, check_same_thread=False)
         # Values come back as bytes, so an entry that is not valid UTF-8
         # fails in json.loads (a miss) rather than inside sqlite3.
         self._conn.text_factory = bytes
         try:
-            # The first statement reads the file header.
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            # The first statement reads the file header. WAL mode persists in
+            # the file, so only a file not yet in WAL mode is switched: asking
+            # for the switch while another process writes can fail with
+            # "database is locked" at once, without the busy timeout.
+            mode = self._conn.execute("PRAGMA journal_mode").fetchone()[0]
+            if mode != b"wal":
+                self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(f"PRAGMA cache_size=-{CACHE_PAGE_CACHE_KIB}")
             self._conn.execute("CREATE TABLE IF NOT EXISTS responses "
@@ -163,22 +196,41 @@ class ResponseCache:
                 "move or delete it to start with an empty cache") from exc
 
     def get(self, key: str) -> dict | None:
+        return self.get_many([key]).get(key)
+
+    def get_many(self, keys: Sequence[str]) -> dict[str, dict]:
+        """The stored responses among keys, looked up with one SELECT per
+        BATCH_SIZE keys; keys with no entry, or an undecodable one, are absent."""
+        rows = []
         with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM responses WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            return None
-        try:
-            return json.loads(row[0])
-        except ValueError:
-            log.warning("discarding undecodable cache entry %s in %s", key, self.path)
-            return None
+            for chunk in chunked(keys):
+                marks = ",".join("?" * len(chunk))
+                rows += self._conn.execute(
+                    f"SELECT key, value FROM responses WHERE key IN ({marks})", chunk).fetchall()
+        found = {}
+        for key, value in rows:
+            key = key.decode("utf-8")
+            try:
+                found[key] = json.loads(value)
+            except ValueError:
+                log.warning("discarding undecodable cache entry %s in %s", key, self.path)
+        return found
 
     def put(self, key: str, value: dict) -> None:
-        text = json.dumps(value, ensure_ascii=False)
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO responses (key, value) VALUES (?, ?)", (key, text))
+        self.put_many({key: value})
+
+    def put_many(self, entries: dict[str, dict]) -> None:
+        """Store every entry in one transaction: all of them or, if it
+        fails, none."""
+        rows = [(key, json.dumps(value, ensure_ascii=False)) for key, value in entries.items()]
+        if not rows:
+            return
+        # The connection as a context manager commits on success and rolls
+        # back on an exception.
+        with self._lock, self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO responses (key, value) VALUES (?, ?)", rows)
 
     def close(self) -> None:
         """Close the connection. The last connection to close folds the
@@ -188,13 +240,23 @@ class ResponseCache:
 
 
 class ModelGateway:
-    """Caching, retrying front door for all model calls.
+    """Caching, retrying, batching front door for all model calls.
 
     Retries apply to transport failures only (network errors, 429 and 5xx);
     protocol violations (any other bad status, malformed body) fail
     immediately since retrying cannot fix a disagreement about the wire
     format. With read_cache=False the cache is still written, so a later
     run can reuse the responses.
+
+    Requests to an HTTP endpoint wait on the network, so a batch's cache
+    misses fan out over max_in_flight threads. An in-process backend holds
+    the interpreter lock while it works, where threads only add contention;
+    its misses are fetched in order on the calling thread.
+
+    Counters, for the run manifest: requests asked for, cache_hits (found
+    in the cache, or repeating a key earlier in the same batch), calls
+    (responses fetched from the backend; retries not counted) and
+    cache_commits (transactions that stored fetched responses).
     """
 
     def __init__(
@@ -205,6 +267,7 @@ class ModelGateway:
         read_cache: bool = True,
         retry_backoff_s: tuple[float, ...] = RETRY_BACKOFF_S,
         sleep=time.sleep,
+        max_in_flight: int = 1,
     ) -> None:
         self.backend = backend
         self.model = model
@@ -212,30 +275,56 @@ class ModelGateway:
         self.read_cache = read_cache
         self.retry_backoff_s = retry_backoff_s
         self._sleep = sleep
+        self.max_in_flight = max_in_flight
+        self._pool: ThreadPoolExecutor | None = None
+        self.requests = 0
         self.calls = 0
         self.cache_hits = 0
+        self.cache_commits = 0
+
+    def counters(self) -> dict[str, int]:
+        """The running totals named in GATEWAY_COUNTERS."""
+        return dict(zip(GATEWAY_COUNTERS, (self.requests, self.cache_hits, self.calls,
+                                           self.cache_commits)))
 
     def close(self) -> None:
-        """Close the response cache, then the backend if it has a close
-        method; the gateway makes no calls after this."""
+        """Shut down the fan-out threads, close the response cache, then the
+        backend if it has a close method; the gateway makes no calls after
+        this."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
         if self.cache is not None:
             self.cache.close()
         close_backend = getattr(self.backend, "close", None)
         if close_backend is not None:
             close_backend()
 
-    def _call(self, kind: str, body: dict, bypass_cache: bool) -> dict:
-        key = _cache_key(self.backend.identity, self.model, kind, body)
-        if self.cache is not None and self.read_cache and not bypass_cache:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                return hit
+    def fan_out(self, fn: Callable[[T], object], items: Iterable[T]) -> list:
+        """fn over items, results in item order: over max_in_flight threads
+        for an HTTP endpoint, else one by one on this thread.
+
+        On a failure, items not yet started are dropped and running ones
+        finish before the first failure is raised, so no call outlives this.
+        """
+        items = list(items)
+        if not isinstance(self.backend, HttpBackend) or self.max_in_flight <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
+        futures = [self._pool.submit(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+
+    def _fetch(self, kind: str, body: dict) -> dict:
         last_exc: TransportError | None = None
         for attempt in range(RETRY_ATTEMPTS):
             try:
-                raw = self.backend.generate(body) if kind == "generate" else self.backend.score(body)
-                break
+                return self.backend.generate(body) if kind == "generate" else self.backend.score(body)
             except TransportError as exc:
                 last_exc = exc
                 if attempt + 1 < RETRY_ATTEMPTS:
@@ -243,30 +332,83 @@ class ModelGateway:
                     log.warning("transport failure (attempt %d/%d), retrying in %.1fs: %s",
                                 attempt + 1, RETRY_ATTEMPTS, delay, exc)
                     self._sleep(delay)
-        else:
-            raise TransportError(str(last_exc), attempts=RETRY_ATTEMPTS)
-        self.calls += 1
-        if self.cache is not None:
-            self.cache.put(key, raw)
-        return raw
+        raise TransportError(str(last_exc), attempts=RETRY_ATTEMPTS)
+
+    def _call_many(self, kind: str, bodies: Sequence[dict], bypass_cache: bool) -> list[dict]:
+        """Raw responses for bodies, in order, one batch per BATCH_SIZE bodies.
+
+        Each distinct key of a batch is looked up once and fetched at most
+        once. Responses fetched before a failure are still stored, in the
+        batch's one transaction.
+        """
+        raws: list[dict] = []
+        for chunk in chunked(bodies):
+            keys = [_cache_key(self.backend.identity, self.model, kind, body) for body in chunk]
+            self.requests += len(keys)
+            found: dict[str, dict] = {}
+            if self.cache is not None and self.read_cache and not bypass_cache:
+                found = self.cache.get_many(keys)
+            missing = {key: body for key, body in zip(keys, chunk) if key not in found}
+            fetched: dict[str, dict] = {}
+
+            def fetch(item: tuple[str, dict]) -> None:
+                key, body = item
+                fetched[key] = self._fetch(kind, body)
+
+            try:
+                self.fan_out(fetch, missing.items())
+            finally:
+                self.calls += len(fetched)
+                if self.cache is not None and fetched:
+                    self.cache.put_many(fetched)
+                    self.cache_commits += 1
+            self.cache_hits += len(keys) - len(fetched)
+            found.update(fetched)
+            raws += [found[key] for key in keys]
+        return raws
+
+    def generate_many(self, requests: Sequence[GenerateRequest],
+                      bypass_cache: bool = False) -> list[str]:
+        """The generated text for each request, in order."""
+        texts = []
+        for raw in self._call_many("generate", [r.to_body(self.model) for r in requests],
+                                   bypass_cache):
+            if not isinstance(raw, dict) or not isinstance(raw.get("text"), str):
+                raise ProtocolError(f"generate response missing text field: {raw!r:.200}")
+            texts.append(raw["text"])
+        return texts
 
     def generate(self, request: GenerateRequest, bypass_cache: bool = False) -> str:
-        raw = self._call("generate", request.to_body(self.model), bypass_cache)
-        if not isinstance(raw, dict) or not isinstance(raw.get("text"), str):
-            raise ProtocolError(f"generate response missing text field: {raw!r:.200}")
-        return raw["text"]
+        return self.generate_many([request], bypass_cache)[0]
+
+    def score_many(self, requests: Sequence[ScoreRequest],
+                   bypass_cache: bool = False) -> list[ScoreResponse | EmptySpanError]:
+        """The scored completion for each request, in order.
+
+        A response that scores no tokens comes back as an EmptySpanError in
+        its place, so the caller can drop just the item it belongs to; any
+        other malformed response raises ProtocolError.
+        """
+        raws = self._call_many("score", [r.to_body(self.model) for r in requests], bypass_cache)
+        return [_score_response(request, raw) for request, raw in zip(requests, raws)]
 
     def score(self, request: ScoreRequest, bypass_cache: bool = False) -> ScoreResponse:
-        raw = self._call("score", request.to_body(self.model), bypass_cache)
-        if not isinstance(raw, dict) or not isinstance(raw.get("token_logprobs"), list):
-            raise ProtocolError(f"score response missing token_logprobs: {raw!r:.200}")
-        logprobs = raw["token_logprobs"]
-        if not logprobs:
-            raise EmptySpanError(
-                f"no completion tokens scored for completion {request.completion!r}")
-        for lp in logprobs:
-            if not isinstance(lp, (int, float)):
-                raise ProtocolError(f"non-numeric logprob {lp!r}")
-            if lp > 0.0:
-                raise ProtocolError(f"logprob {lp} is positive")
-        return ScoreResponse(token_logprobs=tuple(float(lp) for lp in logprobs))
+        result = self.score_many([request], bypass_cache)[0]
+        if isinstance(result, EmptySpanError):
+            raise result
+        return result
+
+
+def _score_response(request: ScoreRequest, raw: dict) -> ScoreResponse | EmptySpanError:
+    if not isinstance(raw, dict) or not isinstance(raw.get("token_logprobs"), list):
+        raise ProtocolError(f"score response missing token_logprobs: {raw!r:.200}")
+    logprobs = raw["token_logprobs"]
+    if not logprobs:
+        return EmptySpanError(
+            f"no completion tokens scored for completion {request.completion!r}")
+    for lp in logprobs:
+        if not isinstance(lp, (int, float)):
+            raise ProtocolError(f"non-numeric logprob {lp!r}")
+        if lp > 0.0:
+            raise ProtocolError(f"logprob {lp} is positive")
+    return ScoreResponse(token_logprobs=tuple(float(lp) for lp in logprobs))

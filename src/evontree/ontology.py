@@ -215,7 +215,6 @@ class TripleStore:
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         self._triples: set[Triple] = set()
         self._parents_by_subject: dict[str, set[ConceptLabel]] = defaultdict(set)
-        self._children_by_object: dict[str, set[ConceptLabel]] = defaultdict(set)
         self._synonym_partners: dict[str, set[ConceptLabel]] = defaultdict(set)
         for t in triples:
             self.insert(t)
@@ -227,7 +226,6 @@ class TripleStore:
         self._triples.add(triple)
         if triple.relation is Relation.SUBCLASS_OF:
             self._parents_by_subject[triple.subject.key].add(triple.object)
-            self._children_by_object[triple.object.key].add(triple.subject)
         else:
             self._synonym_partners[triple.subject.key].add(triple.object)
             self._synonym_partners[triple.object.key].add(triple.subject)
@@ -244,9 +242,6 @@ class TripleStore:
 
     def parents_of(self, label: ConceptLabel) -> set[ConceptLabel]:
         return set(self._parents_by_subject.get(label.key, ()))
-
-    def children_of(self, label: ConceptLabel) -> set[ConceptLabel]:
-        return set(self._children_by_object.get(label.key, ()))
 
     def synonym_partners_of(self, label: ConceptLabel) -> set[ConceptLabel]:
         return set(self._synonym_partners.get(label.key, ()))

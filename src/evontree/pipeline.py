@@ -9,22 +9,23 @@ byte. A manifest records, per stage, the hashes of everything read and
 written, plus enough provenance (config hash, prompt and template set
 versions, model identity) to trace an artifact back to its settings.
 
-Stages run sequentially. Inside a stage, requests to an HTTP endpoint fan
-out over a thread pool bounded by scoring.max_in_flight; requests to an
-in-process backend run one by one on the calling thread.
+Stages run sequentially. A stage hands its model requests to the gateway
+in batches (see evontree.gateway); the gateway fans a batch out over
+scoring.max_in_flight threads when it talks to an HTTP endpoint and runs
+it on the calling thread for an in-process backend. Each stage's manifest
+entry counts the requests, cache hits, backend calls and cache commits it
+made.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
 import logging
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -34,7 +35,7 @@ from .calibration import CalibrationOutcome, SweepSpec, calibrate_relation, coll
 from .config import RunConfig
 from .errors import EmptySpanError, JudgeUnavailableError, MissingThresholdError, MissingUpstreamError
 from .extraction import extract_forest
-from .gateway import HttpBackend, ModelGateway
+from .gateway import GATEWAY_COUNTERS, HttpBackend, ModelGateway
 from .ontology import (
     Relation,
     Triple,
@@ -63,7 +64,8 @@ from .rules import (
     extrapolate,
     select_reliable,
 )
-from .scoring import PROMPT_SET_VERSION, confirm_decision, score_triple
+from .scoring import PROMPT_SET_VERSION, confirm_decision, score_triples
+from .scoring import score_triple  # noqa: F401  no stage calls it; perfbench/spans.py wraps it here
 from .synthesis import TEMPLATE_SET_VERSION, build_corpus, write_corpus
 from .synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
 
@@ -109,6 +111,7 @@ class RunContext:
         self._ground_truth: GroundTruth | None = None
         self._gateway: ModelGateway | None = None
         self._judge_gateway: ModelGateway | None = None
+        self._counted = dict.fromkeys(GATEWAY_COUNTERS, 0)
 
     def ground_truth(self) -> GroundTruth:
         spec = self.config.model.synthetic
@@ -133,7 +136,8 @@ class RunContext:
             self._gateway = ModelGateway(
                 backend, model=model_cfg.name,
                 cache_dir=self.config.output.resolved_cache_dir(),
-                read_cache=self.read_cache)
+                read_cache=self.read_cache,
+                max_in_flight=self.config.scoring.max_in_flight)
         return self._gateway
 
     def judge_gateway(self) -> ModelGateway | None:
@@ -146,14 +150,28 @@ class RunContext:
             self._judge_gateway = ModelGateway(
                 HttpBackend(judge.endpoint), model=judge.model,
                 cache_dir=self.config.output.resolved_cache_dir(),
-                read_cache=self.read_cache)
+                read_cache=self.read_cache,
+                max_in_flight=self.config.scoring.max_in_flight)
         return self._judge_gateway
+
+    def _open_gateways(self) -> list[ModelGateway]:
+        return [g for g in (self._gateway, self._judge_gateway) if g is not None]
 
     def close(self) -> None:
         """Close the gateways this context opened."""
-        for gateway in (self._gateway, self._judge_gateway):
-            if gateway is not None:
-                gateway.close()
+        for gateway in self._open_gateways():
+            gateway.close()
+
+    def take_gateway_counts(self) -> dict[str, int]:
+        """The gateways' counters summed, less their sums at the previous
+        call: what happened since then."""
+        totals = dict.fromkeys(GATEWAY_COUNTERS, 0)
+        for gateway in self._open_gateways():
+            for name, count in gateway.counters().items():
+                totals[name] += count
+        delta = {name: totals[name] - self._counted[name] for name in GATEWAY_COUNTERS}
+        self._counted = totals
+        return delta
 
     def model_identity(self) -> str:
         model_cfg = self.config.model
@@ -164,20 +182,14 @@ class RunContext:
         return f"{model_cfg.endpoint}#{model_cfg.name}"
 
     def map_concurrent(self, fn: Callable, items: Sequence, gateway: ModelGateway) -> list:
-        """Apply fn, which sends requests through gateway, over items,
-        preserving order.
+        """fn over items, in order, fanned out as gateway.fan_out does.
 
-        Only requests to an HTTP endpoint fan out, over at most
-        scoring.max_in_flight threads: they wait on the network. An
-        in-process backend holds the interpreter lock while it works, so
-        threads only add lock contention; its items run on this thread.
+        Stages no longer call this: they batch their requests through
+        ModelGateway.score_many and generate_many, which fan out
+        themselves. The method stays because perfbench/spans.py wraps it
+        by name.
         """
-        items = list(items)
-        workers = self.config.scoring.max_in_flight
-        if not isinstance(gateway.backend, HttpBackend) or workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        return gateway.fan_out(fn, items)
 
 
 def _utc_now() -> str:
@@ -247,6 +259,7 @@ def _finish_stage(ctx: RunContext, stage: str, inputs: Sequence[Path],
         "inputs": hashes(inputs),
         "outputs": hashes(outputs),
         "tallies": tallies,
+        "gateway": ctx.take_gateway_counts(),
     }
     _write_json(ctx.paths.manifest, manifest)
 
@@ -291,23 +304,17 @@ def stage_extract(ctx: RunContext) -> None:
     })
 
 
-def _score_records(ctx: RunContext, triples: Sequence[Triple],
-                   triple_class: TripleClass) -> tuple[list, int]:
-    """Score triples concurrently. A triple whose completion yields no
-    scoreable tokens is dropped whole and tallied; transport failures
+def _score_records(ctx: RunContext, triples: Sequence[Triple]) -> tuple[list, int]:
+    """Score triples in gateway batches. A triple whose completion yields
+    no scoreable tokens is dropped whole and tallied; transport failures
     propagate, since a dead endpoint should fail the stage."""
-    gateway = ctx.gateway()
-
-    def one(triple: Triple):
-        try:
-            return score_triple(gateway, triple, triple_class)
-        except EmptySpanError as exc:
-            log.warning("leaving %r unscored: %s", triple, exc)
-            return None
-
-    results = ctx.map_concurrent(one, triples, gateway)
-    scored = [r for r in results if r is not None]
-    return scored, len(results) - len(scored)
+    scored = []
+    for triple, result in zip(triples, score_triples(ctx.gateway(), triples)):
+        if isinstance(result, EmptySpanError):
+            log.warning("leaving %r unscored: %s", triple, result)
+        else:
+            scored.append(result)
+    return scored, len(triples) - len(scored)
 
 
 def stage_calibrate(ctx: RunContext) -> None:
@@ -316,19 +323,17 @@ def stage_calibrate(ctx: RunContext) -> None:
     paths = ctx.paths
     _require([paths.raw], "calibrate")
     raw_records = read_triple_file(paths.raw)
-    scored, unscored = _score_records(ctx, [r.triple for r in raw_records], TripleClass.RAW)
+    scored, unscored = _score_records(ctx, [r.triple for r in raw_records])
     write_triple_file(paths.scored_raw, [
         TripleRecord(st.triple, TripleClass.RAW, scores=st.values) for st in scored])
 
     sweep = SweepSpec(lo=ctx.config.calibration.sweep_lo, hi=ctx.config.calibration.sweep_hi)
-    gateway = ctx.gateway()
-    map_fn = functools.partial(ctx.map_concurrent, gateway=gateway)
     by_relation = {}
     unparseable = 0
     for relation in Relation:
         if not any(st.triple.relation is relation for st in scored):
             continue
-        samples, dropped = collect_samples(gateway, scored, relation, map_fn=map_fn)
+        samples, dropped = collect_samples(ctx.gateway(), scored, relation)
         unparseable += dropped
         by_relation[relation.value] = calibrate_relation(samples, sweep)
     outcome = CalibrationOutcome(sweep=sweep, prompt_set=PROMPT_SET_VERSION,
@@ -419,8 +424,7 @@ def stage_extrapolate(ctx: RunContext) -> None:
     write_triple_file(paths.extrapolated, ext_records)
 
     chains_by_triple = {r.triple: r.chains for r in ext_records}
-    scored, unscored = _score_records(ctx, [r.triple for r in ext_records],
-                                      TripleClass.EXTRAPOLATED)
+    scored, unscored = _score_records(ctx, [r.triple for r in ext_records])
     write_triple_file(paths.scored_extrapolated, [
         TripleRecord(st.triple, TripleClass.EXTRAPOLATED, scores=st.values,
                      chains=chains_by_triple[st.triple])
@@ -512,9 +516,7 @@ def stage_report(ctx: RunContext) -> None:
         audited = sorted({r.triple for group in (raw, extrapolated) for r in group},
                          key=lambda t: t.sort_key)
         try:
-            verdicts, judge_unparseable = judge_triples(
-                judge_gateway, audited,
-                map_fn=functools.partial(ctx.map_concurrent, gateway=judge_gateway))
+            verdicts, judge_unparseable = judge_triples(judge_gateway, audited)
         except JudgeUnavailableError as exc:
             log.warning("judge unavailable, reporting without accuracy: %s", exc)
             judge_unavailable = True

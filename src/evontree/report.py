@@ -14,11 +14,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .calibration import CalibrationOutcome, parse_label
 from .errors import JudgeUnavailableError, TransportError, UnparseableError
-from .gateway import GenerateRequest, ModelGateway
+from .gateway import GenerateRequest, ModelGateway, chunked
 from .ontology import Relation, Triple, TripleClass, TripleRecord
 from .scoring import gap_decision, judge_prompt
 
@@ -74,29 +74,31 @@ def split_by_relation(records: Iterable[TripleRecord]) -> dict[Relation, list[Tr
     return out
 
 
-def judge_triples(gateway: ModelGateway, triples: Sequence[Triple],
-                  map_fn: Callable[..., Iterable] = map) -> tuple[dict[Triple, bool], int]:
-    """Ask the judge once per triple whether it holds.
+def judge_triples(gateway: ModelGateway,
+                  triples: Sequence[Triple]) -> tuple[dict[Triple, bool], int]:
+    """Ask the judge once per triple whether it holds, one gateway batch of
+    triples at a time.
 
     Unparseable answers drop the triple from the audit and are tallied.
     A transport failure means the judge endpoint is down, which degrades
     the whole report to accuracy-free rather than failing the run.
     """
-
-    def one(triple: Triple) -> bool | None:
-        request = GenerateRequest(prompt=judge_prompt(triple), max_tokens=8, temperature=0.0)
-        try:
-            return parse_label(gateway.generate(request))
-        except UnparseableError as exc:
-            log.warning("judge answer unparseable for %r: %s", triple, exc)
-            return None
-
+    verdicts: dict[Triple, bool] = {}
+    unparseable = 0
     try:
-        results = list(map_fn(one, triples))
+        for chunk in chunked(triples):
+            texts = gateway.generate_many([
+                GenerateRequest(prompt=judge_prompt(t), max_tokens=8, temperature=0.0)
+                for t in chunk])
+            for triple, text in zip(chunk, texts):
+                try:
+                    verdicts[triple] = parse_label(text)
+                except UnparseableError as exc:
+                    log.warning("judge answer unparseable for %r: %s", triple, exc)
+                    unparseable += 1
     except TransportError as exc:
         raise JudgeUnavailableError(f"judge endpoint failed: {exc}") from exc
-    verdicts = {t: v for t, v in zip(triples, results) if v is not None}
-    return verdicts, len(results) - len(verdicts)
+    return verdicts, unparseable
 
 
 def build_rows(

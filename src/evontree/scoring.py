@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from .errors import MissingThresholdError
-from .gateway import ModelGateway, ScoreRequest
-from .ontology import ConceptLabel, Relation, Triple, TripleClass
+from .errors import EmptySpanError, MissingThresholdError
+from .gateway import BATCH_SIZE, ModelGateway, ScoreRequest, ScoreResponse, chunked
+from .ontology import ConceptLabel, Relation, Triple
 
 COMPLETION_TRUE = " True"
 COMPLETION_FALSE = " False"
@@ -107,36 +108,69 @@ class ScoreBreakdown:
 class ScoredTriple:
     triple: Triple
     breakdowns: tuple[ScoreBreakdown, ...]  # ordered by paraphrase_id
-    triple_class: TripleClass = TripleClass.RAW
 
     @property
     def values(self) -> list[float]:
         return [b.confirm_value for b in self.breakdowns]
 
-    @property
-    def mean_value(self) -> float:
-        return sum(self.values) / len(self.values)
+
+def probe_requests(triple: Triple) -> list[ScoreRequest]:
+    """Both completions of every paraphrase of the triple's relation, True
+    first, in paraphrase order."""
+    return [ScoreRequest(template.instantiate(triple.subject, triple.object), completion)
+            for template in templates_for(triple.relation)
+            for completion in (COMPLETION_TRUE, COMPLETION_FALSE)]
 
 
-def score_triple(gateway: ModelGateway, triple: Triple,
-                 triple_class: TripleClass = TripleClass.RAW) -> ScoredTriple:
-    """Score every paraphrase of the triple's relation against both answers.
+# Triples whose probes share one gateway batch: as many as fit at the
+# largest paraphrase count, two completions each.
+TRIPLES_PER_BATCH = BATCH_SIZE // (2 * max(len(templates_for(r)) for r in Relation))
 
-    A triple is scored in full or not at all: any failure leaves no partial
-    breakdown behind, so downstream consumers never see a half-scored triple.
-    """
+
+def _scored(triple: Triple,
+            responses: list[ScoreResponse | EmptySpanError]) -> ScoredTriple | EmptySpanError:
+    empty = next((r for r in responses if isinstance(r, EmptySpanError)), None)
+    if empty is not None:
+        return empty
     breakdowns = []
-    for template in templates_for(triple.relation):
-        prompt = template.instantiate(triple.subject, triple.object)
-        ppl_t = perplexity(gateway.score(ScoreRequest(prompt, COMPLETION_TRUE)).token_logprobs)
-        ppl_f = perplexity(gateway.score(ScoreRequest(prompt, COMPLETION_FALSE)).token_logprobs)
+    for template, true, false in zip(templates_for(triple.relation),
+                                     responses[::2], responses[1::2]):
+        ppl_t = perplexity(true.token_logprobs)
+        ppl_f = perplexity(false.token_logprobs)
         breakdowns.append(ScoreBreakdown(
             paraphrase_id=template.paraphrase_id,
             ppl_true=ppl_t,
             ppl_false=ppl_f,
             confirm_value=confirm_value(ppl_t, ppl_f),
         ))
-    return ScoredTriple(triple=triple, breakdowns=tuple(breakdowns), triple_class=triple_class)
+    return ScoredTriple(triple=triple, breakdowns=tuple(breakdowns))
+
+
+def score_triples(gateway: ModelGateway,
+                  triples: Iterable[Triple]) -> Iterator[ScoredTriple | EmptySpanError]:
+    """Score each triple as score_triple does, one result per triple in
+    order, sending the probes of TRIPLES_PER_BATCH triples as one batch.
+
+    A triple with a completion that scores no tokens comes back as that
+    EmptySpanError, so only it is dropped; its neighbours are scored.
+    """
+    for chunk in chunked(triples, TRIPLES_PER_BATCH):
+        probes = [probe_requests(triple) for triple in chunk]
+        responses = iter(gateway.score_many([r for requests in probes for r in requests]))
+        for triple, requests in zip(chunk, probes):
+            yield _scored(triple, [next(responses) for _ in requests])
+
+
+def score_triple(gateway: ModelGateway, triple: Triple) -> ScoredTriple:
+    """Score every paraphrase of the triple's relation against both answers.
+
+    A triple is scored in full or not at all: any failure leaves no partial
+    breakdown behind, so downstream consumers never see a half-scored triple.
+    """
+    result = next(score_triples(gateway, [triple]))
+    if isinstance(result, EmptySpanError):
+        raise result
+    return result
 
 
 def _check_lengths(values: list[float], taus: list[float]) -> None:

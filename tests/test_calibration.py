@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evontree.gateway as gateway_module
 from evontree.calibration import (
     POOLED_KEY,
     CalibrationOutcome,
@@ -23,6 +25,7 @@ from evontree.errors import (
     InvalidParamsError,
     UnparseableError,
 )
+from evontree.gateway import HttpBackend, ModelGateway
 from evontree.ontology import Relation, Triple, normalize_label as lbl
 from evontree.scoring import ScoreBreakdown, ScoredTriple, templates_for
 
@@ -217,6 +220,9 @@ class ScriptedLabelGateway:
         self.prompts.append(request.prompt)
         return self.answers.get(request.prompt, "no idea")
 
+    def generate_many(self, requests, bypass_cache=False):
+        return [self.generate(request) for request in requests]
+
 
 class TestCollectSamples:
     def build_gateway(self, scored_a, scored_b):
@@ -248,16 +254,41 @@ class TestCollectSamples:
         assert all(len(v) == 1 for v in samples.values())
         assert all("'x'" not in p for p in gw.prompts)
 
-    def test_executor_map_matches_serial(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    def test_executor_map_matches_serial(self, monkeypatch):
+        # Label requests to an HTTP endpoint fan out over max_in_flight
+        # threads inside the gateway; the samples must not depend on it.
         a = scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6])
         b = scored_subclass("b", "root", [-0.1, -0.2, -0.3, -0.4])
-        serial = collect_samples(self.build_gateway(a, b), [a, b], Relation.SUBCLASS_OF)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = collect_samples(self.build_gateway(a, b), [a, b],
-                                       Relation.SUBCLASS_OF, map_fn=pool.map)
+        answers = self.build_gateway(a, b).answers
+
+        class ScriptedHttpBackend(HttpBackend):
+            def generate(self, body):
+                return {"text": answers.get(body["prompt"], "no idea")}
+
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", RecordingPool)
+
+        def collect(max_in_flight):
+            gw = ModelGateway(ScriptedHttpBackend("http://scripted.invalid"), model="m",
+                              cache_dir=None, max_in_flight=max_in_flight)
+            try:
+                return collect_samples(gw, [a, b], Relation.SUBCLASS_OF)
+            finally:
+                gw.close()
+
+        serial = collect(1)
+        assert pools == []
+        threaded = collect(4)
+        assert pools == [4]
         assert serial == threaded
+        assert serial == collect_samples(self.build_gateway(a, b), [a, b],
+                                         Relation.SUBCLASS_OF)
 
 
 class TestCalibrateRelation:

@@ -18,6 +18,7 @@ import pytest
 import evontree
 from evontree.errors import CacheCorruptError, EmptySpanError, ProtocolError, TransportError
 from evontree.gateway import (
+    BATCH_SIZE,
     CACHE_FILE,
     GenerateRequest,
     HttpBackend,
@@ -260,6 +261,90 @@ class TestRetry:
         with pytest.raises(ProtocolError):
             gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
         assert len(backend.calls) == 1
+
+
+def prompts(n: int) -> list[GenerateRequest]:
+    return [GenerateRequest(prompt=f"p{i}", max_tokens=4, temperature=0.0) for i in range(n)]
+
+
+class TestBatches:
+    def test_transport_error_keeps_the_responses_fetched_before_it(self, tmp_path):
+        class FailsOnP3(FakeBackend):
+            def generate(self, body):
+                self.calls.append(("generate", body))
+                if body["prompt"] == "p3":
+                    raise TransportError("scripted failure")
+                return {"text": f"gen:{body['prompt']}"}
+
+        gw, backend = make_gateway(tmp_path, backend=FailsOnP3())
+        with pytest.raises(TransportError):
+            gw.generate_many(prompts(6))
+        assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1", "p2"] + ["p3"] * 3
+        assert gw.calls == 3 and gw.cache_commits == 1
+        gw.close()
+        fresh, fresh_backend = make_gateway(tmp_path)
+        assert fresh.generate_many(prompts(3)) == ["gen:p0", "gen:p1", "gen:p2"]
+        assert fresh_backend.calls == []
+        assert fresh.cache_hits == 3
+        fresh.close()
+
+    def test_fanned_out_batch_keeps_every_response_that_arrived(self, tmp_path):
+        class FailsOnP3Http(HttpBackend):
+            def __init__(self):
+                super().__init__("http://127.0.0.1:1")
+                self.answered = []
+
+            def generate(self, body):
+                if body["prompt"] == "p3":
+                    raise TransportError("scripted failure")
+                self.answered.append(body["prompt"])
+                return {"text": f"gen:{body['prompt']}"}
+
+        backend = FailsOnP3Http()
+        gw = ModelGateway(backend, model="m1", cache_dir=tmp_path / "cache",
+                          retry_backoff_s=(0.0,), sleep=lambda s: None, max_in_flight=4)
+        with pytest.raises(TransportError):
+            gw.generate_many(prompts(40))
+        gw.close()
+        assert "p0" in backend.answered and gw.calls == len(backend.answered)
+        # Every answer that arrived before the failure was raised is stored.
+        cache = ResponseCache(tmp_path / "cache")
+        try:
+            for i in range(40):
+                key = _cache_key(backend.identity, "m1", "generate",
+                                 prompts(40)[i].to_body("m1"))
+                stored = cache.get(key)
+                assert (stored is not None) == (f"p{i}" in backend.answered), i
+        finally:
+            cache.close()
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_duplicates_reach_the_backend_once_and_count_once(self, tmp_path, cached):
+        backend = FakeBackend()
+        gw = ModelGateway(backend, model="m1", cache_dir=tmp_path if cached else None)
+        a, b = prompts(2)
+        assert gw.generate_many([a, b, a, a]) == ["gen:p0", "gen:p1", "gen:p0", "gen:p0"]
+        assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]
+        assert gw.counters() == {"requests": 4, "cache_hits": 2, "backend_calls": 2,
+                                 "cache_commits": 1 if cached else 0}
+        # Once stored, a repeated key is one lookup and counts as hits only.
+        if cached:
+            assert gw.generate_many([b, b]) == ["gen:p1", "gen:p1"]
+            assert len(backend.calls) == 2
+            assert gw.counters() == {"requests": 6, "cache_hits": 4, "backend_calls": 2,
+                                     "cache_commits": 1}
+        gw.close()
+
+    def test_batch_is_one_lookup_and_one_commit(self, tmp_path):
+        gw, backend = make_gateway(tmp_path)
+        statements = []
+        gw.cache._conn.set_trace_callback(statements.append)
+        gw.generate_many(prompts(BATCH_SIZE + 1))
+        assert len(backend.calls) == BATCH_SIZE + 1
+        selects = [s for s in statements if s.startswith("SELECT")]
+        assert len(selects) == 2  # BATCH_SIZE requests, then one
+        assert statements.count("COMMIT") == gw.cache_commits == 2
+        gw.close()
 
 
 class TestScoreValidation:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -12,13 +14,19 @@ from pathlib import Path
 
 import pytest
 
-import evontree.pipeline as pipeline
+import evontree.gateway as gateway_module
 from evontree.config import ENDPOINT_ENV_VAR, parse_config
 from evontree.errors import MissingUpstreamError
-from evontree.gateway import HttpBackend, ModelGateway
-from evontree.ontology import Relation, TripleClass, read_triple_file
+from evontree.gateway import (
+    BATCH_SIZE,
+    GATEWAY_COUNTERS,
+    GenerateRequest,
+    HttpBackend,
+    ModelGateway,
+)
+from evontree.ontology import read_triple_file
 from evontree.pipeline import STAGE_ORDER, RunContext, run_all, run_stage, stage_sweep
-from evontree.scoring import confirm_decision
+from evontree.scoring import TRIPLES_PER_BATCH, confirm_decision, templates_for
 from evontree.synthesis import read_corpus
 from evontree.synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
 
@@ -92,7 +100,7 @@ def serve_over_http(backend):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of every thread pool the pipeline builds, in order."""
+    """The max_workers of every thread pool the gateways build, in order."""
     built = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -100,7 +108,7 @@ def pools(monkeypatch):
             built.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", RecordingPool)
     return built
 
 
@@ -236,7 +244,14 @@ class TestMapConcurrent:
         def no_pool(*args, **kwargs):
             raise AssertionError("in-process work opened a thread pool")
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", no_pool)
+        backend_threads = []
+        for method in ("generate", "score"):
+            def recording(self, body, original=getattr(SyntheticBackend, method)):
+                backend_threads.append(threading.get_ident())
+                return original(self, body)
+
+            monkeypatch.setattr(SyntheticBackend, method, recording)
         ctx = RunContext(make_config(tmp_path, scoring={"max_in_flight": 8}))
         try:
             threads = []
@@ -247,26 +262,40 @@ class TestMapConcurrent:
 
             assert ctx.map_concurrent(fn, range(20), ctx.gateway()) == [i * 2 for i in range(20)]
             assert set(threads) == {threading.get_ident()}
-            # Every stage that maps over model requests, the judge included.
+            # Every stage that sends model requests, the judge included.
             assert ctx.config.model.judge.kind == "self"
             run_all(ctx)
         finally:
             ctx.close()
+        assert backend_threads and set(backend_threads) == {threading.get_ident()}
 
-    def test_http_backend_fans_out_in_order(self, tmp_path, pools):
-        ctx = RunContext(make_config(tmp_path, scoring={"max_in_flight": 3}))
-        gateway = ModelGateway(HttpBackend("http://127.0.0.1:1"), model="m", cache_dir=None)
+    def test_http_backend_fans_out_in_order(self, pools):
+        class SlowHttpBackend(HttpBackend):
+            """Answers without a network; later prompts answer first."""
+
+            def __init__(self):
+                super().__init__("http://127.0.0.1:1")
+                self.threads = []
+
+            def generate(self, body):
+                self.threads.append(threading.get_ident())
+                time.sleep(0.002 * (10 - int(body["prompt"])))
+                return {"text": f"answer {body['prompt']}"}
+
+        backend = SlowHttpBackend()
+        gateway = ModelGateway(backend, model="m", cache_dir=None, max_in_flight=3)
         try:
-            def fn(item):
-                time.sleep(0.002 * (10 - item))  # later items finish first
-                return item, threading.get_ident()
-
-            results = ctx.map_concurrent(fn, range(10), gateway)
+            texts = gateway.generate_many(
+                [GenerateRequest(prompt=str(i), max_tokens=8, temperature=0.0)
+                 for i in range(10)])
         finally:
             gateway.close()
-        assert [item for item, _ in results] == list(range(10))
-        assert threading.get_ident() not in {thread for _, thread in results}
+        assert texts == [f"answer {i}" for i in range(10)]
+        assert threading.get_ident() not in backend.threads
+        assert len(set(backend.threads)) == 3
         assert pools == [3]
+        # close() ended the pool's threads.
+        assert not set(backend.threads) & {t.ident for t in threading.enumerate()}
 
     def test_http_judge_fans_out_with_a_synthetic_model(self, completed_run, tmp_path,
                                                         pools):
@@ -285,6 +314,53 @@ class TestMapConcurrent:
         # The served model judges from the same reference as the self judge.
         assert (ctx.paths.report_csv.read_bytes()
                 == completed_run.paths.report_csv.read_bytes())
+
+
+class TestGatewayCounts:
+    def test_each_stage_records_its_own_counts(self, completed_run):
+        manifest = json.loads(completed_run.paths.manifest.read_text())
+        counts = {name: entry["gateway"] for name, entry in manifest["stages"].items()}
+        assert all(set(c) == set(GATEWAY_COUNTERS) for c in counts.values())
+        for stage in ("confirm", "reliable", "gap"):
+            assert counts[stage] == dict.fromkeys(GATEWAY_COUNTERS, 0)
+        for stage in ("extract", "calibrate", "extrapolate", "synthesize", "report"):
+            c = counts[stage]
+            assert c["requests"] > 0, stage
+            assert c["requests"] == c["cache_hits"] + c["backend_calls"], stage
+        # Extraction sends one request at a time, so each fetch commits alone.
+        assert counts["extract"]["cache_commits"] == counts["extract"]["backend_calls"]
+        # The stages' deltas add up to the gateway's totals.
+        totals = completed_run.gateway().counters()
+        assert {n: sum(c[n] for c in counts.values()) for n in GATEWAY_COUNTERS} == totals
+
+    def test_calibrate_commits_once_per_batch(self, tmp_path):
+        ctx = RunContext(make_config(tmp_path))
+        statements = []
+        try:
+            run_stage(ctx, "extract")
+            ctx.gateway().cache._conn.set_trace_callback(statements.append)
+            run_stage(ctx, "calibrate")
+        finally:
+            ctx.close()
+        raw = read_triple_file(ctx.paths.raw)
+        pairs = Counter()
+        for record in raw:
+            pairs[record.triple.relation] += len(templates_for(record.triple.relation))
+        batches = (math.ceil(len(raw) / TRIPLES_PER_BATCH)
+                   + sum(math.ceil(n / BATCH_SIZE) for n in pairs.values()))
+        counts = json.loads(ctx.paths.manifest.read_text())["stages"]["calibrate"]["gateway"]
+        commits = [s for s in statements if s == "COMMIT"]
+        inserts = [s for s in statements if s.startswith("INSERT")]
+        assert 0 < len(commits) == counts["cache_commits"] <= batches
+        # Every response fetched went into a batch's transaction.
+        assert len(inserts) == counts["backend_calls"] > len(commits)
+        in_transaction = False
+        for statement in statements:
+            if statement.startswith(("BEGIN", "COMMIT")):
+                in_transaction = statement.startswith("BEGIN")
+            elif statement.startswith("INSERT"):
+                assert in_transaction
+        assert not in_transaction
 
 
 class TestPerfectSignal:

@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from evontree.errors import MissingThresholdError
-from evontree.gateway import ScoreResponse
+from evontree.errors import EmptySpanError, MissingThresholdError
+from evontree.gateway import ModelGateway, ScoreResponse
 from evontree.ontology import Relation, Triple, normalize_label as lbl
 from evontree.scoring import (
     COMPLETION_FALSE,
@@ -19,6 +19,7 @@ from evontree.scoring import (
     judge_prompt,
     perplexity,
     score_triple,
+    score_triples,
     templates_for,
 )
 
@@ -136,6 +137,9 @@ class FakeScoringGateway:
         p = self.p_true if request.completion == COMPLETION_TRUE else 1.0 - self.p_true
         return ScoreResponse(token_logprobs=(math.log(p),))
 
+    def score_many(self, requests):
+        return [self.score(request) for request in requests]
+
 
 class TestScoreTriple:
     def test_subclass_produces_four_ordered_breakdowns(self):
@@ -145,7 +149,6 @@ class TestScoreTriple:
         assert len(gw.requests) == 8  # two completions per paraphrase
         for b in scored.breakdowns:
             assert b.confirm_value == pytest.approx(0.8, abs=1e-9)
-        assert scored.mean_value == pytest.approx(0.8, abs=1e-9)
 
     def test_synonym_produces_five_breakdowns(self):
         gw = FakeScoringGateway(p_true=0.3)
@@ -159,6 +162,41 @@ class TestScoreTriple:
         score_triple(gw, Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe")))
         for req in gw.requests:
             assert "'Virus'" in req.prompt and "'Microbe'" in req.prompt
+
+
+class TestScoreTriples:
+    def test_empty_span_triple_leaves_its_neighbours_scored(self, tmp_path):
+        class EmptyForPrionBackend:
+            identity = "fake://scores"
+
+            def __init__(self):
+                self.bodies = []
+
+            def generate(self, body):
+                raise AssertionError("scoring never generates")
+
+            def score(self, body):
+                self.bodies.append(body)
+                if "'Prion'" in body["prompt"]:
+                    return {"token_logprobs": []}
+                p = 0.8 if body["completion"] == COMPLETION_TRUE else 0.2
+                return {"token_logprobs": [math.log(p)]}
+
+        backend = EmptyForPrionBackend()
+        gw = ModelGateway(backend, model="m", cache_dir=tmp_path)
+        triples = [Triple(lbl(s), Relation.SUBCLASS_OF, lbl("Microbe"))
+                   for s in ("Virus", "Prion", "Fungus")]
+        try:
+            results = list(score_triples(gw, triples))
+        finally:
+            gw.close()
+        assert isinstance(results[1], EmptySpanError)
+        for triple, result in ((triples[0], results[0]), (triples[2], results[2])):
+            assert result.triple == triple
+            assert result.values == pytest.approx([0.8] * 4, abs=1e-9)
+        # All three triples travelled in one batch: one lookup, one commit.
+        assert len(backend.bodies) == gw.calls == 24
+        assert gw.cache_commits == 1
 
 
 class TestDecisions:
