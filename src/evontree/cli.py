@@ -3,7 +3,8 @@
 One verb per pipeline stage plus `run` (every stage in order) and `sweep`
 (gap yield across shifted thresholds). Exit codes: 0 on success, 2 for a
 config problem, 3 when a stage is invoked before its upstream artifacts
-exist, 4 when the model endpoint fails.
+exist, 4 when the model endpoint fails, and 1 for any other evontree error,
+such as a response cache file that is not a SQLite database.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .pipeline import STAGE_ORDER, RunContext, run_all, run_stage, stage_sweep
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
+EXIT_OTHER = 1
 EXIT_CONFIG = 2
 EXIT_MISSING_UPSTREAM = 3
 EXIT_GATEWAY = 4
@@ -77,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_GATEWAY
     except EvontreeError as exc:
         log.error("%s", exc)
-        return 1
+        return EXIT_OTHER
     finally:
         if ctx is not None:
             ctx.close()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     EmptyLabelError,
@@ -46,12 +46,14 @@ DEFAULT_ROOTS: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    roots: tuple[str, ...] = DEFAULT_ROOTS
-    max_depth: int = 3
-    parse_retries: int = 3  # total attempts per concept, not extra retries
-    frontier_budget: int = 2000  # expansions per root, the root included
-    gen_max_tokens: int = 1024
-    gen_temperature: float = 0.7
+    roots: tuple[str, ...] = field(default=DEFAULT_ROOTS, metadata={"nonblank": True})
+    max_depth: int = field(default=3, metadata={"ge": 1})
+    # Total attempts per concept, not extra retries.
+    parse_retries: int = field(default=3, metadata={"ge": 1})
+    # Expansions per root, the root included.
+    frontier_budget: int = field(default=2000, metadata={"ge": 1})
+    gen_max_tokens: int = field(default=1024, metadata={"ge": 1})
+    gen_temperature: float = field(default=0.7, metadata={"ge": 0.0})
 
 
 def build_tree_prompt(concept: ConceptLabel) -> str:
@@ -151,13 +153,10 @@ class ExtractionStats:
         return dict(vars(self))
 
     def add(self, other: "ExtractionStats") -> None:
-        self.expansions += other.expansions
-        self.parse_failures += other.parse_failures
-        self.transport_failures += other.transport_failures
-        self.cycles_skipped += other.cycles_skipped
-        self.empty_names_skipped += other.empty_names_skipped
-        self.sibling_merges += other.sibling_merges
-        self.budget_exhausted = self.budget_exhausted or other.budget_exhausted
+        """Sum the counts; a flag is set if it is set on either side."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, (mine or theirs) if isinstance(mine, bool) else mine + theirs)
 
 
 def _elicit_children(gateway: ModelGateway, concept: ConceptLabel,

@@ -334,49 +334,51 @@ class ModelGateway:
                     self._sleep(delay)
         raise TransportError(str(last_exc), attempts=RETRY_ATTEMPTS)
 
-    def _call_many(self, kind: str, bodies: Sequence[dict], bypass_cache: bool) -> list[dict]:
-        """Raw responses for bodies, in order, one batch per BATCH_SIZE bodies.
+    def _call_many(self, kind: str, requests: Sequence, bypass_cache: bool,
+                   parse: Callable[[object, dict], T]) -> list[T]:
+        """parse(request, body) for each request's response body, in order,
+        one batch per BATCH_SIZE requests.
 
         Each distinct key of a batch is looked up once and fetched at most
-        once. Responses fetched before a failure are still stored, in the
-        batch's one transaction.
+        once. A fetched body is parsed before it is stored, so one that
+        parse rejects (ProtocolError) is never cached and a rerun asks the
+        backend again. Valid responses fetched before a failure are still
+        stored, in the batch's one transaction.
         """
-        raws: list[dict] = []
-        for chunk in chunked(bodies):
-            keys = [_cache_key(self.backend.identity, self.model, kind, body) for body in chunk]
+        results: list[T] = []
+        for chunk in chunked(requests):
+            bodies = [r.to_body(self.model) for r in chunk]
+            keys = [_cache_key(self.backend.identity, self.model, kind, body) for body in bodies]
             self.requests += len(keys)
             found: dict[str, dict] = {}
             if self.cache is not None and self.read_cache and not bypass_cache:
                 found = self.cache.get_many(keys)
-            missing = {key: body for key, body in zip(keys, chunk) if key not in found}
-            fetched: dict[str, dict] = {}
+            missing = {key: (r, body) for key, r, body in zip(keys, chunk, bodies)
+                       if key not in found}
+            fetched: dict[str, dict] = {}  # every response the backend returned
+            parsed: dict[str, T] = {}  # the valid ones, parsed
 
-            def fetch(item: tuple[str, dict]) -> None:
-                key, body = item
+            def fetch(item: tuple[str, tuple[object, dict]]) -> None:
+                key, (request, body) = item
                 fetched[key] = self._fetch(kind, body)
+                parsed[key] = parse(request, fetched[key])
 
             try:
                 self.fan_out(fetch, missing.items())
             finally:
                 self.calls += len(fetched)
-                if self.cache is not None and fetched:
-                    self.cache.put_many(fetched)
+                if self.cache is not None and parsed:
+                    self.cache.put_many({key: fetched[key] for key in parsed})
                     self.cache_commits += 1
             self.cache_hits += len(keys) - len(fetched)
-            found.update(fetched)
-            raws += [found[key] for key in keys]
-        return raws
+            results += [parsed[key] if key in parsed else parse(r, found[key])
+                        for key, r in zip(keys, chunk)]
+        return results
 
     def generate_many(self, requests: Sequence[GenerateRequest],
                       bypass_cache: bool = False) -> list[str]:
         """The generated text for each request, in order."""
-        texts = []
-        for raw in self._call_many("generate", [r.to_body(self.model) for r in requests],
-                                   bypass_cache):
-            if not isinstance(raw, dict) or not isinstance(raw.get("text"), str):
-                raise ProtocolError(f"generate response missing text field: {raw!r:.200}")
-            texts.append(raw["text"])
-        return texts
+        return self._call_many("generate", requests, bypass_cache, _generated_text)
 
     def generate(self, request: GenerateRequest, bypass_cache: bool = False) -> str:
         return self.generate_many([request], bypass_cache)[0]
@@ -386,17 +388,24 @@ class ModelGateway:
         """The scored completion for each request, in order.
 
         A response that scores no tokens comes back as an EmptySpanError in
-        its place, so the caller can drop just the item it belongs to; any
-        other malformed response raises ProtocolError.
+        its place, so the caller can drop just the item it belongs to. Such
+        a body is well-formed, and the same request always gets it, so it is
+        cached and a rerun gets the EmptySpanError again from the cache. Any
+        other malformed response raises ProtocolError and is not cached.
         """
-        raws = self._call_many("score", [r.to_body(self.model) for r in requests], bypass_cache)
-        return [_score_response(request, raw) for request, raw in zip(requests, raws)]
+        return self._call_many("score", requests, bypass_cache, _score_response)
 
     def score(self, request: ScoreRequest, bypass_cache: bool = False) -> ScoreResponse:
         result = self.score_many([request], bypass_cache)[0]
         if isinstance(result, EmptySpanError):
             raise result
         return result
+
+
+def _generated_text(request: GenerateRequest, raw: dict) -> str:
+    if not isinstance(raw, dict) or not isinstance(raw.get("text"), str):
+        raise ProtocolError(f"generate response missing text field: {raw!r:.200}")
+    return raw["text"]
 
 
 def _score_response(request: ScoreRequest, raw: dict) -> ScoreResponse | EmptySpanError:

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import __version__
-from .calibration import CalibrationOutcome, SweepSpec, calibrate_relation, collect_samples
+from .calibration import CalibrationOutcome, calibrate_relation, collect_samples
 from .config import RunConfig
 from .errors import EmptySpanError, JudgeUnavailableError, MissingThresholdError, MissingUpstreamError
 from .extraction import extract_forest
@@ -327,7 +327,7 @@ def stage_calibrate(ctx: RunContext) -> None:
     write_triple_file(paths.scored_raw, [
         TripleRecord(st.triple, TripleClass.RAW, scores=st.values) for st in scored])
 
-    sweep = SweepSpec(lo=ctx.config.calibration.sweep_lo, hi=ctx.config.calibration.sweep_hi)
+    sweep = ctx.config.calibration.sweep()
     by_relation = {}
     unparseable = 0
     for relation in Relation:

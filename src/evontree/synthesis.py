@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import check_fields
 from .gateway import GenerateRequest, ModelGateway
 from .ontology import TripleRecord
 
@@ -60,15 +61,14 @@ def explicit_pair(d: str, c: str, a: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    strategy: str = "mix"
-    max_tokens: int = 512
-    temperature: float = 0.7
+    strategy: str = field(default="mix", metadata={"choices": STRATEGIES})
+    max_tokens: int = field(default=512, metadata={"ge": 1})
+    temperature: float = field(default=0.7, metadata={"ge": 0.0})
     strip_hint: bool = False
-    empty_retries: int = 2
+    empty_retries: int = field(default=2, metadata={"ge": 0})
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        check_fields(self)
 
 
 @dataclass

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from random import Random
 
-from .errors import InvalidParamsError, UnrecognizedPromptError
+from .errors import InvalidParamsError, UnrecognizedPromptError, check_fields
 from .ontology import Relation
 from .scoring import JUDGE_TEMPLATES, PROMPT_SET_V1
 
@@ -175,21 +175,14 @@ class NoiseProfile:
     to separate them.
     """
 
-    p_true_known: float = 0.9
-    p_true_unfamiliar: float = 0.15
-    p_true_false: float = 0.1
-    familiarity_rate: float = 0.8
-    jitter: float = 0.05
+    p_true_known: float = field(default=0.9, metadata={"gt": 0.0, "lt": 1.0})
+    p_true_unfamiliar: float = field(default=0.15, metadata={"gt": 0.0, "lt": 1.0})
+    p_true_false: float = field(default=0.1, metadata={"gt": 0.0, "lt": 1.0})
+    familiarity_rate: float = field(default=0.8, metadata={"ge": 0.0, "le": 1.0})
+    jitter: float = field(default=0.05, metadata={"ge": 0.0, "lt": 0.5})
 
     def __post_init__(self) -> None:
-        for name in ("p_true_known", "p_true_unfamiliar", "p_true_false"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise InvalidParamsError(f"{name} must be in (0, 1), got {v}")
-        if not 0.0 <= self.familiarity_rate <= 1.0:
-            raise InvalidParamsError("familiarity_rate must be in [0, 1]")
-        if not 0.0 <= self.jitter < 0.5:
-            raise InvalidParamsError("jitter must be in [0, 0.5)")
+        check_fields(self)
         if self.p_true_known <= self.p_true_false:
             raise InvalidParamsError("p_true_known must exceed p_true_false")
 

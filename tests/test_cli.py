@@ -52,6 +52,11 @@ class TestExitCodes:
         config = write_config(tmp_path, {**CONFIG_OBJ, "typo_section": {}})
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
+    def test_unsupported_hops_exits_2_before_any_stage(self, tmp_path):
+        config = write_config(tmp_path, {**CONFIG_OBJ, "rules": {"hops": 2}})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_missing_upstream_exits_3(self, tmp_path):
         config = write_config(tmp_path, CONFIG_OBJ)
         assert main(["gap", "--config", str(config)]) == EXIT_MISSING_UPSTREAM

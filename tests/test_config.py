@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,12 @@ class TestDefaults:
         cfg = load_config(write_config(tmp_path, {
             "model": {"kind": "http", "name": "m", "endpoint": "http://host:1"}}))
         assert cfg.model.judge.kind == "none"
+
+    def test_endpoint_is_ignored_for_synthetic(self, tmp_path):
+        obj = {"model": {"kind": "synthetic", "endpoint": "http://host:1"}}
+        cfg = parse_config(obj, base_dir=tmp_path)
+        assert cfg.model.endpoint is None
+        assert cfg.config_hash() == parse_config(MINIMAL, base_dir=tmp_path).config_hash()
 
     def test_output_paths_resolve_against_config_dir(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {
@@ -178,3 +186,166 @@ class TestHashing:
     def test_parse_config_rejects_non_object_root(self, tmp_path):
         with pytest.raises(ConfigError, match="object"):
             parse_config(["not", "a", "dict"], base_dir=tmp_path)
+
+
+def with_value(base: dict, dotted_key: str, value) -> dict:
+    """A copy of base with value at the dotted key, sections created as needed."""
+    obj = copy.deepcopy(base)
+    *sections, leaf = dotted_key.split(".")
+    node = obj
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[leaf] = value
+    return obj
+
+
+# Every leaf key with a bad value and the message it must give. Written out
+# by hand rather than derived from the dataclasses, so a key that loses its
+# check, or changes its domain, fails here.
+BAD_VALUES = [
+    ("model.kind", "quantum", "must be one of ('synthetic', 'http'), got 'quantum'"),
+    ("model.kind", 5, "has the wrong type: 5"),
+    ("model.name", 5, "has the wrong type: 5"),
+    ("model.endpoint", 5, "has the wrong type: 5"),
+    ("model.judge.kind", "oracle", "must be one of ('none', 'self', 'http'), got 'oracle'"),
+    ("model.judge.endpoint", 5, "has the wrong type: 5"),
+    ("model.judge.model", ["m"], "has the wrong type: ['m']"),
+    ("model.synthetic.depth", 0, "must be >= 1, got 0"),
+    ("model.synthetic.depth", "three", "has the wrong type: 'three'"),
+    ("model.synthetic.branching", 0, "must be >= 1, got 0"),
+    ("model.synthetic.synonym_rate", 1.5, "must be <= 1.0, got 1.5"),
+    ("model.synthetic.synonym_rate", True, "has the wrong type: True"),
+    ("model.synthetic.n_roots", 0, "must be >= 1, got 0"),
+    ("model.synthetic.seed", 1.5, "has the wrong type: 1.5"),
+    ("model.synthetic.hallucination_rate", -0.1, "must be >= 0.0, got -0.1"),
+    ("model.synthetic.noise.p_true_known", 1.0, "must be < 1.0, got 1.0"),
+    ("model.synthetic.noise.p_true_unfamiliar", 0, "must be > 0.0, got 0"),
+    ("model.synthetic.noise.p_true_false", "low", "has the wrong type: 'low'"),
+    ("model.synthetic.noise.familiarity_rate", 1.1, "must be <= 1.0, got 1.1"),
+    ("model.synthetic.noise.jitter", 0.5, "must be < 0.5, got 0.5"),
+    ("extraction.roots", [], "must be a non-empty list, got []"),
+    ("extraction.roots", "Enzyme", "must be a non-empty list, got 'Enzyme'"),
+    ("extraction.roots", ["Enzyme", " "], "must not be blank, got ' '"),
+    ("extraction.roots", ["Enzyme", 1], "[1] has the wrong type: 1"),
+    ("extraction.max_depth", 0, "must be >= 1, got 0"),
+    ("extraction.parse_retries", 0, "must be >= 1, got 0"),
+    ("extraction.frontier_budget", 0, "must be >= 1, got 0"),
+    ("extraction.frontier_budget", 10.0, "has the wrong type: 10.0"),
+    ("extraction.gen_max_tokens", 0, "must be >= 1, got 0"),
+    ("extraction.gen_temperature", -0.5, "must be >= 0.0, got -0.5"),
+    ("scoring.max_in_flight", 0, "must be >= 1, got 0"),
+    ("scoring.max_in_flight", True, "has the wrong type: True"),
+    ("calibration.sweep_lo", "0", "has the wrong type: '0'"),
+    ("calibration.sweep_hi", None, "has the wrong type: None"),
+    ("rules.hops", 2, "must be one of (1,), got 2"),
+    ("rules.hops", 0, "must be one of (1,), got 0"),
+    ("gap.mode", "most_below",
+     "must be one of ('all_below', 'mean_below', 'any_below'), got 'most_below'"),
+    ("gap.sweep_offsets", [], "must be a non-empty list, got []"),
+    ("gap.sweep_offsets", [0.5, "1"], "[1] has the wrong type: '1'"),
+    ("gap.sweep_offsets", [False], "[0] has the wrong type: False"),
+    ("synthesis.strategy", "both", "must be one of ('explicit', 'implicit', 'mix'), got 'both'"),
+    ("synthesis.max_tokens", 0, "must be >= 1, got 0"),
+    ("synthesis.temperature", -1, "must be >= 0.0, got -1"),
+    ("synthesis.strip_hint", 1, "has the wrong type: 1"),
+    ("synthesis.empty_retries", -1, "must be >= 0, got -1"),
+    ("output.dir", 5, "has the wrong type: 5"),
+    ("output.cache_dir", 5, "has the wrong type: 5"),
+]
+
+SECTIONS = ["model", "model.judge", "model.synthetic", "model.synthetic.noise", "extraction",
+            "scoring", "calibration", "rules", "gap", "synthesis", "output"]
+
+
+class TestEveryKey:
+    @pytest.mark.parametrize(("key", "value", "message"), BAD_VALUES,
+                             ids=[f"{k}={v!r}" for k, v, _ in BAD_VALUES])
+    def test_bad_value_names_its_dotted_key(self, key, value, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(with_value(MINIMAL, key, value), base_dir=Path("/pinned"))
+        separator = "" if message.startswith("[") else " "  # a list item's index
+        assert str(exc.value) == f"config.{key}{separator}{message}"
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_unknown_sibling_key_names_its_section(self, section):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(with_value(MINIMAL, f"{section}.typo", 1), base_dir=Path("/pinned"))
+        assert str(exc.value) == f"unknown key(s) ['typo'] in config.{section}"
+
+    def test_table_covers_every_leaf_key(self):
+        def leaves(obj: dict, prefix: str = "") -> set[str]:
+            keys = set()
+            for key, value in obj.items():
+                if isinstance(value, dict):
+                    keys |= leaves(value, f"{prefix}{key}.")
+                else:
+                    keys.add(f"{prefix}{key}")
+            return keys
+
+        schema = parse_config(MINIMAL, base_dir=Path("/pinned")).to_json_obj()
+        assert leaves(schema) == {key for key, _, _ in BAD_VALUES}
+        sections = {key.rsplit(".", 1)[0] for key in leaves(schema) if "." in key}
+        assert sections == set(SECTIONS)
+
+    def test_noise_levels_out_of_order_rejected(self):
+        obj = with_value(MINIMAL, "model.synthetic.noise",
+                         {"p_true_known": 0.3, "p_true_false": 0.4})
+        with pytest.raises(ConfigError, match=r"config\.model\.synthetic\.noise: "
+                                              r"p_true_known must exceed p_true_false"):
+            parse_config(obj, base_dir=Path("/pinned"))
+
+    def test_numbers_keep_their_type_and_offsets_become_floats(self):
+        obj = {**MINIMAL, "extraction": {"gen_temperature": 0},
+               "gap": {"sweep_offsets": [-1, 0, 1]}}
+        cfg = parse_config(obj, base_dir=Path("/pinned"))
+        assert type(cfg.extraction.gen_temperature) is int
+        assert cfg.gap.sweep_offsets == (-1.0, 0.0, 1.0)
+        assert all(type(o) is float for o in cfg.gap.sweep_offsets)
+
+
+# An http config whose every key differs from its default, a judge with it,
+# and ints where floats are allowed.
+FULL_HTTP = {
+    "model": {"kind": "http", "name": "served-model", "endpoint": "http://model:8000",
+              "judge": {"kind": "http", "endpoint": "http://judge:8001", "model": "judge-model"}},
+    "extraction": {"roots": ["Enzyme", "Virus"], "max_depth": 2, "parse_retries": 5,
+                   "frontier_budget": 50, "gen_max_tokens": 256, "gen_temperature": 0},
+    "scoring": {"max_in_flight": 3},
+    "calibration": {"sweep_lo": -1, "sweep_hi": 2.5},
+    "rules": {"hops": 1},
+    "gap": {"mode": "mean_below", "sweep_offsets": [-1, 0, 0.5]},
+    "synthesis": {"strategy": "implicit", "max_tokens": 64, "temperature": 1,
+                  "strip_hint": True, "empty_retries": 0},
+    "output": {"dir": "runs/a", "cache_dir": "/shared/cache"},
+}
+
+FULL_SYNTHETIC = {
+    "model": {"kind": "synthetic", "name": "sim", "judge": {"kind": "none"},
+              "synthetic": {"depth": 2, "branching": 4, "synonym_rate": 0, "n_roots": 2,
+                            "seed": 7, "hallucination_rate": 1,
+                            "noise": {"p_true_known": 0.8, "p_true_unfamiliar": 0.2,
+                                      "p_true_false": 0.05, "familiarity_rate": 1,
+                                      "jitter": 0}}},
+}
+
+
+class TestPinnedHashes:
+    # Computed with the hand-written parser and serialiser this loader
+    # replaced; a change here changes every run's manifest.
+    @pytest.mark.parametrize(("obj", "digest"), [
+        (MINIMAL, "dbcbec9b2c99f1fd75f5519681bd5c64944536330693312311a13e2eeeae9b8b"),
+        (FULL_HTTP, "63d82bde54dc84ba98294ec51297a28ef03b9a3a05af3c71dfdb12a71f3fe2ae"),
+        (FULL_SYNTHETIC, "79cbdf3da6cbb8109ea22ccfe11ca1b8598307da4f523014087ea2172e79fd42"),
+    ], ids=["minimal", "full-http", "full-synthetic"])
+    def test_config_hash_is_pinned(self, obj, digest, monkeypatch):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        assert parse_config(obj, base_dir=Path("/pinned")).config_hash() == digest
+
+
+def test_readme_config_examples_parse(monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) >= 2
+    for block in blocks:
+        parse_config(json.loads(block), base_dir=Path("/readme"))

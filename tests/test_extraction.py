@@ -8,6 +8,7 @@ from evontree.errors import ParseFailureError, SchemaMismatchError, TransportErr
 from evontree.extraction import (
     DEFAULT_ROOTS,
     ExtractionConfig,
+    ExtractionStats,
     build_tree_prompt,
     extract_forest,
     extract_tree,
@@ -288,3 +289,15 @@ class TestExtractForest:
         forest, totals = extract_forest(gw, config)
         assert [t.root.text for t in forest] == ["T0N0", "T1N0"]
         assert totals.expansions == 2
+
+
+class TestExtractionStats:
+    def test_add_sums_counts_and_keeps_the_flag_a_bool(self):
+        totals = ExtractionStats(expansions=2, parse_failures=1)
+        totals.add(ExtractionStats(expansions=3, sibling_merges=4, budget_exhausted=True))
+        totals.add(ExtractionStats(cycles_skipped=1))
+        assert totals.to_json_obj() == {
+            "expansions": 5, "parse_failures": 1, "transport_failures": 0,
+            "cycles_skipped": 1, "empty_names_skipped": 0, "sibling_merges": 4,
+            "budget_exhausted": True}
+        assert json.dumps(totals.budget_exhausted) == "true"

@@ -347,6 +347,58 @@ class TestBatches:
         gw.close()
 
 
+    @pytest.mark.parametrize("kind", ["generate", "score"])
+    def test_malformed_response_is_never_cached(self, tmp_path, kind):
+        class WrongShapeOnP2(FakeBackend):
+            def generate(self, body):
+                answer = super().generate(body)
+                return {"wrong": "shape"} if body["prompt"] == "p2" else answer
+
+            def score(self, body):
+                answer = super().score(body)
+                return {"wrong": "shape"} if body["prompt"] == "p2" else answer
+
+        requests = prompts(4) if kind == "generate" else [
+            ScoreRequest(prompt=f"p{i}", completion=" True") for i in range(4)]
+
+        def call(gw):
+            return (gw.generate_many if kind == "generate" else gw.score_many)(requests)
+
+        gw, backend = make_gateway(tmp_path, backend=WrongShapeOnP2())
+        with pytest.raises(ProtocolError):
+            call(gw)
+        assert gw.calls == 3 and gw.cache_commits == 1
+        gw.close()
+        # A rerun on the same cache gets p0 and p1 from it, and asks the
+        # backend for the malformed p2 again instead of replaying it.
+        again, again_backend = make_gateway(tmp_path, backend=WrongShapeOnP2())
+        with pytest.raises(ProtocolError):
+            call(again)
+        assert [body["prompt"] for _, body in again_backend.calls] == ["p2"]
+        again.close()
+        bad_key = _cache_key(backend.identity, "m1", kind, requests[2].to_body("m1"))
+        with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as conn:
+            stored = {key for (key,) in conn.execute("SELECT key FROM responses")}
+        assert len(stored) == 2 and bad_key not in stored
+
+    def test_empty_span_response_is_cached_and_replayed(self, tmp_path):
+        class EmptyBackend(FakeBackend):
+            def score(self, body):
+                self.calls.append(("score", body))
+                return {"token_logprobs": []}
+
+        request = ScoreRequest(prompt="p", completion=" True")
+        gw, _ = make_gateway(tmp_path, backend=EmptyBackend())
+        [first] = gw.score_many([request])
+        assert isinstance(first, EmptySpanError) and gw.cache_commits == 1
+        gw.close()
+        again, again_backend = make_gateway(tmp_path, backend=EmptyBackend())
+        [second] = again.score_many([request])
+        assert isinstance(second, EmptySpanError)
+        assert again_backend.calls == [] and again.cache_hits == 1
+        again.close()
+
+
 class TestScoreValidation:
     def test_positive_logprob_rejected(self, tmp_path):
         class PosBackend(FakeBackend):
