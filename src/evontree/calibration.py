@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DegenerateLabelsError, InvalidParamsError, UnparseableError
+from .errors import DegenerateLabelsError, InvalidParamsError, MissingThresholdError, UnparseableError
 from .gateway import GenerateRequest, ModelGateway, chunked
 from .ontology import Relation, Triple
 from .scoring import ProbeTemplate, ScoredTriple, templates_for
@@ -168,6 +168,8 @@ class CalibrationOutcome:
 
     def thresholds(self, relation: Relation) -> list[float]:
         """Per-template threshold vector, ordered by paraphrase id."""
+        if relation.value not in self.by_relation:
+            raise MissingThresholdError(f"no calibrated thresholds for {relation.value}")
         fits = self.by_relation[relation.value]
         return [fits[str(t.paraphrase_id)].tau_star for t in templates_for(relation)]
 

@@ -3,8 +3,10 @@
 One verb per pipeline stage plus `run` (every stage in order) and `sweep`
 (gap yield across shifted thresholds). Exit codes: 0 on success, 2 for a
 config problem, 3 when a stage is invoked before its upstream artifacts
-exist, 4 when the model endpoint fails, and 1 for any other evontree error,
-such as a response cache file that is not a SQLite database.
+exist or when one differs from what its stage last wrote (the manifest's
+hashes are checked; rerun the stages the message names), 4 when the model
+endpoint fails, and 1 for any other evontree error, such as a response
+cache file that is not a SQLite database.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
-from .pipeline import STAGE_ORDER, RunContext, run_all, run_stage, stage_sweep
+from .pipeline import STAGE_ORDER, TABLE, RunContext, run_all, run_stage
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_MISSING_UPSTREAM = 3
 EXIT_GATEWAY = 4
 
-VERBS = ("run",) + STAGE_ORDER + ("sweep",)
+VERBS = ("run",) + tuple(TABLE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +66,6 @@ def main(argv: list[str] | None = None) -> int:
         ctx = RunContext(config, read_cache=not args.no_cache)
         if args.command == "run":
             run_all(ctx)
-        elif args.command == "sweep":
-            stage_sweep(ctx)
         else:
             run_stage(ctx, args.command)
     except ConfigError as exc:

@@ -27,7 +27,7 @@ from .errors import ConfigError, InvalidParamsError, check_domain
 from .extraction import ExtractionConfig
 from .scoring import GAP_MODES
 from .synthesis import SynthesisConfig
-from .synthetic import NoiseProfile
+from .synthetic import SyntheticSpec
 
 ENDPOINT_ENV_VAR = "EVONTREE_ENDPOINT"
 
@@ -35,17 +35,6 @@ MODEL_KINDS = ("synthetic", "http")
 JUDGE_KINDS = ("none", "self", "http")
 
 DEFAULT_SWEEP_OFFSETS = (-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    depth: int = field(default=3, metadata={"ge": 1})
-    branching: int = field(default=3, metadata={"ge": 1})
-    synonym_rate: float = field(default=0.3, metadata={"ge": 0.0, "le": 1.0})
-    n_roots: int = field(default=1, metadata={"ge": 1})
-    seed: int = 0
-    hallucination_rate: float = field(default=0.0, metadata={"ge": 0.0, "le": 1.0})
-    noise: NoiseProfile = NoiseProfile()
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,10 @@ class MissingUpstreamError(EvontreeError):
     """A stage was invoked before its upstream artifacts exist."""
 
 
+class StaleUpstreamError(MissingUpstreamError):
+    """An upstream artifact differs from what its stage last wrote."""
+
+
 class JudgeUnavailableError(EvontreeError):
     """The judge endpoint failed; reports degrade to accuracy-free mode."""
 

@@ -300,24 +300,32 @@ def _record_from_obj(obj: dict) -> TripleRecord:
     )
 
 
-def write_triple_file(path: Path, records: Iterable[TripleRecord]) -> None:
-    """Write records as JSONL, sorted by (relation, subject, object) so the
-    output is byte-deterministic."""
-    ordered = sorted(records, key=lambda r: r.triple.sort_key)
-    lines = [
-        json.dumps(_record_to_obj(r), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        for r in ordered
-    ]
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path by way of a temporary file beside it, so no reader
+    ever sees the file half written."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8")
     tmp.replace(path)
 
 
-def read_triple_file(path: Path) -> list[TripleRecord]:
-    records = []
+def write_jsonl(path: Path, objs: Iterable[dict]) -> None:
+    """One compact JSON object per line, keys sorted, written atomically."""
+    write_atomic(path, "".join(
+        json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+        for obj in objs))
+
+
+def read_jsonl(path: Path) -> list[dict]:
+    """The JSON objects of a JSONL file; blank lines are skipped."""
     with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(_record_from_obj(json.loads(line)))
-    return records
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def write_triple_file(path: Path, records: Iterable[TripleRecord]) -> None:
+    """Write records as JSONL, sorted by (relation, subject, object) so the
+    output is byte-deterministic."""
+    write_jsonl(path, [_record_to_obj(r) for r in sorted(records, key=lambda r: r.triple.sort_key)])
+
+
+def read_triple_file(path: Path) -> list[TripleRecord]:
+    return [_record_from_obj(obj) for obj in read_jsonl(path)]

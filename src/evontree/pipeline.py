@@ -1,20 +1,28 @@
 """Stage-oriented pipeline: extract, calibrate, confirm, reliable,
 extrapolate, gap, synthesize, report, plus a threshold sweep.
 
-Each stage reads the artifacts of the stages before it and writes its own,
-so a run can be resumed or partially re-executed from any point. Artifacts
-are written atomically and deterministically: given the same config and a
-warm response cache, re-running a stage reproduces its outputs byte for
-byte. A manifest records, per stage, the hashes of everything read and
-written, plus enough provenance (config hash, prompt and template set
-versions, model identity) to trace an artifact back to its settings.
+TABLE names each stage's body and the artifacts it reads and writes;
+run_stage does the rest. It loads the inputs for the body, which writes its
+outputs atomically and returns its tallies, and records in the manifest the
+hashes of everything read and written, plus the provenance (config hash,
+prompt and template set versions, model identity) of the artifacts. A run
+can be resumed or re-executed from any stage, and given the same config and
+a warm response cache, re-running a stage reproduces its outputs byte for byte.
 
-Stages run sequentially. A stage hands its model requests to the gateway
-in batches (see evontree.gateway); the gateway fans a batch out over
-scoring.max_in_flight threads when it talks to an HTTP endpoint and runs
-it on the calling thread for an in-process backend. Each stage's manifest
-entry counts the requests, cache hits, backend calls and cache commits it
-made.
+The manifest's hashes are checked, not just stored. run_stage refuses a
+stage with MissingUpstreamError (exit code 3 in the CLI) when an input is
+missing, and with its subclass StaleUpstreamError when an input differs
+from what its stage last wrote, or a stage upstream read another version of
+an artifact than the one last written (say, extract reran with another seed
+after calibrate). The error names each such artifact and the stage to
+rerun; rerunning those and the stages after them clears it. An input whose
+producer has no manifest entry is accepted.
+
+Stages run sequentially and batch their model requests through the gateway
+(see evontree.gateway), which fans a batch out over scoring.max_in_flight
+threads for an HTTP endpoint and runs it on the calling thread for an
+in-process backend. Each stage's manifest entry counts the requests, cache
+hits, backend calls and cache commits it made.
 """
 
 from __future__ import annotations
@@ -28,12 +36,12 @@ import re
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .calibration import CalibrationOutcome, calibrate_relation, collect_samples
 from .config import RunConfig
-from .errors import EmptySpanError, JudgeUnavailableError, MissingThresholdError, MissingUpstreamError
+from .errors import EmptySpanError, JudgeUnavailableError, MissingUpstreamError, StaleUpstreamError
 from .extraction import extract_forest
 from .gateway import GATEWAY_COUNTERS, HttpBackend, ModelGateway
 from .ontology import (
@@ -44,6 +52,7 @@ from .ontology import (
     TripleStore,
     read_triple_file,
     tree_to_triples,
+    write_atomic,
     write_triple_file,
 )
 from .report import (
@@ -71,9 +80,6 @@ from .synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_gro
 
 log = logging.getLogger(__name__)
 
-STAGE_ORDER = ("extract", "calibrate", "confirm", "reliable", "extrapolate",
-               "gap", "synthesize", "report")
-
 
 class Artifacts:
     """Where every pipeline product lives under the output directory."""
@@ -97,6 +103,10 @@ class Artifacts:
         self.confirm_hist = out_dir / "confirm_hist.csv"
         self.sweep = out_dir / "sweep.csv"
         self.manifest = out_dir / "manifest.json"
+
+    def name(self, path: Path) -> str:
+        """path as the manifest names it: relative to the output directory."""
+        return str(path.relative_to(self.out_dir))
 
 
 class RunContext:
@@ -182,14 +192,18 @@ class RunContext:
         return f"{model_cfg.endpoint}#{model_cfg.name}"
 
     def map_concurrent(self, fn: Callable, items: Sequence, gateway: ModelGateway) -> list:
-        """fn over items, in order, fanned out as gateway.fan_out does.
-
-        Stages no longer call this: they batch their requests through
-        ModelGateway.score_many and generate_many, which fan out
-        themselves. The method stays because perfbench/spans.py wraps it
-        by name.
-        """
+        """fn over items, in order, fanned out as gateway.fan_out does. No
+        stage calls it; it stays because perfbench/spans.py wraps it by name."""
         return gateway.fan_out(fn, items)
+
+
+class StageResult(NamedTuple):
+    """What a stage body returns when it has more to report than tallies:
+    files it wrote besides its declared outputs, and top-level manifest keys."""
+
+    tallies: dict
+    extra_outputs: Sequence[Path] = ()
+    manifest_keys: dict = {}
 
 
 def _utc_now() -> str:
@@ -201,79 +215,25 @@ def _file_hash(path: Path) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _write_csv(path: Path, rows: Iterable[Sequence[str]]) -> None:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(buf.getvalue(), encoding="utf-8")
-    tmp.replace(path)
-
-
-def _require(paths: Iterable[Path], stage: str) -> None:
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        raise MissingUpstreamError(
-            f"stage {stage!r} needs upstream artifact(s) {missing}; "
-            "run the earlier stages first")
-
-
-def _load_manifest(ctx: RunContext) -> dict:
-    path = ctx.paths.manifest
-    if path.exists():
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        manifest.setdefault("stages", {})
-        return manifest
-    return {"stages": {}}
-
-
-def _finish_stage(ctx: RunContext, stage: str, inputs: Sequence[Path],
-                  outputs: Sequence[Path], tallies: dict,
-                  extra_top: dict | None = None) -> None:
-    manifest = _load_manifest(ctx)
-    manifest.update({
-        "tool_version": __version__,
-        "config_hash": ctx.config.config_hash(),
-        "prompt_set": PROMPT_SET_VERSION,
-        "template_set": TEMPLATE_SET_VERSION,
-        "perplexity_base": "e",
-        "model_identity": ctx.model_identity(),
-        "judge": ctx.config.model.judge.kind,
-    })
-    if extra_top:
-        manifest.update(extra_top)
-    rel = ctx.paths.out_dir
-
-    def hashes(paths: Sequence[Path]) -> dict:
-        return {str(p.relative_to(rel)): _file_hash(p) for p in sorted(paths)}
-
-    manifest["stages"][stage] = {
-        "completed_at": _utc_now(),
-        "inputs": hashes(inputs),
-        "outputs": hashes(outputs),
-        "tallies": tallies,
-        "gateway": ctx.take_gateway_counts(),
-    }
-    _write_json(ctx.paths.manifest, manifest)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_atomic(path, buf.getvalue())
 
 
 def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", name.casefold()).strip("-") or "root"
 
 
-def stage_extract(ctx: RunContext) -> None:
+def stage_extract(ctx: RunContext) -> StageResult:
     """Elicit one tree per configured root; flatten the forest to raw triples."""
     config = ctx.config
     forest, stats = extract_forest(ctx.gateway(), config.extraction)
     ctx.paths.trees_dir.mkdir(parents=True, exist_ok=True)
-    tree_paths = []
+    extra_outputs = []
     used: set[str] = set()
     for tree in forest:
         slug = _slug(tree.root.text)
@@ -282,7 +242,7 @@ def stage_extract(ctx: RunContext) -> None:
         used.add(slug)
         path = ctx.paths.trees_dir / f"{slug}.json"
         _write_json(path, tree.to_json_obj())
-        tree_paths.append(path)
+        extra_outputs.append(path)
 
     triples: set[Triple] = set()
     reflexive_skipped = 0
@@ -292,16 +252,15 @@ def stage_extract(ctx: RunContext) -> None:
         reflexive_skipped += skipped
     write_triple_file(ctx.paths.raw, [TripleRecord(t, TripleClass.RAW) for t in triples])
 
-    outputs = [ctx.paths.raw, *tree_paths]
     if config.model.kind == "synthetic":
         _write_json(ctx.paths.ground_truth, ctx.ground_truth().to_json_obj())
-        outputs.append(ctx.paths.ground_truth)
+        extra_outputs.append(ctx.paths.ground_truth)
     by_relation = Counter(t.relation.value for t in triples)
-    _finish_stage(ctx, "extract", inputs=[], outputs=outputs, tallies={
+    return StageResult({
         **stats.to_json_obj(),
         "reflexive_skipped": reflexive_skipped,
         "raw_triples": dict(sorted(by_relation.items())),
-    })
+    }, extra_outputs=extra_outputs)
 
 
 def _score_records(ctx: RunContext, triples: Sequence[Triple]) -> tuple[list, int]:
@@ -317,13 +276,11 @@ def _score_records(ctx: RunContext, triples: Sequence[Triple]) -> tuple[list, in
     return scored, len(triples) - len(scored)
 
 
-def stage_calibrate(ctx: RunContext) -> None:
+def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> StageResult:
     """Score every raw triple, then fit per-template confirm thresholds
     against the model's own one-shot labels."""
     paths = ctx.paths
-    _require([paths.raw], "calibrate")
-    raw_records = read_triple_file(paths.raw)
-    scored, unscored = _score_records(ctx, [r.triple for r in raw_records])
+    scored, unscored = _score_records(ctx, [r.triple for r in raw])
     write_triple_file(paths.scored_raw, [
         TripleRecord(st.triple, TripleClass.RAW, scores=st.values) for st in scored])
 
@@ -344,72 +301,48 @@ def stage_calibrate(ctx: RunContext) -> None:
         relation: {key: fit.tau_star for key, fit in sorted(fits.items())}
         for relation, fits in sorted(by_relation.items())
     }
-    _finish_stage(ctx, "calibrate", inputs=[paths.raw],
-                  outputs=[paths.scored_raw, paths.calibration],
-                  tallies={"unscored": unscored, "unparseable_labels": unparseable},
-                  extra_top={"thresholds": thresholds})
+    return StageResult({"unscored": unscored, "unparseable_labels": unparseable},
+                       manifest_keys={"thresholds": thresholds})
 
 
-def _load_calibration(path: Path) -> CalibrationOutcome:
-    return CalibrationOutcome.from_json_obj(json.loads(path.read_text(encoding="utf-8")))
-
-
-def _thresholds_or_fail(outcome: CalibrationOutcome, relation: Relation) -> list[float]:
-    if relation.value not in outcome.by_relation:
-        raise MissingThresholdError(f"no calibrated thresholds for {relation.value}")
-    return outcome.thresholds(relation)
-
-
-def stage_confirm(ctx: RunContext) -> None:
+def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
+                  calibration: CalibrationOutcome) -> dict:
     """Pure partition of the scored raw triples against the calibrated
     thresholds; involves no model calls."""
-    paths = ctx.paths
-    _require([paths.scored_raw, paths.calibration], "confirm")
-    outcome = _load_calibration(paths.calibration)
-    records = read_triple_file(paths.scored_raw)
     confirmed = []
-    for record in records:
-        taus = _thresholds_or_fail(outcome, record.triple.relation)
+    for record in scored_raw:
+        taus = calibration.thresholds(record.triple.relation)
         if confirm_decision(record.scores, taus):
             confirmed.append(TripleRecord(record.triple, TripleClass.CONFIRMED,
                                           scores=record.scores))
-    write_triple_file(paths.confirmed, confirmed)
+    write_triple_file(ctx.paths.confirmed, confirmed)
     by_relation = Counter(r.triple.relation.value for r in confirmed)
-    _finish_stage(ctx, "confirm", inputs=[paths.scored_raw, paths.calibration],
-                  outputs=[paths.confirmed],
-                  tallies={"confirmed": dict(sorted(by_relation.items())),
-                           "rejected": len(records) - len(confirmed)})
+    return {"confirmed": dict(sorted(by_relation.items())),
+            "rejected": len(scored_raw) - len(confirmed)}
 
 
-def stage_reliable(ctx: RunContext) -> None:
+def stage_reliable(ctx: RunContext, confirmed: list[TripleRecord]) -> dict:
     """Keep the confirmed subclass triples corroborated by a confirmed
     synonym triangle; scores carry over from confirmation."""
-    paths = ctx.paths
-    _require([paths.confirmed], "reliable")
-    records = read_triple_file(paths.confirmed)
-    store = TripleStore(r.triple for r in records)
-    scores_by_triple = {r.triple: r.scores for r in records}
+    store = TripleStore(r.triple for r in confirmed)
+    scores_by_triple = {r.triple: r.scores for r in confirmed}
     reliable = select_reliable(store)
-    write_triple_file(paths.reliable, [
+    write_triple_file(ctx.paths.reliable, [
         TripleRecord(t, TripleClass.RELIABLE, scores=scores_by_triple.get(t))
         for t in reliable])
-    _finish_stage(ctx, "reliable", inputs=[paths.confirmed], outputs=[paths.reliable],
-                  tallies={"reliable": len(reliable)})
+    return {"reliable": len(reliable)}
 
 
-def stage_extrapolate(ctx: RunContext) -> None:
+def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord],
+                      confirmed: list[TripleRecord], reliable: list[TripleRecord]) -> dict:
     """Compose reliable subclass pairs one hop, keep only candidates new to
     everything already known, then score them for the gap decision."""
     paths = ctx.paths
-    _require([paths.raw, paths.confirmed, paths.reliable], "extrapolate")
-    reliable_records = read_triple_file(paths.reliable)
-    known_records = (read_triple_file(paths.raw) + read_triple_file(paths.confirmed)
-                     + reliable_records)
-    existing = TripleStore(r.triple for r in known_records)
-    reliable = [r.triple for r in reliable_records]
-    candidates = extrapolate(reliable, existing, hops=ctx.config.rules.hops)
+    existing = TripleStore(r.triple for r in raw + confirmed + reliable)
+    reliable_triples = [r.triple for r in reliable]
+    candidates = extrapolate(reliable_triples, existing, hops=ctx.config.rules.hops)
 
-    reliable_sub = [t for t in reliable if t.relation is Relation.SUBCLASS_OF]
+    reliable_sub = [t for t in reliable_triples if t.relation is Relation.SUBCLASS_OF]
     by_subject = Counter(t.subject.key for t in reliable_sub)
     compositions = sum(by_subject.get(t.object.key, 0) for t in reliable_sub)
 
@@ -429,78 +362,56 @@ def stage_extrapolate(ctx: RunContext) -> None:
         TripleRecord(st.triple, TripleClass.EXTRAPOLATED, scores=st.values,
                      chains=chains_by_triple[st.triple])
         for st in scored])
-    _finish_stage(ctx, "extrapolate",
-                  inputs=[paths.raw, paths.confirmed, paths.reliable],
-                  outputs=[paths.extrapolated, paths.scored_extrapolated],
-                  tallies={"compositions": compositions,
-                           "extrapolated_new": len(ext_records),
-                           "unscored": unscored})
+    return {"compositions": compositions,
+            "extrapolated_new": len(ext_records),
+            "unscored": unscored}
 
 
-def stage_gap(ctx: RunContext) -> None:
+def stage_gap(ctx: RunContext, scored_extrapolated: list[TripleRecord],
+              calibration: CalibrationOutcome) -> dict:
     """Classify scored extrapolations: above threshold everywhere extends
     the ontology, below per the gap mode is a knowledge gap."""
-    paths = ctx.paths
-    _require([paths.scored_extrapolated, paths.calibration], "gap")
-    outcome = _load_calibration(paths.calibration)
-    records = read_triple_file(paths.scored_extrapolated)
     counts = Counter()
     gaps = []
-    for record in records:
-        taus = _thresholds_or_fail(outcome, record.triple.relation)
+    for record in scored_extrapolated:
+        taus = calibration.thresholds(record.triple.relation)
         verdict = classify_extrapolated(record.scores, taus, ctx.config.gap.mode)
         counts[verdict] += 1
         if verdict == CLASS_GAP:
             gaps.append(TripleRecord(record.triple, TripleClass.GAP,
                                      scores=record.scores, chains=record.chains))
-    write_triple_file(paths.gaps, gaps)
-    _finish_stage(ctx, "gap", inputs=[paths.scored_extrapolated, paths.calibration],
-                  outputs=[paths.gaps],
-                  tallies={"confirmed": counts.get(CLASS_CONFIRMED, 0),
-                           "gap": counts.get(CLASS_GAP, 0),
-                           "undecided": counts.get(CLASS_UNDECIDED, 0),
-                           "gap_mode": ctx.config.gap.mode})
+    write_triple_file(ctx.paths.gaps, gaps)
+    return {"confirmed": counts.get(CLASS_CONFIRMED, 0),
+            "gap": counts.get(CLASS_GAP, 0),
+            "undecided": counts.get(CLASS_UNDECIDED, 0),
+            "gap_mode": ctx.config.gap.mode}
 
 
-def stage_synthesize(ctx: RunContext) -> None:
+def stage_synthesize(ctx: RunContext, gaps: list[TripleRecord]) -> dict:
     """Distill a training corpus targeting the mined gaps."""
-    paths = ctx.paths
-    _require([paths.gaps], "synthesize")
-    gaps = read_triple_file(paths.gaps)
     entries, tallies = build_corpus(ctx.gateway(), gaps, ctx.config.synthesis)
-    write_corpus(paths.corpus, entries)
+    write_corpus(ctx.paths.corpus, entries)
     by_strategy = Counter(e.strategy for e in entries)
-    _finish_stage(ctx, "synthesize", inputs=[paths.gaps], outputs=[paths.corpus],
-                  tallies={**tallies.to_json_obj(),
-                           "entries": dict(sorted(by_strategy.items())),
-                           "strategy": ctx.config.synthesis.strategy,
-                           "strip_hint": ctx.config.synthesis.strip_hint})
+    return {**tallies.to_json_obj(),
+            "entries": dict(sorted(by_strategy.items())),
+            "strategy": ctx.config.synthesis.strategy,
+            "strip_hint": ctx.config.synthesis.strip_hint}
 
 
-def stage_report(ctx: RunContext) -> None:
+def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[TripleRecord],
+                 calibration: CalibrationOutcome, confirmed: list[TripleRecord],
+                 reliable: list[TripleRecord], extrapolated: list[TripleRecord],
+                 scored_extrapolated: list[TripleRecord], gaps: list[TripleRecord]) -> dict:
     """Summarize every triple class into the stats table, histogram, and
     ROC CSV; audit accuracy through the judge when one is configured."""
     paths = ctx.paths
-    needed = [paths.raw, paths.scored_raw, paths.calibration, paths.confirmed,
-              paths.reliable, paths.extrapolated, paths.scored_extrapolated, paths.gaps]
-    _require(needed, "report")
-    outcome = _load_calibration(paths.calibration)
-
-    raw = read_triple_file(paths.raw)
-    scored_raw = read_triple_file(paths.scored_raw)
-    confirmed = read_triple_file(paths.confirmed)
-    reliable = read_triple_file(paths.reliable)
-    extrapolated = read_triple_file(paths.extrapolated)
-    scored_ext = read_triple_file(paths.scored_extrapolated)
-    gaps = read_triple_file(paths.gaps)
-
     nums: dict[tuple[TripleClass, Relation], int] = {}
     scored: dict[tuple[TripleClass, Relation], list[TripleRecord]] = {}
     for triple_class, counted, with_scores in (
         (TripleClass.RAW, raw, scored_raw),
         (TripleClass.CONFIRMED, confirmed, confirmed),
         (TripleClass.RELIABLE, reliable, reliable),
-        (TripleClass.EXTRAPOLATED, extrapolated, scored_ext),
+        (TripleClass.EXTRAPOLATED, extrapolated, scored_extrapolated),
         (TripleClass.GAP, gaps, gaps),
     ):
         for relation, records in split_by_relation(counted).items():
@@ -524,7 +435,7 @@ def stage_report(ctx: RunContext) -> None:
     rows = build_rows(nums, scored, verdicts)
     unscored = {
         "raw": len(raw) - len(scored_raw),
-        "extrapolated": len(extrapolated) - len(scored_ext),
+        "extrapolated": len(extrapolated) - len(scored_extrapolated),
     }
     _write_json(paths.report_json, {
         "rows": [row.to_json_obj() for row in rows],
@@ -535,50 +446,130 @@ def stage_report(ctx: RunContext) -> None:
     })
     _write_csv(paths.report_csv, rows_to_csv(rows, with_acc=verdicts is not None))
     _write_csv(paths.confirm_hist, histogram_rows(scored, verdicts))
-    _write_csv(paths.roc_curve, roc_rows(outcome))
-    _finish_stage(ctx, "report", inputs=needed,
-                  outputs=[paths.report_json, paths.report_csv,
-                           paths.confirm_hist, paths.roc_curve],
-                  tallies={"judge_unavailable": judge_unavailable,
-                           "judge_unparseable": judge_unparseable,
-                           "unscored": unscored})
+    _write_csv(paths.roc_curve, roc_rows(calibration))
+    return {"judge_unavailable": judge_unavailable,
+            "judge_unparseable": judge_unparseable,
+            "unscored": unscored}
 
 
-def stage_sweep(ctx: RunContext) -> None:
+def stage_sweep(ctx: RunContext, scored_extrapolated: list[TripleRecord],
+                calibration: CalibrationOutcome) -> dict:
     """Gap yield across shifted thresholds; no corpus synthesis involved."""
-    paths = ctx.paths
-    _require([paths.scored_extrapolated, paths.calibration], "sweep")
-    outcome = _load_calibration(paths.calibration)
-    records = read_triple_file(paths.scored_extrapolated)
-    if records:
-        taus = _thresholds_or_fail(outcome, Relation.SUBCLASS_OF)
+    if scored_extrapolated:
+        taus = calibration.thresholds(Relation.SUBCLASS_OF)
     else:
         taus = []
-    points = sweep_gap_offsets(records, taus, ctx.config.gap.sweep_offsets,
+    points = sweep_gap_offsets(scored_extrapolated, taus, ctx.config.gap.sweep_offsets,
                                mode=ctx.config.gap.mode)
-    _write_csv(paths.sweep, sweep_rows(points))
-    _finish_stage(ctx, "sweep", inputs=[paths.scored_extrapolated, paths.calibration],
-                  outputs=[paths.sweep],
-                  tallies={"offsets": len(points), "gap_mode": ctx.config.gap.mode})
+    _write_csv(ctx.paths.sweep, sweep_rows(points))
+    return {"offsets": len(points), "gap_mode": ctx.config.gap.mode}
 
 
-STAGES: dict[str, Callable[[RunContext], None]] = {
-    "extract": stage_extract,
-    "calibrate": stage_calibrate,
-    "confirm": stage_confirm,
-    "reliable": stage_reliable,
-    "extrapolate": stage_extrapolate,
-    "gap": stage_gap,
-    "synthesize": stage_synthesize,
-    "report": stage_report,
+# Every stage: its body, the artifacts it reads and those it writes, by
+# Artifacts attribute. The runner loads the inputs and passes them to the
+# body by attribute name. `run` runs the stages in this order, sweep aside.
+TABLE: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
+    "extract": (stage_extract, (), ("raw",)),
+    "calibrate": (stage_calibrate, ("raw",), ("scored_raw", "calibration")),
+    "confirm": (stage_confirm, ("scored_raw", "calibration"), ("confirmed",)),
+    "reliable": (stage_reliable, ("confirmed",), ("reliable",)),
+    "extrapolate": (stage_extrapolate, ("raw", "confirmed", "reliable"),
+                    ("extrapolated", "scored_extrapolated")),
+    "gap": (stage_gap, ("scored_extrapolated", "calibration"), ("gaps",)),
+    "synthesize": (stage_synthesize, ("gaps",), ("corpus",)),
+    "report": (stage_report,
+               ("raw", "scored_raw", "calibration", "confirmed", "reliable",
+                "extrapolated", "scored_extrapolated", "gaps"),
+               ("report_json", "report_csv", "confirm_hist", "roc_curve")),
+    "sweep": (stage_sweep, ("scored_extrapolated", "calibration"), ("sweep",)),
 }
+STAGE_ORDER = tuple(name for name in TABLE if name != "sweep")
+# The body the runner calls, looked up at call time, so it can be wrapped.
+STAGES: dict[str, Callable] = {name: body for name, (body, _, _) in TABLE.items()}
+
+
+def _load_input(attr: str, path: Path):
+    """An input artifact as its stage body takes it."""
+    if attr == "calibration":
+        return CalibrationOutcome.from_json_obj(json.loads(path.read_text(encoding="utf-8")))
+    return read_triple_file(path)
+
+
+def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str]) -> list[str]:
+    """Each input of stage name whose hash, in read, is not the one its
+    producer last recorded writing; then, going up the table, each input an
+    upstream stage recorded reading that its producer has since rewritten,
+    from the manifest's records alone. Each as "file (rerun 'stage')"."""
+    producer = {paths.name(getattr(paths, attr)): stage
+                for stage, (_, _, outputs) in TABLE.items() for attr in outputs}
+
+    def changed(digests: dict[str, str]) -> list[str]:
+        """The files whose producer last recorded writing another hash."""
+        return [file for file, digest in digests.items()
+                if stages.get(producer.get(file), {}).get("outputs", {}).get(file, digest)
+                != digest]
+
+    stale = {f"{file} (rerun {producer[file]!r})" for file in changed(read)}
+    todo, seen = [name], set()
+    while todo:
+        for attr in TABLE[todo.pop()][1]:
+            upstream = producer[paths.name(getattr(paths, attr))]
+            if upstream not in seen:
+                seen.add(upstream)
+                todo.append(upstream)
+                recorded = stages.get(upstream, {}).get("inputs", {})
+                stale |= {f"{file} (rerun {upstream!r})" for file in changed(recorded)}
+    return sorted(stale)
 
 
 def run_stage(ctx: RunContext, name: str) -> None:
-    if name not in STAGES:
-        raise ValueError(f"unknown stage {name!r}; expected one of {STAGE_ORDER}")
+    """Run one stage of TABLE: refuse it if an input is missing or stale,
+    load its inputs, run its body, and record what it read and wrote."""
+    if name not in TABLE:
+        raise ValueError(f"unknown stage {name!r}; expected one of {tuple(TABLE)}")
     log.info("stage %s starting", name)
-    STAGES[name](ctx)
+    paths = ctx.paths
+    _, inputs, outputs = TABLE[name]
+    missing = [str(getattr(paths, attr)) for attr in inputs if not getattr(paths, attr).exists()]
+    if missing:
+        raise MissingUpstreamError(
+            f"stage {name!r} needs upstream artifact(s) {missing}; "
+            "run the earlier stages first")
+    manifest = {"stages": {}}
+    if paths.manifest.exists():
+        manifest.update(json.loads(paths.manifest.read_text(encoding="utf-8")))
+    read = {paths.name(getattr(paths, attr)): _file_hash(getattr(paths, attr))
+            for attr in inputs}
+    stale = _stale_inputs(paths, manifest["stages"], name, read)
+    if stale:
+        raise StaleUpstreamError(
+            f"stage {name!r} refused: upstream artifact(s) changed since the stages "
+            f"that wrote or read them last ran: {', '.join(stale)}; rerun the named "
+            "stages and the ones after them")
+
+    result = STAGES[name](ctx, **{attr: _load_input(attr, getattr(paths, attr))
+                                  for attr in inputs})
+    if isinstance(result, dict):
+        result = StageResult(result)
+    written = [getattr(paths, attr) for attr in outputs] + list(result.extra_outputs)
+    manifest.update({
+        "tool_version": __version__,
+        "config_hash": ctx.config.config_hash(),
+        "prompt_set": PROMPT_SET_VERSION,
+        "template_set": TEMPLATE_SET_VERSION,
+        "perplexity_base": "e",
+        "model_identity": ctx.model_identity(),
+        "judge": ctx.config.model.judge.kind,
+        **result.manifest_keys,
+    })
+    manifest["stages"][name] = {
+        "completed_at": _utc_now(),
+        "inputs": read,
+        "outputs": {paths.name(path): _file_hash(path) for path in written},
+        "tallies": result.tallies,
+        "gateway": ctx.take_gateway_counts(),
+    }
+    _write_json(paths.manifest, manifest)
     log.info("stage %s done", name)
 
 

@@ -12,7 +12,6 @@ a bare fact.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import check_fields
 from .gateway import GenerateRequest, ModelGateway
-from .ontology import TripleRecord
+from .ontology import TripleRecord, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -195,20 +194,8 @@ def build_corpus(gateway: ModelGateway, gaps: Sequence[TripleRecord],
 
 
 def write_corpus(path: Path, entries: Iterable[CorpusEntry]) -> None:
-    ordered = sorted(entries, key=lambda e: e.sort_key)
-    lines = [json.dumps(e.to_json_obj(), sort_keys=True, ensure_ascii=False,
-                        separators=(",", ":"))
-             for e in ordered]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    tmp.replace(path)
+    write_jsonl(path, [e.to_json_obj() for e in sorted(entries, key=lambda e: e.sort_key)])
 
 
 def read_corpus(path: Path) -> list[CorpusEntry]:
-    entries = []
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(CorpusEntry.from_json_obj(json.loads(line)))
-    return entries
+    return [CorpusEntry.from_json_obj(obj) for obj in read_jsonl(path)]

@@ -15,10 +15,10 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 
-from .errors import InvalidParamsError, UnrecognizedPromptError, check_fields
+from .errors import InvalidParamsError, UnrecognizedPromptError, check_domain, check_fields
 from .ontology import Relation
 from .scoring import JUDGE_TEMPLATES, PROMPT_SET_V1
 
@@ -129,10 +129,7 @@ def sample_ground_truth(depth: int, branching: int, synonym_rate: float,
     """Sample a forest of complete trees: every node above the leaf level has
     exactly `branching` children, and each node independently gains one alias
     with probability synonym_rate."""
-    if depth < 1 or branching < 1 or n_roots < 1:
-        raise InvalidParamsError("depth, branching, and n_roots must all be >= 1")
-    if not 0.0 <= synonym_rate <= 1.0:
-        raise InvalidParamsError("synonym_rate must be in [0, 1]")
+    _check_spec(depth=depth, branching=branching, synonym_rate=synonym_rate, n_roots=n_roots)
     rng = Random(seed)
     roots: list[str] = []
     edges: list[tuple[str, str]] = []
@@ -187,6 +184,27 @@ class NoiseProfile:
             raise InvalidParamsError("p_true_known must exceed p_true_false")
 
 
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """The synthetic model's settings, the config's model.synthetic section:
+    the shape of its ground truth, its seed and its noise."""
+
+    depth: int = field(default=3, metadata={"ge": 1})
+    branching: int = field(default=3, metadata={"ge": 1})
+    synonym_rate: float = field(default=0.3, metadata={"ge": 0.0, "le": 1.0})
+    n_roots: int = field(default=1, metadata={"ge": 1})
+    seed: int = 0
+    hallucination_rate: float = field(default=0.0, metadata={"ge": 0.0, "le": 1.0})
+    noise: NoiseProfile = NoiseProfile()
+
+
+def _check_spec(**values) -> None:
+    """Check each value against the domain of the SyntheticSpec field it is named for."""
+    domains = {f.name: f.metadata for f in fields(SyntheticSpec)}
+    for name, value in values.items():
+        check_domain(value, domains[name], name)
+
+
 def _template_matcher(template: str) -> re.Pattern[str]:
     sent_a, sent_b = "\x00A\x00", "\x00B\x00"
     t = template.replace("{A}", sent_a).replace("{B}", sent_b)
@@ -230,8 +248,7 @@ class SyntheticModel:
 
     def __init__(self, ground_truth: GroundTruth, profile: NoiseProfile,
                  seed: int, hallucination_rate: float = 0.0) -> None:
-        if not 0.0 <= hallucination_rate <= 1.0:
-            raise InvalidParamsError("hallucination_rate must be in [0, 1]")
+        _check_spec(hallucination_rate=hallucination_rate)
         self.gt = ground_truth
         self.profile = profile
         self.seed = seed

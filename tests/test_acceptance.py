@@ -35,7 +35,7 @@ from evontree.ontology import (
     normalize_label,
     read_triple_file,
 )
-from evontree.pipeline import RunContext, run_all, stage_sweep
+from evontree.pipeline import RunContext, run_all, run_stage
 from evontree.rules import extrapolate, select_reliable
 from evontree.scoring import confirm_value, perplexity
 from evontree.synthesis import HINT_TEMPLATE, SynthesisConfig, build_corpus, write_corpus
@@ -373,7 +373,7 @@ def test_criterion_6_report_contract(e2e_run):
     assert num[("Extrapolated", "SubclassOf")] >= num[("Gap", "SubclassOf")]
     assert num[("Raw", "SynonymOf")] >= num[("Confirmed", "SynonymOf")]
 
-    stage_sweep(ctx)
+    run_stage(ctx, "sweep")
     sweep_lines = ctx.paths.sweep.read_text(encoding="utf-8").splitlines()
     counts = [int(line.split(",")[1]) for line in sweep_lines[1:]]
     assert counts and counts == sorted(counts)

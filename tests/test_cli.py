@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,16 @@ class TestExitCodes:
     def test_missing_upstream_exits_3(self, tmp_path):
         config = write_config(tmp_path, CONFIG_OBJ)
         assert main(["gap", "--config", str(config)]) == EXIT_MISSING_UPSTREAM
+
+    def test_stale_upstream_exits_3_and_names_it(self, finished_run, tmp_path, caplog):
+        tmp, config = finished_run
+        out = tmp_path / "out"
+        shutil.copytree(tmp / "out", out, ignore=shutil.ignore_patterns("cache"))
+        flags = ["--config", str(config), "--stage-dir", str(out)]
+        assert main(["extract", *flags, "--seed", "8"]) == EXIT_OK
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["confirm", *flags]) == EXIT_MISSING_UPSTREAM
+        assert "raw.jsonl (rerun 'calibrate')" in caplog.text
 
     def test_gateway_failure_exits_4(self, tmp_path):
         # Port 1 refuses instantly; the retries back off for a few seconds.

@@ -4,19 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 import evontree.gateway as gateway_module
-from evontree.config import ENDPOINT_ENV_VAR, parse_config
-from evontree.errors import MissingUpstreamError
+import evontree.pipeline as pipeline_module
+from evontree.config import ENDPOINT_ENV_VAR, parse_config, replace_seed
+from evontree.errors import MissingUpstreamError, StaleUpstreamError, TransportError
 from evontree.gateway import (
     BATCH_SIZE,
     GATEWAY_COUNTERS,
@@ -25,7 +28,7 @@ from evontree.gateway import (
     ModelGateway,
 )
 from evontree.ontology import read_triple_file
-from evontree.pipeline import STAGE_ORDER, RunContext, run_all, run_stage, stage_sweep
+from evontree.pipeline import STAGE_ORDER, RunContext, run_all, run_stage
 from evontree.scoring import TRIPLES_PER_BATCH, confirm_decision, templates_for
 from evontree.synthesis import read_corpus
 from evontree.synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
@@ -56,6 +59,24 @@ ARTIFACT_NAMES = (
     "gaps.jsonl", "corpus.jsonl", "report.json", "report.csv",
     "roc_curve.csv", "confirm_hist.csv", "manifest.json", "ground_truth.json",
 )
+
+# What each stage's manifest entry names as read and written, after run_all
+# plus sweep on make_config's one-root synthetic run.
+MANIFEST_NAMES = {
+    "extract": ((), ("raw.jsonl", "trees/t0n0.json", "ground_truth.json")),
+    "calibrate": (("raw.jsonl",), ("scored_raw.jsonl", "calibration.json")),
+    "confirm": (("scored_raw.jsonl", "calibration.json"), ("confirmed.jsonl",)),
+    "reliable": (("confirmed.jsonl",), ("reliable.jsonl",)),
+    "extrapolate": (("raw.jsonl", "confirmed.jsonl", "reliable.jsonl"),
+                    ("extrapolated.jsonl", "scored_extrapolated.jsonl")),
+    "gap": (("scored_extrapolated.jsonl", "calibration.json"), ("gaps.jsonl",)),
+    "synthesize": (("gaps.jsonl",), ("corpus.jsonl",)),
+    "report": (("raw.jsonl", "scored_raw.jsonl", "calibration.json", "confirmed.jsonl",
+                "reliable.jsonl", "extrapolated.jsonl", "scored_extrapolated.jsonl",
+                "gaps.jsonl"),
+               ("report.json", "report.csv", "confirm_hist.csv", "roc_curve.csv")),
+    "sweep": (("scored_extrapolated.jsonl", "calibration.json"), ("sweep.csv",)),
+}
 
 
 def synthetic_backend(cfg) -> SyntheticBackend:
@@ -155,6 +176,14 @@ class TestRunAll:
         path = completed_run.paths.confirmed
         expected = "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
         assert outputs["confirmed.jsonl"] == expected
+
+    def test_manifest_names_each_stages_inputs_and_outputs(self, completed_run):
+        run_stage(completed_run, "sweep")
+        stages = json.loads(completed_run.paths.manifest.read_text())["stages"]
+        assert set(stages) == set(MANIFEST_NAMES)
+        for name, (inputs, outputs) in MANIFEST_NAMES.items():
+            assert sorted(stages[name]["inputs"]) == sorted(inputs), name
+            assert sorted(stages[name]["outputs"]) == sorted(outputs), name
 
     def test_ground_truth_round_trips(self, completed_run):
         obj = json.loads(completed_run.paths.ground_truth.read_text())
@@ -394,7 +423,7 @@ class TestDegradation:
             with pytest.raises(MissingUpstreamError):
                 run_stage(ctx, stage)
         with pytest.raises(MissingUpstreamError):
-            stage_sweep(ctx)
+            run_stage(ctx, "sweep")
 
     def test_unknown_stage_name_rejected(self, tmp_path):
         ctx = RunContext(make_config(tmp_path))
@@ -436,10 +465,74 @@ class TestDegradation:
 
 class TestSweepStage:
     def test_sweep_csv_is_monotone(self, completed_run):
-        stage_sweep(completed_run)
+        run_stage(completed_run, "sweep")
         lines = completed_run.paths.sweep.read_text().splitlines()
         assert lines[0] == "offset,gap_count,mean_confirm_value"
         counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert counts == sorted(counts)
         assert counts[-1] == len(read_triple_file(completed_run.paths.scored_extrapolated))
         assert counts[0] == 0
+
+
+@pytest.fixture
+def run_copy(completed_run, tmp_path):
+    """A context over a copy of the completed run's artifacts, sharing its cache."""
+    out = tmp_path / "copy"
+    shutil.copytree(completed_run.paths.out_dir, out)
+    ctx = RunContext(replace(completed_run.config,
+                             output=replace(completed_run.config.output, dir=out)))
+    yield ctx
+    ctx.close()
+
+
+class TestStaleInputs:
+    def test_new_extract_refuses_downstream_until_rerun(self, run_copy):
+        reseeded = RunContext(replace_seed(run_copy.config, 8))
+        try:
+            run_stage(reseeded, "extract")
+            confirmed = run_copy.paths.confirmed.read_bytes()
+            for stage in ("confirm", "report"):
+                with pytest.raises(StaleUpstreamError, match=r"raw\.jsonl \(rerun 'calibrate'\)"):
+                    run_stage(run_copy, stage)
+            assert run_copy.paths.confirmed.read_bytes() == confirmed
+            for stage in STAGE_ORDER[1:] + ("sweep",):
+                run_stage(reseeded, stage)
+        finally:
+            reseeded.close()
+        assert issubclass(StaleUpstreamError, MissingUpstreamError)  # CLI exit code 3
+
+    def test_calibrate_failing_after_rewriting_scores_refuses_confirm(self, run_copy,
+                                                                       monkeypatch):
+        def endpoint_down(*args, **kwargs):
+            raise TransportError("endpoint down")
+
+        monkeypatch.setattr(pipeline_module, "collect_samples", endpoint_down)
+        scored_raw = run_copy.paths.scored_raw.read_bytes()
+        # Another seed scores the same raw triples differently.
+        reseeded = RunContext(replace_seed(run_copy.config, 8))
+        try:
+            with pytest.raises(TransportError):
+                run_stage(reseeded, "calibrate")
+        finally:
+            reseeded.close()
+        assert run_copy.paths.scored_raw.read_bytes() != scored_raw
+        with pytest.raises(StaleUpstreamError) as exc:
+            run_stage(run_copy, "confirm")
+        assert "scored_raw.jsonl (rerun 'calibrate')" in str(exc.value)
+        assert str(exc.value).count("(rerun") == 1
+
+    def test_hand_edited_input_refuses_its_reader(self, run_copy):
+        path = run_copy.paths.confirmed
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        with pytest.raises(StaleUpstreamError, match=r"confirmed\.jsonl \(rerun 'confirm'\)"):
+            run_stage(run_copy, "reliable")
+        run_stage(run_copy, "confirm")
+        run_stage(run_copy, "reliable")
+
+    def test_input_without_a_recorded_producer_is_accepted(self, run_copy):
+        manifest = json.loads(run_copy.paths.manifest.read_text())
+        del manifest["stages"]["confirm"]
+        run_copy.paths.manifest.write_text(json.dumps(manifest))
+        path = run_copy.paths.confirmed
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        run_stage(run_copy, "reliable")

@@ -10,11 +10,13 @@ from evontree.errors import InvalidParamsError, UnrecognizedPromptError
 from evontree.ontology import Relation
 from evontree.scoring import judge_prompt, templates_for
 from evontree.ontology import Triple, normalize_label as lbl
+from evontree import config
 from evontree.synthetic import (
     GroundTruth,
     NoiseProfile,
     SyntheticBackend,
     SyntheticModel,
+    SyntheticSpec,
     sample_ground_truth,
 )
 
@@ -51,6 +53,17 @@ class TestSampleGroundTruth:
             sample_ground_truth(depth=2, branching=0, synonym_rate=0.0, seed=1)
         with pytest.raises(InvalidParamsError):
             sample_ground_truth(depth=2, branching=2, synonym_rate=1.5, seed=1)
+
+    def test_arguments_are_checked_against_the_spec_fields(self):
+        # The domains are SyntheticSpec's, the one the config loads.
+        assert config.SyntheticSpec is SyntheticSpec
+        with pytest.raises(InvalidParamsError, match=r"^n_roots must be >= 1, got 0$"):
+            sample_ground_truth(depth=1, branching=1, synonym_rate=0.0, seed=1, n_roots=0)
+        with pytest.raises(InvalidParamsError, match=r"^synonym_rate must be <= 1.0, got 1.5$"):
+            sample_ground_truth(depth=1, branching=1, synonym_rate=1.5, seed=1)
+        gt = sample_ground_truth(depth=1, branching=1, synonym_rate=0.0, seed=1)
+        with pytest.raises(InvalidParamsError, match=r"^hallucination_rate must be >= 0.0"):
+            SyntheticModel(gt, NoiseProfile(), seed=1, hallucination_rate=-0.1)
 
     def test_deterministic_per_seed(self):
         a = sample_ground_truth(depth=2, branching=3, synonym_rate=0.5, seed=7)
