@@ -133,13 +133,14 @@ class HttpBackend:
         self._session.close()
 
 
+# One encoder for every key: json.dumps with these options builds a new one
+# per call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def _cache_key(identity: str, model: str, kind: str, body: dict) -> str:
-    canonical = json.dumps(
-        {"endpoint": identity, "model": model, "kind": kind, "body": body},
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-    )
+    canonical = _KEY_ENCODER.encode(
+        {"endpoint": identity, "model": model, "kind": kind, "body": body})
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -173,7 +174,7 @@ class ResponseCache:
         self._conn = sqlite3.connect(self.path, timeout=CACHE_BUSY_TIMEOUT_S,
                                      isolation_level=None, check_same_thread=False)
         # Values come back as bytes, so an entry that is not valid UTF-8
-        # fails in json.loads (a miss) rather than inside sqlite3.
+        # fails in get_many's decode (a miss) rather than inside sqlite3.
         self._conn.text_factory = bytes
         try:
             # The first statement reads the file header. WAL mode persists in
@@ -211,7 +212,8 @@ class ResponseCache:
         for key, value in rows:
             key = key.decode("utf-8")
             try:
-                found[key] = json.loads(value)
+                # A value that is not UTF-8 raises UnicodeDecodeError, a ValueError.
+                found[key] = json.loads(value.decode("utf-8"))
             except ValueError:
                 log.warning("discarding undecodable cache entry %s in %s", key, self.path)
         return found

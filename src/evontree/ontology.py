@@ -8,6 +8,7 @@ key first), which makes deduplication a plain set operation.
 
 from __future__ import annotations
 
+import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -315,17 +316,30 @@ def write_jsonl(path: Path, objs: Iterable[dict]) -> None:
         for obj in objs))
 
 
+def parse_jsonl(data: bytes) -> list[dict]:
+    """The JSON objects in the bytes of a JSONL file, decoded and split into
+    lines as reading the file in text mode does; blank lines are skipped."""
+    return [json.loads(line) for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            if line.strip()]
+
+
 def read_jsonl(path: Path) -> list[dict]:
     """The JSON objects of a JSONL file; blank lines are skipped."""
-    with path.open(encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    return parse_jsonl(path.read_bytes())
 
 
-def write_triple_file(path: Path, records: Iterable[TripleRecord]) -> None:
+def write_triple_file(path: Path, records: Iterable[TripleRecord]) -> list[TripleRecord]:
     """Write records as JSONL, sorted by (relation, subject, object) so the
-    output is byte-deterministic."""
-    write_jsonl(path, [_record_to_obj(r) for r in sorted(records, key=lambda r: r.triple.sort_key)])
+    output is byte-deterministic; return them in that order."""
+    records = sorted(records, key=lambda r: r.triple.sort_key)
+    write_jsonl(path, [_record_to_obj(r) for r in records])
+    return records
+
+
+def parse_triple_file(data: bytes) -> list[TripleRecord]:
+    """The records in the bytes of a triple file."""
+    return [_record_from_obj(obj) for obj in parse_jsonl(data)]
 
 
 def read_triple_file(path: Path) -> list[TripleRecord]:
-    return [_record_from_obj(obj) for obj in read_jsonl(path)]
+    return parse_triple_file(path.read_bytes())

@@ -5,9 +5,19 @@ TABLE names each stage's body and the artifacts it reads and writes;
 run_stage does the rest. It loads the inputs for the body, which writes its
 outputs atomically and returns its tallies, and records in the manifest the
 hashes of everything read and written, plus the provenance (config hash,
-prompt and template set versions, model identity) of the artifacts. A run
-can be resumed or re-executed from any stage, and given the same config and
-a warm response cache, re-running a stage reproduces its outputs byte for byte.
+prompt and template set versions, model identity) of the artifacts. Each
+stage's entry holds its own config_hash, model_identity and wall_s (from the
+input check to the manifest write); the top-level keys name the stage run
+last. A run can be resumed or re-executed from any stage, and given the same
+config and a warm response cache, re-running a stage reproduces its outputs
+byte for byte.
+
+Under run_all, stages hand records over in memory: a body keeps what it
+writes to a triple file or calibration.json, as parsing the file would
+return it, and a later stage of the same RunContext receives the kept value
+if the file still has the hash recorded when it was written. Every file is
+still written, hashed and checked as below; a stage run alone, or one whose
+input another process rewrote, parses the input from the bytes it hashed.
 
 The manifest's hashes are checked, not just stored. run_stage refuses a
 stage with MissingUpstreamError (exit code 3 in the CLI) when an input is
@@ -33,6 +43,7 @@ import io
 import json
 import logging
 import re
+import time
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,7 +61,8 @@ from .ontology import (
     TripleClass,
     TripleRecord,
     TripleStore,
-    read_triple_file,
+    parse_triple_file,
+    read_triple_file,  # noqa: F401  no stage calls it; perfbench/spans.py wraps it here
     tree_to_triples,
     write_atomic,
     write_triple_file,
@@ -122,6 +134,17 @@ class RunContext:
         self._gateway: ModelGateway | None = None
         self._judge_gateway: ModelGateway | None = None
         self._counted = dict.fromkeys(GATEWAY_COUNTERS, 0)
+        # The stage bodies' parsed outputs, by Artifacts attribute, that
+        # run_stage hands to later stages in place of parsing the file:
+        # those of the running stage in _written, then, once it completes,
+        # in _kept with the hash it recorded for the file.
+        self._written: dict[str, object] = {}
+        self._kept: dict[str, tuple[str, object]] = {}
+
+    def keep(self, attr: str, value) -> None:
+        """Keep value, what the running stage wrote to paths.<attr> as
+        _load_input would parse it back, to hand on if the stage completes."""
+        self._written[attr] = value
 
     def ground_truth(self) -> GroundTruth:
         spec = self.config.model.synthetic
@@ -210,8 +233,12 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 def _file_hash(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    return _digest(path.read_bytes())
 
 
 def _write_json(path: Path, obj) -> None:
@@ -222,6 +249,12 @@ def _write_csv(path: Path, rows: Iterable[Sequence[str]]) -> None:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     write_atomic(path, buf.getvalue())
+
+
+def _write_records(ctx: RunContext, attr: str, records: Iterable[TripleRecord]) -> None:
+    """Write the triple file paths.<attr> and keep its records, sorted as
+    the file holds them."""
+    ctx.keep(attr, write_triple_file(getattr(ctx.paths, attr), records))
 
 
 def _slug(name: str) -> str:
@@ -250,7 +283,7 @@ def stage_extract(ctx: RunContext) -> StageResult:
         tree_triples, skipped = tree_to_triples(tree)
         triples |= tree_triples
         reflexive_skipped += skipped
-    write_triple_file(ctx.paths.raw, [TripleRecord(t, TripleClass.RAW) for t in triples])
+    _write_records(ctx, "raw", [TripleRecord(t, TripleClass.RAW) for t in triples])
 
     if config.model.kind == "synthetic":
         _write_json(ctx.paths.ground_truth, ctx.ground_truth().to_json_obj())
@@ -281,7 +314,7 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> StageResult:
     against the model's own one-shot labels."""
     paths = ctx.paths
     scored, unscored = _score_records(ctx, [r.triple for r in raw])
-    write_triple_file(paths.scored_raw, [
+    _write_records(ctx, "scored_raw", [
         TripleRecord(st.triple, TripleClass.RAW, scores=st.values) for st in scored])
 
     sweep = ctx.config.calibration.sweep()
@@ -296,6 +329,7 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> StageResult:
     outcome = CalibrationOutcome(sweep=sweep, prompt_set=PROMPT_SET_VERSION,
                                  by_relation=by_relation, unparseable=unparseable)
     _write_json(paths.calibration, outcome.to_json_obj())
+    ctx.keep("calibration", outcome)
 
     thresholds = {
         relation: {key: fit.tau_star for key, fit in sorted(fits.items())}
@@ -315,7 +349,7 @@ def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
         if confirm_decision(record.scores, taus):
             confirmed.append(TripleRecord(record.triple, TripleClass.CONFIRMED,
                                           scores=record.scores))
-    write_triple_file(ctx.paths.confirmed, confirmed)
+    _write_records(ctx, "confirmed", confirmed)
     by_relation = Counter(r.triple.relation.value for r in confirmed)
     return {"confirmed": dict(sorted(by_relation.items())),
             "rejected": len(scored_raw) - len(confirmed)}
@@ -327,7 +361,7 @@ def stage_reliable(ctx: RunContext, confirmed: list[TripleRecord]) -> dict:
     store = TripleStore(r.triple for r in confirmed)
     scores_by_triple = {r.triple: r.scores for r in confirmed}
     reliable = select_reliable(store)
-    write_triple_file(ctx.paths.reliable, [
+    _write_records(ctx, "reliable", [
         TripleRecord(t, TripleClass.RELIABLE, scores=scores_by_triple.get(t))
         for t in reliable])
     return {"reliable": len(reliable)}
@@ -337,7 +371,6 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord],
                       confirmed: list[TripleRecord], reliable: list[TripleRecord]) -> dict:
     """Compose reliable subclass pairs one hop, keep only candidates new to
     everything already known, then score them for the gap decision."""
-    paths = ctx.paths
     existing = TripleStore(r.triple for r in raw + confirmed + reliable)
     reliable_triples = [r.triple for r in reliable]
     candidates = extrapolate(reliable_triples, existing, hops=ctx.config.rules.hops)
@@ -354,11 +387,11 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord],
                     for lower, upper in c.chains])
         for c in candidates
     ]
-    write_triple_file(paths.extrapolated, ext_records)
+    _write_records(ctx, "extrapolated", ext_records)
 
     chains_by_triple = {r.triple: r.chains for r in ext_records}
     scored, unscored = _score_records(ctx, [r.triple for r in ext_records])
-    write_triple_file(paths.scored_extrapolated, [
+    _write_records(ctx, "scored_extrapolated", [
         TripleRecord(st.triple, TripleClass.EXTRAPOLATED, scores=st.values,
                      chains=chains_by_triple[st.triple])
         for st in scored])
@@ -380,7 +413,7 @@ def stage_gap(ctx: RunContext, scored_extrapolated: list[TripleRecord],
         if verdict == CLASS_GAP:
             gaps.append(TripleRecord(record.triple, TripleClass.GAP,
                                      scores=record.scores, chains=record.chains))
-    write_triple_file(ctx.paths.gaps, gaps)
+    _write_records(ctx, "gaps", gaps)
     return {"confirmed": counts.get(CLASS_CONFIRMED, 0),
             "gap": counts.get(CLASS_GAP, 0),
             "undecided": counts.get(CLASS_UNDECIDED, 0),
@@ -488,11 +521,11 @@ STAGE_ORDER = tuple(name for name in TABLE if name != "sweep")
 STAGES: dict[str, Callable] = {name: body for name, (body, _, _) in TABLE.items()}
 
 
-def _load_input(attr: str, path: Path):
-    """An input artifact as its stage body takes it."""
+def _load_input(attr: str, data: bytes):
+    """An input artifact, parsed from its bytes, as its stage body takes it."""
     if attr == "calibration":
-        return CalibrationOutcome.from_json_obj(json.loads(path.read_text(encoding="utf-8")))
-    return read_triple_file(path)
+        return CalibrationOutcome.from_json_obj(json.loads(data.decode("utf-8")))
+    return parse_triple_file(data)
 
 
 def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str]) -> list[str]:
@@ -524,10 +557,16 @@ def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str
 
 def run_stage(ctx: RunContext, name: str) -> None:
     """Run one stage of TABLE: refuse it if an input is missing or stale,
-    load its inputs, run its body, and record what it read and wrote."""
+    load its inputs, run its body, and record what it read and wrote.
+
+    Each input file is read once, to hash it. An input that a stage of ctx
+    wrote and kept is handed over as kept if the file still has the hash
+    recorded when it was written; any other input is parsed from the bytes
+    just hashed."""
     if name not in TABLE:
         raise ValueError(f"unknown stage {name!r}; expected one of {tuple(TABLE)}")
     log.info("stage %s starting", name)
+    start = time.perf_counter()
     paths = ctx.paths
     _, inputs, outputs = TABLE[name]
     missing = [str(getattr(paths, attr)) for attr in inputs if not getattr(paths, attr).exists()]
@@ -538,8 +577,9 @@ def run_stage(ctx: RunContext, name: str) -> None:
     manifest = {"stages": {}}
     if paths.manifest.exists():
         manifest.update(json.loads(paths.manifest.read_text(encoding="utf-8")))
-    read = {paths.name(getattr(paths, attr)): _file_hash(getattr(paths, attr))
-            for attr in inputs}
+    blobs = {attr: getattr(paths, attr).read_bytes() for attr in inputs}
+    digests = {attr: _digest(blob) for attr, blob in blobs.items()}
+    read = {paths.name(getattr(paths, attr)): digest for attr, digest in digests.items()}
     stale = _stale_inputs(paths, manifest["stages"], name, read)
     if stale:
         raise StaleUpstreamError(
@@ -547,27 +587,37 @@ def run_stage(ctx: RunContext, name: str) -> None:
             f"that wrote or read them last ran: {', '.join(stale)}; rerun the named "
             "stages and the ones after them")
 
-    result = STAGES[name](ctx, **{attr: _load_input(attr, getattr(paths, attr))
-                                  for attr in inputs})
+    kwargs = {}
+    for attr in inputs:
+        kept_digest, kept = ctx._kept.get(attr, (None, None))
+        kwargs[attr] = kept if kept_digest == digests[attr] else _load_input(attr, blobs[attr])
+    del blobs
+    ctx._written.clear()
+    result = STAGES[name](ctx, **kwargs)
     if isinstance(result, dict):
         result = StageResult(result)
     written = [getattr(paths, attr) for attr in outputs] + list(result.extra_outputs)
+    hashes = {paths.name(path): _file_hash(path) for path in written}
+    for attr, value in ctx._written.items():
+        ctx._kept[attr] = (hashes[paths.name(getattr(paths, attr))], value)
+    provenance = {"config_hash": ctx.config.config_hash(), "model_identity": ctx.model_identity()}
     manifest.update({
         "tool_version": __version__,
-        "config_hash": ctx.config.config_hash(),
         "prompt_set": PROMPT_SET_VERSION,
         "template_set": TEMPLATE_SET_VERSION,
         "perplexity_base": "e",
-        "model_identity": ctx.model_identity(),
         "judge": ctx.config.model.judge.kind,
+        **provenance,
         **result.manifest_keys,
     })
     manifest["stages"][name] = {
         "completed_at": _utc_now(),
+        **provenance,
         "inputs": read,
-        "outputs": {paths.name(path): _file_hash(path) for path in written},
+        "outputs": hashes,
         "tallies": result.tallies,
         "gateway": ctx.take_gateway_counts(),
+        "wall_s": round(time.perf_counter() - start, 6),
     }
     _write_json(paths.manifest, manifest)
     log.info("stage %s done", name)

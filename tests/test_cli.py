@@ -72,6 +72,24 @@ class TestExitCodes:
             assert main(["confirm", *flags]) == EXIT_MISSING_UPSTREAM
         assert "raw.jsonl (rerun 'calibrate')" in caplog.text
 
+    def test_each_stage_entry_keeps_its_own_provenance(self, finished_run, tmp_path):
+        tmp, config = finished_run
+        out = tmp_path / "out"
+        shutil.copytree(tmp / "out", out, ignore=shutil.ignore_patterns("cache"))
+        before = json.loads((out / "manifest.json").read_text())["stages"]
+        flags = ["--config", str(config), "--stage-dir", str(out)]
+        assert main(["extract", *flags, "--seed", "8"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        stages = manifest["stages"]
+        assert before["extract"]["model_identity"].startswith("synthetic://7/")
+        assert stages["extract"]["model_identity"].startswith("synthetic://8/")
+        assert stages["extract"]["config_hash"] != before["extract"]["config_hash"]
+        assert stages["calibrate"] == before["calibrate"]
+        assert stages["calibrate"]["model_identity"].startswith("synthetic://7/")
+        # The top-level keys name the stage that ran last.
+        assert manifest["model_identity"] == stages["extract"]["model_identity"]
+        assert manifest["config_hash"] == stages["extract"]["config_hash"]
+
     def test_gateway_failure_exits_4(self, tmp_path):
         # Port 1 refuses instantly; the retries back off for a few seconds.
         config = write_config(tmp_path, {

@@ -76,6 +76,14 @@ class TestCache:
         assert _cache_key("ep1", "m1", "generate", {"prompt": "q"}) != base
         assert _cache_key("ep1", "m1", "generate", {"prompt": "p"}) == base
 
+    def test_key_is_pinned(self):
+        # Computed before the key encoder was shared; a key that moves
+        # orphans every response already cached.
+        body = GenerateRequest(prompt='Is a Säugetier — a kind of "Tier"? é',
+                               max_tokens=8, temperature=0.0).to_body("synthetic")
+        assert (_cache_key("synthetic://42/ab12cd34", "synthetic", "generate", body)
+                == "b13eb010e33e8a26c1b4806e151a48dd08585ad09e1b19d6025e508d43f3009a")
+
     def test_read_cache_false_still_writes(self, tmp_path):
         gw, backend = make_gateway(tmp_path, read_cache=False)
         req = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)

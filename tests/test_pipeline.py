@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 import evontree.gateway as gateway_module
+import evontree.ontology as ontology_module
 import evontree.pipeline as pipeline_module
+from evontree.calibration import CalibrationOutcome
 from evontree.config import ENDPOINT_ENV_VAR, parse_config, replace_seed
 from evontree.errors import MissingUpstreamError, StaleUpstreamError, TransportError
 from evontree.gateway import (
@@ -28,7 +30,7 @@ from evontree.gateway import (
     ModelGateway,
 )
 from evontree.ontology import read_triple_file
-from evontree.pipeline import STAGE_ORDER, RunContext, run_all, run_stage
+from evontree.pipeline import STAGE_ORDER, TABLE, RunContext, run_all, run_stage
 from evontree.scoring import TRIPLES_PER_BATCH, confirm_decision, templates_for
 from evontree.synthesis import read_corpus
 from evontree.synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
@@ -536,3 +538,118 @@ class TestStaleInputs:
         path = run_copy.paths.confirmed
         path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         run_stage(run_copy, "reliable")
+
+
+class TestHandoff:
+    """Under run, each stage hands the records it wrote to the stages after
+    it; the files are still written, hashed and checked."""
+
+    def test_run_all_parses_no_artifact_it_wrote(self, tmp_path, monkeypatch):
+        handed = []  # (stage, attr, value, the file's bytes as the stage began)
+
+        def recording(name, body):
+            def run(ctx, **inputs):
+                handed.extend((name, attr, value, getattr(ctx.paths, attr).read_bytes())
+                              for attr, value in inputs.items())
+                return body(ctx, **inputs)
+            return run
+
+        parses = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                parses[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name, body in list(pipeline_module.STAGES.items()):
+            monkeypatch.setitem(pipeline_module.STAGES, name, recording(name, body))
+        for name in ("_load_input", "parse_triple_file", "read_triple_file"):
+            monkeypatch.setattr(pipeline_module, name,
+                                counting(name, getattr(pipeline_module, name)))
+        monkeypatch.setattr(CalibrationOutcome, "from_json_obj", classmethod(
+            counting("from_json_obj", CalibrationOutcome.from_json_obj.__func__)))
+        ctx = RunContext(make_config(tmp_path))
+        try:
+            run_all(ctx)
+        finally:
+            ctx.close()
+        monkeypatch.undo()
+
+        assert parses == Counter()
+        assert ({(stage, attr) for stage, attr, _, _ in handed}
+                == {(stage, attr) for stage in STAGE_ORDER for attr in TABLE[stage][1]})
+        for stage, attr, value, data in handed:
+            parsed = pipeline_module._load_input(attr, data)
+            assert value == parsed, (stage, attr)
+            if attr != "calibration":  # labels compare by key; their text too
+                assert ([ontology_module._record_to_obj(r) for r in value]
+                        == [ontology_module._record_to_obj(r) for r in parsed]), (stage, attr)
+
+    def test_a_file_rewritten_by_another_context_is_parsed(self, tmp_path):
+        a = RunContext(make_config(tmp_path))
+        b = RunContext(replace_seed(a.config, 8))
+        try:
+            run_stage(a, "extract")
+            raw_a = {r.triple for r in read_triple_file(a.paths.raw)}
+            run_stage(b, "extract")
+            raw_b = {r.triple for r in read_triple_file(a.paths.raw)}
+            run_stage(a, "calibrate")
+        finally:
+            a.close()
+            b.close()
+        assert raw_a != raw_b
+        assert {r.triple for r in read_triple_file(a.paths.scored_raw)} == raw_b
+
+    def test_a_failed_stage_hands_nothing_on(self, run_copy, monkeypatch):
+        def endpoint_down(*args, **kwargs):
+            raise TransportError("endpoint down")
+
+        monkeypatch.setattr(pipeline_module, "collect_samples", endpoint_down)
+        with pytest.raises(TransportError):
+            run_stage(run_copy, "calibrate")  # after rewriting scored_raw.jsonl
+        assert "scored_raw" not in run_copy._kept
+        monkeypatch.undo()
+        run_stage(run_copy, "calibrate")
+        assert set(run_copy._kept) == {"scored_raw", "calibration"}
+
+    def test_stage_by_stage_equals_run_all(self, completed_run, tmp_path):
+        # One context per stage, as separate CLI verbs: nothing is handed on.
+        cfg = replace(completed_run.config,
+                      output=replace(completed_run.config.output, dir=tmp_path / "staged"))
+        for name in STAGE_ORDER:
+            ctx = RunContext(cfg)
+            try:
+                run_stage(ctx, name)
+            finally:
+                ctx.close()
+        staged = {p.relative_to(cfg.output.dir): p.read_bytes()
+                  for p in cfg.output.dir.rglob("*") if p.is_file()}
+        assert Path("corpus.jsonl") in staged
+        for name, data in staged.items():
+            if name != Path("manifest.json"):
+                assert (completed_run.paths.out_dir / name).read_bytes() == data, name
+        manifests = [json.loads(m.read_text())["stages"]
+                     for m in (completed_run.paths.manifest, cfg.output.dir / "manifest.json")]
+        for name in STAGE_ORDER:
+            for key in ("inputs", "outputs", "model_identity"):
+                assert manifests[0][name][key] == manifests[1][name][key], (name, key)
+
+
+class TestStageEntries:
+    def test_each_stage_records_its_wall_time_and_provenance(self, tmp_path):
+        ctx = RunContext(make_config(tmp_path))
+        try:
+            start = time.perf_counter()
+            run_all(ctx)
+            elapsed = time.perf_counter() - start
+        finally:
+            ctx.close()
+        stages = json.loads(ctx.paths.manifest.read_text())["stages"]
+        assert set(stages) == set(STAGE_ORDER)
+        walls = [entry["wall_s"] for entry in stages.values()]
+        assert all(wall >= 0 for wall in walls)
+        assert sum(walls) <= elapsed
+        for entry in stages.values():
+            assert entry["config_hash"] == ctx.config.config_hash()
+            assert entry["model_identity"] == ctx.model_identity()
