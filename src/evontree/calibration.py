@@ -7,6 +7,10 @@ per-template confirm values. The calibrated threshold for a template
 maximizes the Youden index J = TPR - FPR over a candidate grid built from
 the observed scores inside the sweep range plus the range endpoints; ties
 resolve to the largest threshold, the conservative choice for confirmation.
+
+calibration.json keeps each template's threshold, its Youden J and its
+label counts; the ROC curve a fit returns is written once, as the rows of
+roc_curve.csv, and is not part of the JSON.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from .ontology import Relation, Triple
 from .scoring import ProbeTemplate, ScoredTriple, templates_for
 
 log = logging.getLogger(__name__)
-
-POOLED_KEY = "pooled"
 
 _ANSWER_RE = re.compile(r"\b(true|false)\b", re.IGNORECASE)
 
@@ -62,21 +64,21 @@ class CalibrationResult:
     n_pos: int
     n_neg: int
     max_j: float
-    curve: list[RocPoint] = field(default_factory=list)
+    # The fitted curve, for roc_curve.csv; not stored in calibration.json,
+    # so a fit read back has none, and equality ignores it.
+    curve: list[RocPoint] = field(default_factory=list, compare=False)
 
     def to_json_obj(self) -> dict:
         return {
             "tau_star": self.tau_star,
             "max_j": self.max_j,
             "counts": {"pos": self.n_pos, "neg": self.n_neg},
-            "curve": [[p.tau, p.tpr, p.fpr] for p in self.curve],
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CalibrationResult":
         return cls(tau_star=obj["tau_star"], max_j=obj["max_j"],
-                   n_pos=obj["counts"]["pos"], n_neg=obj["counts"]["neg"],
-                   curve=[RocPoint(tau=t, tpr=tp, fpr=fp) for t, tp, fp in obj["curve"]])
+                   n_pos=obj["counts"]["pos"], n_neg=obj["counts"]["neg"])
 
 
 def parse_label(text: str) -> bool:
@@ -93,11 +95,6 @@ def label_request(triple: Triple, template: ProbeTemplate) -> GenerateRequest:
     """One greedy generation from the instantiated statement."""
     prompt = template.instantiate(triple.subject, triple.object)
     return GenerateRequest(prompt=prompt, max_tokens=8, temperature=0.0)
-
-
-def one_shot_label(gateway: ModelGateway, triple: Triple, template: ProbeTemplate) -> bool:
-    """Ask the model once, greedily, whether the instantiated statement holds."""
-    return parse_label(gateway.generate(label_request(triple, template)))
 
 
 def collect_samples(
@@ -159,7 +156,8 @@ def fit_threshold(samples: Sequence[LabeledScore], sweep: SweepSpec = SweepSpec(
 
 @dataclass
 class CalibrationOutcome:
-    """Per-relation, per-template fits plus a pooled fit across templates."""
+    """Per-relation fits, one per paraphrase template, keyed by its id as a
+    string. Read back from calibration.json, the fits carry no curve."""
 
     sweep: SweepSpec
     prompt_set: str
@@ -199,12 +197,6 @@ class CalibrationOutcome:
 
 def calibrate_relation(samples: dict[int, list[LabeledScore]],
                        sweep: SweepSpec = SweepSpec()) -> dict[str, CalibrationResult]:
-    """Fit one threshold per paraphrase template plus a pooled fit over the
-    union of every template's samples."""
-    fits: dict[str, CalibrationResult] = {}
-    pooled: list[LabeledScore] = []
-    for paraphrase_id in sorted(samples):
-        fits[str(paraphrase_id)] = fit_threshold(samples[paraphrase_id], sweep)
-        pooled.extend(samples[paraphrase_id])
-    fits[POOLED_KEY] = fit_threshold(pooled, sweep)
-    return fits
+    """Fit one threshold per paraphrase template."""
+    return {str(paraphrase_id): fit_threshold(samples[paraphrase_id], sweep)
+            for paraphrase_id in sorted(samples)}

@@ -106,9 +106,12 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
 
     def config_hash(self) -> str:
-        """Hash of the fully resolved configuration, recorded in the manifest
-        so artifacts can be traced back to the exact settings."""
-        canonical = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        """Hash of the fully resolved settings, recorded in the manifest so
+        artifacts can be traced back to them. The output section is left
+        out: where a run is written (--stage-dir, a copied run directory,
+        another cache) changes no artifact, so it does not change the hash."""
+        settings = {k: v for k, v in self.to_json_obj().items() if k != "output"}
+        canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def to_json_obj(self) -> dict:

@@ -215,7 +215,6 @@ class TripleStore:
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         self._triples: set[Triple] = set()
-        self._parents_by_subject: dict[str, set[ConceptLabel]] = defaultdict(set)
         self._synonym_partners: dict[str, set[ConceptLabel]] = defaultdict(set)
         for t in triples:
             self.insert(t)
@@ -225,9 +224,7 @@ class TripleStore:
         if triple in self._triples:
             return False
         self._triples.add(triple)
-        if triple.relation is Relation.SUBCLASS_OF:
-            self._parents_by_subject[triple.subject.key].add(triple.object)
-        else:
+        if triple.relation is Relation.SYNONYM_OF:
             self._synonym_partners[triple.subject.key].add(triple.object)
             self._synonym_partners[triple.object.key].add(triple.subject)
         return True
@@ -240,9 +237,6 @@ class TripleStore:
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(sorted(self._triples, key=lambda t: t.sort_key))
-
-    def parents_of(self, label: ConceptLabel) -> set[ConceptLabel]:
-        return set(self._parents_by_subject.get(label.key, ()))
 
     def synonym_partners_of(self, label: ConceptLabel) -> set[ConceptLabel]:
         return set(self._synonym_partners.get(label.key, ()))

@@ -222,11 +222,10 @@ class RunContext:
 
 class StageResult(NamedTuple):
     """What a stage body returns when it has more to report than tallies:
-    files it wrote besides its declared outputs, and top-level manifest keys."""
+    the files it wrote besides its declared outputs."""
 
     tallies: dict
     extra_outputs: Sequence[Path] = ()
-    manifest_keys: dict = {}
 
 
 def _utc_now() -> str:
@@ -242,7 +241,8 @@ def _file_hash(path: Path) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    write_atomic(path, json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=False) + "\n")
 
 
 def _write_csv(path: Path, rows: Iterable[Sequence[str]]) -> None:
@@ -309,9 +309,10 @@ def _score_records(ctx: RunContext, triples: Sequence[Triple]) -> tuple[list, in
     return scored, len(triples) - len(scored)
 
 
-def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> StageResult:
+def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> dict:
     """Score every raw triple, then fit per-template confirm thresholds
-    against the model's own one-shot labels."""
+    against the model's own one-shot labels; their ROC curves go to
+    roc_curve.csv."""
     paths = ctx.paths
     scored, unscored = _score_records(ctx, [r.triple for r in raw])
     _write_records(ctx, "scored_raw", [
@@ -330,13 +331,8 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> StageResult:
                                  by_relation=by_relation, unparseable=unparseable)
     _write_json(paths.calibration, outcome.to_json_obj())
     ctx.keep("calibration", outcome)
-
-    thresholds = {
-        relation: {key: fit.tau_star for key, fit in sorted(fits.items())}
-        for relation, fits in sorted(by_relation.items())
-    }
-    return StageResult({"unscored": unscored, "unparseable_labels": unparseable},
-                       manifest_keys={"thresholds": thresholds})
+    _write_csv(paths.roc_curve, roc_rows(outcome))
+    return {"unscored": unscored, "unparseable_labels": unparseable}
 
 
 def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
@@ -432,11 +428,11 @@ def stage_synthesize(ctx: RunContext, gaps: list[TripleRecord]) -> dict:
 
 
 def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[TripleRecord],
-                 calibration: CalibrationOutcome, confirmed: list[TripleRecord],
-                 reliable: list[TripleRecord], extrapolated: list[TripleRecord],
-                 scored_extrapolated: list[TripleRecord], gaps: list[TripleRecord]) -> dict:
-    """Summarize every triple class into the stats table, histogram, and
-    ROC CSV; audit accuracy through the judge when one is configured."""
+                 confirmed: list[TripleRecord], reliable: list[TripleRecord],
+                 extrapolated: list[TripleRecord], scored_extrapolated: list[TripleRecord],
+                 gaps: list[TripleRecord]) -> dict:
+    """Summarize every triple class into the stats table and histogram;
+    audit accuracy through the judge when one is configured."""
     paths = ctx.paths
     nums: dict[tuple[TripleClass, Relation], int] = {}
     scored: dict[tuple[TripleClass, Relation], list[TripleRecord]] = {}
@@ -479,7 +475,6 @@ def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[Trip
     })
     _write_csv(paths.report_csv, rows_to_csv(rows, with_acc=verdicts is not None))
     _write_csv(paths.confirm_hist, histogram_rows(scored, verdicts))
-    _write_csv(paths.roc_curve, roc_rows(calibration))
     return {"judge_unavailable": judge_unavailable,
             "judge_unparseable": judge_unparseable,
             "unscored": unscored}
@@ -503,7 +498,7 @@ def stage_sweep(ctx: RunContext, scored_extrapolated: list[TripleRecord],
 # body by attribute name. `run` runs the stages in this order, sweep aside.
 TABLE: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
     "extract": (stage_extract, (), ("raw",)),
-    "calibrate": (stage_calibrate, ("raw",), ("scored_raw", "calibration")),
+    "calibrate": (stage_calibrate, ("raw",), ("scored_raw", "calibration", "roc_curve")),
     "confirm": (stage_confirm, ("scored_raw", "calibration"), ("confirmed",)),
     "reliable": (stage_reliable, ("confirmed",), ("reliable",)),
     "extrapolate": (stage_extrapolate, ("raw", "confirmed", "reliable"),
@@ -511,9 +506,9 @@ TABLE: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
     "gap": (stage_gap, ("scored_extrapolated", "calibration"), ("gaps",)),
     "synthesize": (stage_synthesize, ("gaps",), ("corpus",)),
     "report": (stage_report,
-               ("raw", "scored_raw", "calibration", "confirmed", "reliable",
+               ("raw", "scored_raw", "confirmed", "reliable",
                 "extrapolated", "scored_extrapolated", "gaps"),
-               ("report_json", "report_csv", "confirm_hist", "roc_curve")),
+               ("report_json", "report_csv", "confirm_hist")),
     "sweep": (stage_sweep, ("scored_extrapolated", "calibration"), ("sweep",)),
 }
 STAGE_ORDER = tuple(name for name in TABLE if name != "sweep")
@@ -608,7 +603,6 @@ def run_stage(ctx: RunContext, name: str) -> None:
         "perplexity_base": "e",
         "judge": ctx.config.model.judge.kind,
         **provenance,
-        **result.manifest_keys,
     })
     manifest["stages"][name] = {
         "completed_at": _utc_now(),

@@ -5,8 +5,9 @@ in each class, their average confirm value (mean over each triple's
 per-paraphrase mean), and, when a judge is available, the fraction the
 judge marks true. Counts come from artifact line counts; averages use only
 the scored subset, since unscored triples carry no values. The same scored
-records also feed a confirm-value histogram and the ROC points recorded at
-calibration time feed a flat CSV for plotting.
+records also feed a confirm-value histogram. roc_rows flattens the ROC
+curves of fresh per-template fits into the rows of roc_curve.csv, which the
+calibrate stage writes: calibration.json does not keep the curves.
 """
 
 from __future__ import annotations
@@ -180,7 +181,9 @@ def histogram_rows(
 
 
 def roc_rows(outcome: CalibrationOutcome) -> list[list[str]]:
-    """Flatten the calibration curves: one line per (relation, template, tau)."""
+    """Flatten the calibration curves: one line per (relation, template, tau).
+    The curves exist only on fits fit_threshold just returned, not on an
+    outcome read back from calibration.json."""
     out = [["relation", "template", "tau", "tpr", "fpr"]]
     for relation in sorted(outcome.by_relation):
         for template_key in sorted(outcome.by_relation[relation]):

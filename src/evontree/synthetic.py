@@ -90,9 +90,6 @@ class GroundTruth:
     def children_of(self, rep_key: str) -> list[str]:
         return list(self._children.get(rep_key, ()))
 
-    def ancestors_of(self, rep_key: str) -> set[str]:
-        return set(self._ancestors.get(rep_key, ()))
-
     @property
     def vocabulary(self) -> set[str]:
         return set(self._rep_of)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import evontree.gateway as gateway_module
 from evontree.calibration import (
-    POOLED_KEY,
     CalibrationOutcome,
     CalibrationResult,
     LabeledScore,
@@ -18,7 +17,8 @@ from evontree.calibration import (
     calibrate_relation,
     collect_samples,
     fit_threshold,
-    one_shot_label,
+    label_request,
+    parse_label,
 )
 from evontree.errors import (
     DegenerateLabelsError,
@@ -146,48 +146,31 @@ class TestFitThreshold:
         assert all(a >= b for a, b in zip(fprs, fprs[1:]))
 
 
-class FakeJudgeGateway:
-    def __init__(self, text):
-        self.text = text
-        self.requests = []
-
-    def generate(self, request, bypass_cache=False):
-        self.requests.append(request)
-        return self.text
-
-
 class TestOneShotLabel:
+    """A one-shot label: label_request's greedy prompt, its answer read by parse_label."""
+
     def test_parses_true_from_template_prompt(self):
-        gw = FakeJudgeGateway("True.")
         t = Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe"))
-        assert one_shot_label(gw, t, SUB_TPL) is True
-        req = gw.requests[0]
+        req = label_request(t, SUB_TPL)
         assert req.temperature == 0.0
         # The label prompt is the same instantiated statement the scorer uses.
         assert req.prompt == SUB_TPL.instantiate(t.subject, t.object)
+        assert parse_label("True.") is True
 
     def test_parses_false_case_insensitive(self):
-        gw = FakeJudgeGateway("  fAlSe, because...")
-        t = Triple(lbl("Microbe"), Relation.SUBCLASS_OF, lbl("Virus"))
-        assert one_shot_label(gw, t, SUB_TPL) is False
+        assert parse_label("  fAlSe, because...") is False
 
     def test_first_answer_wins(self):
-        gw = FakeJudgeGateway("False. Well, actually True.")
-        t = Triple(lbl("a"), Relation.SUBCLASS_OF, lbl("b"))
-        assert one_shot_label(gw, t, SUB_TPL) is False
+        assert parse_label("False. Well, actually True.") is False
 
     def test_unparseable(self):
-        gw = FakeJudgeGateway("It depends on the taxonomy.")
-        t = Triple(lbl("a"), Relation.SUBCLASS_OF, lbl("b"))
         with pytest.raises(UnparseableError):
-            one_shot_label(gw, t, SUB_TPL)
+            parse_label("It depends on the taxonomy.")
 
     def test_word_boundary_required(self):
-        gw = FakeJudgeGateway("Truthiness untrue.")
-        t = Triple(lbl("a"), Relation.SUBCLASS_OF, lbl("b"))
         # "untrue" contains no standalone true/false token.
         with pytest.raises(UnparseableError):
-            one_shot_label(gw, t, SUB_TPL)
+            parse_label("Truthiness untrue.")
 
 
 def scored_subclass(s, o, values):
@@ -292,7 +275,7 @@ class TestCollectSamples:
 
 
 class TestCalibrateRelation:
-    def test_per_template_and_pooled_fits(self):
+    def test_one_fit_per_template(self):
         scored = [
             scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6]),
             scored_subclass("b", "root", [0.5, 0.4, 0.3, 0.2]),
@@ -301,11 +284,10 @@ class TestCalibrateRelation:
         ]
         labels = [True, True, False, False]
         fits = calibrate_relation(samples_from(scored, labels))
-        assert set(fits) == {"1", "2", "3", "4", POOLED_KEY}
+        assert set(fits) == {"1", "2", "3", "4"}
         for key in ("1", "2", "3", "4"):
             assert fits[key].n_pos == 2 and fits[key].n_neg == 2
             assert fits[key].max_j == pytest.approx(1.0)
-        assert fits[POOLED_KEY].n_pos == 8 and fits[POOLED_KEY].n_neg == 8
 
     def test_template_one_threshold_from_worked_example(self):
         scored = [
@@ -341,7 +323,7 @@ class TestCalibrationOutcome:
         assert taus == [outcome.by_relation["SubclassOf"][str(i)].tau_star
                         for i in (1, 2, 3, 4)]
 
-    def test_json_round_trip_preserves_fits_and_curves(self):
+    def test_json_round_trip_preserves_fits(self):
         outcome = self.build()
         back = CalibrationOutcome.from_json_obj(outcome.to_json_obj())
         assert back.prompt_set == "v1"
@@ -349,10 +331,13 @@ class TestCalibrationOutcome:
         assert back.unparseable == 3
         assert back.thresholds(Relation.SUBCLASS_OF) == outcome.thresholds(Relation.SUBCLASS_OF)
         assert back.by_relation == outcome.by_relation
+        # Curves live in roc_curve.csv; a fit read back has none.
+        assert all(fit.curve for fit in outcome.by_relation["SubclassOf"].values())
+        assert not any(fit.curve for fit in back.by_relation["SubclassOf"].values())
 
-    def test_json_obj_carries_curve_and_counts_per_template(self):
+    def test_json_obj_carries_threshold_and_counts_per_template(self):
         obj = self.build().to_json_obj()
+        assert set(obj["relations"]["SubclassOf"]) == {"1", "2", "3", "4"}
         entry = obj["relations"]["SubclassOf"]["1"]
-        assert set(entry) == {"tau_star", "max_j", "counts", "curve"}
+        assert set(entry) == {"tau_star", "max_j", "counts"}
         assert entry["counts"] == {"pos": 1, "neg": 1}
-        assert all(len(point) == 3 for point in entry["curve"])

@@ -183,6 +183,17 @@ class TestHashing:
             "model": {"kind": "synthetic", "synthetic": {"seed": 5}}}))
         assert a.config_hash() != b.config_hash()
 
+    def test_hash_ignores_where_the_run_is_written(self, tmp_path):
+        path = write_config(tmp_path, {**MINIMAL, "output": {"dir": "a", "cache_dir": "c1"}})
+        (tmp_path / "copy").mkdir()
+        other_cache = write_config(tmp_path / "copy", {
+            **MINIMAL, "output": {"dir": "a", "cache_dir": "c2"}})
+        hashes = {load_config(path).config_hash(),
+                  load_config(path, stage_dir=tmp_path / "elsewhere").config_hash(),
+                  load_config(other_cache).config_hash()}
+        assert len(hashes) == 1
+        assert load_config(path, seed=99).config_hash() not in hashes
+
     def test_parse_config_rejects_non_object_root(self, tmp_path):
         with pytest.raises(ConfigError, match="object"):
             parse_config(["not", "a", "dict"], base_dir=tmp_path)
@@ -330,12 +341,12 @@ FULL_SYNTHETIC = {
 
 
 class TestPinnedHashes:
-    # Computed with the hand-written parser and serialiser this loader
-    # replaced; a change here changes every run's manifest.
+    # sha256 of every section but output, canonically encoded; a change
+    # here changes every run's manifest.
     @pytest.mark.parametrize(("obj", "digest"), [
-        (MINIMAL, "dbcbec9b2c99f1fd75f5519681bd5c64944536330693312311a13e2eeeae9b8b"),
-        (FULL_HTTP, "63d82bde54dc84ba98294ec51297a28ef03b9a3a05af3c71dfdb12a71f3fe2ae"),
-        (FULL_SYNTHETIC, "79cbdf3da6cbb8109ea22ccfe11ca1b8598307da4f523014087ea2172e79fd42"),
+        (MINIMAL, "35d38ef07381ff797cd32d7110f1ffa9f7123b51b140baf7a56eeffdbe1a08ed"),
+        (FULL_HTTP, "ad1d5aaf1853ae7a8bf2179a080c3b576b1e3c038e84834297abbe5fcdbd907a"),
+        (FULL_SYNTHETIC, "7cdaafc73506e5ee69ca1e2aa36665ccdc9e1b1545bcdfe2acb4183bbc637556"),
     ], ids=["minimal", "full-http", "full-synthetic"])
     def test_config_hash_is_pinned(self, obj, digest, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import shutil
@@ -19,7 +20,7 @@ import pytest
 import evontree.gateway as gateway_module
 import evontree.ontology as ontology_module
 import evontree.pipeline as pipeline_module
-from evontree.calibration import CalibrationOutcome
+from evontree.calibration import CalibrationOutcome, calibrate_relation
 from evontree.config import ENDPOINT_ENV_VAR, parse_config, replace_seed
 from evontree.errors import MissingUpstreamError, StaleUpstreamError, TransportError
 from evontree.gateway import (
@@ -29,7 +30,7 @@ from evontree.gateway import (
     HttpBackend,
     ModelGateway,
 )
-from evontree.ontology import read_triple_file
+from evontree.ontology import Relation, read_triple_file
 from evontree.pipeline import STAGE_ORDER, TABLE, RunContext, run_all, run_stage
 from evontree.scoring import TRIPLES_PER_BATCH, confirm_decision, templates_for
 from evontree.synthesis import read_corpus
@@ -66,17 +67,16 @@ ARTIFACT_NAMES = (
 # plus sweep on make_config's one-root synthetic run.
 MANIFEST_NAMES = {
     "extract": ((), ("raw.jsonl", "trees/t0n0.json", "ground_truth.json")),
-    "calibrate": (("raw.jsonl",), ("scored_raw.jsonl", "calibration.json")),
+    "calibrate": (("raw.jsonl",), ("scored_raw.jsonl", "calibration.json", "roc_curve.csv")),
     "confirm": (("scored_raw.jsonl", "calibration.json"), ("confirmed.jsonl",)),
     "reliable": (("confirmed.jsonl",), ("reliable.jsonl",)),
     "extrapolate": (("raw.jsonl", "confirmed.jsonl", "reliable.jsonl"),
                     ("extrapolated.jsonl", "scored_extrapolated.jsonl")),
     "gap": (("scored_extrapolated.jsonl", "calibration.json"), ("gaps.jsonl",)),
     "synthesize": (("gaps.jsonl",), ("corpus.jsonl",)),
-    "report": (("raw.jsonl", "scored_raw.jsonl", "calibration.json", "confirmed.jsonl",
-                "reliable.jsonl", "extrapolated.jsonl", "scored_extrapolated.jsonl",
-                "gaps.jsonl"),
-               ("report.json", "report.csv", "confirm_hist.csv", "roc_curve.csv")),
+    "report": (("raw.jsonl", "scored_raw.jsonl", "confirmed.jsonl", "reliable.jsonl",
+                "extrapolated.jsonl", "scored_extrapolated.jsonl", "gaps.jsonl"),
+               ("report.json", "report.csv", "confirm_hist.csv")),
     "sweep": (("scored_extrapolated.jsonl", "calibration.json"), ("sweep.csv",)),
 }
 
@@ -168,7 +168,8 @@ class TestRunAll:
         assert manifest["model_identity"].startswith("synthetic://7/")
         assert manifest["perplexity_base"] == "e"
         assert manifest["prompt_set"] == "v1"
-        assert "SubclassOf" in manifest["thresholds"]
+        calibration = json.loads(completed_run.paths.calibration.read_text())
+        assert "SubclassOf" in calibration["relations"]
 
     def test_manifest_hashes_match_artifact_bytes(self, completed_run):
         import hashlib
@@ -186,6 +187,44 @@ class TestRunAll:
         for name, (inputs, outputs) in MANIFEST_NAMES.items():
             assert sorted(stages[name]["inputs"]) == sorted(inputs), name
             assert sorted(stages[name]["outputs"]) == sorted(outputs), name
+
+    def test_json_artifacts_are_compact(self, completed_run):
+        written = sorted(completed_run.paths.out_dir.rglob("*.json"))
+        assert {p.name for p in written} >= {
+            "calibration.json", "manifest.json", "report.json", "ground_truth.json", "t0n0.json"}
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"),
+                                 ensure_ascii=False)
+            assert text == compact + "\n", path.name
+
+    def test_roc_curve_holds_the_fitted_curves(self, tmp_path, monkeypatch):
+        fitted = []
+
+        def recording(samples, sweep):
+            fits = calibrate_relation(samples, sweep)
+            fitted.append(fits)
+            return fits
+
+        monkeypatch.setattr(pipeline_module, "calibrate_relation", recording)
+        ctx = RunContext(make_config(tmp_path))
+        try:
+            run_all(ctx)
+        finally:
+            ctx.close()
+        outcome = CalibrationOutcome.from_json_obj(json.loads(ctx.paths.calibration.read_text()))
+        assert len(fitted) == len(outcome.by_relation) == 2
+        # The fits calibrate_relation returned, with their curves, by relation.
+        fresh = replace(outcome, by_relation={
+            relation: next(f for f in fitted if f == fits)
+            for relation, fits in outcome.by_relation.items()})
+        with ctx.paths.roc_curve.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows == pipeline_module.roc_rows(fresh)
+        assert len(rows) == 1 + sum(len(fit.curve) for fits in fitted for fit in fits.values())
+        assert {(row[0], row[1]) for row in rows[1:]} == {
+            (relation.value, str(t.paraphrase_id)) for relation in Relation
+            for t in templates_for(relation)}
 
     def test_ground_truth_round_trips(self, completed_run):
         obj = json.loads(completed_run.paths.ground_truth.read_text())
@@ -632,7 +671,7 @@ class TestHandoff:
         manifests = [json.loads(m.read_text())["stages"]
                      for m in (completed_run.paths.manifest, cfg.output.dir / "manifest.json")]
         for name in STAGE_ORDER:
-            for key in ("inputs", "outputs", "model_identity"):
+            for key in ("inputs", "outputs", "model_identity", "config_hash"):
                 assert manifests[0][name][key] == manifests[1][name][key], (name, key)
 
 

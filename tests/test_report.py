@@ -155,7 +155,7 @@ class TestRocRows:
         fit = CalibrationResult(tau_star=0.5, n_pos=1, n_neg=1, max_j=1.0,
                                 curve=[RocPoint(0.0, 1.0, 1.0), RocPoint(0.5, 1.0, 0.0)])
         outcome = CalibrationOutcome(sweep=SweepSpec(), prompt_set="v1",
-                                     by_relation={"SubclassOf": {"1": fit, "pooled": fit}})
+                                     by_relation={"SubclassOf": {"1": fit, "2": fit}})
         rows = roc_rows(outcome)
         assert rows[0] == ["relation", "template", "tau", "tpr", "fpr"]
         assert rows[1] == ["SubclassOf", "1", "0.0", "1.000000", "1.000000"]
