@@ -21,7 +21,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DegenerateLabelsError, InvalidParamsError, MissingThresholdError, UnparseableError
+from .errors import (
+    DegenerateLabelsError,
+    InvalidParamsError,
+    MissingThresholdError,
+    StaleUpstreamError,
+    UnparseableError,
+)
 from .gateway import GenerateRequest, ModelGateway, chunked
 from .ontology import Relation, Triple
 from .scoring import ProbeTemplate, ScoredTriple, templates_for
@@ -56,6 +62,10 @@ class RocPoint:
     @property
     def j(self) -> float:
         return self.tpr - self.fpr
+
+
+# The keys of each fit in calibration.json.
+FIT_KEYS = frozenset({"tau_star", "max_j", "counts"})
 
 
 @dataclass
@@ -184,6 +194,15 @@ class CalibrationOutcome:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CalibrationOutcome":
+        """The outcome calibration.json holds. A file in an older format, whose
+        fits are not exactly one per template of their relation, each with
+        the keys FIT_KEYS, raises StaleUpstreamError."""
+        stale = sorted(rel for rel, fits in obj["relations"].items()
+                       if not _current_fits(rel, fits))
+        if stale:
+            raise StaleUpstreamError(
+                f"calibration.json holds fits for {stale} in an older format; "
+                "rerun 'calibrate' and the stages after it")
         return cls(
             sweep=SweepSpec(lo=obj["sweep"]["lo"], hi=obj["sweep"]["hi"]),
             prompt_set=obj["prompt_set"],
@@ -193,6 +212,17 @@ class CalibrationOutcome:
                 for rel, fits in obj["relations"].items()
             },
         )
+
+
+def _current_fits(relation: str, fits: dict) -> bool:
+    """Whether fits are one per template of relation, as calibrate_relation
+    returns them, each with the keys FIT_KEYS."""
+    try:
+        templates = templates_for(Relation(relation))
+    except ValueError:  # no such relation
+        return False
+    return (set(fits) == {str(t.paraphrase_id) for t in templates}
+            and all(set(fit) == FIT_KEYS for fit in fits.values()))
 
 
 def calibrate_relation(samples: dict[int, list[LabeledScore]],

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .calibration import SweepSpec
-from .errors import ConfigError, InvalidParamsError, check_domain
+from .errors import URL_DOMAIN, ConfigError, InvalidParamsError, check_domain
 from .extraction import ExtractionConfig
 from .scoring import GAP_MODES
 from .synthesis import SynthesisConfig
@@ -41,7 +41,7 @@ DEFAULT_SWEEP_OFFSETS = (-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0
 class JudgeConfig:
     # Left out, it is "self" for a synthetic model and "none" for http.
     kind: str = field(default="none", metadata={"choices": JUDGE_KINDS})
-    endpoint: str | None = None
+    endpoint: str | None = field(default=None, metadata=URL_DOMAIN)
     model: str | None = None
 
 
@@ -49,7 +49,8 @@ class JudgeConfig:
 class ModelConfig:
     kind: str = field(metadata={"choices": MODEL_KINDS})
     name: str = ""  # required for http; "synthetic" if left out for synthetic
-    endpoint: str | None = None  # http only; EVONTREE_ENDPOINT overrides it
+    # http only; EVONTREE_ENDPOINT overrides it
+    endpoint: str | None = field(default=None, metadata=URL_DOMAIN)
     judge: JudgeConfig = JudgeConfig()
     synthetic: SyntheticSpec | None = None  # synthetic only; defaults if left out
 
@@ -184,7 +185,11 @@ def _resolve_model(model: ModelConfig, obj: dict) -> ModelConfig:
                        synthetic=model.synthetic or SyntheticSpec())
     if "synthetic" in obj:
         raise ConfigError(f"{where}.synthetic only applies to kind 'synthetic'")
-    endpoint = os.environ.get(ENDPOINT_ENV_VAR) or model.endpoint
+    override = os.environ.get(ENDPOINT_ENV_VAR)
+    if override:
+        check_domain(override, URL_DOMAIN, f"{ENDPOINT_ENV_VAR} (overriding {where}.endpoint)",
+                     ConfigError)
+    endpoint = override or model.endpoint
     if not endpoint:
         raise ConfigError(
             f"{where}.endpoint required for kind 'http' (or set {ENDPOINT_ENV_VAR})")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import operator
 from dataclasses import fields
 from typing import Mapping
+from urllib.parse import urlsplit
 
 
 class EvontreeError(Exception):
@@ -89,12 +90,27 @@ class CacheCorruptError(EvontreeError):
 _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
            "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 
+# The domain of a model endpoint.
+URL_DOMAIN = {"schemes": ("http", "https")}
+
+
+def _is_url(text: str, schemes: tuple[str, ...]) -> bool:
+    """Whether text is a URL with one of schemes, a host, and a numeric port
+    if it names one."""
+    try:
+        url = urlsplit(text)
+        url.port  # raises ValueError unless a number in range
+    except ValueError:
+        return False
+    return url.scheme in schemes and bool(url.hostname)
+
 
 def check_domain(value, domain: Mapping, where: str,
                  error: type[EvontreeError] = InvalidParamsError) -> None:
     """Raise error, naming where, unless value lies in domain: a field's
     metadata, holding any of the bounds ge/gt/le/lt, choices (a tuple of the
-    legal values) and nonblank (a string that is not only whitespace). A
+    legal values), nonblank (a string that is not only whitespace) and
+    schemes (a URL with one of these schemes and a host; None passes). A
     tuple's domain applies to each of its items."""
     for item in value if isinstance(value, tuple) else (value,):
         for key, bound in domain.items():
@@ -104,6 +120,10 @@ def check_domain(value, domain: Mapping, where: str,
             raise error(f"{where} must be one of {domain['choices']}, got {item!r}")
         if domain.get("nonblank") and not item.strip():
             raise error(f"{where} must not be blank, got {item!r}")
+        schemes = domain.get("schemes")
+        if schemes and item is not None and not _is_url(item, schemes):
+            raise error(f"{where} must be a URL with scheme {' or '.join(schemes)} "
+                        f"and a host, got {item!r}")
 
 
 def check_fields(obj) -> None:

@@ -12,25 +12,39 @@ a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup
 and one committed transaction for the responses it fetched. A single
 generate or score is a batch of one, so it commits alone, as does
 ResponseCache.put.
+
+HttpBackend speaks HTTP/1.1 through the standard library's http.client, so
+the package has no runtime dependency: each thread that calls it keeps one
+keep-alive connection, and https verifies the server against the system
+trust store (ssl.create_default_context).
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import sqlite3
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from urllib.parse import urlsplit
 
-import requests
-
-from .errors import CacheCorruptError, EmptySpanError, ProtocolError, TransportError
+from .errors import (
+    URL_DOMAIN,
+    CacheCorruptError,
+    EmptySpanError,
+    ProtocolError,
+    TransportError,
+    check_domain,
+)
 
 log = logging.getLogger(__name__)
 
@@ -98,27 +112,77 @@ class Backend(Protocol):
     def score(self, body: dict) -> dict: ...
 
 
+# What sending on a kept-alive connection raises once the server has closed
+# it while it sat idle.
+_DROPPED = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+
+
 class HttpBackend:
-    """POSTs to <endpoint>/v1/generate and <endpoint>/v1/score."""
+    """POSTs JSON to <endpoint>/v1/generate and <endpoint>/v1/score.
+
+    Each calling thread has its own keep-alive connection, opened at its
+    first request; close() closes every thread's connection. A request that
+    finds its kept-alive connection dropped by the server is sent once more
+    on a new connection. Any other network failure (refused, timed out, a
+    body cut short) and a 429 or 5xx status raise TransportError, which the
+    gateway retries; any other status, or a 200 whose body is not JSON,
+    raises ProtocolError. Every reply is read to its end, so its connection
+    can carry the next request.
+    """
 
     def __init__(self, endpoint: str, timeout_s: float = 120.0) -> None:
+        check_domain(endpoint, URL_DOMAIN, "endpoint")
         self.endpoint = endpoint.rstrip("/")
         self.identity = self.endpoint
         self.timeout_s = timeout_s
-        self._session = requests.Session()
+        url = urlsplit(self.endpoint)
+        self._path_prefix = url.path
+        if url.scheme == "https":
+            self._new_connection = partial(http.client.HTTPSConnection, url.hostname, url.port,
+                                           timeout=timeout_s,
+                                           context=ssl.create_default_context())
+        else:
+            self._new_connection = partial(http.client.HTTPConnection, url.hostname, url.port,
+                                           timeout=timeout_s)
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []  # every thread's
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._new_connection()
+            with self._lock:
+                self._connections.append(conn)
+        return conn
 
     def _post(self, path: str, body: dict) -> dict:
         url = f"{self.endpoint}{path}"
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        while True:
+            conn = self._connection()
+            kept_alive = conn.sock is not None  # else this request opens it
+            try:
+                conn.request("POST", self._path_prefix + path, data,
+                             {"Content-Type": "application/json"})
+                with conn.getresponse() as resp:
+                    status, payload = resp.status, resp.read()
+                break
+            except _DROPPED as exc:
+                conn.close()
+                if not kept_alive:
+                    raise TransportError(f"POST {url} failed: {exc!r}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise TransportError(f"POST {url} failed: {exc!r}") from exc
+        if status == 429 or status >= 500:
+            raise TransportError(f"POST {url} returned {status}")
+        if status != 200:
+            text = payload[:200].decode("utf-8", "replace")
+            raise ProtocolError(f"POST {url} returned {status}: {text}")
         try:
-            resp = self._session.post(url, json=body, timeout=self.timeout_s)
-        except requests.RequestException as exc:
-            raise TransportError(f"POST {url} failed: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransportError(f"POST {url} returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProtocolError(f"POST {url} returned {resp.status_code}: {resp.text[:200]}")
-        try:
-            return resp.json()
+            return json.loads(payload)
         except ValueError as exc:
             raise ProtocolError(f"POST {url} returned non-JSON body") from exc
 
@@ -129,8 +193,10 @@ class HttpBackend:
         return self._post("/v1/score", body)
 
     def close(self) -> None:
-        """Close the session and its pooled keep-alive connections."""
-        self._session.close()
+        """Close every thread's connection; a later request reopens it."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
 
 
 # One encoder for every key: json.dumps with these options builds a new one

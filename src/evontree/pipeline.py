@@ -569,13 +569,13 @@ def run_stage(ctx: RunContext, name: str) -> None:
         raise MissingUpstreamError(
             f"stage {name!r} needs upstream artifact(s) {missing}; "
             "run the earlier stages first")
-    manifest = {"stages": {}}
+    stages = {}
     if paths.manifest.exists():
-        manifest.update(json.loads(paths.manifest.read_text(encoding="utf-8")))
+        stages = json.loads(paths.manifest.read_text(encoding="utf-8")).get("stages", {})
     blobs = {attr: getattr(paths, attr).read_bytes() for attr in inputs}
     digests = {attr: _digest(blob) for attr, blob in blobs.items()}
     read = {paths.name(getattr(paths, attr)): digest for attr, digest in digests.items()}
-    stale = _stale_inputs(paths, manifest["stages"], name, read)
+    stale = _stale_inputs(paths, stages, name, read)
     if stale:
         raise StaleUpstreamError(
             f"stage {name!r} refused: upstream artifact(s) changed since the stages "
@@ -596,15 +596,7 @@ def run_stage(ctx: RunContext, name: str) -> None:
     for attr, value in ctx._written.items():
         ctx._kept[attr] = (hashes[paths.name(getattr(paths, attr))], value)
     provenance = {"config_hash": ctx.config.config_hash(), "model_identity": ctx.model_identity()}
-    manifest.update({
-        "tool_version": __version__,
-        "prompt_set": PROMPT_SET_VERSION,
-        "template_set": TEMPLATE_SET_VERSION,
-        "perplexity_base": "e",
-        "judge": ctx.config.model.judge.kind,
-        **provenance,
-    })
-    manifest["stages"][name] = {
+    stages[name] = {
         "completed_at": _utc_now(),
         **provenance,
         "inputs": read,
@@ -613,7 +605,17 @@ def run_stage(ctx: RunContext, name: str) -> None:
         "gateway": ctx.take_gateway_counts(),
         "wall_s": round(time.perf_counter() - start, 6),
     }
-    _write_json(paths.manifest, manifest)
+    # Only the stage entries carry over; the top level is written afresh, so
+    # no key an earlier version wrote outlives it.
+    _write_json(paths.manifest, {
+        "tool_version": __version__,
+        "prompt_set": PROMPT_SET_VERSION,
+        "template_set": TEMPLATE_SET_VERSION,
+        "perplexity_base": "e",
+        "judge": ctx.config.model.judge.kind,
+        **provenance,
+        "stages": stages,
+    })
     log.info("stage %s done", name)
 
 

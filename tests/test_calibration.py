@@ -23,6 +23,7 @@ from evontree.calibration import (
 from evontree.errors import (
     DegenerateLabelsError,
     InvalidParamsError,
+    StaleUpstreamError,
     UnparseableError,
 )
 from evontree.gateway import HttpBackend, ModelGateway
@@ -341,3 +342,21 @@ class TestCalibrationOutcome:
         entry = obj["relations"]["SubclassOf"]["1"]
         assert set(entry) == {"tau_star", "max_j", "counts"}
         assert entry["counts"] == {"pos": 1, "neg": 1}
+
+    @pytest.mark.parametrize("edit", ["pooled_fit", "curve_key", "missing_template",
+                                      "unknown_relation"])
+    def test_older_format_is_refused(self, edit):
+        obj = self.build().to_json_obj()
+        fits = obj["relations"]["SubclassOf"]
+        if edit == "pooled_fit":  # written before the pooled fit was dropped
+            fits["pooled"] = dict(fits["1"])
+        elif edit == "curve_key":  # written before curves left the JSON
+            fits["2"]["curve"] = [{"tau": 0.0, "tpr": 1.0, "fpr": 1.0}]
+        elif edit == "missing_template":
+            del fits["4"]
+        else:
+            obj["relations"]["PartOf"] = fits
+        with pytest.raises(StaleUpstreamError) as exc:
+            CalibrationOutcome.from_json_obj(obj)
+        assert "calibration.json" in str(exc.value) and "rerun 'calibrate'" in str(exc.value)
+

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import evontree
 from evontree.cli import EXIT_CONFIG, EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main
+from evontree.config import ENDPOINT_ENV_VAR
 from evontree.gateway import CACHE_FILE
 
 CONFIG_OBJ = {
@@ -90,6 +95,15 @@ class TestExitCodes:
         assert manifest["model_identity"] == stages["extract"]["model_identity"]
         assert manifest["config_hash"] == stages["extract"]["config_hash"]
 
+    def test_endpoint_without_scheme_exits_2_before_any_request(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        config = write_config(tmp_path, {
+            "model": {"kind": "http", "name": "m", "endpoint": "127.0.0.1:1"},
+            "output": {"dir": "out"},
+        })
+        assert main(["extract", "--config", str(config)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_gateway_failure_exits_4(self, tmp_path):
         # Port 1 refuses instantly; the retries back off for a few seconds.
         config = write_config(tmp_path, {
@@ -163,3 +177,24 @@ class TestFlags:
         tmp, _ = finished_run
         header = (tmp / "out" / "report.csv").read_text().splitlines()[0]
         assert header == "Triple Type,Relation,Num,ConfirmValue Avg.,Acc."
+
+
+class TestStartup:
+    def test_imports_only_the_standard_library(self):
+        # Every module importing the CLI and the pipeline adds to a fresh
+        # interpreter is evontree's own or the standard library's, so no
+        # third-party import weighs on the start of each process.
+        script = ("import json, sys; before = set(sys.modules); "
+                  "import evontree.cli, evontree.pipeline; "
+                  "print(json.dumps(sorted(set(sys.modules) - before)))")
+        src = str(Path(evontree.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        added = json.loads(proc.stdout)
+        assert "evontree.pipeline" in added
+        foreign = [name for name in added
+                   if name.partition(".")[0] not in sys.stdlib_module_names | {"evontree"}]
+        assert foreign == []

@@ -145,6 +145,29 @@ class TestHttpModel:
             "model": {"kind": "http", "name": "m", "endpoint": "http://file:1"}}))
         assert cfg.model.endpoint == "http://from-env:9"
 
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:8000", "http://", "http://:8000",
+                                          "http://host:port", "http://host:99999", "file:///x"])
+    def test_env_var_must_be_an_http_url(self, tmp_path, monkeypatch, endpoint):
+        monkeypatch.setenv(ENDPOINT_ENV_VAR, endpoint)
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, {
+                "model": {"kind": "http", "name": "m", "endpoint": "http://file:1"}}))
+        assert str(exc.value) == (
+            f"{ENDPOINT_ENV_VAR} (overriding config.model.endpoint) must be a URL with "
+            f"scheme http or https and a host, got {endpoint!r}")
+
+    @pytest.mark.parametrize("endpoint", ["https://host", "http://[::1]:8000/api/",
+                                          "HTTP://Host:1"])
+    def test_http_urls_accepted(self, tmp_path, monkeypatch, endpoint):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        model = {"kind": "http", "name": "m", "endpoint": endpoint,
+                 "judge": {"kind": "http", "endpoint": endpoint, "model": "j"}}
+        cfg = load_config(write_config(tmp_path, {"model": model}))
+        assert cfg.model.endpoint == cfg.model.judge.endpoint == endpoint
+        monkeypatch.setenv(ENDPOINT_ENV_VAR, endpoint)
+        cfg = load_config(write_config(tmp_path, {"model": {"kind": "http", "name": "m"}}))
+        assert cfg.model.endpoint == endpoint
+
     def test_name_required(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENDPOINT_ENV_VAR, "http://host:1")
         with pytest.raises(ConfigError, match="name"):
@@ -218,8 +241,12 @@ BAD_VALUES = [
     ("model.kind", 5, "has the wrong type: 5"),
     ("model.name", 5, "has the wrong type: 5"),
     ("model.endpoint", 5, "has the wrong type: 5"),
+    ("model.endpoint", "localhost:8000",
+     "must be a URL with scheme http or https and a host, got 'localhost:8000'"),
     ("model.judge.kind", "oracle", "must be one of ('none', 'self', 'http'), got 'oracle'"),
     ("model.judge.endpoint", 5, "has the wrong type: 5"),
+    ("model.judge.endpoint", "ftp://judge:21",
+     "must be a URL with scheme http or https and a host, got 'ftp://judge:21'"),
     ("model.judge.model", ["m"], "has the wrong type: ['m']"),
     ("model.synthetic.depth", 0, "must be >= 1, got 0"),
     ("model.synthetic.depth", "three", "has the wrong type: 'three'"),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -16,10 +17,17 @@ from pathlib import Path
 import pytest
 
 import evontree
-from evontree.errors import CacheCorruptError, EmptySpanError, ProtocolError, TransportError
+from evontree.errors import (
+    CacheCorruptError,
+    EmptySpanError,
+    InvalidParamsError,
+    ProtocolError,
+    TransportError,
+)
 from evontree.gateway import (
     BATCH_SIZE,
     CACHE_FILE,
+    RETRY_ATTEMPTS,
     GenerateRequest,
     HttpBackend,
     ModelGateway,
@@ -511,16 +519,6 @@ class TestHttpWireFormat:
         assert body == {"model": "med-model", "prompt": "statement. Answer:",
                         "completion": " True"}
 
-    def test_close_closes_the_http_session(self, wire_server, tmp_path):
-        backend = HttpBackend(wire_server)
-        gw = ModelGateway(backend, model="med-model", cache_dir=tmp_path,
-                          retry_backoff_s=(0.0,), sleep=lambda s: None)
-        gw.generate(GenerateRequest(prompt="hi", max_tokens=16, temperature=0.0))
-        pools = backend._session.get_adapter(wire_server).poolmanager.pools
-        assert len(pools) == 1  # the keep-alive connection's pool
-        gw.close()
-        assert len(pools) == 0
-
     def test_http_500_is_transport_error(self, tmp_path):
         class ErrHandler(BaseHTTPRequestHandler):
             def do_POST(self):
@@ -572,3 +570,234 @@ class TestHttpWireFormat:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class _FaultServer(ThreadingHTTPServer):
+    """A keep-alive (HTTP/1.1) model endpoint that echoes each prompt, unless
+    the next entry of `faults` names a fault for that request.
+
+    It counts the connections it accepted and those it saw closed, and
+    keeps quiet about a reply it could not write to a client that left."""
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _FaultHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.faults: list[str] = []
+        self.seen: list = []
+        self.opened = self.closed = 0
+        self._changed = threading.Condition()
+
+    def connection_event(self, opened: bool) -> None:
+        with self._changed:
+            if opened:
+                self.opened += 1
+            else:
+                self.closed += 1
+            self._changed.notify_all()
+
+    def wait_all_closed(self, timeout: float = 10.0) -> bool:
+        """Whether every connection accepted so far closed within timeout."""
+        with self._changed:
+            return self._changed.wait_for(lambda: self.closed == self.opened, timeout)
+
+    def handle_error(self, request, client_address) -> None:
+        pass
+
+
+class _FaultHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    SLOW_S = 0.5
+
+    def setup(self):
+        super().setup()
+        self.server.connection_event(opened=True)
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            self.server.connection_event(opened=False)
+
+    def do_POST(self):
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers["Content-Type"], raw))
+        body = json.loads(raw)
+        fault = self.server.faults.pop(0) if self.server.faults else None
+        if fault == "slow":
+            time.sleep(self.SLOW_S)
+        if fault == "not_json":
+            out = b"<html>overloaded</html>"
+        elif fault == "wrong_shape":
+            out = b'{"wrong": "shape"}'
+        elif self.path.endswith("/v1/generate"):
+            out = json.dumps({"text": f"echo:{body['prompt']}"}).encode()
+        else:
+            out = json.dumps({"token_logprobs": [-0.5]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(out)))
+        self.end_headers()
+        if fault == "truncated":  # half the promised body, then hang up
+            out = out[:len(out) // 2]
+        # An idle keep-alive connection dropped after this reply, with no
+        # "Connection: close" to warn the client.
+        self.close_connection = fault in ("truncated", "drop_after")
+        self.wfile.write(out)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def fault_server():
+    server = _FaultServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(10)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def http_gateway(fault_server, tmp_path):
+    """Makes gateways on fault_server with the cache in tmp_path/cache, and
+    closes them before the server stops. Each records its retry delays in
+    its `delays` list."""
+    made = []
+
+    def make(timeout_s: float = 10.0, **kw) -> ModelGateway:
+        delays = []
+        gw = ModelGateway(HttpBackend(fault_server.url, timeout_s=timeout_s), model="m",
+                          cache_dir=tmp_path / "cache", retry_backoff_s=(0.0,),
+                          sleep=delays.append, **kw)
+        gw.delays = delays
+        made.append(gw)
+        return gw
+
+    yield make
+    for gw in made:
+        gw.close()
+
+
+def stored_responses(gw: ModelGateway) -> dict[str, dict]:
+    """Every entry of the gateway's cache database, decoded; each must be
+    valid JSON."""
+    with closing(sqlite3.connect(gw.cache.path)) as db:
+        return {key: json.loads(value)
+                for key, value in db.execute("SELECT key, value FROM responses")}
+
+
+def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[str, dict]:
+    """The cache entries the echo server's answers to requests make."""
+    return {_cache_key(gw.backend.identity, gw.model, "generate", r.to_body(gw.model)):
+            {"text": f"echo:{r.prompt}"} for r in requests}
+
+
+class TestHttpFaults:
+    def test_posts_utf8_json_under_the_endpoint_path(self, fault_server):
+        backend = HttpBackend(fault_server.url + "/api/")
+        body = GenerateRequest(prompt='Is a Säugetier — a kind of "Tier"?', max_tokens=8,
+                               temperature=0.0).to_body("m")
+        try:
+            assert backend.generate(body) == {"text": f"echo:{body['prompt']}"}
+        finally:
+            backend.close()
+        [(path, content_type, raw)] = fault_server.seen
+        assert (path, content_type) == ("/api/v1/generate", "application/json")
+        assert raw == json.dumps(body, allow_nan=False).encode("utf-8")
+
+    @pytest.mark.parametrize("endpoint", ["localhost:8000", "ftp://host", "http://"])
+    def test_endpoint_must_be_an_http_url(self, endpoint):
+        with pytest.raises(InvalidParamsError, match="endpoint must be a URL with scheme"):
+            HttpBackend(endpoint)
+
+    def test_https_endpoint_speaks_tls(self, fault_server):
+        # The plain-HTTP server cannot complete a TLS handshake.
+        backend = HttpBackend(fault_server.url.replace("http:", "https:"), timeout_s=5.0)
+        try:
+            with pytest.raises(TransportError, match="SSL"):
+                backend.generate({"prompt": "p"})
+        finally:
+            backend.close()
+        assert fault_server.seen == []
+
+    @pytest.mark.parametrize("fault", ["slow", "truncated"])
+    def test_failed_reply_is_retried_then_raises(self, fault_server, http_gateway, fault):
+        # Slow: each attempt's reply comes after timeout_s. Truncated: the
+        # body ends before its Content-Length.
+        gw = http_gateway(timeout_s=0.1)
+        fault_server.faults = [fault] * RETRY_ATTEMPTS
+        [first, second] = prompts(2)
+        with pytest.raises(TransportError) as exc_info:
+            gw.generate(first)
+        assert exc_info.value.attempts == RETRY_ATTEMPTS
+        assert len(fault_server.seen) == RETRY_ATTEMPTS
+        assert gw.delays == [0.0] * (RETRY_ATTEMPTS - 1)
+        assert stored_responses(gw) == {}
+        # The backend recovers for the next request.
+        assert gw.generate(second) == "echo:p1"
+        assert stored_responses(gw) == echoed(gw, [second])
+
+    @pytest.mark.parametrize("fault", ["not_json", "wrong_shape"])
+    def test_malformed_200_is_a_protocol_error_not_retried(self, fault_server, http_gateway,
+                                                           fault):
+        gw = http_gateway()
+        fault_server.faults = [fault]
+        [first, second] = prompts(2)
+        with pytest.raises(ProtocolError):
+            gw.generate(first)
+        assert len(fault_server.seen) == 1 and gw.delays == []
+        assert stored_responses(gw) == {}
+        # The bad body was read to its end, so the connection serves the next.
+        assert gw.generate(second) == "echo:p1"
+        assert fault_server.opened == 1
+        assert stored_responses(gw) == echoed(gw, [second])
+
+    def test_dropped_keep_alive_connection_is_reopened(self, fault_server, http_gateway):
+        gw = http_gateway()
+        fault_server.faults = ["drop_after"]
+        [first, second] = prompts(2)
+        assert gw.generate(first) == "echo:p0"
+        # The server hangs up on the idle connection before the next request.
+        assert fault_server.wait_all_closed()
+        assert gw.generate(second) == "echo:p1"
+        assert fault_server.opened == 2
+        assert gw.delays == []  # reopened by the backend, not retried by the gateway
+        assert stored_responses(gw) == echoed(gw, [first, second])
+
+    def test_every_concurrent_reply_matches_its_request(self, fault_server, http_gateway):
+        # More threads than cores, switching often, over kept-alive
+        # connections: a reply read on another thread's connection, or a
+        # connection shared by two threads, would pair a prompt with
+        # another prompt's echo.
+        workers = (os.cpu_count() or 1) + 4
+        gw = http_gateway(max_in_flight=workers)
+        requests = prompts(2 * BATCH_SIZE + 88)
+        result = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def call():
+                result["texts"] = gw.generate_many(requests)
+
+            thread = threading.Thread(target=call, daemon=True)
+            thread.start()
+            thread.join(120)
+            assert not thread.is_alive(), "concurrent requests hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert result["texts"] == [f"echo:{r.prompt}" for r in requests]
+        assert len(fault_server.seen) == len(requests)
+        assert fault_server.opened <= workers  # one kept-alive connection per thread
+        assert stored_responses(gw) == echoed(gw, requests)
+
+    def test_close_closes_every_connection(self, fault_server, http_gateway):
+        gw = http_gateway(max_in_flight=4)
+        gw.generate(GenerateRequest(prompt="alone", max_tokens=4, temperature=0.0))
+        gw.generate_many(prompts(40))  # fanned out over the pool's threads
+        assert fault_server.opened >= 2 and fault_server.closed == 0
+        gw.close()
+        assert fault_server.wait_all_closed()

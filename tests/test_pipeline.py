@@ -570,6 +570,36 @@ class TestStaleInputs:
         run_stage(run_copy, "confirm")
         run_stage(run_copy, "reliable")
 
+    def test_calibration_json_in_an_older_format_is_refused(self, run_copy):
+        # A run directory from before the pooled fit was dropped: its
+        # manifest recorded the calibration.json it holds.
+        path = run_copy.paths.calibration
+        obj = json.loads(path.read_text())
+        fits = obj["relations"]["SubclassOf"]
+        fits["pooled"] = dict(fits["1"], curve=[])
+        path.write_text(json.dumps(obj))
+        manifest = json.loads(run_copy.paths.manifest.read_text())
+        manifest["stages"]["calibrate"]["outputs"]["calibration.json"] = pipeline_module._file_hash(path)
+        run_copy.paths.manifest.write_text(json.dumps(manifest))
+        confirmed = run_copy.paths.confirmed.read_bytes()
+        with pytest.raises(StaleUpstreamError, match=r"calibration\.json .*rerun 'calibrate'"):
+            run_stage(run_copy, "confirm")
+        assert run_copy.paths.confirmed.read_bytes() == confirmed
+
+    def test_manifest_top_level_is_rewritten_and_stages_kept(self, run_copy):
+        manifest = json.loads(run_copy.paths.manifest.read_text())
+        stages = manifest["stages"]
+        manifest["thresholds"] = {"SubclassOf": [0.5]}  # a key this version does not write
+        run_copy.paths.manifest.write_text(json.dumps(manifest))
+        run_stage(run_copy, "confirm")
+        after = json.loads(run_copy.paths.manifest.read_text())
+        assert "thresholds" not in after
+        assert set(after) == {"tool_version", "prompt_set", "template_set", "perplexity_base",
+                              "judge", "config_hash", "model_identity", "stages"}
+        assert list(after["stages"]) == list(stages)
+        assert {k: v for k, v in after["stages"].items() if k != "confirm"} == {
+            k: v for k, v in stages.items() if k != "confirm"}
+
     def test_input_without_a_recorded_producer_is_accepted(self, run_copy):
         manifest = json.loads(run_copy.paths.manifest.read_text())
         del manifest["stages"]["confirm"]
