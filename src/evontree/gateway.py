@@ -5,7 +5,10 @@ log-probabilities a model assigns to the tokens of a fixed completion after
 a prompt. Both go through a content-addressed cache keyed by the request
 plus the serving endpoint's identity, so switching endpoints or models never
 replays stale responses. The cache is one SQLite database per cache
-directory, shared safely by threads, gateways and processes.
+directory, shared safely by threads, gateways and processes, that maps each
+request's 32-byte SHA-256 digest to its response body. A database written
+by an earlier version, with the digests as hex text, is rewritten in place
+when it is first opened.
 
 Requests travel in batches: ModelGateway.score_many and generate_many take
 a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup
@@ -31,7 +34,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
@@ -204,9 +207,20 @@ class HttpBackend:
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+@lru_cache(maxsize=64)
+def _key_tail(identity: str, model: str, kind: str) -> str:
+    """The canonical key text after the body: the other three fields in
+    sorted order, escaped once per gateway and request kind."""
+    return ',"endpoint":%s,"kind":%s,"model":%s}' % tuple(
+        map(_KEY_ENCODER.encode, (identity, kind, model)))
+
+
 def _cache_key(identity: str, model: str, kind: str, body: dict) -> str:
-    canonical = _KEY_ENCODER.encode(
-        {"endpoint": identity, "model": model, "kind": kind, "body": body})
+    """The SHA-256, in hex, of the request's canonical JSON text: the same
+    bytes as json.dumps({"endpoint", "model", "kind", "body"},
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False), with the
+    body's encoding the only per-request work."""
+    canonical = '{"body":' + _KEY_ENCODER.encode(body) + _key_tail(identity, model, kind)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -215,10 +229,21 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 # SQLite's page cache per connection, in KiB. Lookups are random by key and
 # the OS already caches the file, so a large page cache only adds memory.
 CACHE_PAGE_CACHE_KIB = 256
+# The cache file's layout, kept in PRAGMA user_version. 0 is a file written
+# before the number was kept: keys as 64 hex digits of TEXT, or no table yet.
+CACHE_FORMAT = 1
 
 
 class ResponseCache:
     """Response cache in one SQLite database, cache_dir/responses.sqlite3.
+
+    Each entry maps a request's 32-byte SHA-256 digest (a BLOB key; see
+    _cache_key for the hex form) to its response body as JSON text. A file
+    in the older layout, with the same digests as 64 hex digits of TEXT, is
+    rewritten in place on its first open, in one transaction: every entry is
+    kept, and a row whose key is not such a digest is dropped with a warning.
+    An older evontree cannot read the file afterwards. A file in a layout
+    this version does not know is refused with CacheCorruptError.
 
     put_many stores its entries in one committed transaction and put is its
     one-entry case, so a crash never leaves a half-written entry that a
@@ -252,20 +277,66 @@ class ResponseCache:
                 self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(f"PRAGMA cache_size=-{CACHE_PAGE_CACHE_KIB}")
-            self._conn.execute("CREATE TABLE IF NOT EXISTS responses "
-                               "(key TEXT PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID")
-        except sqlite3.DatabaseError as exc:
+            if self._format() != CACHE_FORMAT:
+                self._upgrade()
+        except BaseException as exc:
             self._conn.close()
-            if isinstance(exc, sqlite3.OperationalError):  # locked, unwritable, ...
-                raise
-            raise CacheCorruptError(
-                f"response cache {self.path} is not a usable SQLite database ({exc}); "
-                "move or delete it to start with an empty cache") from exc
+            # An OperationalError (locked, unwritable, ...) is not the file's fault.
+            if isinstance(exc, sqlite3.DatabaseError) and not isinstance(
+                    exc, sqlite3.OperationalError):
+                raise CacheCorruptError(
+                    f"response cache {self.path} is not a usable SQLite database ({exc}); "
+                    "move or delete it to start with an empty cache") from exc
+            raise
 
-    def get(self, key: str) -> dict | None:
+    def _format(self) -> int:
+        return self._conn.execute("PRAGMA user_version").fetchone()[0]
+
+    def _upgrade(self) -> None:
+        """Bring a file of format 0 to CACHE_FORMAT in one transaction. The
+        format is read again under the write lock, so of two processes
+        opening one old file only the first rewrites it; a process killed
+        part way leaves the old table as it was."""
+        with self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            version = self._format()
+            if version == CACHE_FORMAT:
+                return
+            if version != 0:
+                raise CacheCorruptError(
+                    f"response cache {self.path} has format {version}, which this version "
+                    f"of evontree (format {CACHE_FORMAT}) cannot read; move or delete it "
+                    "to start with an empty cache")
+            old = self._conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'responses'"
+            ).fetchone()
+            if old:
+                self._conn.execute("ALTER TABLE responses RENAME TO responses_hex_keys")
+            self._conn.execute("CREATE TABLE responses "
+                               "(key BLOB PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID")
+            if old:
+                self._conn.create_function("digest_of_hex", 1, bytes.fromhex,
+                                           deterministic=True)
+                # A key is kept only when it is 64 lowercase hex digits, as
+                # hexdigest writes them; digest_of_hex sees no other.
+                kept = self._conn.execute(
+                    "INSERT INTO responses (key, value) "
+                    "SELECT digest_of_hex(key), value FROM responses_hex_keys "
+                    "WHERE typeof(key) = 'text' AND length(key) = 64 "
+                    "AND key NOT GLOB '*[^0-9a-f]*'").rowcount
+                total = self._conn.execute(
+                    "SELECT count(*) FROM responses_hex_keys").fetchone()[0]
+                self._conn.execute("DROP TABLE responses_hex_keys")
+                if total > kept:
+                    log.warning("dropping %d cache entries whose key is not a hex digest "
+                                "from %s", total - kept, self.path)
+                log.info("rewrote %d cache entries in %s with binary keys", kept, self.path)
+            self._conn.execute(f"PRAGMA user_version = {CACHE_FORMAT}")
+
+    def get(self, key: bytes) -> dict | None:
         return self.get_many([key]).get(key)
 
-    def get_many(self, keys: Sequence[str]) -> dict[str, dict]:
+    def get_many(self, keys: Sequence[bytes]) -> dict[bytes, dict]:
         """The stored responses among keys, looked up with one SELECT per
         BATCH_SIZE keys; keys with no entry, or an undecodable one, are absent."""
         rows = []
@@ -276,18 +347,17 @@ class ResponseCache:
                     f"SELECT key, value FROM responses WHERE key IN ({marks})", chunk).fetchall()
         found = {}
         for key, value in rows:
-            key = key.decode("utf-8")
             try:
                 # A value that is not UTF-8 raises UnicodeDecodeError, a ValueError.
                 found[key] = json.loads(value.decode("utf-8"))
             except ValueError:
-                log.warning("discarding undecodable cache entry %s in %s", key, self.path)
+                log.warning("discarding undecodable cache entry %s in %s", key.hex(), self.path)
         return found
 
-    def put(self, key: str, value: dict) -> None:
+    def put(self, key: bytes, value: dict) -> None:
         self.put_many({key: value})
 
-    def put_many(self, entries: dict[str, dict]) -> None:
+    def put_many(self, entries: dict[bytes, dict]) -> None:
         """Store every entry in one transaction: all of them or, if it
         fails, none."""
         rows = [(key, json.dumps(value, ensure_ascii=False)) for key, value in entries.items()]
@@ -416,17 +486,18 @@ class ModelGateway:
         results: list[T] = []
         for chunk in chunked(requests):
             bodies = [r.to_body(self.model) for r in chunk]
-            keys = [_cache_key(self.backend.identity, self.model, kind, body) for body in bodies]
+            keys = [bytes.fromhex(_cache_key(self.backend.identity, self.model, kind, body))
+                    for body in bodies]
             self.requests += len(keys)
-            found: dict[str, dict] = {}
+            found: dict[bytes, dict] = {}
             if self.cache is not None and self.read_cache and not bypass_cache:
                 found = self.cache.get_many(keys)
             missing = {key: (r, body) for key, r, body in zip(keys, chunk, bodies)
                        if key not in found}
-            fetched: dict[str, dict] = {}  # every response the backend returned
-            parsed: dict[str, T] = {}  # the valid ones, parsed
+            fetched: dict[bytes, dict] = {}  # every response the backend returned
+            parsed: dict[bytes, T] = {}  # the valid ones, parsed
 
-            def fetch(item: tuple[str, tuple[object, dict]]) -> None:
+            def fetch(item: tuple[bytes, tuple[object, dict]]) -> None:
                 key, (request, body) = item
                 fetched[key] = self._fetch(kind, body)
                 parsed[key] = parse(request, fetched[key])

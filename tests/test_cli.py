@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -14,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import evontree
+import evontree.pipeline
 from evontree.cli import EXIT_CONFIG, EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main
 from evontree.config import ENDPOINT_ENV_VAR
-from evontree.gateway import CACHE_FILE
+from evontree.gateway import CACHE_FILE, ModelGateway
 
 CONFIG_OBJ = {
     "model": {
@@ -104,13 +106,17 @@ class TestExitCodes:
         assert main(["extract", "--config", str(config)]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
-    def test_gateway_failure_exits_4(self, tmp_path):
-        # Port 1 refuses instantly; the retries back off for a few seconds.
+    def test_gateway_failure_exits_4(self, tmp_path, monkeypatch):
+        # Port 1 refuses instantly; the retries' back-off is recorded, not slept.
+        delays = []
+        monkeypatch.setattr(evontree.pipeline, "ModelGateway",
+                            functools.partial(ModelGateway, sleep=delays.append))
         config = write_config(tmp_path, {
             "model": {"kind": "http", "name": "m", "endpoint": "http://127.0.0.1:1"},
             "output": {"dir": "out"},
         })
         assert main(["extract", "--config", str(config)]) == EXIT_GATEWAY
+        assert delays == [1.0, 2.0]
 
     def test_corrupt_cache_file_exits_1_with_a_message(self, tmp_path, caplog):
         config = write_config(tmp_path, CONFIG_OBJ)

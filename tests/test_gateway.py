@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
+import logging
 import os
 import random
 import sqlite3
@@ -15,6 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evontree
 from evontree.errors import (
@@ -27,6 +30,7 @@ from evontree.errors import (
 from evontree.gateway import (
     BATCH_SIZE,
     CACHE_FILE,
+    CACHE_FORMAT,
     RETRY_ATTEMPTS,
     GenerateRequest,
     HttpBackend,
@@ -92,6 +96,21 @@ class TestCache:
         assert (_cache_key("synthetic://42/ab12cd34", "synthetic", "generate", body)
                 == "b13eb010e33e8a26c1b4806e151a48dd08585ad09e1b19d6025e508d43f3009a")
 
+    @settings(deadline=None)
+    @given(identity=st.text(), model=st.text(), kind=st.text(), body=st.builds(
+        lambda fields, extra: {**extra, **fields},
+        st.fixed_dictionaries({}, optional={
+            "model": st.text(), "prompt": st.text(), "completion": st.text(),
+            "max_tokens": st.integers(), "temperature": st.floats(),
+            "stop": st.lists(st.text(), max_size=3)}),
+        st.dictionaries(st.text(), st.one_of(st.text(), st.integers(), st.floats()),
+                        max_size=3)))
+    def test_key_is_the_digest_of_the_canonical_json(self, identity, model, kind, body):
+        canonical = json.dumps({"endpoint": identity, "model": model, "kind": kind, "body": body},
+                               sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert (_cache_key(identity, model, kind, body)
+                == hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+
     def test_read_cache_false_still_writes(self, tmp_path):
         gw, backend = make_gateway(tmp_path, read_cache=False)
         req = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)
@@ -144,25 +163,37 @@ class TestCache:
         assert len(backend.calls) == 2
 
 
+def cache_key(i: int) -> bytes:
+    return i.to_bytes(32, "big")
+
+
 def cache_value(i: int) -> dict:
     return {"text": "v" * (i % 50) + str(i), "i": i}
 
 
-def run_cache_writer(cache_dir: Path, body: str) -> subprocess.Popen:
-    """Run `body` in a fresh interpreter, with `cache` bound to a
-    ResponseCache on cache_dir and `cache_value` defined as here."""
-    script = "\n".join([
-        "import os, sys, threading, time",
-        "from evontree.gateway import ResponseCache",
-        "cache = ResponseCache(sys.argv[1])",
-        inspect.getsource(cache_value),
-        textwrap.dedent(body),
-    ])
+def run_python(script: str, cache_dir: Path) -> subprocess.Popen:
+    """Run script in a fresh interpreter that imports this evontree, with
+    cache_dir as its one argument."""
     src = str(Path(evontree.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.Popen([sys.executable, "-c", script, str(cache_dir)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def run_cache_writer(cache_dir: Path, body: str) -> subprocess.Popen:
+    """Run `body` in a fresh interpreter, with `cache` bound to a
+    ResponseCache on cache_dir and `cache_key` and `cache_value` defined as
+    here. The process prints "opening" just before it opens the cache."""
+    return run_python("\n".join([
+        "import os, sys, threading, time",
+        "from evontree.gateway import ResponseCache",
+        "print('opening', flush=True)",
+        "cache = ResponseCache(sys.argv[1])",
+        inspect.getsource(cache_key),
+        inspect.getsource(cache_value),
+        textwrap.dedent(body),
+    ]), cache_dir)
 
 
 class TestCacheConcurrency:
@@ -178,9 +209,9 @@ class TestCacheConcurrency:
                 try:
                     for n in range({self.N_KEYS}):
                         i = (n * 7 + offset) % {self.N_KEYS}
-                        cache.put(str(i), cache_value(i))
+                        cache.put(cache_key(i), cache_value(i))
                         j = (i * 13) % {self.N_KEYS}
-                        got = cache.get(str(j))
+                        got = cache.get(cache_key(j))
                         assert got is None or got == cache_value(j), got
                 except Exception as exc:
                     errors.append(repr(exc))
@@ -198,7 +229,7 @@ class TestCacheConcurrency:
         cache = ResponseCache(tmp_path)
         try:
             for i in range(self.N_KEYS):
-                assert cache.get(str(i)) == cache_value(i)
+                assert cache.get(cache_key(i)) == cache_value(i)
         finally:
             cache.close()
         assert sorted(p.name for p in tmp_path.iterdir()) == [CACHE_FILE]
@@ -207,12 +238,12 @@ class TestCacheConcurrency:
         # The case of a judge gateway on its own endpoint sharing the cache.
         a, b = ResponseCache(tmp_path), ResponseCache(tmp_path)
         try:
-            a.put("k1", {"text": "from a"})
-            assert b.get("k1") == {"text": "from a"}
-            b.put("k2", {"text": "from b"})
-            assert a.get("k2") == {"text": "from b"}
-            b.put("k1", {"text": "replaced by b"})
-            assert a.get("k1") == {"text": "replaced by b"}
+            a.put(b"k1", {"text": "from a"})
+            assert b.get(b"k1") == {"text": "from a"}
+            b.put(b"k2", {"text": "from b"})
+            assert a.get(b"k2") == {"text": "from b"}
+            b.put(b"k1", {"text": "replaced by b"})
+            assert a.get(b"k1") == {"text": "replaced by b"}
         finally:
             a.close()
             b.close()
@@ -224,7 +255,7 @@ class TestCacheConcurrency:
             written = [0]  # a rough, racy tally: it only has to pass 200
             def write(start):
                 for i in range(start, 10**9, 4):
-                    cache.put(str(i), cache_value(i))
+                    cache.put(cache_key(i), cache_value(i))
                     written[0] += 1
             for k in range(4):
                 threading.Thread(target=write, args=(k,), daemon=True).start()
@@ -243,7 +274,139 @@ class TestCacheConcurrency:
                 keys = [k for (k,) in db.execute("SELECT key FROM responses")]
             assert len(keys) >= 200
             for key in keys:
-                assert cache.get(key) == cache_value(int(key))
+                assert cache.get(key) == cache_value(int.from_bytes(key, "big"))
+        finally:
+            cache.close()
+
+
+def write_hex_key_cache(cache_dir: Path, rows: list[tuple[str, str]]) -> None:
+    """A cache file as evontree wrote it before keys were stored as bytes:
+    format 0 (no user_version), each key as 64 hex digits of TEXT."""
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
+        db.execute("PRAGMA journal_mode=WAL")
+        db.execute("CREATE TABLE responses (key TEXT PRIMARY KEY, value TEXT NOT NULL) "
+                   "WITHOUT ROWID")
+        with db:
+            db.executemany("INSERT INTO responses (key, value) VALUES (?, ?)", rows)
+
+
+def numbered_rows(n: int) -> list[tuple[str, str]]:
+    """n entries in the older format, keyed by cache_key(i) in hex."""
+    return [(cache_key(i).hex(), json.dumps(cache_value(i))) for i in range(n)]
+
+
+class TestCacheFormat:
+    def test_older_format_is_rewritten_and_every_entry_replayed(self, tmp_path, caplog):
+        generates = prompts(3)
+        scores = [ScoreRequest(prompt=f"s{i}", completion=" True") for i in range(2)]
+        identity = FakeBackend().identity
+
+        def row(kind, request, response):
+            key = _cache_key(identity, "m1", kind, request.to_body("m1"))
+            return key, json.dumps(response, ensure_ascii=False)
+
+        rows = [*(row("generate", r, {"text": f"cached:{r.prompt} é"}) for r in generates),
+                *(row("score", r, {"token_logprobs": [-0.25, -0.5]}) for r in scores)]
+        # Keys that hexdigest never wrote: too short, not hex, upper case.
+        stray = [("not a digest", "{}"), ("g" * 64, "{}"), (rows[0][0].upper(), "{}")]
+        write_hex_key_cache(tmp_path / "cache", rows + stray)
+        with caplog.at_level(logging.WARNING, logger="evontree.gateway"):
+            gw, backend = make_gateway(tmp_path)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dropping 3 cache entries whose key is not a hex digest from {gw.cache.path}"]
+        assert gw.generate_many(generates) == [f"cached:{r.prompt} é" for r in generates]
+        assert [r.token_logprobs for r in gw.score_many(scores)] == [(-0.25, -0.5)] * 2
+        assert backend.calls == [] and gw.cache_hits == 5
+        gw.close()
+        with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
+            assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+            assert db.execute("SELECT typeof(key), length(key), count(*) FROM responses "
+                              "GROUP BY 1, 2").fetchall() == [("blob", 32, 5)]
+
+    def test_new_file_starts_in_the_current_format(self, tmp_path):
+        ResponseCache(tmp_path).close()
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
+            [(sql,)] = db.execute("SELECT sql FROM sqlite_master WHERE type = 'table'")
+        assert sql == ("CREATE TABLE responses (key BLOB PRIMARY KEY, value TEXT NOT NULL) "
+                       "WITHOUT ROWID")
+
+    def test_unknown_format_is_refused_and_left_alone(self, tmp_path):
+        path = tmp_path / CACHE_FILE
+        with closing(sqlite3.connect(path)) as db:
+            db.execute(f"PRAGMA user_version = {CACHE_FORMAT + 1}")
+        with pytest.raises(CacheCorruptError, match="move or delete") as exc_info:
+            ResponseCache(tmp_path)
+        assert f"has format {CACHE_FORMAT + 1}" in str(exc_info.value)
+        with closing(sqlite3.connect(path)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT + 1,)
+
+    def test_two_processes_upgrade_one_older_file_once(self, tmp_path):
+        n = 200
+        write_hex_key_cache(tmp_path, numbered_rows(n) + [("k1", "{}")])
+        body = f"""
+            got = cache.get_many([cache_key(i) for i in range({n})])
+            assert got == {{cache_key(i): cache_value(i) for i in range({n})}}, len(got)
+            cache.close()
+        """
+        # Both processes open the file while this connection holds its write
+        # lock, so both find format 0 and then wait for the lock.
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE, isolation_level=None)) as holder:
+            holder.execute("BEGIN IMMEDIATE")
+            procs = [run_cache_writer(tmp_path, body) for _ in range(2)]
+            try:
+                for proc in procs:
+                    proc.stdout.readline()
+                time.sleep(0.2)
+            finally:
+                holder.execute("COMMIT")
+        errs = []
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            errs.append(err)
+        assert sum("dropping 1 cache entries" in err for err in errs) == 1, errs
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
+            keys = [key for (key,) in db.execute("SELECT key FROM responses")]
+        assert sorted(keys) == [cache_key(i) for i in range(n)]
+
+    def test_upgrade_killed_part_way_leaves_the_older_file(self, tmp_path):
+        n = 50
+        write_hex_key_cache(tmp_path, numbered_rows(n))
+        # The process ends abruptly while the upgrade copies its third key.
+        script = textwrap.dedent("""
+            import functools, os, sqlite3, sys
+            from evontree.gateway import ResponseCache
+
+            class DiesInCopy(sqlite3.Connection):
+                def create_function(self, name, narg, fn, **kw):
+                    seen = []
+                    def die_on_third(arg):
+                        seen.append(arg)
+                        if len(seen) == 3:
+                            os._exit(0)
+                        return fn(arg)
+                    super().create_function(name, narg, die_on_third, **kw)
+
+            sqlite3.connect = functools.partial(sqlite3.connect, factory=DiesInCopy)
+            ResponseCache(sys.argv[1])
+            sys.exit("the upgrade finished")
+        """)
+        proc = run_python(script, tmp_path)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (0,)
+            assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+            assert db.execute("SELECT key, value FROM responses ORDER BY key").fetchall() \
+                == sorted(numbered_rows(n))
+        cache = ResponseCache(tmp_path)
+        try:
+            assert cache.get_many([cache_key(i) for i in range(n)]) \
+                == {cache_key(i): cache_value(i) for i in range(n)}
         finally:
             cache.close()
 
@@ -327,8 +490,8 @@ class TestBatches:
         cache = ResponseCache(tmp_path / "cache")
         try:
             for i in range(40):
-                key = _cache_key(backend.identity, "m1", "generate",
-                                 prompts(40)[i].to_body("m1"))
+                key = bytes.fromhex(_cache_key(backend.identity, "m1", "generate",
+                                               prompts(40)[i].to_body("m1")))
                 stored = cache.get(key)
                 assert (stored is not None) == (f"p{i}" in backend.answered), i
         finally:
@@ -392,10 +555,12 @@ class TestBatches:
             call(again)
         assert [body["prompt"] for _, body in again_backend.calls] == ["p2"]
         again.close()
-        bad_key = _cache_key(backend.identity, "m1", kind, requests[2].to_body("m1"))
+        p0, p1, bad_key, _ = [bytes.fromhex(_cache_key(backend.identity, "m1", kind,
+                                                        r.to_body("m1"))) for r in requests]
         with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as conn:
             stored = {key for (key,) in conn.execute("SELECT key FROM responses")}
         assert len(stored) == 2 and bad_key not in stored
+        assert stored == {p0, p1}
 
     def test_empty_span_response_is_cached_and_replayed(self, tmp_path):
         class EmptyBackend(FakeBackend):
@@ -482,7 +647,7 @@ class _WireHandler(BaseHTTPRequestHandler):
 def wire_server():
     _WireHandler.seen = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _WireHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
@@ -529,7 +694,7 @@ class TestHttpWireFormat:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), ErrHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         try:
             gw = ModelGateway(HttpBackend(f"http://127.0.0.1:{server.server_address[1]}"),
                               model="m", cache_dir=tmp_path,
@@ -557,7 +722,7 @@ class TestHttpWireFormat:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), RateLimitHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         delays = []
         try:
             gw = ModelGateway(HttpBackend(f"http://127.0.0.1:{server.server_address[1]}"),
@@ -682,7 +847,7 @@ def http_gateway(fault_server, tmp_path):
         gw.close()
 
 
-def stored_responses(gw: ModelGateway) -> dict[str, dict]:
+def stored_responses(gw: ModelGateway) -> dict[bytes, dict]:
     """Every entry of the gateway's cache database, decoded; each must be
     valid JSON."""
     with closing(sqlite3.connect(gw.cache.path)) as db:
@@ -690,9 +855,10 @@ def stored_responses(gw: ModelGateway) -> dict[str, dict]:
                 for key, value in db.execute("SELECT key, value FROM responses")}
 
 
-def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[str, dict]:
+def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[bytes, dict]:
     """The cache entries the echo server's answers to requests make."""
-    return {_cache_key(gw.backend.identity, gw.model, "generate", r.to_body(gw.model)):
+    return {bytes.fromhex(_cache_key(gw.backend.identity, gw.model, "generate",
+                                     r.to_body(gw.model))):
             {"text": f"echo:{r.prompt}"} for r in requests}
 
 
