@@ -8,7 +8,7 @@ replays stale responses. The cache is one SQLite database per cache
 directory, shared safely by threads, gateways and processes, that maps each
 request's 32-byte SHA-256 digest to its response body. A database written
 by an earlier version, with the digests as hex text, is rewritten in place
-when it is first opened.
+and vacuumed when it is first opened.
 
 Requests travel in batches: ModelGateway.score_many and generate_many take
 a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup
@@ -19,17 +19,17 @@ ResponseCache.put.
 HttpBackend speaks HTTP/1.1 through the standard library's http.client, so
 the package has no runtime dependency: each thread that calls it keeps one
 keep-alive connection, and https verifies the server against the system
-trust store (ssl.create_default_context).
+trust store (ssl.create_default_context). http.client and ssl are imported
+when the first HttpBackend is built, so in-process runs and the model-free
+stage verbs never load the HTTP client.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import sqlite3
-import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -48,6 +48,9 @@ from .errors import (
     TransportError,
     check_domain,
 )
+
+if TYPE_CHECKING:
+    import http.client
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +64,7 @@ RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
 BATCH_SIZE = 256
 
 # The per-stage counters ModelGateway.counters() reports.
-GATEWAY_COUNTERS = ("requests", "cache_hits", "backend_calls", "cache_commits")
+GATEWAY_COUNTERS = ("requests", "cache_hits", "backend_calls", "cache_commits", "retries")
 
 T = TypeVar("T")
 
@@ -115,11 +118,6 @@ class Backend(Protocol):
     def score(self, body: dict) -> dict: ...
 
 
-# What sending on a kept-alive connection raises once the server has closed
-# it while it sat idle.
-_DROPPED = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
-
-
 class HttpBackend:
     """POSTs JSON to <endpoint>/v1/generate and <endpoint>/v1/score.
 
@@ -134,6 +132,11 @@ class HttpBackend:
     """
 
     def __init__(self, endpoint: str, timeout_s: float = 120.0) -> None:
+        # Imported here, so that only a process that talks to an endpoint
+        # pays for the HTTP stack (http.client, ssl, socket, email).
+        import http.client
+        import ssl
+
         check_domain(endpoint, URL_DOMAIN, "endpoint")
         self.endpoint = endpoint.rstrip("/")
         self.identity = self.endpoint
@@ -147,6 +150,10 @@ class HttpBackend:
         else:
             self._new_connection = partial(http.client.HTTPConnection, url.hostname, url.port,
                                            timeout=timeout_s)
+        # What sending on a kept-alive connection raises once the server has
+        # closed it while it sat idle.
+        self._dropped = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+        self._failed = (OSError, http.client.HTTPException)
         self._local = threading.local()
         self._lock = threading.Lock()
         self._connections: list[http.client.HTTPConnection] = []  # every thread's
@@ -172,11 +179,11 @@ class HttpBackend:
                 with conn.getresponse() as resp:
                     status, payload = resp.status, resp.read()
                 break
-            except _DROPPED as exc:
+            except self._dropped as exc:
                 conn.close()
                 if not kept_alive:
                     raise TransportError(f"POST {url} failed: {exc!r}") from exc
-            except (OSError, http.client.HTTPException) as exc:
+            except self._failed as exc:
                 conn.close()
                 raise TransportError(f"POST {url} failed: {exc!r}") from exc
         if status == 429 or status >= 500:
@@ -242,8 +249,10 @@ class ResponseCache:
     in the older layout, with the same digests as 64 hex digits of TEXT, is
     rewritten in place on its first open, in one transaction: every entry is
     kept, and a row whose key is not such a digest is dropped with a warning.
-    An older evontree cannot read the file afterwards. A file in a layout
-    this version does not know is refused with CacheCorruptError.
+    The process that rewrote it then runs VACUUM, so the file does not keep
+    the old table's pages. An older evontree cannot read the file
+    afterwards. A file in a layout this version does not know is refused
+    with CacheCorruptError.
 
     put_many stores its entries in one committed transaction and put is its
     one-entry case, so a crash never leaves a half-written entry that a
@@ -293,10 +302,11 @@ class ResponseCache:
         return self._conn.execute("PRAGMA user_version").fetchone()[0]
 
     def _upgrade(self) -> None:
-        """Bring a file of format 0 to CACHE_FORMAT in one transaction. The
-        format is read again under the write lock, so of two processes
-        opening one old file only the first rewrites it; a process killed
-        part way leaves the old table as it was."""
+        """Bring a file of format 0 to CACHE_FORMAT in one transaction, then
+        VACUUM a file whose old table it rewrote. The format is read again
+        under the write lock, so of two processes opening one old file only
+        the first rewrites it; a process killed part way leaves the old
+        table as it was."""
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             version = self._format()
@@ -332,6 +342,10 @@ class ResponseCache:
                                 "from %s", total - kept, self.path)
                 log.info("rewrote %d cache entries in %s with binary keys", kept, self.path)
             self._conn.execute(f"PRAGMA user_version = {CACHE_FORMAT}")
+        if old:
+            # The old table's pages are free now: hand them back to the file
+            # system rather than keep a file about twice the size.
+            self._conn.execute("VACUUM")
 
     def get(self, key: bytes) -> dict | None:
         return self.get_many([key]).get(key)
@@ -393,8 +407,10 @@ class ModelGateway:
 
     Counters, for the run manifest: requests asked for, cache_hits (found
     in the cache, or repeating a key earlier in the same batch), calls
-    (responses fetched from the backend; retries not counted) and
-    cache_commits (transactions that stored fetched responses).
+    (responses fetched from the backend; retries not counted),
+    cache_commits (transactions that stored fetched responses) and retries
+    (transport failures that were tried again, counted under a lock since
+    fanned-out threads retry at once).
     """
 
     def __init__(
@@ -419,11 +435,13 @@ class ModelGateway:
         self.calls = 0
         self.cache_hits = 0
         self.cache_commits = 0
+        self.retries = 0
+        self._retries_lock = threading.Lock()
 
     def counters(self) -> dict[str, int]:
         """The running totals named in GATEWAY_COUNTERS."""
         return dict(zip(GATEWAY_COUNTERS, (self.requests, self.cache_hits, self.calls,
-                                           self.cache_commits)))
+                                           self.cache_commits, self.retries)))
 
     def close(self) -> None:
         """Shut down the fan-out threads, close the response cache, then the
@@ -466,6 +484,8 @@ class ModelGateway:
             except TransportError as exc:
                 last_exc = exc
                 if attempt + 1 < RETRY_ATTEMPTS:
+                    with self._retries_lock:
+                        self.retries += 1
                     delay = self.retry_backoff_s[min(attempt, len(self.retry_backoff_s) - 1)]
                     log.warning("transport failure (attempt %d/%d), retrying in %.1fs: %s",
                                 attempt + 1, RETRY_ATTEMPTS, delay, exc)

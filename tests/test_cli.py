@@ -185,22 +185,59 @@ class TestFlags:
         assert header == "Triple Type,Relation,Num,ConfirmValue Avg.,Acc."
 
 
+# Top-level packages of the HTTP client: http.client imports the other three.
+HTTP_STACK = ("http", "ssl", "email", "socket")
+# Source of an expression for fresh_python: the HTTP_STACK modules loaded.
+HTTP_STACK_LOADED = f"sorted(m for m in sys.modules if m.partition('.')[0] in {HTTP_STACK!r})"
+
+
+def fresh_python(script: str, *args: str):
+    """Run script in a fresh interpreter that imports this evontree, and
+    return the JSON it prints last."""
+    src = str(Path(evontree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestStartup:
     def test_imports_only_the_standard_library(self):
         # Every module importing the CLI and the pipeline adds to a fresh
         # interpreter is evontree's own or the standard library's, so no
-        # third-party import weighs on the start of each process.
-        script = ("import json, sys; before = set(sys.modules); "
-                  "import evontree.cli, evontree.pipeline; "
-                  "print(json.dumps(sorted(set(sys.modules) - before)))")
-        src = str(Path(evontree.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        added = json.loads(proc.stdout)
+        # third-party import weighs on the start of each process; nor does
+        # the HTTP client, which only an HTTP backend needs.
+        added = fresh_python("import json, sys; before = set(sys.modules); "
+                             "import evontree.cli, evontree.pipeline; "
+                             "print(json.dumps(sorted(set(sys.modules) - before)))")
         assert "evontree.pipeline" in added
         foreign = [name for name in added
                    if name.partition(".")[0] not in sys.stdlib_module_names | {"evontree"}]
         assert foreign == []
+        assert [name for name in added if name.partition(".")[0] in HTTP_STACK] == []
+
+    def test_a_synthetic_run_never_loads_the_http_client(self, tmp_path):
+        config = write_config(tmp_path, CONFIG_OBJ)
+        code, loaded = fresh_python(
+            "import json, sys; from evontree.cli import main; "
+            "code = main(['run', '--config', sys.argv[1]]); "
+            f"print(json.dumps([code, {HTTP_STACK_LOADED}]))", str(config))
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "corpus.jsonl").exists()
+        assert loaded == []
+
+    def test_an_http_gateway_loads_the_http_client(self, tmp_path):
+        model = {"kind": "http", "name": "m", "endpoint": "http://127.0.0.1:1"}
+        config = write_config(tmp_path, {**CONFIG_OBJ, "model": model})
+        before, after = fresh_python(
+            "import json, sys; from pathlib import Path; "
+            "from evontree.config import load_config; "
+            "from evontree.pipeline import RunContext; "
+            "ctx = RunContext(load_config(Path(sys.argv[1]))); "
+            f"before = {HTTP_STACK_LOADED}; "
+            "ctx.gateway(); ctx.close(); "
+            "print(json.dumps([before, 'http.client' in sys.modules]))", str(config))
+        assert before == []
+        assert after is True

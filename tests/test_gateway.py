@@ -324,6 +324,8 @@ class TestCacheFormat:
             assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
             assert db.execute("SELECT typeof(key), length(key), count(*) FROM responses "
                               "GROUP BY 1, 2").fetchall() == [("blob", 32, 5)]
+            # The rewrite vacuumed the file: the old table left no free pages.
+            assert db.execute("PRAGMA freelist_count").fetchone() == (0,)
 
     def test_new_file_starts_in_the_current_format(self, tmp_path):
         ResponseCache(tmp_path).close()
@@ -420,6 +422,7 @@ class TestRetry:
         assert gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)) == "gen:x"
         assert len(backend.calls) == 3
         assert delays == [1.0, 2.0]
+        assert gw.retries == 2 and gw.calls == 1
 
     def test_gives_up_after_three_attempts(self, tmp_path):
         backend = FakeBackend(failures=10)
@@ -429,6 +432,7 @@ class TestRetry:
             gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
         assert exc_info.value.attempts == 3
         assert len(backend.calls) == 3
+        assert gw.retries == 2  # the third failure is raised, not retried
 
     def test_protocol_error_not_retried(self, tmp_path):
         class BadBackend(FakeBackend):
@@ -440,6 +444,39 @@ class TestRetry:
         with pytest.raises(ProtocolError):
             gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
         assert len(backend.calls) == 1
+        assert gw.retries == 0
+
+    def test_retries_on_more_threads_than_cores_are_all_counted(self):
+        class FailsTwiceHttp(HttpBackend):
+            def __init__(self):
+                super().__init__("http://127.0.0.1:1")
+                self.tries = {}  # each prompt is sent by one thread at a time
+
+            def generate(self, body):
+                prompt = body["prompt"]
+                self.tries[prompt] = self.tries.get(prompt, 0) + 1
+                if self.tries[prompt] <= 2:
+                    raise TransportError("scripted failure")
+                return {"text": f"gen:{prompt}"}
+
+        n = 300
+        gw = ModelGateway(FailsTwiceHttp(), model="m1", cache_dir=None,
+                          retry_backoff_s=(0.0,), sleep=lambda s: None,
+                          max_in_flight=(os.cpu_count() or 1) + 4)
+        results = []
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            runner = threading.Thread(
+                target=lambda: results.append(gw.generate_many(prompts(n))), daemon=True)
+            runner.start()
+            runner.join(60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not runner.is_alive(), "the fanned-out batch hung"
+        gw.close()
+        assert results == [[f"gen:p{i}" for i in range(n)]]
+        assert gw.retries == 2 * n and gw.calls == n
 
 
 def prompts(n: int) -> list[GenerateRequest]:
@@ -505,13 +542,13 @@ class TestBatches:
         assert gw.generate_many([a, b, a, a]) == ["gen:p0", "gen:p1", "gen:p0", "gen:p0"]
         assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]
         assert gw.counters() == {"requests": 4, "cache_hits": 2, "backend_calls": 2,
-                                 "cache_commits": 1 if cached else 0}
+                                 "cache_commits": 1 if cached else 0, "retries": 0}
         # Once stored, a repeated key is one lookup and counts as hits only.
         if cached:
             assert gw.generate_many([b, b]) == ["gen:p1", "gen:p1"]
             assert len(backend.calls) == 2
             assert gw.counters() == {"requests": 6, "cache_hits": 4, "backend_calls": 2,
-                                     "cache_commits": 1}
+                                     "cache_commits": 1, "retries": 0}
         gw.close()
 
     def test_batch_is_one_lookup_and_one_commit(self, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import shutil
@@ -402,6 +403,30 @@ class TestGatewayCounts:
         # The stages' deltas add up to the gateway's totals.
         totals = completed_run.gateway().counters()
         assert {n: sum(c[n] for c in counts.values()) for n in GATEWAY_COUNTERS} == totals
+
+    def test_retried_transport_failures_are_counted(self, tmp_path, monkeypatch):
+        # The model fails twice, then answers; the back-off is not slept.
+        failures = [2]
+        generate = SyntheticBackend.generate
+
+        def flaky(self, body):
+            if failures[0]:
+                failures[0] -= 1
+                raise TransportError("scripted failure")
+            return generate(self, body)
+
+        monkeypatch.setattr(SyntheticBackend, "generate", flaky)
+        monkeypatch.setattr(pipeline_module, "ModelGateway",
+                            functools.partial(ModelGateway, sleep=lambda s: None))
+        ctx = RunContext(make_config(tmp_path))
+        try:
+            run_stage(ctx, "extract")
+            run_stage(ctx, "calibrate")
+        finally:
+            ctx.close()
+        stages = json.loads(ctx.paths.manifest.read_text())["stages"]
+        assert stages["extract"]["gateway"]["retries"] == 2
+        assert stages["calibrate"]["gateway"]["retries"] == 0
 
     def test_calibrate_commits_once_per_batch(self, tmp_path):
         ctx = RunContext(make_config(tmp_path))
