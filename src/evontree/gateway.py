@@ -11,10 +11,14 @@ by an earlier version, with the digests as hex text, is rewritten in place
 and vacuumed when it is first opened.
 
 Requests travel in batches: ModelGateway.score_many and generate_many take
-a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup
-and one committed transaction for the responses it fetched. A single
-generate or score is a batch of one, so it commits alone, as does
-ResponseCache.put.
+a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup.
+The responses it fetched go into the cache's open write transaction. For an
+in-process backend that transaction is committed once it is
+COMMIT_INTERVAL_S old, when a batch raises, and when the stage or the
+gateway ends, so a run commits about once a second instead of once a batch.
+Responses from an HTTP endpoint are committed with each batch, so the write
+lock is never held while requests wait on the network. A single generate or
+score is a batch of one; ResponseCache.put stores one entry and commits.
 
 HttpBackend speaks HTTP/1.1 through the standard library's http.client, so
 the package has no runtime dependency: each thread that calls it keeps one
@@ -57,10 +61,11 @@ log = logging.getLogger(__name__)
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
 
-# Requests per batch: one cache lookup and one commit each. Large enough
-# that commits cost little next to the requests, small enough that a batch
-# never holds a whole stage's requests, and below SQLite's oldest limit of
-# 999 parameters per statement.
+# Requests per batch: one cache lookup each, and the unit fanned out over
+# an HTTP endpoint's threads. Large enough that lookups cost little next to
+# the requests, small enough that a batch never holds a whole stage's
+# requests, and below SQLite's oldest limit of 999 parameters per statement.
+# Commits follow COMMIT_INTERVAL_S instead.
 BATCH_SIZE = 256
 
 # The per-stage counters ModelGateway.counters() reports.
@@ -209,9 +214,10 @@ class HttpBackend:
                 conn.close()
 
 
-# One encoder for every key: json.dumps with these options builds a new one
-# per call.
+# One encoder for every key and one for every stored value: json.dumps
+# with options builds a new encoder per call.
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+_VALUE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 @lru_cache(maxsize=64)
@@ -239,6 +245,12 @@ CACHE_PAGE_CACHE_KIB = 256
 # The cache file's layout, kept in PRAGMA user_version. 0 is a file written
 # before the number was kept: keys as 64 hex digits of TEXT, or no table yet.
 CACHE_FORMAT = 1
+# The age, in seconds, at which put_many commits the open write transaction.
+# Each commit writes every page the transaction changed to the write-ahead
+# log, and random keys change most leaf pages, so one commit per second
+# writes far less than one per batch; a killed process loses at most about
+# this long of responses.
+COMMIT_INTERVAL_S = 1.0
 
 
 class ResponseCache:
@@ -254,14 +266,18 @@ class ResponseCache:
     afterwards. A file in a layout this version does not know is refused
     with CacheCorruptError.
 
-    put_many stores its entries in one committed transaction and put is its
-    one-entry case, so a crash never leaves a half-written entry that a
-    later run would trust, and every other connection to the file sees the
-    entries as soon as the call returns. The database runs in WAL mode;
-    writers in other processes wait up to CACHE_BUSY_TIMEOUT_S for the
-    write lock. One connection serves all threads of this instance, behind
-    a lock. A stored value that does not decode counts as a miss and is
-    replaced by the next put of its key.
+    put_many adds its entries to one open write transaction, begun with
+    BEGIN IMMEDIATE at the first write after a commit, and commits it once
+    it is COMMIT_INTERVAL_S old; commit() commits it at once, and close()
+    commits before closing. put stores one entry and commits. The entries
+    are visible to this instance at once and to other connections when
+    committed, and a crash loses the uncommitted ones whole: it never leaves
+    a half-written entry that a later run would trust. While a transaction
+    is open this instance holds the file's write lock, so writers in other
+    processes wait for the commit, up to CACHE_BUSY_TIMEOUT_S; readers do
+    not wait, as the database runs in WAL mode. One connection serves all
+    threads of this instance, behind a lock. A stored value that does not
+    decode counts as a miss and is replaced by the next put of its key.
     """
 
     def __init__(self, cache_dir: Path) -> None:
@@ -269,6 +285,8 @@ class ResponseCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.path = self.cache_dir / CACHE_FILE
         self._lock = threading.Lock()
+        self._began = 0.0  # time.monotonic() at the open write transaction's BEGIN
+        self._closed = False
         # Autocommit (isolation_level=None): a statement outside an explicit
         # BEGIN commits alone.
         self._conn = sqlite3.connect(self.path, timeout=CACHE_BUSY_TIMEOUT_S,
@@ -369,26 +387,54 @@ class ResponseCache:
         return found
 
     def put(self, key: bytes, value: dict) -> None:
+        """Store one entry and commit it, with any others not yet committed."""
         self.put_many({key: value})
+        self.commit()
 
-    def put_many(self, entries: dict[bytes, dict]) -> None:
-        """Store every entry in one transaction: all of them or, if it
-        fails, none."""
-        rows = [(key, json.dumps(value, ensure_ascii=False)) for key, value in entries.items()]
+    def put_many(self, entries: dict[bytes, dict]) -> bool:
+        """Add every entry to the open write transaction, in order, and
+        commit it if it is COMMIT_INTERVAL_S old; True if this call
+        committed. If a statement fails, the transaction is rolled back,
+        with every entry not yet committed."""
+        rows = [(key, _VALUE_ENCODER.encode(value)) for key, value in entries.items()]
         if not rows:
-            return
-        # The connection as a context manager commits on success and rolls
-        # back on an exception.
-        with self._lock, self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO responses (key, value) VALUES (?, ?)", rows)
+            return False
+        with self._lock:
+            try:
+                if not self._conn.in_transaction:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                    self._began = time.monotonic()
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO responses (key, value) VALUES (?, ?)", rows)
+            except BaseException:
+                if self._conn.in_transaction:
+                    self._conn.execute("ROLLBACK")
+                raise
+            if time.monotonic() - self._began < COMMIT_INTERVAL_S:
+                return False
+            return self._commit()
+
+    def commit(self) -> bool:
+        """Commit the open write transaction; True if one was open."""
+        with self._lock:
+            return self._commit()
+
+    def _commit(self) -> bool:
+        if self._closed or not self._conn.in_transaction:
+            return False
+        self._conn.execute("COMMIT")
+        return True
 
     def close(self) -> None:
-        """Close the connection. The last connection to close folds the
-        write-ahead log back into the database and deletes it. Idempotent."""
+        """Commit, then close the connection. The last connection to close
+        folds the write-ahead log back into the database and deletes it.
+        Idempotent."""
         with self._lock:
-            self._conn.close()
+            try:
+                self._commit()
+            finally:
+                self._closed = True
+                self._conn.close()
 
 
 class ModelGateway:
@@ -405,10 +451,19 @@ class ModelGateway:
     the interpreter lock while it works, where threads only add contention;
     its misses are fetched in order on the calling thread.
 
+    Each batch stores the responses it fetched in the cache's open write
+    transaction. An HTTP endpoint's are committed with their batch. An
+    in-process backend's are committed by the cache once the transaction
+    is COMMIT_INTERVAL_S old, and by commit(), which a batch that raises,
+    close() and the pipeline's stage runner call. Until then this gateway
+    holds the cache file's write lock: another gateway on the same file
+    waits for it.
+
     Counters, for the run manifest: requests asked for, cache_hits (found
     in the cache, or repeating a key earlier in the same batch), calls
     (responses fetched from the backend; retries not counted),
-    cache_commits (transactions that stored fetched responses) and retries
+    cache_commits (committed write transactions of fetched responses; see
+    commit) and retries
     (transport failures that were tried again, counted under a lock since
     fanned-out threads retry at once).
     """
@@ -443,14 +498,20 @@ class ModelGateway:
         return dict(zip(GATEWAY_COUNTERS, (self.requests, self.cache_hits, self.calls,
                                            self.cache_commits, self.retries)))
 
+    def commit(self) -> None:
+        """Commit the responses stored and not yet committed."""
+        if self.cache is not None and self.cache.commit():
+            self.cache_commits += 1
+
     def close(self) -> None:
-        """Shut down the fan-out threads, close the response cache, then the
-        backend if it has a close method; the gateway makes no calls after
-        this."""
+        """Shut down the fan-out threads, commit and close the response
+        cache, then close the backend if it has a close method; the gateway
+        makes no calls after this."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
         if self.cache is not None:
+            self.commit()
             self.cache.close()
         close_backend = getattr(self.backend, "close", None)
         if close_backend is not None:
@@ -501,8 +562,16 @@ class ModelGateway:
         once. A fetched body is parsed before it is stored, so one that
         parse rejects (ProtocolError) is never cached and a rerun asks the
         backend again. Valid responses fetched before a failure are still
-        stored, in the batch's one transaction.
+        stored, and committed before the failure is raised.
         """
+        try:
+            return self._call_batches(kind, requests, bypass_cache, parse)
+        except BaseException:
+            self.commit()
+            raise
+
+    def _call_batches(self, kind: str, requests: Sequence, bypass_cache: bool,
+                      parse: Callable[[object, dict], T]) -> list[T]:
         results: list[T] = []
         for chunk in chunked(requests):
             bodies = [r.to_body(self.model) for r in chunk]
@@ -527,8 +596,13 @@ class ModelGateway:
             finally:
                 self.calls += len(fetched)
                 if self.cache is not None and parsed:
-                    self.cache.put_many({key: fetched[key] for key in parsed})
-                    self.cache_commits += 1
+                    # put_many says whether it committed.
+                    self.cache_commits += self.cache.put_many(
+                        {key: fetched[key] for key in parsed})
+            if isinstance(self.backend, HttpBackend):
+                # Never hold the write lock while the next batch waits on the
+                # network.
+                self.commit()
             self.cache_hits += len(keys) - len(fetched)
             results += [parsed[key] if key in parsed else parse(r, found[key])
                         for key, r in zip(keys, chunk)]

@@ -31,8 +31,9 @@ producer has no manifest entry is accepted.
 Stages run sequentially and batch their model requests through the gateway
 (see evontree.gateway), which fans a batch out over scoring.max_in_flight
 threads for an HTTP endpoint and runs it on the calling thread for an
-in-process backend. Each stage's manifest entry counts the requests, cache
-hits, backend calls and cache commits it made.
+in-process backend. run_stage commits the responses a stage stored once its
+body returns. Each stage's manifest entry counts the requests, cache hits,
+backend calls and cache commits it made.
 """
 
 from __future__ import annotations
@@ -589,6 +590,9 @@ def run_stage(ctx: RunContext, name: str) -> None:
     del blobs
     ctx._written.clear()
     result = STAGES[name](ctx, **kwargs)
+    # The stage's responses are committed before its entry records it done.
+    for gateway in ctx._open_gateways():
+        gateway.commit()
     if isinstance(result, dict):
         result = StageResult(result)
     written = [getattr(paths, attr) for attr in outputs] + list(result.extra_outputs)

@@ -191,14 +191,18 @@ HTTP_STACK = ("http", "ssl", "email", "socket")
 HTTP_STACK_LOADED = f"sorted(m for m in sys.modules if m.partition('.')[0] in {HTTP_STACK!r})"
 
 
+def evontree_env() -> dict:
+    """The environment of a fresh interpreter that imports this evontree."""
+    src = str(Path(evontree.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def fresh_python(script: str, *args: str):
     """Run script in a fresh interpreter that imports this evontree, and
     return the JSON it prints last."""
-    src = str(Path(evontree.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=evontree_env(),
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -241,3 +245,37 @@ class TestStartup:
             "print(json.dumps([before, 'http.client' in sys.modules]))", str(config))
         assert before == []
         assert after is True
+
+
+class TestSharedCache:
+    def test_two_runs_write_one_cache_at_once(self, tmp_path):
+        # Three roots, so that each run stores thousands of responses and
+        # holds the cache's write lock while the other waits for it.
+        synthetic = {**CONFIG_OBJ["model"]["synthetic"], "branching": 4, "n_roots": 3}
+        procs = []
+        for name in ("a", "b"):
+            config = write_config(tmp_path, {
+                "model": {"kind": "synthetic", "synthetic": synthetic},
+                "extraction": {"roots": ["T0N0", "T1N0", "T2N0"], "max_depth": 3},
+                "output": {"dir": f"out-{name}", "cache_dir": str(tmp_path / "cache")},
+            }, name=f"{name}.json")
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", "import sys; from evontree.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "run", "--config", str(config)],
+                env=evontree_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+        try:
+            for proc in procs:
+                _, err = proc.communicate(timeout=120)
+                assert proc.returncode == EXIT_OK, err
+                assert "database is locked" not in err
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        a, b = tmp_path / "out-a", tmp_path / "out-b"
+        names = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+        assert "corpus.jsonl" in names
+        assert names == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
+        for name in names:
+            if name != "manifest.json":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name

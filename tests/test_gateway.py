@@ -37,6 +37,7 @@ from evontree.gateway import (
     ModelGateway,
     ResponseCache,
     ScoreRequest,
+    _VALUE_ENCODER,
     _cache_key,
 )
 
@@ -111,12 +112,28 @@ class TestCache:
         assert (_cache_key(identity, model, kind, body)
                 == hashlib.sha256(canonical.encode("utf-8")).hexdigest())
 
+    @settings(deadline=None)
+    @given(value=st.builds(
+        lambda fields, extra: {**extra, **fields},
+        st.fixed_dictionaries({}, optional={
+            "text": st.text(),
+            "token_logprobs": st.lists(st.floats() | st.integers(), max_size=5)}),
+        st.dictionaries(st.text(), st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
+                                                                        max_size=3),
+            max_leaves=8), max_size=3)))
+    def test_stored_value_is_the_json_dumps_text(self, value):
+        # The shared encoder stores the same bytes as a json.dumps per value.
+        assert _VALUE_ENCODER.encode(value) == json.dumps(value, ensure_ascii=False)
+
     def test_read_cache_false_still_writes(self, tmp_path):
         gw, backend = make_gateway(tmp_path, read_cache=False)
         req = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)
         gw.generate(req)
         gw.generate(req)
         assert len(backend.calls) == 2
+        gw.close()  # commits
         # A fresh gateway with reads enabled finds the entries written above.
         gw2, backend2 = make_gateway(tmp_path)
         gw2.generate(req)
@@ -135,6 +152,7 @@ class TestCache:
         gw.generate(req)
         # Not JSON, cut short, not UTF-8.
         for n, bad_value in enumerate(["{not json", '{"text": "ge', b"\xc3\x28"], start=2):
+            gw.commit()  # so that another connection can write
             with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as db, db:
                 updated = db.execute("UPDATE responses SET value = CAST(? AS TEXT)",
                                      (bad_value,))
@@ -194,6 +212,48 @@ def run_cache_writer(cache_dir: Path, body: str) -> subprocess.Popen:
         inspect.getsource(cache_value),
         textwrap.dedent(body),
     ]), cache_dir)
+
+
+def committed(cache_dir: Path) -> dict[bytes, dict]:
+    """The entries another connection sees in cache_dir's database,
+    decoded; each must be valid JSON."""
+    with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
+        return {key: json.loads(value)
+                for key, value in db.execute("SELECT key, value FROM responses")}
+
+
+class TestCacheCommits:
+    def test_put_many_commits_once_its_transaction_is_old_enough(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setattr("evontree.gateway.COMMIT_INTERVAL_S", 0.05)
+        cache = ResponseCache(tmp_path)
+        try:
+            assert cache.put_many({cache_key(0): cache_value(0)}) is False
+            assert cache.put_many({cache_key(1): cache_value(1)}) is False
+            # This instance reads what it has not committed; no other one does.
+            assert cache.get(cache_key(1)) == cache_value(1)
+            assert committed(tmp_path) == {}
+            time.sleep(0.06)
+            assert cache.put_many({cache_key(2): cache_value(2)}) is True
+            assert committed(tmp_path) == {cache_key(i): cache_value(i) for i in range(3)}
+            # The next write begins a new transaction, as young as it.
+            assert cache.put_many({cache_key(3): cache_value(3)}) is False
+            assert cache.commit() is True and cache.commit() is False
+            assert cache_key(3) in committed(tmp_path)
+        finally:
+            cache.close()
+
+    def test_put_and_close_commit(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        try:
+            cache.put_many({cache_key(0): cache_value(0)})
+            cache.put(cache_key(1), cache_value(1))
+            assert committed(tmp_path) == {cache_key(i): cache_value(i) for i in range(2)}
+            cache.put_many({cache_key(2): cache_value(2)})
+        finally:
+            cache.close()
+        cache.close()  # idempotent
+        assert committed(tmp_path) == {cache_key(i): cache_value(i) for i in range(3)}
 
 
 class TestCacheConcurrency:
@@ -541,6 +601,7 @@ class TestBatches:
         a, b = prompts(2)
         assert gw.generate_many([a, b, a, a]) == ["gen:p0", "gen:p1", "gen:p0", "gen:p0"]
         assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]
+        gw.commit()
         assert gw.counters() == {"requests": 4, "cache_hits": 2, "backend_calls": 2,
                                  "cache_commits": 1 if cached else 0, "retries": 0}
         # Once stored, a repeated key is one lookup and counts as hits only.
@@ -559,8 +620,46 @@ class TestBatches:
         assert len(backend.calls) == BATCH_SIZE + 1
         selects = [s for s in statements if s.startswith("SELECT")]
         assert len(selects) == 2  # BATCH_SIZE requests, then one
-        assert statements.count("COMMIT") == gw.cache_commits == 2
+        # Both batches went into one transaction, younger than
+        # COMMIT_INTERVAL_S, which commit() commits.
+        assert statements.count("COMMIT") == gw.cache_commits == 0
+        gw.commit()
+        assert statements.count("COMMIT") == gw.cache_commits == 1
+        inserts = [i for i, s in enumerate(statements) if s.startswith("INSERT")]
+        assert len(inserts) == BATCH_SIZE + 1
+        [begin] = [i for i, s in enumerate(statements) if s.startswith("BEGIN")]
+        assert begin < inserts[0] and inserts[-1] < statements.index("COMMIT")
         gw.close()
+
+    def test_http_batches_never_hold_the_write_lock_in_flight(self, tmp_path):
+        path = tmp_path / "cache" / CACHE_FILE
+
+        class TakesTheWriteLock(HttpBackend):
+            """Answers without a network, after taking and releasing the
+            cache file's write lock on a connection of its own, which
+            fails at once if another connection holds it. One thread
+            probes at a time, so the probes never meet each other."""
+
+            def __init__(self):
+                super().__init__("http://127.0.0.1:1")
+                self.probing = threading.Lock()
+
+            def generate(self, body):
+                with self.probing, closing(sqlite3.connect(path, timeout=0,
+                                                           isolation_level=None)) as db:
+                    db.execute("BEGIN IMMEDIATE")
+                    db.execute("ROLLBACK")
+                return {"text": f"gen:{body['prompt']}"}
+
+        gw = ModelGateway(TakesTheWriteLock(), model="m1", cache_dir=tmp_path / "cache",
+                          retry_backoff_s=(0.0,), sleep=lambda s: None, max_in_flight=4)
+        try:
+            texts = gw.generate_many(prompts(BATCH_SIZE + 1))
+        finally:
+            gw.close()
+        assert texts == [f"gen:p{i}" for i in range(BATCH_SIZE + 1)]
+        assert gw.calls == BATCH_SIZE + 1
+        assert gw.cache_commits == 2  # one per batch
 
 
     @pytest.mark.parametrize("kind", ["generate", "score"])
@@ -608,8 +707,8 @@ class TestBatches:
         request = ScoreRequest(prompt="p", completion=" True")
         gw, _ = make_gateway(tmp_path, backend=EmptyBackend())
         [first] = gw.score_many([request])
-        assert isinstance(first, EmptySpanError) and gw.cache_commits == 1
         gw.close()
+        assert isinstance(first, EmptySpanError) and gw.cache_commits == 1
         again, again_backend = make_gateway(tmp_path, backend=EmptyBackend())
         [second] = again.score_many([request])
         assert isinstance(second, EmptySpanError)
@@ -885,11 +984,9 @@ def http_gateway(fault_server, tmp_path):
 
 
 def stored_responses(gw: ModelGateway) -> dict[bytes, dict]:
-    """Every entry of the gateway's cache database, decoded; each must be
-    valid JSON."""
-    with closing(sqlite3.connect(gw.cache.path)) as db:
-        return {key: json.loads(value)
-                for key, value in db.execute("SELECT key, value FROM responses")}
+    """Every committed entry of the gateway's cache database, decoded; each
+    must be valid JSON."""
+    return committed(gw.cache.cache_dir)
 
 
 def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[bytes, dict]:

@@ -6,18 +6,24 @@ import csv
 import functools
 import json
 import math
+import os
 import shutil
+import sqlite3
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+import evontree
 import evontree.gateway as gateway_module
 import evontree.ontology as ontology_module
 import evontree.pipeline as pipeline_module
@@ -26,6 +32,8 @@ from evontree.config import ENDPOINT_ENV_VAR, parse_config, replace_seed
 from evontree.errors import MissingUpstreamError, StaleUpstreamError, TransportError
 from evontree.gateway import (
     BATCH_SIZE,
+    CACHE_FILE,
+    COMMIT_INTERVAL_S,
     GATEWAY_COUNTERS,
     GenerateRequest,
     HttpBackend,
@@ -46,15 +54,19 @@ BASE_MODEL = {
 }
 
 
-def make_config(tmp_path: Path, out_name: str = "out", cache_name: str = "cache",
-                **overrides) -> "RunConfig":
+def config_obj(out_name: str = "out", cache_name: str = "cache", **overrides) -> dict:
     obj = {
         "model": BASE_MODEL,
         "extraction": {"roots": ["T0N0"], "max_depth": 3},
         "output": {"dir": out_name, "cache_dir": cache_name},
     }
     obj.update(overrides)
-    return parse_config(obj, base_dir=tmp_path)
+    return obj
+
+
+def make_config(tmp_path: Path, out_name: str = "out", cache_name: str = "cache",
+                **overrides) -> "RunConfig":
+    return parse_config(config_obj(out_name, cache_name, **overrides), base_dir=tmp_path)
 
 
 ARTIFACT_NAMES = (
@@ -252,6 +264,70 @@ class TestRunAll:
         assert {(e.gap_subject, e.gap_object) for e in corpus} <= gap_pairs
 
 
+# Runs the pipeline on the config in argv[1] (JSON, paths relative to
+# argv[2]) and ends the process as a kill would, with no close and no
+# commit, from inside the synthetic model's score once calibrate, the first
+# stage that scores, has sent more than two batches of requests.
+KILLED_MID_CALIBRATE = textwrap.dedent("""
+    import json, os, sys
+    from pathlib import Path
+    from evontree.config import parse_config
+    from evontree.gateway import BATCH_SIZE
+    from evontree.pipeline import RunContext, run_all
+    from evontree.synthetic import SyntheticBackend
+
+    score, calls = SyntheticBackend.score, []
+
+    def score_until_killed(self, body):
+        calls.append(body)
+        if len(calls) > 2 * BATCH_SIZE:
+            os._exit(9)
+        return score(self, body)
+
+    SyntheticBackend.score = score_until_killed
+    run_all(RunContext(parse_config(json.loads(sys.argv[1]), base_dir=Path(sys.argv[2]))))
+""")
+
+
+def stored_rows(cache_dir: Path) -> dict[bytes, str]:
+    """Every row of cache_dir's database, as stored, once SQLite finds the
+    file sound."""
+    with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
+        assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+        return dict(db.execute("SELECT key, value FROM responses"))
+
+
+class TestCrash:
+    def test_killed_mid_calibrate_keeps_valid_entries_and_reruns_clean(self, completed_run,
+                                                                       tmp_path):
+        src = str(Path(evontree.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLED_MID_CALIBRATE, json.dumps(config_obj()),
+             str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 9, proc.stderr
+        paths = pipeline_module.Artifacts(tmp_path / "out")
+        assert list(json.loads(paths.manifest.read_text())["stages"]) == ["extract"]
+
+        # Every entry left decodes to what the clean run stored under its key.
+        left = stored_rows(tmp_path / "cache")
+        clean = stored_rows(completed_run.config.output.resolved_cache_dir())
+        assert 0 < len(left) < len(clean)
+        for key, value in left.items():
+            assert json.loads(value) == json.loads(clean[key])
+
+        ctx = RunContext(make_config(tmp_path))
+        try:
+            run_all(ctx)
+        finally:
+            ctx.close()
+        for name in (*ARTIFACT_NAMES, "trees/t0n0.json"):
+            if name != "manifest.json":
+                assert ((paths.out_dir / name).read_bytes()
+                        == (completed_run.paths.out_dir / name).read_bytes()), name
+
+
 class TestDeterminism:
     def test_two_runs_produce_identical_artifacts(self, completed_run, tmp_path):
         # Second run shares the cache, so it replays the same responses.
@@ -398,8 +474,11 @@ class TestGatewayCounts:
             c = counts[stage]
             assert c["requests"] > 0, stage
             assert c["requests"] == c["cache_hits"] + c["backend_calls"], stage
-        # Extraction sends one request at a time, so each fetch commits alone.
-        assert counts["extract"]["cache_commits"] == counts["extract"]["backend_calls"]
+        # Extraction sends one request at a time, and its fetches still
+        # commit about once a second, plus once as the stage ends.
+        extract = manifest["stages"]["extract"]
+        commits = extract["gateway"]["cache_commits"]
+        assert 0 < commits <= 1 + extract["wall_s"] / COMMIT_INTERVAL_S
         # The stages' deltas add up to the gateway's totals.
         totals = completed_run.gateway().counters()
         assert {n: sum(c[n] for c in counts.values()) for n in GATEWAY_COUNTERS} == totals
@@ -428,13 +507,15 @@ class TestGatewayCounts:
         assert stages["extract"]["gateway"]["retries"] == 2
         assert stages["calibrate"]["gateway"]["retries"] == 0
 
-    def test_calibrate_commits_once_per_batch(self, tmp_path):
+    def test_calibrate_commits_once_a_second(self, tmp_path):
         ctx = RunContext(make_config(tmp_path))
         statements = []
         try:
             run_stage(ctx, "extract")
-            ctx.gateway().cache._conn.set_trace_callback(statements.append)
+            conn = ctx.gateway().cache._conn
+            conn.set_trace_callback(statements.append)
             run_stage(ctx, "calibrate")
+            open_after_stage = conn.in_transaction
         finally:
             ctx.close()
         raw = read_triple_file(ctx.paths.raw)
@@ -443,11 +524,13 @@ class TestGatewayCounts:
             pairs[record.triple.relation] += len(templates_for(record.triple.relation))
         batches = (math.ceil(len(raw) / TRIPLES_PER_BATCH)
                    + sum(math.ceil(n / BATCH_SIZE) for n in pairs.values()))
-        counts = json.loads(ctx.paths.manifest.read_text())["stages"]["calibrate"]["gateway"]
+        entry = json.loads(ctx.paths.manifest.read_text())["stages"]["calibrate"]
+        counts = entry["gateway"]
         commits = [s for s in statements if s == "COMMIT"]
         inserts = [s for s in statements if s.startswith("INSERT")]
-        assert 0 < len(commits) == counts["cache_commits"] <= batches
-        # Every response fetched went into a batch's transaction.
+        assert 0 < len(commits) == counts["cache_commits"] < batches
+        assert len(commits) <= 1 + entry["wall_s"] / COMMIT_INTERVAL_S
+        # Every response fetched went into a transaction.
         assert len(inserts) == counts["backend_calls"] > len(commits)
         in_transaction = False
         for statement in statements:
@@ -455,7 +538,7 @@ class TestGatewayCounts:
                 in_transaction = statement.startswith("BEGIN")
             elif statement.startswith("INSERT"):
                 assert in_transaction
-        assert not in_transaction
+        assert not in_transaction and not open_after_stage
 
 
 class TestPerfectSignal:
