@@ -6,9 +6,11 @@ a prompt. Both go through a content-addressed cache keyed by the request
 plus the serving endpoint's identity, so switching endpoints or models never
 replays stale responses. The cache is one SQLite database per cache
 directory, shared safely by threads, gateways and processes, that maps each
-request's 32-byte SHA-256 digest to its response body. A database written
-by an earlier version, with the digests as hex text, is rewritten in place
-and vacuumed when it is first opened.
+request's 32-byte SHA-256 digest to the one field of its response the
+gateway reads: a score's token_logprobs as packed little-endian doubles, a
+generation's text as a JSON string. A database written by an earlier
+version, with whole response bodies as JSON text, is rewritten in place and
+vacuumed when it is first opened.
 
 Requests travel in batches: ModelGateway.score_many and generate_many take
 a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup.
@@ -33,7 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import sqlite3
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -214,8 +218,8 @@ class HttpBackend:
                 conn.close()
 
 
-# One encoder for every key and one for every stored value: json.dumps
-# with options builds a new encoder per call.
+# One encoder for every key and one for every stored text: json.dumps with
+# options builds a new encoder per call.
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 _VALUE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -239,12 +243,19 @@ def _cache_key(identity: str, model: str, kind: str, body: dict) -> str:
 
 CACHE_FILE = "responses.sqlite3"
 CACHE_BUSY_TIMEOUT_S = 60.0
-# SQLite's page cache per connection, in KiB. Lookups are random by key and
-# the OS already caches the file, so a large page cache only adds memory.
+# SQLite's page cache per connection, in KiB. A page it does not hold is
+# read again through the OS, and a write transaction larger than it spills
+# to the write-ahead log before its commit. The seed-42 benchmark forest's
+# file is about 1 MB: one cold run_all of it made 15.1k read and 8.8k write
+# syscalls (63 MB and 31 MB) at 256 KiB, and 349 and 1.8k (2.7 MB and
+# 4.9 MB) at 4 MiB, for about 0.8 MB more peak RSS and no measurable change
+# in wall time (2 CPUs, Python 3.11.7, the OS caching the file both ways).
 CACHE_PAGE_CACHE_KIB = 256
 # The cache file's layout, kept in PRAGMA user_version. 0 is a file written
 # before the number was kept: keys as 64 hex digits of TEXT, or no table yet.
-CACHE_FORMAT = 1
+# 1 keys each response body, as JSON text, by its 32-byte digest. 2 keeps
+# only the field of the body that the gateway reads (see _KINDS).
+CACHE_FORMAT = 2
 # The age, in seconds, at which put_many commits the open write transaction.
 # Each commit writes every page the transaction changed to the write-ahead
 # log, and random keys change most leaf pages, so one commit per second
@@ -257,14 +268,17 @@ class ResponseCache:
     """Response cache in one SQLite database, cache_dir/responses.sqlite3.
 
     Each entry maps a request's 32-byte SHA-256 digest (a BLOB key; see
-    _cache_key for the hex form) to its response body as JSON text. A file
-    in the older layout, with the same digests as 64 hex digits of TEXT, is
-    rewritten in place on its first open, in one transaction: every entry is
-    kept, and a row whose key is not such a digest is dropped with a warning.
-    The process that rewrote it then runs VACUUM, so the file does not keep
-    the old table's pages. An older evontree cannot read the file
-    afterwards. A file in a layout this version does not know is refused
-    with CacheCorruptError.
+    _cache_key for the hex form) to a value encoded by ModelGateway: bytes
+    or str in, bytes out, whatever the request kind. A file in an older
+    layout (format 0, keys as 64 hex digits of TEXT, or format 1, BLOB keys)
+    keeps each whole response body as JSON text. It is rewritten in place
+    on its first open, in one transaction: each body becomes the value
+    ModelGateway would store for it, and a row whose key is not a digest, or
+    whose value is not one response the gateway accepts, is dropped, with
+    one warning that counts them. The process that rewrote it then runs
+    VACUUM, so the file does not keep the old table's pages. An older
+    evontree cannot read the file afterwards. A file in a layout this
+    version does not know is refused with CacheCorruptError.
 
     put_many adds its entries to one open write transaction, begun with
     BEGIN IMMEDIATE at the first write after a commit, and commits it once
@@ -276,8 +290,9 @@ class ResponseCache:
     is open this instance holds the file's write lock, so writers in other
     processes wait for the commit, up to CACHE_BUSY_TIMEOUT_S; readers do
     not wait, as the database runs in WAL mode. One connection serves all
-    threads of this instance, behind a lock. A stored value that does not
-    decode counts as a miss and is replaced by the next put of its key.
+    threads of this instance, behind a lock. A put of a stored key replaces
+    its value, so a value that ModelGateway cannot decode, which it treats
+    as a miss, is replaced once the response is fetched again.
     """
 
     def __init__(self, cache_dir: Path) -> None:
@@ -291,8 +306,9 @@ class ResponseCache:
         # BEGIN commits alone.
         self._conn = sqlite3.connect(self.path, timeout=CACHE_BUSY_TIMEOUT_S,
                                      isolation_level=None, check_same_thread=False)
-        # Values come back as bytes, so an entry that is not valid UTF-8
-        # fails in get_many's decode (a miss) rather than inside sqlite3.
+        # Values come back as bytes, TEXT or BLOB alike, so an entry that is
+        # not valid UTF-8 fails in the gateway's decode (a miss) rather than
+        # inside sqlite3.
         self._conn.text_factory = bytes
         try:
             # The first statement reads the file header. WAL mode persists in
@@ -320,17 +336,17 @@ class ResponseCache:
         return self._conn.execute("PRAGMA user_version").fetchone()[0]
 
     def _upgrade(self) -> None:
-        """Bring a file of format 0 to CACHE_FORMAT in one transaction, then
-        VACUUM a file whose old table it rewrote. The format is read again
-        under the write lock, so of two processes opening one old file only
-        the first rewrites it; a process killed part way leaves the old
+        """Bring a file of format 0 or 1 to CACHE_FORMAT in one transaction,
+        then VACUUM a file whose old table it rewrote. The format is read
+        again under the write lock, so of two processes opening one old file
+        only the first rewrites it; a process killed part way leaves the old
         table as it was."""
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             version = self._format()
             if version == CACHE_FORMAT:
                 return
-            if version != 0:
+            if version not in (0, 1):
                 raise CacheCorruptError(
                     f"response cache {self.path} has format {version}, which this version "
                     f"of evontree (format {CACHE_FORMAT}) cannot read; move or delete it "
@@ -339,65 +355,67 @@ class ResponseCache:
                 "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'responses'"
             ).fetchone()
             if old:
-                self._conn.execute("ALTER TABLE responses RENAME TO responses_hex_keys")
+                self._conn.execute("ALTER TABLE responses RENAME TO responses_old")
             self._conn.execute("CREATE TABLE responses "
-                               "(key BLOB PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID")
+                               "(key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID")
             if old:
-                self._conn.create_function("digest_of_hex", 1, bytes.fromhex,
+                self._conn.create_function("stored_value", 1, _stored_value,
                                            deterministic=True)
-                # A key is kept only when it is 64 lowercase hex digits, as
-                # hexdigest writes them; digest_of_hex sees no other.
+                key, where = "key", ""
+                if version == 0:
+                    # A key is kept only when it is 64 lowercase hex digits,
+                    # as hexdigest writes them; digest_of_hex sees no other.
+                    self._conn.create_function("digest_of_hex", 1, bytes.fromhex,
+                                               deterministic=True)
+                    key, where = "digest_of_hex(key)", (
+                        "WHERE typeof(key) = 'text' AND length(key) = 64 "
+                        "AND key NOT GLOB '*[^0-9a-f]*'")
+                # The cast hands stored_value every old value as bytes, even
+                # one that is not UTF-8. stored_value is NULL for a value that
+                # is no response, and OR IGNORE skips a row that would break
+                # NOT NULL.
                 kept = self._conn.execute(
-                    "INSERT INTO responses (key, value) "
-                    "SELECT digest_of_hex(key), value FROM responses_hex_keys "
-                    "WHERE typeof(key) = 'text' AND length(key) = 64 "
-                    "AND key NOT GLOB '*[^0-9a-f]*'").rowcount
-                total = self._conn.execute(
-                    "SELECT count(*) FROM responses_hex_keys").fetchone()[0]
-                self._conn.execute("DROP TABLE responses_hex_keys")
+                    "INSERT OR IGNORE INTO responses (key, value) "
+                    f"SELECT {key}, stored_value(CAST(value AS BLOB)) FROM responses_old "
+                    f"{where}").rowcount
+                total = self._conn.execute("SELECT count(*) FROM responses_old").fetchone()[0]
+                self._conn.execute("DROP TABLE responses_old")
                 if total > kept:
-                    log.warning("dropping %d cache entries whose key is not a hex digest "
-                                "from %s", total - kept, self.path)
-                log.info("rewrote %d cache entries in %s with binary keys", kept, self.path)
+                    log.warning("dropping %d cache entries that are not a response under a "
+                                "digest key from %s", total - kept, self.path)
+                log.info("rewrote %d cache entries in %s to format %d", kept, self.path,
+                         CACHE_FORMAT)
             self._conn.execute(f"PRAGMA user_version = {CACHE_FORMAT}")
         if old:
             # The old table's pages are free now: hand them back to the file
             # system rather than keep a file about twice the size.
             self._conn.execute("VACUUM")
 
-    def get(self, key: bytes) -> dict | None:
+    def get(self, key: bytes) -> bytes | None:
         return self.get_many([key]).get(key)
 
-    def get_many(self, keys: Sequence[bytes]) -> dict[bytes, dict]:
-        """The stored responses among keys, looked up with one SELECT per
-        BATCH_SIZE keys; keys with no entry, or an undecodable one, are absent."""
-        rows = []
+    def get_many(self, keys: Sequence[bytes]) -> dict[bytes, bytes]:
+        """The stored values among keys, looked up with one SELECT per
+        BATCH_SIZE keys; keys with no entry are absent."""
+        found = {}
         with self._lock:
             for chunk in chunked(keys):
                 marks = ",".join("?" * len(chunk))
-                rows += self._conn.execute(
-                    f"SELECT key, value FROM responses WHERE key IN ({marks})", chunk).fetchall()
-        found = {}
-        for key, value in rows:
-            try:
-                # A value that is not UTF-8 raises UnicodeDecodeError, a ValueError.
-                found[key] = json.loads(value.decode("utf-8"))
-            except ValueError:
-                log.warning("discarding undecodable cache entry %s in %s", key.hex(), self.path)
+                found.update(self._conn.execute(
+                    f"SELECT key, value FROM responses WHERE key IN ({marks})", chunk))
         return found
 
-    def put(self, key: bytes, value: dict) -> None:
+    def put(self, key: bytes, value: bytes | str) -> None:
         """Store one entry and commit it, with any others not yet committed."""
         self.put_many({key: value})
         self.commit()
 
-    def put_many(self, entries: dict[bytes, dict]) -> bool:
+    def put_many(self, entries: dict[bytes, bytes | str]) -> bool:
         """Add every entry to the open write transaction, in order, and
         commit it if it is COMMIT_INTERVAL_S old; True if this call
         committed. If a statement fails, the transaction is rolled back,
         with every entry not yet committed."""
-        rows = [(key, _VALUE_ENCODER.encode(value)) for key, value in entries.items()]
-        if not rows:
+        if not entries:
             return False
         with self._lock:
             try:
@@ -405,7 +423,8 @@ class ResponseCache:
                     self._conn.execute("BEGIN IMMEDIATE")
                     self._began = time.monotonic()
                 self._conn.executemany(
-                    "INSERT OR REPLACE INTO responses (key, value) VALUES (?, ?)", rows)
+                    "INSERT OR REPLACE INTO responses (key, value) VALUES (?, ?)",
+                    entries.items())
             except BaseException:
                 if self._conn.in_transaction:
                     self._conn.execute("ROLLBACK")
@@ -553,43 +572,48 @@ class ModelGateway:
                     self._sleep(delay)
         raise TransportError(str(last_exc), attempts=RETRY_ATTEMPTS)
 
-    def _call_many(self, kind: str, requests: Sequence, bypass_cache: bool,
-                   parse: Callable[[object, dict], T]) -> list[T]:
-        """parse(request, body) for each request's response body, in order,
+    def _call_many(self, kind: str, requests: Sequence, bypass_cache: bool) -> list:
+        """What kind's parser makes of each request's response, in order,
         one batch per BATCH_SIZE requests.
 
         Each distinct key of a batch is looked up once and fetched at most
-        once. A fetched body is parsed before it is stored, so one that
-        parse rejects (ProtocolError) is never cached and a rerun asks the
-        backend again. Valid responses fetched before a failure are still
-        stored, and committed before the failure is raised.
+        once. A cached value that does not decode is a miss, so the request
+        is fetched again and its new value replaces the old. A fetched body
+        is parsed before it is stored, so one that the parser rejects
+        (ProtocolError) is never cached and a rerun asks the backend again.
+        Valid responses fetched before a failure are still stored, and
+        committed before the failure is raised.
         """
         try:
-            return self._call_batches(kind, requests, bypass_cache, parse)
+            return self._call_batches(kind, requests, bypass_cache)
         except BaseException:
             self.commit()
             raise
 
-    def _call_batches(self, kind: str, requests: Sequence, bypass_cache: bool,
-                      parse: Callable[[object, dict], T]) -> list[T]:
-        results: list[T] = []
+    def _call_batches(self, kind: str, requests: Sequence, bypass_cache: bool) -> list:
+        parse, encode, decode = _KINDS[kind]
+        results = []
         for chunk in chunked(requests):
             bodies = [r.to_body(self.model) for r in chunk]
             keys = [bytes.fromhex(_cache_key(self.backend.identity, self.model, kind, body))
                     for body in bodies]
             self.requests += len(keys)
-            found: dict[bytes, dict] = {}
+            found: dict[bytes, dict] = {}  # decoded cache values, as bodies
             if self.cache is not None and self.read_cache and not bypass_cache:
-                found = self.cache.get_many(keys)
-            missing = {key: (r, body) for key, r, body in zip(keys, chunk, bodies)
-                       if key not in found}
+                for key, value in self.cache.get_many(keys).items():
+                    try:
+                        found[key] = decode(value)
+                    except ValueError:
+                        log.warning("discarding undecodable cache entry %s in %s",
+                                    key.hex(), self.cache.path)
+            missing = {key: body for key, body in zip(keys, bodies) if key not in found}
             fetched: dict[bytes, dict] = {}  # every response the backend returned
-            parsed: dict[bytes, T] = {}  # the valid ones, parsed
+            parsed = {}  # the valid ones, parsed
 
-            def fetch(item: tuple[bytes, tuple[object, dict]]) -> None:
-                key, (request, body) = item
+            def fetch(item: tuple[bytes, dict]) -> None:
+                key, body = item
                 fetched[key] = self._fetch(kind, body)
-                parsed[key] = parse(request, fetched[key])
+                parsed[key] = parse(fetched[key])
 
             try:
                 self.fan_out(fetch, missing.items())
@@ -598,20 +622,19 @@ class ModelGateway:
                 if self.cache is not None and parsed:
                     # put_many says whether it committed.
                     self.cache_commits += self.cache.put_many(
-                        {key: fetched[key] for key in parsed})
+                        {key: encode(result) for key, result in parsed.items()})
             if isinstance(self.backend, HttpBackend):
                 # Never hold the write lock while the next batch waits on the
                 # network.
                 self.commit()
             self.cache_hits += len(keys) - len(fetched)
-            results += [parsed[key] if key in parsed else parse(r, found[key])
-                        for key, r in zip(keys, chunk)]
+            results += [parsed[key] if key in parsed else parse(found[key]) for key in keys]
         return results
 
     def generate_many(self, requests: Sequence[GenerateRequest],
                       bypass_cache: bool = False) -> list[str]:
         """The generated text for each request, in order."""
-        return self._call_many("generate", requests, bypass_cache, _generated_text)
+        return self._call_many("generate", requests, bypass_cache)
 
     def generate(self, request: GenerateRequest, bypass_cache: bool = False) -> str:
         return self.generate_many([request], bypass_cache)[0]
@@ -626,7 +649,10 @@ class ModelGateway:
         cached and a rerun gets the EmptySpanError again from the cache. Any
         other malformed response raises ProtocolError and is not cached.
         """
-        return self._call_many("score", requests, bypass_cache, _score_response)
+        responses = self._call_many("score", requests, bypass_cache)
+        return [response if response.token_logprobs else EmptySpanError(
+                    f"no completion tokens scored for completion {request.completion!r}")
+                for request, response in zip(requests, responses)]
 
     def score(self, request: ScoreRequest, bypass_cache: bool = False) -> ScoreResponse:
         result = self.score_many([request], bypass_cache)[0]
@@ -635,22 +661,73 @@ class ModelGateway:
         return result
 
 
-def _generated_text(request: GenerateRequest, raw: dict) -> str:
+def _generated_text(raw: dict) -> str:
     if not isinstance(raw, dict) or not isinstance(raw.get("text"), str):
         raise ProtocolError(f"generate response missing text field: {raw!r:.200}")
     return raw["text"]
 
 
-def _score_response(request: ScoreRequest, raw: dict) -> ScoreResponse | EmptySpanError:
+def _text_body(value: bytes) -> dict:
+    text = json.loads(value.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+    if not isinstance(text, str):
+        raise ValueError(f"cached text is not a JSON string: {text!r:.200}")
+    return {"text": text}
+
+
+def _score_response(raw: dict) -> ScoreResponse:
+    """The body's token log-probabilities, each a float that is neither NaN
+    nor positive; none for a response that scores no tokens."""
     if not isinstance(raw, dict) or not isinstance(raw.get("token_logprobs"), list):
         raise ProtocolError(f"score response missing token_logprobs: {raw!r:.200}")
-    logprobs = raw["token_logprobs"]
-    if not logprobs:
-        return EmptySpanError(
-            f"no completion tokens scored for completion {request.completion!r}")
-    for lp in logprobs:
-        if not isinstance(lp, (int, float)):
-            raise ProtocolError(f"non-numeric logprob {lp!r}")
+    logprobs = []
+    for lp in raw["token_logprobs"]:
+        # bool is an int, and JSON's true and false arrive as bools.
+        if isinstance(lp, bool) or not isinstance(lp, (int, float)):
+            raise ProtocolError(f"non-numeric logprob {lp!r:.200}")
+        try:
+            lp = float(lp)
+        except OverflowError:
+            raise ProtocolError(f"logprob {lp!r:.200} is beyond float range") from None
+        if math.isnan(lp):
+            raise ProtocolError("logprob NaN is not a number")
         if lp > 0.0:
             raise ProtocolError(f"logprob {lp} is positive")
-    return ScoreResponse(token_logprobs=tuple(float(lp) for lp in logprobs))
+        logprobs.append(lp)
+    return ScoreResponse(token_logprobs=tuple(logprobs))
+
+
+def _packed_logprobs(response: ScoreResponse) -> bytes:
+    return struct.pack(f"<{len(response.token_logprobs)}d", *response.token_logprobs)
+
+
+def _logprobs_body(value: bytes) -> dict:
+    if len(value) % 8:
+        raise ValueError(f"cached logprobs of {len(value)} bytes are no whole doubles")
+    return {"token_logprobs": list(struct.unpack(f"<{len(value) // 8}d", value))}
+
+
+# Per request kind: parse, which checks a response body and returns what the
+# gateway reads of it, and how the cache keeps that: encode turns parse's
+# result into the stored value, decode turns a stored value back into a body
+# for parse, raising ValueError for a value that encode never writes.
+_KINDS = {
+    "generate": (_generated_text, _VALUE_ENCODER.encode, _text_body),
+    "score": (_score_response, _packed_logprobs, _logprobs_body),
+}
+
+
+def _stored_value(body: bytes) -> bytes | None:
+    """What the gateway stores for a response body kept as JSON text by
+    cache formats 0 and 1; None unless the body is one response the gateway
+    accepts, with exactly one of the fields text and token_logprobs."""
+    try:
+        raw = json.loads(body.decode("utf-8"))
+        if not isinstance(raw, dict) or ("text" in raw) == ("token_logprobs" in raw):
+            return None
+        parse, encode, _ = _KINDS["generate" if "text" in raw else "score"]
+        value = encode(parse(raw))
+        # A text holding a lone surrogate has no UTF-8 form for SQLite to
+        # store: encoding it here raises, and drops its row.
+        return value.encode("utf-8") if isinstance(value, str) else value
+    except (ValueError, ProtocolError):
+        return None

@@ -4,11 +4,14 @@ import hashlib
 import inspect
 import json
 import logging
+import math
 import os
 import random
 import sqlite3
+import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -17,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import evontree
 from evontree.errors import (
@@ -37,8 +40,11 @@ from evontree.gateway import (
     ModelGateway,
     ResponseCache,
     ScoreRequest,
+    ScoreResponse,
     _VALUE_ENCODER,
     _cache_key,
+    _logprobs_body,
+    _packed_logprobs,
 )
 
 
@@ -113,19 +119,53 @@ class TestCache:
                 == hashlib.sha256(canonical.encode("utf-8")).hexdigest())
 
     @settings(deadline=None)
-    @given(value=st.builds(
-        lambda fields, extra: {**extra, **fields},
-        st.fixed_dictionaries({}, optional={
-            "text": st.text(),
-            "token_logprobs": st.lists(st.floats() | st.integers(), max_size=5)}),
-        st.dictionaries(st.text(), st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
-                                                                        max_size=3),
-            max_leaves=8), max_size=3)))
-    def test_stored_value_is_the_json_dumps_text(self, value):
-        # The shared encoder stores the same bytes as a json.dumps per value.
-        assert _VALUE_ENCODER.encode(value) == json.dumps(value, ensure_ascii=False)
+    @given(text=st.text())
+    def test_stored_value_is_the_json_dumps_text(self, text):
+        # The shared encoder stores the same text as a json.dumps per value.
+        assert _VALUE_ENCODER.encode(text) == json.dumps(text, ensure_ascii=False)
+
+    @settings(deadline=None, max_examples=50)
+    @given(text=st.text(), logprobs=st.lists(st.floats(max_value=0.0), max_size=5))
+    @example(text="", logprobs=[-math.inf, -0.0])
+    def test_any_text_and_logprobs_read_back_equal(self, text, logprobs):
+        class Canned(FakeBackend):
+            def generate(self, body):
+                self.calls.append(("generate", body))
+                return {"text": text}
+
+            def score(self, body):
+                self.calls.append(("score", body))
+                return {"token_logprobs": logprobs}
+
+        gen = GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)
+        score = ScoreRequest(prompt="p", completion=" True")
+        answers = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for _ in range(2):  # the backend, then a fresh gateway on its cache
+                gw, backend = make_gateway(Path(tmp), backend=Canned())
+                try:
+                    [scored] = gw.score_many([score])
+                    answers.append((gw.generate(gen), backend.calls,
+                                    () if isinstance(scored, EmptySpanError)
+                                    else scored.token_logprobs))
+                finally:
+                    gw.close()
+        (first, first_calls, first_lps), (again, again_calls, again_lps) = answers
+        assert first == again == text
+        assert len(first_calls) == 2 and again_calls == []
+        # Bit for bit, so that -0.0 stays -0.0.
+        assert [struct.pack("<d", lp) for lp in again_lps] == [
+            struct.pack("<d", lp) for lp in first_lps] == [
+            struct.pack("<d", lp) for lp in logprobs]
+
+    @given(logprobs=st.lists(st.floats(allow_nan=False), max_size=8))
+    @example(logprobs=[-math.inf, -0.0, math.inf, 0.0])
+    def test_packed_logprobs_decode_to_themselves(self, logprobs):
+        value = _packed_logprobs(ScoreResponse(tuple(logprobs)))
+        assert len(value) == 8 * len(logprobs)
+        decoded = _logprobs_body(value)["token_logprobs"]
+        assert [struct.pack("<d", lp) for lp in decoded] == [
+            struct.pack("<d", lp) for lp in logprobs]
 
     def test_read_cache_false_still_writes(self, tmp_path):
         gw, backend = make_gateway(tmp_path, read_cache=False)
@@ -148,19 +188,35 @@ class TestCache:
 
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
         gw, backend = make_gateway(tmp_path)
-        req = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)
-        gw.generate(req)
-        # Not JSON, cut short, not UTF-8.
-        for n, bad_value in enumerate(["{not json", '{"text": "ge', b"\xc3\x28"], start=2):
+        gen = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)
+        score = ScoreRequest(prompt="x", completion=" True")
+
+        def call(req):
+            if req is gen:
+                return gw.generate(req)
+            return gw.score(req).token_logprobs
+
+        answers = {gen: call(gen), score: call(score)}
+        assert answers == {gen: "gen:x", score: (-0.5, -1.5)}
+        keys = {req: bytes.fromhex(_cache_key(backend.identity, "m1", kind, req.to_body("m1")))
+                for req, kind in ((gen, "generate"), (score, "score"))}
+        bad = [
+            # Not JSON, cut short, not UTF-8; a JSON body, not a JSON string.
+            *((gen, "CAST(? AS TEXT)", value)
+              for value in ["{not json", '{"text": "ge', b"\xc3\x28", '{"text": "gen:x"}']),
+            # A score cut inside its first double.
+            (score, "substr(value, 1, ?)", 7),
+        ]
+        for n, (req, new_value, arg) in enumerate(bad, start=3):
             gw.commit()  # so that another connection can write
             with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as db, db:
-                updated = db.execute("UPDATE responses SET value = CAST(? AS TEXT)",
-                                     (bad_value,))
+                updated = db.execute(f"UPDATE responses SET value = {new_value} WHERE key = ?",
+                                     (arg, keys[req]))
                 assert updated.rowcount == 1
-            assert gw.generate(req) == "gen:x"
+            assert call(req) == answers[req]
             assert len(backend.calls) == n
             # The refetched response replaced the bad row: the next call is a hit.
-            assert gw.generate(req) == "gen:x"
+            assert call(req) == answers[req]
             assert len(backend.calls) == n
 
     def test_file_that_is_not_a_database_is_reported(self, tmp_path):
@@ -185,8 +241,9 @@ def cache_key(i: int) -> bytes:
     return i.to_bytes(32, "big")
 
 
-def cache_value(i: int) -> dict:
-    return {"text": "v" * (i % 50) + str(i), "i": i}
+def cache_value(i: int) -> bytes:
+    """A generation's stored value, as the cache returns it."""
+    return json.dumps("v" * (i % 50) + str(i)).encode()
 
 
 def run_python(script: str, cache_dir: Path) -> subprocess.Popen:
@@ -204,7 +261,7 @@ def run_cache_writer(cache_dir: Path, body: str) -> subprocess.Popen:
     ResponseCache on cache_dir and `cache_key` and `cache_value` defined as
     here. The process prints "opening" just before it opens the cache."""
     return run_python("\n".join([
-        "import os, sys, threading, time",
+        "import json, os, sys, threading, time",
         "from evontree.gateway import ResponseCache",
         "print('opening', flush=True)",
         "cache = ResponseCache(sys.argv[1])",
@@ -214,12 +271,12 @@ def run_cache_writer(cache_dir: Path, body: str) -> subprocess.Popen:
     ]), cache_dir)
 
 
-def committed(cache_dir: Path) -> dict[bytes, dict]:
-    """The entries another connection sees in cache_dir's database,
-    decoded; each must be valid JSON."""
+def committed(cache_dir: Path) -> dict[bytes, bytes]:
+    """The entries another connection sees in cache_dir's database, each
+    value as bytes, as ResponseCache returns it."""
     with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
-        return {key: json.loads(value)
-                for key, value in db.execute("SELECT key, value FROM responses")}
+        db.text_factory = bytes
+        return dict(db.execute("SELECT key, value FROM responses"))
 
 
 class TestCacheCommits:
@@ -298,12 +355,12 @@ class TestCacheConcurrency:
         # The case of a judge gateway on its own endpoint sharing the cache.
         a, b = ResponseCache(tmp_path), ResponseCache(tmp_path)
         try:
-            a.put(b"k1", {"text": "from a"})
-            assert b.get(b"k1") == {"text": "from a"}
-            b.put(b"k2", {"text": "from b"})
-            assert a.get(b"k2") == {"text": "from b"}
-            b.put(b"k1", {"text": "replaced by b"})
-            assert a.get(b"k1") == {"text": "replaced by b"}
+            a.put(b"k1", '"from a"')
+            assert b.get(b"k1") == b'"from a"'
+            b.put(b"k2", struct.pack("<d", -0.5))
+            assert a.get(b"k2") == struct.pack("<d", -0.5)
+            b.put(b"k1", '"replaced by b"')
+            assert a.get(b"k1") == b'"replaced by b"'
         finally:
             a.close()
             b.close()
@@ -339,42 +396,68 @@ class TestCacheConcurrency:
             cache.close()
 
 
-def write_hex_key_cache(cache_dir: Path, rows: list[tuple[str, str]]) -> None:
-    """A cache file as evontree wrote it before keys were stored as bytes:
-    format 0 (no user_version), each key as 64 hex digits of TEXT."""
+def write_older_cache(cache_dir: Path, version: int,
+                      rows: list[tuple[bytes | str, str]]) -> list[tuple]:
+    """A cache file as an earlier evontree wrote it, each value a whole
+    response body as JSON text: format 0 (no user_version), with a digest
+    key stored as 64 hex digits of TEXT, or format 1, with it as 32 bytes.
+    A str key is stored as it is. Returns the rows as stored."""
+    stored = [(key.hex() if version == 0 and isinstance(key, bytes) else key, value)
+              for key, value in rows]
     cache_dir.mkdir(parents=True, exist_ok=True)
     with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
         db.execute("PRAGMA journal_mode=WAL")
-        db.execute("CREATE TABLE responses (key TEXT PRIMARY KEY, value TEXT NOT NULL) "
-                   "WITHOUT ROWID")
+        db.execute(f"CREATE TABLE responses (key {'TEXT' if version == 0 else 'BLOB'} "
+                   "PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID")
+        db.execute(f"PRAGMA user_version = {version}")
         with db:
-            db.executemany("INSERT INTO responses (key, value) VALUES (?, ?)", rows)
+            db.executemany("INSERT INTO responses (key, value) VALUES (?, ?)", stored)
+    return stored
 
 
-def numbered_rows(n: int) -> list[tuple[str, str]]:
-    """n entries in the older format, keyed by cache_key(i) in hex."""
-    return [(cache_key(i).hex(), json.dumps(cache_value(i))) for i in range(n)]
+def numbered_rows(n: int) -> list[tuple[bytes, str]]:
+    """n generate responses as an earlier format kept them, keyed by
+    cache_key(i): each body has cache_value(i)'s text and one more field."""
+    return [(cache_key(i), json.dumps({"text": json.loads(cache_value(i)), "i": i}))
+            for i in range(n)]
+
+
+older_formats = pytest.mark.parametrize("version", [0, 1], ids=lambda v: f"format{v}")
 
 
 class TestCacheFormat:
-    def test_older_format_is_rewritten_and_every_entry_replayed(self, tmp_path, caplog):
+    @older_formats
+    def test_older_format_is_rewritten_and_every_entry_replayed(self, tmp_path, caplog,
+                                                                version):
         generates = prompts(3)
         scores = [ScoreRequest(prompt=f"s{i}", completion=" True") for i in range(2)]
         identity = FakeBackend().identity
 
         def row(kind, request, response):
             key = _cache_key(identity, "m1", kind, request.to_body("m1"))
-            return key, json.dumps(response, ensure_ascii=False)
+            return bytes.fromhex(key), json.dumps(response, ensure_ascii=False)
 
-        rows = [*(row("generate", r, {"text": f"cached:{r.prompt} é"}) for r in generates),
+        rows = [*(row("generate", r, {"text": f"cached:{r.prompt} é", "finish_reason": "stop"})
+                  for r in generates),
                 *(row("score", r, {"token_logprobs": [-0.25, -0.5]}) for r in scores)]
-        # Keys that hexdigest never wrote: too short, not hex, upper case.
-        stray = [("not a digest", "{}"), ("g" * 64, "{}"), (rows[0][0].upper(), "{}")]
-        write_hex_key_cache(tmp_path / "cache", rows + stray)
-        with caplog.at_level(logging.WARNING, logger="evontree.gateway"):
+        # Values that are no response the gateway accepts: no known field,
+        # both fields, logprobs it rejects, not an object, and a text that
+        # SQLite cannot store (a lone surrogate has no UTF-8 form).
+        stray = [(cache_key(i), value) for i, value in enumerate([
+            '{"x": 1}', '{"text": "t", "token_logprobs": [-1.0]}',
+            '{"token_logprobs": [false]}', '{"token_logprobs": [NaN]}', '["text"]',
+            '{"text": "\\ud800"}'])]
+        if version == 0:
+            # Keys that hexdigest never wrote: too short, not hex, upper case.
+            stray += [("not a digest", "{}"), ("g" * 64, "{}"), (rows[0][0].hex().upper(), "{}")]
+        write_older_cache(tmp_path / "cache", version, rows + stray)
+        with caplog.at_level(logging.INFO, logger="evontree.gateway"):
             gw, backend = make_gateway(tmp_path)
+        # One rewrite, even from format 0.
         assert [r.getMessage() for r in caplog.records] == [
-            f"dropping 3 cache entries whose key is not a hex digest from {gw.cache.path}"]
+            f"dropping {len(stray)} cache entries that are not a response under a digest key "
+            f"from {gw.cache.path}",
+            f"rewrote 5 cache entries in {gw.cache.path} to format {CACHE_FORMAT}"]
         assert gw.generate_many(generates) == [f"cached:{r.prompt} é" for r in generates]
         assert [r.token_logprobs for r in gw.score_many(scores)] == [(-0.25, -0.5)] * 2
         assert backend.calls == [] and gw.cache_hits == 5
@@ -386,13 +469,17 @@ class TestCacheFormat:
                               "GROUP BY 1, 2").fetchall() == [("blob", 32, 5)]
             # The rewrite vacuumed the file: the old table left no free pages.
             assert db.execute("PRAGMA freelist_count").fetchone() == (0,)
+        # Only the field the gateway reads is kept.
+        assert sorted(committed(tmp_path / "cache").values()) == sorted(
+            [json.dumps(f"cached:{r.prompt} é", ensure_ascii=False).encode() for r in generates]
+            + [struct.pack("<2d", -0.25, -0.5)] * 2)
 
     def test_new_file_starts_in_the_current_format(self, tmp_path):
         ResponseCache(tmp_path).close()
         with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
             assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
             [(sql,)] = db.execute("SELECT sql FROM sqlite_master WHERE type = 'table'")
-        assert sql == ("CREATE TABLE responses (key BLOB PRIMARY KEY, value TEXT NOT NULL) "
+        assert sql == ("CREATE TABLE responses (key BLOB PRIMARY KEY, value BLOB NOT NULL) "
                        "WITHOUT ROWID")
 
     def test_unknown_format_is_refused_and_left_alone(self, tmp_path):
@@ -405,16 +492,19 @@ class TestCacheFormat:
         with closing(sqlite3.connect(path)) as db:
             assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT + 1,)
 
-    def test_two_processes_upgrade_one_older_file_once(self, tmp_path):
+    @older_formats
+    def test_two_processes_upgrade_one_older_file_once(self, tmp_path, version):
         n = 200
-        write_hex_key_cache(tmp_path, numbered_rows(n) + [("k1", "{}")])
+        # One row to drop: a key that is no digest, or a value that is no response.
+        stray = ("k1", "{}") if version == 0 else (cache_key(n), '{"x": 1}')
+        write_older_cache(tmp_path, version, numbered_rows(n) + [stray])
         body = f"""
             got = cache.get_many([cache_key(i) for i in range({n})])
             assert got == {{cache_key(i): cache_value(i) for i in range({n})}}, len(got)
             cache.close()
         """
         # Both processes open the file while this connection holds its write
-        # lock, so both find format 0 and then wait for the lock.
+        # lock, so both find the older format and then wait for the lock.
         with closing(sqlite3.connect(tmp_path / CACHE_FILE, isolation_level=None)) as holder:
             holder.execute("BEGIN IMMEDIATE")
             procs = [run_cache_writer(tmp_path, body) for _ in range(2)]
@@ -435,10 +525,11 @@ class TestCacheFormat:
             keys = [key for (key,) in db.execute("SELECT key FROM responses")]
         assert sorted(keys) == [cache_key(i) for i in range(n)]
 
-    def test_upgrade_killed_part_way_leaves_the_older_file(self, tmp_path):
+    @older_formats
+    def test_upgrade_killed_part_way_leaves_the_older_file(self, tmp_path, version):
         n = 50
-        write_hex_key_cache(tmp_path, numbered_rows(n))
-        # The process ends abruptly while the upgrade copies its third key.
+        stored = write_older_cache(tmp_path, version, numbered_rows(n))
+        # The process ends abruptly while the upgrade copies its third entry.
         script = textwrap.dedent("""
             import functools, os, sqlite3, sys
             from evontree.gateway import ResponseCache
@@ -461,10 +552,10 @@ class TestCacheFormat:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
-            assert db.execute("PRAGMA user_version").fetchone() == (0,)
+            assert db.execute("PRAGMA user_version").fetchone() == (version,)
             assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
             assert db.execute("SELECT key, value FROM responses ORDER BY key").fetchall() \
-                == sorted(numbered_rows(n))
+                == sorted(stored)
         cache = ResponseCache(tmp_path)
         try:
             assert cache.get_many([cache_key(i) for i in range(n)]) \
@@ -752,6 +843,26 @@ class TestScoreValidation:
         with pytest.raises(ProtocolError):
             gw.score(ScoreRequest(prompt="p", completion=" True"))
 
+    @pytest.mark.parametrize("logprob, message", [
+        ("false", "non-numeric logprob False"),
+        ("true", "non-numeric logprob True"),
+        ("NaN", "logprob NaN is not a number"),
+        ("-1" + "0" * 400, "logprob -1000.* is beyond float range"),
+    ], ids=["false", "true", "nan", "int_beyond_float_range"])
+    def test_logprob_that_is_not_a_real_number_rejected(self, tmp_path, logprob, message):
+        # Each body as Python's json reads it from an HTTP reply.
+        class JsonBackend(FakeBackend):
+            def score(self, body):
+                self.calls.append(("score", body))
+                return json.loads(f'{{"token_logprobs": [-0.5, {logprob}]}}')
+
+        gw, backend = make_gateway(tmp_path, backend=JsonBackend())
+        with pytest.raises(ProtocolError, match=message):
+            gw.score(ScoreRequest(prompt="p", completion=" True"))
+        gw.close()
+        assert len(backend.calls) == 1  # not retried
+        assert committed(tmp_path / "cache") == {}  # nor cached
+
 
 class _WireHandler(BaseHTTPRequestHandler):
     seen: list = []
@@ -983,17 +1094,17 @@ def http_gateway(fault_server, tmp_path):
         gw.close()
 
 
-def stored_responses(gw: ModelGateway) -> dict[bytes, dict]:
-    """Every committed entry of the gateway's cache database, decoded; each
-    must be valid JSON."""
+def stored_responses(gw: ModelGateway) -> dict[bytes, bytes]:
+    """Every committed entry of the gateway's cache database, as stored."""
     return committed(gw.cache.cache_dir)
 
 
-def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[bytes, dict]:
-    """The cache entries the echo server's answers to requests make."""
+def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[bytes, bytes]:
+    """The cache entries the echo server's answers to requests make: each
+    generated text as a JSON string."""
     return {bytes.fromhex(_cache_key(gw.backend.identity, gw.model, "generate",
                                      r.to_body(gw.model))):
-            {"text": f"echo:{r.prompt}"} for r in requests}
+            json.dumps(f"echo:{r.prompt}").encode() for r in requests}
 
 
 class TestHttpFaults:

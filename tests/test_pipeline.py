@@ -9,6 +9,7 @@ import math
 import os
 import shutil
 import sqlite3
+import struct
 import subprocess
 import sys
 import textwrap
@@ -289,12 +290,15 @@ KILLED_MID_CALIBRATE = textwrap.dedent("""
 """)
 
 
-def stored_rows(cache_dir: Path) -> dict[bytes, str]:
-    """Every row of cache_dir's database, as stored, once SQLite finds the
-    file sound."""
+def stored_rows(cache_dir: Path) -> dict[bytes, str | tuple[float, ...]]:
+    """Every row of cache_dir's database, decoded, once SQLite finds the
+    file sound: a generation's text from its JSON string, a score's
+    logprobs from its packed doubles."""
     with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
         assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
-        return dict(db.execute("SELECT key, value FROM responses"))
+        rows = db.execute("SELECT key, value FROM responses").fetchall()
+    return {key: json.loads(value) if isinstance(value, str)
+            else struct.unpack(f"<{len(value) // 8}d", value) for key, value in rows}
 
 
 class TestCrash:
@@ -315,7 +319,7 @@ class TestCrash:
         clean = stored_rows(completed_run.config.output.resolved_cache_dir())
         assert 0 < len(left) < len(clean)
         for key, value in left.items():
-            assert json.loads(value) == json.loads(clean[key])
+            assert value == clean[key]
 
         ctx = RunContext(make_config(tmp_path))
         try:
