@@ -7,8 +7,10 @@ errors.check_domain). One loader walks the fields, recursing into nested
 sections. Validation is strict and happens before any network activity:
 unknown keys anywhere are errors (catching typos beats silently ignoring
 them), a bool is not a number, and every value is checked against its
-domain on load. Rules that span fields are written out below or in a
-section's __post_init__. Relative paths are resolved against the directory
+domain on load. A string must have a UTF-8 form: JSON can spell a lone
+surrogate as an escape, and one would reach the response cache's keys.
+Rules that span fields are written out below or in a section's
+__post_init__. Relative paths are resolved against the directory
 containing the config file, so a config can travel with its runs.
 """
 
@@ -147,7 +149,16 @@ def _load_value(tp, value, where: str):
     allowed = _JSON_TYPES[tp]
     if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
         raise ConfigError(f"{where} has the wrong type: {value!r}")
+    if isinstance(value, str):
+        _check_utf8(value, where)
     return Path(value) if tp is Path else value
+
+
+def _check_utf8(text: str, where: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{where} has no UTF-8 form: {text!r}") from None
 
 
 def _load_section(cls, obj, where: str):
@@ -187,8 +198,9 @@ def _resolve_model(model: ModelConfig, obj: dict) -> ModelConfig:
         raise ConfigError(f"{where}.synthetic only applies to kind 'synthetic'")
     override = os.environ.get(ENDPOINT_ENV_VAR)
     if override:
-        check_domain(override, URL_DOMAIN, f"{ENDPOINT_ENV_VAR} (overriding {where}.endpoint)",
-                     ConfigError)
+        source = f"{ENDPOINT_ENV_VAR} (overriding {where}.endpoint)"
+        _check_utf8(override, source)
+        check_domain(override, URL_DOMAIN, source, ConfigError)
     endpoint = override or model.endpoint
     if not endpoint:
         raise ConfigError(

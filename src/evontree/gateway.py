@@ -12,15 +12,24 @@ generation's text as a JSON string. A database written by an earlier
 version, with whole response bodies as JSON text, is rewritten in place and
 vacuumed when it is first opened.
 
+A cache hit costs one digest, one B-tree probe and one decode: each request
+writes its canonical JSON text straight from its fields (body_text), and
+only a request sent to the backend is turned into a body dict (to_body).
+The decode makes the caller's str or ScoreResponse with the same checks a
+fetched response passes, so a stored value that fails them, such as a NaN
+or positive log-probability, is a miss: it is fetched again and replaced.
+
 Requests travel in batches: ModelGateway.score_many and generate_many take
-a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup.
-The responses it fetched go into the cache's open write transaction. For an
-in-process backend that transaction is committed once it is
-COMMIT_INTERVAL_S old, when a batch raises, and when the stage or the
-gateway ends, so a run commits about once a second instead of once a batch.
-Responses from an HTTP endpoint are committed with each batch, so the write
-lock is never held while requests wait on the network. A single generate or
-score is a batch of one; ResponseCache.put stores one entry and commits.
+a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup
+of its distinct keys. The responses it fetched go into the cache's open
+write transaction. For an in-process backend that transaction is committed
+once it is COMMIT_INTERVAL_S old, when a batch raises, and when the stage or
+the gateway ends, so a run commits about once a second instead of once a
+batch. A backend that declares remote = True, as HttpBackend does, has its
+misses fanned out over threads and its responses committed with each batch,
+so the write lock is never held while requests wait on the network. A
+single generate or score is a batch of one; ResponseCache.put stores one
+entry and commits.
 
 HttpBackend speaks HTTP/1.1 through the standard library's http.client, so
 the package has no runtime dependency: each thread that calls it keeps one
@@ -44,6 +53,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
+from json.decoder import scanstring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
@@ -66,7 +76,7 @@ RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
 
 # Requests per batch: one cache lookup each, and the unit fanned out over
-# an HTTP endpoint's threads. Large enough that lookups cost little next to
+# a remote backend's threads. Large enough that lookups cost little next to
 # the requests, small enough that a batch never holds a whole stage's
 # requests, and below SQLite's oldest limit of 999 parameters per statement.
 # Commits follow COMMIT_INTERVAL_S instead.
@@ -85,6 +95,21 @@ def chunked(items: Iterable[T], size: int = BATCH_SIZE) -> Iterator[list[T]]:
         yield chunk
 
 
+# json's own spelling of a str, as json.dumps(..., ensure_ascii=False)
+# writes it: the C function every JSON encoder calls.
+_string = json.encoder.encode_basestring
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _number(x: int | float) -> str:
+    """An int or a float, not a bool, as json.dumps writes it."""
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    return _NON_FINITE.get(x) or float.__repr__(x)
+
+
 @dataclass(frozen=True)
 class GenerateRequest:
     prompt: str
@@ -101,6 +126,13 @@ class GenerateRequest:
             "stop": list(self.stop),
         }
 
+    def body_text(self, model: str) -> str:
+        """to_body(model) as canonical JSON text: keys sorted, no spaces,
+        non-ASCII characters as they are."""
+        return '{"max_tokens":%s,"model":%s,"prompt":%s,"stop":[%s],"temperature":%s}' % (
+            _number(self.max_tokens), _string(model), _string(self.prompt),
+            ",".join(map(_string, self.stop)), _number(self.temperature))
+
 
 @dataclass(frozen=True)
 class ScoreRequest:
@@ -110,6 +142,11 @@ class ScoreRequest:
     def to_body(self, model: str) -> dict:
         return {"model": model, "prompt": self.prompt, "completion": self.completion}
 
+    def body_text(self, model: str) -> str:
+        """to_body(model) as canonical JSON text, like GenerateRequest's."""
+        return '{"completion":%s,"model":%s,"prompt":%s}' % (
+            _string(self.completion), _string(model), _string(self.prompt))
+
 
 @dataclass(frozen=True)
 class ScoreResponse:
@@ -118,7 +155,12 @@ class ScoreResponse:
 
 class Backend(Protocol):
     """Transport for one endpoint. Raises TransportError for network-level
-    failures and returns the decoded JSON body otherwise."""
+    failures and returns the decoded JSON body otherwise.
+
+    A backend whose requests wait on the network declares the class
+    attribute remote = True: the gateway then fans a batch's misses out over
+    max_in_flight threads and commits each batch's responses. A backend
+    without it answers in process, on the calling thread."""
 
     identity: str
 
@@ -139,6 +181,8 @@ class HttpBackend:
     raises ProtocolError. Every reply is read to its end, so its connection
     can carry the next request.
     """
+
+    remote = True
 
     def __init__(self, endpoint: str, timeout_s: float = 120.0) -> None:
         # Imported here, so that only a process that talks to an endpoint
@@ -218,9 +262,8 @@ class HttpBackend:
                 conn.close()
 
 
-# One encoder for every key and one for every stored text: json.dumps with
-# options builds a new encoder per call.
-_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# One encoder for every stored text: json.dumps with options builds a new
+# encoder per call.
 _VALUE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
@@ -228,17 +271,18 @@ _VALUE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 def _key_tail(identity: str, model: str, kind: str) -> str:
     """The canonical key text after the body: the other three fields in
     sorted order, escaped once per gateway and request kind."""
-    return ',"endpoint":%s,"kind":%s,"model":%s}' % tuple(
-        map(_KEY_ENCODER.encode, (identity, kind, model)))
+    return ',"endpoint":%s,"kind":%s,"model":%s}' % (
+        _string(identity), _string(kind), _string(model))
 
 
-def _cache_key(identity: str, model: str, kind: str, body: dict) -> str:
-    """The SHA-256, in hex, of the request's canonical JSON text: the same
-    bytes as json.dumps({"endpoint", "model", "kind", "body"},
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False), with the
-    body's encoding the only per-request work."""
-    canonical = '{"body":' + _KEY_ENCODER.encode(body) + _key_tail(identity, model, kind)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _cache_key(identity: str, model: str, kind: str,
+               request: GenerateRequest | ScoreRequest) -> bytes:
+    """The 32-byte SHA-256 digest of the request's canonical JSON text: the
+    same bytes as json.dumps({"endpoint": identity, "model": model, "kind":
+    kind, "body": request.to_body(model)}, sort_keys=True, separators=(",",
+    ":"), ensure_ascii=False), written without building the body."""
+    canonical = '{"body":' + request.body_text(model) + _key_tail(identity, model, kind)
+    return hashlib.sha256(canonical.encode("utf-8")).digest()
 
 
 CACHE_FILE = "responses.sqlite3"
@@ -268,8 +312,10 @@ class ResponseCache:
     """Response cache in one SQLite database, cache_dir/responses.sqlite3.
 
     Each entry maps a request's 32-byte SHA-256 digest (a BLOB key; see
-    _cache_key for the hex form) to a value encoded by ModelGateway: bytes
-    or str in, bytes out, whatever the request kind. A file in an older
+    _cache_key) to a value encoded by ModelGateway: bytes or str in, bytes
+    out, whatever the request kind. The cache never looks inside a value;
+    ModelGateway decodes and checks it, and treats one that fails as a
+    miss. A file in an older
     layout (format 0, keys as 64 hex digits of TEXT, or format 1, BLOB keys)
     keeps each whole response body as JSON text. It is rewritten in place
     on its first open, in one transaction: each body becomes the value
@@ -291,8 +337,8 @@ class ResponseCache:
     processes wait for the commit, up to CACHE_BUSY_TIMEOUT_S; readers do
     not wait, as the database runs in WAL mode. One connection serves all
     threads of this instance, behind a lock. A put of a stored key replaces
-    its value, so a value that ModelGateway cannot decode, which it treats
-    as a miss, is replaced once the response is fetched again.
+    its value, so a value that ModelGateway refuses is replaced once the
+    response is fetched again.
     """
 
     def __init__(self, cache_dir: Path) -> None:
@@ -465,13 +511,14 @@ class ModelGateway:
     format. With read_cache=False the cache is still written, so a later
     run can reuse the responses.
 
-    Requests to an HTTP endpoint wait on the network, so a batch's cache
-    misses fan out over max_in_flight threads. An in-process backend holds
-    the interpreter lock while it works, where threads only add contention;
-    its misses are fetched in order on the calling thread.
+    Requests to a remote backend (one that declares remote = True, such as
+    HttpBackend) wait on the network, so a batch's cache misses fan out over
+    max_in_flight threads. An in-process backend holds the interpreter lock
+    while it works, where threads only add contention; its misses are
+    fetched in order on the calling thread.
 
     Each batch stores the responses it fetched in the cache's open write
-    transaction. An HTTP endpoint's are committed with their batch. An
+    transaction. A remote backend's are committed with their batch. An
     in-process backend's are committed by the cache once the transaction
     is COMMIT_INTERVAL_S old, and by commit(), which a batch that raises,
     close() and the pipeline's stage runner call. Until then this gateway
@@ -498,6 +545,7 @@ class ModelGateway:
         max_in_flight: int = 1,
     ) -> None:
         self.backend = backend
+        self.remote = getattr(backend, "remote", False)
         self.model = model
         self.cache = ResponseCache(cache_dir) if cache_dir is not None else None
         self.read_cache = read_cache
@@ -538,13 +586,13 @@ class ModelGateway:
 
     def fan_out(self, fn: Callable[[T], object], items: Iterable[T]) -> list:
         """fn over items, results in item order: over max_in_flight threads
-        for an HTTP endpoint, else one by one on this thread.
+        for a remote backend, else one by one on this thread.
 
         On a failure, items not yet started are dropped and running ones
         finish before the first failure is raised, so no call outlives this.
         """
         items = list(items)
-        if not isinstance(self.backend, HttpBackend) or self.max_in_flight <= 1 or len(items) <= 1:
+        if not self.remote or self.max_in_flight <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
@@ -577,12 +625,13 @@ class ModelGateway:
         one batch per BATCH_SIZE requests.
 
         Each distinct key of a batch is looked up once and fetched at most
-        once. A cached value that does not decode is a miss, so the request
-        is fetched again and its new value replaces the old. A fetched body
-        is parsed before it is stored, so one that the parser rejects
-        (ProtocolError) is never cached and a rerun asks the backend again.
-        Valid responses fetched before a failure are still stored, and
-        committed before the failure is raised.
+        once; only a fetched request is turned into a body. A cached value
+        that decode refuses is a miss, so the request is fetched again and
+        its new value replaces the old. A fetched body is parsed before it
+        is stored, so one that the parser rejects (ProtocolError) is never
+        cached and a rerun asks the backend again. Valid responses fetched
+        before a failure are still stored, and committed before the failure
+        is raised.
         """
         try:
             return self._call_batches(kind, requests, bypass_cache)
@@ -592,27 +641,27 @@ class ModelGateway:
 
     def _call_batches(self, kind: str, requests: Sequence, bypass_cache: bool) -> list:
         parse, encode, decode = _KINDS[kind]
+        identity, model = self.backend.identity, self.model
+        reading = self.cache is not None and self.read_cache and not bypass_cache
         results = []
         for chunk in chunked(requests):
-            bodies = [r.to_body(self.model) for r in chunk]
-            keys = [bytes.fromhex(_cache_key(self.backend.identity, self.model, kind, body))
-                    for body in bodies]
+            keys = [_cache_key(identity, model, kind, request) for request in chunk]
             self.requests += len(keys)
-            found: dict[bytes, dict] = {}  # decoded cache values, as bodies
-            if self.cache is not None and self.read_cache and not bypass_cache:
-                for key, value in self.cache.get_many(keys).items():
+            found = {}  # what decode makes of each stored value it accepts
+            if reading:
+                for key, value in self.cache.get_many(sorted(set(keys))).items():
                     try:
                         found[key] = decode(value)
-                    except ValueError:
-                        log.warning("discarding undecodable cache entry %s in %s",
-                                    key.hex(), self.cache.path)
-            missing = {key: body for key, body in zip(keys, bodies) if key not in found}
+                    except ValueError as exc:
+                        log.warning("fetching again cache entry %s in %s, which fails its "
+                                    "checks: %s", key.hex(), self.cache.path, exc)
+            missing = {key: request for key, request in zip(keys, chunk) if key not in found}
             fetched: dict[bytes, dict] = {}  # every response the backend returned
             parsed = {}  # the valid ones, parsed
 
-            def fetch(item: tuple[bytes, dict]) -> None:
-                key, body = item
-                fetched[key] = self._fetch(kind, body)
+            def fetch(item: tuple[bytes, GenerateRequest | ScoreRequest]) -> None:
+                key, request = item
+                fetched[key] = self._fetch(kind, request.to_body(model))
                 parsed[key] = parse(fetched[key])
 
             try:
@@ -623,12 +672,13 @@ class ModelGateway:
                     # put_many says whether it committed.
                     self.cache_commits += self.cache.put_many(
                         {key: encode(result) for key, result in parsed.items()})
-            if isinstance(self.backend, HttpBackend):
+            if self.remote:
                 # Never hold the write lock while the next batch waits on the
                 # network.
                 self.commit()
             self.cache_hits += len(keys) - len(fetched)
-            results += [parsed[key] if key in parsed else parse(found[key]) for key in keys]
+            found.update(parsed)
+            results += map(found.__getitem__, keys)
         return results
 
     def generate_many(self, requests: Sequence[GenerateRequest],
@@ -662,16 +712,29 @@ class ModelGateway:
 
 
 def _generated_text(raw: dict) -> str:
-    if not isinstance(raw, dict) or not isinstance(raw.get("text"), str):
+    """The body's generated text, which must have a UTF-8 form: a lone
+    surrogate, which JSON can spell as an escape, has none."""
+    if not isinstance(raw, dict) or not isinstance(text := raw.get("text"), str):
         raise ProtocolError(f"generate response missing text field: {raw!r:.200}")
-    return raw["text"]
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ProtocolError(f"generated text {text!r:.200} has no UTF-8 form: {exc}") from None
+    return text
 
 
-def _text_body(value: bytes) -> dict:
-    text = json.loads(value.decode("utf-8"))  # UnicodeDecodeError is a ValueError
-    if not isinstance(text, str):
-        raise ValueError(f"cached text is not a JSON string: {text!r:.200}")
-    return {"text": text}
+def _stored_text(value: bytes) -> str:
+    """The generated text a stored value holds: UTF-8 JSON text of one
+    string, as _VALUE_ENCODER writes it, that has a UTF-8 form itself."""
+    stored = value.decode("utf-8")  # UnicodeDecodeError is a ValueError
+    # scanstring reads a JSON string from after its opening quote to its
+    # end, raising ValueError for a bad escape, a control character or no
+    # closing quote.
+    text, end = scanstring(stored, 1)
+    if not stored.startswith('"') or end != len(stored):
+        raise ValueError(f"cached text is not one JSON string: {stored!r:.200}")
+    text.encode("utf-8")  # a lone surrogate, spelt as an escape, raises a ValueError
+    return text
 
 
 def _score_response(raw: dict) -> ScoreResponse:
@@ -700,19 +763,28 @@ def _packed_logprobs(response: ScoreResponse) -> bytes:
     return struct.pack(f"<{len(response.token_logprobs)}d", *response.token_logprobs)
 
 
-def _logprobs_body(value: bytes) -> dict:
+_AT_MOST_ZERO = (0.0).__ge__  # lp <= 0.0, which is False for NaN
+
+
+def _unpacked_logprobs(value: bytes) -> ScoreResponse:
+    """The score a stored value holds: whole little-endian doubles, each at
+    most 0, which NaN is not."""
     if len(value) % 8:
         raise ValueError(f"cached logprobs of {len(value)} bytes are no whole doubles")
-    return {"token_logprobs": list(struct.unpack(f"<{len(value) // 8}d", value))}
+    logprobs = struct.unpack(f"<{len(value) // 8}d", value)
+    if not all(map(_AT_MOST_ZERO, logprobs)):
+        raise ValueError(f"cached logprobs {logprobs} are not all at most 0")
+    return ScoreResponse(logprobs)
 
 
 # Per request kind: parse, which checks a response body and returns what the
 # gateway reads of it, and how the cache keeps that: encode turns parse's
-# result into the stored value, decode turns a stored value back into a body
-# for parse, raising ValueError for a value that encode never writes.
+# result into the stored value, and decode turns a stored value back into
+# parse's result, with the same checks, raising ValueError for a value that
+# encode never writes for a body that parse accepts.
 _KINDS = {
-    "generate": (_generated_text, _VALUE_ENCODER.encode, _text_body),
-    "score": (_score_response, _packed_logprobs, _logprobs_body),
+    "generate": (_generated_text, _VALUE_ENCODER.encode, _stored_text),
+    "score": (_score_response, _packed_logprobs, _unpacked_logprobs),
 }
 
 

@@ -5,11 +5,15 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import os
 import random
 import shutil
+import sqlite3
+import struct
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -59,6 +63,15 @@ class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path):
         config = write_config(tmp_path, {**CONFIG_OBJ, "typo_section": {}})
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+
+    def test_root_without_utf8_form_exits_2_and_names_it(self, tmp_path, caplog):
+        # json.dumps writes the lone surrogate as the escape \ud800.
+        obj = {**CONFIG_OBJ, "extraction": {"roots": ["T0N0\ud800"], "max_depth": 3}}
+        config = write_config(tmp_path, obj)
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert "config.extraction.roots[0] has no UTF-8 form" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_unsupported_hops_exits_2_before_any_stage(self, tmp_path):
         config = write_config(tmp_path, {**CONFIG_OBJ, "rules": {"hops": 2}})
@@ -165,6 +178,29 @@ class TestFlags:
                      "--no-cache"]) == EXIT_OK
         assert ((fresh / "corpus.jsonl").read_bytes()
                 == (tmp / "out" / "corpus.jsonl").read_bytes())
+
+    def test_cached_values_that_fail_their_checks_are_fetched_again(self, finished_run,
+                                                                     tmp_path):
+        # One score row holding a packed NaN and one generation row that is
+        # not JSON: each is a miss, fetched again and replaced.
+        tmp, config = finished_run
+        out = tmp_path / "out"
+        shutil.copytree(tmp / "out", out)
+        with closing(sqlite3.connect(out / "cache" / CACHE_FILE)) as db, db:
+            for where, value in [("length(value) = 8", struct.pack("<d", math.nan)),
+                                 ("substr(value, 1, 1) = '\"'", b"{not json")]:
+                assert db.execute(f"UPDATE responses SET value = ? WHERE key = "
+                                  f"(SELECT min(key) FROM responses WHERE {where})",
+                                  (value,)).rowcount == 1
+        flags = ["--config", str(config), "--stage-dir", str(out)]
+        for expected_calls in (2, 0):  # then replayed
+            assert main(["run", *flags]) == EXIT_OK
+            stages = json.loads((out / "manifest.json").read_text())["stages"]
+            assert sum(entry["gateway"]["backend_calls"]
+                       for entry in stages.values()) == expected_calls
+            for path in (tmp / "out").glob("*.*"):
+                if path.name != "manifest.json":
+                    assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_single_stage_verbs_resume_a_run(self, finished_run):
         tmp, config = finished_run

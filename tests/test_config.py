@@ -156,6 +156,14 @@ class TestHttpModel:
             f"{ENDPOINT_ENV_VAR} (overriding config.model.endpoint) must be a URL with "
             f"scheme http or https and a host, got {endpoint!r}")
 
+    def test_env_var_must_have_a_utf8_form(self, tmp_path, monkeypatch):
+        # A byte that is not UTF-8 reaches os.environ as a lone surrogate.
+        monkeypatch.setenv(ENDPOINT_ENV_VAR, "http://host\udcff:1")
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, {"model": {"kind": "http", "name": "m"}}))
+        assert str(exc.value) == (f"{ENDPOINT_ENV_VAR} (overriding config.model.endpoint) "
+                                  "has no UTF-8 form: 'http://host\\udcff:1'")
+
     @pytest.mark.parametrize("endpoint", ["https://host", "http://[::1]:8000/api/",
                                           "HTTP://Host:1"])
     def test_http_urls_accepted(self, tmp_path, monkeypatch, endpoint):
@@ -240,6 +248,8 @@ BAD_VALUES = [
     ("model.kind", "quantum", "must be one of ('synthetic', 'http'), got 'quantum'"),
     ("model.kind", 5, "has the wrong type: 5"),
     ("model.name", 5, "has the wrong type: 5"),
+    # JSON spells a lone surrogate as an escape; it has no UTF-8 form.
+    ("model.name", "m\ud800", "has no UTF-8 form: 'm\\ud800'"),
     ("model.endpoint", 5, "has the wrong type: 5"),
     ("model.endpoint", "localhost:8000",
      "must be a URL with scheme http or https and a host, got 'localhost:8000'"),
@@ -265,6 +275,7 @@ BAD_VALUES = [
     ("extraction.roots", "Enzyme", "must be a non-empty list, got 'Enzyme'"),
     ("extraction.roots", ["Enzyme", " "], "must not be blank, got ' '"),
     ("extraction.roots", ["Enzyme", 1], "[1] has the wrong type: 1"),
+    ("extraction.roots", ["Enzyme", "T0N0\ud800"], "[1] has no UTF-8 form: 'T0N0\\ud800'"),
     ("extraction.max_depth", 0, "must be >= 1, got 0"),
     ("extraction.parse_retries", 0, "must be >= 1, got 0"),
     ("extraction.frontier_budget", 0, "must be >= 1, got 0"),
@@ -288,6 +299,7 @@ BAD_VALUES = [
     ("synthesis.strip_hint", 1, "has the wrong type: 1"),
     ("synthesis.empty_retries", -1, "must be >= 0, got -1"),
     ("output.dir", 5, "has the wrong type: 5"),
+    ("output.dir", "out\udcff", "has no UTF-8 form: 'out\\udcff'"),
     ("output.cache_dir", 5, "has the wrong type: 5"),
 ]
 

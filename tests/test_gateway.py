@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import inspect
 import json
@@ -43,8 +44,8 @@ from evontree.gateway import (
     ScoreResponse,
     _VALUE_ENCODER,
     _cache_key,
-    _logprobs_body,
     _packed_logprobs,
+    _unpacked_logprobs,
 )
 
 
@@ -71,6 +72,17 @@ class FakeBackend:
         return {"token_logprobs": [-0.5, -1.5]}
 
 
+# Any JSON value, as Python's json reads it: NaN and infinities as floats, an
+# integer of any size, and text that may hold a lone surrogate, which a
+# JSON escape can spell.
+json_numbers = st.one_of(st.integers(), st.floats(), st.booleans(), st.just(-10**400))
+json_texts = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=8)
+json_values = st.recursive(
+    st.one_of(st.none(), json_numbers, json_texts),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_texts, inner, max_size=3),
+    max_leaves=6)
+
+
 def make_gateway(tmp_path, backend=None, **kw):
     backend = backend or FakeBackend()
     kw.setdefault("retry_backoff_s", (0.0,))
@@ -88,35 +100,54 @@ class TestCache:
         assert gw.cache_hits == 1
 
     def test_key_depends_on_endpoint_model_kind_and_body(self):
-        base = _cache_key("ep1", "m1", "generate", {"prompt": "p"})
-        assert _cache_key("ep2", "m1", "generate", {"prompt": "p"}) != base
-        assert _cache_key("ep1", "m2", "generate", {"prompt": "p"}) != base
-        assert _cache_key("ep1", "m1", "score", {"prompt": "p"}) != base
-        assert _cache_key("ep1", "m1", "generate", {"prompt": "q"}) != base
-        assert _cache_key("ep1", "m1", "generate", {"prompt": "p"}) == base
+        request = GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)
+        base = _cache_key("ep1", "m1", "generate", request)
+        assert _cache_key("ep2", "m1", "generate", request) != base
+        assert _cache_key("ep1", "m2", "generate", request) != base
+        assert _cache_key("ep1", "m1", "score", request) != base
+        for changed in (GenerateRequest(prompt="q", max_tokens=4, temperature=0.0),
+                        GenerateRequest(prompt="p", max_tokens=5, temperature=0.0),
+                        GenerateRequest(prompt="p", max_tokens=4, temperature=0.5),
+                        GenerateRequest(prompt="p", max_tokens=4, temperature=0.0, stop=("",))):
+            assert _cache_key("ep1", "m1", "generate", changed) != base
+        assert _cache_key("ep1", "m1", "generate",
+                          GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)) == base
+        score = ScoreRequest(prompt="p", completion=" True")
+        assert _cache_key("ep1", "m1", "score", score) != _cache_key(
+            "ep1", "m1", "score", ScoreRequest(prompt="p", completion=" False"))
+        assert len(base) == 32
 
     def test_key_is_pinned(self):
         # Computed before the key encoder was shared; a key that moves
         # orphans every response already cached.
-        body = GenerateRequest(prompt='Is a Säugetier — a kind of "Tier"? é',
-                               max_tokens=8, temperature=0.0).to_body("synthetic")
-        assert (_cache_key("synthetic://42/ab12cd34", "synthetic", "generate", body)
+        request = GenerateRequest(prompt='Is a Säugetier — a kind of "Tier"? é',
+                                  max_tokens=8, temperature=0.0)
+        assert (_cache_key("synthetic://42/ab12cd34", "synthetic", "generate", request).hex()
                 == "b13eb010e33e8a26c1b4806e151a48dd08585ad09e1b19d6025e508d43f3009a")
 
     @settings(deadline=None)
-    @given(identity=st.text(), model=st.text(), kind=st.text(), body=st.builds(
-        lambda fields, extra: {**extra, **fields},
-        st.fixed_dictionaries({}, optional={
-            "model": st.text(), "prompt": st.text(), "completion": st.text(),
-            "max_tokens": st.integers(), "temperature": st.floats(),
-            "stop": st.lists(st.text(), max_size=3)}),
-        st.dictionaries(st.text(), st.one_of(st.text(), st.integers(), st.floats()),
-                        max_size=3)))
-    def test_key_is_the_digest_of_the_canonical_json(self, identity, model, kind, body):
-        canonical = json.dumps({"endpoint": identity, "model": model, "kind": kind, "body": body},
+    @given(identity=st.text(), model=st.text(), kind=st.text(), request=st.one_of(
+        st.builds(GenerateRequest, prompt=st.text(), max_tokens=st.integers(),
+                  temperature=st.one_of(st.floats(), st.integers()),
+                  stop=st.lists(st.text(), max_size=3).map(tuple)),
+        st.builds(ScoreRequest, prompt=st.text(), completion=st.text())))
+    @example(identity="synthetic://1/ab", model="m", kind="generate",
+             request=GenerateRequest(prompt='é "q" \\ \n\t\x00\x1f\x7f\u2028 😀',
+                                     max_tokens=-1, temperature=math.nan, stop=("\n\n", "")))
+    @example(identity="", model="", kind="", request=GenerateRequest(
+        prompt="", max_tokens=10**30, temperature=math.inf))
+    @example(identity="", model="", kind="", request=GenerateRequest(
+        prompt="", max_tokens=0, temperature=-math.inf))
+    @example(identity="", model="", kind="", request=GenerateRequest(
+        prompt="", max_tokens=0, temperature=-0.0))
+    @example(identity="é", model='"', kind="score", request=ScoreRequest(
+        prompt="Säugetier\r\n", completion=' "True"'))
+    def test_key_is_the_digest_of_the_canonical_json(self, identity, model, kind, request):
+        canonical = json.dumps({"endpoint": identity, "model": model, "kind": kind,
+                                "body": request.to_body(model)},
                                sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        assert (_cache_key(identity, model, kind, body)
-                == hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+        assert (_cache_key(identity, model, kind, request)
+                == hashlib.sha256(canonical.encode("utf-8")).digest())
 
     @settings(deadline=None)
     @given(text=st.text())
@@ -158,14 +189,104 @@ class TestCache:
             struct.pack("<d", lp) for lp in first_lps] == [
             struct.pack("<d", lp) for lp in logprobs]
 
-    @given(logprobs=st.lists(st.floats(allow_nan=False), max_size=8))
-    @example(logprobs=[-math.inf, -0.0, math.inf, 0.0])
+    @given(logprobs=st.lists(st.floats(max_value=0.0), max_size=8))
+    @example(logprobs=[-math.inf, -0.0, 0.0])
     def test_packed_logprobs_decode_to_themselves(self, logprobs):
         value = _packed_logprobs(ScoreResponse(tuple(logprobs)))
         assert len(value) == 8 * len(logprobs)
-        decoded = _logprobs_body(value)["token_logprobs"]
+        decoded = _unpacked_logprobs(value).token_logprobs
         assert [struct.pack("<d", lp) for lp in decoded] == [
             struct.pack("<d", lp) for lp in logprobs]
+
+    @given(logprobs=st.lists(st.floats(max_value=0.0), max_size=4), at=st.integers(0, 4),
+           refused=st.one_of(st.just(math.nan), st.floats(min_value=0.0, exclude_min=True)))
+    @example(logprobs=[-1.0], at=1, refused=math.nan)
+    @example(logprobs=[], at=0, refused=0.5)
+    @example(logprobs=[-0.0], at=0, refused=math.inf)
+    def test_packed_logprobs_above_zero_or_nan_are_refused(self, logprobs, at, refused):
+        logprobs.insert(at, refused)
+        with pytest.raises(ValueError, match="are not all at most 0"):
+            _unpacked_logprobs(struct.pack(f"<{len(logprobs)}d", *logprobs))
+
+    def test_a_batch_of_hits_builds_no_body(self, tmp_path, monkeypatch):
+        generates = prompts(3)
+        scores = [ScoreRequest(prompt=f"s{i}", completion=" True") for i in range(3)]
+        gw, backend = make_gateway(tmp_path)
+        first = (gw.generate_many(generates), gw.score_many(scores))
+        gw.close()
+
+        def no_body(request, model):
+            raise AssertionError(f"a body was built for {request}")
+
+        monkeypatch.setattr(GenerateRequest, "to_body", no_body)
+        monkeypatch.setattr(ScoreRequest, "to_body", no_body)
+        again, again_backend = make_gateway(tmp_path)
+        try:
+            assert (again.generate_many(generates), again.score_many(scores)) == first
+        finally:
+            again.close()
+        assert len(backend.calls) == 6 and again_backend.calls == []
+        assert again.cache_hits == 6
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_generated_text_without_utf8_form_is_refused(self, tmp_path, cached):
+        class LoneSurrogateOnP1(FakeBackend):
+            def generate(self, body):
+                answer = super().generate(body)
+                # As Python's json reads the escape from an HTTP reply.
+                return json.loads('{"text": "a\\ud800b"}') if body["prompt"] == "p1" else answer
+
+        backend = LoneSurrogateOnP1()
+        gw = ModelGateway(backend, model="m1", cache_dir=tmp_path / "cache" if cached else None,
+                          retry_backoff_s=(0.0,), sleep=lambda s: None)
+        with pytest.raises(ProtocolError, match="has no UTF-8 form"):
+            gw.generate_many(prompts(3))
+        gw.close()
+        assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]  # not retried
+        if cached:  # nor cached; the response before it is
+            assert committed(tmp_path / "cache") == {
+                _cache_key(backend.identity, "m1", "generate", prompts(1)[0]): b'"gen:p0"'}
+
+    @settings(deadline=None, max_examples=100)
+    @given(kind=st.sampled_from(["generate", "score"]), body=st.one_of(
+        json_values, st.fixed_dictionaries({}, optional={
+            "text": json_values,
+            "token_logprobs": st.one_of(json_values, st.lists(json_numbers, max_size=3))})))
+    @example(kind="generate", body={"text": "a\ud800b"})
+    @example(kind="generate", body={"text": ""})
+    @example(kind="score", body={"token_logprobs": [-0.0, -math.inf]})
+    @example(kind="score", body={"token_logprobs": []})
+    @example(kind="score", body={"token_logprobs": [-0.5, math.nan]})
+    def test_any_body_gives_one_answer_with_and_without_a_cache(self, kind, body):
+        # Cached or not, cold or warm, a body gives the same answer, or
+        # ProtocolError every time, which is never cached.
+        class Scripted(FakeBackend):
+            def generate(self, request_body):
+                self.calls.append(("generate", request_body))
+                return copy.deepcopy(body)
+
+            score = generate
+
+        def answer(cache_dir):
+            gw = ModelGateway(Scripted(), model="m1", cache_dir=cache_dir)
+            try:
+                if kind == "generate":
+                    result = gw.generate_many(
+                        [GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)])[0]
+                else:
+                    [result] = gw.score_many([ScoreRequest(prompt="p", completion=" True")])
+                    result = (EmptySpanError if isinstance(result, EmptySpanError)
+                              else [struct.pack("<d", lp) for lp in result.token_logprobs])
+            except ProtocolError:
+                result = ProtocolError
+            finally:
+                gw.close()
+            return result, len(gw.backend.calls)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            uncached, cold, warm = answer(None), answer(Path(tmp)), answer(Path(tmp))
+        assert uncached == cold == (uncached[0], 1)
+        assert warm == (uncached[0], 1 if uncached[0] is ProtocolError else 0)
 
     def test_read_cache_false_still_writes(self, tmp_path):
         gw, backend = make_gateway(tmp_path, read_cache=False)
@@ -198,26 +319,39 @@ class TestCache:
 
         answers = {gen: call(gen), score: call(score)}
         assert answers == {gen: "gen:x", score: (-0.5, -1.5)}
-        keys = {req: bytes.fromhex(_cache_key(backend.identity, "m1", kind, req.to_body("m1")))
+        keys = {req: _cache_key(backend.identity, "m1", kind, req)
                 for req, kind in ((gen, "generate"), (score, "score"))}
-        bad = [
-            # Not JSON, cut short, not UTF-8; a JSON body, not a JSON string.
-            *((gen, "CAST(? AS TEXT)", value)
-              for value in ["{not json", '{"text": "ge', b"\xc3\x28", '{"text": "gen:x"}']),
-            # A score cut inside its first double.
-            (score, "substr(value, 1, ?)", 7),
-        ]
-        for n, (req, new_value, arg) in enumerate(bad, start=3):
+
+        def store(req, new_value, arg):
             gw.commit()  # so that another connection can write
             with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as db, db:
                 updated = db.execute(f"UPDATE responses SET value = {new_value} WHERE key = ?",
                                      (arg, keys[req]))
                 assert updated.rowcount == 1
+
+        bad = [
+            # Not JSON, cut short, not UTF-8; a JSON body, not a JSON string;
+            # a JSON string that spells a lone surrogate, which has no UTF-8 form.
+            *((gen, "CAST(? AS TEXT)", value)
+              for value in ["{not json", '{"text": "ge', b"\xc3\x28", '{"text": "gen:x"}',
+                            '"gen:\\ud800"']),
+            # A score cut inside its first double.
+            (score, "substr(value, 1, ?)", 7),
+            # Whole doubles that no valid score holds: NaN, positive, +inf.
+            *((score, "?", struct.pack("<2d", -0.5, lp)) for lp in (math.nan, 0.5, math.inf)),
+        ]
+        for n, (req, new_value, arg) in enumerate(bad, start=3):
+            store(req, new_value, arg)
             assert call(req) == answers[req]
             assert len(backend.calls) == n
             # The refetched response replaced the bad row: the next call is a hit.
             assert call(req) == answers[req]
             assert len(backend.calls) == n
+        # -0.0 and -inf are log-probabilities, and replay as they are.
+        store(score, "?", struct.pack("<2d", -0.0, -math.inf))
+        assert [struct.pack("<d", lp) for lp in call(score)] == [
+            struct.pack("<d", -0.0), struct.pack("<d", -math.inf)]
+        assert len(backend.calls) == 2 + len(bad)
 
     def test_file_that_is_not_a_database_is_reported(self, tmp_path):
         path = tmp_path / CACHE_FILE
@@ -434,8 +568,8 @@ class TestCacheFormat:
         identity = FakeBackend().identity
 
         def row(kind, request, response):
-            key = _cache_key(identity, "m1", kind, request.to_body("m1"))
-            return bytes.fromhex(key), json.dumps(response, ensure_ascii=False)
+            key = _cache_key(identity, "m1", kind, request)
+            return key, json.dumps(response, ensure_ascii=False)
 
         rows = [*(row("generate", r, {"text": f"cached:{r.prompt} é", "finish_reason": "stop"})
                   for r in generates),
@@ -678,8 +812,7 @@ class TestBatches:
         cache = ResponseCache(tmp_path / "cache")
         try:
             for i in range(40):
-                key = bytes.fromhex(_cache_key(backend.identity, "m1", "generate",
-                                               prompts(40)[i].to_body("m1")))
+                key = _cache_key(backend.identity, "m1", "generate", prompts(40)[i])
                 stored = cache.get(key)
                 assert (stored is not None) == (f"p{i}" in backend.answered), i
         finally:
@@ -721,6 +854,32 @@ class TestBatches:
         [begin] = [i for i, s in enumerate(statements) if s.startswith("BEGIN")]
         assert begin < inserts[0] and inserts[-1] < statements.index("COMMIT")
         gw.close()
+
+    def test_a_backend_declared_remote_fans_out_and_commits_each_batch(self, tmp_path):
+        class Remote(FakeBackend):
+            remote = True
+
+            def __init__(self):
+                super().__init__()
+                self.threads = set()
+                self.together = threading.Barrier(2, timeout=10)
+
+            def generate(self, body):
+                self.threads.add(threading.get_ident())
+                if body["prompt"] in ("p0", "p1"):
+                    self.together.wait()  # both in flight at once, or BrokenBarrierError
+                return super().generate(body)
+
+        gw, backend = make_gateway(tmp_path, backend=Remote(), max_in_flight=4)
+        try:
+            texts = gw.generate_many(prompts(BATCH_SIZE + 1))
+            assert len(committed(tmp_path / "cache")) == BATCH_SIZE + 1
+        finally:
+            gw.close()
+        assert texts == [f"gen:p{i}" for i in range(BATCH_SIZE + 1)]
+        assert len(backend.threads) >= 2
+        assert gw.calls == BATCH_SIZE + 1
+        assert gw.cache_commits == 2  # one per batch
 
     def test_http_batches_never_hold_the_write_lock_in_flight(self, tmp_path):
         path = tmp_path / "cache" / CACHE_FILE
@@ -782,8 +941,7 @@ class TestBatches:
             call(again)
         assert [body["prompt"] for _, body in again_backend.calls] == ["p2"]
         again.close()
-        p0, p1, bad_key, _ = [bytes.fromhex(_cache_key(backend.identity, "m1", kind,
-                                                        r.to_body("m1"))) for r in requests]
+        p0, p1, bad_key, _ = [_cache_key(backend.identity, "m1", kind, r) for r in requests]
         with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as conn:
             stored = {key for (key,) in conn.execute("SELECT key FROM responses")}
         assert len(stored) == 2 and bad_key not in stored
@@ -1102,8 +1260,7 @@ def stored_responses(gw: ModelGateway) -> dict[bytes, bytes]:
 def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[bytes, bytes]:
     """The cache entries the echo server's answers to requests make: each
     generated text as a JSON string."""
-    return {bytes.fromhex(_cache_key(gw.backend.identity, gw.model, "generate",
-                                     r.to_body(gw.model))):
+    return {_cache_key(gw.backend.identity, gw.model, "generate", r):
             json.dumps(f"echo:{r.prompt}").encode() for r in requests}
 
 
