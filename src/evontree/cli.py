@@ -6,7 +6,8 @@ config problem, 3 when a stage is invoked before its upstream artifacts
 exist or when one differs from what its stage last wrote (the manifest's
 hashes are checked; rerun the stages the message names), 4 when the model
 endpoint fails, and 1 for any other evontree error, such as a response
-cache file that is not a SQLite database.
+cache file that is not a SQLite database or is in any format but this
+version's, including one written by an earlier version.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ sections. Validation is strict and happens before any network activity:
 unknown keys anywhere are errors (catching typos beats silently ignoring
 them), a bool is not a number, and every value is checked against its
 domain on load. A string must have a UTF-8 form: JSON can spell a lone
-surrogate as an escape, and one would reach the response cache's keys.
+surrogate as an escape, and one would reach the response cache's keys. A
+float must be finite: Python's json reads NaN, Infinity and -Infinity, which
+no request body to an endpoint can carry.
 Rules that span fields are written out below or in a section's
 __post_init__. Relative paths are resolved against the directory
 containing the config file, so a config can travel with its runs.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -151,6 +154,8 @@ def _load_value(tp, value, where: str):
         raise ConfigError(f"{where} has the wrong type: {value!r}")
     if isinstance(value, str):
         _check_utf8(value, where)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return Path(value) if tp is Path else value
 
 

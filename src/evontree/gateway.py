@@ -8,9 +8,7 @@ replays stale responses. The cache is one SQLite database per cache
 directory, shared safely by threads, gateways and processes, that maps each
 request's 32-byte SHA-256 digest to the one field of its response the
 gateway reads: a score's token_logprobs as packed little-endian doubles, a
-generation's text as a JSON string. A database written by an earlier
-version, with whole response bodies as JSON text, is rewritten in place and
-vacuumed when it is first opened.
+generation's text as a JSON string. A file in any other format is refused.
 
 A cache hit costs one digest, one B-tree probe and one decode: each request
 writes its canonical JSON text straight from its fields (body_text), and
@@ -295,10 +293,9 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 # 4.9 MB) at 4 MiB, for about 0.8 MB more peak RSS and no measurable change
 # in wall time (2 CPUs, Python 3.11.7, the OS caching the file both ways).
 CACHE_PAGE_CACHE_KIB = 256
-# The cache file's layout, kept in PRAGMA user_version. 0 is a file written
-# before the number was kept: keys as 64 hex digits of TEXT, or no table yet.
-# 1 keys each response body, as JSON text, by its 32-byte digest. 2 keeps
-# only the field of the body that the gateway reads (see _KINDS).
+# The cache file's layout, kept in PRAGMA user_version: each entry keeps
+# only the field of the response that the gateway reads (see _KINDS). A new
+# file reads 0 until ResponseCache creates its table.
 CACHE_FORMAT = 2
 # The age, in seconds, at which put_many commits the open write transaction.
 # Each commit writes every page the transaction changed to the write-ahead
@@ -315,16 +312,9 @@ class ResponseCache:
     _cache_key) to a value encoded by ModelGateway: bytes or str in, bytes
     out, whatever the request kind. The cache never looks inside a value;
     ModelGateway decodes and checks it, and treats one that fails as a
-    miss. A file in an older
-    layout (format 0, keys as 64 hex digits of TEXT, or format 1, BLOB keys)
-    keeps each whole response body as JSON text. It is rewritten in place
-    on its first open, in one transaction: each body becomes the value
-    ModelGateway would store for it, and a row whose key is not a digest, or
-    whose value is not one response the gateway accepts, is dropped, with
-    one warning that counts them. The process that rewrote it then runs
-    VACUUM, so the file does not keep the old table's pages. An older
-    evontree cannot read the file afterwards. A file in a layout this
-    version does not know is refused with CacheCorruptError.
+    miss. A new file, empty or 0 bytes long, gets the table at its first
+    open; a file in any format but CACHE_FORMAT, such as one written by an
+    earlier version, is refused with CacheCorruptError and left as it is.
 
     put_many adds its entries to one open write transaction, begun with
     BEGIN IMMEDIATE at the first write after a commit, and commits it once
@@ -357,17 +347,19 @@ class ResponseCache:
         # inside sqlite3.
         self._conn.text_factory = bytes
         try:
-            # The first statement reads the file header. WAL mode persists in
-            # the file, so only a file not yet in WAL mode is switched: asking
-            # for the switch while another process writes can fail with
-            # "database is locked" at once, without the busy timeout.
+            # The first statement reads the file header, and a file that is
+            # refused is refused before anything is written to it.
+            if self._format() != CACHE_FORMAT:
+                self._create()
+            # WAL mode persists in the file, so only a file not yet in WAL
+            # mode is switched: asking for the switch while another process
+            # writes can fail with "database is locked" at once, without the
+            # busy timeout.
             mode = self._conn.execute("PRAGMA journal_mode").fetchone()[0]
             if mode != b"wal":
                 self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(f"PRAGMA cache_size=-{CACHE_PAGE_CACHE_KIB}")
-            if self._format() != CACHE_FORMAT:
-                self._upgrade()
         except BaseException as exc:
             self._conn.close()
             # An OperationalError (locked, unwritable, ...) is not the file's fault.
@@ -381,61 +373,24 @@ class ResponseCache:
     def _format(self) -> int:
         return self._conn.execute("PRAGMA user_version").fetchone()[0]
 
-    def _upgrade(self) -> None:
-        """Bring a file of format 0 or 1 to CACHE_FORMAT in one transaction,
-        then VACUUM a file whose old table it rewrote. The format is read
-        again under the write lock, so of two processes opening one old file
-        only the first rewrites it; a process killed part way leaves the old
-        table as it was."""
+    def _create(self) -> None:
+        """Create the table of a new file, one at format 0 with no schema,
+        in one transaction, and refuse any other file. The format is read
+        again under the write lock, so of two processes opening one new file
+        only the first creates the table."""
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             version = self._format()
             if version == CACHE_FORMAT:
                 return
-            if version not in (0, 1):
+            if version != 0 or self._conn.execute("SELECT 1 FROM sqlite_master").fetchone():
                 raise CacheCorruptError(
                     f"response cache {self.path} has format {version}, which this version "
                     f"of evontree (format {CACHE_FORMAT}) cannot read; move or delete it "
                     "to start with an empty cache")
-            old = self._conn.execute(
-                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'responses'"
-            ).fetchone()
-            if old:
-                self._conn.execute("ALTER TABLE responses RENAME TO responses_old")
             self._conn.execute("CREATE TABLE responses "
                                "(key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID")
-            if old:
-                self._conn.create_function("stored_value", 1, _stored_value,
-                                           deterministic=True)
-                key, where = "key", ""
-                if version == 0:
-                    # A key is kept only when it is 64 lowercase hex digits,
-                    # as hexdigest writes them; digest_of_hex sees no other.
-                    self._conn.create_function("digest_of_hex", 1, bytes.fromhex,
-                                               deterministic=True)
-                    key, where = "digest_of_hex(key)", (
-                        "WHERE typeof(key) = 'text' AND length(key) = 64 "
-                        "AND key NOT GLOB '*[^0-9a-f]*'")
-                # The cast hands stored_value every old value as bytes, even
-                # one that is not UTF-8. stored_value is NULL for a value that
-                # is no response, and OR IGNORE skips a row that would break
-                # NOT NULL.
-                kept = self._conn.execute(
-                    "INSERT OR IGNORE INTO responses (key, value) "
-                    f"SELECT {key}, stored_value(CAST(value AS BLOB)) FROM responses_old "
-                    f"{where}").rowcount
-                total = self._conn.execute("SELECT count(*) FROM responses_old").fetchone()[0]
-                self._conn.execute("DROP TABLE responses_old")
-                if total > kept:
-                    log.warning("dropping %d cache entries that are not a response under a "
-                                "digest key from %s", total - kept, self.path)
-                log.info("rewrote %d cache entries in %s to format %d", kept, self.path,
-                         CACHE_FORMAT)
             self._conn.execute(f"PRAGMA user_version = {CACHE_FORMAT}")
-        if old:
-            # The old table's pages are free now: hand them back to the file
-            # system rather than keep a file about twice the size.
-            self._conn.execute("VACUUM")
 
     def get(self, key: bytes) -> bytes | None:
         return self.get_many([key]).get(key)
@@ -787,19 +742,3 @@ _KINDS = {
     "score": (_score_response, _packed_logprobs, _unpacked_logprobs),
 }
 
-
-def _stored_value(body: bytes) -> bytes | None:
-    """What the gateway stores for a response body kept as JSON text by
-    cache formats 0 and 1; None unless the body is one response the gateway
-    accepts, with exactly one of the fields text and token_logprobs."""
-    try:
-        raw = json.loads(body.decode("utf-8"))
-        if not isinstance(raw, dict) or ("text" in raw) == ("token_logprobs" in raw):
-            return None
-        parse, encode, _ = _KINDS["generate" if "text" in raw else "score"]
-        value = encode(parse(raw))
-        # A text holding a lone surrogate has no UTF-8 form for SQLite to
-        # store: encoding it here raises, and drops its row.
-        return value.encode("utf-8") if isinstance(value, str) else value
-    except (ValueError, ProtocolError):
-        return None

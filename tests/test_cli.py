@@ -22,7 +22,7 @@ import evontree
 import evontree.pipeline
 from evontree.cli import EXIT_CONFIG, EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main
 from evontree.config import ENDPOINT_ENV_VAR
-from evontree.gateway import CACHE_FILE, ModelGateway
+from evontree.gateway import CACHE_FILE, HttpBackend, ModelGateway
 
 CONFIG_OBJ = {
     "model": {
@@ -117,6 +117,24 @@ class TestExitCodes:
             "output": {"dir": "out"},
         })
         assert main(["extract", "--config", str(config)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_float_exits_2_before_any_request(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        posted = []
+        monkeypatch.setattr(HttpBackend, "_post",
+                            lambda self, path, body: posted.append(path))
+        # json.dumps writes math.inf as the literal Infinity.
+        config = write_config(tmp_path, {
+            "model": {"kind": "http", "name": "m", "endpoint": "http://127.0.0.1:1"},
+            "extraction": {"gen_temperature": math.inf},
+            "output": {"dir": "out"},
+        })
+        assert "Infinity" in config.read_text()
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["extract", "--config", str(config)]) == EXIT_CONFIG
+        assert "config.extraction.gen_temperature must be a finite number" in caplog.text
+        assert posted == []
         assert not (tmp_path / "out").exists()
 
     def test_gateway_failure_exits_4(self, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -282,10 +283,14 @@ BAD_VALUES = [
     ("extraction.frontier_budget", 10.0, "has the wrong type: 10.0"),
     ("extraction.gen_max_tokens", 0, "must be >= 1, got 0"),
     ("extraction.gen_temperature", -0.5, "must be >= 0.0, got -0.5"),
+    # Python's json reads Infinity, -Infinity and NaN; no request body can
+    # carry them.
+    ("extraction.gen_temperature", math.inf, "must be a finite number, got inf"),
     ("scoring.max_in_flight", 0, "must be >= 1, got 0"),
     ("scoring.max_in_flight", True, "has the wrong type: True"),
     ("calibration.sweep_lo", "0", "has the wrong type: '0'"),
     ("calibration.sweep_hi", None, "has the wrong type: None"),
+    ("calibration.sweep_lo", -math.inf, "must be a finite number, got -inf"),
     ("rules.hops", 2, "must be one of (1,), got 2"),
     ("rules.hops", 0, "must be one of (1,), got 0"),
     ("gap.mode", "most_below",
@@ -293,6 +298,7 @@ BAD_VALUES = [
     ("gap.sweep_offsets", [], "must be a non-empty list, got []"),
     ("gap.sweep_offsets", [0.5, "1"], "[1] has the wrong type: '1'"),
     ("gap.sweep_offsets", [False], "[0] has the wrong type: False"),
+    ("gap.sweep_offsets", [math.nan], "[0] must be a finite number, got nan"),
     ("synthesis.strategy", "both", "must be one of ('explicit', 'implicit', 'mix'), got 'both'"),
     ("synthesis.max_tokens", 0, "must be >= 1, got 0"),
     ("synthesis.temperature", -1, "must be >= 0.0, got -1"),

@@ -4,7 +4,6 @@ import copy
 import hashlib
 import inspect
 import json
-import logging
 import math
 import os
 import random
@@ -151,7 +150,7 @@ class TestCache:
 
     @settings(deadline=None)
     @given(text=st.text())
-    def test_stored_value_is_the_json_dumps_text(self, text):
+    def test_cached_text_is_the_json_dumps_text(self, text):
         # The shared encoder stores the same text as a json.dumps per value.
         assert _VALUE_ENCODER.encode(text) == json.dumps(text, ensure_ascii=False)
 
@@ -530,172 +529,64 @@ class TestCacheConcurrency:
             cache.close()
 
 
-def write_older_cache(cache_dir: Path, version: int,
-                      rows: list[tuple[bytes | str, str]]) -> list[tuple]:
-    """A cache file as an earlier evontree wrote it, each value a whole
-    response body as JSON text: format 0 (no user_version), with a digest
-    key stored as 64 hex digits of TEXT, or format 1, with it as 32 bytes.
-    A str key is stored as it is. Returns the rows as stored."""
-    stored = [(key.hex() if version == 0 and isinstance(key, bytes) else key, value)
-              for key, value in rows]
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
-        db.execute("PRAGMA journal_mode=WAL")
-        db.execute(f"CREATE TABLE responses (key {'TEXT' if version == 0 else 'BLOB'} "
-                   "PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID")
-        db.execute(f"PRAGMA user_version = {version}")
-        with db:
-            db.executemany("INSERT INTO responses (key, value) VALUES (?, ?)", stored)
-    return stored
-
-
-def numbered_rows(n: int) -> list[tuple[bytes, str]]:
-    """n generate responses as an earlier format kept them, keyed by
-    cache_key(i): each body has cache_value(i)'s text and one more field."""
-    return [(cache_key(i), json.dumps({"text": json.loads(cache_value(i)), "i": i}))
-            for i in range(n)]
-
-
-older_formats = pytest.mark.parametrize("version", [0, 1], ids=lambda v: f"format{v}")
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestCacheFormat:
-    @older_formats
-    def test_older_format_is_rewritten_and_every_entry_replayed(self, tmp_path, caplog,
-                                                                version):
-        generates = prompts(3)
-        scores = [ScoreRequest(prompt=f"s{i}", completion=" True") for i in range(2)]
-        identity = FakeBackend().identity
-
-        def row(kind, request, response):
-            key = _cache_key(identity, "m1", kind, request)
-            return key, json.dumps(response, ensure_ascii=False)
-
-        rows = [*(row("generate", r, {"text": f"cached:{r.prompt} é", "finish_reason": "stop"})
-                  for r in generates),
-                *(row("score", r, {"token_logprobs": [-0.25, -0.5]}) for r in scores)]
-        # Values that are no response the gateway accepts: no known field,
-        # both fields, logprobs it rejects, not an object, and a text that
-        # SQLite cannot store (a lone surrogate has no UTF-8 form).
-        stray = [(cache_key(i), value) for i, value in enumerate([
-            '{"x": 1}', '{"text": "t", "token_logprobs": [-1.0]}',
-            '{"token_logprobs": [false]}', '{"token_logprobs": [NaN]}', '["text"]',
-            '{"text": "\\ud800"}'])]
-        if version == 0:
-            # Keys that hexdigest never wrote: too short, not hex, upper case.
-            stray += [("not a digest", "{}"), ("g" * 64, "{}"), (rows[0][0].hex().upper(), "{}")]
-        write_older_cache(tmp_path / "cache", version, rows + stray)
-        with caplog.at_level(logging.INFO, logger="evontree.gateway"):
-            gw, backend = make_gateway(tmp_path)
-        # One rewrite, even from format 0.
-        assert [r.getMessage() for r in caplog.records] == [
-            f"dropping {len(stray)} cache entries that are not a response under a digest key "
-            f"from {gw.cache.path}",
-            f"rewrote 5 cache entries in {gw.cache.path} to format {CACHE_FORMAT}"]
-        assert gw.generate_many(generates) == [f"cached:{r.prompt} é" for r in generates]
-        assert [r.token_logprobs for r in gw.score_many(scores)] == [(-0.25, -0.5)] * 2
-        assert backend.calls == [] and gw.cache_hits == 5
-        gw.close()
-        with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILE)) as db:
-            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
-            assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
-            assert db.execute("SELECT typeof(key), length(key), count(*) FROM responses "
-                              "GROUP BY 1, 2").fetchall() == [("blob", 32, 5)]
-            # The rewrite vacuumed the file: the old table left no free pages.
-            assert db.execute("PRAGMA freelist_count").fetchone() == (0,)
-        # Only the field the gateway reads is kept.
-        assert sorted(committed(tmp_path / "cache").values()) == sorted(
-            [json.dumps(f"cached:{r.prompt} é", ensure_ascii=False).encode() for r in generates]
-            + [struct.pack("<2d", -0.25, -0.5)] * 2)
-
     def test_new_file_starts_in_the_current_format(self, tmp_path):
-        ResponseCache(tmp_path).close()
-        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
-            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
-            [(sql,)] = db.execute("SELECT sql FROM sqlite_master WHERE type = 'table'")
-        assert sql == ("CREATE TABLE responses (key BLOB PRIMARY KEY, value BLOB NOT NULL) "
-                       "WITHOUT ROWID")
+        # No file yet, and a file of 0 bytes, which SQLite reads as empty.
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / CACHE_FILE).touch()
+        for cache_dir in (tmp_path / "none", tmp_path / "empty"):
+            ResponseCache(cache_dir).close()
+            with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
+                assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
+                assert db.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+                [(sql,)] = db.execute("SELECT sql FROM sqlite_master WHERE type = 'table'")
+            assert sql == ("CREATE TABLE responses (key BLOB PRIMARY KEY, value BLOB NOT NULL) "
+                           "WITHOUT ROWID")
 
     def test_unknown_format_is_refused_and_left_alone(self, tmp_path):
-        path = tmp_path / CACHE_FILE
-        with closing(sqlite3.connect(path)) as db:
-            db.execute(f"PRAGMA user_version = {CACHE_FORMAT + 1}")
-        with pytest.raises(CacheCorruptError, match="move or delete") as exc_info:
-            ResponseCache(tmp_path)
-        assert f"has format {CACHE_FORMAT + 1}" in str(exc_info.value)
-        with closing(sqlite3.connect(path)) as db:
-            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT + 1,)
-
-    @older_formats
-    def test_two_processes_upgrade_one_older_file_once(self, tmp_path, version):
-        n = 200
-        # One row to drop: a key that is no digest, or a value that is no response.
-        stray = ("k1", "{}") if version == 0 else (cache_key(n), '{"x": 1}')
-        write_older_cache(tmp_path, version, numbered_rows(n) + [stray])
-        body = f"""
-            got = cache.get_many([cache_key(i) for i in range({n})])
-            assert got == {{cache_key(i): cache_value(i) for i in range({n})}}, len(got)
-            cache.close()
-        """
-        # Both processes open the file while this connection holds its write
-        # lock, so both find the older format and then wait for the lock.
-        with closing(sqlite3.connect(tmp_path / CACHE_FILE, isolation_level=None)) as holder:
-            holder.execute("BEGIN IMMEDIATE")
-            procs = [run_cache_writer(tmp_path, body) for _ in range(2)]
-            try:
-                for proc in procs:
-                    proc.stdout.readline()
-                time.sleep(0.2)
-            finally:
-                holder.execute("COMMIT")
-        errs = []
-        for proc in procs:
-            _, err = proc.communicate(timeout=120)
-            assert proc.returncode == 0, err
-            errs.append(err)
-        assert sum("dropping 1 cache entries" in err for err in errs) == 1, errs
-        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
-            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
-            keys = [key for (key,) in db.execute("SELECT key FROM responses")]
-        assert sorted(keys) == [cache_key(i) for i in range(n)]
-
-    @older_formats
-    def test_upgrade_killed_part_way_leaves_the_older_file(self, tmp_path, version):
-        n = 50
-        stored = write_older_cache(tmp_path, version, numbered_rows(n))
-        # The process ends abruptly while the upgrade copies its third entry.
-        script = textwrap.dedent("""
-            import functools, os, sqlite3, sys
-            from evontree.gateway import ResponseCache
-
-            class DiesInCopy(sqlite3.Connection):
-                def create_function(self, name, narg, fn, **kw):
-                    seen = []
-                    def die_on_third(arg):
-                        seen.append(arg)
-                        if len(seen) == 3:
-                            os._exit(0)
-                        return fn(arg)
-                    super().create_function(name, narg, die_on_third, **kw)
-
-            sqlite3.connect = functools.partial(sqlite3.connect, factory=DiesInCopy)
-            ResponseCache(sys.argv[1])
-            sys.exit("the upgrade finished")
-        """)
-        proc = run_python(script, tmp_path)
-        _, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err
-        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
-            assert db.execute("PRAGMA user_version").fetchone() == (version,)
-            assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
-            assert db.execute("SELECT key, value FROM responses ORDER BY key").fetchall() \
-                == sorted(stored)
-        cache = ResponseCache(tmp_path)
-        try:
-            assert cache.get_many([cache_key(i) for i in range(n)]) \
-                == {cache_key(i): cache_value(i) for i in range(n)}
-        finally:
-            cache.close()
+        key = _cache_key(FakeBackend().identity, "m1", "generate", prompts(1)[0])
+        body = json.dumps({"text": "cached", "finish_reason": "stop"})
+        # Per kind of file: its user_version, whether it is in WAL mode, and
+        # the statements that fill it. The first two are laid out as earlier
+        # versions of evontree wrote them, with whole response bodies as
+        # JSON text: format 0 keyed by 64 hex digits, format 1 by 32 bytes.
+        kinds = {
+            "format0-text-keys": (0, True, [
+                ("CREATE TABLE responses (key TEXT PRIMARY KEY, value TEXT NOT NULL) "
+                 "WITHOUT ROWID", ()),
+                ("INSERT INTO responses VALUES (?, ?)", (key.hex(), body))]),
+            "format1": (1, True, [
+                ("CREATE TABLE responses (key BLOB PRIMARY KEY, value TEXT NOT NULL) "
+                 "WITHOUT ROWID", ()),
+                ("INSERT INTO responses VALUES (?, ?)", (key, body))]),
+            "next-format": (CACHE_FORMAT + 1, False, []),
+            "format0-other-table": (0, False, [
+                ("CREATE TABLE notes (note TEXT)", ()),
+                ("INSERT INTO notes VALUES ('not a cache')", ())]),
+        }
+        for name, (version, wal, statements) in kinds.items():
+            cache_dir = tmp_path / name
+            cache_dir.mkdir()
+            path = cache_dir / CACHE_FILE
+            with closing(sqlite3.connect(path)) as db:
+                if wal:
+                    db.execute("PRAGMA journal_mode=WAL")
+                with db:
+                    for sql, args in statements:
+                        db.execute(sql, args)
+                db.execute(f"PRAGMA user_version = {version}")
+            before = sha256_of(path)
+            with pytest.raises(CacheCorruptError, match="move or delete") as exc_info:
+                ResponseCache(cache_dir)
+            assert f"{path} has format {version}," in str(exc_info.value), name
+            assert sha256_of(path) == before, name
+            assert sorted(p.name for p in cache_dir.iterdir()) == [CACHE_FILE], name
+            with closing(sqlite3.connect(path)) as db:
+                assert db.execute("PRAGMA user_version").fetchone() == (version,), name
 
 
 class TestRetry:
