@@ -55,7 +55,10 @@ def main() -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     config = parse_config(build_config(args), base_dir=Path.cwd())
     ctx = RunContext(config)
-    run_all(ctx)
+    try:
+        run_all(ctx)
+    finally:
+        ctx.close()
 
     print()
     print_table(ctx.paths.report_csv)

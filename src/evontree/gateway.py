@@ -288,11 +288,15 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 # SQLite's page cache per connection, in KiB. A page it does not hold is
 # read again through the OS, and a write transaction larger than it spills
 # to the write-ahead log before its commit. The seed-42 benchmark forest's
-# file is about 1 MB: one cold run_all of it made 15.1k read and 8.8k write
-# syscalls (63 MB and 31 MB) at 256 KiB, and 349 and 1.8k (2.7 MB and
-# 4.9 MB) at 4 MiB, for about 0.8 MB more peak RSS and no measurable change
-# in wall time (2 CPUs, Python 3.11.7, the OS caching the file both ways).
-CACHE_PAGE_CACHE_KIB = 256
+# file is 1.04 MB, which 4 MiB holds whole. At 256 KiB one cold run_all of
+# it made 15,114 read and 8,789 write syscalls (63.2 MB and 30.9 MB), and a
+# warm one 9,063 reads (38.4 MB), as each 256-key lookup read most leaf
+# pages again. At 4 MiB the cold run made 352 reads and 1,789 writes
+# (2.7 MB and 4.9 MB) and the warm one 345 reads (2.7 MB). The time in
+# get_many plus put_many of a cold run fell by about a fifth, for about
+# 0.8 MB more peak RSS (2 CPUs, Python 3.11.7, the OS caching the file both
+# ways).
+CACHE_PAGE_CACHE_KIB = 4096
 # The cache file's layout, kept in PRAGMA user_version: each entry keeps
 # only the field of the response that the gateway reads (see _KINDS). A new
 # file reads 0 until ResponseCache creates its table.

@@ -70,6 +70,9 @@ class Triple:
     subject: ConceptLabel
     relation: Relation
     object: ConceptLabel
+    # (relation value, subject key, object key), set on construction.
+    sort_key: tuple[str, str, str] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.subject.key == self.object.key:
@@ -78,10 +81,11 @@ class Triple:
             s, o = self.subject, self.object
             object.__setattr__(self, "subject", o)
             object.__setattr__(self, "object", s)
-
-    @property
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.relation.value, self.subject.key, self.object.key)
+        # Worked out once: triples are compared, hashed and sorted far more
+        # often than they are made.
+        sort_key = (self.relation.value, self.subject.key, self.object.key)
+        object.__setattr__(self, "sort_key", sort_key)
+        object.__setattr__(self, "_hash", hash(sort_key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triple):
@@ -89,7 +93,7 @@ class Triple:
         return self.sort_key == other.sort_key
 
     def __hash__(self) -> int:
-        return hash(self.sort_key)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Triple({self.subject.text!r} {self.relation.value} {self.object.text!r})"

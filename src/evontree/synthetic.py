@@ -17,10 +17,11 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from random import Random
+from typing import NamedTuple
 
 from .errors import InvalidParamsError, UnrecognizedPromptError, check_domain, check_fields
 from .ontology import Relation
-from .scoring import JUDGE_TEMPLATES, PROMPT_SET_V1
+from .scoring import JUDGE_TEMPLATES, PROMPT_SET_V1, _PREAMBLE
 
 _PROB_FLOOR = 0.01  # keeps answer probabilities away from 0 and 1
 
@@ -202,22 +203,48 @@ def _check_spec(**values) -> None:
         check_domain(value, domains[name], name)
 
 
-def _template_matcher(template: str) -> re.Pattern[str]:
-    sent_a, sent_b = "\x00A\x00", "\x00B\x00"
-    t = template.replace("{A}", sent_a).replace("{B}", sent_b)
-    escaped = re.escape(t)
-    escaped = escaped.replace(re.escape(sent_a), "(?P<A>[^']+)")
-    escaped = escaped.replace(re.escape(sent_b), "(?P<B>[^']+)")
-    return re.compile(escaped)
+def _statement_pattern() -> tuple[re.Pattern[str], dict[str, tuple[Relation, bool, int, int]]]:
+    """One pattern for every probe and judge template, and what each of its
+    alternatives stands for.
+
+    The shared preamble is matched once, then one alternative per template,
+    a named group around each. A match's lastgroup names its template, which
+    maps to (relation, judge?, index of the A group, index of the B group).
+    Labels never contain an apostrophe, so the quotes around them fix where
+    each label ends and a prompt can match at most one template.
+    """
+    named = [(f"p{i}", t.relation, False, t.template) for i, t in enumerate(PROMPT_SET_V1)]
+    named += [(f"j{i}", relation, True, template)
+              for i, (relation, template) in enumerate(JUDGE_TEMPLATES.items())]
+    alternatives = []
+    for name, _, _, template in named:
+        if not template.startswith(_PREAMBLE):
+            raise ValueError(f"template {template!r} does not start with the shared preamble")
+        pieces = re.split(r"(\{[AB]\})", template[len(_PREAMBLE):])
+        body = "".join(f"(?P<{name}_{piece[1]}>[^']+)" if piece in ("{A}", "{B}")
+                       else re.escape(piece) for piece in pieces)
+        alternatives.append(f"(?P<{name}>{body})")
+    pattern = re.compile(re.escape(_PREAMBLE) + "(?:" + "|".join(alternatives) + ")")
+    meaning = {name: (relation, judge, pattern.groupindex[f"{name}_A"],
+                      pattern.groupindex[f"{name}_B"])
+               for name, relation, judge, _ in named}
+    return pattern, meaning
 
 
-_PROBE_MATCHERS: list[tuple[Relation, re.Pattern[str]]] = [
-    (t.relation, _template_matcher(t.template)) for t in PROMPT_SET_V1
-]
-_JUDGE_MATCHERS: list[tuple[Relation, re.Pattern[str]]] = [
-    (rel, _template_matcher(tpl)) for rel, tpl in JUDGE_TEMPLATES.items()
-]
-_STATEMENT_MATCHERS = _PROBE_MATCHERS + _JUDGE_MATCHERS
+_STATEMENT_RE, _STATEMENT_TEMPLATES = _statement_pattern()
+
+
+class _Statement(NamedTuple):
+    """What a probe or judge prompt states, and the model's probability that
+    it is true. Judge prompts are answered from the ground truth in
+    generation; every statement scores by p."""
+
+    relation: Relation
+    a_key: str
+    b_key: str
+    judge: bool
+    p: float
+
 
 _TREE_PROMPT_RE = re.compile(
     r"\AAs a medical expert, please generate strict subclasses of (?P<concept>.+?) "
@@ -250,11 +277,18 @@ class SyntheticModel:
         self.profile = profile
         self.seed = seed
         self.hallucination_rate = hallucination_rate
+        self._seed_prefix = (str(seed) + "\x1f").encode("utf-8")
+        self._bases: dict[tuple[Relation, str, str], float] = {}
+        # The last prompt resolved and its statement. The " True" and " False"
+        # probes of one paraphrase arrive back to back, so the second reuses
+        # the first's work. One tuple, replaced whole, so that threads sharing
+        # the model never pair one prompt with another's statement.
+        self._last: tuple[str | None, _Statement | None] = (None, None)
 
     # Deterministic uniform draw in [0, 1) from hashed key parts. Python's
     # built-in hash() is salted per process, so it cannot be used here.
     def _unit(self, *parts: str) -> float:
-        payload = "\x1f".join((str(self.seed),) + parts).encode("utf-8")
+        payload = self._seed_prefix + "\x1f".join(parts).encode("utf-8")
         digest = hashlib.blake2b(payload, digest_size=8).digest()
         return int.from_bytes(digest, "big") / 2.0**64
 
@@ -264,23 +298,37 @@ class SyntheticModel:
         lo, hi = sorted((rep_a, rep_b))
         return self._unit("familiar", relation.value, lo, hi) < self.profile.familiarity_rate
 
-    def _p_true(self, relation: Relation, a_key: str, b_key: str, prompt: str) -> float:
-        if self.gt.is_true(relation, a_key, b_key):
-            if self._familiar(relation, a_key, b_key):
+    def _base(self, relation: Relation, a_key: str, b_key: str) -> float:
+        """Probability of True before jitter: the statement's truth crossed
+        with the pair's familiarity, worked out once per statement."""
+        key = (relation, a_key, b_key)
+        base = self._bases.get(key)
+        if base is None:
+            if not self.gt.is_true(relation, a_key, b_key):
+                base = self.profile.p_true_false
+            elif self._familiar(relation, a_key, b_key):
                 base = self.profile.p_true_known
             else:
                 base = self.profile.p_true_unfamiliar
-        else:
-            base = self.profile.p_true_false
-        jitter = (self._unit("jitter", prompt) * 2.0 - 1.0) * self.profile.jitter
-        return min(max(base + jitter, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
+            self._bases[key] = base
+        return base
 
-    def _match_statement(self, prompt: str) -> tuple[Relation, str, str] | None:
-        for relation, pattern in _STATEMENT_MATCHERS:
-            m = pattern.fullmatch(prompt)
-            if m:
-                return relation, m.group("A").casefold(), m.group("B").casefold()
-        return None
+    def _statement(self, prompt: str) -> _Statement | None:
+        """The statement a probe or judge prompt makes, with its probability
+        of True, or None for any other prompt."""
+        last_prompt, last = self._last
+        if last_prompt == prompt:
+            return last
+        m = _STATEMENT_RE.fullmatch(prompt)
+        if m is None:
+            return None
+        relation, judge, a_group, b_group = _STATEMENT_TEMPLATES[m.lastgroup]
+        a_key, b_key = m.group(a_group).casefold(), m.group(b_group).casefold()
+        jitter = (self._unit("jitter", prompt) * 2.0 - 1.0) * self.profile.jitter
+        p = min(max(self._base(relation, a_key, b_key) + jitter, _PROB_FLOOR), 1.0 - _PROB_FLOOR)
+        statement = _Statement(relation, a_key, b_key, judge, p)
+        self._last = (prompt, statement)
+        return statement
 
     def _tree_response(self, concept: str) -> str:
         key = concept.casefold()
@@ -311,17 +359,13 @@ class SyntheticModel:
         tree_match = _TREE_PROMPT_RE.match(prompt)
         if tree_match:
             return self._tree_response(tree_match.group("concept"))
-        for relation, pattern in _JUDGE_MATCHERS:
-            m = pattern.fullmatch(prompt)
-            if m:
-                truth = self.gt.is_true(relation, m.group("A").casefold(),
-                                        m.group("B").casefold())
-                return "True" if truth else "False"
-        statement = self._match_statement(prompt)
+        statement = self._statement(prompt)
         if statement is not None:
-            relation, a_key, b_key = statement
-            p = self._p_true(relation, a_key, b_key, prompt)
-            return "True" if p > 0.5 else "False"
+            if statement.judge:
+                truth = self.gt.is_true(statement.relation, statement.a_key, statement.b_key)
+            else:
+                truth = statement.p > 0.5
+            return "True" if truth else "False"
         for prefix in _INSTRUCTION_PREFIXES:
             if prompt.startswith(prefix):
                 first_sentence = prompt.split(".")[0] + "."
@@ -332,15 +376,13 @@ class SyntheticModel:
 
     def respond_score(self, body: dict) -> list[float]:
         prompt, completion = body["prompt"], body["completion"]
-        statement = self._match_statement(prompt)
+        statement = self._statement(prompt)
         if statement is None:
             raise UnrecognizedPromptError(f"no synthetic scorer for prompt: {prompt[:80]!r}")
-        relation, a_key, b_key = statement
-        p = self._p_true(relation, a_key, b_key, prompt)
         if completion == " True":
-            return [math.log(p)]
+            return [math.log(statement.p)]
         if completion == " False":
-            return [math.log(1.0 - p)]
+            return [math.log(1.0 - statement.p)]
         raise UnrecognizedPromptError(f"unexpected completion {completion!r}")
 
 

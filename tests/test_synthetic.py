@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evontree.errors import InvalidParamsError, UnrecognizedPromptError
 from evontree.ontology import Relation
-from evontree.scoring import judge_prompt, templates_for
+from evontree.scoring import JUDGE_TEMPLATES, PROMPT_SET_V1, judge_prompt, templates_for
 from evontree.ontology import Triple, normalize_label as lbl
 from evontree import config
 from evontree.synthetic import (
@@ -262,6 +265,125 @@ class TestSyntheticStatements:
             model.respond_generate({"prompt": "Tell me a story about enzymes."})
         with pytest.raises(UnrecognizedPromptError):
             model.respond_score({"prompt": "What is a cell?", "completion": " True"})
+
+
+def reference_matcher(template: str) -> re.Pattern[str]:
+    # One pattern per template, tried in turn: the model's earlier matching,
+    # kept as the reference its single pattern must agree with.
+    sent_a, sent_b = "\x00A\x00", "\x00B\x00"
+    t = template.replace("{A}", sent_a).replace("{B}", sent_b)
+    escaped = re.escape(t)
+    escaped = escaped.replace(re.escape(sent_a), "(?P<A>[^']+)")
+    escaped = escaped.replace(re.escape(sent_b), "(?P<B>[^']+)")
+    return re.compile(escaped)
+
+
+REFERENCE_MATCHERS = (
+    [(t.relation, False, reference_matcher(t.template)) for t in PROMPT_SET_V1]
+    + [(rel, True, reference_matcher(tpl)) for rel, tpl in JUDGE_TEMPLATES.items()])
+ALL_TEMPLATES = [t.template for t in PROMPT_SET_V1] + list(JUDGE_TEMPLATES.values())
+
+
+def reference_statement(prompt: str) -> tuple[Relation, str, str, bool]:
+    for relation, judge, pattern in REFERENCE_MATCHERS:
+        m = pattern.fullmatch(prompt)
+        if m:
+            return relation, m.group("A").casefold(), m.group("B").casefold(), judge
+    raise UnrecognizedPromptError(f"no synthetic scorer for prompt: {prompt[:80]!r}")
+
+
+def fill(template: str, a: str, b: str) -> str:
+    return template.replace("{A}", a).replace("{B}", b)
+
+
+# Labels in any case, non-ASCII included, never with an apostrophe.
+label_text = st.text(st.characters(blacklist_characters="'", blacklist_categories=("Cs",)),
+                     min_size=1, max_size=12)
+
+
+class TestStatementResolution:
+    @given(st.sampled_from(ALL_TEMPLATES), label_text, label_text)
+    @settings(max_examples=300, deadline=None)
+    def test_one_pattern_resolves_as_the_per_template_matchers(self, template, a, b):
+        prompt = fill(template, a, b)
+        assert small_model()._statement(prompt)[:4] == reference_statement(prompt)
+
+    @given(st.sampled_from(ALL_TEMPLATES), label_text, label_text,
+           st.sampled_from(["truncated", "preamble", "apostrophe"]))
+    @settings(max_examples=200, deadline=None)
+    def test_a_prompt_no_template_makes_is_refused_by_both(self, template, a, b, damage):
+        if damage == "truncated":
+            prompt = fill(template, a, b)[:-1]
+        elif damage == "preamble":
+            prompt = "Decide whether" + fill(template, a, b)[len("Please determine if"):]
+        else:
+            prompt = fill(template, a + "'s", b)
+        with pytest.raises(UnrecognizedPromptError):
+            reference_statement(prompt)
+        with pytest.raises(UnrecognizedPromptError):
+            small_model().respond_score({"prompt": prompt, "completion": " True"})
+        with pytest.raises(UnrecognizedPromptError):
+            small_model().respond_generate({"prompt": prompt})
+
+
+STATEMENT_LABELS = ["T0N0", "T0N1", "T0N1 alt1", "t0n3", "T0N4 ALT1", "Ghost"]
+statement_request = st.tuples(
+    st.sampled_from([" True", " False", None]),  # None: a one-shot generation
+    st.sampled_from(ALL_TEMPLATES),
+    st.sampled_from(STATEMENT_LABELS),
+    st.sampled_from(STATEMENT_LABELS))
+
+
+def answer(model: SyntheticModel, request: tuple) -> str | list[float]:
+    completion, template, a, b = request
+    prompt = fill(template, a, b)
+    if completion is None:
+        return model.respond_generate({"prompt": prompt})
+    return model.respond_score({"prompt": prompt, "completion": completion})
+
+
+class TestStatementMemo:
+    @given(st.lists(statement_request, min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_answers_do_not_depend_on_request_order(self, requests):
+        shared = small_model(profile=NoiseProfile(familiarity_rate=0.5))
+        for request in requests:
+            # Bit for bit: floats compare equal only when they are the same double.
+            assert answer(shared, request) == \
+                answer(small_model(profile=NoiseProfile(familiarity_rate=0.5)), request)
+
+    def test_threads_sharing_a_model_get_the_fresh_answers(self):
+        requests = [(completion, template, a, b)
+                    for template in ALL_TEMPLATES for a, b in (("T0N1", "T0N0"), ("T0N2", "Ghost"))
+                    for completion in (" True", " False", None)]
+        expected = {request: answer(small_model(), request) for request in requests}
+        shared = small_model()
+        mismatches: list[tuple] = []
+
+        def ask() -> None:
+            for _ in range(100):
+                for request in requests:
+                    try:
+                        got = answer(shared, request)
+                    except Exception as exc:  # a thread's error would pass unseen
+                        got = exc
+                    if got != expected[request]:
+                        mismatches.append((request, got))
+
+        # The same order in both threads, so that each often asks for the
+        # prompt the other has just resolved.
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
 
 class TestSyntheticTrees:
