@@ -19,7 +19,7 @@ import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegenerateLabelsError,
@@ -29,8 +29,8 @@ from .errors import (
     UnparseableError,
 )
 from .gateway import GenerateRequest, ModelGateway, chunked
-from .ontology import Relation, Triple
-from .scoring import ProbeTemplate, ScoredTriple, templates_for
+from .ontology import Relation, TripleRecord
+from .scoring import templates_for
 
 log = logging.getLogger(__name__)
 
@@ -101,40 +101,50 @@ def parse_label(text: str) -> bool:
     return match.group(1).casefold() == "true"
 
 
-def label_request(triple: Triple, template: ProbeTemplate) -> GenerateRequest:
-    """One greedy generation from the instantiated statement."""
-    prompt = template.instantiate(triple.subject, triple.object)
-    return GenerateRequest(prompt=prompt, max_tokens=8, temperature=0.0)
+def one_shot_labels(gateway: ModelGateway, prompts: Iterable[str]) -> list[bool | None]:
+    """The model's one-shot answer to each prompt, in order, for calibration
+    labels and the report's judge alike: one greedy generation of at most 8
+    tokens, sent BATCH_SIZE prompts at a time and read by parse_label. An
+    answer it cannot read is logged and comes back as None."""
+    labels: list[bool | None] = []
+    for chunk in chunked(prompts):
+        texts = gateway.generate_many([GenerateRequest(prompt=prompt, max_tokens=8,
+                                                       temperature=0.0) for prompt in chunk])
+        for prompt, text in zip(chunk, texts):
+            try:
+                labels.append(parse_label(text))
+            except UnparseableError as exc:
+                log.warning("dropping unparseable answer to %r: %s", prompt, exc)
+                labels.append(None)
+    return labels
 
 
 def collect_samples(
     gateway: ModelGateway,
-    scored: Sequence[ScoredTriple],
+    scored: Sequence[TripleRecord],
     relation: Relation,
 ) -> tuple[dict[int, list[LabeledScore]], int]:
-    """Label every (triple, template) pair and pair each label with that
-    template's confirm value, one gateway batch of label requests at a time.
+    """Label each (record, template) pair of relation's scored records by
+    one_shot_labels on the instantiated statement, and pair the label with
+    that template's confirm value, one gateway batch of prompts at a time.
 
     Unparseable answers drop the single sample and are tallied, never fatal:
     one garbled response should not sink a calibration run.
     """
     templates = templates_for(relation)
-    tasks = ((st, template, value)
-             for st in scored if st.triple.relation is relation
-             for template, value in zip(templates, st.values))
+    tasks = ((record.triple, template, value)
+             for record in scored if record.triple.relation is relation
+             for template, value in zip(templates, record.scores))
     samples: dict[int, list[LabeledScore]] = {t.paraphrase_id: [] for t in templates}
     unparseable = 0
     for chunk in chunked(tasks):
-        texts = gateway.generate_many([label_request(st.triple, template)
-                                       for st, template, _ in chunk])
-        for (st, template, value), text in zip(chunk, texts):
-            try:
-                label = parse_label(text)
-            except UnparseableError as exc:
-                log.warning("dropping unparseable label for %s: %s", st.triple, exc)
+        labels = one_shot_labels(gateway, (template.instantiate(triple.subject, triple.object)
+                                           for triple, template, _ in chunk))
+        for (_, template, value), label in zip(chunk, labels):
+            if label is None:
                 unparseable += 1
-                continue
-            samples[template.paraphrase_id].append(LabeledScore(score=value, label=label))
+            else:
+                samples[template.paraphrase_id].append(LabeledScore(score=value, label=label))
     return samples, unparseable
 
 

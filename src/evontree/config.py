@@ -80,12 +80,6 @@ class CalibrationConfig:
 
 
 @dataclass(frozen=True)
-class RulesConfig:
-    # Only one-hop extrapolation exists; the key stays for what may follow.
-    hops: int = field(default=1, metadata={"choices": (1,)})
-
-
-@dataclass(frozen=True)
 class GapConfig:
     mode: str = field(default="all_below", metadata={"choices": GAP_MODES})
     sweep_offsets: tuple[float, ...] = DEFAULT_SWEEP_OFFSETS
@@ -106,7 +100,6 @@ class RunConfig:
     extraction: ExtractionConfig = ExtractionConfig()
     scoring: ScoringConfig = ScoringConfig()
     calibration: CalibrationConfig = CalibrationConfig()
-    rules: RulesConfig = RulesConfig()
     gap: GapConfig = GapConfig()
     synthesis: SynthesisConfig = SynthesisConfig()
     output: OutputConfig = OutputConfig()

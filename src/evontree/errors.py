@@ -57,10 +57,6 @@ class UnparseableError(EvontreeError):
     """A one-shot reply contained neither 'true' nor 'false'."""
 
 
-class InvalidHopsError(EvontreeError):
-    """Extrapolation supports exactly one composition hop."""
-
-
 class InvalidParamsError(EvontreeError, ValueError):
     """Parameter values outside their documented domain; a ValueError too,
     like the checks of built-in functions."""

@@ -16,6 +16,8 @@ only a request sent to the backend is turned into a body dict (to_body).
 The decode makes the caller's str or ScoreResponse with the same checks a
 fetched response passes, so a stored value that fails them, such as a NaN
 or positive log-probability, is a miss: it is fetched again and replaced.
+A score that spans no tokens is well-formed: it is cached and returned with
+empty token_logprobs, and evontree.scoring decides what it means.
 
 Requests travel in batches: ModelGateway.score_many and generate_many take
 a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup
@@ -59,7 +61,6 @@ from urllib.parse import urlsplit
 from .errors import (
     URL_DOMAIN,
     CacheCorruptError,
-    EmptySpanError,
     ProtocolError,
     TransportError,
     check_domain,
@@ -70,8 +71,9 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-RETRY_ATTEMPTS = 3
-RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
+# The wait before each retry of a transport failure.
+RETRY_BACKOFF_S = (1.0, 2.0)
+RETRY_ATTEMPTS = len(RETRY_BACKOFF_S) + 1
 
 # Requests per batch: one cache lookup each, and the unit fanned out over
 # a remote backend's threads. Large enough that lookups cost little next to
@@ -499,7 +501,6 @@ class ModelGateway:
         model: str,
         cache_dir: Path | None,
         read_cache: bool = True,
-        retry_backoff_s: tuple[float, ...] = RETRY_BACKOFF_S,
         sleep=time.sleep,
         max_in_flight: int = 1,
     ) -> None:
@@ -508,7 +509,6 @@ class ModelGateway:
         self.model = model
         self.cache = ResponseCache(cache_dir) if cache_dir is not None else None
         self.read_cache = read_cache
-        self.retry_backoff_s = retry_backoff_s
         self._sleep = sleep
         self.max_in_flight = max_in_flight
         self._pool: ThreadPoolExecutor | None = None
@@ -573,7 +573,7 @@ class ModelGateway:
                 if attempt + 1 < RETRY_ATTEMPTS:
                     with self._retries_lock:
                         self.retries += 1
-                    delay = self.retry_backoff_s[min(attempt, len(self.retry_backoff_s) - 1)]
+                    delay = RETRY_BACKOFF_S[attempt]
                     log.warning("transport failure (attempt %d/%d), retrying in %.1fs: %s",
                                 attempt + 1, RETRY_ATTEMPTS, delay, exc)
                     self._sleep(delay)
@@ -649,25 +649,16 @@ class ModelGateway:
         return self.generate_many([request], bypass_cache)[0]
 
     def score_many(self, requests: Sequence[ScoreRequest],
-                   bypass_cache: bool = False) -> list[ScoreResponse | EmptySpanError]:
-        """The scored completion for each request, in order.
-
-        A response that scores no tokens comes back as an EmptySpanError in
-        its place, so the caller can drop just the item it belongs to. Such
-        a body is well-formed, and the same request always gets it, so it is
-        cached and a rerun gets the EmptySpanError again from the cache. Any
-        other malformed response raises ProtocolError and is not cached.
-        """
-        responses = self._call_many("score", requests, bypass_cache)
-        return [response if response.token_logprobs else EmptySpanError(
-                    f"no completion tokens scored for completion {request.completion!r}")
-                for request, response in zip(requests, responses)]
+                   bypass_cache: bool = False) -> list[ScoreResponse]:
+        """The scored completion for each request, in order, as
+        _score_response parsed it. One that scores no tokens is well-formed,
+        so it is cached and returned, from the cache on a rerun too, with
+        empty token_logprobs. Any other malformed response raises
+        ProtocolError and is not cached."""
+        return self._call_many("score", requests, bypass_cache)
 
     def score(self, request: ScoreRequest, bypass_cache: bool = False) -> ScoreResponse:
-        result = self.score_many([request], bypass_cache)[0]
-        if isinstance(result, EmptySpanError):
-            raise result
-        return result
+        return self.score_many([request], bypass_cache)[0]
 
 
 def _generated_text(raw: dict) -> str:

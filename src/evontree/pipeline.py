@@ -297,17 +297,20 @@ def stage_extract(ctx: RunContext) -> StageResult:
     }, extra_outputs=extra_outputs)
 
 
-def _score_records(ctx: RunContext, triples: Sequence[Triple]) -> tuple[list, int]:
-    """Score triples in gateway batches. A triple whose completion yields
-    no scoreable tokens is dropped whole and tallied; transport failures
+def _score_records(ctx: RunContext, records: Sequence[TripleRecord]) -> tuple[list, int]:
+    """The records whose triples scored, in order, with their confirm values
+    as scores and their class and chains kept, and the count left unscored:
+    a triple with an empty span is dropped whole; transport failures
     propagate, since a dead endpoint should fail the stage."""
     scored = []
-    for triple, result in zip(triples, score_triples(ctx.gateway(), triples)):
+    results = score_triples(ctx.gateway(), (record.triple for record in records))
+    for record, result in zip(records, results):
         if isinstance(result, EmptySpanError):
-            log.warning("leaving %r unscored: %s", triple, result)
+            log.warning("leaving %r unscored: %s", record.triple, result)
         else:
-            scored.append(result)
-    return scored, len(triples) - len(scored)
+            scored.append(TripleRecord(record.triple, record.triple_class,
+                                       scores=result, chains=record.chains))
+    return scored, len(records) - len(scored)
 
 
 def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> dict:
@@ -315,15 +318,14 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> dict:
     against the model's own one-shot labels; their ROC curves go to
     roc_curve.csv."""
     paths = ctx.paths
-    scored, unscored = _score_records(ctx, [r.triple for r in raw])
-    _write_records(ctx, "scored_raw", [
-        TripleRecord(st.triple, TripleClass.RAW, scores=st.values) for st in scored])
+    scored, unscored = _score_records(ctx, raw)
+    _write_records(ctx, "scored_raw", scored)
 
     sweep = ctx.config.calibration.sweep()
     by_relation = {}
     unparseable = 0
     for relation in Relation:
-        if not any(st.triple.relation is relation for st in scored):
+        if not any(r.triple.relation is relation for r in scored):
             continue
         samples, dropped = collect_samples(ctx.gateway(), scored, relation)
         unparseable += dropped
@@ -370,7 +372,7 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord],
     everything already known, then score them for the gap decision."""
     existing = TripleStore(r.triple for r in raw + confirmed + reliable)
     reliable_triples = [r.triple for r in reliable]
-    candidates = extrapolate(reliable_triples, existing, hops=ctx.config.rules.hops)
+    candidates = extrapolate(reliable_triples, existing)
 
     reliable_sub = [t for t in reliable_triples if t.relation is Relation.SUBCLASS_OF]
     by_subject = Counter(t.subject.key for t in reliable_sub)
@@ -386,12 +388,8 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord],
     ]
     _write_records(ctx, "extrapolated", ext_records)
 
-    chains_by_triple = {r.triple: r.chains for r in ext_records}
-    scored, unscored = _score_records(ctx, [r.triple for r in ext_records])
-    _write_records(ctx, "scored_extrapolated", [
-        TripleRecord(st.triple, TripleClass.EXTRAPOLATED, scores=st.values,
-                     chains=chains_by_triple[st.triple])
-        for st in scored])
+    scored, unscored = _score_records(ctx, ext_records)
+    _write_records(ctx, "scored_extrapolated", scored)
     return {"compositions": compositions,
             "extrapolated_new": len(ext_records),
             "unscored": unscored}

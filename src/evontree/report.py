@@ -12,18 +12,15 @@ calibrate stage writes: calibration.json does not keep the curves.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .calibration import CalibrationOutcome, parse_label
-from .errors import JudgeUnavailableError, TransportError, UnparseableError
-from .gateway import GenerateRequest, ModelGateway, chunked
+from .calibration import CalibrationOutcome, one_shot_labels
+from .errors import JudgeUnavailableError, TransportError
+from .gateway import ModelGateway, chunked
 from .ontology import Relation, Triple, TripleClass, TripleRecord
 from .scoring import gap_decision, judge_prompt
-
-log = logging.getLogger(__name__)
 
 # Row order of the stats table: synonym classes first, then the subclass
 # lifecycle from raw elicitation down to the mined gaps.
@@ -77,8 +74,8 @@ def split_by_relation(records: Iterable[TripleRecord]) -> dict[Relation, list[Tr
 
 def judge_triples(gateway: ModelGateway,
                   triples: Sequence[Triple]) -> tuple[dict[Triple, bool], int]:
-    """Ask the judge once per triple whether it holds, one gateway batch of
-    triples at a time.
+    """Ask the judge once per triple whether it holds, as a one-shot
+    question (one_shot_labels), one gateway batch of triples at a time.
 
     Unparseable answers drop the triple from the audit and are tallied.
     A transport failure means the judge endpoint is down, which degrades
@@ -88,15 +85,11 @@ def judge_triples(gateway: ModelGateway,
     unparseable = 0
     try:
         for chunk in chunked(triples):
-            texts = gateway.generate_many([
-                GenerateRequest(prompt=judge_prompt(t), max_tokens=8, temperature=0.0)
-                for t in chunk])
-            for triple, text in zip(chunk, texts):
-                try:
-                    verdicts[triple] = parse_label(text)
-                except UnparseableError as exc:
-                    log.warning("judge answer unparseable for %r: %s", triple, exc)
+            for triple, label in zip(chunk, one_shot_labels(gateway, map(judge_prompt, chunk))):
+                if label is None:
                     unparseable += 1
+                else:
+                    verdicts[triple] = label
     except TransportError as exc:
         raise JudgeUnavailableError(f"judge endpoint failed: {exc}") from exc
     return verdicts, unparseable

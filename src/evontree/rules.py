@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidHopsError
 from .ontology import Relation, Triple, TripleStore
 from .scoring import confirm_decision, gap_decision
 
@@ -73,8 +72,7 @@ class ExtrapolatedCandidate:
     chains: tuple[tuple[Triple, Triple], ...]
 
 
-def extrapolate(reliable: Iterable[Triple], existing: TripleStore,
-                hops: int = 1) -> list[ExtrapolatedCandidate]:
+def extrapolate(reliable: Iterable[Triple], existing: TripleStore) -> list[ExtrapolatedCandidate]:
     """Compose reliable subclass triples one hop: (A, B) + (B, C) -> (A, C).
 
     `existing` holds everything already known (raw, confirmed, and reliable
@@ -82,8 +80,6 @@ def extrapolate(reliable: Iterable[Triple], existing: TripleStore,
     synonym classes present in `existing`, to any known subclass triple, and
     not reflexive at the class level.
     """
-    if hops != 1:
-        raise InvalidHopsError(f"only one-hop extrapolation is supported, got hops={hops}")
     reliable_set = {t for t in reliable if t.relation is Relation.SUBCLASS_OF}
     uf = synonym_classes(existing.synonym_triples())
     known = existing.subclass_triples() | reliable_set

@@ -8,7 +8,10 @@ and " False"; the confirm value compares the two perplexities:
 
 Positive values mean the model finds " True" easier to produce than
 " False". Because perplexities are at least 1 for log-probabilities <= 0,
-the value always lies in [-1, 1].
+the value always lies in [-1, 1]; a perplexity past the largest float is
+inf, and equal perplexities, inf included, give 0.0. A completion that
+scores no tokens has none: the gateway only caches it, and score_triples
+turns it into the EmptySpanError that leaves its triple unscored.
 """
 
 from __future__ import annotations
@@ -84,34 +87,20 @@ def judge_prompt(triple: Triple) -> str:
 
 
 def perplexity(token_logprobs: tuple[float, ...] | list[float]) -> float:
-    """exp of the negative mean token log-probability (natural base)."""
+    """exp of the negative mean token log-probability (natural base); inf on overflow."""
     if not token_logprobs:
         raise ValueError("perplexity of an empty token span is undefined")
-    return math.exp(-sum(token_logprobs) / len(token_logprobs))
+    try:
+        return math.exp(-sum(token_logprobs) / len(token_logprobs))
+    except OverflowError:
+        return math.inf
 
 
 def confirm_value(ppl_true: float, ppl_false: float) -> float:
-    diff = ppl_false - ppl_true
-    sign = 0.0 if diff == 0.0 else math.copysign(1.0, diff)
-    return sign / min(ppl_true, ppl_false)
-
-
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    paraphrase_id: int
-    ppl_true: float
-    ppl_false: float
-    confirm_value: float
-
-
-@dataclass(frozen=True)
-class ScoredTriple:
-    triple: Triple
-    breakdowns: tuple[ScoreBreakdown, ...]  # ordered by paraphrase_id
-
-    @property
-    def values(self) -> list[float]:
-        return [b.confirm_value for b in self.breakdowns]
+    # Equal perplexities are a tie, inf against inf too: inf - inf is NaN.
+    if ppl_true == ppl_false:
+        return 0.0
+    return math.copysign(1.0, ppl_false - ppl_true) / min(ppl_true, ppl_false)
 
 
 def probe_requests(triple: Triple) -> list[ScoreRequest]:
@@ -127,46 +116,34 @@ def probe_requests(triple: Triple) -> list[ScoreRequest]:
 TRIPLES_PER_BATCH = BATCH_SIZE // (2 * max(len(templates_for(r)) for r in Relation))
 
 
-def _scored(triple: Triple,
-            responses: list[ScoreResponse | EmptySpanError]) -> ScoredTriple | EmptySpanError:
-    empty = next((r for r in responses if isinstance(r, EmptySpanError)), None)
-    if empty is not None:
-        return empty
-    breakdowns = []
-    for template, true, false in zip(templates_for(triple.relation),
-                                     responses[::2], responses[1::2]):
-        ppl_t = perplexity(true.token_logprobs)
-        ppl_f = perplexity(false.token_logprobs)
-        breakdowns.append(ScoreBreakdown(
-            paraphrase_id=template.paraphrase_id,
-            ppl_true=ppl_t,
-            ppl_false=ppl_f,
-            confirm_value=confirm_value(ppl_t, ppl_f),
-        ))
-    return ScoredTriple(triple=triple, breakdowns=tuple(breakdowns))
+def _confirm_values(requests: list[ScoreRequest],
+                    responses: list[ScoreResponse]) -> list[float] | EmptySpanError:
+    """Each paraphrase's confirm value from the responses to probe_requests,
+    or the EmptySpanError naming the first completion that scored no tokens."""
+    ppls = []
+    for request, response in zip(requests, responses):
+        if not response.token_logprobs:
+            return EmptySpanError(
+                f"no completion tokens scored for completion {request.completion!r}")
+        ppls.append(perplexity(response.token_logprobs))
+    return [confirm_value(t, f) for t, f in zip(ppls[::2], ppls[1::2])]
 
 
 def score_triples(gateway: ModelGateway,
-                  triples: Iterable[Triple]) -> Iterator[ScoredTriple | EmptySpanError]:
-    """Score each triple as score_triple does, one result per triple in
-    order, sending the probes of TRIPLES_PER_BATCH triples as one batch.
-
-    A triple with a completion that scores no tokens comes back as that
-    EmptySpanError, so only it is dropped; its neighbours are scored.
-    """
+                  triples: Iterable[Triple]) -> Iterator[list[float] | EmptySpanError]:
+    """Each triple's _confirm_values, in order, sending the probes of
+    TRIPLES_PER_BATCH triples as one batch: a triple with an empty span gets
+    its EmptySpanError, so only it is dropped and its neighbours are scored."""
     for chunk in chunked(triples, TRIPLES_PER_BATCH):
         probes = [probe_requests(triple) for triple in chunk]
         responses = iter(gateway.score_many([r for requests in probes for r in requests]))
-        for triple, requests in zip(chunk, probes):
-            yield _scored(triple, [next(responses) for _ in requests])
+        for requests in probes:
+            yield _confirm_values(requests, [next(responses) for _ in requests])
 
 
-def score_triple(gateway: ModelGateway, triple: Triple) -> ScoredTriple:
-    """Score every paraphrase of the triple's relation against both answers.
-
-    A triple is scored in full or not at all: any failure leaves no partial
-    breakdown behind, so downstream consumers never see a half-scored triple.
-    """
+def score_triple(gateway: ModelGateway, triple: Triple) -> list[float]:
+    """The triple's confirm values in paraphrase order; an empty span raises
+    EmptySpanError, so no caller sees a half-scored triple."""
     result = next(score_triples(gateway, [triple]))
     if isinstance(result, EmptySpanError):
         raise result

@@ -253,7 +253,6 @@ _TREE_PROMPT_RE = re.compile(
 _INSTRUCTION_PREFIXES = (
     "Outline the primary functions of ",
     "Identify and describe any subtypes of ",
-    "Is ",
 )
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evontree.gateway as gateway_module
+import evontree.report as report_module
 from evontree.calibration import (
     CalibrationOutcome,
     CalibrationResult,
@@ -17,7 +18,7 @@ from evontree.calibration import (
     calibrate_relation,
     collect_samples,
     fit_threshold,
-    label_request,
+    one_shot_labels,
     parse_label,
 )
 from evontree.errors import (
@@ -26,9 +27,10 @@ from evontree.errors import (
     StaleUpstreamError,
     UnparseableError,
 )
-from evontree.gateway import HttpBackend, ModelGateway
-from evontree.ontology import Relation, Triple, normalize_label as lbl
-from evontree.scoring import ScoreBreakdown, ScoredTriple, templates_for
+from evontree.gateway import GenerateRequest, HttpBackend, ModelGateway
+from evontree.ontology import Relation, Triple, TripleClass, TripleRecord, normalize_label as lbl
+from evontree.report import judge_triples
+from evontree.scoring import probe_requests, templates_for
 
 SUB_TPL = templates_for(Relation.SUBCLASS_OF)[0]
 
@@ -147,16 +149,47 @@ class TestFitThreshold:
         assert all(a >= b for a, b in zip(fprs, fprs[1:]))
 
 
+class RecordingGateway:
+    """Answers every generation with "True", recording each request."""
+
+    def __init__(self):
+        self.requests = []
+
+    def generate_many(self, requests, bypass_cache=False):
+        self.requests += requests
+        return ["True"] * len(requests)
+
+
 class TestOneShotLabel:
-    """A one-shot label: label_request's greedy prompt, its answer read by parse_label."""
+    """A one-shot label: one_shot_labels's greedy request, its answer read by parse_label."""
 
     def test_parses_true_from_template_prompt(self):
         t = Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe"))
-        req = label_request(t, SUB_TPL)
-        assert req.temperature == 0.0
+        gw = RecordingGateway()
+        collect_samples(gw, [scored_subclass("Virus", "Microbe", [0.5] * 4)], Relation.SUBCLASS_OF)
+        req = gw.requests[0]
+        assert req == GenerateRequest(prompt=req.prompt, max_tokens=8, temperature=0.0)
         # The label prompt is the same instantiated statement the scorer uses.
         assert req.prompt == SUB_TPL.instantiate(t.subject, t.object)
+        assert [r.prompt for r in gw.requests] == [r.prompt for r in probe_requests(t)[::2]]
         assert parse_label("True.") is True
+
+    def test_labels_in_order_with_none_for_unparseable(self):
+        gw = ScriptedLabelGateway({"p0": "True", "p1": "no idea", "p2": " false."})
+        assert one_shot_labels(gw, (f"p{i}" for i in range(4))) == [True, None, False, None]
+        assert gw.prompts == ["p0", "p1", "p2", "p3"]
+
+    def test_calibration_and_judge_ask_the_same_request(self, monkeypatch):
+        # Given the same statement text, a calibration label and a judge
+        # verdict are one and the same one-shot request.
+        t = Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe"))
+        monkeypatch.setattr(report_module, "judge_prompt",
+                            lambda triple: SUB_TPL.instantiate(triple.subject, triple.object))
+        labels, judge = RecordingGateway(), RecordingGateway()
+        collect_samples(labels, [scored_subclass("Virus", "Microbe", [0.5] * 4)],
+                        Relation.SUBCLASS_OF)
+        assert judge_triples(judge, [t]) == ({t: True}, 0)
+        assert judge.requests == labels.requests[:1]
 
     def test_parses_false_case_insensitive(self):
         assert parse_label("  fAlSe, because...") is False
@@ -175,20 +208,18 @@ class TestOneShotLabel:
 
 
 def scored_subclass(s, o, values):
-    breakdowns = tuple(
-        ScoreBreakdown(paraphrase_id=i + 1, ppl_true=1.0, ppl_false=1.0, confirm_value=v)
-        for i, v in enumerate(values))
-    return ScoredTriple(Triple(lbl(s), Relation.SUBCLASS_OF, lbl(o)), breakdowns)
+    return TripleRecord(Triple(lbl(s), Relation.SUBCLASS_OF, lbl(o)), TripleClass.RAW,
+                        scores=list(values))
 
 
 def samples_from(scored, labels):
     """Per-template samples as collect_samples would build them, given one
     shared label per triple."""
     out = {}
-    for st_, label in zip(scored, labels):
-        for b in st_.breakdowns:
-            out.setdefault(b.paraphrase_id, []).append(
-                LabeledScore(score=b.confirm_value, label=label))
+    for record, label in zip(scored, labels):
+        for template, value in zip(templates_for(record.triple.relation), record.scores):
+            out.setdefault(template.paraphrase_id, []).append(
+                LabeledScore(score=value, label=label))
     return out
 
 
@@ -230,9 +261,8 @@ class TestCollectSamples:
 
     def test_other_relation_is_ignored(self):
         a = scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6])
-        syn = ScoredTriple(
-            Triple(lbl("x"), Relation.SYNONYM_OF, lbl("y")),
-            tuple(ScoreBreakdown(i + 1, 1.0, 1.0, 0.5) for i in range(5)))
+        syn = TripleRecord(Triple(lbl("x"), Relation.SYNONYM_OF, lbl("y")), TripleClass.RAW,
+                           scores=[0.5] * 5)
         gw = self.build_gateway(a, a)
         samples, _ = collect_samples(gw, [a, syn], Relation.SUBCLASS_OF)
         assert all(len(v) == 1 for v in samples.values())

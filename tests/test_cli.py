@@ -22,7 +22,9 @@ import evontree
 import evontree.pipeline
 from evontree.cli import EXIT_CONFIG, EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main
 from evontree.config import ENDPOINT_ENV_VAR
-from evontree.gateway import CACHE_FILE, HttpBackend, ModelGateway
+from evontree.gateway import CACHE_FILE, RETRY_BACKOFF_S, HttpBackend, ModelGateway
+from evontree.ontology import read_triple_file
+from evontree.synthetic import SyntheticBackend
 
 CONFIG_OBJ = {
     "model": {
@@ -73,9 +75,13 @@ class TestExitCodes:
         assert "config.extraction.roots[0] has no UTF-8 form" in caplog.text
         assert not (tmp_path / "out").exists()
 
-    def test_unsupported_hops_exits_2_before_any_stage(self, tmp_path):
-        config = write_config(tmp_path, {**CONFIG_OBJ, "rules": {"hops": 2}})
-        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    def test_unsupported_hops_exits_2_before_any_stage(self, tmp_path, caplog):
+        # Extrapolation is one hop, and the rules section that named it is
+        # gone: any rules.hops is an unknown key.
+        config = write_config(tmp_path, {**CONFIG_OBJ, "rules": {"hops": 1}})
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert "unknown key(s) ['rules'] in config" in caplog.text
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_missing_upstream_exits_3(self, tmp_path):
@@ -147,7 +153,25 @@ class TestExitCodes:
             "output": {"dir": "out"},
         })
         assert main(["extract", "--config", str(config)]) == EXIT_GATEWAY
-        assert delays == [1.0, 2.0]
+        assert delays == list(RETRY_BACKOFF_S)
+
+    def test_completion_too_unlikely_for_a_float_perplexity_exits_0(self, tmp_path,
+                                                                     monkeypatch):
+        # A mean log-probability below about -709.78 overflows exp(); the
+        # perplexity is inf, and inf against inf is a tie. The reply is cached,
+        # so the rerun replays it.
+        def unlikely(self, body, score=SyntheticBackend.score):
+            if "'T0N1'" in body["prompt"] and "'T0N0'" in body["prompt"]:
+                return {"token_logprobs": [-1000.0]}
+            return score(self, body)
+
+        monkeypatch.setattr(SyntheticBackend, "score", unlikely)
+        config = write_config(tmp_path, CONFIG_OBJ)
+        for _ in range(2):
+            assert main(["run", "--config", str(config)]) == EXIT_OK
+        scores = {(r.triple.subject.text, r.triple.object.text): r.scores
+                  for r in read_triple_file(tmp_path / "out" / "scored_raw.jsonl")}
+        assert scores[("T0N1", "T0N0")] == [0.0] * 4
 
     def test_corrupt_cache_file_exits_1_with_a_message(self, tmp_path, caplog):
         config = write_config(tmp_path, CONFIG_OBJ)

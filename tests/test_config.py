@@ -37,7 +37,6 @@ class TestDefaults:
         assert cfg.model.synthetic.noise.p_true_known == 0.9
         assert cfg.scoring.max_in_flight == 8
         assert (cfg.calibration.sweep_lo, cfg.calibration.sweep_hi) == (0.0, 1.0)
-        assert cfg.rules.hops == 1
         assert cfg.gap.mode == "all_below"
         assert cfg.gap.sweep_offsets == DEFAULT_SWEEP_OFFSETS
         assert cfg.synthesis.strategy == "mix"
@@ -291,8 +290,6 @@ BAD_VALUES = [
     ("calibration.sweep_lo", "0", "has the wrong type: '0'"),
     ("calibration.sweep_hi", None, "has the wrong type: None"),
     ("calibration.sweep_lo", -math.inf, "must be a finite number, got -inf"),
-    ("rules.hops", 2, "must be one of (1,), got 2"),
-    ("rules.hops", 0, "must be one of (1,), got 0"),
     ("gap.mode", "most_below",
      "must be one of ('all_below', 'mean_below', 'any_below'), got 'most_below'"),
     ("gap.sweep_offsets", [], "must be a non-empty list, got []"),
@@ -310,7 +307,7 @@ BAD_VALUES = [
 ]
 
 SECTIONS = ["model", "model.judge", "model.synthetic", "model.synthetic.noise", "extraction",
-            "scoring", "calibration", "rules", "gap", "synthesis", "output"]
+            "scoring", "calibration", "gap", "synthesis", "output"]
 
 
 class TestEveryKey:
@@ -368,7 +365,6 @@ FULL_HTTP = {
                    "frontier_budget": 50, "gen_max_tokens": 256, "gen_temperature": 0},
     "scoring": {"max_in_flight": 3},
     "calibration": {"sweep_lo": -1, "sweep_hi": 2.5},
-    "rules": {"hops": 1},
     "gap": {"mode": "mean_below", "sweep_offsets": [-1, 0, 0.5]},
     "synthesis": {"strategy": "implicit", "max_tokens": 64, "temperature": 1,
                   "strip_hint": True, "empty_retries": 0},
@@ -389,9 +385,9 @@ class TestPinnedHashes:
     # sha256 of every section but output, canonically encoded; a change
     # here changes every run's manifest.
     @pytest.mark.parametrize(("obj", "digest"), [
-        (MINIMAL, "35d38ef07381ff797cd32d7110f1ffa9f7123b51b140baf7a56eeffdbe1a08ed"),
-        (FULL_HTTP, "ad1d5aaf1853ae7a8bf2179a080c3b576b1e3c038e84834297abbe5fcdbd907a"),
-        (FULL_SYNTHETIC, "7cdaafc73506e5ee69ca1e2aa36665ccdc9e1b1545bcdfe2acb4183bbc637556"),
+        (MINIMAL, "42ad23019f85059e150937e4a5a09f743273349692e79a048d1e485fdcccc7cd"),
+        (FULL_HTTP, "007f34ec0391f74e6df94c97eab096a277f56bb5065f0729789056f7d11bbfd0"),
+        (FULL_SYNTHETIC, "33d3043469966a9733338e71613a9c1bb4d9aa553dca6edc1964706345c6c408"),
     ], ids=["minimal", "full-http", "full-synthetic"])
     def test_config_hash_is_pinned(self, obj, digest, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)

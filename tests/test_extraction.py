@@ -123,7 +123,7 @@ def synthetic_gateway(tmp_path, *, depth=2, branching=2, synonym_rate=1.0,
                            hallucination_rate=hallucination_rate)
     gw = ModelGateway(SyntheticBackend(model), model="synthetic",
                       cache_dir=tmp_path / "cache",
-                      retry_backoff_s=(0.0,), sleep=lambda s: None)
+                      sleep=lambda s: None)
     return gw, gt
 
 
@@ -195,7 +195,7 @@ class ScriptedBackend:
 def scripted_gateway(tmp_path, responses):
     backend = ScriptedBackend(responses)
     return ModelGateway(backend, model="m", cache_dir=tmp_path / "cache",
-                        retry_backoff_s=(0.0,), sleep=lambda s: None), backend
+                        sleep=lambda s: None), backend
 
 
 class TestSortedFrontier:
@@ -284,7 +284,7 @@ class TestExtractForest:
         model = SyntheticModel(gt, NoiseProfile(), seed=3)
         gw = ModelGateway(SyntheticBackend(model), model="synthetic",
                           cache_dir=tmp_path / "cache",
-                          retry_backoff_s=(0.0,), sleep=lambda s: None)
+                          sleep=lambda s: None)
         config = ExtractionConfig(roots=("T0N0", "T1N0"), max_depth=1)
         forest, totals = extract_forest(gw, config)
         assert [t.root.text for t in forest] == ["T0N0", "T1N0"]

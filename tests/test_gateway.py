@@ -25,7 +25,6 @@ from hypothesis import example, given, settings, strategies as st
 import evontree
 from evontree.errors import (
     CacheCorruptError,
-    EmptySpanError,
     InvalidParamsError,
     ProtocolError,
     TransportError,
@@ -35,6 +34,7 @@ from evontree.gateway import (
     CACHE_FILE,
     CACHE_FORMAT,
     RETRY_ATTEMPTS,
+    RETRY_BACKOFF_S,
     GenerateRequest,
     HttpBackend,
     ModelGateway,
@@ -84,7 +84,6 @@ json_values = st.recursive(
 
 def make_gateway(tmp_path, backend=None, **kw):
     backend = backend or FakeBackend()
-    kw.setdefault("retry_backoff_s", (0.0,))
     kw.setdefault("sleep", lambda s: None)
     return ModelGateway(backend, model="m1", cache_dir=tmp_path / "cache", **kw), backend
 
@@ -175,9 +174,7 @@ class TestCache:
                 gw, backend = make_gateway(Path(tmp), backend=Canned())
                 try:
                     [scored] = gw.score_many([score])
-                    answers.append((gw.generate(gen), backend.calls,
-                                    () if isinstance(scored, EmptySpanError)
-                                    else scored.token_logprobs))
+                    answers.append((gw.generate(gen), backend.calls, scored.token_logprobs))
                 finally:
                     gw.close()
         (first, first_calls, first_lps), (again, again_calls, again_lps) = answers
@@ -237,7 +234,7 @@ class TestCache:
 
         backend = LoneSurrogateOnP1()
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path / "cache" if cached else None,
-                          retry_backoff_s=(0.0,), sleep=lambda s: None)
+                          sleep=lambda s: None)
         with pytest.raises(ProtocolError, match="has no UTF-8 form"):
             gw.generate_many(prompts(3))
         gw.close()
@@ -274,8 +271,7 @@ class TestCache:
                         [GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)])[0]
                 else:
                     [result] = gw.score_many([ScoreRequest(prompt="p", completion=" True")])
-                    result = (EmptySpanError if isinstance(result, EmptySpanError)
-                              else [struct.pack("<d", lp) for lp in result.token_logprobs])
+                    result = [struct.pack("<d", lp) for lp in result.token_logprobs]
             except ProtocolError:
                 result = ProtocolError
             finally:
@@ -363,7 +359,7 @@ class TestCache:
     def test_no_cache_dir_disables_cache(self):
         backend = FakeBackend()
         gw = ModelGateway(backend, model="m1", cache_dir=None,
-                          retry_backoff_s=(0.0,), sleep=lambda s: None)
+                          sleep=lambda s: None)
         req = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)
         gw.generate(req)
         gw.generate(req)
@@ -594,16 +590,16 @@ class TestRetry:
         delays = []
         backend = FakeBackend(failures=2)
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path,
-                          retry_backoff_s=(1.0, 2.0, 4.0), sleep=delays.append)
+                          sleep=delays.append)
         assert gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)) == "gen:x"
         assert len(backend.calls) == 3
-        assert delays == [1.0, 2.0]
+        assert delays == list(RETRY_BACKOFF_S)
         assert gw.retries == 2 and gw.calls == 1
 
     def test_gives_up_after_three_attempts(self, tmp_path):
         backend = FakeBackend(failures=10)
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path,
-                          retry_backoff_s=(0.0,), sleep=lambda s: None)
+                          sleep=lambda s: None)
         with pytest.raises(TransportError) as exc_info:
             gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
         assert exc_info.value.attempts == 3
@@ -637,7 +633,7 @@ class TestRetry:
 
         n = 300
         gw = ModelGateway(FailsTwiceHttp(), model="m1", cache_dir=None,
-                          retry_backoff_s=(0.0,), sleep=lambda s: None,
+                          sleep=lambda s: None,
                           max_in_flight=(os.cpu_count() or 1) + 4)
         results = []
         switch_interval = sys.getswitchinterval()
@@ -694,7 +690,7 @@ class TestBatches:
 
         backend = FailsOnP3Http()
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path / "cache",
-                          retry_backoff_s=(0.0,), sleep=lambda s: None, max_in_flight=4)
+                          sleep=lambda s: None, max_in_flight=4)
         with pytest.raises(TransportError):
             gw.generate_many(prompts(40))
         gw.close()
@@ -793,7 +789,7 @@ class TestBatches:
                 return {"text": f"gen:{body['prompt']}"}
 
         gw = ModelGateway(TakesTheWriteLock(), model="m1", cache_dir=tmp_path / "cache",
-                          retry_backoff_s=(0.0,), sleep=lambda s: None, max_in_flight=4)
+                          sleep=lambda s: None, max_in_flight=4)
         try:
             texts = gw.generate_many(prompts(BATCH_SIZE + 1))
         finally:
@@ -848,10 +844,10 @@ class TestBatches:
         gw, _ = make_gateway(tmp_path, backend=EmptyBackend())
         [first] = gw.score_many([request])
         gw.close()
-        assert isinstance(first, EmptySpanError) and gw.cache_commits == 1
+        assert first.token_logprobs == () and gw.cache_commits == 1
         again, again_backend = make_gateway(tmp_path, backend=EmptyBackend())
         [second] = again.score_many([request])
-        assert isinstance(second, EmptySpanError)
+        assert second.token_logprobs == ()
         assert again_backend.calls == [] and again.cache_hits == 1
         again.close()
 
@@ -873,15 +869,6 @@ class TestScoreValidation:
 
         gw, _ = make_gateway(tmp_path, backend=ZeroBackend())
         assert gw.score(ScoreRequest(prompt="p", completion=" True")).token_logprobs == (0.0, -1.0)
-
-    def test_empty_span_rejected(self, tmp_path):
-        class EmptyBackend(FakeBackend):
-            def score(self, body):
-                return {"token_logprobs": []}
-
-        gw, _ = make_gateway(tmp_path, backend=EmptyBackend())
-        with pytest.raises(EmptySpanError):
-            gw.score(ScoreRequest(prompt="p", completion=" True"))
 
     def test_non_numeric_logprob_rejected(self, tmp_path):
         class StrBackend(FakeBackend):
@@ -953,7 +940,7 @@ def wire_server():
 class TestHttpWireFormat:
     def test_generate_posts_expected_body(self, wire_server, tmp_path):
         gw = ModelGateway(HttpBackend(wire_server), model="med-model",
-                          cache_dir=tmp_path, retry_backoff_s=(0.0,), sleep=lambda s: None)
+                          cache_dir=tmp_path, sleep=lambda s: None)
         text = gw.generate(GenerateRequest(prompt="hi", max_tokens=16, temperature=0.7,
                                            stop=("\n\n",)))
         assert text == "ok"
@@ -964,7 +951,7 @@ class TestHttpWireFormat:
 
     def test_generate_body_always_carries_stop_list(self, wire_server, tmp_path):
         gw = ModelGateway(HttpBackend(wire_server), model="med-model",
-                          cache_dir=tmp_path, retry_backoff_s=(0.0,), sleep=lambda s: None)
+                          cache_dir=tmp_path, sleep=lambda s: None)
         gw.generate(GenerateRequest(prompt="hi", max_tokens=16, temperature=0.0))
         _, body = _WireHandler.seen[0]
         assert body["stop"] == []
@@ -972,7 +959,7 @@ class TestHttpWireFormat:
 
     def test_score_posts_expected_body(self, wire_server, tmp_path):
         gw = ModelGateway(HttpBackend(wire_server), model="med-model",
-                          cache_dir=tmp_path, retry_backoff_s=(0.0,), sleep=lambda s: None)
+                          cache_dir=tmp_path, sleep=lambda s: None)
         resp = gw.score(ScoreRequest(prompt="statement. Answer:", completion=" True"))
         assert resp.token_logprobs == (-0.1, -0.2, -0.3)
         path, body = _WireHandler.seen[0]
@@ -994,7 +981,7 @@ class TestHttpWireFormat:
         try:
             gw = ModelGateway(HttpBackend(f"http://127.0.0.1:{server.server_address[1]}"),
                               model="m", cache_dir=tmp_path,
-                              retry_backoff_s=(0.0,), sleep=lambda s: None)
+                              sleep=lambda s: None)
             with pytest.raises(TransportError):
                 gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
         finally:
@@ -1023,11 +1010,11 @@ class TestHttpWireFormat:
         try:
             gw = ModelGateway(HttpBackend(f"http://127.0.0.1:{server.server_address[1]}"),
                               model="m", cache_dir=tmp_path,
-                              retry_backoff_s=(0.5,), sleep=delays.append)
+                              sleep=delays.append)
             assert gw.generate(GenerateRequest(prompt="x", max_tokens=4,
                                                temperature=0.0)) == "ok"
             assert statuses == []
-            assert delays == [0.5]
+            assert delays == [RETRY_BACKOFF_S[0]]
         finally:
             server.shutdown()
             server.server_close()
@@ -1132,8 +1119,7 @@ def http_gateway(fault_server, tmp_path):
     def make(timeout_s: float = 10.0, **kw) -> ModelGateway:
         delays = []
         gw = ModelGateway(HttpBackend(fault_server.url, timeout_s=timeout_s), model="m",
-                          cache_dir=tmp_path / "cache", retry_backoff_s=(0.0,),
-                          sleep=delays.append, **kw)
+                          cache_dir=tmp_path / "cache", sleep=delays.append, **kw)
         gw.delays = delays
         made.append(gw)
         return gw
@@ -1194,7 +1180,7 @@ class TestHttpFaults:
             gw.generate(first)
         assert exc_info.value.attempts == RETRY_ATTEMPTS
         assert len(fault_server.seen) == RETRY_ATTEMPTS
-        assert gw.delays == [0.0] * (RETRY_ATTEMPTS - 1)
+        assert gw.delays == list(RETRY_BACKOFF_S)
         assert stored_responses(gw) == {}
         # The backend recovers for the next request.
         assert gw.generate(second) == "echo:p1"

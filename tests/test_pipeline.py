@@ -7,6 +7,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import sqlite3
 import struct
@@ -21,8 +22,10 @@ from contextlib import closing, contextmanager
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evontree
 import evontree.gateway as gateway_module
@@ -40,9 +43,22 @@ from evontree.gateway import (
     HttpBackend,
     ModelGateway,
 )
-from evontree.ontology import Relation, read_triple_file
+from evontree.ontology import (
+    Relation,
+    Triple,
+    TripleClass,
+    TripleRecord,
+    normalize_label as lbl,
+    read_triple_file,
+)
 from evontree.pipeline import STAGE_ORDER, TABLE, RunContext, run_all, run_stage
-from evontree.scoring import TRIPLES_PER_BATCH, confirm_decision, templates_for
+from evontree.scoring import (
+    TRIPLES_PER_BATCH,
+    confirm_decision,
+    confirm_value,
+    perplexity,
+    templates_for,
+)
 from evontree.synthesis import read_corpus
 from evontree.synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
 
@@ -614,6 +630,41 @@ class TestDegradation:
         assert {r.triple for r in scored} == {r.triple for r in raw} - poisoned
         manifest = json.loads(ctx.paths.manifest.read_text())
         assert manifest["stages"]["calibrate"]["tallies"]["unscored"] == len(poisoned)
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(Relation)), st.sampled_from(list(TripleClass)),
+                              st.booleans(), st.sampled_from([None, " True", " False"])),
+                    max_size=60))
+    def test_score_records_drops_exactly_the_empty_spans(self, specs):
+        # Each spec: relation, class, whether the record has chains, and which
+        # completion of its probes, if any, scores no tokens. Up to 60
+        # records cross TRIPLES_PER_BATCH.
+        records = [TripleRecord(Triple(lbl(f"S{i}"), relation, lbl(f"O{i}")), triple_class,
+                                chains=[[(f"S{i}", f"M{i}"), (f"M{i}", f"O{i}")]]
+                                if chained else None)
+                   for i, (relation, triple_class, chained, _) in enumerate(specs)]
+        empty = {f"S{i}": completion for i, (*_, completion) in enumerate(specs)}
+
+        class Backend:
+            identity = "fake://spans"
+
+            def score(self, body):
+                subject = re.search(r"'(S\d+)'", body["prompt"]).group(1)
+                if empty[subject] == body["completion"]:
+                    return {"token_logprobs": []}
+                return {"token_logprobs": [-0.5 if body["completion"] == " True" else -1.0]}
+
+        gateway = ModelGateway(Backend(), model="m", cache_dir=None)
+        scored, unscored = pipeline_module._score_records(SimpleNamespace(gateway=lambda: gateway),
+                                                          records)
+        value = confirm_value(perplexity([-0.5]), perplexity([-1.0]))
+        kept = [r for r, (*_, completion) in zip(records, specs) if completion is None]
+        assert scored == [
+            TripleRecord(r.triple, r.triple_class, chains=r.chains,
+                         scores=[value] * len(templates_for(r.triple.relation)))
+            for r in kept]
+        assert unscored == len(records) - len(kept)
 
 
 class TestSweepStage:

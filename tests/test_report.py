@@ -101,7 +101,7 @@ class ScriptedJudgeBackend:
 
 def judge_gateway(answers, fail=False) -> ModelGateway:
     return ModelGateway(ScriptedJudgeBackend(answers, fail=fail), model="j",
-                        cache_dir=None, retry_backoff_s=(0.0,), sleep=lambda s: None)
+                        cache_dir=None, sleep=lambda s: None)
 
 
 class TestJudgeTriples:

@@ -5,7 +5,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evontree.errors import InvalidHopsError
 from evontree.ontology import Relation, Triple, TripleStore, normalize_label as lbl
 from evontree.rules import (
     CLASS_CONFIRMED,
@@ -115,10 +114,6 @@ class TestExtrapolate:
         assert out[0].triple == sub("D", "A")
         assert set(out[0].chains) == {(sub("D", "C1"), sub("C1", "A")),
                                       (sub("D", "C2"), sub("C2", "A"))}
-
-    def test_only_one_hop_supported(self):
-        with pytest.raises(InvalidHopsError):
-            extrapolate(set(), TripleStore(), hops=2)
 
     def test_output_sorted_and_deterministic(self):
         reliable = {sub("D", "C"), sub("C", "A"), sub("E", "C")}

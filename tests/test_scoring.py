@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from evontree.errors import EmptySpanError, MissingThresholdError
 from evontree.gateway import ModelGateway, ScoreResponse
@@ -77,6 +77,16 @@ class TestPerplexity:
     def test_at_least_one_for_valid_logprobs(self, lps):
         assert perplexity(lps) >= 1.0
 
+    def test_beyond_float_range_is_inf(self):
+        # exp(1000) overflows a double; exp(709) does not.
+        assert perplexity([-1000.0]) == math.inf
+        assert perplexity([-709.0]) == math.exp(709.0)
+        assert perplexity([-math.inf, -1.0]) == math.inf
+
+    @given(st.lists(st.floats(min_value=-709.0, max_value=0.0), min_size=1, max_size=8))
+    def test_finite_perplexities_keep_their_bits(self, lps):
+        assert perplexity(lps) == math.exp(-sum(lps) / len(lps))
+
 
 class TestConfirmValue:
     def test_true_preferred(self):
@@ -87,6 +97,31 @@ class TestConfirmValue:
 
     def test_tie_is_zero(self):
         assert confirm_value(3.0, 3.0) == 0.0
+
+    def test_infinite_tie_is_positive_zero(self):
+        # inf - inf is a NaN whose sign bit may be set; a tie is still +0.0.
+        value = confirm_value(math.inf, math.inf)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert confirm_value(math.inf, 2.0) == -0.5
+        assert confirm_value(2.0, math.inf) == 0.5
+
+    @given(st.lists(st.floats(min_value=-1e308, max_value=0.0), min_size=1, max_size=4),
+           st.lists(st.floats(min_value=-1e308, max_value=0.0), min_size=1, max_size=4))
+    @example([-1000.0], [-1000.0])
+    @example([-1000.0], [-0.5])
+    @example([-1e308, -1e308], [0.0])
+    def test_any_logprobs_give_a_value_in_range(self, true_lps, false_lps):
+        value = confirm_value(perplexity(true_lps), perplexity(false_lps))
+        assert -1.0 <= value <= 1.0
+
+    @given(st.floats(min_value=1.0, max_value=1e300), st.floats(min_value=1.0, max_value=1e300))
+    def test_finite_values_keep_their_bits(self, pt, pf):
+        # Reference: the formula for finite perplexities, bit for bit.
+        diff = pf - pt
+        sign = 0.0 if diff == 0.0 else math.copysign(1.0, diff)
+        expected = sign / min(pt, pf)
+        value = confirm_value(pt, pf)
+        assert value == expected and math.copysign(1.0, value) == math.copysign(1.0, expected)
 
     @given(st.floats(min_value=1.0, max_value=1e6),
            st.floats(min_value=1.0, max_value=1e6))
@@ -141,21 +176,64 @@ class FakeScoringGateway:
         return [self.score(request) for request in requests]
 
 
+def probed_prompts(triple: Triple) -> list[str]:
+    """The statement of each paraphrase of the triple's relation, in order."""
+    return [t.instantiate(triple.subject, triple.object) for t in templates_for(triple.relation)]
+
+
 class TestScoreTriple:
     def test_subclass_produces_four_ordered_breakdowns(self):
+        # One confirm value per paraphrase, in paraphrase order.
         gw = FakeScoringGateway(p_true=0.8)
-        scored = score_triple(gw, Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe")))
-        assert [b.paraphrase_id for b in scored.breakdowns] == [1, 2, 3, 4]
+        triple = Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe"))
+        values = score_triple(gw, triple)
         assert len(gw.requests) == 8  # two completions per paraphrase
-        for b in scored.breakdowns:
-            assert b.confirm_value == pytest.approx(0.8, abs=1e-9)
+        assert [r.prompt for r in gw.requests[::2]] == probed_prompts(triple)
+        assert values == pytest.approx([0.8] * 4, abs=1e-9)
 
     def test_synonym_produces_five_breakdowns(self):
         gw = FakeScoringGateway(p_true=0.3)
-        scored = score_triple(gw, Triple(lbl("flu"), Relation.SYNONYM_OF, lbl("influenza")))
-        assert [b.paraphrase_id for b in scored.breakdowns] == [1, 2, 3, 4, 5]
-        for b in scored.breakdowns:
-            assert b.confirm_value == pytest.approx(-0.7, abs=1e-9)
+        triple = Triple(lbl("flu"), Relation.SYNONYM_OF, lbl("influenza"))
+        values = score_triple(gw, triple)
+        assert [r.prompt for r in gw.requests[::2]] == probed_prompts(triple)
+        assert values == pytest.approx([-0.7] * 5, abs=1e-9)
+
+    @pytest.mark.parametrize("relation", list(Relation))
+    def test_values_are_confirm_values_of_each_paraphrase(self, relation, tmp_path):
+        # Several tokens per completion, differing by paraphrase and answer.
+        def logprobs(prompt: str, completion: str) -> list[float]:
+            seed = sum(map(ord, prompt + completion))
+            return [-((seed * (k + 3)) % 97) / 13.0 for k in range(1 + seed % 3)]
+
+        class Backend:
+            identity = "fake://paraphrases"
+
+            def score(self, body):
+                return {"token_logprobs": logprobs(body["prompt"], body["completion"])}
+
+        triple = Triple(lbl("Virus"), relation, lbl("Microbe"))
+        gw = ModelGateway(Backend(), model="m", cache_dir=tmp_path)
+        try:
+            values = score_triple(gw, triple)
+        finally:
+            gw.close()
+        assert values == [confirm_value(perplexity(logprobs(prompt, COMPLETION_TRUE)),
+                                        perplexity(logprobs(prompt, COMPLETION_FALSE)))
+                          for prompt in probed_prompts(triple)]
+
+    def test_empty_span_rejected(self, tmp_path):
+        class EmptyBackend:
+            identity = "fake://empty"
+
+            def score(self, body):
+                return {"token_logprobs": []}
+
+        gw = ModelGateway(EmptyBackend(), model="m", cache_dir=tmp_path)
+        try:
+            with pytest.raises(EmptySpanError, match="for completion ' True'"):
+                score_triple(gw, Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe")))
+        finally:
+            gw.close()
 
     def test_prompts_embed_both_labels(self):
         gw = FakeScoringGateway(p_true=0.8)
@@ -191,9 +269,9 @@ class TestScoreTriples:
         finally:
             gw.close()
         assert isinstance(results[1], EmptySpanError)
-        for triple, result in ((triples[0], results[0]), (triples[2], results[2])):
-            assert result.triple == triple
-            assert result.values == pytest.approx([0.8] * 4, abs=1e-9)
+        assert str(results[1]) == "no completion tokens scored for completion ' True'"
+        for result in (results[0], results[2]):
+            assert result == pytest.approx([0.8] * 4, abs=1e-9)
         # All three triples travelled in one batch: one lookup, one commit.
         assert len(backend.bodies) == gw.calls == 24
         assert gw.cache_commits == 1

@@ -82,7 +82,7 @@ class ScriptedBackend:
 def scripted_gateway(tmp_path, responses):
     backend = ScriptedBackend(responses)
     gw = ModelGateway(backend, model="m", cache_dir=tmp_path / "cache",
-                      retry_backoff_s=(0.0,), sleep=lambda s: None)
+                      sleep=lambda s: None)
     return gw, backend
 
 
@@ -121,7 +121,7 @@ def synthetic_gateway(tmp_path):
     model = SyntheticModel(gt, NoiseProfile(), seed=11)
     return ModelGateway(SyntheticBackend(model), model="synthetic",
                         cache_dir=tmp_path / "cache",
-                        retry_backoff_s=(0.0,), sleep=lambda s: None)
+                        sleep=lambda s: None)
 
 
 class TestBuildCorpus:

@@ -13,6 +13,8 @@ from evontree.errors import InvalidParamsError, UnrecognizedPromptError
 from evontree.ontology import Relation
 from evontree.scoring import JUDGE_TEMPLATES, PROMPT_SET_V1, judge_prompt, templates_for
 from evontree.ontology import Triple, normalize_label as lbl
+from evontree.extraction import build_tree_prompt
+from evontree.synthesis import HINT_TEMPLATE, explicit_pair, implicit_instructions
 from evontree import config
 from evontree.synthetic import (
     GroundTruth,
@@ -265,6 +267,29 @@ class TestSyntheticStatements:
             model.respond_generate({"prompt": "Tell me a story about enzymes."})
         with pytest.raises(UnrecognizedPromptError):
             model.respond_score({"prompt": "What is a cell?", "completion": " True"})
+
+    def test_answers_every_prompt_kind_the_pipeline_sends(self):
+        model = small_model()
+        triple = Triple(lbl("T0N1"), Relation.SUBCLASS_OF, lbl("T0N0"))
+        hint = HINT_TEMPLATE.replace("{D}", "T0N3").replace("{C}", "T0N1").replace("{A}", "T0N0")
+        prompts = {
+            "tree": build_tree_prompt(lbl("T0N0")),
+            "probe": templates_for(Relation.SUBCLASS_OF)[0].instantiate(triple.subject,
+                                                                         triple.object),
+            "judge": judge_prompt(triple),
+            # Both templates: the functions of a concept, and its subtypes.
+            **{f"implicit {template_id}": instruction + hint
+               for template_id, instruction in implicit_instructions("T0N3", "T0N1", "T0N0")},
+        }
+        for kind, prompt in prompts.items():
+            assert model.respond_generate({"prompt": prompt}), kind
+
+    def test_is_question_is_not_a_prompt_it_answers(self):
+        # The explicit corpus instruction is templated, never sent to a model.
+        instruction, _ = explicit_pair("T0N3", "T0N1", "T0N0")
+        assert instruction.startswith("Is ")
+        with pytest.raises(UnrecognizedPromptError):
+            small_model().respond_generate({"prompt": instruction})
 
 
 def reference_matcher(template: str) -> re.Pattern[str]:
