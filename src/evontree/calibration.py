@@ -19,7 +19,9 @@ import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import tee
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateLabelsError,
@@ -28,7 +30,7 @@ from .errors import (
     StaleUpstreamError,
     UnparseableError,
 )
-from .gateway import GenerateRequest, ModelGateway, chunked
+from .gateway import GenerateRequest, ModelGateway
 from .ontology import Relation, TripleRecord
 from .scoring import templates_for
 
@@ -101,22 +103,20 @@ def parse_label(text: str) -> bool:
     return match.group(1).casefold() == "true"
 
 
-def one_shot_labels(gateway: ModelGateway, prompts: Iterable[str]) -> list[bool | None]:
+def one_shot_labels(gateway: ModelGateway, prompts: Iterable[str]) -> Iterator[bool | None]:
     """The model's one-shot answer to each prompt, in order, for calibration
     labels and the report's judge alike: one greedy generation of at most 8
-    tokens, sent BATCH_SIZE prompts at a time and read by parse_label. An
-    answer it cannot read is logged and comes back as None."""
-    labels: list[bool | None] = []
-    for chunk in chunked(prompts):
-        texts = gateway.generate_many([GenerateRequest(prompt=prompt, max_tokens=8,
-                                                       temperature=0.0) for prompt in chunk])
-        for prompt, text in zip(chunk, texts):
-            try:
-                labels.append(parse_label(text))
-            except UnparseableError as exc:
-                log.warning("dropping unparseable answer to %r: %s", prompt, exc)
-                labels.append(None)
-    return labels
+    tokens, streamed through gateway.generate_many and read by parse_label.
+    An answer it cannot read is logged and comes back as None."""
+    prompts, asked = tee(prompts)
+    texts = gateway.generate_many(map(partial(GenerateRequest, max_tokens=8, temperature=0.0),
+                                      asked))
+    for prompt, text in zip(prompts, texts):
+        try:
+            yield parse_label(text)
+        except UnparseableError as exc:
+            log.warning("dropping unparseable answer to %r: %s", prompt, exc)
+            yield None
 
 
 def collect_samples(
@@ -126,21 +126,21 @@ def collect_samples(
 ) -> tuple[dict[int, list[LabeledScore]], int]:
     """Label each (record, template) pair of relation's scored records by
     one_shot_labels on the instantiated statement, and pair the label with
-    that template's confirm value, one gateway batch of prompts at a time.
+    that template's confirm value.
 
     Unparseable answers drop the single sample and are tallied, never fatal:
     one garbled response should not sink a calibration run.
     """
     templates = templates_for(relation)
-    tasks = ((record.triple, template, value)
-             for record in scored if record.triple.relation is relation
-             for template, value in zip(templates, record.scores))
+    records = [record for record in scored if record.triple.relation is relation]
+    labels = one_shot_labels(gateway, (
+        template.instantiate(record.triple.subject, record.triple.object)
+        for record in records for template, _ in zip(templates, record.scores)))
     samples: dict[int, list[LabeledScore]] = {t.paraphrase_id: [] for t in templates}
     unparseable = 0
-    for chunk in chunked(tasks):
-        labels = one_shot_labels(gateway, (template.instantiate(triple.subject, triple.object)
-                                           for triple, template, _ in chunk))
-        for (_, template, value), label in zip(chunk, labels):
+    for record in records:
+        # zip reads a label only once the template and the value are there.
+        for template, value, label in zip(templates, record.scores, labels):
             if label is None:
                 unparseable += 1
             else:

@@ -19,17 +19,19 @@ or positive log-probability, is a miss: it is fetched again and replaced.
 A score that spans no tokens is well-formed: it is cached and returned with
 empty token_logprobs, and evontree.scoring decides what it means.
 
-Requests travel in batches: ModelGateway.score_many and generate_many take
-a list, and each chunk of up to BATCH_SIZE requests costs one cache lookup
-of its distinct keys. The responses it fetched go into the cache's open
-write transaction. For an in-process backend that transaction is committed
-once it is COMMIT_INTERVAL_S old, when a batch raises, and when the stage or
-the gateway ends, so a run commits about once a second instead of once a
-batch. A backend that declares remote = True, as HttpBackend does, has its
-misses fanned out over threads and its responses committed with each batch,
-so the write lock is never held while requests wait on the network. A
-single generate or score is a batch of one; ResponseCache.put stores one
-entry and commits.
+Requests travel in batches, cut here alone: ModelGateway.score_many and
+generate_many take any iterable of requests and return an iterator of the
+results, which sends the next BATCH_SIZE requests as one batch, costing one
+cache lookup of their distinct keys, each time the caller has read the
+results before them. So nothing is sent before the first read, and at most
+one batch is held. ModelGateway tells when fetched responses are committed:
+about once a second for an in-process backend, with each batch for a remote
+one. A single generate or score is a batch of one.
+
+A transport failure is retried after a wait: the Retry-After a 429 or 503
+reply gives in seconds, up to RETRY_AFTER_MAX_S, or else a uniform draw
+from [0, RETRY_BACKOFF_S[attempt]] (full jitter), so that threads that
+failed together do not retry together.
 
 HttpBackend speaks HTTP/1.1 through the standard library's http.client, so
 the package has no runtime dependency: each thread that calls it keeps one
@@ -45,6 +47,7 @@ import hashlib
 import json
 import logging
 import math
+import random
 import sqlite3
 import struct
 import threading
@@ -52,7 +55,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from json.decoder import scanstring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
@@ -71,9 +74,14 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-# The wait before each retry of a transport failure.
+# The longest wait before each retry of a transport failure; the wait is a
+# uniform draw from [0, RETRY_BACKOFF_S[attempt]], drawn by _JITTER.
 RETRY_BACKOFF_S = (1.0, 2.0)
 RETRY_ATTEMPTS = len(RETRY_BACKOFF_S) + 1
+# The longest wait a Retry-After header is obeyed for; a longer one is cut
+# to this.
+RETRY_AFTER_MAX_S = 60.0
+_JITTER = random.Random()
 
 # Requests per batch: one cache lookup each, and the unit fanned out over
 # a remote backend's threads. Large enough that lookups cost little next to
@@ -88,11 +96,20 @@ GATEWAY_COUNTERS = ("requests", "cache_hits", "backend_calls", "cache_commits", 
 T = TypeVar("T")
 
 
-def chunked(items: Iterable[T], size: int = BATCH_SIZE) -> Iterator[list[T]]:
-    """Consecutive lists of at most size items, in order."""
-    it = iter(items)
-    while chunk := list(islice(it, size)):
-        yield chunk
+def close_all(closers: Iterable[Callable[[], object]]) -> None:
+    """Call each closer in turn, also after one raised, then raise the
+    first error; any later one is logged."""
+    error = None
+    for close in closers:
+        try:
+            close()
+        except BaseException as exc:
+            if error is None:
+                error = exc
+            else:
+                log.warning("closing also failed: %r", exc)
+    if error is not None:
+        raise error
 
 
 # json's own spelling of a str, as json.dumps(..., ensure_ascii=False)
@@ -177,9 +194,10 @@ class HttpBackend:
     finds its kept-alive connection dropped by the server is sent once more
     on a new connection. Any other network failure (refused, timed out, a
     body cut short) and a 429 or 5xx status raise TransportError, which the
-    gateway retries; any other status, or a 200 whose body is not JSON,
-    raises ProtocolError. Every reply is read to its end, so its connection
-    can carry the next request.
+    gateway retries, carrying the wait that a 429 or 503 reply asks for in a
+    delta-seconds Retry-After header; any other status, or a 200 whose body
+    is not JSON, raises ProtocolError. Every reply is read to its end, so
+    its connection can carry the next request.
     """
 
     remote = True
@@ -231,6 +249,7 @@ class HttpBackend:
                              {"Content-Type": "application/json"})
                 with conn.getresponse() as resp:
                     status, payload = resp.status, resp.read()
+                    retry_after = resp.getheader("Retry-After")
                 break
             except self._dropped as exc:
                 conn.close()
@@ -240,7 +259,8 @@ class HttpBackend:
                 conn.close()
                 raise TransportError(f"POST {url} failed: {exc!r}") from exc
         if status == 429 or status >= 500:
-            raise TransportError(f"POST {url} returned {status}")
+            raise TransportError(f"POST {url} returned {status}", retry_after_s=(
+                _delay_seconds(retry_after) if status in (429, 503) else None))
         if status != 200:
             text = payload[:200].decode("utf-8", "replace")
             raise ProtocolError(f"POST {url} returned {status}: {text}")
@@ -260,6 +280,14 @@ class HttpBackend:
         with self._lock:
             for conn in self._connections:
                 conn.close()
+
+
+def _delay_seconds(retry_after: str | None) -> float | None:
+    """A Retry-After header's wait in seconds when it gives one as
+    delay-seconds, a whole number; None for no header or an HTTP-date,
+    which a clock that differs from the server's would misread."""
+    value = (retry_after or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 # One encoder for every stored text: json.dumps with options builds a new
@@ -402,15 +430,12 @@ class ResponseCache:
         return self.get_many([key]).get(key)
 
     def get_many(self, keys: Sequence[bytes]) -> dict[bytes, bytes]:
-        """The stored values among keys, looked up with one SELECT per
-        BATCH_SIZE keys; keys with no entry are absent."""
-        found = {}
+        """The stored values among keys, looked up with one SELECT, so at
+        most BATCH_SIZE keys; keys with no entry are absent."""
+        marks = ",".join("?" * len(keys))
         with self._lock:
-            for chunk in chunked(keys):
-                marks = ",".join("?" * len(chunk))
-                found.update(self._conn.execute(
-                    f"SELECT key, value FROM responses WHERE key IN ({marks})", chunk))
-        return found
+            return dict(self._conn.execute(
+                f"SELECT key, value FROM responses WHERE key IN ({marks})", keys))
 
     def put(self, key: bytes, value: bytes | str) -> None:
         """Store one entry and commit it, with any others not yet committed."""
@@ -479,12 +504,13 @@ class ModelGateway:
     fetched in order on the calling thread.
 
     Each batch stores the responses it fetched in the cache's open write
-    transaction. A remote backend's are committed with their batch. An
+    transaction. A remote backend's are committed with their batch, so the
+    write lock is never held while requests wait on the network. An
     in-process backend's are committed by the cache once the transaction
-    is COMMIT_INTERVAL_S old, and by commit(), which a batch that raises,
-    close() and the pipeline's stage runner call. Until then this gateway
-    holds the cache file's write lock: another gateway on the same file
-    waits for it.
+    is COMMIT_INTERVAL_S old, so about once a second instead of once a
+    batch, and by commit(), which a batch that raises, close() and the
+    pipeline's stage runner call. Until then this gateway holds the cache
+    file's write lock: another gateway on the same file waits for it.
 
     Counters, for the run manifest: requests asked for, cache_hits (found
     in the cache, or repeating a key earlier in the same batch), calls
@@ -531,17 +557,19 @@ class ModelGateway:
 
     def close(self) -> None:
         """Shut down the fan-out threads, commit and close the response
-        cache, then close the backend if it has a close method; the gateway
-        makes no calls after this."""
+        cache, then close the backend if it has a close method, each step
+        also after an earlier one raised (see close_all); the gateway makes
+        no calls after this."""
+        steps = []
         if self._pool is not None:
-            self._pool.shutdown()
+            steps.append(self._pool.shutdown)
             self._pool = None
         if self.cache is not None:
-            self.commit()
-            self.cache.close()
+            steps += [self.commit, self.cache.close]
         close_backend = getattr(self.backend, "close", None)
         if close_backend is not None:
-            close_backend()
+            steps.append(close_backend)
+        close_all(steps)
 
     def fan_out(self, fn: Callable[[T], object], items: Iterable[T]) -> list:
         """fn over items, results in item order: over max_in_flight threads
@@ -573,56 +601,58 @@ class ModelGateway:
                 if attempt + 1 < RETRY_ATTEMPTS:
                     with self._retries_lock:
                         self.retries += 1
-                    delay = RETRY_BACKOFF_S[attempt]
-                    log.warning("transport failure (attempt %d/%d), retrying in %.1fs: %s",
+                    if exc.retry_after_s is None:
+                        delay = _JITTER.uniform(0.0, RETRY_BACKOFF_S[attempt])
+                    else:
+                        delay = min(exc.retry_after_s, RETRY_AFTER_MAX_S)
+                    log.warning("transport failure (attempt %d/%d), retrying in %.2fs: %s",
                                 attempt + 1, RETRY_ATTEMPTS, delay, exc)
                     self._sleep(delay)
         raise TransportError(str(last_exc), attempts=RETRY_ATTEMPTS)
 
-    def _call_many(self, kind: str, requests: Sequence, bypass_cache: bool) -> list:
-        """What kind's parser makes of each request's response, in order,
-        one batch per BATCH_SIZE requests.
+    def _call_many(self, kind: str, requests: Iterable, bypass_cache: bool) -> Iterator:
+        """What kind's parser makes of each request's response, in order, as
+        the caller reads them: the first read sends the first BATCH_SIZE
+        requests as one batch, and the read after a batch's last result
+        sends the next."""
+        it = iter(requests)
+        batches = iter(lambda: list(islice(it, BATCH_SIZE)), [])
+        return chain.from_iterable(map(partial(self._call_batch, kind, bypass_cache), batches))
 
-        Each distinct key of a batch is looked up once and fetched at most
-        once; only a fetched request is turned into a body. A cached value
-        that decode refuses is a miss, so the request is fetched again and
-        its new value replaces the old. A fetched body is parsed before it
-        is stored, so one that the parser rejects (ProtocolError) is never
-        cached and a rerun asks the backend again. Valid responses fetched
-        before a failure are still stored, and committed before the failure
-        is raised.
+    def _call_batch(self, kind: str, bypass_cache: bool, batch: list) -> list:
+        """What kind's parser makes of each response to batch, in order.
+
+        Each distinct key is looked up once and fetched at most once; only
+        a fetched request is turned into a body. A cached value that decode
+        refuses is a miss, so the request is fetched again and its new value
+        replaces the old. A fetched body is parsed before it is stored, so
+        one that the parser rejects (ProtocolError) is never cached and a
+        rerun asks the backend again. Valid responses fetched before a
+        failure are still stored, and committed before the failure is
+        raised.
         """
-        try:
-            return self._call_batches(kind, requests, bypass_cache)
-        except BaseException:
-            self.commit()
-            raise
-
-    def _call_batches(self, kind: str, requests: Sequence, bypass_cache: bool) -> list:
         parse, encode, decode = _KINDS[kind]
         identity, model = self.backend.identity, self.model
-        reading = self.cache is not None and self.read_cache and not bypass_cache
-        results = []
-        for chunk in chunked(requests):
-            keys = [_cache_key(identity, model, kind, request) for request in chunk]
+        fetched: dict[bytes, dict] = {}  # every response the backend returned
+        parsed = {}  # the valid ones, parsed
+
+        def fetch(item: tuple[bytes, GenerateRequest | ScoreRequest]) -> None:
+            key, request = item
+            fetched[key] = self._fetch(kind, request.to_body(model))
+            parsed[key] = parse(fetched[key])
+
+        try:
+            keys = [_cache_key(identity, model, kind, request) for request in batch]
             self.requests += len(keys)
             found = {}  # what decode makes of each stored value it accepts
-            if reading:
+            if self.cache is not None and self.read_cache and not bypass_cache:
                 for key, value in self.cache.get_many(sorted(set(keys))).items():
                     try:
                         found[key] = decode(value)
                     except ValueError as exc:
                         log.warning("fetching again cache entry %s in %s, which fails its "
                                     "checks: %s", key.hex(), self.cache.path, exc)
-            missing = {key: request for key, request in zip(keys, chunk) if key not in found}
-            fetched: dict[bytes, dict] = {}  # every response the backend returned
-            parsed = {}  # the valid ones, parsed
-
-            def fetch(item: tuple[bytes, GenerateRequest | ScoreRequest]) -> None:
-                key, request = item
-                fetched[key] = self._fetch(kind, request.to_body(model))
-                parsed[key] = parse(fetched[key])
-
+            missing = {key: request for key, request in zip(keys, batch) if key not in found}
             try:
                 self.fan_out(fetch, missing.items())
             finally:
@@ -635,30 +665,33 @@ class ModelGateway:
                 # Never hold the write lock while the next batch waits on the
                 # network.
                 self.commit()
-            self.cache_hits += len(keys) - len(fetched)
-            found.update(parsed)
-            results += map(found.__getitem__, keys)
-        return results
+        except BaseException:
+            self.commit()
+            raise
+        self.cache_hits += len(keys) - len(fetched)
+        found.update(parsed)
+        return list(map(found.__getitem__, keys))
 
-    def generate_many(self, requests: Sequence[GenerateRequest],
-                      bypass_cache: bool = False) -> list[str]:
-        """The generated text for each request, in order."""
+    def generate_many(self, requests: Iterable[GenerateRequest],
+                      bypass_cache: bool = False) -> Iterator[str]:
+        """The generated text for each request, in order, sent as it is read
+        (_call_many): nothing before the first read, one batch at a time."""
         return self._call_many("generate", requests, bypass_cache)
 
     def generate(self, request: GenerateRequest, bypass_cache: bool = False) -> str:
-        return self.generate_many([request], bypass_cache)[0]
+        return self._call_batch("generate", bypass_cache, [request])[0]
 
-    def score_many(self, requests: Sequence[ScoreRequest],
-                   bypass_cache: bool = False) -> list[ScoreResponse]:
+    def score_many(self, requests: Iterable[ScoreRequest],
+                   bypass_cache: bool = False) -> Iterator[ScoreResponse]:
         """The scored completion for each request, in order, as
-        _score_response parsed it. One that scores no tokens is well-formed,
-        so it is cached and returned, from the cache on a rerun too, with
-        empty token_logprobs. Any other malformed response raises
-        ProtocolError and is not cached."""
+        _score_response parsed it, sent as generate_many's requests are. One
+        that scores no tokens is well-formed, so it is cached and returned,
+        from the cache on a rerun too, with empty token_logprobs. Any other
+        malformed response raises ProtocolError and is not cached."""
         return self._call_many("score", requests, bypass_cache)
 
     def score(self, request: ScoreRequest, bypass_cache: bool = False) -> ScoreResponse:
-        return self.score_many([request], bypass_cache)[0]
+        return self._call_batch("score", bypass_cache, [request])[0]
 
 
 def _generated_text(raw: dict) -> str:

@@ -28,12 +28,12 @@ after calibrate). The error names each such artifact and the stage to
 rerun; rerunning those and the stages after them clears it. An input whose
 producer has no manifest entry is accepted.
 
-Stages run sequentially and batch their model requests through the gateway
-(see evontree.gateway), which fans a batch out over scoring.max_in_flight
-threads for an HTTP endpoint and runs it on the calling thread for an
-in-process backend. run_stage commits the responses a stage stored once its
-body returns. Each stage's manifest entry counts the requests, cache hits,
-backend calls and cache commits it made.
+Stages run sequentially and stream their model requests through the
+gateway (see evontree.gateway), which batches them, fans a batch out over
+scoring.max_in_flight threads for an HTTP endpoint and runs it on the
+calling thread for an in-process backend. run_stage commits the responses a
+stage stored once its body returns. Each stage's manifest entry counts the
+requests, cache hits, backend calls and cache commits it made.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .calibration import CalibrationOutcome, calibrate_relation, collect_samples
 from .config import RunConfig
 from .errors import EmptySpanError, JudgeUnavailableError, MissingUpstreamError, StaleUpstreamError
 from .extraction import extract_forest
-from .gateway import GATEWAY_COUNTERS, HttpBackend, ModelGateway
+from .gateway import GATEWAY_COUNTERS, HttpBackend, ModelGateway, close_all
 from .ontology import (
     Relation,
     Triple,
@@ -192,9 +192,9 @@ class RunContext:
         return [g for g in (self._gateway, self._judge_gateway) if g is not None]
 
     def close(self) -> None:
-        """Close the gateways this context opened."""
-        for gateway in self._open_gateways():
-            gateway.close()
+        """Close the gateways this context opened, each also after an
+        earlier one raised (see close_all)."""
+        close_all(gateway.close for gateway in self._open_gateways())
 
     def take_gateway_counts(self) -> dict[str, int]:
         """The gateways' counters summed, less their sums at the previous

@@ -12,13 +12,13 @@ calibrate stage writes: calibration.json does not keep the curves.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .calibration import CalibrationOutcome, one_shot_labels
 from .errors import JudgeUnavailableError, TransportError
-from .gateway import ModelGateway, chunked
+from .gateway import ModelGateway
 from .ontology import Relation, Triple, TripleClass, TripleRecord
 from .scoring import gap_decision, judge_prompt
 
@@ -39,6 +39,11 @@ TABLE_COLUMNS = ("Triple Type", "Relation", "Num", "ConfirmValue Avg.", "Acc.")
 HIST_BIN_WIDTH = 0.1
 HIST_LO = -1.0
 HIST_BINS = 20  # covers [-1, 1]; the top bin is closed at 1.0
+# The bins' edges, each rounded to its tenth. A mean is binned by comparing
+# it with them, so one on an edge lands in the bin above; dividing by
+# HIST_BIN_WIDTH put 7 edges in the bin below ((0.2 + 1.0) / 0.1 is
+# 11.999999999999998).
+HIST_EDGES = tuple(round(HIST_LO + i * HIST_BIN_WIDTH, 1) for i in range(HIST_BINS + 1))
 
 RowKey = tuple[TripleClass, Relation]
 
@@ -75,7 +80,7 @@ def split_by_relation(records: Iterable[TripleRecord]) -> dict[Relation, list[Tr
 def judge_triples(gateway: ModelGateway,
                   triples: Sequence[Triple]) -> tuple[dict[Triple, bool], int]:
     """Ask the judge once per triple whether it holds, as a one-shot
-    question (one_shot_labels), one gateway batch of triples at a time.
+    question, every triple's in one stream through one_shot_labels.
 
     Unparseable answers drop the triple from the audit and are tallied.
     A transport failure means the judge endpoint is down, which degrades
@@ -84,12 +89,11 @@ def judge_triples(gateway: ModelGateway,
     verdicts: dict[Triple, bool] = {}
     unparseable = 0
     try:
-        for chunk in chunked(triples):
-            for triple, label in zip(chunk, one_shot_labels(gateway, map(judge_prompt, chunk))):
-                if label is None:
-                    unparseable += 1
-                else:
-                    verdicts[triple] = label
+        for triple, label in zip(triples, one_shot_labels(gateway, map(judge_prompt, triples))):
+            if label is None:
+                unparseable += 1
+            else:
+                verdicts[triple] = label
     except TransportError as exc:
         raise JudgeUnavailableError(f"judge endpoint failed: {exc}") from exc
     return verdicts, unparseable
@@ -160,15 +164,15 @@ def histogram_rows(
         counts = [0] * HIST_BINS
         hits: list[list[bool]] = [[] for _ in range(HIST_BINS)]
         for mean, triple in pairs:
-            idx = min(int(math.floor((mean - HIST_LO) / HIST_BIN_WIDTH)), HIST_BINS - 1)
-            idx = max(idx, 0)
+            # Past the inner edges only, so -1.0 and below land in the first
+            # bin and 1.0 and above in the last.
+            idx = bisect_right(HIST_EDGES, mean, 1, HIST_BINS) - 1
             counts[idx] += 1
             if verdicts is not None and triple in verdicts:
                 hits[idx].append(verdicts[triple])
         for i in range(HIST_BINS):
-            lo = HIST_LO + i * HIST_BIN_WIDTH
             acc = _mean([1.0 if v else 0.0 for v in hits[i]]) if verdicts is not None else None
-            out.append([triple_class.value, f"{lo:.1f}", f"{lo + HIST_BIN_WIDTH:.1f}",
+            out.append([triple_class.value, f"{HIST_EDGES[i]:.1f}", f"{HIST_EDGES[i + 1]:.1f}",
                         str(counts[i]), _fmt(acc)])
     return out
 

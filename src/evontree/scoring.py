@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, tee
 from typing import Iterable, Iterator
 
 from .errors import EmptySpanError, MissingThresholdError
-from .gateway import BATCH_SIZE, ModelGateway, ScoreRequest, ScoreResponse, chunked
+from .gateway import ModelGateway, ScoreRequest, ScoreResponse
 from .ontology import ConceptLabel, Relation, Triple
 
 COMPLETION_TRUE = " True"
@@ -111,11 +112,6 @@ def probe_requests(triple: Triple) -> list[ScoreRequest]:
             for completion in (COMPLETION_TRUE, COMPLETION_FALSE)]
 
 
-# Triples whose probes share one gateway batch: as many as fit at the
-# largest paraphrase count, two completions each.
-TRIPLES_PER_BATCH = BATCH_SIZE // (2 * max(len(templates_for(r)) for r in Relation))
-
-
 def _confirm_values(requests: list[ScoreRequest],
                     responses: list[ScoreResponse]) -> list[float] | EmptySpanError:
     """Each paraphrase's confirm value from the responses to probe_requests,
@@ -131,14 +127,13 @@ def _confirm_values(requests: list[ScoreRequest],
 
 def score_triples(gateway: ModelGateway,
                   triples: Iterable[Triple]) -> Iterator[list[float] | EmptySpanError]:
-    """Each triple's _confirm_values, in order, sending the probes of
-    TRIPLES_PER_BATCH triples as one batch: a triple with an empty span gets
+    """Each triple's _confirm_values, in order, its probes streamed through
+    gateway.score_many with the others': a triple with an empty span gets
     its EmptySpanError, so only it is dropped and its neighbours are scored."""
-    for chunk in chunked(triples, TRIPLES_PER_BATCH):
-        probes = [probe_requests(triple) for triple in chunk]
-        responses = iter(gateway.score_many([r for requests in probes for r in requests]))
-        for requests in probes:
-            yield _confirm_values(requests, [next(responses) for _ in requests])
+    sent, paired = tee(map(probe_requests, triples))
+    responses = iter(gateway.score_many(chain.from_iterable(sent)))
+    for requests in paired:
+        yield _confirm_values(requests, list(islice(responses, len(requests))))
 
 
 def score_triple(gateway: ModelGateway, triple: Triple) -> list[float]:

@@ -156,6 +156,7 @@ class RecordingGateway:
         self.requests = []
 
     def generate_many(self, requests, bypass_cache=False):
+        requests = list(requests)
         self.requests += requests
         return ["True"] * len(requests)
 
@@ -176,7 +177,7 @@ class TestOneShotLabel:
 
     def test_labels_in_order_with_none_for_unparseable(self):
         gw = ScriptedLabelGateway({"p0": "True", "p1": "no idea", "p2": " false."})
-        assert one_shot_labels(gw, (f"p{i}" for i in range(4))) == [True, None, False, None]
+        assert list(one_shot_labels(gw, (f"p{i}" for i in range(4)))) == [True, None, False, None]
         assert gw.prompts == ["p0", "p1", "p2", "p3"]
 
     def test_calibration_and_judge_ask_the_same_request(self, monkeypatch):

@@ -43,6 +43,14 @@ def write_config(tmp_path: Path, obj: dict, name: str = "config.json") -> Path:
     return path
 
 
+def artifact_files(out: Path) -> dict[str, bytes]:
+    """Every file under the output directory by relative path, but the
+    manifest and the response cache."""
+    return {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*")
+            if path.is_file() and path.name != "manifest.json"
+            and path.relative_to(out).parts[0] != "cache"}
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -75,7 +83,7 @@ class TestExitCodes:
         assert "config.extraction.roots[0] has no UTF-8 form" in caplog.text
         assert not (tmp_path / "out").exists()
 
-    def test_unsupported_hops_exits_2_before_any_stage(self, tmp_path, caplog):
+    def test_rules_section_is_an_unknown_key_exits_2_before_any_stage(self, tmp_path, caplog):
         # Extrapolation is one hop, and the rules section that named it is
         # gone: any rules.hops is an unknown key.
         config = write_config(tmp_path, {**CONFIG_OBJ, "rules": {"hops": 1}})
@@ -143,7 +151,7 @@ class TestExitCodes:
         assert posted == []
         assert not (tmp_path / "out").exists()
 
-    def test_gateway_failure_exits_4(self, tmp_path, monkeypatch):
+    def test_gateway_failure_exits_4(self, tmp_path, monkeypatch, full_backoff):
         # Port 1 refuses instantly; the retries' back-off is recorded, not slept.
         delays = []
         monkeypatch.setattr(evontree.pipeline, "ModelGateway",
@@ -240,9 +248,8 @@ class TestFlags:
             stages = json.loads((out / "manifest.json").read_text())["stages"]
             assert sum(entry["gateway"]["backend_calls"]
                        for entry in stages.values()) == expected_calls
-            for path in (tmp / "out").glob("*.*"):
-                if path.name != "manifest.json":
-                    assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+            # Every artifact, trees/ too, as diff -r -x manifest.json -x cache compares them.
+            assert artifact_files(out) == artifact_files(tmp / "out")
 
     def test_single_stage_verbs_resume_a_run(self, finished_run):
         tmp, config = finished_run

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from evontree.gateway import (
     BATCH_SIZE,
     CACHE_FILE,
     CACHE_FORMAT,
+    RETRY_AFTER_MAX_S,
     RETRY_ATTEMPTS,
     RETRY_BACKOFF_S,
     GenerateRequest,
@@ -41,6 +43,7 @@ from evontree.gateway import (
     ResponseCache,
     ScoreRequest,
     ScoreResponse,
+    _JITTER,
     _VALUE_ENCODER,
     _cache_key,
     _packed_logprobs,
@@ -208,7 +211,7 @@ class TestCache:
         generates = prompts(3)
         scores = [ScoreRequest(prompt=f"s{i}", completion=" True") for i in range(3)]
         gw, backend = make_gateway(tmp_path)
-        first = (gw.generate_many(generates), gw.score_many(scores))
+        first = (list(gw.generate_many(generates)), list(gw.score_many(scores)))
         gw.close()
 
         def no_body(request, model):
@@ -218,7 +221,8 @@ class TestCache:
         monkeypatch.setattr(ScoreRequest, "to_body", no_body)
         again, again_backend = make_gateway(tmp_path)
         try:
-            assert (again.generate_many(generates), again.score_many(scores)) == first
+            assert (list(again.generate_many(generates)),
+                    list(again.score_many(scores))) == first
         finally:
             again.close()
         assert len(backend.calls) == 6 and again_backend.calls == []
@@ -236,7 +240,7 @@ class TestCache:
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path / "cache" if cached else None,
                           sleep=lambda s: None)
         with pytest.raises(ProtocolError, match="has no UTF-8 form"):
-            gw.generate_many(prompts(3))
+            list(gw.generate_many(prompts(3)))
         gw.close()
         assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]  # not retried
         if cached:  # nor cached; the response before it is
@@ -267,8 +271,8 @@ class TestCache:
             gw = ModelGateway(Scripted(), model="m1", cache_dir=cache_dir)
             try:
                 if kind == "generate":
-                    result = gw.generate_many(
-                        [GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)])[0]
+                    [result] = gw.generate_many(
+                        [GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)])
                 else:
                     [result] = gw.score_many([ScoreRequest(prompt="p", completion=" True")])
                     result = [struct.pack("<d", lp) for lp in result.token_logprobs]
@@ -364,6 +368,25 @@ class TestCache:
         gw.generate(req)
         gw.generate(req)
         assert len(backend.calls) == 2
+
+    def test_a_failed_final_commit_still_closes_the_cache_and_the_backend(self, tmp_path,
+                                                                            monkeypatch):
+        class Closable(FakeBackend):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        gw, backend = make_gateway(tmp_path, backend=Closable())
+        gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
+
+        def fails(cache):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(ResponseCache, "_commit", fails)
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O error"):
+            gw.close()
+        assert gw.cache._closed and backend.closed
 
 
 def cache_key(i: int) -> bytes:
@@ -586,7 +609,7 @@ class TestCacheFormat:
 
 
 class TestRetry:
-    def test_recovers_after_transient_failures(self, tmp_path):
+    def test_recovers_after_transient_failures(self, tmp_path, full_backoff):
         delays = []
         backend = FakeBackend(failures=2)
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path,
@@ -595,6 +618,22 @@ class TestRetry:
         assert len(backend.calls) == 3
         assert delays == list(RETRY_BACKOFF_S)
         assert gw.retries == 2 and gw.calls == 1
+
+    def test_each_wait_is_a_draw_within_its_backoff_step(self):
+        class FailsTwiceEach(FakeBackend):
+            def generate(self, body):
+                self.calls.append(("generate", body))
+                if sum(b["prompt"] == body["prompt"] for _, b in self.calls) <= 2:
+                    raise TransportError("scripted failure")
+                return {"text": f"gen:{body['prompt']}"}
+
+        delays = []
+        gw = ModelGateway(FailsTwiceEach(), model="m1", cache_dir=None, sleep=delays.append)
+        assert list(gw.generate_many(prompts(50))) == [f"gen:p{i}" for i in range(50)]
+        assert len(delays) == 100  # each prompt's two waits, in order
+        assert all(0.0 <= d <= RETRY_BACKOFF_S[0] for d in delays[::2])
+        assert all(0.0 <= d <= RETRY_BACKOFF_S[1] for d in delays[1::2])
+        assert len(set(delays)) > 2  # drawn, not fixed
 
     def test_gives_up_after_three_attempts(self, tmp_path):
         backend = FakeBackend(failures=10)
@@ -640,7 +679,7 @@ class TestRetry:
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
             runner = threading.Thread(
-                target=lambda: results.append(gw.generate_many(prompts(n))), daemon=True)
+                target=lambda: results.append(list(gw.generate_many(prompts(n)))), daemon=True)
             runner.start()
             runner.join(60)
         finally:
@@ -656,6 +695,27 @@ def prompts(n: int) -> list[GenerateRequest]:
 
 
 class TestBatches:
+    def test_a_stream_is_sent_a_batch_at_a_time_as_it_is_read(self, tmp_path):
+        def endless():
+            for i in itertools.count():
+                # A gateway that read the stream to its end would never stop.
+                assert i < 4 * BATCH_SIZE, "read far ahead of the results"
+                yield ScoreRequest(prompt=f"p{i}", completion=" True")
+
+        gw, backend = make_gateway(tmp_path)
+        requests = endless()
+        results = gw.score_many(requests)
+        assert backend.calls == []  # nothing is sent before the first read
+        next(results)
+        assert len(backend.calls) == BATCH_SIZE
+        assert len(list(itertools.islice(results, BATCH_SIZE - 1))) == BATCH_SIZE - 1
+        assert len(backend.calls) == BATCH_SIZE  # the first batch's results, all read
+        next(results)
+        assert len(backend.calls) == 2 * BATCH_SIZE
+        # The stream was read no further than the batches sent.
+        assert next(requests).prompt == f"p{2 * BATCH_SIZE}"
+        gw.close()
+
     def test_transport_error_keeps_the_responses_fetched_before_it(self, tmp_path):
         class FailsOnP3(FakeBackend):
             def generate(self, body):
@@ -666,12 +726,12 @@ class TestBatches:
 
         gw, backend = make_gateway(tmp_path, backend=FailsOnP3())
         with pytest.raises(TransportError):
-            gw.generate_many(prompts(6))
+            list(gw.generate_many(prompts(6)))
         assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1", "p2"] + ["p3"] * 3
         assert gw.calls == 3 and gw.cache_commits == 1
         gw.close()
         fresh, fresh_backend = make_gateway(tmp_path)
-        assert fresh.generate_many(prompts(3)) == ["gen:p0", "gen:p1", "gen:p2"]
+        assert list(fresh.generate_many(prompts(3))) == ["gen:p0", "gen:p1", "gen:p2"]
         assert fresh_backend.calls == []
         assert fresh.cache_hits == 3
         fresh.close()
@@ -692,7 +752,7 @@ class TestBatches:
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path / "cache",
                           sleep=lambda s: None, max_in_flight=4)
         with pytest.raises(TransportError):
-            gw.generate_many(prompts(40))
+            list(gw.generate_many(prompts(40)))
         gw.close()
         assert "p0" in backend.answered and gw.calls == len(backend.answered)
         # Every answer that arrived before the failure was raised is stored.
@@ -710,14 +770,14 @@ class TestBatches:
         backend = FakeBackend()
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path if cached else None)
         a, b = prompts(2)
-        assert gw.generate_many([a, b, a, a]) == ["gen:p0", "gen:p1", "gen:p0", "gen:p0"]
+        assert list(gw.generate_many([a, b, a, a])) == ["gen:p0", "gen:p1", "gen:p0", "gen:p0"]
         assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]
         gw.commit()
         assert gw.counters() == {"requests": 4, "cache_hits": 2, "backend_calls": 2,
                                  "cache_commits": 1 if cached else 0, "retries": 0}
         # Once stored, a repeated key is one lookup and counts as hits only.
         if cached:
-            assert gw.generate_many([b, b]) == ["gen:p1", "gen:p1"]
+            assert list(gw.generate_many([b, b])) == ["gen:p1", "gen:p1"]
             assert len(backend.calls) == 2
             assert gw.counters() == {"requests": 6, "cache_hits": 4, "backend_calls": 2,
                                      "cache_commits": 1, "retries": 0}
@@ -727,7 +787,7 @@ class TestBatches:
         gw, backend = make_gateway(tmp_path)
         statements = []
         gw.cache._conn.set_trace_callback(statements.append)
-        gw.generate_many(prompts(BATCH_SIZE + 1))
+        list(gw.generate_many(prompts(BATCH_SIZE + 1)))
         assert len(backend.calls) == BATCH_SIZE + 1
         selects = [s for s in statements if s.startswith("SELECT")]
         assert len(selects) == 2  # BATCH_SIZE requests, then one
@@ -759,7 +819,7 @@ class TestBatches:
 
         gw, backend = make_gateway(tmp_path, backend=Remote(), max_in_flight=4)
         try:
-            texts = gw.generate_many(prompts(BATCH_SIZE + 1))
+            texts = list(gw.generate_many(prompts(BATCH_SIZE + 1)))
             assert len(committed(tmp_path / "cache")) == BATCH_SIZE + 1
         finally:
             gw.close()
@@ -791,7 +851,7 @@ class TestBatches:
         gw = ModelGateway(TakesTheWriteLock(), model="m1", cache_dir=tmp_path / "cache",
                           sleep=lambda s: None, max_in_flight=4)
         try:
-            texts = gw.generate_many(prompts(BATCH_SIZE + 1))
+            texts = list(gw.generate_many(prompts(BATCH_SIZE + 1)))
         finally:
             gw.close()
         assert texts == [f"gen:p{i}" for i in range(BATCH_SIZE + 1)]
@@ -814,7 +874,7 @@ class TestBatches:
             ScoreRequest(prompt=f"p{i}", completion=" True") for i in range(4)]
 
         def call(gw):
-            return (gw.generate_many if kind == "generate" else gw.score_many)(requests)
+            return list((gw.generate_many if kind == "generate" else gw.score_many)(requests))
 
         gw, backend = make_gateway(tmp_path, backend=WrongShapeOnP2())
         with pytest.raises(ProtocolError):
@@ -988,7 +1048,7 @@ class TestHttpWireFormat:
             server.shutdown()
             server.server_close()
 
-    def test_http_429_is_retried(self, tmp_path):
+    def test_http_429_is_retried(self, tmp_path, full_backoff):
         statuses = [429, 200]
 
         class RateLimitHandler(BaseHTTPRequestHandler):
@@ -1072,6 +1132,14 @@ class _FaultHandler(BaseHTTPRequestHandler):
         self.server.seen.append((self.path, self.headers["Content-Type"], raw))
         body = json.loads(raw)
         fault = self.server.faults.pop(0) if self.server.faults else None
+        if isinstance(fault, tuple):  # (status, its Retry-After or None), no body
+            status, retry_after = fault
+            self.send_response(status)
+            if retry_after is not None:
+                self.send_header("Retry-After", retry_after)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         if fault == "slow":
             time.sleep(self.SLOW_S)
         if fault == "not_json":
@@ -1170,7 +1238,8 @@ class TestHttpFaults:
         assert fault_server.seen == []
 
     @pytest.mark.parametrize("fault", ["slow", "truncated"])
-    def test_failed_reply_is_retried_then_raises(self, fault_server, http_gateway, fault):
+    def test_failed_reply_is_retried_then_raises(self, fault_server, http_gateway, fault,
+                                                 full_backoff):
         # Slow: each attempt's reply comes after timeout_s. Truncated: the
         # body ends before its Content-Length.
         gw = http_gateway(timeout_s=0.1)
@@ -1201,6 +1270,37 @@ class TestHttpFaults:
         assert fault_server.opened == 1
         assert stored_responses(gw) == echoed(gw, [second])
 
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_in_seconds_is_waited_for(self, fault_server, http_gateway, status):
+        gw = http_gateway()
+        fault_server.faults = [(status, "2")]
+        [first] = prompts(1)
+        assert gw.generate(first) == "echo:p0"
+        assert len(fault_server.seen) == 2 and gw.delays == [2.0]
+        assert stored_responses(gw) == echoed(gw, [first])
+
+    def test_a_long_retry_after_is_capped(self, fault_server, http_gateway):
+        gw = http_gateway()
+        fault_server.faults = [(503, "3600")]
+        assert gw.generate(prompts(1)[0]) == "echo:p0"
+        assert gw.delays == [RETRY_AFTER_MAX_S] == [60.0]
+
+    @pytest.mark.parametrize("status, retry_after", [
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT"),  # an HTTP-date
+        (503, None),
+        (500, "2"),  # only a 429 or 503 says when to come back
+        (429, "1.5"),  # not delay-seconds
+    ])
+    def test_without_retry_after_in_seconds_the_wait_is_drawn(
+            self, fault_server, http_gateway, monkeypatch, status, retry_after):
+        draws = []
+        monkeypatch.setattr(_JITTER, "uniform", lambda lo, hi: draws.append((lo, hi)) or hi / 4)
+        gw = http_gateway()
+        fault_server.faults = [(status, retry_after), (status, retry_after)]
+        assert gw.generate(prompts(1)[0]) == "echo:p0"
+        assert draws == [(0.0, RETRY_BACKOFF_S[0]), (0.0, RETRY_BACKOFF_S[1])]
+        assert gw.delays == [RETRY_BACKOFF_S[0] / 4, RETRY_BACKOFF_S[1] / 4]
+
     def test_dropped_keep_alive_connection_is_reopened(self, fault_server, http_gateway):
         gw = http_gateway()
         fault_server.faults = ["drop_after"]
@@ -1226,7 +1326,7 @@ class TestHttpFaults:
         sys.setswitchinterval(1e-5)
         try:
             def call():
-                result["texts"] = gw.generate_many(requests)
+                result["texts"] = list(gw.generate_many(requests))
 
             thread = threading.Thread(target=call, daemon=True)
             thread.start()
@@ -1242,7 +1342,7 @@ class TestHttpFaults:
     def test_close_closes_every_connection(self, fault_server, http_gateway):
         gw = http_gateway(max_in_flight=4)
         gw.generate(GenerateRequest(prompt="alone", max_tokens=4, temperature=0.0))
-        gw.generate_many(prompts(40))  # fanned out over the pool's threads
+        list(gw.generate_many(prompts(40)))  # fanned out over the pool's threads
         assert fault_server.opened >= 2 and fault_server.closed == 0
         gw.close()
         assert fault_server.wait_all_closed()

@@ -53,7 +53,6 @@ from evontree.ontology import (
 )
 from evontree.pipeline import STAGE_ORDER, TABLE, RunContext, run_all, run_stage
 from evontree.scoring import (
-    TRIPLES_PER_BATCH,
     confirm_decision,
     confirm_value,
     perplexity,
@@ -452,9 +451,9 @@ class TestMapConcurrent:
         backend = SlowHttpBackend()
         gateway = ModelGateway(backend, model="m", cache_dir=None, max_in_flight=3)
         try:
-            texts = gateway.generate_many(
+            texts = list(gateway.generate_many(
                 [GenerateRequest(prompt=str(i), max_tokens=8, temperature=0.0)
-                 for i in range(10)])
+                 for i in range(10)]))
         finally:
             gateway.close()
         assert texts == [f"answer {i}" for i in range(10)]
@@ -502,6 +501,9 @@ class TestGatewayCounts:
         # The stages' deltas add up to the gateway's totals.
         totals = completed_run.gateway().counters()
         assert {n: sum(c[n] for c in counts.values()) for n in GATEWAY_COUNTERS} == totals
+        # The response cache commits about once a second, not once a batch.
+        wall_s = sum(entry["wall_s"] for entry in manifest["stages"].values())
+        assert totals["cache_commits"] <= len(counts) + math.ceil(wall_s)
 
     def test_retried_transport_failures_are_counted(self, tmp_path, monkeypatch):
         # The model fails twice, then answers; the back-off is not slept.
@@ -542,8 +544,10 @@ class TestGatewayCounts:
         pairs = Counter()
         for record in raw:
             pairs[record.triple.relation] += len(templates_for(record.triple.relation))
-        batches = (math.ceil(len(raw) / TRIPLES_PER_BATCH)
-                   + sum(math.ceil(n / BATCH_SIZE) for n in pairs.values()))
+        # One stream of probes, two completions per pair, then one stream of
+        # labels per relation, each cut into batches by the gateway.
+        streams = (2 * sum(pairs.values()), *pairs.values())
+        batches = sum(math.ceil(n / BATCH_SIZE) for n in streams)
         entry = json.loads(ctx.paths.manifest.read_text())["stages"]["calibrate"]
         counts = entry["gateway"]
         commits = [s for s in statements if s == "COMMIT"]
@@ -594,6 +598,27 @@ class TestDegradation:
         with pytest.raises(MissingUpstreamError):
             run_stage(ctx, "sweep")
 
+    def test_a_failed_commit_still_closes_the_judge_gateway(self, tmp_path, monkeypatch):
+        class ClosableJudge:
+            identity = "fake://judge"
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        ctx = RunContext(make_config(tmp_path))
+        model = ctx.gateway()
+        judge = ClosableJudge()
+        ctx._judge_gateway = ModelGateway(judge, model="judge", cache_dir=tmp_path / "judge")
+
+        def fails(cache):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(gateway_module.ResponseCache, "_commit", fails)
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O error"):
+            ctx.close()
+        assert model.cache._closed and ctx._judge_gateway.cache._closed and judge.closed
+
     def test_unknown_stage_name_rejected(self, tmp_path):
         ctx = RunContext(make_config(tmp_path))
         with pytest.raises(ValueError, match="unknown stage"):
@@ -639,7 +664,7 @@ class TestDegradation:
     def test_score_records_drops_exactly_the_empty_spans(self, specs):
         # Each spec: relation, class, whether the record has chains, and which
         # completion of its probes, if any, scores no tokens. Up to 60
-        # records cross TRIPLES_PER_BATCH.
+        # records, up to 600 probes, cross a batch of BATCH_SIZE requests.
         records = [TripleRecord(Triple(lbl(f"S{i}"), relation, lbl(f"O{i}")), triple_class,
                                 chains=[[(f"S{i}", f"M{i}"), (f"M{i}", f"O{i}")]]
                                 if chained else None)

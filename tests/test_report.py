@@ -131,6 +131,16 @@ class TestHistogram:
         assert counts[("0.9", "1.0")] == 1  # 1.0 lands in the closed top bin
         assert sum(counts.values()) == 3
 
+    @pytest.mark.parametrize("edge", [f"{tenths / 10:.1f}" for tenths in range(-10, 11)])
+    def test_a_mean_on_an_edge_falls_in_the_bin_above_it(self, edge):
+        # Every edge from -1.0 to 1.0; 1.0 is the top of the closed last bin.
+        rows = histogram_rows(
+            {(TripleClass.RAW, Relation.SUBCLASS_OF): [rec("a", "b", scores=[float(edge)])]},
+            None)
+        [(lo, hi)] = [(r[1], r[2]) for r in rows[1:] if r[3] == "1"]
+        assert lo == (edge if edge != "1.0" else "0.9")
+        assert float(hi) == pytest.approx(float(lo) + 0.1)
+
     def test_per_bin_accuracy_with_verdicts(self):
         r1, r2 = rec("a", "b", scores=[0.55]), rec("c", "d", scores=[0.58])
         verdicts = {r1.triple: True, r2.triple: False}
