@@ -7,14 +7,17 @@ exist or when one differs from what its stage last wrote (the manifest's
 hashes are checked; rerun the stages the message names), 4 when the model
 endpoint fails, and 1 for any other evontree error, such as a response
 cache file that is not a SQLite database or is in any format but this
-version's, including one written by an earlier version.
+version's, including one written by an earlier version, and for a database
+error of the response cache, such as a full disk.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import sqlite3
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import load_config
@@ -25,6 +28,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
+from .gateway import CACHE_FILE, close_all
 from .pipeline import STAGE_ORDER, TABLE, RunContext, run_all, run_stage
 
 log = logging.getLogger(__name__)
@@ -61,14 +65,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
-    ctx = None
     try:
         config = load_config(args.config, stage_dir=args.stage_dir, seed=args.seed)
         ctx = RunContext(config, read_cache=not args.no_cache)
-        if args.command == "run":
-            run_all(ctx)
-        else:
-            run_stage(ctx, args.command)
+        stage = (partial(run_all, ctx) if args.command == "run"
+                 else partial(run_stage, ctx, args.command))
+        # The context is closed after a failed stage too, and the stage's
+        # error is the one reported.
+        close_all((stage, ctx.close))
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
@@ -81,9 +85,10 @@ def main(argv: list[str] | None = None) -> int:
     except EvontreeError as exc:
         log.error("%s", exc)
         return EXIT_OTHER
-    finally:
-        if ctx is not None:
-            ctx.close()
+    except sqlite3.Error as exc:
+        log.error("response cache %s failed: %s",
+                  config.output.resolved_cache_dir() / CACHE_FILE, exc)
+        return EXIT_OTHER
     return EXIT_OK
 
 

@@ -1,9 +1,11 @@
 """Tree elicitation: prompt a model for subclasses of a concept, parse the
-JSON it returns, and grow a tree breadth-first under a call budget.
+JSON it returns, and grow a forest breadth-first under a call budget.
 
-Non-root failures degrade gracefully (the concept just stays a leaf and the
-failure is tallied); a root that cannot be expanded aborts the run, because
-an empty forest would silently produce an empty pipeline.
+A non-root concept whose answer never parses just stays a leaf, and the
+failure is tallied; a root that cannot be parsed aborts the run, because an
+empty forest would silently produce an empty pipeline. A transport failure
+aborts the stage wherever it happens, as in scoring: the responses fetched
+before it are committed, so a rerun resumes from them.
 """
 
 from __future__ import annotations
@@ -11,15 +13,10 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 
-from .errors import (
-    EmptyLabelError,
-    EvontreeError,
-    ParseFailureError,
-    SchemaMismatchError,
-    TransportError,
-)
+from .errors import EmptyLabelError, EvontreeError, ParseFailureError, SchemaMismatchError
 from .gateway import GenerateRequest, ModelGateway
 from .ontology import ConceptLabel, OntologyTree, TreeNode, normalize_label
 
@@ -48,8 +45,6 @@ DEFAULT_ROOTS: tuple[str, ...] = (
 class ExtractionConfig:
     roots: tuple[str, ...] = field(default=DEFAULT_ROOTS, metadata={"nonblank": True})
     max_depth: int = field(default=3, metadata={"ge": 1})
-    # Total attempts per concept, not extra retries.
-    parse_retries: int = field(default=3, metadata={"ge": 1})
     # Expansions per root, the root included.
     frontier_budget: int = field(default=2000, metadata={"ge": 1})
     gen_max_tokens: int = field(default=1024, metadata={"ge": 1})
@@ -143,7 +138,6 @@ def parse_tree_response(text: str, concept: ConceptLabel) -> tuple[list[ChildSpe
 class ExtractionStats:
     expansions: int = 0
     parse_failures: int = 0
-    transport_failures: int = 0
     cycles_skipped: int = 0
     empty_names_skipped: int = 0
     sibling_merges: int = 0
@@ -152,117 +146,70 @@ class ExtractionStats:
     def to_json_obj(self) -> dict:
         return dict(vars(self))
 
-    def add(self, other: "ExtractionStats") -> None:
-        """Sum the counts; a flag is set if it is set on either side."""
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            setattr(self, f.name, (mine or theirs) if isinstance(mine, bool) else mine + theirs)
-
-
-def _elicit_children(gateway: ModelGateway, concept: ConceptLabel,
-                     config: ExtractionConfig,
-                     stats: ExtractionStats) -> list[ChildSpec]:
-    """One concept expansion with parse retries. Raises on exhaustion; the
-    caller decides whether that is fatal.
-
-    Retries re-issue the identical request with the cache bypassed, so a
-    sampling server gets a fresh draw while a cached garbage response is
-    never trusted twice.
-    """
-    request = GenerateRequest(
-        prompt=build_tree_prompt(concept),
-        max_tokens=config.gen_max_tokens,
-        temperature=config.gen_temperature,
-    )
-    last_exc: EvontreeError | None = None
-    for attempt in range(config.parse_retries):
-        text = gateway.generate(request, bypass_cache=attempt > 0)
-        try:
-            children, skipped = parse_tree_response(text, concept)
-        except (ParseFailureError, SchemaMismatchError) as exc:
-            last_exc = exc
-            log.warning("unparseable expansion of %r (attempt %d/%d): %s",
-                        concept.text, attempt + 1, config.parse_retries, exc)
-            continue
-        stats.empty_names_skipped += skipped
-        return children
-    raise last_exc
-
-
-def extract_tree(gateway: ModelGateway, root: ConceptLabel,
-                 config: ExtractionConfig) -> tuple[OntologyTree, ExtractionStats]:
-    """Grow one tree breadth-first from a root concept.
-
-    Siblings are inserted sorted by key, not in the order the model listed
-    them, so node numbering and expansion order are stable across servers
-    that shuffle list order. A child equal to any label on its ancestor path
-    is a cycle and is skipped; duplicate siblings merge (synonym lists union).
-    """
-    stats = ExtractionStats()
-    tree = OntologyTree(nodes=[TreeNode(root, "", (), None, 0)])
-    frontier = [0]
-    budget = config.frontier_budget
-    while frontier:
-        index = frontier.pop(0)
-        node = tree.nodes[index]
-        if node.depth >= config.max_depth:
-            continue
-        if budget <= 0:
-            stats.budget_exhausted = True
-            break
-        budget -= 1
-        try:
-            children = _elicit_children(gateway, node.label, config, stats)
-        except (ParseFailureError, SchemaMismatchError) as exc:
-            if index == 0:
-                raise
-            stats.parse_failures += 1
-            log.warning("leaving %r unexpanded: %s", node.label.text, exc)
-            continue
-        except TransportError as exc:
-            if index == 0:
-                raise
-            stats.transport_failures += 1
-            log.warning("leaving %r unexpanded after transport failure: %s",
-                        node.label.text, exc)
-            continue
-        stats.expansions += 1
-        blocked = tree.ancestor_keys(index) | {node.label.key}
-        merged: dict[str, ChildSpec] = {}
-        for child in children:
-            if child.label.key in blocked:
-                stats.cycles_skipped += 1
-                continue
-            prior = merged.get(child.label.key)
-            if prior is not None:
-                stats.sibling_merges += 1
-                union = sorted(set(prior.synonyms) | set(child.synonyms),
-                               key=lambda c: c.key)
-                prior.synonyms = tuple(s for s in union if s.key != prior.label.key)
-                continue
-            merged[child.label.key] = child
-        for key in sorted(merged):
-            child = merged[key]
-            tree.nodes.append(TreeNode(
-                label=child.label,
-                description=child.description,
-                synonyms=child.synonyms,
-                parent=index,
-                depth=node.depth + 1,
-            ))
-            frontier.append(len(tree.nodes) - 1)
-    tree.validate()
-    return tree, stats
-
 
 def extract_forest(gateway: ModelGateway,
                    config: ExtractionConfig) -> tuple[list[OntologyTree], ExtractionStats]:
-    forest = []
-    totals = ExtractionStats()
-    for raw_root in config.roots:
-        root = normalize_label(raw_root)
-        tree, stats = extract_tree(gateway, root, config)
-        log.info("extracted %d nodes under %r", len(tree.nodes), root.text)
-        forest.append(tree)
-        totals.add(stats)
-    return forest, totals
+    """Grow one tree per root breadth-first, the whole forest one depth
+    level at a time: each level's expansions are one generate_read stream.
+
+    Each root may expand frontier_budget nodes, itself included, in
+    breadth-first order. Siblings are inserted sorted by key, not in the
+    order the model listed them, so node numbering and expansion order are
+    stable across servers that shuffle list order. A child equal to any
+    label on its ancestor path is a cycle and is skipped; duplicate siblings
+    merge (synonym lists union). A node whose answer never parses stays a
+    leaf and is tallied; an unparseable root raises.
+    """
+    stats = ExtractionStats()
+    forest = [OntologyTree(nodes=[TreeNode(normalize_label(root), "", (), None, 0)])
+              for root in config.roots]
+    frontiers = [[0] for _ in forest]
+    budgets = [config.frontier_budget] * len(forest)
+    for depth in range(config.max_depth):
+        level = []  # (tree number, node index) of each node expanded at this depth
+        for t, frontier in enumerate(frontiers):
+            if len(frontier) > budgets[t]:
+                stats.budget_exhausted = True
+                frontier = frontier[:budgets[t]]
+            budgets[t] -= len(frontier)
+            level += [(t, index) for index in frontier]
+        labels = [forest[t].nodes[index].label for t, index in level]
+        answers = gateway.generate_read(
+            (GenerateRequest(prompt=build_tree_prompt(label), max_tokens=config.gen_max_tokens,
+                             temperature=config.gen_temperature),
+             partial(parse_tree_response, concept=label)) for label in labels)
+        frontiers = [[] for _ in forest]
+        for (t, index), label, answer in zip(level, labels, answers):
+            if isinstance(answer, EvontreeError):
+                if index == 0:
+                    raise answer
+                stats.parse_failures += 1
+                log.warning("leaving %r unexpanded: %s", label.text, answer)
+                continue
+            children, skipped = answer
+            stats.expansions += 1
+            stats.empty_names_skipped += skipped
+            tree = forest[t]
+            blocked = tree.ancestor_keys(index) | {label.key}
+            merged: dict[str, ChildSpec] = {}
+            for child in children:
+                if child.label.key in blocked:
+                    stats.cycles_skipped += 1
+                    continue
+                prior = merged.get(child.label.key)
+                if prior is not None:
+                    stats.sibling_merges += 1
+                    union = sorted(set(prior.synonyms) | set(child.synonyms), key=lambda c: c.key)
+                    prior.synonyms = tuple(s for s in union if s.key != prior.label.key)
+                    continue
+                merged[child.label.key] = child
+            for key in sorted(merged):
+                child = merged[key]
+                frontiers[t].append(len(tree.nodes))
+                tree.nodes.append(TreeNode(label=child.label, description=child.description,
+                                           synonyms=child.synonyms, parent=index,
+                                           depth=depth + 1))
+    for tree in forest:
+        tree.validate()
+        log.info("extracted %d nodes under %r", len(tree.nodes), tree.root.text)
+    return forest, stats

@@ -26,7 +26,10 @@ cache lookup of their distinct keys, each time the caller has read the
 results before them. So nothing is sent before the first read, and at most
 one batch is held. ModelGateway tells when fetched responses are committed:
 about once a second for an in-process backend, with each batch for a remote
-one. A single generate or score is a batch of one.
+one. generate_read is how a stage asks for generations: one stream, then one
+more, with the cache bypassed, for the answers the caller's reader refused,
+up to ASK_ATTEMPTS in all. A single generate or score is a batch of one, and
+no stage calls either.
 
 A transport failure is retried after a wait: the Retry-After a 429 or 503
 reply gives in seconds, up to RETRY_AFTER_MAX_S, or else a uniform draw
@@ -64,6 +67,7 @@ from urllib.parse import urlsplit
 from .errors import (
     URL_DOMAIN,
     CacheCorruptError,
+    EvontreeError,
     ProtocolError,
     TransportError,
     check_domain,
@@ -82,6 +86,9 @@ RETRY_ATTEMPTS = len(RETRY_BACKOFF_S) + 1
 # to this.
 RETRY_AFTER_MAX_S = 60.0
 _JITTER = random.Random()
+# How many times generate_read asks for a request whose answer the caller's
+# reader refuses: once, then again with the cache bypassed.
+ASK_ATTEMPTS = 3
 
 # Requests per batch: one cache lookup each, and the unit fanned out over
 # a remote backend's threads. Large enough that lookups cost little next to
@@ -595,7 +602,7 @@ class ModelGateway:
         last_exc: TransportError | None = None
         for attempt in range(RETRY_ATTEMPTS):
             try:
-                return self.backend.generate(body) if kind == "generate" else self.backend.score(body)
+                return getattr(self.backend, kind)(body)
             except TransportError as exc:
                 last_exc = exc
                 if attempt + 1 < RETRY_ATTEMPTS:
@@ -678,7 +685,41 @@ class ModelGateway:
         (_call_many): nothing before the first read, one batch at a time."""
         return self._call_many("generate", requests, bypass_cache)
 
+    def generate_read(self, pairs: Iterable[tuple[GenerateRequest, Callable[[str], T]]]
+                      ) -> list[T | EvontreeError]:
+        """For each (request, read) pair, in order, what read makes of the
+        request's generated text, or the EvontreeError read raised at the
+        last attempt.
+
+        The distinct requests go as one generate_many stream, so pairs with
+        equal requests share every answer. Those whose text a read refused
+        go again as one stream with the cache bypassed, so a sampling server
+        draws afresh and a cached refused answer is never trusted twice, up
+        to ASK_ATTEMPTS in all. A transport failure raises, as in
+        generate_many.
+        """
+        pairs = list(pairs)
+        results: list = [None] * len(pairs)
+        todo = range(len(pairs))
+        for attempt in range(ASK_ATTEMPTS):
+            distinct = list(dict.fromkeys(pairs[i][0] for i in todo))
+            texts = dict(zip(distinct, self.generate_many(distinct, bypass_cache=attempt > 0)))
+            refused = []
+            for i in todo:
+                request, read = pairs[i]
+                try:
+                    results[i] = read(texts[request])
+                except EvontreeError as exc:
+                    results[i] = exc
+                    refused.append(i)
+                    log.warning("refused answer (attempt %d/%d) to %r: %s",
+                                attempt + 1, ASK_ATTEMPTS, request.prompt[:60], exc)
+            todo = refused
+        return results
+
     def generate(self, request: GenerateRequest, bypass_cache: bool = False) -> str:
+        """No stage calls it; it stays because perfbench/spans.py wraps it
+        by name."""
         return self._call_batch("generate", bypass_cache, [request])[0]
 
     def score_many(self, requests: Iterable[ScoreRequest],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import check_fields
+from .errors import EvontreeError, check_fields
 from .gateway import GenerateRequest, ModelGateway
 from .ontology import TripleRecord, read_jsonl, write_jsonl
 
@@ -64,7 +64,6 @@ class SynthesisConfig:
     max_tokens: int = field(default=512, metadata={"ge": 1})
     temperature: float = field(default=0.7, metadata={"ge": 0.0})
     strip_hint: bool = False
-    empty_retries: int = field(default=2, metadata={"ge": 0})
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -120,23 +119,11 @@ class SynthesisTallies:
         return dict(vars(self))
 
 
-def distill(gateway: ModelGateway, prompt: str, config: SynthesisConfig) -> str | None:
-    """Sample a response for one instruction; empty responses are re-requested
-    with the cache bypassed, and None is returned once retries run out so the
-    caller can drop the entry rather than ship a blank output."""
-    attempts = 1 + config.empty_retries
-    request = GenerateRequest(
-        prompt=prompt,
-        max_tokens=config.max_tokens,
-        temperature=config.temperature,
-    )
-    for attempt in range(attempts):
-        text = gateway.generate(request, bypass_cache=attempt > 0)
-        if text.strip():
-            return text.strip()
-        log.warning("empty distillation (attempt %d/%d) for prompt %r",
-                    attempt + 1, attempts, prompt[:60])
-    return None
+def _nonblank(text: str) -> str:
+    """A distilled answer, stripped; a blank one is refused, to be asked again."""
+    if not text.strip():
+        raise EvontreeError("blank answer")
+    return text.strip()
 
 
 def _unpack_chain(record: TripleRecord, chain: list[tuple[str, str]]) -> tuple[str, str, str] | None:
@@ -155,9 +142,12 @@ def _unpack_chain(record: TripleRecord, chain: list[tuple[str, str]]) -> tuple[s
 def build_corpus(gateway: ModelGateway, gaps: Sequence[TripleRecord],
                  config: SynthesisConfig) -> tuple[list[CorpusEntry], SynthesisTallies]:
     """Every chain of every gap contributes its own examples: distinct
-    derivations state the relationship through different intermediates."""
+    derivations state the relationship through different intermediates.
+    Every implicit instruction is distilled in one generate_read stream; an
+    entry whose answer stays blank is dropped rather than shipped blank."""
     tallies = SynthesisTallies()
     entries: list[CorpusEntry] = []
+    implicit: list[tuple[CorpusEntry, str]] = []  # each awaiting the answer to its prompt
     for record in sorted(gaps, key=lambda r: r.triple.sort_key):
         gap_s, gap_o = record.triple.subject.text, record.triple.object.text
         for raw_chain in record.chains or []:
@@ -177,18 +167,25 @@ def build_corpus(gateway: ModelGateway, gaps: Sequence[TripleRecord],
             if config.strategy in ("implicit", "mix"):
                 hint = _fill(HINT_TEMPLATE, d, c, a)
                 for template_id, instruction in implicit_instructions(d, c, a):
-                    output = distill(gateway, instruction + hint, config)
-                    if output is None:
-                        tallies.distill_drops += 1
-                        continue
-                    entries.append(CorpusEntry(
+                    implicit.append((CorpusEntry(
                         instruction=instruction if config.strip_hint else instruction + hint,
-                        output=output, strategy="implicit",
+                        output="", strategy="implicit",
                         gap_subject=gap_s, gap_object=gap_o, chain=chain,
-                        template_id=template_id, hint_included=not config.strip_hint))
+                        template_id=template_id, hint_included=not config.strip_hint),
+                        instruction + hint))
         if not record.chains:
             tallies.malformed_chains += 1
             log.warning("gap %r has no chains; skipped", record.triple)
+    answers = gateway.generate_read(
+        (GenerateRequest(prompt=prompt, max_tokens=config.max_tokens,
+                         temperature=config.temperature), _nonblank)
+        for _, prompt in implicit)
+    for (entry, _), answer in zip(implicit, answers):
+        if isinstance(answer, EvontreeError):
+            tallies.distill_drops += 1
+        else:
+            entry.output = answer
+            entries.append(entry)
     entries.sort(key=lambda e: e.sort_key)
     return entries, tallies
 

@@ -22,8 +22,11 @@ import evontree
 import evontree.pipeline
 from evontree.cli import EXIT_CONFIG, EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main
 from evontree.config import ENDPOINT_ENV_VAR
-from evontree.gateway import CACHE_FILE, RETRY_BACKOFF_S, HttpBackend, ModelGateway
-from evontree.ontology import read_triple_file
+from evontree.errors import TransportError
+from evontree.extraction import build_tree_prompt
+from evontree.gateway import CACHE_FILE, RETRY_BACKOFF_S, HttpBackend, ModelGateway, ResponseCache
+from evontree.ontology import normalize_label, read_triple_file
+from evontree.pipeline import STAGE_ORDER
 from evontree.synthetic import SyntheticBackend
 
 CONFIG_OBJ = {
@@ -82,6 +85,15 @@ class TestExitCodes:
             assert main(["run", "--config", str(config)]) == EXIT_CONFIG
         assert "config.extraction.roots[0] has no UTF-8 form" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(("section", "key"), [("extraction", "parse_retries"),
+                                                  ("synthesis", "empty_retries")])
+    def test_retired_retry_keys_are_unknown_exit_2(self, tmp_path, caplog, section, key):
+        # One re-ask rule, with no setting, replaced both keys.
+        config = write_config(tmp_path, {**CONFIG_OBJ, section: {key: 3}})
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert f"unknown key(s) ['{key}'] in config.{section}" in caplog.text
 
     def test_rules_section_is_an_unknown_key_exits_2_before_any_stage(self, tmp_path, caplog):
         # Extrapolation is one hop, and the rules section that named it is
@@ -156,12 +168,59 @@ class TestExitCodes:
         delays = []
         monkeypatch.setattr(evontree.pipeline, "ModelGateway",
                             functools.partial(ModelGateway, sleep=delays.append))
+        # One root: a level of the default 15 fans out and records a back-off
+        # per request.
         config = write_config(tmp_path, {
             "model": {"kind": "http", "name": "m", "endpoint": "http://127.0.0.1:1"},
+            "extraction": {"roots": ["Enzyme"]},
             "output": {"dir": "out"},
         })
         assert main(["extract", "--config", str(config)]) == EXIT_GATEWAY
         assert delays == list(RETRY_BACKOFF_S)
+
+    def test_child_transport_failure_exits_4_and_a_rerun_resumes(self, finished_run,
+                                                                 tmp_path, monkeypatch):
+        # A child's expansion fails in transport: the stage fails rather than
+        # leave a leaf, and the rerun on the same cache asks for nothing the
+        # failed run was answered, then matches the clean run.
+        clean, _ = finished_run
+        monkeypatch.setattr(evontree.pipeline, "ModelGateway",
+                            functools.partial(ModelGateway, sleep=lambda s: None))
+        asked, generate = [], SyntheticBackend.generate
+
+        def child_down(self, body):
+            if down and "subclasses of T0N1 and" in body["prompt"]:
+                raise TransportError("down")
+            asked.append(body["prompt"])
+            return generate(self, body)
+
+        monkeypatch.setattr(SyntheticBackend, "generate", child_down)
+        config = write_config(tmp_path, CONFIG_OBJ)
+        down = True
+        assert main(["extract", "--config", str(config)]) == EXIT_GATEWAY
+        assert not (tmp_path / "out" / "raw.jsonl").exists()
+        answered = set(asked)
+        assert build_tree_prompt(normalize_label("T0N0")) in answered
+        asked.clear()
+        down = False
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        assert asked and not answered & set(asked)
+        assert ((tmp_path / "out" / "raw.jsonl").read_bytes()
+                == (clean / "out" / "raw.jsonl").read_bytes())
+
+    def test_cache_database_error_exits_1_and_closes_the_cache(self, tmp_path, monkeypatch,
+                                                               caplog):
+        def full_disk(self):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(ResponseCache, "_commit", full_disk)
+        config = write_config(tmp_path, CONFIG_OBJ)
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["extract", "--config", str(config)]) == 1
+        cache_file = tmp_path / "out" / "cache" / CACHE_FILE
+        assert f"response cache {cache_file} failed: disk I/O error" in caplog.text
+        # Closed: the last connection to close removes the -wal and -shm files.
+        assert [p.name for p in cache_file.parent.iterdir()] == [CACHE_FILE]
 
     def test_completion_too_unlikely_for_a_float_perplexity_exits_0(self, tmp_path,
                                                                      monkeypatch):
@@ -181,15 +240,26 @@ class TestExitCodes:
                   for r in read_triple_file(tmp_path / "out" / "scored_raw.jsonl")}
         assert scores[("T0N1", "T0N0")] == [0.0] * 4
 
-    def test_corrupt_cache_file_exits_1_with_a_message(self, tmp_path, caplog):
-        config = write_config(tmp_path, CONFIG_OBJ)
-        cache_file = tmp_path / "out" / "cache" / CACHE_FILE
-        cache_file.parent.mkdir(parents=True)
-        cache_file.write_bytes(random.Random(0).randbytes(5000))
-        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
-            assert main(["run", "--config", str(config)]) == 1
-        assert str(cache_file) in caplog.text
-        assert "move or delete" in caplog.text
+    def test_corrupt_cache_file_exits_1_with_a_message(self, finished_run, tmp_path, caplog):
+        # Random bytes, and a finished run's cache in an earlier version's
+        # format 1: each is refused and left byte for byte as it was.
+        tmp, _ = finished_run
+        format_1 = tmp_path / "format-1.sqlite3"
+        shutil.copyfile(tmp / "out" / "cache" / CACHE_FILE, format_1)
+        with closing(sqlite3.connect(format_1)) as db:
+            db.execute("PRAGMA user_version = 1")
+        for name, data in [("random", random.Random(0).randbytes(5000)),
+                           ("format-1", format_1.read_bytes())]:
+            config = write_config(tmp_path, {**CONFIG_OBJ, "output": {"dir": name}})
+            cache_file = tmp_path / name / "cache" / CACHE_FILE
+            cache_file.parent.mkdir(parents=True)
+            cache_file.write_bytes(data)
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+                assert main(["run", "--config", str(config)]) == 1
+            assert str(cache_file) in caplog.text
+            assert "move or delete" in caplog.text
+            assert cache_file.read_bytes() == data
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -250,6 +320,20 @@ class TestFlags:
                        for entry in stages.values()) == expected_calls
             # Every artifact, trees/ too, as diff -r -x manifest.json -x cache compares them.
             assert artifact_files(out) == artifact_files(tmp / "out")
+
+    def test_stage_verbs_one_process_each_match_run(self, finished_run, tmp_path):
+        # Each verb of STAGE_ORDER in its own invocation, into a second
+        # directory with its own cache, parses its inputs from the files that
+        # run handed over in memory.
+        tmp, config = finished_run
+        verbs = tmp_path / "verbs"
+        for verb in STAGE_ORDER:
+            assert main([verb, "--config", str(config), "--stage-dir", str(verbs)]) == EXIT_OK
+        # sweep is not in STAGE_ORDER; it reads calibration.json in both.
+        for out in (tmp / "out", verbs):
+            assert main(["sweep", "--config", str(config), "--stage-dir", str(out)]) == EXIT_OK
+        assert (verbs / "cache" / CACHE_FILE).exists()
+        assert artifact_files(verbs) == artifact_files(tmp / "out")
 
     def test_single_stage_verbs_resume_a_run(self, finished_run):
         tmp, config = finished_run

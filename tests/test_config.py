@@ -277,7 +277,6 @@ BAD_VALUES = [
     ("extraction.roots", ["Enzyme", 1], "[1] has the wrong type: 1"),
     ("extraction.roots", ["Enzyme", "T0N0\ud800"], "[1] has no UTF-8 form: 'T0N0\\ud800'"),
     ("extraction.max_depth", 0, "must be >= 1, got 0"),
-    ("extraction.parse_retries", 0, "must be >= 1, got 0"),
     ("extraction.frontier_budget", 0, "must be >= 1, got 0"),
     ("extraction.frontier_budget", 10.0, "has the wrong type: 10.0"),
     ("extraction.gen_max_tokens", 0, "must be >= 1, got 0"),
@@ -300,7 +299,6 @@ BAD_VALUES = [
     ("synthesis.max_tokens", 0, "must be >= 1, got 0"),
     ("synthesis.temperature", -1, "must be >= 0.0, got -1"),
     ("synthesis.strip_hint", 1, "has the wrong type: 1"),
-    ("synthesis.empty_retries", -1, "must be >= 0, got -1"),
     ("output.dir", 5, "has the wrong type: 5"),
     ("output.dir", "out\udcff", "has no UTF-8 form: 'out\\udcff'"),
     ("output.cache_dir", 5, "has the wrong type: 5"),
@@ -361,13 +359,13 @@ class TestEveryKey:
 FULL_HTTP = {
     "model": {"kind": "http", "name": "served-model", "endpoint": "http://model:8000",
               "judge": {"kind": "http", "endpoint": "http://judge:8001", "model": "judge-model"}},
-    "extraction": {"roots": ["Enzyme", "Virus"], "max_depth": 2, "parse_retries": 5,
-                   "frontier_budget": 50, "gen_max_tokens": 256, "gen_temperature": 0},
+    "extraction": {"roots": ["Enzyme", "Virus"], "max_depth": 2, "frontier_budget": 50,
+                   "gen_max_tokens": 256, "gen_temperature": 0},
     "scoring": {"max_in_flight": 3},
     "calibration": {"sweep_lo": -1, "sweep_hi": 2.5},
     "gap": {"mode": "mean_below", "sweep_offsets": [-1, 0, 0.5]},
     "synthesis": {"strategy": "implicit", "max_tokens": 64, "temperature": 1,
-                  "strip_hint": True, "empty_retries": 0},
+                  "strip_hint": True},
     "output": {"dir": "runs/a", "cache_dir": "/shared/cache"},
 }
 
@@ -385,9 +383,9 @@ class TestPinnedHashes:
     # sha256 of every section but output, canonically encoded; a change
     # here changes every run's manifest.
     @pytest.mark.parametrize(("obj", "digest"), [
-        (MINIMAL, "42ad23019f85059e150937e4a5a09f743273349692e79a048d1e485fdcccc7cd"),
-        (FULL_HTTP, "007f34ec0391f74e6df94c97eab096a277f56bb5065f0729789056f7d11bbfd0"),
-        (FULL_SYNTHETIC, "33d3043469966a9733338e71613a9c1bb4d9aa553dca6edc1964706345c6c408"),
+        (MINIMAL, "81d4495a034fdf1904f81bc0114c0c6ea2209fc24b0b7a8193386b58a7525ef6"),
+        (FULL_HTTP, "260c3a5141246338921d7034d6dabfdcd099cc63241d41a4bd4a29cc54c6a98d"),
+        (FULL_SYNTHETIC, "09839b16b2602d1bf06fcdb5665fde968087f0fb80d40e826dfa011562ad17f1"),
     ], ids=["minimal", "full-http", "full-synthetic"])
     def test_config_hash_is_pinned(self, obj, digest, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)

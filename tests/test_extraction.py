@@ -8,13 +8,11 @@ from evontree.errors import ParseFailureError, SchemaMismatchError, TransportErr
 from evontree.extraction import (
     DEFAULT_ROOTS,
     ExtractionConfig,
-    ExtractionStats,
     build_tree_prompt,
     extract_forest,
-    extract_tree,
     parse_tree_response,
 )
-from evontree.gateway import ModelGateway
+from evontree.gateway import ASK_ATTEMPTS, ModelGateway
 from evontree.ontology import normalize_label as lbl, tree_to_triples
 from evontree.synthetic import (
     NoiseProfile,
@@ -127,11 +125,17 @@ def synthetic_gateway(tmp_path, *, depth=2, branching=2, synonym_rate=1.0,
     return gw, gt
 
 
+def extract_one(gateway, config):
+    """The one tree of a one-root config, and the stats."""
+    (tree,), stats = extract_forest(gateway, config)
+    return tree, stats
+
+
 class TestExtractTree:
     def test_recovers_ground_truth_levels(self, tmp_path):
         gw, gt = synthetic_gateway(tmp_path)
         config = ExtractionConfig(roots=("T0N0",), max_depth=2)
-        tree, stats = extract_tree(gw, lbl("T0N0"), config)
+        tree, stats = extract_one(gw, config)
         tree.validate()
         by_depth = {}
         for node in tree.nodes:
@@ -148,7 +152,7 @@ class TestExtractTree:
     def test_triples_cover_true_edges(self, tmp_path):
         gw, gt = synthetic_gateway(tmp_path)
         config = ExtractionConfig(roots=("T0N0",), max_depth=1)
-        tree, _ = extract_tree(gw, lbl("T0N0"), config)
+        tree, _ = extract_one(gw, config)
         triples, skipped = tree_to_triples(tree)
         assert skipped == 0
         texts = {(t.subject.text, t.relation.value, t.object.text) for t in triples}
@@ -160,7 +164,7 @@ class TestExtractTree:
     def test_budget_counts_root(self, tmp_path):
         gw, _ = synthetic_gateway(tmp_path)
         config = ExtractionConfig(roots=("T0N0",), max_depth=3, frontier_budget=1)
-        tree, stats = extract_tree(gw, lbl("T0N0"), config)
+        tree, stats = extract_one(gw, config)
         assert stats.expansions == 1
         assert stats.budget_exhausted
         assert {n.depth for n in tree.nodes} == {0, 1}
@@ -169,8 +173,8 @@ class TestExtractTree:
         gw1, _ = synthetic_gateway(tmp_path / "a")
         gw2, _ = synthetic_gateway(tmp_path / "b")
         config = ExtractionConfig(roots=("T0N0",), max_depth=2)
-        t1, _ = extract_tree(gw1, lbl("T0N0"), config)
-        t2, _ = extract_tree(gw2, lbl("T0N0"), config)
+        t1, _ = extract_one(gw1, config)
+        t2, _ = extract_one(gw2, config)
         assert t1.to_json_obj() == t2.to_json_obj()
 
 
@@ -208,7 +212,7 @@ class TestSortedFrontier:
             tmp_path, [root_resp] + [tree_json(c, []) for c in
                                      ("Alpha", "midNode", "zeta")])
         config = ExtractionConfig(roots=("Root",), max_depth=2)
-        tree, _ = extract_tree(gw, lbl("Root"), config)
+        tree, _ = extract_one(gw, config)
         assert [n.label.text for n in tree.nodes] == ["Root", "Alpha", "midNode", "zeta"]
         prompts = [b["prompt"] for b in backend.bodies[1:]]
         assert [p.split("subclasses of ")[1].split(" and their")[0] for p in prompts] \
@@ -220,8 +224,8 @@ class TestExtractionFailures:
         good = tree_json("Root", [{"name": "Child"}])
         gw, backend = scripted_gateway(tmp_path, ["nonsense", "still bad", good,
                                                   tree_json("Child", [])])
-        config = ExtractionConfig(roots=("Root",), max_depth=1, parse_retries=3)
-        tree, stats = extract_tree(gw, lbl("Root"), config)
+        config = ExtractionConfig(roots=("Root",), max_depth=1)
+        tree, stats = extract_one(gw, config)
         assert [n.label.text for n in tree.nodes] == ["Root", "Child"]
         # Retries re-issue the identical request; the cache bypass alone
         # forces the fresh draw.
@@ -229,39 +233,41 @@ class TestExtractionFailures:
 
     def test_root_parse_exhaustion_fatal(self, tmp_path):
         gw, _ = scripted_gateway(tmp_path, ["bad", "bad", "bad"])
-        config = ExtractionConfig(roots=("Root",), max_depth=1, parse_retries=3)
+        config = ExtractionConfig(roots=("Root",), max_depth=1)
         with pytest.raises(ParseFailureError):
-            extract_tree(gw, lbl("Root"), config)
+            extract_one(gw, config)
 
     def test_child_parse_exhaustion_tallied(self, tmp_path):
         good_root = tree_json("Root", [{"name": "Child"}])
-        gw, _ = scripted_gateway(tmp_path, [good_root, "bad", "bad"])
-        config = ExtractionConfig(roots=("Root",), max_depth=2, parse_retries=2)
-        tree, stats = extract_tree(gw, lbl("Root"), config)
+        gw, _ = scripted_gateway(tmp_path, [good_root, "bad", "bad", "bad"])
+        config = ExtractionConfig(roots=("Root",), max_depth=2)
+        tree, stats = extract_one(gw, config)
         assert stats.parse_failures == 1
         assert [n.label.text for n in tree.nodes] == ["Root", "Child"]
 
-    def test_child_transport_failure_tallied(self, tmp_path):
+    def test_child_transport_failure_is_fatal(self, tmp_path):
+        # As in scoring, a dead endpoint fails the stage; no node is left a
+        # leaf for it.
         good_root = tree_json("Root", [{"name": "Child"}])
         gw, _ = scripted_gateway(
             tmp_path, [good_root, TransportError("down"), TransportError("down"),
                        TransportError("down")])
-        config = ExtractionConfig(roots=("Root",), max_depth=2, parse_retries=2)
-        tree, stats = extract_tree(gw, lbl("Root"), config)
-        assert stats.transport_failures == 1
+        config = ExtractionConfig(roots=("Root",), max_depth=2)
+        with pytest.raises(TransportError):
+            extract_one(gw, config)
 
     def test_root_transport_failure_fatal(self, tmp_path):
         gw, _ = scripted_gateway(tmp_path, [TransportError("down")] * 3)
         config = ExtractionConfig(roots=("Root",), max_depth=1)
         with pytest.raises(TransportError):
-            extract_tree(gw, lbl("Root"), config)
+            extract_one(gw, config)
 
     def test_cycle_child_skipped(self, tmp_path):
         root_resp = tree_json("Root", [{"name": "Child"}])
         child_resp = tree_json("Child", [{"name": "Root"}, {"name": "Leaf"}])
         gw, _ = scripted_gateway(tmp_path, [root_resp, child_resp, tree_json("Leaf", [])])
         config = ExtractionConfig(roots=("Root",), max_depth=2)
-        tree, stats = extract_tree(gw, lbl("Root"), config)
+        tree, stats = extract_one(gw, config)
         assert stats.cycles_skipped == 1
         assert [n.label.text for n in tree.nodes] == ["Root", "Child", "Leaf"]
 
@@ -272,7 +278,7 @@ class TestExtractionFailures:
         ])
         gw, _ = scripted_gateway(tmp_path, [resp, tree_json("Child", [])])
         config = ExtractionConfig(roots=("Root",), max_depth=1)
-        tree, stats = extract_tree(gw, lbl("Root"), config)
+        tree, stats = extract_one(gw, config)
         assert stats.sibling_merges == 1
         assert len(tree.nodes) == 2
         assert tree.nodes[1].synonyms == (lbl("Kid"), lbl("Offspring"))
@@ -291,13 +297,71 @@ class TestExtractForest:
         assert totals.expansions == 2
 
 
-class TestExtractionStats:
-    def test_add_sums_counts_and_keeps_the_flag_a_bool(self):
-        totals = ExtractionStats(expansions=2, parse_failures=1)
-        totals.add(ExtractionStats(expansions=3, sibling_merges=4, budget_exhausted=True))
-        totals.add(ExtractionStats(cycles_skipped=1))
-        assert totals.to_json_obj() == {
-            "expansions": 5, "parse_failures": 1, "transport_failures": 0,
-            "cycles_skipped": 1, "empty_names_skipped": 0, "sibling_merges": 4,
-            "budget_exhausted": True}
-        assert json.dumps(totals.budget_exhausted) == "true"
+def count_lookups(gw):
+    """The key counts of gw's cache lookups, recorded as they happen."""
+    lookups, get_many = [], gw.cache.get_many
+    gw.cache.get_many = lambda keys: lookups.append(len(keys)) or get_many(keys)
+    return lookups
+
+
+class TestLevels:
+    def test_a_level_is_one_stream(self, tmp_path):
+        gt = sample_ground_truth(depth=2, branching=2, synonym_rate=0.0, seed=3, n_roots=2)
+        gw = ModelGateway(SyntheticBackend(SyntheticModel(gt, NoiseProfile(), seed=3)),
+                          model="synthetic", cache_dir=tmp_path / "cache")
+        lookups = count_lookups(gw)
+        forest, stats = extract_forest(gw, ExtractionConfig(roots=("T0N0", "T1N0"),
+                                                            max_depth=2))
+        assert stats.expansions == 2 + 4
+        # Level 0 holds both roots, level 1 their four children.
+        assert lookups == [2, 4]
+
+    def alias_twins(self, tmp_path, twin_answers):
+        """Root has children P and Q, and each answers that X is its child:
+        level 2 holds X twice. X's answers come from twin_answers."""
+        gw, backend = scripted_gateway(tmp_path, [
+            tree_json("Root", [{"name": "P"}, {"name": "Q"}]),
+            tree_json("P", [{"name": "X"}]),
+            tree_json("Q", [{"name": "X"}]),
+            *twin_answers,
+        ])
+        tree, stats = extract_one(gw, ExtractionConfig(roots=("Root",), max_depth=3))
+        asked_x = [b for b in backend.bodies if b["prompt"] == build_tree_prompt(lbl("X"))]
+        twins = [i for i, node in enumerate(tree.nodes) if node.label == lbl("X")]
+        children = [[n.label.text for n in tree.nodes if n.parent == i] for i in twins]
+        return stats, asked_x, children
+
+    def test_alias_twins_share_a_re_asked_answer(self, tmp_path):
+        stats, asked_x, children = self.alias_twins(
+            tmp_path, ["not json", tree_json("X", [{"name": "Y"}])])
+        # Once in the level's stream, once in its bypassed re-ask.
+        assert len(asked_x) == 2
+        assert children == [["Y"], ["Y"]]
+        assert stats.parse_failures == 0 and stats.expansions == 5
+
+    def test_alias_twins_use_up_their_attempts_together(self, tmp_path):
+        stats, asked_x, children = self.alias_twins(tmp_path, ["not json"] * ASK_ATTEMPTS)
+        assert len(asked_x) == ASK_ATTEMPTS
+        assert children == [[], []]
+        assert stats.parse_failures == 2
+
+    def test_budget_running_out_mid_level_keeps_numbering(self, tmp_path):
+        gt = sample_ground_truth(depth=2, branching=2, synonym_rate=1.0, seed=11, n_roots=2)
+        model = SyntheticModel(gt, NoiseProfile(), seed=11)
+        roots = ("T0N0", "T1N0")
+
+        def extract(budget, where):
+            gw = ModelGateway(SyntheticBackend(model), model="synthetic",
+                              cache_dir=tmp_path / where)
+            return extract_forest(gw, ExtractionConfig(roots=roots, max_depth=2,
+                                                       frontier_budget=budget))
+
+        full, full_stats = extract(2000, "full")
+        cut, cut_stats = extract(3, "cut")
+        assert not full_stats.budget_exhausted and full_stats.expansions == 2 * 5
+        # Each root, then the first two of its four level-1 nodes.
+        assert cut_stats.budget_exhausted and cut_stats.expansions == 2 * 3
+        for full_tree, cut_tree in zip(full, cut):
+            expanded = {node.parent for node in cut_tree.nodes[1:]}
+            assert expanded == {0, 1, 2}
+            assert cut_tree.nodes == full_tree.nodes[:len(cut_tree.nodes)]

@@ -37,6 +37,7 @@ from evontree.errors import MissingUpstreamError, StaleUpstreamError, TransportE
 from evontree.gateway import (
     BATCH_SIZE,
     CACHE_FILE,
+    CACHE_FORMAT,
     COMMIT_INTERVAL_S,
     GATEWAY_COUNTERS,
     GenerateRequest,
@@ -307,10 +308,11 @@ KILLED_MID_CALIBRATE = textwrap.dedent("""
 
 def stored_rows(cache_dir: Path) -> dict[bytes, str | tuple[float, ...]]:
     """Every row of cache_dir's database, decoded, once SQLite finds the
-    file sound: a generation's text from its JSON string, a score's
-    logprobs from its packed doubles."""
+    file sound and in the current format: a generation's text from its JSON
+    string, a score's logprobs from its packed doubles."""
     with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
         assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+        assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
         rows = db.execute("SELECT key, value FROM responses").fetchall()
     return {key: json.loads(value) if isinstance(value, str)
             else struct.unpack(f"<{len(value) // 8}d", value) for key, value in rows}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from evontree.gateway import ModelGateway
+from evontree.gateway import ASK_ATTEMPTS, ModelGateway
 from evontree.ontology import Relation, Triple, TripleClass, TripleRecord, normalize_label as lbl
 from evontree.synthesis import (
     EXPLICIT_INSTRUCTION,
@@ -15,7 +15,6 @@ from evontree.synthesis import (
     CorpusEntry,
     SynthesisConfig,
     build_corpus,
-    distill,
     explicit_pair,
     implicit_instructions,
     read_corpus,
@@ -86,23 +85,51 @@ def scripted_gateway(tmp_path, responses):
     return gw, backend
 
 
+def distill_first(tmp_path, answers):
+    """What build_corpus makes of template 1's answers for one gap while the
+    other four templates answer at once: the output of its entry, or None
+    when the entry was dropped, and every body the backend received."""
+    gw, backend = scripted_gateway(tmp_path, [answers[0], *["Other."] * 4, *answers[1:]])
+    entries, tallies = build_corpus(gw, [gap_record()], SynthesisConfig(strategy="implicit"))
+    assert len(entries) + tallies.distill_drops == 5
+    first = [e.output for e in entries if e.template_id == 1]
+    return (first[0] if first else None), backend.bodies
+
+
 class TestDistill:
     def test_returns_stripped_text(self, tmp_path):
-        gw, backend = scripted_gateway(tmp_path, ["  An answer.  "])
-        assert distill(gw, "prompt", SynthesisConfig()) == "An answer."
-        assert backend.bodies[0]["temperature"] == 0.7
-        assert backend.bodies[0]["max_tokens"] == 512
+        output, bodies = distill_first(tmp_path, ["  An answer.  "])
+        assert output == "An answer."
+        assert bodies[0]["temperature"] == 0.7
+        assert bodies[0]["max_tokens"] == 512
 
     def test_empty_retries_reissue_identical_request(self, tmp_path):
-        gw, backend = scripted_gateway(tmp_path, ["", "  ", "Third time."])
-        assert distill(gw, "prompt", SynthesisConfig(empty_retries=2)) == "Third time."
+        output, bodies = distill_first(tmp_path, ["", "  ", "Third time."])
+        assert output == "Third time."
         # Same body every time; the cache bypass is what forces a fresh draw.
-        assert len(backend.bodies) == 3
-        assert backend.bodies[0] == backend.bodies[1] == backend.bodies[2]
+        assert len(bodies) == 5 + 2
+        assert bodies[0] == bodies[5] == bodies[6]
 
     def test_gives_up_after_retries(self, tmp_path):
-        gw, _ = scripted_gateway(tmp_path, ["", "", ""])
-        assert distill(gw, "prompt", SynthesisConfig(empty_retries=2)) is None
+        output, _ = distill_first(tmp_path, ["", "", ""])
+        assert output is None
+
+    def test_blank_answers_are_re_asked_as_one_bypassed_stream(self, tmp_path):
+        # Templates 1 and 3 answer blank; 3 answers the re-ask, 1 never does.
+        gw, backend = scripted_gateway(
+            tmp_path, ["", "a2", "", "a4", "a5", "", "b3", *[""] * (ASK_ATTEMPTS - 2)])
+        lookups, get_many = [], gw.cache.get_many
+        gw.cache.get_many = lambda keys: lookups.append(len(keys)) or get_many(keys)
+        entries, tallies = build_corpus(gw, [gap_record()], SynthesisConfig(strategy="implicit"))
+        assert {e.template_id: e.output for e in entries} == {2: "a2", 3: "b3", 4: "a4",
+                                                              5: "a5"}
+        assert tallies.distill_drops == 1
+        prompts = [b["prompt"] for b in backend.bodies]
+        assert prompts == prompts[:5] + [prompts[0], prompts[2]] + [prompts[0]] * (
+            ASK_ATTEMPTS - 2)
+        assert len(set(prompts[:5])) == 5
+        # One lookup, of the first stream; the re-asks bypass the cache.
+        assert lookups == [5]
 
 
 def gap_record(d="Retrovirus", c="RNA Virus", a="Virus", chains=None):
@@ -170,7 +197,7 @@ class TestBuildCorpus:
         # Every distillation returns empty: all five implicit slots drop.
         gw, _ = scripted_gateway(tmp_path, [""] * 15)
         entries, tallies = build_corpus(
-            gw, [gap_record()], SynthesisConfig(strategy="implicit", empty_retries=2))
+            gw, [gap_record()], SynthesisConfig(strategy="implicit"))
         assert entries == []
         assert tallies.distill_drops == 5
 
