@@ -7,8 +7,9 @@ exist or when one differs from what its stage last wrote (the manifest's
 hashes are checked; rerun the stages the message names), 4 when the model
 endpoint fails, and 1 for any other evontree error, such as a response
 cache file that is not a SQLite database or is in any format but this
-version's, including one written by an earlier version, and for a database
-error of the response cache, such as a full disk.
+version's, including one written by an earlier version, for a database
+error of the response cache, such as a full disk, and for a stage started on
+an output directory where another process is running one.
 """
 
 from __future__ import annotations

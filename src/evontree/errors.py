@@ -77,6 +77,10 @@ class StaleUpstreamError(MissingUpstreamError):
     """An upstream artifact differs from what its stage last wrote."""
 
 
+class DirectoryBusyError(EvontreeError):
+    """Another process is running a stage on the same output directory."""
+
+
 class JudgeUnavailableError(EvontreeError):
     """The judge endpoint failed; reports degrade to accuracy-free mode."""
 

@@ -12,6 +12,12 @@ last. A run can be resumed or re-executed from any stage, and given the same
 config and a warm response cache, re-running a stage reproduces its outputs
 byte for byte.
 
+One stage at a time writes to an output directory: run_stage holds an
+exclusive flock on its lock file from reading the manifest to writing it,
+and a stage started on a directory where another process holds it fails at
+once with DirectoryBusyError, naming the holder's pid. The kernel drops the
+lock when its holder dies, so a killed stage leaves nothing to clean up.
+
 Under run_all, stages hand records over in memory: a body keeps what it
 writes to a triple file or calibration.json, as parsing the file would
 return it, and a later stage of the same RunContext receives the kept value
@@ -39,21 +45,31 @@ requests, cache hits, backend calls and cache commits it made.
 from __future__ import annotations
 
 import csv
+import fcntl
 import hashlib
 import io
 import json
 import logging
+import os
 import re
 import time
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .calibration import CalibrationOutcome, calibrate_relation, collect_samples
 from .config import RunConfig
-from .errors import EmptySpanError, JudgeUnavailableError, MissingUpstreamError, StaleUpstreamError
+from .errors import (
+    DirectoryBusyError,
+    EmptySpanError,
+    JudgeUnavailableError,
+    MissingUpstreamError,
+    StaleUpstreamError,
+)
 from .extraction import extract_forest
 from .gateway import GATEWAY_COUNTERS, HttpBackend, ModelGateway, close_all
 from .ontology import (
@@ -74,7 +90,6 @@ from .report import (
     judge_triples,
     roc_rows,
     rows_to_csv,
-    split_by_relation,
     sweep_gap_offsets,
     sweep_rows,
 )
@@ -116,6 +131,7 @@ class Artifacts:
         self.confirm_hist = out_dir / "confirm_hist.csv"
         self.sweep = out_dir / "sweep.csv"
         self.manifest = out_dir / "manifest.json"
+        self.lock = out_dir / "evontree.lock"
 
     def name(self, path: Path) -> str:
         """path as the manifest names it: relative to the output directory."""
@@ -433,19 +449,13 @@ def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[Trip
     """Summarize every triple class into the stats table and histogram;
     audit accuracy through the judge when one is configured."""
     paths = ctx.paths
-    nums: dict[tuple[TripleClass, Relation], int] = {}
-    scored: dict[tuple[TripleClass, Relation], list[TripleRecord]] = {}
-    for triple_class, counted, with_scores in (
-        (TripleClass.RAW, raw, scored_raw),
-        (TripleClass.CONFIRMED, confirmed, confirmed),
-        (TripleClass.RELIABLE, reliable, reliable),
-        (TripleClass.EXTRAPOLATED, extrapolated, scored_extrapolated),
-        (TripleClass.GAP, gaps, gaps),
-    ):
-        for relation, records in split_by_relation(counted).items():
-            nums[(triple_class, relation)] = len(records)
-        for relation, records in split_by_relation(with_scores).items():
-            scored[(triple_class, relation)] = records
+    classes = {
+        TripleClass.RAW: (raw, scored_raw),
+        TripleClass.CONFIRMED: (confirmed, confirmed),
+        TripleClass.RELIABLE: (reliable, reliable),
+        TripleClass.EXTRAPOLATED: (extrapolated, scored_extrapolated),
+        TripleClass.GAP: (gaps, gaps),
+    }
 
     verdicts = None
     judge_unparseable = 0
@@ -460,20 +470,20 @@ def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[Trip
             log.warning("judge unavailable, reporting without accuracy: %s", exc)
             judge_unavailable = True
 
-    rows = build_rows(nums, scored, verdicts)
+    rows = build_rows(classes, verdicts)
     unscored = {
         "raw": len(raw) - len(scored_raw),
         "extrapolated": len(extrapolated) - len(scored_extrapolated),
     }
     _write_json(paths.report_json, {
-        "rows": [row.to_json_obj() for row in rows],
+        "rows": [asdict(row) for row in rows],
         "judge": ctx.config.model.judge.kind,
         "judge_unavailable": judge_unavailable,
         "judge_unparseable": judge_unparseable,
         "unscored": unscored,
     })
     _write_csv(paths.report_csv, rows_to_csv(rows, with_acc=verdicts is not None))
-    _write_csv(paths.confirm_hist, histogram_rows(scored, verdicts))
+    _write_csv(paths.confirm_hist, histogram_rows(classes, verdicts))
     return {"judge_unavailable": judge_unavailable,
             "judge_unparseable": judge_unparseable,
             "unscored": unscored}
@@ -549,6 +559,31 @@ def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str
     return sorted(stale)
 
 
+@contextmanager
+def _holding(lock: Path) -> Iterator[None]:
+    """Hold an exclusive flock on the file lock, with this process's pid in
+    it, or raise DirectoryBusyError at once if another process holds it. The
+    file is emptied before the lock is released, so a finished directory
+    holds it empty."""
+    fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.pread(fd, 32, 0).decode("ascii", "replace").strip() or "unknown"
+            raise DirectoryBusyError(
+                f"output directory {lock.parent} is in use by another evontree process "
+                f"(pid {holder}); wait for it to finish, or use another directory") from None
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, f"{os.getpid()}\n".encode("ascii"), 0)
+        try:
+            yield
+        finally:
+            os.ftruncate(fd, 0)
+    finally:
+        os.close(fd)  # releases the lock
+
+
 def run_stage(ctx: RunContext, name: str) -> None:
     """Run one stage of TABLE: refuse it if an input is missing or stale,
     load its inputs, run its body, and record what it read and wrote.
@@ -556,9 +591,15 @@ def run_stage(ctx: RunContext, name: str) -> None:
     Each input file is read once, to hash it. An input that a stage of ctx
     wrote and kept is handed over as kept if the file still has the hash
     recorded when it was written; any other input is parsed from the bytes
-    just hashed."""
+    just hashed. The stage holds the output directory's lock throughout."""
     if name not in TABLE:
         raise ValueError(f"unknown stage {name!r}; expected one of {tuple(TABLE)}")
+    with _holding(ctx.paths.lock):
+        _run_held(ctx, name)
+
+
+def _run_held(ctx: RunContext, name: str) -> None:
+    """run_stage's work, with the output directory's lock held."""
     log.info("stage %s starting", name)
     start = time.perf_counter()
     paths = ctx.paths

@@ -1,11 +1,13 @@
 """Summary statistics over the pipeline's triple classes.
 
-The main product is a per-(class, relation) table: how many triples landed
-in each class, their average confirm value (mean over each triple's
-per-paraphrase mean), and, when a judge is available, the fraction the
-judge marks true. Counts come from artifact line counts; averages use only
-the scored subset, since unscored triples carry no values. The same scored
-records also feed a confirm-value histogram. roc_rows flattens the ROC
+The report reads one view of the triple classes: each class's records as
+counted and the subset with scores. The main product is a per-(class,
+relation) table: how many triples landed in each class, their average
+confirm value (mean over each triple's per-paraphrase mean), and, when a
+judge is available, the fraction the judge marks true. Counts come from the
+counted records; averages use only the scored subset, since unscored
+triples carry no values. Each class's scored records, both relations
+together, also feed a confirm-value histogram. roc_rows flattens the ROC
 curves of fresh per-template fits into the rows of roc_curve.csv, which the
 calibrate stage writes: calibration.json does not keep the curves.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .calibration import CalibrationOutcome, one_shot_labels
 from .errors import JudgeUnavailableError, TransportError
@@ -45,7 +47,8 @@ HIST_BINS = 20  # covers [-1, 1]; the top bin is closed at 1.0
 # 11.999999999999998).
 HIST_EDGES = tuple(round(HIST_LO + i * HIST_BIN_WIDTH, 1) for i in range(HIST_BINS + 1))
 
-RowKey = tuple[TripleClass, Relation]
+# Each class's records as counted, and those of them that carry scores.
+ClassView = Mapping[TripleClass, tuple[Sequence[TripleRecord], Sequence[TripleRecord]]]
 
 
 @dataclass(frozen=True)
@@ -56,25 +59,9 @@ class ReportRow:
     confirm_value_avg: float | None
     acc: float | None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "triple_type": self.triple_type,
-            "relation": self.relation,
-            "num": self.num,
-            "confirm_value_avg": self.confirm_value_avg,
-            "acc": self.acc,
-        }
-
 
 def _mean(values: Sequence[float]) -> float | None:
     return sum(values) / len(values) if values else None
-
-
-def split_by_relation(records: Iterable[TripleRecord]) -> dict[Relation, list[TripleRecord]]:
-    out: dict[Relation, list[TripleRecord]] = {r: [] for r in Relation}
-    for record in records:
-        out[record.triple.relation].append(record)
-    return out
 
 
 def judge_triples(gateway: ModelGateway,
@@ -99,17 +86,13 @@ def judge_triples(gateway: ModelGateway,
     return verdicts, unparseable
 
 
-def build_rows(
-    nums: dict[RowKey, int],
-    scored: dict[RowKey, list[TripleRecord]],
-    verdicts: dict[Triple, bool] | None,
-) -> list[ReportRow]:
+def build_rows(classes: ClassView, verdicts: dict[Triple, bool] | None) -> list[ReportRow]:
     """One row per ROW_SPECS entry. An absent class keeps its row with a
     zero count and null statistics, so the table shape never varies."""
     rows = []
     for triple_class, relation in ROW_SPECS:
-        key = (triple_class, relation)
-        records = scored.get(key, [])
+        counted, with_scores = classes.get(triple_class, ((), ()))
+        records = [r for r in with_scores if r.triple.relation is relation]
         means = [m for m in (r.mean_score() for r in records) if m is not None]
         acc = None
         if verdicts is not None:
@@ -118,7 +101,7 @@ def build_rows(
         rows.append(ReportRow(
             triple_type=triple_class.value,
             relation=relation.value,
-            num=nums.get(key, 0),
+            num=sum(r.triple.relation is relation for r in counted),
             confirm_value_avg=_mean(means),
             acc=acc,
         ))
@@ -142,23 +125,16 @@ def rows_to_csv(rows: Sequence[ReportRow], with_acc: bool) -> list[list[str]]:
     return out
 
 
-def histogram_rows(
-    scored: dict[RowKey, list[TripleRecord]],
-    verdicts: dict[Triple, bool] | None,
-) -> list[list[str]]:
+def histogram_rows(classes: ClassView, verdicts: dict[Triple, bool] | None) -> list[list[str]]:
     """Confirm-value histogram per class, bin width 0.1 over [-1, 1].
 
     Every bin of a class with scored triples is emitted, empty ones
     included, so consumers can plot without re-indexing. Per-bin accuracy
     appears when a judge audited the run."""
     out = [["class", "bin_lo", "bin_hi", "count", "accuracy"]]
-    by_class: dict[TripleClass, list[TripleRecord]] = {}
-    for (triple_class, _), records in sorted(scored.items(),
-                                             key=lambda kv: (kv[0][0].value, kv[0][1].value)):
-        by_class.setdefault(triple_class, []).extend(records)
     for triple_class in TripleClass:
-        records = by_class.get(triple_class, [])
-        pairs = [(r.mean_score(), r.triple) for r in records if r.mean_score() is not None]
+        _, with_scores = classes.get(triple_class, ((), ()))
+        pairs = [(r.mean_score(), r.triple) for r in with_scores if r.mean_score() is not None]
         if not pairs:
             continue
         counts = [0] * HIST_BINS

@@ -8,11 +8,15 @@ import logging
 import math
 import os
 import random
+import select
 import shutil
+import signal
 import sqlite3
 import struct
 import subprocess
 import sys
+import textwrap
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -20,7 +24,14 @@ import pytest
 
 import evontree
 import evontree.pipeline
-from evontree.cli import EXIT_CONFIG, EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main
+from evontree.cli import (
+    EXIT_CONFIG,
+    EXIT_GATEWAY,
+    EXIT_MISSING_UPSTREAM,
+    EXIT_OK,
+    EXIT_OTHER,
+    main,
+)
 from evontree.config import ENDPOINT_ENV_VAR
 from evontree.errors import TransportError
 from evontree.extraction import build_tree_prompt
@@ -367,6 +378,15 @@ def evontree_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def cli_process(*argv: str) -> subprocess.Popen:
+    """The CLI with argv, started in a fresh interpreter that imports this
+    evontree, its output and log piped."""
+    return subprocess.Popen(
+        [sys.executable, "-c", "import sys; from evontree.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=evontree_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
 def fresh_python(script: str, *args: str):
     """Run script in a fresh interpreter that imports this evontree, and
     return the JSON it prints last."""
@@ -428,10 +448,7 @@ class TestSharedCache:
                 "extraction": {"roots": ["T0N0", "T1N0", "T2N0"], "max_depth": 3},
                 "output": {"dir": f"out-{name}", "cache_dir": str(tmp_path / "cache")},
             }, name=f"{name}.json")
-            procs.append(subprocess.Popen(
-                [sys.executable, "-c", "import sys; from evontree.cli import main; "
-                 "sys.exit(main(sys.argv[1:]))", "run", "--config", str(config)],
-                env=evontree_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+            procs.append(cli_process("run", "--config", str(config)))
         try:
             for proc in procs:
                 _, err = proc.communicate(timeout=120)
@@ -448,3 +465,91 @@ class TestSharedCache:
         for name in names:
             if name != "manifest.json":
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# The CLI with argv[1:], but the body of the stage argv[1] names prints
+# "holding" and sleeps: the process holds the output directory's lock until
+# it is killed.
+HOLD_STAGE = textwrap.dedent("""
+    import sys, time
+    import evontree.pipeline as pipeline
+    from evontree.cli import main
+
+    def hold(ctx, **inputs):
+        print("holding", flush=True)
+        time.sleep(120)
+
+    pipeline.STAGES[sys.argv[1]] = hold
+    sys.exit(main(sys.argv[1:]))
+""")
+
+
+@pytest.fixture
+def holder(tmp_path):
+    """A process that holds tmp_path/out through a stuck extract, and the
+    config of that directory; killed when the test ends."""
+    config = write_config(tmp_path, {**CONFIG_OBJ, "extraction": {"roots": ["T0N0"],
+                                                                  "max_depth": 2}})
+    proc = subprocess.Popen([sys.executable, "-c", HOLD_STAGE, "extract", "--config",
+                             str(config)], env=evontree_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, text=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready and proc.stdout.readline() == "holding\n"
+        yield proc, config
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+class TestOneWriterPerDirectory:
+    def test_a_held_directory_refuses_a_verb_at_once(self, holder, caplog):
+        proc, config = holder
+        start = time.monotonic()
+        assert main(["extract", "--config", str(config)]) == EXIT_OTHER
+        assert time.monotonic() - start < 5
+        assert f"in use by another evontree process (pid {proc.pid})" in caplog.text
+        out = config.parent / "out"
+        assert (out / "evontree.lock").read_text() == f"{proc.pid}\n"
+        assert not (out / "manifest.json").exists()
+
+    def test_a_killed_holder_leaves_the_directory_usable(self, holder):
+        proc, config = holder
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+        lock = config.parent / "out" / "evontree.lock"
+        assert lock.read_text() == f"{proc.pid}\n"  # nothing ran to empty it
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        assert lock.read_bytes() == b""
+        stages = json.loads((config.parent / "out" / "manifest.json").read_text())["stages"]
+        assert list(stages) == ["extract"]
+
+    def test_two_verbs_at_once_both_record_or_one_is_refused(self, finished_run, tmp_path):
+        tmp, config = finished_run
+        out = tmp_path / "out"
+        shutil.copytree(tmp / "out", out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        kept = {name: entry for name, entry in manifest["stages"].items()
+                if name not in ("confirm", "sweep")}
+        manifest["stages"] = kept
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        procs = {verb: cli_process(verb, "--config", str(config), "--stage-dir", str(out))
+                 for verb in ("confirm", "sweep")}
+        codes = {}
+        try:
+            for verb, proc in procs.items():
+                _, err = proc.communicate(timeout=60)
+                codes[verb] = proc.returncode
+                assert proc.returncode in (EXIT_OK, EXIT_OTHER), err
+                if proc.returncode == EXIT_OTHER:
+                    assert "in use by another evontree process" in err
+        finally:
+            for proc in procs.values():
+                proc.kill()
+                proc.wait()
+        assert list(codes.values()).count(EXIT_OK) >= 1
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert {verb for verb, code in codes.items() if code == EXIT_OK} == set(stages) - set(kept)
+        assert {name: stages[name] for name in kept} == kept
+        assert (out / "evontree.lock").read_bytes() == b""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ import evontree.gateway as gateway_module
 import evontree.ontology as ontology_module
 import evontree.pipeline as pipeline_module
 from evontree.calibration import CalibrationOutcome, calibrate_relation
+from evontree.cli import EXIT_GATEWAY, EXIT_OK, main as cli_main
 from evontree.config import ENDPOINT_ENV_VAR, parse_config, replace_seed
 from evontree.errors import MissingUpstreamError, StaleUpstreamError, TransportError
 from evontree.gateway import (
@@ -122,9 +124,15 @@ def synthetic_backend(cfg) -> SyntheticBackend:
 
 
 @contextmanager
-def serve_over_http(backend):
-    """Serve backend on a loopback port as an HTTP model endpoint; yields its URL."""
+def serve_over_http(backend, faults: dict | None = None):
+    """Serve backend on a loopback port as an HTTP model endpoint; yields its
+    URL. faults maps a route to an iterator of the faults its requests meet
+    in turn, each a status and its Retry-After or None, answered with no
+    body; a request whose route has no fault left is served. The map is read
+    at each request, so clearing it clears the faults."""
     routes = {"/v1/generate": backend.generate, "/v1/score": backend.score}
+    faults = {} if faults is None else faults
+    faults_lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"  # keep-alive, as a real endpoint
@@ -132,6 +140,16 @@ def serve_over_http(backend):
 
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with faults_lock:
+                fault = next(faults.get(self.path, iter(())), None)
+            if fault is not None:
+                status, retry_after = fault
+                self.send_response(status)
+                if retry_after is not None:
+                    self.send_header("Retry-After", retry_after)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
             out = json.dumps(routes[self.path](body)).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -255,6 +273,9 @@ class TestRunAll:
         assert {(row[0], row[1]) for row in rows[1:]} == {
             (relation.value, str(t.paraphrase_id)) for relation in Relation
             for t in templates_for(relation)}
+
+    def test_the_lock_file_is_left_empty(self, completed_run):
+        assert completed_run.paths.lock.read_bytes() == b""
 
     def test_ground_truth_round_trips(self, completed_run):
         obj = json.loads(completed_run.paths.ground_truth.read_text())
@@ -405,6 +426,75 @@ class TestDeterminism:
         assert pools and set(pools) == {4}  # the concurrent run used a real pool
         assert scored_raw[1] == scored_raw[4]
         assert scored_raw[4] == completed_run.paths.scored_raw.read_bytes()
+
+
+# A forest of 25 raw triples and 2 gaps, small enough for whole runs over
+# HTTP: verified to give both labels of both relations.
+SMALL_FOREST = {
+    "model": {"kind": "synthetic",
+              "synthetic": {"depth": 2, "branching": 3, "synonym_rate": 0.4,
+                            "seed": 6, "hallucination_rate": 0.2}},
+    "extraction": {"roots": ["T0N0"], "max_depth": 2},
+}
+
+
+def run_over_http(tmp_path: Path, url: str, out_name: str, cache_name: str) -> int:
+    """The CLI's exit code for `run` of SMALL_FOREST, asking the synthetic
+    model served at url and judged by it, into tmp_path/out_name."""
+    model = {"kind": "http", "name": "synthetic", "endpoint": url, "judge": {"kind": "self"}}
+    obj = config_obj(out_name, cache_name, **{**SMALL_FOREST, "model": model})
+    config = tmp_path / f"{out_name}.json"
+    config.write_text(json.dumps(obj))
+    return cli_main(["run", "--config", str(config)])
+
+
+def artifact_bytes(out: Path) -> dict[str, bytes]:
+    """Every file under out but the manifest and the response cache."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name != "manifest.json"
+            and p.relative_to(out).parts[0] != "cache"}
+
+
+@pytest.fixture
+def faulty_http(tmp_path, monkeypatch):
+    """The synthetic model served over HTTP with the fault map of
+    serve_over_http, every retry wait zero: a 503 without Retry-After draws
+    its wait from a patched _JITTER. Yields the URL, the fault map and the
+    artifacts of a clean run on that server, with its own cache."""
+    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+    monkeypatch.setattr(gateway_module._JITTER, "uniform", lambda lo, hi: 0.0)
+    faults = {}
+    backend = synthetic_backend(make_config(tmp_path, **SMALL_FOREST))
+    with serve_over_http(backend, faults) as url:
+        assert run_over_http(tmp_path, url, "clean", "clean-cache") == EXIT_OK
+        yield url, faults, artifact_bytes(tmp_path / "clean")
+
+
+class TestHttpFaults:
+    """Whole runs through the CLI against an endpoint that fails."""
+
+    def test_transient_faults_are_retried_to_the_clean_artifacts(self, tmp_path, faulty_http):
+        url, faults, clean = faulty_http
+        faults["/v1/score"] = iter([(503, None)])
+        faults["/v1/generate"] = iter([(429, "0")])
+        assert run_over_http(tmp_path, url, "out", "cache") == EXIT_OK
+        assert all(next(pending, None) is None for pending in faults.values())
+        assert artifact_bytes(tmp_path / "out") == clean
+        stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+        assert sum(entry["gateway"]["retries"] for entry in stages.values()) == 2
+
+    def test_a_dead_score_route_exits_4_and_a_clean_rerun_reproduces(self, tmp_path,
+                                                                     faulty_http):
+        url, faults, clean = faulty_http
+        faults["/v1/score"] = itertools.repeat((503, None))
+        assert run_over_http(tmp_path, url, "out", "cache") == EXIT_GATEWAY
+        stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+        assert list(stages) == ["extract"]
+        stored = stored_rows(tmp_path / "cache")  # sound, current format, every value decodes
+        assert stored and all(isinstance(value, str) for value in stored.values())
+        faults.clear()
+        assert run_over_http(tmp_path, url, "out", "cache") == EXIT_OK
+        assert artifact_bytes(tmp_path / "out") == clean
 
 
 class TestMapConcurrent:

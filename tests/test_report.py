@@ -34,49 +34,56 @@ def rec(a: str, b: str, scores=None, triple_class=TripleClass.RAW) -> TripleReco
 
 class TestBuildRows:
     def test_row_order_is_pinned(self):
-        rows = build_rows({}, {}, None)
+        rows = build_rows({}, None)
         got = [(r.triple_type, r.relation) for r in rows]
         assert got == [(c.value, rel.value) for c, rel in ROW_SPECS]
 
     def test_empty_class_keeps_row_with_zero_and_nulls(self):
-        rows = build_rows({}, {}, None)
+        rows = build_rows({}, None)
         gap_row = rows[-1]
         assert (gap_row.triple_type, gap_row.num) == ("Gap", 0)
         assert gap_row.confirm_value_avg is None
         assert gap_row.acc is None
 
     def test_mean_is_over_per_triple_means(self):
-        scored = {(TripleClass.RAW, Relation.SUBCLASS_OF): [
+        scored = [
             rec("a", "b", scores=[1.0, 0.0]),   # triple mean 0.5
             rec("c", "d", scores=[0.1, 0.1]),   # triple mean 0.1
-        ]}
-        nums = {(TripleClass.RAW, Relation.SUBCLASS_OF): 2}
-        row = build_rows(nums, scored, None)[2]
+        ]
+        row = build_rows({TripleClass.RAW: (scored, scored)}, None)[2]
         assert row.confirm_value_avg == pytest.approx(0.3)
 
     def test_num_comes_from_counts_not_scored_records(self):
-        nums = {(TripleClass.RAW, Relation.SUBCLASS_OF): 5}
-        scored = {(TripleClass.RAW, Relation.SUBCLASS_OF): [rec("a", "b", scores=[0.2])]}
-        row = build_rows(nums, scored, None)[2]
+        scored = [rec("a", "b", scores=[0.2])]
+        counted = scored + [rec(f"u{i}", f"v{i}") for i in range(4)]
+        row = build_rows({TripleClass.RAW: (counted, scored)}, None)[2]
         assert row.num == 5
+
+    def test_each_row_takes_its_relation_from_the_class(self):
+        syn = TripleRecord(Triple(normalize_label("x"), Relation.SYNONYM_OF,
+                                  normalize_label("y")), TripleClass.RAW, scores=[-0.4])
+        sub_records = [rec("a", "b", scores=[0.6]), rec("c", "d")]
+        rows = build_rows({TripleClass.RAW: ([syn, *sub_records], [syn, sub_records[0]])}, None)
+        by_key = {(r.triple_type, r.relation): (r.num, r.confirm_value_avg) for r in rows}
+        assert by_key[("Raw", "SynonymOf")] == (1, pytest.approx(-0.4))
+        assert by_key[("Raw", "SubclassOf")] == (2, pytest.approx(0.6))
 
     def test_accuracy_is_fraction_marked_true(self):
         records = [rec("a", "b", scores=[0.5]), rec("c", "d", scores=[0.5]),
                    rec("e", "f", scores=[0.5])]
-        scored = {(TripleClass.RAW, Relation.SUBCLASS_OF): records}
         verdicts = {records[0].triple: True, records[1].triple: False}
-        row = build_rows({}, scored, verdicts)[2]
+        row = build_rows({TripleClass.RAW: ((), records)}, verdicts)[2]
         assert row.acc == pytest.approx(0.5)  # third triple unjudged, excluded
 
 
 class TestCsvShaping:
     def test_acc_column_present_with_judge(self):
-        cells = rows_to_csv(build_rows({}, {}, {}), with_acc=True)
+        cells = rows_to_csv(build_rows({}, {}), with_acc=True)
         assert cells[0] == ["Triple Type", "Relation", "Num", "ConfirmValue Avg.", "Acc."]
         assert len(cells) == 1 + len(ROW_SPECS)
 
     def test_acc_column_absent_without_judge(self):
-        cells = rows_to_csv(build_rows({}, {}, None), with_acc=False)
+        cells = rows_to_csv(build_rows({}, None), with_acc=False)
         assert cells[0] == ["Triple Type", "Relation", "Num", "ConfirmValue Avg."]
         assert all(len(row) == 4 for row in cells)
 
@@ -121,7 +128,7 @@ class TestHistogram:
     def test_bins_cover_minus_one_to_one(self):
         records = [rec("a", "b", scores=[-1.0]), rec("c", "d", scores=[1.0]),
                    rec("e", "f", scores=[-0.05])]
-        rows = histogram_rows({(TripleClass.RAW, Relation.SUBCLASS_OF): records}, None)
+        rows = histogram_rows({TripleClass.RAW: (records, records)}, None)
         assert rows[0] == ["class", "bin_lo", "bin_hi", "count", "accuracy"]
         body = rows[1:]
         assert len(body) == 20  # one class, all bins emitted
@@ -134,9 +141,8 @@ class TestHistogram:
     @pytest.mark.parametrize("edge", [f"{tenths / 10:.1f}" for tenths in range(-10, 11)])
     def test_a_mean_on_an_edge_falls_in_the_bin_above_it(self, edge):
         # Every edge from -1.0 to 1.0; 1.0 is the top of the closed last bin.
-        rows = histogram_rows(
-            {(TripleClass.RAW, Relation.SUBCLASS_OF): [rec("a", "b", scores=[float(edge)])]},
-            None)
+        records = [rec("a", "b", scores=[float(edge)])]
+        rows = histogram_rows({TripleClass.RAW: (records, records)}, None)
         [(lo, hi)] = [(r[1], r[2]) for r in rows[1:] if r[3] == "1"]
         assert lo == (edge if edge != "1.0" else "0.9")
         assert float(hi) == pytest.approx(float(lo) + 0.1)
@@ -144,7 +150,7 @@ class TestHistogram:
     def test_per_bin_accuracy_with_verdicts(self):
         r1, r2 = rec("a", "b", scores=[0.55]), rec("c", "d", scores=[0.58])
         verdicts = {r1.triple: True, r2.triple: False}
-        rows = histogram_rows({(TripleClass.RAW, Relation.SUBCLASS_OF): [r1, r2]}, verdicts)
+        rows = histogram_rows({TripleClass.RAW: ([r1, r2], [r1, r2])}, verdicts)
         target = [r for r in rows[1:] if r[1] == "0.5"][0]
         assert target[3] == "2"
         assert target[4] == "0.500000"
@@ -152,10 +158,8 @@ class TestHistogram:
     def test_classes_pool_relations(self):
         syn = TripleRecord(Triple(normalize_label("x"), Relation.SYNONYM_OF,
                                   normalize_label("y")), TripleClass.RAW, scores=[0.0])
-        rows = histogram_rows({
-            (TripleClass.RAW, Relation.SUBCLASS_OF): [rec("a", "b", scores=[0.0])],
-            (TripleClass.RAW, Relation.SYNONYM_OF): [syn],
-        }, None)
+        records = [rec("a", "b", scores=[0.0]), syn]
+        rows = histogram_rows({TripleClass.RAW: (records, records)}, None)
         target = [r for r in rows[1:] if r[0] == "Raw" and r[1] == "0.0"][0]
         assert target[3] == "2"
 
