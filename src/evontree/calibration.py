@@ -7,6 +7,10 @@ per-template confirm values. The calibrated threshold for a template
 maximizes the Youden index J = TPR - FPR over a candidate grid built from
 the observed scores inside the sweep range plus the range endpoints; ties
 resolve to the largest threshold, the conservative choice for confirmation.
+A rate over an empty label class counts as 0, so one-sided labels still fit:
+all true keeps the largest threshold that recalls every positive, and all
+false (or no labels) gives the top of the range, which no confirm value
+clears under the default range [0, 1].
 
 calibration.json keeps each template's threshold, its Youden J and its
 label counts; the ROC curve a fit returns is written once, as the rows of
@@ -24,7 +28,6 @@ from itertools import tee
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DegenerateLabelsError,
     InvalidParamsError,
     MissingThresholdError,
     StaleUpstreamError,
@@ -46,13 +49,15 @@ class LabeledScore:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    lo: float = 0.0
-    hi: float = 1.0
+class CalibrationConfig:
+    """The range [sweep_lo, sweep_hi] of candidate thresholds."""
+
+    sweep_lo: float = 0.0
+    sweep_hi: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise InvalidParamsError(f"sweep range [{self.lo}, {self.hi}] is empty")
+        if not self.sweep_lo < self.sweep_hi:
+            raise InvalidParamsError(f"sweep range [{self.sweep_lo}, {self.sweep_hi}] is empty")
 
 
 @dataclass(frozen=True)
@@ -148,26 +153,30 @@ def collect_samples(
     return samples, unparseable
 
 
-def fit_threshold(samples: Sequence[LabeledScore], sweep: SweepSpec = SweepSpec()) -> CalibrationResult:
+def _share_above(ordered: list[float], tau: float) -> float:
+    """The share of the sorted scores that lie strictly above tau; 0 for none."""
+    return (len(ordered) - bisect_right(ordered, tau)) / len(ordered) if ordered else 0.0
+
+
+def fit_threshold(samples: Sequence[LabeledScore],
+                  config: CalibrationConfig = CalibrationConfig()) -> CalibrationResult:
     """Maximize J over candidate thresholds; positives must score strictly
     above the threshold to count as recalled."""
     pos = sorted(s.score for s in samples if s.label)
     neg = sorted(s.score for s in samples if not s.label)
-    if not pos or not neg:
-        raise DegenerateLabelsError(
-            f"need both labels to calibrate, got {len(pos)} positive / {len(neg)} negative")
-    in_range = [s.score for s in samples if sweep.lo <= s.score <= sweep.hi]
-    candidates = sorted(set(in_range) | {sweep.lo, sweep.hi})
+    lo, hi = config.sweep_lo, config.sweep_hi
+    candidates = sorted({s.score for s in samples if lo <= s.score <= hi} | {lo, hi})
     curve: list[RocPoint] = []
     best: RocPoint | None = None
     for tau in candidates:
-        tpr = (len(pos) - bisect_right(pos, tau)) / len(pos)
-        fpr = (len(neg) - bisect_right(neg, tau)) / len(neg)
-        point = RocPoint(tau=tau, tpr=tpr, fpr=fpr)
+        point = RocPoint(tau=tau, tpr=_share_above(pos, tau), fpr=_share_above(neg, tau))
         curve.append(point)
         if best is None or point.j >= best.j:  # >= keeps the largest tau on ties
             best = point
-    if best.j <= 0.0:
+    if not pos or not neg:
+        log.warning("calibrating on one-sided labels (%d positive / %d negative): the rate "
+                    "of the empty class counts as 0", len(pos), len(neg))
+    elif best.j <= 0.0:
         log.warning("calibration found no separating threshold (max J = %.4f); "
                     "scores may be anticorrelated with labels", best.j)
     return CalibrationResult(tau_star=best.tau, n_pos=len(pos), n_neg=len(neg),
@@ -179,7 +188,7 @@ class CalibrationOutcome:
     """Per-relation fits, one per paraphrase template, keyed by its id as a
     string. Read back from calibration.json, the fits carry no curve."""
 
-    sweep: SweepSpec
+    sweep: CalibrationConfig
     prompt_set: str
     by_relation: dict[str, dict[str, CalibrationResult]]
     unparseable: int = 0
@@ -194,7 +203,7 @@ class CalibrationOutcome:
     def to_json_obj(self) -> dict:
         return {
             "prompt_set": self.prompt_set,
-            "sweep": {"lo": self.sweep.lo, "hi": self.sweep.hi},
+            "sweep": {"lo": self.sweep.sweep_lo, "hi": self.sweep.sweep_hi},
             "unparseable": self.unparseable,
             "relations": {
                 rel: {key: res.to_json_obj() for key, res in sorted(fits.items())}
@@ -214,7 +223,7 @@ class CalibrationOutcome:
                 f"calibration.json holds fits for {stale} in an older format; "
                 "rerun 'calibrate' and the stages after it")
         return cls(
-            sweep=SweepSpec(lo=obj["sweep"]["lo"], hi=obj["sweep"]["hi"]),
+            sweep=CalibrationConfig(sweep_lo=obj["sweep"]["lo"], sweep_hi=obj["sweep"]["hi"]),
             prompt_set=obj["prompt_set"],
             unparseable=obj.get("unparseable", 0),
             by_relation={
@@ -236,7 +245,8 @@ def _current_fits(relation: str, fits: dict) -> bool:
 
 
 def calibrate_relation(samples: dict[int, list[LabeledScore]],
-                       sweep: SweepSpec = SweepSpec()) -> dict[str, CalibrationResult]:
+                       config: CalibrationConfig = CalibrationConfig()
+                       ) -> dict[str, CalibrationResult]:
     """Fit one threshold per paraphrase template."""
-    return {str(paraphrase_id): fit_threshold(samples[paraphrase_id], sweep)
+    return {str(paraphrase_id): fit_threshold(samples[paraphrase_id], config)
             for paraphrase_id in sorted(samples)}

@@ -27,7 +27,7 @@ from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .calibration import SweepSpec
+from .calibration import CalibrationConfig
 from .errors import URL_DOMAIN, ConfigError, InvalidParamsError, check_domain
 from .extraction import ExtractionConfig
 from .scoring import GAP_MODES
@@ -65,18 +65,6 @@ class ScoringConfig:
     # Concurrent requests to an HTTP endpoint. The in-process synthetic
     # model answers on the calling thread, so it ignores this.
     max_in_flight: int = field(default=8, metadata={"ge": 1})
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    sweep_lo: float = 0.0
-    sweep_hi: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.sweep()  # SweepSpec rejects an empty range
-
-    def sweep(self) -> SweepSpec:
-        return SweepSpec(lo=self.sweep_lo, hi=self.sweep_hi)
 
 
 @dataclass(frozen=True)

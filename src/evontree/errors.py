@@ -52,10 +52,6 @@ class MissingThresholdError(EvontreeError):
     """No calibrated threshold available for a prompt template."""
 
 
-class DegenerateLabelsError(EvontreeError):
-    """Threshold fitting needs at least one positive and one negative label."""
-
-
 class UnparseableError(EvontreeError):
     """A one-shot reply contained neither 'true' nor 'false'."""
 

@@ -13,11 +13,12 @@ generation's text as a JSON string. A file in any other format is refused.
 A cache hit costs one digest, one B-tree probe and one decode: each request
 writes its canonical JSON text straight from its fields (body_text), and
 only a request sent to the backend is turned into a body dict (to_body).
-The decode makes the caller's str or ScoreResponse with the same checks a
-fetched response passes, so a stored value that fails them, such as a NaN
-or positive log-probability, is a miss: it is fetched again and replaced.
-A score that spans no tokens is well-formed: it is cached and returned with
-empty token_logprobs, and evontree.scoring decides what it means.
+The decode makes the caller's text or tuple of log-probabilities with the
+same checks a fetched response passes, so a stored value that fails them,
+such as a NaN or positive log-probability, is a miss: it is fetched again
+and replaced.
+A score that spans no tokens is well-formed: it is cached and returned as
+an empty tuple, and evontree.scoring decides what it means.
 
 Requests travel in batches, cut here alone: ModelGateway.score_many and
 generate_many take any iterable of requests and return an iterator of the
@@ -170,11 +171,6 @@ class ScoreRequest:
         """to_body(model) as canonical JSON text, like GenerateRequest's."""
         return '{"completion":%s,"model":%s,"prompt":%s}' % (
             _string(self.completion), _string(model), _string(self.prompt))
-
-
-@dataclass(frozen=True)
-class ScoreResponse:
-    token_logprobs: tuple[float, ...]
 
 
 class Backend(Protocol):
@@ -723,15 +719,16 @@ class ModelGateway:
         return self._call_batch("generate", bypass_cache, [request])[0]
 
     def score_many(self, requests: Iterable[ScoreRequest],
-                   bypass_cache: bool = False) -> Iterator[ScoreResponse]:
-        """The scored completion for each request, in order, as
-        _score_response parsed it, sent as generate_many's requests are. One
-        that scores no tokens is well-formed, so it is cached and returned,
-        from the cache on a rerun too, with empty token_logprobs. Any other
-        malformed response raises ProtocolError and is not cached."""
+                   bypass_cache: bool = False) -> Iterator[tuple[float, ...]]:
+        """The completion's token log-probabilities for each request, in
+        order, as _score_response parsed them, sent as generate_many's
+        requests are. One that scores no tokens is well-formed, so it is
+        cached and returned, from the cache on a rerun too, as an empty
+        tuple. Any other malformed response raises ProtocolError and is not
+        cached."""
         return self._call_many("score", requests, bypass_cache)
 
-    def score(self, request: ScoreRequest, bypass_cache: bool = False) -> ScoreResponse:
+    def score(self, request: ScoreRequest, bypass_cache: bool = False) -> tuple[float, ...]:
         return self._call_batch("score", bypass_cache, [request])[0]
 
 
@@ -761,7 +758,7 @@ def _stored_text(value: bytes) -> str:
     return text
 
 
-def _score_response(raw: dict) -> ScoreResponse:
+def _score_response(raw: dict) -> tuple[float, ...]:
     """The body's token log-probabilities, each a float that is neither NaN
     nor positive; none for a response that scores no tokens."""
     if not isinstance(raw, dict) or not isinstance(raw.get("token_logprobs"), list):
@@ -780,17 +777,17 @@ def _score_response(raw: dict) -> ScoreResponse:
         if lp > 0.0:
             raise ProtocolError(f"logprob {lp} is positive")
         logprobs.append(lp)
-    return ScoreResponse(token_logprobs=tuple(logprobs))
+    return tuple(logprobs)
 
 
-def _packed_logprobs(response: ScoreResponse) -> bytes:
-    return struct.pack(f"<{len(response.token_logprobs)}d", *response.token_logprobs)
+def _packed_logprobs(logprobs: tuple[float, ...]) -> bytes:
+    return struct.pack(f"<{len(logprobs)}d", *logprobs)
 
 
 _AT_MOST_ZERO = (0.0).__ge__  # lp <= 0.0, which is False for NaN
 
 
-def _unpacked_logprobs(value: bytes) -> ScoreResponse:
+def _unpacked_logprobs(value: bytes) -> tuple[float, ...]:
     """The score a stored value holds: whole little-endian doubles, each at
     most 0, which NaN is not."""
     if len(value) % 8:
@@ -798,7 +795,7 @@ def _unpacked_logprobs(value: bytes) -> ScoreResponse:
     logprobs = struct.unpack(f"<{len(value) // 8}d", value)
     if not all(map(_AT_MOST_ZERO, logprobs)):
         raise ValueError(f"cached logprobs {logprobs} are not all at most 0")
-    return ScoreResponse(logprobs)
+    return logprobs
 
 
 # Per request kind: parse, which checks a response body and returns what the

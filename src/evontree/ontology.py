@@ -1,4 +1,4 @@
-"""Core domain types: concept labels, triples, trees, and the indexed triple store.
+"""Core domain types: concept labels, triples, trees, and the triple file format.
 
 Labels compare and hash by a case-folded key so that mixed-case spellings of
 the same concept merge; the original spelling is kept for display and prompt
@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import io
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptyLabelError
 
@@ -208,48 +207,6 @@ def tree_to_triples(tree: OntologyTree) -> tuple[set[Triple], int]:
             else:
                 triples.add(Triple(node.label, Relation.SYNONYM_OF, syn))
     return triples, skipped
-
-
-class TripleStore:
-    """Set of triples with lookup indices kept consistent on insert.
-
-    Writes happen at stage boundaries (single writer); reads are safe to
-    share because inserted values are immutable.
-    """
-
-    def __init__(self, triples: Iterable[Triple] = ()) -> None:
-        self._triples: set[Triple] = set()
-        self._synonym_partners: dict[str, set[ConceptLabel]] = defaultdict(set)
-        for t in triples:
-            self.insert(t)
-
-    def insert(self, triple: Triple) -> bool:
-        """Insert a triple; returns False when the canonical form was already present."""
-        if triple in self._triples:
-            return False
-        self._triples.add(triple)
-        if triple.relation is Relation.SYNONYM_OF:
-            self._synonym_partners[triple.subject.key].add(triple.object)
-            self._synonym_partners[triple.object.key].add(triple.subject)
-        return True
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
-
-    def __len__(self) -> int:
-        return len(self._triples)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=lambda t: t.sort_key))
-
-    def synonym_partners_of(self, label: ConceptLabel) -> set[ConceptLabel]:
-        return set(self._synonym_partners.get(label.key, ()))
-
-    def subclass_triples(self) -> set[Triple]:
-        return {t for t in self._triples if t.relation is Relation.SUBCLASS_OF}
-
-    def synonym_triples(self) -> set[Triple]:
-        return {t for t in self._triples if t.relation is Relation.SYNONYM_OF}
 
 
 @dataclass

@@ -77,7 +77,6 @@ from .ontology import (
     Triple,
     TripleClass,
     TripleRecord,
-    TripleStore,
     parse_triple_file,
     read_triple_file,  # noqa: F401  no stage calls it; perfbench/spans.py wraps it here
     tree_to_triples,
@@ -337,7 +336,6 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> dict:
     scored, unscored = _score_records(ctx, raw)
     _write_records(ctx, "scored_raw", scored)
 
-    sweep = ctx.config.calibration.sweep()
     by_relation = {}
     unparseable = 0
     for relation in Relation:
@@ -345,8 +343,8 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> dict:
             continue
         samples, dropped = collect_samples(ctx.gateway(), scored, relation)
         unparseable += dropped
-        by_relation[relation.value] = calibrate_relation(samples, sweep)
-    outcome = CalibrationOutcome(sweep=sweep, prompt_set=PROMPT_SET_VERSION,
+        by_relation[relation.value] = calibrate_relation(samples, ctx.config.calibration)
+    outcome = CalibrationOutcome(sweep=ctx.config.calibration, prompt_set=PROMPT_SET_VERSION,
                                  by_relation=by_relation, unparseable=unparseable)
     _write_json(paths.calibration, outcome.to_json_obj())
     ctx.keep("calibration", outcome)
@@ -373,12 +371,10 @@ def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
 def stage_reliable(ctx: RunContext, confirmed: list[TripleRecord]) -> dict:
     """Keep the confirmed subclass triples corroborated by a confirmed
     synonym triangle; scores carry over from confirmation."""
-    store = TripleStore(r.triple for r in confirmed)
     scores_by_triple = {r.triple: r.scores for r in confirmed}
-    reliable = select_reliable(store)
+    reliable = select_reliable(scores_by_triple.keys())
     _write_records(ctx, "reliable", [
-        TripleRecord(t, TripleClass.RELIABLE, scores=scores_by_triple.get(t))
-        for t in reliable])
+        TripleRecord(t, TripleClass.RELIABLE, scores=scores_by_triple[t]) for t in reliable])
     return {"reliable": len(reliable)}
 
 
@@ -386,7 +382,7 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord],
                       confirmed: list[TripleRecord], reliable: list[TripleRecord]) -> dict:
     """Compose reliable subclass pairs one hop, keep only candidates new to
     everything already known, then score them for the gap decision."""
-    existing = TripleStore(r.triple for r in raw + confirmed + reliable)
+    existing = {r.triple for records in (raw, confirmed, reliable) for r in records}
     reliable_triples = [r.triple for r in reliable]
     candidates = extrapolate(reliable_triples, existing)
 

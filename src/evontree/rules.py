@@ -14,9 +14,10 @@ knowledge gaps, and an undecided middle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Collection, Iterable
 
-from .ontology import Relation, Triple, TripleStore
+from .ontology import ConceptLabel, Relation, Triple
 from .scoring import confirm_decision, gap_decision
 
 
@@ -49,18 +50,17 @@ def synonym_classes(synonyms: Iterable[Triple]) -> _UnionFind:
     return uf
 
 
-def select_reliable(confirmed: TripleStore) -> set[Triple]:
+def select_reliable(confirmed: Collection[Triple]) -> set[Triple]:
     """Confirmed subclass triples whose subject has a confirmed synonym that
     is itself confirmed under the same object."""
-    reliable: set[Triple] = set()
-    for t in confirmed.subclass_triples():
-        for partner in confirmed.synonym_partners_of(t.subject):
-            if partner.key == t.object.key:
-                continue
-            if Triple(partner, Relation.SUBCLASS_OF, t.object) in confirmed:
-                reliable.add(t)
-                break
-    return reliable
+    partners: dict[str, list[ConceptLabel]] = {}
+    for t in confirmed:
+        if t.relation is Relation.SYNONYM_OF:
+            partners.setdefault(t.subject.key, []).append(t.object)
+            partners.setdefault(t.object.key, []).append(t.subject)
+    return {t for t in confirmed if t.relation is Relation.SUBCLASS_OF and any(
+        Triple(partner, Relation.SUBCLASS_OF, t.object) in confirmed
+        for partner in partners.get(t.subject.key, ()) if partner.key != t.object.key)}
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ class ExtrapolatedCandidate:
     chains: tuple[tuple[Triple, Triple], ...]
 
 
-def extrapolate(reliable: Iterable[Triple], existing: TripleStore) -> list[ExtrapolatedCandidate]:
+def extrapolate(reliable: Iterable[Triple],
+                existing: Collection[Triple]) -> list[ExtrapolatedCandidate]:
     """Compose reliable subclass triples one hop: (A, B) + (B, C) -> (A, C).
 
     `existing` holds everything already known (raw, confirmed, and reliable
@@ -81,9 +82,10 @@ def extrapolate(reliable: Iterable[Triple], existing: TripleStore) -> list[Extra
     not reflexive at the class level.
     """
     reliable_set = {t for t in reliable if t.relation is Relation.SUBCLASS_OF}
-    uf = synonym_classes(existing.synonym_triples())
-    known = existing.subclass_triples() | reliable_set
-    existing_pairs = {(uf.find(t.subject.key), uf.find(t.object.key)) for t in known}
+    uf = synonym_classes(t for t in existing if t.relation is Relation.SYNONYM_OF)
+    existing_pairs = {(uf.find(t.subject.key), uf.find(t.object.key))
+                      for t in chain(existing, reliable_set)
+                      if t.relation is Relation.SUBCLASS_OF}
     by_subject: dict[str, list[Triple]] = {}
     for t in reliable_set:
         by_subject.setdefault(t.subject.key, []).append(t)

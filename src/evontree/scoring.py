@@ -22,7 +22,7 @@ from itertools import chain, islice, tee
 from typing import Iterable, Iterator
 
 from .errors import EmptySpanError, MissingThresholdError
-from .gateway import ModelGateway, ScoreRequest, ScoreResponse
+from .gateway import ModelGateway, ScoreRequest
 from .ontology import ConceptLabel, Relation, Triple
 
 COMPLETION_TRUE = " True"
@@ -113,15 +113,16 @@ def probe_requests(triple: Triple) -> list[ScoreRequest]:
 
 
 def _confirm_values(requests: list[ScoreRequest],
-                    responses: list[ScoreResponse]) -> list[float] | EmptySpanError:
-    """Each paraphrase's confirm value from the responses to probe_requests,
-    or the EmptySpanError naming the first completion that scored no tokens."""
+                    responses: list[tuple[float, ...]]) -> list[float] | EmptySpanError:
+    """Each paraphrase's confirm value from the token log-probabilities that
+    answer probe_requests, or the EmptySpanError naming the first completion
+    that scored no tokens."""
     ppls = []
-    for request, response in zip(requests, responses):
-        if not response.token_logprobs:
+    for request, logprobs in zip(requests, responses):
+        if not logprobs:
             return EmptySpanError(
                 f"no completion tokens scored for completion {request.completion!r}")
-        ppls.append(perplexity(response.token_logprobs))
+        ppls.append(perplexity(logprobs))
     return [confirm_value(t, f) for t, f in zip(ppls[::2], ppls[1::2])]
 
 

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 import evontree.gateway as gateway_module
 import evontree.report as report_module
 from evontree.calibration import (
+    CalibrationConfig,
     CalibrationOutcome,
     CalibrationResult,
     LabeledScore,
-    SweepSpec,
     calibrate_relation,
     collect_samples,
     fit_threshold,
@@ -22,7 +22,6 @@ from evontree.calibration import (
     parse_label,
 )
 from evontree.errors import (
-    DegenerateLabelsError,
     InvalidParamsError,
     StaleUpstreamError,
     UnparseableError,
@@ -76,11 +75,24 @@ class TestFitThreshold:
         assert res.tau_star == pytest.approx(1.0, abs=1e-12)
         assert any("no separating threshold" in r.message for r in caplog.records)
 
-    def test_degenerate_labels(self):
-        with pytest.raises(DegenerateLabelsError):
-            fit_threshold(ls([(0.9, True), (0.8, True)]))
-        with pytest.raises(DegenerateLabelsError):
-            fit_threshold(ls([(0.9, False)]))
+    def test_degenerate_labels(self, caplog):
+        # The rate over an empty label class counts as 0. All true: the
+        # largest threshold that recalls every positive, the bottom of the
+        # range when every positive scores above it.
+        with caplog.at_level("WARNING"):
+            res = fit_threshold(ls([(0.9, True), (0.8, True)]))
+        assert (res.tau_star, res.max_j, res.n_pos, res.n_neg) == (0.0, 1.0, 2, 0)
+        assert [(p.tau, p.tpr, p.fpr) for p in res.curve] == [
+            (0.0, 1.0, 0.0), (0.8, 0.5, 0.0), (0.9, 0.0, 0.0), (1.0, 0.0, 0.0)]
+        assert any("2 positive / 0 negative" in r.message for r in caplog.records)
+        # A positive below the range is not recalled by any candidate.
+        res = fit_threshold(ls([(0.9, True), (-0.5, True)]))
+        assert (res.tau_star, res.max_j) == (0.0, 0.5)
+        # All false, or no labels: the top of the range, which confirms nothing.
+        for samples in (ls([(0.9, False), (-0.3, False)]), []):
+            res = fit_threshold(samples)
+            assert (res.tau_star, res.max_j) == (1.0, 0.0)
+            assert (res.n_pos, res.n_neg) == (0, len(samples))
 
     def test_scores_outside_sweep_count_but_are_not_candidates(self):
         res = fit_threshold(ls([(-0.5, False), (0.9, True)]))
@@ -96,12 +108,12 @@ class TestFitThreshold:
 
     def test_custom_sweep_range(self):
         res = fit_threshold(ls([(0.9, True), (-0.4, False), (-0.8, True)]),
-                            SweepSpec(lo=-1.0, hi=1.0))
+                            CalibrationConfig(sweep_lo=-1.0, sweep_hi=1.0))
         assert any(p.tau == -0.4 for p in res.curve)
 
     def test_invalid_sweep(self):
         with pytest.raises(InvalidParamsError):
-            SweepSpec(lo=1.0, hi=0.0)
+            CalibrationConfig(sweep_lo=1.0, sweep_hi=0.0)
 
     def test_matches_numpy_oracle_on_seeded_fixtures(self):
         rng = random.Random(2024)
@@ -332,9 +344,13 @@ class TestCalibrateRelation:
         assert fits["1"].tau_star == pytest.approx(0.3, abs=1e-12)
 
     def test_degenerate_template_propagates(self):
+        # One-sided labels fit every template as fit_threshold does.
         scored = [scored_subclass("a", "b", [0.1] * 4)]
-        with pytest.raises(DegenerateLabelsError):
-            calibrate_relation(samples_from(scored, [True]))
+        for label, tau_star, max_j in ((True, 0.0, 1.0), (False, 1.0, 0.0)):
+            fits = calibrate_relation(samples_from(scored, [label]))
+            assert set(fits) == {"1", "2", "3", "4"}
+            assert all((fit.tau_star, fit.max_j, fit.n_pos + fit.n_neg) == (tau_star, max_j, 1)
+                       for fit in fits.values())
 
 
 class TestCalibrationOutcome:
@@ -344,7 +360,7 @@ class TestCalibrationOutcome:
             scored_subclass("c", "root", [-0.1, -0.2, -0.3, -0.4]),
         ]
         fits = calibrate_relation(samples_from(scored, [True, False]))
-        return CalibrationOutcome(sweep=SweepSpec(), prompt_set="v1",
+        return CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
                                   by_relation={Relation.SUBCLASS_OF.value: fits},
                                   unparseable=3)
 

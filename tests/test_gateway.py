@@ -42,7 +42,6 @@ from evontree.gateway import (
     ModelGateway,
     ResponseCache,
     ScoreRequest,
-    ScoreResponse,
     _JITTER,
     _VALUE_ENCODER,
     _cache_key,
@@ -177,7 +176,7 @@ class TestCache:
                 gw, backend = make_gateway(Path(tmp), backend=Canned())
                 try:
                     [scored] = gw.score_many([score])
-                    answers.append((gw.generate(gen), backend.calls, scored.token_logprobs))
+                    answers.append((gw.generate(gen), backend.calls, scored))
                 finally:
                     gw.close()
         (first, first_calls, first_lps), (again, again_calls, again_lps) = answers
@@ -191,9 +190,9 @@ class TestCache:
     @given(logprobs=st.lists(st.floats(max_value=0.0), max_size=8))
     @example(logprobs=[-math.inf, -0.0, 0.0])
     def test_packed_logprobs_decode_to_themselves(self, logprobs):
-        value = _packed_logprobs(ScoreResponse(tuple(logprobs)))
+        value = _packed_logprobs(tuple(logprobs))
         assert len(value) == 8 * len(logprobs)
-        decoded = _unpacked_logprobs(value).token_logprobs
+        decoded = _unpacked_logprobs(value)
         assert [struct.pack("<d", lp) for lp in decoded] == [
             struct.pack("<d", lp) for lp in logprobs]
 
@@ -275,7 +274,7 @@ class TestCache:
                         [GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)])
                 else:
                     [result] = gw.score_many([ScoreRequest(prompt="p", completion=" True")])
-                    result = [struct.pack("<d", lp) for lp in result.token_logprobs]
+                    result = [struct.pack("<d", lp) for lp in result]
             except ProtocolError:
                 result = ProtocolError
             finally:
@@ -314,7 +313,7 @@ class TestCache:
         def call(req):
             if req is gen:
                 return gw.generate(req)
-            return gw.score(req).token_logprobs
+            return gw.score(req)
 
         answers = {gen: call(gen), score: call(score)}
         assert answers == {gen: "gen:x", score: (-0.5, -1.5)}
@@ -904,10 +903,10 @@ class TestBatches:
         gw, _ = make_gateway(tmp_path, backend=EmptyBackend())
         [first] = gw.score_many([request])
         gw.close()
-        assert first.token_logprobs == () and gw.cache_commits == 1
+        assert first == () and gw.cache_commits == 1
         again, again_backend = make_gateway(tmp_path, backend=EmptyBackend())
         [second] = again.score_many([request])
-        assert second.token_logprobs == ()
+        assert second == ()
         assert again_backend.calls == [] and again.cache_hits == 1
         again.close()
 
@@ -928,7 +927,7 @@ class TestScoreValidation:
                 return {"token_logprobs": [0.0, -1.0]}
 
         gw, _ = make_gateway(tmp_path, backend=ZeroBackend())
-        assert gw.score(ScoreRequest(prompt="p", completion=" True")).token_logprobs == (0.0, -1.0)
+        assert gw.score(ScoreRequest(prompt="p", completion=" True")) == (0.0, -1.0)
 
     def test_non_numeric_logprob_rejected(self, tmp_path):
         class StrBackend(FakeBackend):
@@ -1021,7 +1020,7 @@ class TestHttpWireFormat:
         gw = ModelGateway(HttpBackend(wire_server), model="med-model",
                           cache_dir=tmp_path, sleep=lambda s: None)
         resp = gw.score(ScoreRequest(prompt="statement. Answer:", completion=" True"))
-        assert resp.token_logprobs == (-0.1, -0.2, -0.3)
+        assert resp == (-0.1, -0.2, -0.3)
         path, body = _WireHandler.seen[0]
         assert path == "/v1/score"
         assert body == {"model": "med-model", "prompt": "statement. Answer:",

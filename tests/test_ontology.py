@@ -11,7 +11,6 @@ from evontree.ontology import (
     Triple,
     TripleClass,
     TripleRecord,
-    TripleStore,
     TreeNode,
     normalize_label,
     read_triple_file,
@@ -153,44 +152,6 @@ class TestTreeToTriples:
         triples, skipped = tree_to_triples(tree)
         assert triples == set()
         assert skipped == 1
-
-
-triple_strategy = st.builds(
-    lambda s, r, o: (s, r, o),
-    st.sampled_from(["a", "b", "c", "d", "e"]),
-    st.sampled_from([Relation.SUBCLASS_OF, Relation.SYNONYM_OF]),
-    st.sampled_from(["a", "b", "c", "d", "e"]),
-).filter(lambda sro: sro[0] != sro[2]).map(
-    lambda sro: Triple(lbl(sro[0]), sro[1], lbl(sro[2]))
-)
-
-
-class TestTripleStore:
-    def test_insert_dedups_canonical_synonyms(self):
-        store = TripleStore()
-        a, b = lbl("flu"), lbl("influenza")
-        assert store.insert(Triple(a, Relation.SYNONYM_OF, b)) is True
-        assert store.insert(Triple(b, Relation.SYNONYM_OF, a)) is False
-        assert len(store) == 1
-
-    def test_indices(self):
-        store = TripleStore(tree_to_triples(build_chain_tree())[0])
-        assert store.synonym_partners_of(lbl("Skeletal Myocyte")) == {lbl("Skeletal Muscle Fiber")}
-        assert store.synonym_partners_of(lbl("Skeletal Muscle Fiber")) == {lbl("Skeletal Myocyte")}
-
-    @given(st.lists(triple_strategy, max_size=20), st.randoms())
-    def test_iteration_order_independent_of_insertion(self, triples, rng):
-        shuffled = list(triples)
-        rng.shuffle(shuffled)
-        s1, s2 = TripleStore(triples), TripleStore(shuffled)
-        assert list(s1) == list(s2)
-        assert len(s1) == len(set(triples))
-
-    def test_indices_consistent_with_membership(self):
-        store = TripleStore()
-        t = Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe"))
-        store.insert(t)
-        assert t in store
 
 
 class TestTripleFile:

@@ -45,6 +45,7 @@ from evontree.gateway import (
     GenerateRequest,
     HttpBackend,
     ModelGateway,
+    ScoreRequest,
 )
 from evontree.ontology import (
     Relation,
@@ -123,13 +124,22 @@ def synthetic_backend(cfg) -> SyntheticBackend:
                                            hallucination_rate=spec.hallucination_rate))
 
 
+# How long a "slow" fault holds its request: past the client timeout that
+# the tests using it set.
+SLOW_S = 0.5
+
+
 @contextmanager
-def serve_over_http(backend, faults: dict | None = None):
+def serve_over_http(backend, faults: dict | None = None, faulted: list | None = None):
     """Serve backend on a loopback port as an HTTP model endpoint; yields its
     URL. faults maps a route to an iterator of the faults its requests meet
-    in turn, each a status and its Retry-After or None, answered with no
-    body; a request whose route has no fault left is served. The map is read
-    at each request, so clearing it clears the faults."""
+    in turn; a request whose route has no fault left is served. A fault is
+    a status and its Retry-After or None, answered with no body, or one of:
+    "truncated", a 200 whose body stops short of its Content-Length before
+    the connection closes; "slow", no reply for SLOW_S, then the connection
+    closes; "wrong_shape", a 200 whose JSON is not the route's answer. The
+    map is read at each request, so clearing it clears the faults. Each
+    faulted request's route and body go to faulted, when given."""
     routes = {"/v1/generate": backend.generate, "/v1/score": backend.score}
     faults = {} if faults is None else faults
     faults_lock = threading.Lock()
@@ -142,7 +152,9 @@ def serve_over_http(backend, faults: dict | None = None):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             with faults_lock:
                 fault = next(faults.get(self.path, iter(())), None)
-            if fault is not None:
+                if fault is not None and faulted is not None:
+                    faulted.append((self.path, body))
+            if isinstance(fault, tuple):
                 status, retry_after = fault
                 self.send_response(status)
                 if retry_after is not None:
@@ -150,11 +162,19 @@ def serve_over_http(backend, faults: dict | None = None):
                 self.send_header("Content-Length", "0")
                 self.end_headers()
                 return
-            out = json.dumps(routes[self.path](body)).encode()
+            if fault == "slow":
+                time.sleep(SLOW_S)
+                self.close_connection = True
+                return
+            answer = {"wrong": "shape"} if fault == "wrong_shape" else routes[self.path](body)
+            out = json.dumps(answer).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(out)))
             self.end_headers()
+            if fault == "truncated":
+                out = out[:len(out) // 2]
+                self.close_connection = True
             self.wfile.write(out)
 
         def log_message(self, *args):
@@ -455,46 +475,89 @@ def artifact_bytes(out: Path) -> dict[str, bytes]:
             and p.relative_to(out).parts[0] != "cache"}
 
 
+@pytest.fixture(scope="module")
+def http_model(tmp_path_factory):
+    """The synthetic model of SMALL_FOREST served over HTTP with the fault
+    map of serve_over_http, and a clean run on it into clean/, with its own
+    cache in clean-cache/."""
+    tmp = tmp_path_factory.mktemp("http")
+    faults, faulted = {}, []
+    backend = synthetic_backend(make_config(tmp, **SMALL_FOREST))
+    with serve_over_http(backend, faults, faulted) as url:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv(ENDPOINT_ENV_VAR, raising=False)
+            assert run_over_http(tmp, url, "clean", "clean-cache") == EXIT_OK
+        yield SimpleNamespace(url=url, faults=faults, faulted=faulted,
+                              clean=artifact_bytes(tmp / "clean"),
+                              clean_rows=stored_rows(tmp / "clean-cache"))
+
+
 @pytest.fixture
-def faulty_http(tmp_path, monkeypatch):
-    """The synthetic model served over HTTP with the fault map of
-    serve_over_http, every retry wait zero: a 503 without Retry-After draws
-    its wait from a patched _JITTER. Yields the URL, the fault map and the
-    artifacts of a clean run on that server, with its own cache."""
+def faulty_http(http_model, monkeypatch):
+    """http_model with no fault set and none met yet, every retry wait zero:
+    a 503 without Retry-After draws its wait from a patched _JITTER."""
     monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
     monkeypatch.setattr(gateway_module._JITTER, "uniform", lambda lo, hi: 0.0)
-    faults = {}
-    backend = synthetic_backend(make_config(tmp_path, **SMALL_FOREST))
-    with serve_over_http(backend, faults) as url:
-        assert run_over_http(tmp_path, url, "clean", "clean-cache") == EXIT_OK
-        yield url, faults, artifact_bytes(tmp_path / "clean")
+    http_model.faults.clear()
+    http_model.faulted.clear()
+    yield http_model
+    http_model.faults.clear()
 
 
 class TestHttpFaults:
     """Whole runs through the CLI against an endpoint that fails."""
 
     def test_transient_faults_are_retried_to_the_clean_artifacts(self, tmp_path, faulty_http):
-        url, faults, clean = faulty_http
+        faults = faulty_http.faults
         faults["/v1/score"] = iter([(503, None)])
         faults["/v1/generate"] = iter([(429, "0")])
-        assert run_over_http(tmp_path, url, "out", "cache") == EXIT_OK
+        assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_OK
         assert all(next(pending, None) is None for pending in faults.values())
-        assert artifact_bytes(tmp_path / "out") == clean
+        assert artifact_bytes(tmp_path / "out") == faulty_http.clean
         stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
         assert sum(entry["gateway"]["retries"] for entry in stages.values()) == 2
 
     def test_a_dead_score_route_exits_4_and_a_clean_rerun_reproduces(self, tmp_path,
                                                                      faulty_http):
-        url, faults, clean = faulty_http
-        faults["/v1/score"] = itertools.repeat((503, None))
-        assert run_over_http(tmp_path, url, "out", "cache") == EXIT_GATEWAY
+        faulty_http.faults["/v1/score"] = itertools.repeat((503, None))
+        assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_GATEWAY
         stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
         assert list(stages) == ["extract"]
         stored = stored_rows(tmp_path / "cache")  # sound, current format, every value decodes
         assert stored and all(isinstance(value, str) for value in stored.values())
-        faults.clear()
-        assert run_over_http(tmp_path, url, "out", "cache") == EXIT_OK
-        assert artifact_bytes(tmp_path / "out") == clean
+        faulty_http.faults.clear()
+        assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_OK
+        assert artifact_bytes(tmp_path / "out") == faulty_http.clean
+
+    @pytest.mark.parametrize(("route", "fault"), [("/v1/score", "truncated"),
+                                                  ("/v1/generate", "slow")])
+    def test_a_reply_cut_short_or_late_is_retried_to_the_clean_artifacts(
+            self, tmp_path, faulty_http, monkeypatch, route, fault):
+        # A client timeout the slow fault outlasts.
+        monkeypatch.setattr(pipeline_module, "HttpBackend",
+                            functools.partial(HttpBackend, timeout_s=0.2))
+        faulty_http.faults[route] = iter([fault])
+        assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_OK
+        assert [path for path, _ in faulty_http.faulted] == [route]
+        assert artifact_bytes(tmp_path / "out") == faulty_http.clean
+        stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+        assert sum(entry["gateway"]["retries"] for entry in stages.values()) == 1
+
+    def test_a_wrong_shape_score_exits_4_unstored_and_a_clean_rerun_reproduces(
+            self, tmp_path, faulty_http):
+        faulty_http.faults["/v1/score"] = iter(["wrong_shape"])
+        assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_GATEWAY
+        stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+        assert list(stages) == ["extract"]
+        [(_, body)] = faulty_http.faulted
+        key = gateway_module._cache_key(faulty_http.url, body["model"], "score",
+                                        ScoreRequest(body["prompt"], body["completion"]))
+        stored = stored_rows(tmp_path / "cache")
+        assert key in faulty_http.clean_rows and key not in stored
+        # What the run stored before the fault is what the clean run stored.
+        assert stored.items() <= faulty_http.clean_rows.items()
+        assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_OK
+        assert artifact_bytes(tmp_path / "out") == faulty_http.clean
 
 
 class TestMapConcurrent:
@@ -793,6 +856,23 @@ class TestSweepStage:
         assert counts == sorted(counts)
         assert counts[-1] == len(read_triple_file(completed_run.paths.scored_extrapolated))
         assert counts[0] == 0
+
+
+class TestOneSidedLabels:
+    def test_all_true_synonym_labels_calibrate_and_the_run_completes(self, tmp_path):
+        # SMALL_FOREST's seeds whose SynonymOf one-shot labels are all true.
+        for seed in (1, 2, 3, 5):
+            synthetic = {**SMALL_FOREST["model"]["synthetic"], "seed": seed}
+            obj = config_obj(f"out{seed}", f"cache{seed}", **{
+                **SMALL_FOREST, "model": {**SMALL_FOREST["model"], "synthetic": synthetic}})
+            config = tmp_path / f"seed{seed}.json"
+            config.write_text(json.dumps(obj))
+            assert cli_main(["run", "--config", str(config)]) == EXIT_OK
+            assert cli_main(["sweep", "--config", str(config)]) == EXIT_OK
+            calibration = json.loads((tmp_path / f"out{seed}" / "calibration.json").read_text())
+            fits = calibration["relations"]["SynonymOf"].values()
+            assert all(fit["counts"]["pos"] > 0 and fit["counts"]["neg"] == 0 for fit in fits)
+            assert all((fit["tau_star"], fit["max_j"]) == (0.0, 1.0) for fit in fits)
 
 
 @pytest.fixture

@@ -7,7 +7,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from evontree.calibration import CalibrationOutcome, CalibrationResult, RocPoint, SweepSpec
+from evontree.calibration import (
+    CalibrationConfig,
+    CalibrationOutcome,
+    CalibrationResult,
+    RocPoint,
+)
 from evontree.errors import JudgeUnavailableError, TransportError
 from evontree.gateway import ModelGateway
 from evontree.ontology import Relation, Triple, TripleClass, TripleRecord, normalize_label
@@ -168,7 +173,7 @@ class TestRocRows:
     def test_flattens_relations_and_templates(self):
         fit = CalibrationResult(tau_star=0.5, n_pos=1, n_neg=1, max_j=1.0,
                                 curve=[RocPoint(0.0, 1.0, 1.0), RocPoint(0.5, 1.0, 0.0)])
-        outcome = CalibrationOutcome(sweep=SweepSpec(), prompt_set="v1",
+        outcome = CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
                                      by_relation={"SubclassOf": {"1": fit, "2": fit}})
         rows = roc_rows(outcome)
         assert rows[0] == ["relation", "template", "tau", "tpr", "fpr"]

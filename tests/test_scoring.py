@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from evontree.errors import EmptySpanError, MissingThresholdError
-from evontree.gateway import ModelGateway, ScoreResponse
+from evontree.gateway import ModelGateway
 from evontree.ontology import Relation, Triple, normalize_label as lbl
 from evontree.scoring import (
     COMPLETION_FALSE,
@@ -170,7 +170,7 @@ class FakeScoringGateway:
     def score(self, request):
         self.requests.append(request)
         p = self.p_true if request.completion == COMPLETION_TRUE else 1.0 - self.p_true
-        return ScoreResponse(token_logprobs=(math.log(p),))
+        return (math.log(p),)
 
     def score_many(self, requests):
         return [self.score(request) for request in requests]
