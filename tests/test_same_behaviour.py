@@ -1,0 +1,128 @@
+"""Same behaviour, pinned: a small seeded run's artifacts, response-cache rows
+and manifest counts, against a table.
+
+A change that moves any of them on purpose (a format, a count, a response)
+updates the table in the same diff and says so in CHANGES.md, as
+test_config.TestPinnedHashes does for config_hash. A change meant to keep
+behaviour must leave the table as it is.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import sqlite3
+from contextlib import closing
+from pathlib import Path
+
+import pytest
+
+import evontree.gateway as gateway_module
+from evontree.cli import EXIT_OK, main
+from evontree.gateway import CACHE_FILE, GATEWAY_COUNTERS
+
+CONFIG = {
+    "model": {
+        "kind": "synthetic",
+        "synthetic": {"depth": 3, "branching": 3, "synonym_rate": 0.4,
+                      "seed": 7, "hallucination_rate": 0.2},
+    },
+    "extraction": {"roots": ["T0N0"], "max_depth": 3},
+    "output": {"dir": "out"},
+}
+
+# SHA-256 of every file under the output directory after `run` and then
+# `sweep`, but the manifest (it holds times) and the response cache.
+ARTIFACT_SHA256 = {
+    "calibration.json": "36ed7b2a1d66f10cab952fd6186827252ddbb581484616553172464b7d0ffef8",
+    "confirm_hist.csv": "224325f9d4f5b49a06a39b469676d7aac95e1ad450bc27652c7a49291dd07962",
+    "confirmed.jsonl": "70e90954aafd47c925eefb1821caa9978f30351b11ecf208351047b24cc1794d",
+    "corpus.jsonl": "e03e0c1c64a6150b5e1ffacc762882f71378f358924020c6bbb1b9cf1235811d",
+    "evontree.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "extrapolated.jsonl": "9c70e2f5259b8ebbdd3e835bedc9fccd5094600d5556fe02e0438446a3b27370",
+    "gaps.jsonl": "30d68de57726245a5442d139d1119d8e75d86eb64cf01e105f2c27e8a963f827",
+    "ground_truth.json": "3b3b4cbdd808b01d3837a7da15bf95b6cbe608acc5fd80e8903b31d3e730e1a9",
+    "raw.jsonl": "3f944013090c67800f53d41a44bd59403cc765335f853c0d4b317834d44650b5",
+    "reliable.jsonl": "fa35cce3c023b43dbfbffc28d3e0468b800138c616d06b6b331f3a166dcc3538",
+    "report.csv": "83a36a95074b2af3bd33b825c9338066ef046bb3a62c892ebdec4bb77442d7b3",
+    "report.json": "dd8da7549f18565d4ab49b198f62448e4a389c66f94a9e56d73377da049b0398",
+    "roc_curve.csv": "586f31652669e71b347820bebd1b8730b7fcd2e656f7d98e0089a7753f3e9f22",
+    "scored_extrapolated.jsonl":
+        "1e3d01acddf6c8a8a5527e13fbb835e6edc9086394e9eb37e9d4e2141953431d",
+    "scored_raw.jsonl": "ccca0caf8a8457a92d50dbb0c18cee63057dfdd9b8eb44f2a1454731438af6c6",
+    "sweep.csv": "da816af94f315f892ed80b99beb41884db6b65748b6a110a9d17a608357572bc",
+    "trees/t0n0.json": "4a4993c0995b09db5203092b6dcc3d0e018891d50f8a55b6cdeaa4baf050b854",
+}
+
+# The number of response-cache rows, and the SHA-256 of the repr of their
+# (key, storage class, value bytes), in key order.
+CACHE_ROWS = (1785, "6a1de41bb19bebc714b8654a2a278930d17bf6d1f1530b851d530646f980d83e")
+
+# Each stage's manifest tallies, and its gateway counts in GATEWAY_COUNTERS
+# order: requests, cache_hits, backend_calls, cache_commits, retries.
+MANIFEST_COUNTS = {
+    "extract": ({"budget_exhausted": False, "cycles_skipped": 0, "empty_names_skipped": 0,
+                 "expansions": 34, "parse_failures": 0,
+                 "raw_triples": {"SubclassOf": 97, "SynonymOf": 21},
+                 "reflexive_skipped": 0, "sibling_merges": 0},
+                (22, 0, 22, 1, 0)),
+    "calibrate": ({"unparseable_labels": 0, "unscored": 0}, (1479, 0, 1479, 1, 0)),
+    "confirm": ({"confirmed": {"SubclassOf": 84, "SynonymOf": 15}, "rejected": 19},
+                (0, 0, 0, 0, 0)),
+    "reliable": ({"reliable": 38}, (0, 0, 0, 0, 0)),
+    "extrapolate": ({"compositions": 28, "extrapolated_new": 14, "unscored": 0},
+                    (112, 0, 112, 1, 0)),
+    "gap": ({"confirmed": 10, "gap": 4, "gap_mode": "all_below", "undecided": 0},
+            (0, 0, 0, 0, 0)),
+    "synthesize": ({"distill_drops": 0, "entries": {"explicit": 8, "implicit": 40},
+                    "malformed_chains": 0, "strategy": "mix", "strip_hint": False},
+                   (40, 0, 40, 1, 0)),
+    "report": ({"judge_unavailable": False, "judge_unparseable": 0,
+                "unscored": {"extrapolated": 0, "raw": 0}},
+               (132, 0, 132, 1, 0)),
+    "sweep": ({"gap_mode": "all_below", "offsets": 10}, (0, 0, 0, 0, 0)),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory) -> Path:
+    """The output directory of `run` and then `sweep` on CONFIG."""
+    tmp = tmp_path_factory.mktemp("pinned")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        # A commit the interval cuts depends on the clock; beyond any run's
+        # length, each stage that fetched commits once, at its end.
+        mp.setattr(gateway_module, "COMMIT_INTERVAL_S", math.inf)
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    return tmp / "out"
+
+
+def artifact_sha256(out: Path) -> dict[str, str]:
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.rglob("*")
+            if path.is_file() and path.name != "manifest.json"
+            and path.relative_to(out).parts[0] != "cache"}
+
+
+def cache_rows(cache_dir: Path) -> tuple[int, str]:
+    with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
+        rows = db.execute("SELECT key, typeof(value), CAST(value AS BLOB) FROM responses "
+                          "ORDER BY key").fetchall()
+    return len(rows), hashlib.sha256(repr(rows).encode("ascii")).hexdigest()
+
+
+def test_artifacts_are_byte_identical(pinned_run):
+    assert artifact_sha256(pinned_run) == ARTIFACT_SHA256
+
+
+def test_cache_rows_are_identical(pinned_run):
+    assert cache_rows(pinned_run / "cache") == CACHE_ROWS
+
+
+def test_manifest_counts_are_identical(pinned_run):
+    stages = json.loads((pinned_run / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert {name: (entry["tallies"], tuple(entry["gateway"][c] for c in GATEWAY_COUNTERS))
+            for name, entry in stages.items()} == MANIFEST_COUNTS
