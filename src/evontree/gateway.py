@@ -293,11 +293,6 @@ def _delay_seconds(retry_after: str | None) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-# One encoder for every stored text: json.dumps with options builds a new
-# encoder per call.
-_VALUE_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 @lru_cache(maxsize=64)
 def _key_tail(identity: str, model: str, kind: str) -> str:
     """The canonical key text after the body: the other three fields in
@@ -746,7 +741,7 @@ def _generated_text(raw: dict) -> str:
 
 def _stored_text(value: bytes) -> str:
     """The generated text a stored value holds: UTF-8 JSON text of one
-    string, as _VALUE_ENCODER writes it, that has a UTF-8 form itself."""
+    string, as _string writes it, that has a UTF-8 form itself."""
     stored = value.decode("utf-8")  # UnicodeDecodeError is a ValueError
     # scanstring reads a JSON string from after its opening quote to its
     # end, raising ValueError for a bad escape, a control character or no
@@ -804,7 +799,7 @@ def _unpacked_logprobs(value: bytes) -> tuple[float, ...]:
 # parse's result, with the same checks, raising ValueError for a value that
 # encode never writes for a body that parse accepts.
 _KINDS = {
-    "generate": (_generated_text, _VALUE_ENCODER.encode, _stored_text),
+    "generate": (_generated_text, _string, _stored_text),
     "score": (_score_response, _packed_logprobs, _unpacked_logprobs),
 }
 

@@ -43,7 +43,7 @@ from evontree.gateway import (
     ResponseCache,
     ScoreRequest,
     _JITTER,
-    _VALUE_ENCODER,
+    _KINDS,
     _cache_key,
     _packed_logprobs,
     _unpacked_logprobs,
@@ -152,8 +152,9 @@ class TestCache:
     @settings(deadline=None)
     @given(text=st.text())
     def test_cached_text_is_the_json_dumps_text(self, text):
-        # The shared encoder stores the same text as a json.dumps per value.
-        assert _VALUE_ENCODER.encode(text) == json.dumps(text, ensure_ascii=False)
+        # A generation is stored as the text json.dumps writes for it.
+        _, encode, _ = _KINDS["generate"]
+        assert encode(text) == json.dumps(text, ensure_ascii=False)
 
     @settings(deadline=None, max_examples=50)
     @given(text=st.text(), logprobs=st.lists(st.floats(max_value=0.0), max_size=5))
