@@ -779,16 +779,13 @@ def _packed_logprobs(logprobs: tuple[float, ...]) -> bytes:
     return struct.pack(f"<{len(logprobs)}d", *logprobs)
 
 
-_AT_MOST_ZERO = (0.0).__ge__  # lp <= 0.0, which is False for NaN
-
-
 def _unpacked_logprobs(value: bytes) -> tuple[float, ...]:
     """The score a stored value holds: whole little-endian doubles, each at
     most 0, which NaN is not."""
     if len(value) % 8:
         raise ValueError(f"cached logprobs of {len(value)} bytes are no whole doubles")
     logprobs = struct.unpack(f"<{len(value) // 8}d", value)
-    if not all(map(_AT_MOST_ZERO, logprobs)):
+    if not all(lp <= 0.0 for lp in logprobs):
         raise ValueError(f"cached logprobs {logprobs} are not all at most 0")
     return logprobs
 
