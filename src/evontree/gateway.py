@@ -58,7 +58,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, islice
 from json.decoder import scanstring
 from pathlib import Path
@@ -293,21 +293,14 @@ def _delay_seconds(retry_after: str | None) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-@lru_cache(maxsize=64)
-def _key_tail(identity: str, model: str, kind: str) -> str:
-    """The canonical key text after the body: the other three fields in
-    sorted order, escaped once per gateway and request kind."""
-    return ',"endpoint":%s,"kind":%s,"model":%s}' % (
-        _string(identity), _string(kind), _string(model))
-
-
 def _cache_key(identity: str, model: str, kind: str,
                request: GenerateRequest | ScoreRequest) -> bytes:
     """The 32-byte SHA-256 digest of the request's canonical JSON text: the
     same bytes as json.dumps({"endpoint": identity, "model": model, "kind":
     kind, "body": request.to_body(model)}, sort_keys=True, separators=(",",
     ":"), ensure_ascii=False), written without building the body."""
-    canonical = '{"body":' + request.body_text(model) + _key_tail(identity, model, kind)
+    canonical = '{"body":%s,"endpoint":%s,"kind":%s,"model":%s}' % (
+        request.body_text(model), _string(identity), _string(kind), _string(model))
     return hashlib.sha256(canonical.encode("utf-8")).digest()
 
 
