@@ -23,7 +23,6 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -112,10 +111,6 @@ class RunConfig:
 # takes an int, and keeps it as given.
 _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), Path: (str,)}
 
-# Resolving a class's string annotations is most of a load's work; once
-# per class is enough.
-_field_types = cache(get_type_hints)
-
 
 def _load_value(tp, value, where: str):
     """value, checked against the annotation tp, as the field holds it."""
@@ -155,7 +150,7 @@ def _load_section(cls, obj, where: str):
     unknown = sorted(set(obj) - set(declared))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
-    types = _field_types(cls)
+    types = get_type_hints(cls)
     kwargs = {}
     for name, f in declared.items():
         if name in obj:
