@@ -8,8 +8,10 @@ hashes are checked; rerun the stages the message names), 4 when the model
 endpoint fails, and 1 for any other evontree error, such as a response
 cache file that is not a SQLite database or is in any format but this
 version's, including one written by an earlier version, for a database
-error of the response cache, such as a full disk, and for a stage started on
-an output directory where another process is running one.
+error of the response cache, such as a full disk, for a file that cannot be
+read or written, such as an artifact on a full disk (the message names the
+file), and for a stage started on an output directory where another process
+is running one.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     except sqlite3.Error as exc:
         log.error("response cache %s failed: %s",
                   config.output.resolved_cache_dir() / CACHE_FILE, exc)
+        return EXIT_OTHER
+    except OSError as exc:  # its text names the file, when there is one
+        log.error("file system error: %s", exc)
         return EXIT_OTHER
     return EXIT_OK
 

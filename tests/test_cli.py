@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import logging
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import evontree
+import evontree.ontology
 import evontree.pipeline
 from evontree.cli import (
     EXIT_CONFIG,
@@ -232,6 +234,26 @@ class TestExitCodes:
         assert f"response cache {cache_file} failed: disk I/O error" in caplog.text
         # Closed: the last connection to close removes the -wal and -shm files.
         assert [p.name for p in cache_file.parent.iterdir()] == [CACHE_FILE]
+
+    def test_artifact_write_error_exits_1_naming_the_file_and_a_rerun_reproduces(
+            self, finished_run, tmp_path, monkeypatch, caplog):
+        def full_disk(path, text, write=evontree.ontology.write_atomic):
+            if path.name == "confirmed.jsonl":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            write(path, text)
+
+        config = write_config(tmp_path, CONFIG_OBJ)
+        out = tmp_path / "out"
+        with monkeypatch.context() as patched:
+            patched.setattr(evontree.ontology, "write_atomic", full_disk)
+            with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+                assert main(["run", "--config", str(config)]) == EXIT_OTHER
+        assert str(out / "confirmed.jsonl") in caplog.text
+        stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+        assert "calibrate" in stages and "confirm" not in stages
+        assert (out / "evontree.lock").read_bytes() == b""
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        assert artifact_files(out) == artifact_files(finished_run[0] / "out")
 
     def test_completion_too_unlikely_for_a_float_perplexity_exits_0(self, tmp_path,
                                                                      monkeypatch):
