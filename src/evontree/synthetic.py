@@ -20,8 +20,10 @@ from random import Random
 from typing import NamedTuple
 
 from .errors import InvalidParamsError, UnrecognizedPromptError, check_domain, check_fields
-from .ontology import Relation
+from .extraction import build_tree_prompt
+from .ontology import ConceptLabel, Relation
 from .scoring import JUDGE_TEMPLATES, PROMPT_SET_V1, _PREAMBLE
+from .synthesis import FUNCTION_TEMPLATE, SUBTYPE_TEMPLATE
 
 _PROB_FLOOR = 0.01  # keeps answer probabilities away from 0 and 1
 
@@ -75,9 +77,6 @@ class GroundTruth:
             return memo[key]
 
         return {k: ancestors(k) for k in self._members}
-
-    def __contains__(self, label_key: str) -> bool:
-        return label_key in self._rep_of
 
     def rep_of(self, label_key: str) -> str | None:
         return self._rep_of.get(label_key)
@@ -246,14 +245,15 @@ class _Statement(NamedTuple):
     p: float
 
 
+# The first line of a tree prompt, as extraction.build_tree_prompt writes it,
+# with the concept as a group.
+_TREE_HEAD, _TREE_TAIL = build_tree_prompt(ConceptLabel("\0", "\0")).split("\n")[0].split("\0")
 _TREE_PROMPT_RE = re.compile(
-    r"\AAs a medical expert, please generate strict subclasses of (?P<concept>.+?) "
-    r"and their synonyms\.\n", re.DOTALL)
+    rf"\A{re.escape(_TREE_HEAD)}(?P<concept>.+?){re.escape(_TREE_TAIL)}\n", re.DOTALL)
 
-_INSTRUCTION_PREFIXES = (
-    "Outline the primary functions of ",
-    "Identify and describe any subtypes of ",
-)
+# What synthesis's instruction templates say before their concept.
+_INSTRUCTION_PREFIXES = tuple(template.split("{concept}")[0]
+                              for template in (FUNCTION_TEMPLATE, SUBTYPE_TEMPLATE))
 
 
 class SyntheticModel:
