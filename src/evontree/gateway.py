@@ -438,8 +438,6 @@ class ResponseCache:
         commit it if it is COMMIT_INTERVAL_S old; True if this call
         committed. If a statement fails, the transaction is rolled back,
         with every entry not yet committed."""
-        if not entries:
-            return False
         with self._lock:
             try:
                 if not self._conn.in_transaction:
@@ -706,18 +704,17 @@ class ModelGateway:
         by name."""
         return self._call_batch("generate", bypass_cache, [request])[0]
 
-    def score_many(self, requests: Iterable[ScoreRequest],
-                   bypass_cache: bool = False) -> Iterator[tuple[float, ...]]:
+    def score_many(self, requests: Iterable[ScoreRequest]) -> Iterator[tuple[float, ...]]:
         """The completion's token log-probabilities for each request, in
         order, as _score_response parsed them, sent as generate_many's
         requests are. One that scores no tokens is well-formed, so it is
         cached and returned, from the cache on a rerun too, as an empty
         tuple. Any other malformed response raises ProtocolError and is not
         cached."""
-        return self._call_many("score", requests, bypass_cache)
+        return self._call_many("score", requests, False)
 
-    def score(self, request: ScoreRequest, bypass_cache: bool = False) -> tuple[float, ...]:
-        return self._call_batch("score", bypass_cache, [request])[0]
+    def score(self, request: ScoreRequest) -> tuple[float, ...]:
+        return self._call_batch("score", False, [request])[0]
 
 
 def _generated_text(raw: dict) -> str:

@@ -38,12 +38,6 @@ class ConceptLabel:
     def __hash__(self) -> int:
         return hash(self.key)
 
-    def __lt__(self, other: "ConceptLabel") -> bool:
-        return self.key < other.key
-
-    def __repr__(self) -> str:
-        return f"ConceptLabel({self.text!r})"
-
 
 def normalize_label(raw: str) -> ConceptLabel:
     """Trim, collapse internal whitespace runs, and attach the case-folded key.
@@ -169,20 +163,6 @@ class OntologyTree:
             ]
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "OntologyTree":
-        nodes = [
-            TreeNode(
-                label=normalize_label(n["label"]),
-                description=n.get("description", ""),
-                synonyms=tuple(normalize_label(s) for s in n.get("synonyms", [])),
-                parent=n["parent"],
-                depth=n["depth"],
-            )
-            for n in obj["nodes"]
-        ]
-        return cls(nodes=nodes)
-
 
 def tree_to_triples(tree: OntologyTree) -> tuple[set[Triple], int]:
     """Flatten a tree into its edge triples.
@@ -276,11 +256,6 @@ def parse_jsonl(data: bytes) -> list[dict]:
     lines as reading the file in text mode does; blank lines are skipped."""
     return [json.loads(line) for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
             if line.strip()]
-
-
-def read_jsonl(path: Path) -> list[dict]:
-    """The JSON objects of a JSONL file; blank lines are skipped."""
-    return parse_jsonl(path.read_bytes())
 
 
 def write_triple_file(path: Path, records: Iterable[TripleRecord]) -> list[TripleRecord]:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import EvontreeError, check_fields
 from .gateway import GenerateRequest, ModelGateway
-from .ontology import TripleRecord, read_jsonl, write_jsonl
+from .ontology import TripleRecord, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -95,19 +95,6 @@ class CorpusEntry:
             "template_id": self.template_id,
             "hint_included": self.hint_included,
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CorpusEntry":
-        return cls(
-            instruction=obj["instruction"],
-            output=obj["output"],
-            strategy=obj["strategy"],
-            gap_subject=obj["gap"]["s"],
-            gap_object=obj["gap"]["o"],
-            chain=[(s, o) for s, o in obj["chain"]],
-            template_id=obj["template_id"],
-            hint_included=obj["hint_included"],
-        )
 
 
 @dataclass
@@ -192,7 +179,3 @@ def build_corpus(gateway: ModelGateway, gaps: Sequence[TripleRecord],
 
 def write_corpus(path: Path, entries: Iterable[CorpusEntry]) -> None:
     write_jsonl(path, [e.to_json_obj() for e in sorted(entries, key=lambda e: e.sort_key)])
-
-
-def read_corpus(path: Path) -> list[CorpusEntry]:
-    return [CorpusEntry.from_json_obj(obj) for obj in read_jsonl(path)]

@@ -110,12 +110,6 @@ class GroundTruth:
             "synonym_classes": self.synonym_classes,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GroundTruth":
-        return cls(roots=obj["roots"],
-                   edges=[(c, p) for c, p in obj["edges"]],
-                   synonym_classes=obj["synonym_classes"])
-
     def content_hash(self) -> str:
         canonical = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

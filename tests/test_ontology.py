@@ -122,12 +122,6 @@ class TestOntologyTree:
         with pytest.raises(ValueError):
             tree.validate()
 
-    def test_json_round_trip(self):
-        tree = build_chain_tree()
-        again = OntologyTree.from_json_obj(tree.to_json_obj())
-        assert again.to_json_obj() == tree.to_json_obj()
-        again.validate()
-
 
 class TestTreeToTriples:
     def test_chain_yields_edge_per_parent_link(self):

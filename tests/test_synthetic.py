@@ -86,12 +86,6 @@ class TestSampleGroundTruth:
         assert gt.roots == ["T0N0", "T1N0", "T2N0"]
         assert len(gt.synonym_classes) == 9
 
-    def test_json_round_trip(self):
-        gt = sample_ground_truth(depth=2, branching=2, synonym_rate=0.6, seed=5)
-        back = GroundTruth.from_json_obj(gt.to_json_obj())
-        assert back.to_json_obj() == gt.to_json_obj()
-        assert back.content_hash() == gt.content_hash()
-
 
 class TestGroundTruthClosure:
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
