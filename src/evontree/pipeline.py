@@ -292,6 +292,11 @@ def stage_extract(ctx: RunContext) -> StageResult:
         path = ctx.paths.trees_dir / f"{slug}.json"
         _write_json(path, tree.to_json_obj())
         extra_outputs.append(path)
+    # A tree file of an earlier run that this one does not write, say of a
+    # root since dropped from the config, would outlive its manifest entry.
+    for path in ctx.paths.trees_dir.glob("*.json"):
+        if path not in extra_outputs:
+            path.unlink()
 
     triples: set[Triple] = set()
     reflexive_skipped = 0
@@ -304,6 +309,8 @@ def stage_extract(ctx: RunContext) -> StageResult:
     if config.model.kind == "synthetic":
         _write_json(ctx.paths.ground_truth, ctx.ground_truth().to_json_obj())
         extra_outputs.append(ctx.paths.ground_truth)
+    else:
+        ctx.paths.ground_truth.unlink(missing_ok=True)
     by_relation = Counter(t.relation.value for t in triples)
     return StageResult({
         **stats.to_json_obj(),

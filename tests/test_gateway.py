@@ -464,6 +464,23 @@ class TestCacheCommits:
         cache.close()  # idempotent
         assert committed(tmp_path) == {cache_key(i): cache_value(i) for i in range(3)}
 
+    def test_a_failing_statement_rolls_back_the_open_transaction(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        try:
+            cache.put(cache_key(0), cache_value(0))
+            assert cache.put_many({cache_key(1): cache_value(1)}) is False
+            with pytest.raises(sqlite3.IntegrityError, match="NOT NULL"):
+                cache.put_many({cache_key(2): cache_value(2), cache_key(3): None})
+            # Entry 1, added before the failing call and not yet committed,
+            # went with it.
+            assert [cache.get(cache_key(i)) for i in range(4)] == [cache_value(0)] + [None] * 3
+            cache.put(cache_key(4), cache_value(4))
+        finally:
+            cache.close()
+        assert committed(tmp_path) == {cache_key(i): cache_value(i) for i in (0, 4)}
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+
 
 class TestCacheConcurrency:
     N_KEYS = 300
@@ -1026,6 +1043,18 @@ class TestHttpWireFormat:
         assert path == "/v1/score"
         assert body == {"model": "med-model", "prompt": "statement. Answer:",
                         "completion": " True"}
+
+    def test_http_404_is_protocol_error_tried_once_and_not_cached(self, wire_server, tmp_path):
+        # _WireHandler answers 404 on any path but the two routes.
+        gw = ModelGateway(HttpBackend(f"{wire_server}/nowhere"), model="m",
+                          cache_dir=tmp_path, sleep=lambda s: None)
+        try:
+            with pytest.raises(ProtocolError, match=r"/nowhere/v1/generate returned 404"):
+                gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
+        finally:
+            gw.close()
+        assert [path for path, _ in _WireHandler.seen] == ["/nowhere/v1/generate"]
+        assert gw.retries == 0 and committed(tmp_path) == {}
 
     def test_http_500_is_transport_error(self, tmp_path):
         class ErrHandler(BaseHTTPRequestHandler):

@@ -772,6 +772,19 @@ class TestDegradation:
             ctx.close()
         assert model.cache._closed and ctx._judge_gateway.cache._closed and judge.closed
 
+    def test_a_dead_judge_leaves_the_report_without_accuracy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gateway_module._JITTER, "uniform", lambda lo, hi: 0.0)
+        # Port 1 refuses at once.
+        judge = {"kind": "http", "endpoint": "http://127.0.0.1:1", "model": "judge"}
+        model = {**SMALL_FOREST["model"], "judge": judge}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_obj(**{**SMALL_FOREST, "model": model})))
+        assert cli_main(["run", "--config", str(config)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["judge"] == "http" and report["judge_unavailable"] is True
+        header = (tmp_path / "out" / "report.csv").read_text().splitlines()[0]
+        assert header == "Triple Type,Relation,Num,ConfirmValue Avg."
+
     def test_unknown_stage_name_rejected(self, tmp_path):
         ctx = RunContext(make_config(tmp_path))
         with pytest.raises(ValueError, match="unknown stage"):
@@ -871,6 +884,54 @@ class TestOneSidedLabels:
             fits = calibration["relations"]["SynonymOf"].values()
             assert all(fit["counts"]["pos"] > 0 and fit["counts"]["neg"] == 0 for fit in fits)
             assert all((fit["tau_star"], fit["max_j"]) == (0.0, 1.0) for fit in fits)
+
+
+def extract_outputs(cfg) -> set[str]:
+    """Run extract on cfg; the outputs its manifest entry names."""
+    ctx = RunContext(cfg)
+    try:
+        run_stage(ctx, "extract")
+    finally:
+        ctx.close()
+    return set(json.loads(ctx.paths.manifest.read_text())["stages"]["extract"]["outputs"])
+
+
+def tree_files(out: Path) -> set[str]:
+    return {f"trees/{p.name}" for p in (out / "trees").iterdir()}
+
+
+class TestExtractOutputs:
+    """extract leaves in the output directory the files its entry names, and
+    no other of the kind it writes."""
+
+    def test_a_rerun_removes_the_tree_files_of_dropped_roots(self, tmp_path):
+        model = {**BASE_MODEL, "synthetic": {**BASE_MODEL["synthetic"], "n_roots": 2}}
+        outputs = extract_outputs(make_config(
+            tmp_path, model=model, extraction={"roots": ["T0N0", "T1N0"], "max_depth": 1}))
+        assert tree_files(tmp_path / "out") == {"trees/t0n0.json", "trees/t1n0.json"} <= outputs
+        outputs = extract_outputs(make_config(
+            tmp_path, model=model, extraction={"roots": ["T0N0"], "max_depth": 1}))
+        assert tree_files(tmp_path / "out") == {"trees/t0n0.json"}
+        assert {name for name in outputs if name.startswith("trees/")} == {"trees/t0n0.json"}
+
+    def test_an_http_rerun_removes_the_synthetic_ground_truth(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        cfg = make_config(tmp_path, **SMALL_FOREST)
+        assert "ground_truth.json" in extract_outputs(cfg)
+        with serve_over_http(synthetic_backend(cfg)) as url:
+            model = {"kind": "http", "name": "synthetic", "endpoint": url}
+            outputs = extract_outputs(make_config(tmp_path, **{**SMALL_FOREST, "model": model}))
+        assert "ground_truth.json" not in outputs
+        assert not (tmp_path / "out" / "ground_truth.json").exists()
+
+    def test_roots_whose_slugs_collide_get_a_file_each(self, tmp_path):
+        # Neither root is in the synthetic forest, so each tree is its root.
+        outputs = extract_outputs(make_config(
+            tmp_path, extraction={"roots": ["T0 N0", "T0-N0"], "max_depth": 1}))
+        assert tree_files(tmp_path / "out") == {"trees/t0-n0.json", "trees/t0-n0-2.json"} <= outputs
+        for name, root in (("t0-n0.json", "T0 N0"), ("t0-n0-2.json", "T0-N0")):
+            tree = json.loads((tmp_path / "out" / "trees" / name).read_text())
+            assert [node["label"] for node in tree["nodes"]] == [root]
 
 
 @pytest.fixture
