@@ -210,6 +210,5 @@ def extract_forest(gateway: ModelGateway,
                                            synonyms=child.synonyms, parent=index,
                                            depth=depth + 1))
     for tree in forest:
-        tree.validate()
         log.info("extracted %d nodes under %r", len(tree.nodes), tree.root.text)
     return forest, stats

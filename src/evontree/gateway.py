@@ -189,6 +189,12 @@ class Backend(Protocol):
     def score(self, body: dict) -> dict: ...
 
 
+def endpoint_identity(endpoint: str) -> str:
+    """An HTTP endpoint as cache keys and the manifest name it: spellings
+    that differ only in trailing slashes are one endpoint."""
+    return endpoint.rstrip("/")
+
+
 class HttpBackend:
     """POSTs JSON to <endpoint>/v1/generate and <endpoint>/v1/score.
 
@@ -212,8 +218,7 @@ class HttpBackend:
         import ssl
 
         check_domain(endpoint, URL_DOMAIN, "endpoint")
-        self.endpoint = endpoint.rstrip("/")
-        self.identity = self.endpoint
+        self.endpoint = self.identity = endpoint_identity(endpoint)
         self.timeout_s = timeout_s
         url = urlsplit(self.endpoint)
         self._path_prefix = url.path

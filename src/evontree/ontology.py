@@ -1,4 +1,4 @@
-"""Core domain types: concept labels, triples, trees, and the triple file format.
+"""Core domain types: concept labels, triples, elicited trees, and the triple file format.
 
 Labels compare and hash by a case-folded key so that mixed-case spellings of
 the same concept merge; the original spelling is kept for display and prompt
@@ -114,7 +114,8 @@ class OntologyTree:
     """Root concept with layered subclass/synonym children.
 
     nodes[0] is the root (depth 0). Every other node's depth is its parent's
-    depth plus one, and no label repeats along its own ancestor path.
+    depth plus one, and no label repeats along its own ancestor path:
+    extraction.extract_forest builds every tree that way.
     """
 
     nodes: list[TreeNode] = field(default_factory=list)
@@ -131,24 +132,6 @@ class OntologyTree:
             keys.add(node.label.key)
         return keys
 
-    def validate(self) -> None:
-        if not self.nodes:
-            raise ValueError("tree has no nodes")
-        roots = [n for n in self.nodes if n.depth == 0]
-        if len(roots) != 1 or self.nodes[0].depth != 0:
-            raise ValueError("tree must have exactly one depth-0 node at index 0")
-        for i, node in enumerate(self.nodes):
-            if i == 0:
-                if node.parent is not None:
-                    raise ValueError("root node must have no parent")
-                continue
-            if node.parent is None:
-                raise ValueError(f"non-root node {node.label.text!r} has no parent")
-            if node.depth != self.nodes[node.parent].depth + 1:
-                raise ValueError(f"depth of {node.label.text!r} is not parent depth + 1")
-            if node.label.key in self.ancestor_keys(i):
-                raise ValueError(f"label {node.label.text!r} repeats on its ancestor path")
-
     def to_json_obj(self) -> dict:
         return {
             "nodes": [
@@ -164,29 +147,21 @@ class OntologyTree:
         }
 
 
-def tree_to_triples(tree: OntologyTree) -> tuple[set[Triple], int]:
+def tree_to_triples(tree: OntologyTree) -> set[Triple]:
     """Flatten a tree into its edge triples.
 
     One (child, SubclassOf, parent) triple per parent-child edge and one
-    canonical synonym triple per listed synonym of each node. Degenerate
-    edges (equal keys) are skipped, not errors; the second return value
-    counts the skips.
+    canonical synonym triple per listed synonym of each node. Extraction
+    never keys a child as its parent or a synonym as its node; should such
+    an edge occur, Triple raises ValueError.
     """
     triples: set[Triple] = set()
-    skipped = 0
     for node in tree.nodes:
         if node.parent is not None:
-            parent = tree.nodes[node.parent]
-            if node.label.key == parent.label.key:
-                skipped += 1
-            else:
-                triples.add(Triple(node.label, Relation.SUBCLASS_OF, parent.label))
+            triples.add(Triple(node.label, Relation.SUBCLASS_OF, tree.nodes[node.parent].label))
         for syn in node.synonyms:
-            if syn.key == node.label.key:
-                skipped += 1
-            else:
-                triples.add(Triple(node.label, Relation.SYNONYM_OF, syn))
-    return triples, skipped
+            triples.add(Triple(node.label, Relation.SYNONYM_OF, syn))
+    return triples
 
 
 @dataclass

@@ -4,13 +4,15 @@ extrapolate, gap, synthesize, report, plus a threshold sweep.
 TABLE names each stage's body and the artifacts it reads and writes;
 run_stage does the rest. It loads the inputs for the body, which writes its
 outputs atomically and returns its tallies, and records in the manifest the
-hashes of everything read and written, plus the provenance (config hash,
-prompt and template set versions, model identity) of the artifacts. Each
-stage's entry holds its own config_hash, model_identity and wall_s (from the
-input check to the manifest write); the top-level keys name the stage run
-last. A run can be resumed or re-executed from any stage, and given the same
-config and a warm response cache, re-running a stage reproduces its outputs
-byte for byte.
+hashes of those inputs and outputs, plus the provenance (config hash,
+prompt and template set versions, model identity) of the artifacts. Every
+file a stage writes is one of its TABLE outputs, at the top of the output
+directory, but the synthetic model's ground_truth.json, which extract writes
+for reference and no stage reads. Each stage's entry holds its own
+config_hash, model_identity and wall_s (from the input check to the manifest
+write); the top-level keys name the stage run last. A run can be resumed or
+re-executed from any stage, and given the same config and a warm response
+cache, re-running a stage reproduces its outputs byte for byte.
 
 One stage at a time writes to an output directory: run_stage holds an
 exclusive flock on its lock file from reading the manifest to writing it,
@@ -51,14 +53,13 @@ import io
 import json
 import logging
 import os
-import re
 import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .calibration import CalibrationOutcome, calibrate_relation, collect_samples
@@ -71,10 +72,9 @@ from .errors import (
     StaleUpstreamError,
 )
 from .extraction import extract_forest
-from .gateway import GATEWAY_COUNTERS, HttpBackend, ModelGateway, close_all
+from .gateway import GATEWAY_COUNTERS, HttpBackend, ModelGateway, close_all, endpoint_identity
 from .ontology import (
     Relation,
-    Triple,
     TripleClass,
     TripleRecord,
     parse_triple_file,
@@ -113,7 +113,7 @@ class Artifacts:
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
-        self.trees_dir = out_dir / "trees"
+        self.forest = out_dir / "forest.json"
         self.ground_truth = out_dir / "ground_truth.json"
         self.raw = out_dir / "raw.jsonl"
         self.scored_raw = out_dir / "scored_raw.jsonl"
@@ -131,10 +131,6 @@ class Artifacts:
         self.sweep = out_dir / "sweep.csv"
         self.manifest = out_dir / "manifest.json"
         self.lock = out_dir / "evontree.lock"
-
-    def name(self, path: Path) -> str:
-        """path as the manifest names it: relative to the output directory."""
-        return str(path.relative_to(self.out_dir))
 
 
 class RunContext:
@@ -228,20 +224,12 @@ class RunContext:
             spec = model_cfg.synthetic
             gt_hash = self.ground_truth().content_hash()[:8]
             return f"synthetic://{spec.seed}/{gt_hash}#{model_cfg.name}"
-        return f"{model_cfg.endpoint}#{model_cfg.name}"
+        return f"{endpoint_identity(model_cfg.endpoint)}#{model_cfg.name}"
 
     def map_concurrent(self, fn: Callable, items: Sequence, gateway: ModelGateway) -> list:
         """fn over items, in order, fanned out as gateway.fan_out does. No
         stage calls it; it stays because perfbench/spans.py wraps it by name."""
         return gateway.fan_out(fn, items)
-
-
-class StageResult(NamedTuple):
-    """What a stage body returns when it has more to report than tallies:
-    the files it wrote besides its declared outputs."""
-
-    tallies: dict
-    extra_outputs: Sequence[Path] = ()
 
 
 def _utc_now() -> str:
@@ -273,50 +261,22 @@ def _write_records(ctx: RunContext, attr: str, records: Iterable[TripleRecord]) 
     ctx.keep(attr, write_triple_file(getattr(ctx.paths, attr), records))
 
 
-def _slug(name: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "-", name.casefold()).strip("-") or "root"
-
-
-def stage_extract(ctx: RunContext) -> StageResult:
-    """Elicit one tree per configured root; flatten the forest to raw triples."""
+def stage_extract(ctx: RunContext) -> dict:
+    """Elicit one tree per configured root, written in root order to
+    forest.json; flatten the forest to raw triples."""
     config = ctx.config
     forest, stats = extract_forest(ctx.gateway(), config.extraction)
-    ctx.paths.trees_dir.mkdir(parents=True, exist_ok=True)
-    extra_outputs = []
-    used: set[str] = set()
-    for tree in forest:
-        slug = _slug(tree.root.text)
-        while slug in used:
-            slug += "-2"
-        used.add(slug)
-        path = ctx.paths.trees_dir / f"{slug}.json"
-        _write_json(path, tree.to_json_obj())
-        extra_outputs.append(path)
-    # A tree file of an earlier run that this one does not write, say of a
-    # root since dropped from the config, would outlive its manifest entry.
-    for path in ctx.paths.trees_dir.glob("*.json"):
-        if path not in extra_outputs:
-            path.unlink()
-
-    triples: set[Triple] = set()
-    reflexive_skipped = 0
-    for tree in forest:
-        tree_triples, skipped = tree_to_triples(tree)
-        triples |= tree_triples
-        reflexive_skipped += skipped
+    _write_json(ctx.paths.forest, [tree.to_json_obj() for tree in forest])
+    triples = set().union(*map(tree_to_triples, forest))
     _write_records(ctx, "raw", [TripleRecord(t, TripleClass.RAW) for t in triples])
-
+    # No stage reads ground_truth.json, so it is not hashed: model.synthetic,
+    # which config_hash records, fixes its content.
     if config.model.kind == "synthetic":
         _write_json(ctx.paths.ground_truth, ctx.ground_truth().to_json_obj())
-        extra_outputs.append(ctx.paths.ground_truth)
     else:
         ctx.paths.ground_truth.unlink(missing_ok=True)
     by_relation = Counter(t.relation.value for t in triples)
-    return StageResult({
-        **stats.to_json_obj(),
-        "reflexive_skipped": reflexive_skipped,
-        "raw_triples": dict(sorted(by_relation.items())),
-    }, extra_outputs=extra_outputs)
+    return {**stats.to_json_obj(), "raw_triples": dict(sorted(by_relation.items()))}
 
 
 def _score_records(ctx: RunContext, records: Sequence[TripleRecord]) -> tuple[list, int]:
@@ -509,7 +469,7 @@ def stage_sweep(ctx: RunContext, scored_extrapolated: list[TripleRecord],
 # Artifacts attribute. The runner loads the inputs and passes them to the
 # body by attribute name. `run` runs the stages in this order, sweep aside.
 TABLE: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
-    "extract": (stage_extract, (), ("raw",)),
+    "extract": (stage_extract, (), ("forest", "raw")),
     "calibrate": (stage_calibrate, ("raw",), ("scored_raw", "calibration", "roc_curve")),
     "confirm": (stage_confirm, ("scored_raw", "calibration"), ("confirmed",)),
     "reliable": (stage_reliable, ("confirmed",), ("reliable",)),
@@ -540,7 +500,7 @@ def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str
     producer last recorded writing; then, going up the table, each input an
     upstream stage recorded reading that its producer has since rewritten,
     from the manifest's records alone. Each as "file (rerun 'stage')"."""
-    producer = {paths.name(getattr(paths, attr)): stage
+    producer = {getattr(paths, attr).name: stage
                 for stage, (_, _, outputs) in TABLE.items() for attr in outputs}
 
     def changed(digests: dict[str, str]) -> list[str]:
@@ -553,7 +513,7 @@ def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str
     todo, seen = [name], set()
     while todo:
         for attr in TABLE[todo.pop()][1]:
-            upstream = producer[paths.name(getattr(paths, attr))]
+            upstream = producer[getattr(paths, attr).name]
             if upstream not in seen:
                 seen.add(upstream)
                 todo.append(upstream)
@@ -617,7 +577,7 @@ def _run_held(ctx: RunContext, name: str) -> None:
         stages = json.loads(paths.manifest.read_text(encoding="utf-8")).get("stages", {})
     blobs = {attr: getattr(paths, attr).read_bytes() for attr in inputs}
     digests = {attr: _digest(blob) for attr, blob in blobs.items()}
-    read = {paths.name(getattr(paths, attr)): digest for attr, digest in digests.items()}
+    read = {getattr(paths, attr).name: digest for attr, digest in digests.items()}
     stale = _stale_inputs(paths, stages, name, read)
     if stale:
         raise StaleUpstreamError(
@@ -631,23 +591,20 @@ def _run_held(ctx: RunContext, name: str) -> None:
         kwargs[attr] = kept if kept_digest == digests[attr] else _load_input(attr, blobs[attr])
     del blobs
     ctx._written.clear()
-    result = STAGES[name](ctx, **kwargs)
+    tallies = STAGES[name](ctx, **kwargs)
     # The stage's responses are committed before its entry records it done.
     for gateway in ctx._open_gateways():
         gateway.commit()
-    if isinstance(result, dict):
-        result = StageResult(result)
-    written = [getattr(paths, attr) for attr in outputs] + list(result.extra_outputs)
-    hashes = {paths.name(path): _file_hash(path) for path in written}
+    hashes = {getattr(paths, attr).name: _file_hash(getattr(paths, attr)) for attr in outputs}
     for attr, value in ctx._written.items():
-        ctx._kept[attr] = (hashes[paths.name(getattr(paths, attr))], value)
+        ctx._kept[attr] = (hashes[getattr(paths, attr).name], value)
     provenance = {"config_hash": ctx.config.config_hash(), "model_identity": ctx.model_identity()}
     stages[name] = {
         "completed_at": _utc_now(),
         **provenance,
         "inputs": read,
         "outputs": hashes,
-        "tallies": result.tallies,
+        "tallies": tallies,
         "gateway": ctx.take_gateway_counts(),
         "wall_s": round(time.perf_counter() - start, 6),
     }

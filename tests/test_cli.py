@@ -39,7 +39,7 @@ from evontree.errors import TransportError
 from evontree.extraction import build_tree_prompt
 from evontree.gateway import CACHE_FILE, RETRY_BACKOFF_S, HttpBackend, ModelGateway, ResponseCache
 from evontree.ontology import normalize_label, read_triple_file
-from evontree.pipeline import STAGE_ORDER
+from evontree.pipeline import STAGE_ORDER, TABLE, Artifacts
 from evontree.synthetic import SyntheticBackend
 
 CONFIG_OBJ = {
@@ -305,6 +305,25 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestOutputDirectory:
+    def test_every_file_is_a_declared_output(self, tmp_path):
+        # A fresh run and sweep write, besides the manifest, the lock, the
+        # synthetic model's ground truth and the cache, only the TABLE
+        # outputs, each hashed in its stage's entry.
+        config = write_config(tmp_path, CONFIG_OBJ)
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        assert main(["sweep", "--config", str(config)]) == EXIT_OK
+        out = tmp_path / "out"
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        hashed = {name for entry in stages.values() for name in entry["outputs"]}
+        paths = Artifacts(out)
+        assert hashed == {getattr(paths, attr).name
+                          for _, _, outputs in TABLE.values() for attr in outputs}
+        assert {p.name for p in out.iterdir()} == hashed | {
+            "manifest.json", "evontree.lock", "ground_truth.json", "cache"}
+        assert (out / "cache").is_dir()
+
+
 class TestFlags:
     def test_stage_dir_overrides_output_dir(self, finished_run, tmp_path):
         _, config = finished_run
@@ -351,7 +370,7 @@ class TestFlags:
             stages = json.loads((out / "manifest.json").read_text())["stages"]
             assert sum(entry["gateway"]["backend_calls"]
                        for entry in stages.values()) == expected_calls
-            # Every artifact, trees/ too, as diff -r -x manifest.json -x cache compares them.
+            # Every artifact, as diff -r -x manifest.json -x cache compares them.
             assert artifact_files(out) == artifact_files(tmp / "out")
 
     def test_stage_verbs_one_process_each_match_run(self, finished_run, tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evontree.errors import ParseFailureError, SchemaMismatchError, TransportError
 from evontree.extraction import (
@@ -125,6 +126,25 @@ def synthetic_gateway(tmp_path, *, depth=2, branching=2, synonym_rate=1.0,
     return gw, gt
 
 
+def assert_well_formed(tree, config):
+    """What extract_forest promises of every tree it returns: the root at
+    index 0, each other node after its parent and one level below it, no
+    label repeated on its own ancestor path or among its siblings, no node
+    its own synonym; so every edge makes a Triple."""
+    root = tree.nodes[0]
+    assert (root.parent, root.depth) == (None, 0)
+    assert root.label.key in {lbl(r).key for r in config.roots}
+    for i, node in enumerate(tree.nodes[1:], start=1):
+        assert node.parent is not None and 0 <= node.parent < i
+        assert node.depth == tree.nodes[node.parent].depth + 1 <= config.max_depth
+        assert node.label.key not in tree.ancestor_keys(i)
+        assert len({s.key for s in node.synonyms} | {node.label.key}) == len(node.synonyms) + 1
+    for i in range(len(tree.nodes)):
+        children = [n.label.key for n in tree.nodes if n.parent == i]
+        assert len(children) == len(set(children))
+    tree_to_triples(tree)
+
+
 def extract_one(gateway, config):
     """The one tree of a one-root config, and the stats."""
     (tree,), stats = extract_forest(gateway, config)
@@ -136,7 +156,7 @@ class TestExtractTree:
         gw, gt = synthetic_gateway(tmp_path)
         config = ExtractionConfig(roots=("T0N0",), max_depth=2)
         tree, stats = extract_one(gw, config)
-        tree.validate()
+        assert_well_formed(tree, config)
         by_depth = {}
         for node in tree.nodes:
             by_depth.setdefault(node.depth, []).append(node.label.text)
@@ -153,8 +173,7 @@ class TestExtractTree:
         gw, gt = synthetic_gateway(tmp_path)
         config = ExtractionConfig(roots=("T0N0",), max_depth=1)
         tree, _ = extract_one(gw, config)
-        triples, skipped = tree_to_triples(tree)
-        assert skipped == 0
+        triples = tree_to_triples(tree)
         texts = {(t.subject.text, t.relation.value, t.object.text) for t in triples}
         assert ("T0N1", "SubclassOf", "T0N0") in texts
         assert ("T0N1 alt1", "SubclassOf", "T0N0") in texts
@@ -295,6 +314,47 @@ class TestExtractForest:
         forest, totals = extract_forest(gw, config)
         assert [t.root.text for t in forest] == ["T0N0", "T1N0"]
         assert totals.expansions == 2
+
+
+# Names that collide: case and space variants of a few concepts, and blanks.
+NAMES = ("Root", "root", "A", " a", "B", "b  ", "C", "", "  ")
+ENTRY = st.fixed_dictionaries({"name": st.sampled_from(NAMES),
+                               "synonyms": st.lists(st.sampled_from(NAMES), max_size=3)})
+
+
+class AnsweringBackend:
+    """Answers each concept's elicitation with the entries scripted for its
+    key, or none."""
+
+    identity = "scripted://answers"
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def generate(self, body):
+        concept = body["prompt"].split("subclasses of ", 1)[1].split(" and their", 1)[0]
+        return {"text": tree_json(concept, self.answers.get(concept.casefold(), []))}
+
+    def score(self, body):
+        raise AssertionError("no scoring during extraction")
+
+
+class TestTreeInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(answers=st.dictionaries(st.sampled_from(["root", "a", "b", "c"]),
+                                   st.lists(ENTRY, max_size=5)),
+           roots=st.lists(st.sampled_from(["Root", "root", "A", "B"]), min_size=1, max_size=2),
+           max_depth=st.integers(1, 4), budget=st.integers(1, 12))
+    def test_every_tree_is_well_formed(self, answers, roots, max_depth, budget):
+        # Answers name any ancestor (a cycle), repeat a sibling in another
+        # case, list a node as its own synonym, or leave a name blank.
+        config = ExtractionConfig(roots=tuple(roots), max_depth=max_depth,
+                                  frontier_budget=budget)
+        gw = ModelGateway(AnsweringBackend(answers), model="m", cache_dir=None)
+        forest, _ = extract_forest(gw, config)
+        assert [tree.root.key for tree in forest] == [lbl(r).key for r in roots]
+        for tree in forest:
+            assert_well_formed(tree, config)
 
 
 def count_lookups(gw):

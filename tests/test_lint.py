@@ -1,0 +1,62 @@
+"""Source checks that need no linter: every name a module of evontree
+imports is used in that module."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "evontree"
+
+# Imported for perfbench/spans.py to wrap, by module and name, each marked
+# `noqa: F401` where it is imported.
+KEPT_FOR_THE_TRACER = {("pipeline", "read_triple_file"), ("pipeline", "score_triple")}
+
+
+def imported_names(tree: ast.Module, lines: list[str]) -> dict[str, tuple[int, bool]]:
+    """Each name the module binds by import, with the line of its import and
+    whether that line is marked noqa: F401. Future imports bind nothing."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                lineno = getattr(alias, "lineno", node.lineno)
+                names[name] = (lineno, "noqa: F401" in lines[lineno - 1])
+    return names
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """The names the module reads, in code and in string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used |= used_names(ast.parse(annotation.value, mode="eval"))
+    return used
+
+
+def test_every_import_is_used():
+    unused, exempt = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        used = used_names(tree)
+        for name, (lineno, noqa) in imported_names(tree, text.splitlines()).items():
+            if noqa:
+                exempt.add((path.stem, name))
+            elif name not in used:
+                unused.append(f"{path.name}:{lineno}: {name}")
+    assert unused == []
+    assert exempt == KEPT_FOR_THE_TRACER

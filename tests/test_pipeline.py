@@ -98,7 +98,7 @@ ARTIFACT_NAMES = (
 # What each stage's manifest entry names as read and written, after run_all
 # plus sweep on make_config's one-root synthetic run.
 MANIFEST_NAMES = {
-    "extract": ((), ("raw.jsonl", "trees/t0n0.json", "ground_truth.json")),
+    "extract": ((), ("forest.json", "raw.jsonl")),
     "calibrate": (("raw.jsonl",), ("scored_raw.jsonl", "calibration.json", "roc_curve.csv")),
     "confirm": (("scored_raw.jsonl", "calibration.json"), ("confirmed.jsonl",)),
     "reliable": (("confirmed.jsonl",), ("reliable.jsonl",)),
@@ -217,8 +217,8 @@ class TestRunAll:
             assert (out / name).exists(), name
 
     def test_one_tree_file_per_root(self, completed_run):
-        trees = sorted(p.name for p in completed_run.paths.trees_dir.glob("*.json"))
-        assert trees == ["t0n0.json"]
+        forest = json.loads(completed_run.paths.forest.read_text())
+        assert [tree["nodes"][0]["label"] for tree in forest] == ["T0N0"]
 
     def test_counts_shrink_along_the_lifecycle(self, completed_run):
         paths = completed_run.paths
@@ -258,7 +258,7 @@ class TestRunAll:
     def test_json_artifacts_are_compact(self, completed_run):
         written = sorted(completed_run.paths.out_dir.rglob("*.json"))
         assert {p.name for p in written} >= {
-            "calibration.json", "manifest.json", "report.json", "ground_truth.json", "t0n0.json"}
+            "calibration.json", "manifest.json", "report.json", "ground_truth.json", "forest.json"}
         for path in written:
             text = path.read_text(encoding="utf-8")
             compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"),
@@ -382,7 +382,7 @@ class TestCrash:
             run_all(ctx)
         finally:
             ctx.close()
-        for name in (*ARTIFACT_NAMES, "trees/t0n0.json"):
+        for name in (*ARTIFACT_NAMES, "forest.json"):
             if name != "manifest.json":
                 assert ((paths.out_dir / name).read_bytes()
                         == (completed_run.paths.out_dir / name).read_bytes()), name
@@ -785,6 +785,29 @@ class TestDegradation:
         header = (tmp_path / "out" / "report.csv").read_text().splitlines()[0]
         assert header == "Triple Type,Relation,Num,ConfirmValue Avg."
 
+    def test_judge_none_reports_without_accuracy_or_requests(self, tmp_path):
+        model = {**SMALL_FOREST["model"], "judge": {"kind": "none"}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_obj(**{**SMALL_FOREST, "model": model})))
+        assert cli_main(["run", "--config", str(config)]) == EXIT_OK
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        assert report["judge"] == "none" and report["judge_unavailable"] is False
+        header = (out / "report.csv").read_text().splitlines()[0]
+        assert header == "Triple Type,Relation,Num,ConfirmValue Avg."
+        with (out / "confirm_hist.csv").open(newline="") as f:
+            hist = list(csv.DictReader(f))
+        assert hist and all(row["accuracy"] == "" for row in hist)
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert set(stages["report"]["gateway"].values()) == {0}
+
+    def test_ground_truth_needs_the_synthetic_model(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        model = {"kind": "http", "name": "m", "endpoint": "http://127.0.0.1:1"}
+        ctx = RunContext(make_config(tmp_path, **{**SMALL_FOREST, "model": model}))
+        with pytest.raises(ValueError, match="only exists for the synthetic model"):
+            ctx.ground_truth()
+
     def test_unknown_stage_name_rejected(self, tmp_path):
         ctx = RunContext(make_config(tmp_path))
         with pytest.raises(ValueError, match="unknown stage"):
@@ -896,42 +919,46 @@ def extract_outputs(cfg) -> set[str]:
     return set(json.loads(ctx.paths.manifest.read_text())["stages"]["extract"]["outputs"])
 
 
-def tree_files(out: Path) -> set[str]:
-    return {f"trees/{p.name}" for p in (out / "trees").iterdir()}
+def forest_roots(out: Path) -> list[str]:
+    """The root label of each tree in forest.json, in file order."""
+    return [tree["nodes"][0]["label"]
+            for tree in json.loads((out / "forest.json").read_text(encoding="utf-8"))]
 
 
 class TestExtractOutputs:
-    """extract leaves in the output directory the files its entry names, and
-    no other of the kind it writes."""
+    """extract writes exactly its TABLE outputs, whole on every run, plus the
+    synthetic model's ground truth, which it does not hash."""
 
     def test_a_rerun_removes_the_tree_files_of_dropped_roots(self, tmp_path):
         model = {**BASE_MODEL, "synthetic": {**BASE_MODEL["synthetic"], "n_roots": 2}}
         outputs = extract_outputs(make_config(
-            tmp_path, model=model, extraction={"roots": ["T0N0", "T1N0"], "max_depth": 1}))
-        assert tree_files(tmp_path / "out") == {"trees/t0n0.json", "trees/t1n0.json"} <= outputs
+            tmp_path, model=model, extraction={"roots": ["T1N0", "T0N0"], "max_depth": 1}))
+        assert outputs == {"forest.json", "raw.jsonl"}
+        assert forest_roots(tmp_path / "out") == ["T1N0", "T0N0"]  # in config order
         outputs = extract_outputs(make_config(
             tmp_path, model=model, extraction={"roots": ["T0N0"], "max_depth": 1}))
-        assert tree_files(tmp_path / "out") == {"trees/t0n0.json"}
-        assert {name for name in outputs if name.startswith("trees/")} == {"trees/t0n0.json"}
+        assert outputs == {"forest.json", "raw.jsonl"}
+        assert forest_roots(tmp_path / "out") == ["T0N0"]
 
     def test_an_http_rerun_removes_the_synthetic_ground_truth(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
         cfg = make_config(tmp_path, **SMALL_FOREST)
-        assert "ground_truth.json" in extract_outputs(cfg)
+        assert "ground_truth.json" not in extract_outputs(cfg)
+        assert (tmp_path / "out" / "ground_truth.json").exists()
         with serve_over_http(synthetic_backend(cfg)) as url:
             model = {"kind": "http", "name": "synthetic", "endpoint": url}
             outputs = extract_outputs(make_config(tmp_path, **{**SMALL_FOREST, "model": model}))
-        assert "ground_truth.json" not in outputs
+        assert outputs == {"forest.json", "raw.jsonl"}
         assert not (tmp_path / "out" / "ground_truth.json").exists()
 
     def test_roots_whose_slugs_collide_get_a_file_each(self, tmp_path):
+        # Roots that differ only in punctuation each keep their own tree.
         # Neither root is in the synthetic forest, so each tree is its root.
-        outputs = extract_outputs(make_config(
+        extract_outputs(make_config(
             tmp_path, extraction={"roots": ["T0 N0", "T0-N0"], "max_depth": 1}))
-        assert tree_files(tmp_path / "out") == {"trees/t0-n0.json", "trees/t0-n0-2.json"} <= outputs
-        for name, root in (("t0-n0.json", "T0 N0"), ("t0-n0-2.json", "T0-N0")):
-            tree = json.loads((tmp_path / "out" / "trees" / name).read_text())
-            assert [node["label"] for node in tree["nodes"]] == [root]
+        forest = json.loads((tmp_path / "out" / "forest.json").read_text())
+        assert [[node["label"] for node in tree["nodes"]] for tree in forest] == [
+            ["T0 N0"], ["T0-N0"]]
 
 
 @pytest.fixture
@@ -1122,6 +1149,28 @@ class TestHandoff:
         for name in STAGE_ORDER:
             for key in ("inputs", "outputs", "model_identity", "config_hash"):
                 assert manifests[0][name][key] == manifests[1][name][key], (name, key)
+
+
+class TestModelIdentity:
+    def test_a_trailing_slash_names_the_same_endpoint(self, tmp_path, monkeypatch):
+        # Both spellings share the cache's keys, so the manifest names them
+        # alike: the second extract is answered from the first one's cache.
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        entries = []
+        with serve_over_http(synthetic_backend(make_config(tmp_path, **SMALL_FOREST))) as url:
+            for out_name, endpoint in (("plain", url), ("slashed", url + "/")):
+                model = {"kind": "http", "name": "synthetic", "endpoint": endpoint}
+                ctx = RunContext(make_config(tmp_path, out_name,
+                                             **{**SMALL_FOREST, "model": model}))
+                try:
+                    run_stage(ctx, "extract")
+                finally:
+                    ctx.close()
+                entries.append(json.loads(ctx.paths.manifest.read_text())["stages"]["extract"])
+        assert entries[0]["model_identity"] == entries[1]["model_identity"] == f"{url}#synthetic"
+        assert entries[0]["gateway"]["backend_calls"] > 0
+        assert entries[1]["gateway"]["cache_hits"] == entries[1]["gateway"]["requests"] > 0
+        assert entries[1]["gateway"]["backend_calls"] == 0
 
 
 class TestStageEntries:

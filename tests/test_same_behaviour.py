@@ -41,6 +41,7 @@ ARTIFACT_SHA256 = {
     "corpus.jsonl": "e03e0c1c64a6150b5e1ffacc762882f71378f358924020c6bbb1b9cf1235811d",
     "evontree.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "extrapolated.jsonl": "9c70e2f5259b8ebbdd3e835bedc9fccd5094600d5556fe02e0438446a3b27370",
+    "forest.json": "e0277392cc8bf26c6e2259ef31cd3675bacb99b5a322193edc68954766451bed",
     "gaps.jsonl": "30d68de57726245a5442d139d1119d8e75d86eb64cf01e105f2c27e8a963f827",
     "ground_truth.json": "3b3b4cbdd808b01d3837a7da15bf95b6cbe608acc5fd80e8903b31d3e730e1a9",
     "raw.jsonl": "3f944013090c67800f53d41a44bd59403cc765335f853c0d4b317834d44650b5",
@@ -52,7 +53,6 @@ ARTIFACT_SHA256 = {
         "1e3d01acddf6c8a8a5527e13fbb835e6edc9086394e9eb37e9d4e2141953431d",
     "scored_raw.jsonl": "ccca0caf8a8457a92d50dbb0c18cee63057dfdd9b8eb44f2a1454731438af6c6",
     "sweep.csv": "da816af94f315f892ed80b99beb41884db6b65748b6a110a9d17a608357572bc",
-    "trees/t0n0.json": "4a4993c0995b09db5203092b6dcc3d0e018891d50f8a55b6cdeaa4baf050b854",
 }
 
 # The number of response-cache rows, and the SHA-256 of the repr of their
@@ -64,8 +64,7 @@ CACHE_ROWS = (1785, "6a1de41bb19bebc714b8654a2a278930d17bf6d1f1530b851d530646f98
 MANIFEST_COUNTS = {
     "extract": ({"budget_exhausted": False, "cycles_skipped": 0, "empty_names_skipped": 0,
                  "expansions": 34, "parse_failures": 0,
-                 "raw_triples": {"SubclassOf": 97, "SynonymOf": 21},
-                 "reflexive_skipped": 0, "sibling_merges": 0},
+                 "raw_triples": {"SubclassOf": 97, "SynonymOf": 21}, "sibling_merges": 0},
                 (22, 0, 22, 1, 0)),
     "calibrate": ({"unparseable_labels": 0, "unscored": 0}, (1479, 0, 1479, 1, 0)),
     "confirm": ({"confirmed": {"SubclassOf": 84, "SynonymOf": 15}, "rejected": 19},

@@ -205,10 +205,15 @@ class TestBuildCorpus:
         bad_mid = gap_record(chains=[[("Retrovirus", "RNA Virus"), ("Lentivirus", "Virus")]])
         no_chain = gap_record()
         no_chain.chains = None
-        entries, tallies = build_corpus(gw, [bad_mid, no_chain],
+        # gaps.jsonl from a run without a manifest entry is read as it is,
+        # so a chain may have another length or miss the gap's ends.
+        one_pair = gap_record(chains=[[("Retrovirus", "Virus")]])
+        wrong_ends = gap_record(chains=[[("Lentivirus", "RNA Virus"), ("RNA Virus", "Virus")],
+                                        [("Retrovirus", "RNA Virus"), ("RNA Virus", "Cell")]])
+        entries, tallies = build_corpus(gw, [bad_mid, no_chain, one_pair, wrong_ends],
                                         SynthesisConfig(strategy="explicit"))
         assert entries == []
-        assert tallies.malformed_chains == 2
+        assert tallies.malformed_chains == 5
 
     def test_every_chain_contributes(self, tmp_path):
         gw, _ = scripted_gateway(tmp_path, [])

@@ -139,6 +139,13 @@ class TestGroundTruthClosure:
         assert not gt.is_true(Relation.SUBCLASS_OF, "a", "c")
         assert not gt.is_true(Relation.SUBCLASS_OF, "b", "b")
 
+    def test_an_edge_to_a_non_representative_is_refused(self):
+        # "B alt" is a member of B's class, not its representative.
+        for edges in ([("B alt", "A")], [("B", "Ghost")]):
+            with pytest.raises(InvalidParamsError, match="unknown representative"):
+                GroundTruth(roots=["A"], edges=edges,
+                            synonym_classes=[["A"], ["B", "B alt"]])
+
     def test_alias_inherits_rep_edges(self):
         gt = GroundTruth(roots=["A"], edges=[("B", "A")],
                          synonym_classes=[["A", "A alt"], ["B", "B alt"]])
