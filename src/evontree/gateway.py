@@ -5,10 +5,11 @@ log-probabilities a model assigns to the tokens of a fixed completion after
 a prompt. Both go through a content-addressed cache keyed by the request
 plus the serving endpoint's identity, so switching endpoints or models never
 replays stale responses. The cache is one SQLite database per cache
-directory, shared safely by threads, gateways and processes, that maps each
-request's 32-byte SHA-256 digest to the one field of its response the
-gateway reads: a score's token_logprobs as packed little-endian doubles, a
-generation's text as a JSON string. A file in any other format is refused.
+directory, shared safely by threads, gateways and processes, that maps the
+first 16 bytes of each request's SHA-256 digest to the one field of its
+response the gateway reads: a score's token_logprobs as packed little-endian
+doubles, a generation's text as its UTF-8 bytes. A file in any other format
+is refused.
 
 A cache hit costs one digest, one B-tree probe and one decode: each request
 writes its canonical JSON text straight from its fields (body_text), and
@@ -60,7 +61,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from json.decoder import scanstring
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
@@ -300,13 +300,17 @@ def _delay_seconds(retry_after: str | None) -> float | None:
 
 def _cache_key(identity: str, model: str, kind: str,
                request: GenerateRequest | ScoreRequest) -> bytes:
-    """The 32-byte SHA-256 digest of the request's canonical JSON text: the
-    same bytes as json.dumps({"endpoint": identity, "model": model, "kind":
-    kind, "body": request.to_body(model)}, sort_keys=True, separators=(",",
-    ":"), ensure_ascii=False), written without building the body."""
+    """The first 16 bytes of the SHA-256 digest of the request's canonical
+    JSON text: the same bytes as json.dumps({"endpoint": identity, "model":
+    model, "kind": kind, "body": request.to_body(model)}, sort_keys=True,
+    separators=(",", ":"), ensure_ascii=False), written without building the
+    body."""
     canonical = '{"body":%s,"endpoint":%s,"kind":%s,"model":%s}' % (
         request.body_text(model), _string(identity), _string(kind), _string(model))
-    return hashlib.sha256(canonical.encode("utf-8")).digest()
+    # 128 bits: among 2x10^5 rows two distinct requests collide with odds
+    # near 10^-28, and the endpoint is part of the hashed text, so filing one
+    # endpoint's answer under another's request takes a second preimage.
+    return hashlib.sha256(canonical.encode("utf-8")).digest()[:16]
 
 
 CACHE_FILE = "responses.sqlite3"
@@ -314,19 +318,20 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 # SQLite's page cache per connection, in KiB. A page it does not hold is
 # read again through the OS, and a write transaction larger than it spills
 # to the write-ahead log before its commit. The seed-42 benchmark forest's
-# file is 1.04 MB, which 4 MiB holds whole. At 256 KiB one cold run_all of
-# it made 15,114 read and 8,789 write syscalls (63.2 MB and 30.9 MB), and a
-# warm one 9,063 reads (38.4 MB), as each 256-key lookup read most leaf
-# pages again. At 4 MiB the cold run made 352 reads and 1,789 writes
-# (2.7 MB and 4.9 MB) and the warm one 345 reads (2.7 MB). The time in
-# get_many plus put_many of a cold run fell by about a fifth, for about
+# file is 0.66 MB at format 3 (1.04 MB at format 2), which 4 MiB holds whole.
+# The syscall counts that follow were taken at format 2. At 256 KiB one cold
+# run_all of it made 15,114 read and 8,789 write syscalls (63.2 MB and
+# 30.9 MB), and a warm one 9,063 reads (38.4 MB), as each 256-key lookup read
+# most leaf pages again. At 4 MiB the cold run made 352 reads and 1,789
+# writes (2.7 MB and 4.9 MB) and the warm one 345 reads (2.7 MB). The time
+# in get_many plus put_many of a cold run fell by about a fifth, for about
 # 0.8 MB more peak RSS (2 CPUs, Python 3.11.7, the OS caching the file both
 # ways).
 CACHE_PAGE_CACHE_KIB = 4096
 # The cache file's layout, kept in PRAGMA user_version: each entry keeps
 # only the field of the response that the gateway reads (see _KINDS). A new
 # file reads 0 until ResponseCache creates its table.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 # The age, in seconds, at which put_many commits the open write transaction.
 # Each commit writes every page the transaction changed to the write-ahead
 # log, and random keys change most leaf pages, so one commit per second
@@ -338,9 +343,9 @@ COMMIT_INTERVAL_S = 1.0
 class ResponseCache:
     """Response cache in one SQLite database, cache_dir/responses.sqlite3.
 
-    Each entry maps a request's 32-byte SHA-256 digest (a BLOB key; see
-    _cache_key) to a value encoded by ModelGateway: bytes or str in, bytes
-    out, whatever the request kind. The cache never looks inside a value;
+    Each entry maps a request's 16-byte key (a BLOB; see _cache_key) to a
+    value encoded by ModelGateway, bytes in and bytes out whatever the
+    request kind. The cache never looks inside a value;
     ModelGateway decodes and checks it, and treats one that fails as a
     miss. A new file, empty or 0 bytes long, gets the table at its first
     open; a file in any format but CACHE_FORMAT, such as one written by an
@@ -433,12 +438,12 @@ class ResponseCache:
             return dict(self._conn.execute(
                 f"SELECT key, value FROM responses WHERE key IN ({marks})", keys))
 
-    def put(self, key: bytes, value: bytes | str) -> None:
+    def put(self, key: bytes, value: bytes) -> None:
         """Store one entry and commit it, with any others not yet committed."""
         self.put_many({key: value})
         self.commit()
 
-    def put_many(self, entries: dict[bytes, bytes | str]) -> bool:
+    def put_many(self, entries: dict[bytes, bytes]) -> bool:
         """Add every entry to the open write transaction, in order, and
         commit it if it is COMMIT_INTERVAL_S old; True if this call
         committed. If a statement fails, the transaction is rolled back,
@@ -734,20 +739,6 @@ def _generated_text(raw: dict) -> str:
     return text
 
 
-def _stored_text(value: bytes) -> str:
-    """The generated text a stored value holds: UTF-8 JSON text of one
-    string, as _string writes it, that has a UTF-8 form itself."""
-    stored = value.decode("utf-8")  # UnicodeDecodeError is a ValueError
-    # scanstring reads a JSON string from after its opening quote to its
-    # end, raising ValueError for a bad escape, a control character or no
-    # closing quote.
-    text, end = scanstring(stored, 1)
-    if not stored.startswith('"') or end != len(stored):
-        raise ValueError(f"cached text is not one JSON string: {stored!r:.200}")
-    text.encode("utf-8")  # a lone surrogate, spelt as an escape, raises a ValueError
-    return text
-
-
 def _score_response(raw: dict) -> tuple[float, ...]:
     """The body's token log-probabilities, each a float that is neither NaN
     nor positive; none for a response that scores no tokens."""
@@ -789,9 +780,12 @@ def _unpacked_logprobs(value: bytes) -> tuple[float, ...]:
 # gateway reads of it, and how the cache keeps that: encode turns parse's
 # result into the stored value, and decode turns a stored value back into
 # parse's result, with the same checks, raising ValueError for a value that
-# encode never writes for a body that parse accepts.
+# encode never writes for a body that parse accepts. A generation is kept as
+# its UTF-8 bytes: str.encode and bytes.decode default to strict UTF-8, so a
+# stored encoded lone surrogate, a sequence cut short or a byte that is no
+# UTF-8 raises UnicodeDecodeError, a ValueError.
 _KINDS = {
-    "generate": (_generated_text, _string, _stored_text),
+    "generate": (_generated_text, str.encode, bytes.decode),
     "score": (_score_response, _packed_logprobs, _unpacked_logprobs),
 }
 

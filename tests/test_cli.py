@@ -34,12 +34,21 @@ from evontree.cli import (
     EXIT_OTHER,
     main,
 )
-from evontree.config import ENDPOINT_ENV_VAR
+from evontree.config import ENDPOINT_ENV_VAR, load_config
 from evontree.errors import TransportError
 from evontree.extraction import build_tree_prompt
-from evontree.gateway import CACHE_FILE, RETRY_BACKOFF_S, HttpBackend, ModelGateway, ResponseCache
+from evontree.gateway import (
+    CACHE_FILE,
+    RETRY_BACKOFF_S,
+    GenerateRequest,
+    HttpBackend,
+    ModelGateway,
+    ResponseCache,
+    _cache_key,
+)
 from evontree.ontology import normalize_label, read_triple_file
 from evontree.pipeline import STAGE_ORDER, TABLE, Artifacts
+from evontree.scoring import probe_requests
 from evontree.synthetic import SyntheticBackend
 
 CONFIG_OBJ = {
@@ -354,16 +363,23 @@ class TestFlags:
     def test_cached_values_that_fail_their_checks_are_fetched_again(self, finished_run,
                                                                      tmp_path):
         # One score row holding a packed NaN and one generation row that is
-        # not JSON: each is a miss, fetched again and replaced.
+        # not UTF-8: each is a miss, fetched again and replaced. Each row is
+        # found by the key of a request the run sent: the root's tree
+        # question, and the first probe of the first raw triple.
         tmp, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(tmp / "out", out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        identity, model = manifest["model_identity"].split("#")
+        extraction = load_config(config).extraction
+        tree_question = GenerateRequest(build_tree_prompt(normalize_label("T0N0")),
+                                        extraction.gen_max_tokens, extraction.gen_temperature)
+        first_probe = probe_requests(read_triple_file(out / "raw.jsonl")[0].triple)[0]
         with closing(sqlite3.connect(out / "cache" / CACHE_FILE)) as db, db:
-            for where, value in [("length(value) = 8", struct.pack("<d", math.nan)),
-                                 ("substr(value, 1, 1) = '\"'", b"{not json")]:
-                assert db.execute(f"UPDATE responses SET value = ? WHERE key = "
-                                  f"(SELECT min(key) FROM responses WHERE {where})",
-                                  (value,)).rowcount == 1
+            for kind, request, value in [("score", first_probe, struct.pack("<d", math.nan)),
+                                         ("generate", tree_question, b"\xff")]:
+                assert db.execute("UPDATE responses SET value = ? WHERE key = ?", (
+                    value, _cache_key(identity, model, kind, request))).rowcount == 1
         flags = ["--config", str(config), "--stage-dir", str(out)]
         for expected_calls in (2, 0):  # then replayed
             assert main(["run", *flags]) == EXIT_OK

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import evontree
+from evontree.cli import main as cli_main
 from evontree.errors import (
     CacheCorruptError,
     InvalidParamsError,
@@ -84,6 +85,15 @@ json_values = st.recursive(
     max_leaves=6)
 
 
+def canonical_digest(identity, model, kind, request) -> bytes:
+    """The SHA-256 digest of the request's canonical JSON text, by its
+    json.dumps definition: format 2 keyed each entry by all 32 bytes of it."""
+    canonical = json.dumps({"endpoint": identity, "model": model, "kind": kind,
+                            "body": request.to_body(model)},
+                           sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(canonical.encode("utf-8")).digest()
+
+
 def make_gateway(tmp_path, backend=None, **kw):
     backend = backend or FakeBackend()
     kw.setdefault("sleep", lambda s: None)
@@ -115,15 +125,16 @@ class TestCache:
         score = ScoreRequest(prompt="p", completion=" True")
         assert _cache_key("ep1", "m1", "score", score) != _cache_key(
             "ep1", "m1", "score", ScoreRequest(prompt="p", completion=" False"))
-        assert len(base) == 32
+        assert len(base) == 16
 
     def test_key_is_pinned(self):
         # Computed before the key encoder was shared; a key that moves
-        # orphans every response already cached.
+        # orphans every response already cached. The first half of the
+        # 32-byte key that format 2 pinned, so the canonical text is the same.
         request = GenerateRequest(prompt='Is a Säugetier — a kind of "Tier"? é',
                                   max_tokens=8, temperature=0.0)
         assert (_cache_key("synthetic://42/ab12cd34", "synthetic", "generate", request).hex()
-                == "b13eb010e33e8a26c1b4806e151a48dd08585ad09e1b19d6025e508d43f3009a")
+                == "b13eb010e33e8a26c1b4806e151a48dd")
 
     @settings(deadline=None)
     @given(identity=st.text(), model=st.text(), kind=st.text(), request=st.one_of(
@@ -143,18 +154,27 @@ class TestCache:
     @example(identity="é", model='"', kind="score", request=ScoreRequest(
         prompt="Säugetier\r\n", completion=' "True"'))
     def test_key_is_the_digest_of_the_canonical_json(self, identity, model, kind, request):
-        canonical = json.dumps({"endpoint": identity, "model": model, "kind": kind,
-                                "body": request.to_body(model)},
-                               sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         assert (_cache_key(identity, model, kind, request)
-                == hashlib.sha256(canonical.encode("utf-8")).digest())
+                == canonical_digest(identity, model, kind, request)[:16])
 
     @settings(deadline=None)
+    # st.text() draws no surrogate, so every text has a UTF-8 form.
     @given(text=st.text())
-    def test_cached_text_is_the_json_dumps_text(self, text):
-        # A generation is stored as the text json.dumps writes for it.
-        _, encode, _ = _KINDS["generate"]
-        assert encode(text) == json.dumps(text, ensure_ascii=False)
+    @example(text="")
+    @example(text='é "q" \\ \n\t\x00\x1f\x7f\u2028 😀')
+    @example(text="abcdefé")  # 8 bytes, which also read as one packed double
+    def test_cached_text_is_its_utf8_bytes_and_reads_back_unchanged(self, text):
+        _, encode, decode = _KINDS["generate"]
+        key = bytes(16)
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ResponseCache(Path(tmp))
+            try:
+                cache.put(key, encode(text))
+                stored = cache.get(key)
+            finally:
+                cache.close()
+        assert stored == text.encode("utf-8")
+        assert decode(stored) == text
 
     @settings(deadline=None, max_examples=50)
     @given(text=st.text(), logprobs=st.lists(st.floats(max_value=0.0), max_size=5))
@@ -245,7 +265,7 @@ class TestCache:
         assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]  # not retried
         if cached:  # nor cached; the response before it is
             assert committed(tmp_path / "cache") == {
-                _cache_key(backend.identity, "m1", "generate", prompts(1)[0]): b'"gen:p0"'}
+                _cache_key(backend.identity, "m1", "generate", prompts(1)[0]): b"gen:p0"}
 
     @settings(deadline=None, max_examples=100)
     @given(kind=st.sampled_from(["generate", "score"]), body=st.one_of(
@@ -329,11 +349,11 @@ class TestCache:
                 assert updated.rowcount == 1
 
         bad = [
-            # Not JSON, cut short, not UTF-8; a JSON body, not a JSON string;
-            # a JSON string that spells a lone surrogate, which has no UTF-8 form.
-            *((gen, "CAST(? AS TEXT)", value)
-              for value in ["{not json", '{"text": "ge', b"\xc3\x28", '{"text": "gen:x"}',
-                            '"gen:\\ud800"']),
+            # No UTF-8: an encoded lone surrogate, a sequence cut short, a
+            # byte that UTF-8 never uses, and a bad continuation byte stored
+            # as TEXT.
+            *((gen, "?", value) for value in [b"\xed\xa0\x80", b"\xc3", b"\xff"]),
+            (gen, "CAST(? AS TEXT)", b"\xc3\x28"),
             # A score cut inside its first double.
             (score, "substr(value, 1, ?)", 7),
             # Whole doubles that no valid score holds: NaN, positive, +inf.
@@ -390,12 +410,12 @@ class TestCache:
 
 
 def cache_key(i: int) -> bytes:
-    return i.to_bytes(32, "big")
+    return i.to_bytes(16, "big")
 
 
 def cache_value(i: int) -> bytes:
     """A generation's stored value, as the cache returns it."""
-    return json.dumps("v" * (i % 50) + str(i)).encode()
+    return ("v" * (i % 50) + str(i)).encode()
 
 
 def run_python(script: str, cache_dir: Path) -> subprocess.Popen:
@@ -524,12 +544,12 @@ class TestCacheConcurrency:
         # The case of a judge gateway on its own endpoint sharing the cache.
         a, b = ResponseCache(tmp_path), ResponseCache(tmp_path)
         try:
-            a.put(b"k1", '"from a"')
-            assert b.get(b"k1") == b'"from a"'
+            a.put(b"k1", b"from a")
+            assert b.get(b"k1") == b"from a"
             b.put(b"k2", struct.pack("<d", -0.5))
             assert a.get(b"k2") == struct.pack("<d", -0.5)
-            b.put(b"k1", '"replaced by b"')
-            assert a.get(b"k1") == b'"replaced by b"'
+            b.put(b"k1", b"replaced by b")
+            assert a.get(b"k1") == b"replaced by b"
         finally:
             a.close()
             b.close()
@@ -583,14 +603,28 @@ class TestCacheFormat:
             assert sql == ("CREATE TABLE responses (key BLOB PRIMARY KEY, value BLOB NOT NULL) "
                            "WITHOUT ROWID")
 
-    def test_unknown_format_is_refused_and_left_alone(self, tmp_path):
-        key = _cache_key(FakeBackend().identity, "m1", "generate", prompts(1)[0])
+    def test_unknown_format_is_refused_and_left_alone(self, tmp_path, caplog):
+        assert CACHE_FORMAT == 3  # the format-2 file below is the one before it
+        identity, request = FakeBackend().identity, prompts(1)[0]
+        key = _cache_key(identity, "m1", "generate", request)
         body = json.dumps({"text": "cached", "finish_reason": "stop"})
+        digest = canonical_digest(identity, "m1", "generate", request)
+        score_digest = canonical_digest(identity, "m1", "score",
+                                        ScoreRequest(prompt="p0", completion=" True"))
         # Per kind of file: its user_version, whether it is in WAL mode, and
-        # the statements that fill it. The first two are laid out as earlier
-        # versions of evontree wrote them, with whole response bodies as
-        # JSON text: format 0 keyed by 64 hex digits, format 1 by 32 bytes.
+        # the statements that fill it. The first three are laid out as
+        # earlier versions of evontree wrote them. Formats 0 and 1 hold whole
+        # response bodies as JSON text, format 0 keyed by 64 hex digits and
+        # format 1 by 32 bytes. Format 2 keys by 32 bytes too and holds a
+        # generation's text as a JSON string and a score as packed doubles.
         kinds = {
+            "format2": (2, True, [
+                ("CREATE TABLE responses (key BLOB PRIMARY KEY, value BLOB NOT NULL) "
+                 "WITHOUT ROWID", ()),
+                ("INSERT INTO responses VALUES (?, ?)",
+                 (digest, json.dumps("cached", ensure_ascii=False))),
+                ("INSERT INTO responses VALUES (?, ?)",
+                 (score_digest, struct.pack("<2d", -0.5, -1.5)))]),
             "format0-text-keys": (0, True, [
                 ("CREATE TABLE responses (key TEXT PRIMARY KEY, value TEXT NOT NULL) "
                  "WITHOUT ROWID", ()),
@@ -618,7 +652,16 @@ class TestCacheFormat:
             before = sha256_of(path)
             with pytest.raises(CacheCorruptError, match="move or delete") as exc_info:
                 ResponseCache(cache_dir)
-            assert f"{path} has format {version}," in str(exc_info.value), name
+            assert (f"{path} has format {version}, which this version of evontree "
+                    f"(format {CACHE_FORMAT}) cannot read") in str(exc_info.value), name
+            # Through the CLI, with the artifacts in a directory of their own.
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({
+                "model": {"kind": "synthetic"}, "extraction": {"roots": ["T0N0"]},
+                "output": {"dir": str(tmp_path / f"{name}-out"), "cache_dir": str(cache_dir)}}))
+            caplog.clear()
+            assert cli_main(["extract", "--config", str(config)]) == 1, name
+            assert f"{path} has format {version}," in caplog.text, name
             assert sha256_of(path) == before, name
             assert sorted(p.name for p in cache_dir.iterdir()) == [CACHE_FILE], name
             with closing(sqlite3.connect(path)) as db:
@@ -1233,9 +1276,9 @@ def stored_responses(gw: ModelGateway) -> dict[bytes, bytes]:
 
 def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[bytes, bytes]:
     """The cache entries the echo server's answers to requests make: each
-    generated text as a JSON string."""
+    generated text as its UTF-8 bytes."""
     return {_cache_key(gw.backend.identity, gw.model, "generate", r):
-            json.dumps(f"echo:{r.prompt}").encode() for r in requests}
+            f"echo:{r.prompt}".encode() for r in requests}
 
 
 class TestHttpFaults:

@@ -11,7 +11,6 @@ import os
 import re
 import shutil
 import sqlite3
-import struct
 import subprocess
 import sys
 import textwrap
@@ -345,16 +344,14 @@ KILLED_MID_CALIBRATE = textwrap.dedent("""
 """)
 
 
-def stored_rows(cache_dir: Path) -> dict[bytes, str | tuple[float, ...]]:
-    """Every row of cache_dir's database, decoded, once SQLite finds the
-    file sound and in the current format: a generation's text from its JSON
-    string, a score's logprobs from its packed doubles."""
+def stored_rows(cache_dir: Path) -> dict[bytes, bytes]:
+    """Every row of cache_dir's database, its value as stored, once SQLite
+    finds the file sound and in the current format."""
     with closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db:
         assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
         assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
-        rows = db.execute("SELECT key, value FROM responses").fetchall()
-    return {key: json.loads(value) if isinstance(value, str)
-            else struct.unpack(f"<{len(value) // 8}d", value) for key, value in rows}
+        db.text_factory = bytes
+        return dict(db.execute("SELECT key, value FROM responses"))
 
 
 class TestCrash:
@@ -370,7 +367,7 @@ class TestCrash:
         paths = pipeline_module.Artifacts(tmp_path / "out")
         assert list(json.loads(paths.manifest.read_text())["stages"]) == ["extract"]
 
-        # Every entry left decodes to what the clean run stored under its key.
+        # Every entry left is what the clean run stored under its key.
         left = stored_rows(tmp_path / "cache")
         clean = stored_rows(completed_run.config.output.resolved_cache_dir())
         assert 0 < len(left) < len(clean)
@@ -521,8 +518,14 @@ class TestHttpFaults:
         assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_GATEWAY
         stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
         assert list(stages) == ["extract"]
-        stored = stored_rows(tmp_path / "cache")  # sound, current format, every value decodes
-        assert stored and all(isinstance(value, str) for value in stored.values())
+        stored = stored_rows(tmp_path / "cache")  # sound, in the current format
+        # What the run stored before the fault is what the clean run stored,
+        # and no score: every score request met the fault.
+        assert stored and stored.items() <= faulty_http.clean_rows.items()
+        score_keys = {gateway_module._cache_key(faulty_http.url, body["model"], "score",
+                                                ScoreRequest(body["prompt"], body["completion"]))
+                      for route, body in faulty_http.faulted if route == "/v1/score"}
+        assert score_keys and not stored.keys() & score_keys
         faulty_http.faults.clear()
         assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_OK
         assert artifact_bytes(tmp_path / "out") == faulty_http.clean
