@@ -9,15 +9,16 @@ directory, shared safely by threads, gateways and processes, that maps the
 first 16 bytes of each request's SHA-256 digest to the one field of its
 response the gateway reads: a score's token_logprobs as packed little-endian
 doubles, a generation's text as its UTF-8 bytes. A file in any other format
-is refused.
+is refused. Every gateway has a cache, and read_cache=False (the CLI's
+--no-cache) is the only way to skip reading it.
 
 A cache hit costs one digest, one B-tree probe and one decode: each request
 writes its canonical JSON text straight from its fields (body_text), and
 only a request sent to the backend is turned into a body dict (to_body).
 The decode makes the caller's text or tuple of log-probabilities with the
 same checks a fetched response passes, so a stored value that fails them,
-such as a NaN or positive log-probability, is a miss: it is fetched again
-and replaced.
+such as a number or a NaN or positive log-probability, is a miss: it is
+fetched again and replaced.
 A score that spans no tokens is well-formed: it is cached and returned as
 an empty tuple, and evontree.scoring decides what it means.
 
@@ -493,8 +494,9 @@ class ModelGateway:
     Retries apply to transport failures only (network errors, 429 and 5xx);
     protocol violations (any other bad status, malformed body) fail
     immediately since retrying cannot fix a disagreement about the wire
-    format. With read_cache=False the cache is still written, so a later
-    run can reuse the responses.
+    format. Every gateway has a response cache, in cache_dir, and
+    read_cache=False (the CLI's --no-cache) is the only way to skip reading
+    it; the cache is still written, so a later run can reuse the responses.
 
     Requests to a remote backend (one that declares remote = True, such as
     HttpBackend) wait on the network, so a batch's cache misses fan out over
@@ -515,24 +517,16 @@ class ModelGateway:
     in the cache, or repeating a key earlier in the same batch), calls
     (responses fetched from the backend; retries not counted),
     cache_commits (committed write transactions of fetched responses; see
-    commit) and retries
-    (transport failures that were tried again, counted under a lock since
-    fanned-out threads retry at once).
+    commit) and retries (transport failures that were tried again, counted
+    under a lock since fanned-out threads retry at once).
     """
 
-    def __init__(
-        self,
-        backend: Backend,
-        model: str,
-        cache_dir: Path | None,
-        read_cache: bool = True,
-        sleep=time.sleep,
-        max_in_flight: int = 1,
-    ) -> None:
+    def __init__(self, backend: Backend, model: str, cache_dir: Path, read_cache: bool = True,
+                 sleep=time.sleep, max_in_flight: int = 1) -> None:
         self.backend = backend
         self.remote = getattr(backend, "remote", False)
         self.model = model
-        self.cache = ResponseCache(cache_dir) if cache_dir is not None else None
+        self.cache = ResponseCache(cache_dir)
         self.read_cache = read_cache
         self._sleep = sleep
         self.max_in_flight = max_in_flight
@@ -551,7 +545,7 @@ class ModelGateway:
 
     def commit(self) -> None:
         """Commit the responses stored and not yet committed."""
-        if self.cache is not None and self.cache.commit():
+        if self.cache.commit():
             self.cache_commits += 1
 
     def close(self) -> None:
@@ -563,8 +557,7 @@ class ModelGateway:
         if self._pool is not None:
             steps.append(self._pool.shutdown)
             self._pool = None
-        if self.cache is not None:
-            steps += [self.commit, self.cache.close]
+        steps += [self.commit, self.cache.close]
         close_backend = getattr(self.backend, "close", None)
         if close_backend is not None:
             steps.append(close_backend)
@@ -644,7 +637,7 @@ class ModelGateway:
             keys = [_cache_key(identity, model, kind, request) for request in batch]
             self.requests += len(keys)
             found = {}  # what decode makes of each stored value it accepts
-            if self.cache is not None and self.read_cache and not bypass_cache:
+            if self.read_cache and not bypass_cache:
                 for key, value in self.cache.get_many(sorted(set(keys))).items():
                     try:
                         found[key] = decode(value)
@@ -656,7 +649,7 @@ class ModelGateway:
                 self.fan_out(fetch, missing.items())
             finally:
                 self.calls += len(fetched)
-                if self.cache is not None and parsed:
+                if parsed:
                     # put_many says whether it committed.
                     self.cache_commits += self.cache.put_many(
                         {key: encode(result) for key, result in parsed.items()})
@@ -765,11 +758,18 @@ def _packed_logprobs(logprobs: tuple[float, ...]) -> bytes:
     return struct.pack(f"<{len(logprobs)}d", *logprobs)
 
 
+def _decoded_text(value: bytes) -> str:
+    """The generation a stored value holds: its strict UTF-8 bytes."""
+    if not isinstance(value, bytes):  # SQLite returns a number as int or float
+        raise ValueError(f"cached text {value!r} is not bytes")
+    return value.decode()
+
+
 def _unpacked_logprobs(value: bytes) -> tuple[float, ...]:
     """The score a stored value holds: whole little-endian doubles, each at
     most 0, which NaN is not."""
-    if len(value) % 8:
-        raise ValueError(f"cached logprobs of {len(value)} bytes are no whole doubles")
+    if not isinstance(value, bytes) or len(value) % 8:
+        raise ValueError(f"cached logprobs {value!r:.60} are no whole doubles")
     logprobs = struct.unpack(f"<{len(value) // 8}d", value)
     if not all(lp <= 0.0 for lp in logprobs):
         raise ValueError(f"cached logprobs {logprobs} are not all at most 0")
@@ -780,12 +780,12 @@ def _unpacked_logprobs(value: bytes) -> tuple[float, ...]:
 # gateway reads of it, and how the cache keeps that: encode turns parse's
 # result into the stored value, and decode turns a stored value back into
 # parse's result, with the same checks, raising ValueError for a value that
-# encode never writes for a body that parse accepts. A generation is kept as
-# its UTF-8 bytes: str.encode and bytes.decode default to strict UTF-8, so a
-# stored encoded lone surrogate, a sequence cut short or a byte that is no
-# UTF-8 raises UnicodeDecodeError, a ValueError.
+# encode never writes for a body that parse accepts, such as a number. A
+# generation is kept as its UTF-8 bytes: str.encode and bytes.decode default
+# to strict UTF-8, so a stored encoded lone surrogate, a sequence cut short or
+# a byte that is no UTF-8 raises UnicodeDecodeError, a ValueError.
 _KINDS = {
-    "generate": (_generated_text, str.encode, bytes.decode),
+    "generate": (_generated_text, str.encode, _decoded_text),
     "score": (_score_response, _packed_logprobs, _unpacked_logprobs),
 }
 

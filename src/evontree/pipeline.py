@@ -178,11 +178,7 @@ class RunContext:
                     hallucination_rate=spec.hallucination_rate))
             else:
                 backend = HttpBackend(model_cfg.endpoint)
-            self._gateway = ModelGateway(
-                backend, model=model_cfg.name,
-                cache_dir=self.config.output.resolved_cache_dir(),
-                read_cache=self.read_cache,
-                max_in_flight=self.config.scoring.max_in_flight)
+            self._gateway = self._new_gateway(backend, model_cfg.name)
         return self._gateway
 
     def judge_gateway(self) -> ModelGateway | None:
@@ -192,12 +188,15 @@ class RunContext:
         if judge.kind == "self":
             return self.gateway()
         if self._judge_gateway is None:
-            self._judge_gateway = ModelGateway(
-                HttpBackend(judge.endpoint), model=judge.model,
-                cache_dir=self.config.output.resolved_cache_dir(),
-                read_cache=self.read_cache,
-                max_in_flight=self.config.scoring.max_in_flight)
+            self._judge_gateway = self._new_gateway(HttpBackend(judge.endpoint), judge.model)
         return self._judge_gateway
+
+    def _new_gateway(self, backend, model: str) -> ModelGateway:
+        """A gateway to model at backend, on the run's response cache."""
+        return ModelGateway(backend, model=model,
+                            cache_dir=self.config.output.resolved_cache_dir(),
+                            read_cache=self.read_cache,
+                            max_in_flight=self.config.scoring.max_in_flight)
 
     def _open_gateways(self) -> list[ModelGateway]:
         return [g for g in (self._gateway, self._judge_gateway) if g is not None]

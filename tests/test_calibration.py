@@ -281,7 +281,7 @@ class TestCollectSamples:
         assert all(len(v) == 1 for v in samples.values())
         assert all("'x'" not in p for p in gw.prompts)
 
-    def test_executor_map_matches_serial(self, monkeypatch):
+    def test_executor_map_matches_serial(self, tmp_path, monkeypatch):
         # Label requests to an HTTP endpoint fan out over max_in_flight
         # threads inside the gateway; the samples must not depend on it.
         a = scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6])
@@ -302,8 +302,10 @@ class TestCollectSamples:
         monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", RecordingPool)
 
         def collect(max_in_flight):
+            # A cache of its own, so that every request reaches the backend.
             gw = ModelGateway(ScriptedHttpBackend("http://scripted.invalid"), model="m",
-                              cache_dir=None, max_in_flight=max_in_flight)
+                              cache_dir=tmp_path / f"cache{max_in_flight}",
+                              max_in_flight=max_in_flight)
             try:
                 return collect_samples(gw, [a, b], Relation.SUBCLASS_OF)
             finally:

@@ -50,6 +50,7 @@ from evontree.ontology import normalize_label, read_triple_file
 from evontree.pipeline import STAGE_ORDER, TABLE, Artifacts
 from evontree.scoring import probe_requests
 from evontree.synthetic import SyntheticBackend
+from test_pipeline import stored_rows
 
 CONFIG_OBJ = {
     "model": {
@@ -435,13 +436,14 @@ def evontree_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def cli_process(*argv: str) -> subprocess.Popen:
+def cli_process(*argv: str, **env: str) -> subprocess.Popen:
     """The CLI with argv, started in a fresh interpreter that imports this
-    evontree, its output and log piped."""
+    evontree, with env added to its environment, its output and log piped."""
     return subprocess.Popen(
         [sys.executable, "-c", "import sys; from evontree.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
-        env=evontree_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        env={**evontree_env(), **env}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
 
 
 def fresh_python(script: str, *args: str):
@@ -496,16 +498,21 @@ class TestStartup:
 class TestSharedCache:
     def test_two_runs_write_one_cache_at_once(self, tmp_path):
         # Three roots, so that each run stores thousands of responses and
-        # holds the cache's write lock while the other waits for it.
-        synthetic = {**CONFIG_OBJ["model"]["synthetic"], "branching": 4, "n_roots": 3}
-        procs = []
-        for name in ("a", "b"):
-            config = write_config(tmp_path, {
+        # holds the cache's write lock while the other waits for it. The
+        # seeds differ, so the two runs store rows of their own.
+        seeds = {"a": 3, "b": 5}
+
+        def config(name: str, seed: int, cache: str) -> Path:
+            synthetic = {**CONFIG_OBJ["model"]["synthetic"], "branching": 4, "n_roots": 3,
+                         "seed": seed}
+            return write_config(tmp_path, {
                 "model": {"kind": "synthetic", "synthetic": synthetic},
                 "extraction": {"roots": ["T0N0", "T1N0", "T2N0"], "max_depth": 3},
-                "output": {"dir": f"out-{name}", "cache_dir": str(tmp_path / "cache")},
+                "output": {"dir": f"out-{name}", "cache_dir": str(tmp_path / cache)},
             }, name=f"{name}.json")
-            procs.append(cli_process("run", "--config", str(config)))
+
+        procs = [cli_process("run", "--config", str(config(name, seed, "shared")))
+                 for name, seed in seeds.items()]
         try:
             for proc in procs:
                 _, err = proc.communicate(timeout=120)
@@ -515,13 +522,19 @@ class TestSharedCache:
             for proc in procs:
                 proc.kill()
                 proc.wait()
-        a, b = tmp_path / "out-a", tmp_path / "out-b"
-        names = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
-        assert "corpus.jsonl" in names
-        assert names == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
-        for name in names:
-            if name != "manifest.json":
-                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        # Each run wrote what it writes alone, on a cache of its own.
+        solo_rows = {}
+        for name, seed in seeds.items():
+            solo = config(f"solo-{name}", seed, f"cache-{name}")
+            assert main(["run", "--config", str(solo)]) == EXIT_OK
+            solo_out = artifact_files(tmp_path / f"out-solo-{name}")
+            assert "corpus.jsonl" in solo_out
+            assert artifact_files(tmp_path / f"out-{name}") == solo_out, name
+            solo_rows[name] = stored_rows(tmp_path / f"cache-{name}")
+        # The shared file is sound and holds the union of the solo rows.
+        a, b = solo_rows.values()
+        assert all(a[key] == b[key] for key in a.keys() & b.keys())
+        assert stored_rows(tmp_path / "shared") == {**a, **b}
 
 
 # The CLI with argv[1:], but the body of the stage argv[1] names prints

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,8 +353,9 @@ class TestTreeInvariants:
         # case, list a node as its own synonym, or leave a name blank.
         config = ExtractionConfig(roots=tuple(roots), max_depth=max_depth,
                                   frontier_budget=budget)
-        gw = ModelGateway(AnsweringBackend(answers), model="m", cache_dir=None)
-        forest, _ = extract_forest(gw, config)
+        with tempfile.TemporaryDirectory() as tmp, closing(
+                ModelGateway(AnsweringBackend(answers), model="m", cache_dir=Path(tmp))) as gw:
+            forest, _ = extract_forest(gw, config)
         assert [tree.root.key for tree in forest] == [lbl(r).key for r in roots]
         for tree in forest:
             assert_well_formed(tree, config)

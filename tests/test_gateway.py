@@ -248,8 +248,8 @@ class TestCache:
         assert len(backend.calls) == 6 and again_backend.calls == []
         assert again.cache_hits == 6
 
-    @pytest.mark.parametrize("cached", [True, False])
-    def test_generated_text_without_utf8_form_is_refused(self, tmp_path, cached):
+    @pytest.mark.parametrize("read_cache", [True, False])
+    def test_generated_text_without_utf8_form_is_refused(self, tmp_path, read_cache):
         class LoneSurrogateOnP1(FakeBackend):
             def generate(self, body):
                 answer = super().generate(body)
@@ -257,15 +257,14 @@ class TestCache:
                 return json.loads('{"text": "a\\ud800b"}') if body["prompt"] == "p1" else answer
 
         backend = LoneSurrogateOnP1()
-        gw = ModelGateway(backend, model="m1", cache_dir=tmp_path / "cache" if cached else None,
-                          sleep=lambda s: None)
+        gw, _ = make_gateway(tmp_path, backend, read_cache=read_cache)
         with pytest.raises(ProtocolError, match="has no UTF-8 form"):
             list(gw.generate_many(prompts(3)))
         gw.close()
         assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]  # not retried
-        if cached:  # nor cached; the response before it is
-            assert committed(tmp_path / "cache") == {
-                _cache_key(backend.identity, "m1", "generate", prompts(1)[0]): b"gen:p0"}
+        # Nor cached; the response before it is.
+        assert committed(tmp_path / "cache") == {
+            _cache_key(backend.identity, "m1", "generate", prompts(1)[0]): b"gen:p0"}
 
     @settings(deadline=None, max_examples=100)
     @given(kind=st.sampled_from(["generate", "score"]), body=st.one_of(
@@ -278,8 +277,8 @@ class TestCache:
     @example(kind="score", body={"token_logprobs": []})
     @example(kind="score", body={"token_logprobs": [-0.5, math.nan]})
     def test_any_body_gives_one_answer_with_and_without_a_cache(self, kind, body):
-        # Cached or not, cold or warm, a body gives the same answer, or
-        # ProtocolError every time, which is never cached.
+        # Cold, warm, or with cache reads off, a body gives the same answer,
+        # or ProtocolError every time, which is never cached.
         class Scripted(FakeBackend):
             def generate(self, request_body):
                 self.calls.append(("generate", request_body))
@@ -287,8 +286,8 @@ class TestCache:
 
             score = generate
 
-        def answer(cache_dir):
-            gw = ModelGateway(Scripted(), model="m1", cache_dir=cache_dir)
+        def answer(cache_dir, read_cache=True):
+            gw = ModelGateway(Scripted(), model="m1", cache_dir=cache_dir, read_cache=read_cache)
             try:
                 if kind == "generate":
                     [result] = gw.generate_many(
@@ -303,9 +302,10 @@ class TestCache:
             return result, len(gw.backend.calls)
 
         with tempfile.TemporaryDirectory() as tmp:
-            uncached, cold, warm = answer(None), answer(Path(tmp)), answer(Path(tmp))
-        assert uncached == cold == (uncached[0], 1)
-        assert warm == (uncached[0], 1 if uncached[0] is ProtocolError else 0)
+            cold, warm, unread = (answer(Path(tmp)), answer(Path(tmp)),
+                                  answer(Path(tmp), read_cache=False))
+        assert unread == cold == (cold[0], 1)
+        assert warm == (cold[0], 1 if cold[0] is ProtocolError else 0)
 
     def test_read_cache_false_still_writes(self, tmp_path):
         gw, backend = make_gateway(tmp_path, read_cache=False)
@@ -358,6 +358,9 @@ class TestCache:
             (score, "substr(value, 1, ?)", 7),
             # Whole doubles that no valid score holds: NaN, positive, +inf.
             *((score, "?", struct.pack("<2d", -0.5, lp)) for lp in (math.nan, 0.5, math.inf)),
+            # Numbers, which SQLite stores as INTEGER or REAL and returns as
+            # an int or a float, not bytes.
+            *((req, "?", number) for req in (gen, score) for number in (5, -0.5)),
         ]
         for n, (req, new_value, arg) in enumerate(bad, start=3):
             store(req, new_value, arg)
@@ -379,15 +382,6 @@ class TestCache:
             ResponseCache(tmp_path)
         assert str(path) in str(exc_info.value)
         assert sorted(p.name for p in tmp_path.iterdir()) == [CACHE_FILE]
-
-    def test_no_cache_dir_disables_cache(self):
-        backend = FakeBackend()
-        gw = ModelGateway(backend, model="m1", cache_dir=None,
-                          sleep=lambda s: None)
-        req = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)
-        gw.generate(req)
-        gw.generate(req)
-        assert len(backend.calls) == 2
 
     def test_a_failed_final_commit_still_closes_the_cache_and_the_backend(self, tmp_path,
                                                                             monkeypatch):
@@ -679,7 +673,7 @@ class TestRetry:
         assert delays == list(RETRY_BACKOFF_S)
         assert gw.retries == 2 and gw.calls == 1
 
-    def test_each_wait_is_a_draw_within_its_backoff_step(self):
+    def test_each_wait_is_a_draw_within_its_backoff_step(self, tmp_path):
         class FailsTwiceEach(FakeBackend):
             def generate(self, body):
                 self.calls.append(("generate", body))
@@ -688,8 +682,9 @@ class TestRetry:
                 return {"text": f"gen:{body['prompt']}"}
 
         delays = []
-        gw = ModelGateway(FailsTwiceEach(), model="m1", cache_dir=None, sleep=delays.append)
+        gw = ModelGateway(FailsTwiceEach(), model="m1", cache_dir=tmp_path, sleep=delays.append)
         assert list(gw.generate_many(prompts(50))) == [f"gen:p{i}" for i in range(50)]
+        gw.close()
         assert len(delays) == 100  # each prompt's two waits, in order
         assert all(0.0 <= d <= RETRY_BACKOFF_S[0] for d in delays[::2])
         assert all(0.0 <= d <= RETRY_BACKOFF_S[1] for d in delays[1::2])
@@ -717,7 +712,7 @@ class TestRetry:
         assert len(backend.calls) == 1
         assert gw.retries == 0
 
-    def test_retries_on_more_threads_than_cores_are_all_counted(self):
+    def test_retries_on_more_threads_than_cores_are_all_counted(self, tmp_path):
         class FailsTwiceHttp(HttpBackend):
             def __init__(self):
                 super().__init__("http://127.0.0.1:1")
@@ -731,7 +726,7 @@ class TestRetry:
                 return {"text": f"gen:{prompt}"}
 
         n = 300
-        gw = ModelGateway(FailsTwiceHttp(), model="m1", cache_dir=None,
+        gw = ModelGateway(FailsTwiceHttp(), model="m1", cache_dir=tmp_path,
                           sleep=lambda s: None,
                           max_in_flight=(os.cpu_count() or 1) + 4)
         results = []
@@ -825,21 +820,25 @@ class TestBatches:
         finally:
             cache.close()
 
-    @pytest.mark.parametrize("cached", [True, False])
-    def test_duplicates_reach_the_backend_once_and_count_once(self, tmp_path, cached):
-        backend = FakeBackend()
-        gw = ModelGateway(backend, model="m1", cache_dir=tmp_path if cached else None)
+    @pytest.mark.parametrize("read_cache", [True, False])
+    def test_duplicates_reach_the_backend_once_and_count_once(self, tmp_path, read_cache):
+        gw, backend = make_gateway(tmp_path, read_cache=read_cache)
         a, b = prompts(2)
         assert list(gw.generate_many([a, b, a, a])) == ["gen:p0", "gen:p1", "gen:p0", "gen:p0"]
         assert [body["prompt"] for _, body in backend.calls] == ["p0", "p1"]
         gw.commit()
         assert gw.counters() == {"requests": 4, "cache_hits": 2, "backend_calls": 2,
-                                 "cache_commits": 1 if cached else 0, "retries": 0}
-        # Once stored, a repeated key is one lookup and counts as hits only.
-        if cached:
-            assert list(gw.generate_many([b, b])) == ["gen:p1", "gen:p1"]
+                                 "cache_commits": 1, "retries": 0}
+        assert list(gw.generate_many([b, b])) == ["gen:p1", "gen:p1"]
+        if read_cache:
+            # Once stored, a repeated key is one lookup and counts as hits only.
             assert len(backend.calls) == 2
             assert gw.counters() == {"requests": 6, "cache_hits": 4, "backend_calls": 2,
+                                     "cache_commits": 1, "retries": 0}
+        else:
+            # Not read, it is fetched again, once for the batch.
+            assert len(backend.calls) == 3
+            assert gw.counters() == {"requests": 6, "cache_hits": 3, "backend_calls": 3,
                                      "cache_commits": 1, "retries": 0}
         gw.close()
 

@@ -1,12 +1,16 @@
 """Source checks that need no linter: every name a module of evontree
-imports is used in that module."""
+imports is used in that module, and every name the benchmark's tracer
+wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "evontree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "evontree"
 
 # Imported for perfbench/spans.py to wrap, by module and name, each marked
 # `noqa: F401` where it is imported.
@@ -60,3 +64,13 @@ def test_every_import_is_used():
                 unused.append(f"{path.name}:{lineno}: {name}")
     assert unused == []
     assert exempt == KEPT_FOR_THE_TRACER
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/spans.py looks up by name each function and method it wraps,
+    # so install raises once one is renamed or deleted. A fresh interpreter,
+    # as install patches evontree for good.
+    script = "import sys; sys.path[:0] = sys.argv[1:]; import spans; spans.install(spans.Tracer())"
+    proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "perfbench"), str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

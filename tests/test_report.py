@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import closing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -111,22 +112,24 @@ class ScriptedJudgeBackend:
         raise AssertionError("judge never scores")
 
 
-def judge_gateway(answers, fail=False) -> ModelGateway:
+def judge_gateway(tmp_path, answers, fail=False) -> ModelGateway:
     return ModelGateway(ScriptedJudgeBackend(answers, fail=fail), model="j",
-                        cache_dir=None, sleep=lambda s: None)
+                        cache_dir=tmp_path, sleep=lambda s: None)
 
 
 class TestJudgeTriples:
-    def test_verdicts_and_unparseable_tally(self):
+    def test_verdicts_and_unparseable_tally(self, tmp_path):
         t1, t2, t3 = sub("a", "b"), sub("c", "d"), sub("e", "f")
         answers = {judge_prompt(t1): "True", judge_prompt(t2): " false."}
-        verdicts, unparseable = judge_triples(judge_gateway(answers), [t1, t2, t3])
+        with closing(judge_gateway(tmp_path, answers)) as gw:
+            verdicts, unparseable = judge_triples(gw, [t1, t2, t3])
         assert verdicts == {t1: True, t2: False}
         assert unparseable == 1
 
-    def test_transport_failure_degrades_to_judge_unavailable(self):
-        with pytest.raises(JudgeUnavailableError):
-            judge_triples(judge_gateway({}, fail=True), [sub("a", "b")])
+    def test_transport_failure_degrades_to_judge_unavailable(self, tmp_path):
+        with closing(judge_gateway(tmp_path, {}, fail=True)) as gw:
+            with pytest.raises(JudgeUnavailableError):
+                judge_triples(gw, [sub("a", "b")])
 
 
 class TestHistogram:
