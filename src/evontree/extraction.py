@@ -97,7 +97,8 @@ def parse_tree_response(text: str, concept: ConceptLabel) -> tuple[list[ChildSpe
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SchemaMismatchError("expected a single-key object at the top level")
     (top_key, payload), = obj.items()
-    if not isinstance(top_key, str) or top_key.casefold().strip() != concept.key:
+    # Matched as normalize_label keys it; a blank key matches nothing.
+    if not top_key.split() or normalize_label(top_key) != concept:
         raise SchemaMismatchError(f"top-level key {top_key!r} does not match {concept.text!r}")
     if not isinstance(payload, dict) or not isinstance(payload.get("subclasses"), list):
         raise SchemaMismatchError("payload must carry a subclasses list")

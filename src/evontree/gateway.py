@@ -702,10 +702,10 @@ class ModelGateway:
             todo = refused
         return results
 
-    def generate(self, request: GenerateRequest, bypass_cache: bool = False) -> str:
+    def generate(self, request: GenerateRequest) -> str:
         """No stage calls it; it stays because perfbench/spans.py wraps it
         by name."""
-        return self._call_batch("generate", bypass_cache, [request])[0]
+        return self._call_batch("generate", False, [request])[0]
 
     def score_many(self, requests: Iterable[ScoreRequest]) -> Iterator[tuple[float, ...]]:
         """The completion's token log-probabilities for each request, in

@@ -12,6 +12,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -180,18 +181,21 @@ class TripleRecord:
             return None
         return sum(self.scores) / len(self.scores)
 
+    @property
+    def sort_key(self) -> tuple[str, str, str]:
+        return self.triple.sort_key
 
-def _record_to_obj(record: TripleRecord) -> dict:
-    obj = {
-        "s": record.triple.subject.text,
-        "r": record.triple.relation.value,
-        "o": record.triple.object.text,
-        "class": record.triple_class.value,
-        "scores": record.scores,
-    }
-    if record.chains is not None:
-        obj["chains"] = [[[s, o] for s, o in chain] for chain in record.chains]
-    return obj
+    def to_json_obj(self) -> dict:
+        obj = {
+            "s": self.triple.subject.text,
+            "r": self.triple.relation.value,
+            "o": self.triple.object.text,
+            "class": self.triple_class.value,
+            "scores": self.scores,
+        }
+        if self.chains is not None:
+            obj["chains"] = [[[s, o] for s, o in chain] for chain in self.chains]
+        return obj
 
 
 def _record_from_obj(obj: dict) -> TripleRecord:
@@ -219,13 +223,6 @@ def write_atomic(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def write_jsonl(path: Path, objs: Iterable[dict]) -> None:
-    """One compact JSON object per line, keys sorted, written atomically."""
-    write_atomic(path, "".join(
-        json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
-        for obj in objs))
-
-
 def parse_jsonl(data: bytes) -> list[dict]:
     """The JSON objects in the bytes of a JSONL file, decoded and split into
     lines as reading the file in text mode does; blank lines are skipped."""
@@ -233,11 +230,15 @@ def parse_jsonl(data: bytes) -> list[dict]:
             if line.strip()]
 
 
-def write_triple_file(path: Path, records: Iterable[TripleRecord]) -> list[TripleRecord]:
-    """Write records as JSONL, sorted by (relation, subject, object) so the
-    output is byte-deterministic; return them in that order."""
-    records = sorted(records, key=lambda r: r.triple.sort_key)
-    write_jsonl(path, [_record_to_obj(r) for r in records])
+def write_triple_file(path: Path, records: Iterable) -> list:
+    """Write records, triple records or corpus entries, as JSONL: one
+    compact JSON object (to_json_obj, keys sorted) per line, sorted by
+    sort_key so the output is byte-deterministic; return them in that order."""
+    records = sorted(records, key=attrgetter("sort_key"))
+    write_atomic(path, "".join(
+        json.dumps(r.to_json_obj(), sort_keys=True, ensure_ascii=False,
+                   separators=(",", ":")) + "\n"
+        for r in records))
     return records
 
 

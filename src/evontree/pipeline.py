@@ -2,17 +2,20 @@
 extrapolate, gap, synthesize, report, plus a threshold sweep.
 
 TABLE names each stage's body and the artifacts it reads and writes;
-run_stage does the rest. It loads the inputs for the body, which writes its
-outputs atomically and returns its tallies, and records in the manifest the
-hashes of those inputs and outputs, plus the provenance (config hash,
-prompt and template set versions, model identity) of the artifacts. Every
-file a stage writes is one of its TABLE outputs, at the top of the output
-directory, but the synthetic model's ground_truth.json, which extract writes
-for reference and no stage reads. Each stage's entry holds its own
-config_hash, model_identity and wall_s (from the input check to the manifest
-write); the top-level keys name the stage run last. A run can be resumed or
-re-executed from any stage, and given the same config and a warm response
-cache, re-running a stage reproduces its outputs byte for byte.
+run_stage does the rest. It loads the inputs for the body, which returns a
+value for each of its outputs and its tallies; run_stage then writes each
+output atomically (records as JSONL, rows as CSV, the rest as JSON) and
+records in the manifest the hashes of those inputs and outputs, plus the
+provenance (config hash, prompt and template set versions, model identity)
+of the artifacts. A body that raises leaves every output as it was. Every
+file a stage writes is one of its TABLE outputs, written by run_stage at
+the top of the output directory, but the synthetic model's
+ground_truth.json, which extract's body writes for reference and no stage
+reads. Each stage's entry holds its own config_hash, model_identity and
+wall_s (from the input check to the manifest write); the top-level keys
+name the stage run last. A run can be resumed or re-executed from any
+stage, and given the same config and a warm response cache, re-running a
+stage reproduces its outputs byte for byte.
 
 One stage at a time writes to an output directory: run_stage holds an
 exclusive flock on its lock file from reading the manifest to writing it,
@@ -20,12 +23,14 @@ and a stage started on a directory where another process holds it fails at
 once with DirectoryBusyError, naming the holder's pid. The kernel drops the
 lock when its holder dies, so a killed stage leaves nothing to clean up.
 
-Under run_all, stages hand records over in memory: a body keeps what it
-writes to a triple file or calibration.json, as parsing the file would
-return it, and a later stage of the same RunContext receives the kept value
-if the file still has the hash recorded when it was written. Every file is
-still written, hashed and checked as below; a stage run alone, or one whose
-input another process rewrote, parses the input from the bytes it hashed.
+Under run_all, stages hand records over in memory: for each output some
+stage reads, run_stage keeps what its writer returns, as parsing the file
+would return it (the records in the file's order, or the
+CalibrationOutcome), and a later stage of the same RunContext receives the
+kept value if the file still has the hash recorded when it was written.
+Every file is still written, hashed and checked as below; a stage run
+alone, or one whose input another process rewrote, parses the input from
+the bytes it hashed.
 
 The manifest's hashes are checked, not just stored. run_stage refuses a
 stage with MissingUpstreamError (exit code 3 in the CLI) when an input is
@@ -59,7 +64,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .calibration import CalibrationOutcome, calibrate_relation, collect_samples
@@ -102,7 +107,7 @@ from .rules import (
 )
 from .scoring import PROMPT_SET_VERSION, confirm_decision, score_triples
 from .scoring import score_triple  # noqa: F401  no stage calls it; perfbench/spans.py wraps it here
-from .synthesis import TEMPLATE_SET_VERSION, build_corpus, write_corpus
+from .synthesis import TEMPLATE_SET_VERSION, build_corpus
 from .synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
 
 log = logging.getLogger(__name__)
@@ -146,17 +151,10 @@ class RunContext:
         self._gateway: ModelGateway | None = None
         self._judge_gateway: ModelGateway | None = None
         self._counted = dict.fromkeys(GATEWAY_COUNTERS, 0)
-        # The stage bodies' parsed outputs, by Artifacts attribute, that
-        # run_stage hands to later stages in place of parsing the file:
-        # those of the running stage in _written, then, once it completes,
-        # in _kept with the hash it recorded for the file.
-        self._written: dict[str, object] = {}
+        # What run_stage wrote to each artifact a stage reads, by Artifacts
+        # attribute, as _load_input would parse it back, with the file's
+        # hash: handed to later stages in place of parsing the file.
         self._kept: dict[str, tuple[str, object]] = {}
-
-    def keep(self, attr: str, value) -> None:
-        """Keep value, what the running stage wrote to paths.<attr> as
-        _load_input would parse it back, to hand on if the stage completes."""
-        self._written[attr] = value
 
     def ground_truth(self) -> GroundTruth:
         spec = self.config.model.synthetic
@@ -248,34 +246,22 @@ def _write_json(path: Path, obj) -> None:
                                   ensure_ascii=False) + "\n")
 
 
-def _write_csv(path: Path, rows: Iterable[Sequence[str]]) -> None:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    write_atomic(path, buf.getvalue())
-
-
-def _write_records(ctx: RunContext, attr: str, records: Iterable[TripleRecord]) -> None:
-    """Write the triple file paths.<attr> and keep its records, sorted as
-    the file holds them."""
-    ctx.keep(attr, write_triple_file(getattr(ctx.paths, attr), records))
-
-
-def stage_extract(ctx: RunContext) -> dict:
-    """Elicit one tree per configured root, written in root order to
-    forest.json; flatten the forest to raw triples."""
+def stage_extract(ctx: RunContext) -> tuple[dict, dict]:
+    """Elicit one tree per configured root, for forest.json in root order;
+    flatten the forest to raw triples."""
     config = ctx.config
     forest, stats = extract_forest(ctx.gateway(), config.extraction)
-    _write_json(ctx.paths.forest, [tree.to_json_obj() for tree in forest])
     triples = set().union(*map(tree_to_triples, forest))
-    _write_records(ctx, "raw", [TripleRecord(t, TripleClass.RAW) for t in triples])
-    # No stage reads ground_truth.json, so it is not hashed: model.synthetic,
-    # which config_hash records, fixes its content.
+    # No stage reads ground_truth.json, so it is no TABLE output and is not
+    # hashed: model.synthetic, which config_hash records, fixes its content.
     if config.model.kind == "synthetic":
         _write_json(ctx.paths.ground_truth, ctx.ground_truth().to_json_obj())
     else:
         ctx.paths.ground_truth.unlink(missing_ok=True)
     by_relation = Counter(t.relation.value for t in triples)
-    return {**stats.to_json_obj(), "raw_triples": dict(sorted(by_relation.items()))}
+    return ({"forest": [tree.to_json_obj() for tree in forest],
+             "raw": [TripleRecord(t, TripleClass.RAW) for t in triples]},
+            {**stats.to_json_obj(), "raw_triples": dict(sorted(by_relation.items()))})
 
 
 def _score_records(ctx: RunContext, records: Sequence[TripleRecord]) -> tuple[list, int]:
@@ -294,14 +280,10 @@ def _score_records(ctx: RunContext, records: Sequence[TripleRecord]) -> tuple[li
     return scored, len(records) - len(scored)
 
 
-def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> dict:
+def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> tuple[dict, dict]:
     """Score every raw triple, then fit per-template confirm thresholds
-    against the model's own one-shot labels; their ROC curves go to
-    roc_curve.csv."""
-    paths = ctx.paths
+    against the model's own one-shot labels, with their ROC curves."""
     scored, unscored = _score_records(ctx, raw)
-    _write_records(ctx, "scored_raw", scored)
-
     by_relation = {}
     unparseable = 0
     for relation in Relation:
@@ -312,14 +294,12 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> dict:
         by_relation[relation.value] = calibrate_relation(samples, ctx.config.calibration)
     outcome = CalibrationOutcome(sweep=ctx.config.calibration, prompt_set=PROMPT_SET_VERSION,
                                  by_relation=by_relation, unparseable=unparseable)
-    _write_json(paths.calibration, outcome.to_json_obj())
-    ctx.keep("calibration", outcome)
-    _write_csv(paths.roc_curve, roc_rows(outcome))
-    return {"unscored": unscored, "unparseable_labels": unparseable}
+    return ({"scored_raw": scored, "calibration": outcome, "roc_curve": roc_rows(outcome)},
+            {"unscored": unscored, "unparseable_labels": unparseable})
 
 
 def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
-                  calibration: CalibrationOutcome) -> dict:
+                  calibration: CalibrationOutcome) -> tuple[dict, dict]:
     """Pure partition of the scored raw triples against the calibrated
     thresholds; involves no model calls."""
     confirmed = []
@@ -328,24 +308,24 @@ def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
         if confirm_decision(record.scores, taus):
             confirmed.append(TripleRecord(record.triple, TripleClass.CONFIRMED,
                                           scores=record.scores))
-    _write_records(ctx, "confirmed", confirmed)
     by_relation = Counter(r.triple.relation.value for r in confirmed)
-    return {"confirmed": dict(sorted(by_relation.items())),
-            "rejected": len(scored_raw) - len(confirmed)}
+    return ({"confirmed": confirmed},
+            {"confirmed": dict(sorted(by_relation.items())),
+             "rejected": len(scored_raw) - len(confirmed)})
 
 
-def stage_reliable(ctx: RunContext, confirmed: list[TripleRecord]) -> dict:
+def stage_reliable(ctx: RunContext, confirmed: list[TripleRecord]) -> tuple[dict, dict]:
     """Keep the confirmed subclass triples corroborated by a confirmed
     synonym triangle; scores carry over from confirmation."""
     scores_by_triple = {r.triple: r.scores for r in confirmed}
     reliable = select_reliable(scores_by_triple.keys())
-    _write_records(ctx, "reliable", [
-        TripleRecord(t, TripleClass.RELIABLE, scores=scores_by_triple[t]) for t in reliable])
-    return {"reliable": len(reliable)}
+    return ({"reliable": [TripleRecord(t, TripleClass.RELIABLE, scores=scores_by_triple[t])
+                          for t in reliable]},
+            {"reliable": len(reliable)})
 
 
-def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord],
-                      confirmed: list[TripleRecord], reliable: list[TripleRecord]) -> dict:
+def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord], confirmed: list[TripleRecord],
+                      reliable: list[TripleRecord]) -> tuple[dict, dict]:
     """Compose reliable subclass pairs one hop, keep only candidates new to
     everything already known, then score them for the gap decision."""
     existing = {r.triple for records in (raw, confirmed, reliable) for r in records}
@@ -364,17 +344,15 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord],
                     for lower, upper in c.chains])
         for c in candidates
     ]
-    _write_records(ctx, "extrapolated", ext_records)
-
     scored, unscored = _score_records(ctx, ext_records)
-    _write_records(ctx, "scored_extrapolated", scored)
-    return {"compositions": compositions,
-            "extrapolated_new": len(ext_records),
-            "unscored": unscored}
+    return ({"extrapolated": ext_records, "scored_extrapolated": scored},
+            {"compositions": compositions,
+             "extrapolated_new": len(ext_records),
+             "unscored": unscored})
 
 
 def stage_gap(ctx: RunContext, scored_extrapolated: list[TripleRecord],
-              calibration: CalibrationOutcome) -> dict:
+              calibration: CalibrationOutcome) -> tuple[dict, dict]:
     """Classify scored extrapolations: above threshold everywhere extends
     the ontology, below per the gap mode is a knowledge gap."""
     counts = Counter()
@@ -386,31 +364,30 @@ def stage_gap(ctx: RunContext, scored_extrapolated: list[TripleRecord],
         if verdict == CLASS_GAP:
             gaps.append(TripleRecord(record.triple, TripleClass.GAP,
                                      scores=record.scores, chains=record.chains))
-    _write_records(ctx, "gaps", gaps)
-    return {"confirmed": counts.get(CLASS_CONFIRMED, 0),
-            "gap": counts.get(CLASS_GAP, 0),
-            "undecided": counts.get(CLASS_UNDECIDED, 0),
-            "gap_mode": ctx.config.gap.mode}
+    return ({"gaps": gaps},
+            {"confirmed": counts.get(CLASS_CONFIRMED, 0),
+             "gap": counts.get(CLASS_GAP, 0),
+             "undecided": counts.get(CLASS_UNDECIDED, 0),
+             "gap_mode": ctx.config.gap.mode})
 
 
-def stage_synthesize(ctx: RunContext, gaps: list[TripleRecord]) -> dict:
+def stage_synthesize(ctx: RunContext, gaps: list[TripleRecord]) -> tuple[dict, dict]:
     """Distill a training corpus targeting the mined gaps."""
     entries, tallies = build_corpus(ctx.gateway(), gaps, ctx.config.synthesis)
-    write_corpus(ctx.paths.corpus, entries)
     by_strategy = Counter(e.strategy for e in entries)
-    return {**tallies.to_json_obj(),
-            "entries": dict(sorted(by_strategy.items())),
-            "strategy": ctx.config.synthesis.strategy,
-            "strip_hint": ctx.config.synthesis.strip_hint}
+    return ({"corpus": entries},
+            {**tallies.to_json_obj(),
+             "entries": dict(sorted(by_strategy.items())),
+             "strategy": ctx.config.synthesis.strategy,
+             "strip_hint": ctx.config.synthesis.strip_hint})
 
 
 def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[TripleRecord],
                  confirmed: list[TripleRecord], reliable: list[TripleRecord],
                  extrapolated: list[TripleRecord], scored_extrapolated: list[TripleRecord],
-                 gaps: list[TripleRecord]) -> dict:
+                 gaps: list[TripleRecord]) -> tuple[dict, dict]:
     """Summarize every triple class into the stats table and histogram;
     audit accuracy through the judge when one is configured."""
-    paths = ctx.paths
     classes = {
         TripleClass.RAW: (raw, scored_raw),
         TripleClass.CONFIRMED: (confirmed, confirmed),
@@ -437,22 +414,23 @@ def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[Trip
         "raw": len(raw) - len(scored_raw),
         "extrapolated": len(extrapolated) - len(scored_extrapolated),
     }
-    _write_json(paths.report_json, {
+    report = {
         "rows": [asdict(row) for row in rows],
         "judge": ctx.config.model.judge.kind,
         "judge_unavailable": judge_unavailable,
         "judge_unparseable": judge_unparseable,
         "unscored": unscored,
-    })
-    _write_csv(paths.report_csv, rows_to_csv(rows, with_acc=verdicts is not None))
-    _write_csv(paths.confirm_hist, histogram_rows(classes, verdicts))
-    return {"judge_unavailable": judge_unavailable,
-            "judge_unparseable": judge_unparseable,
-            "unscored": unscored}
+    }
+    return ({"report_json": report,
+             "report_csv": rows_to_csv(rows, with_acc=verdicts is not None),
+             "confirm_hist": histogram_rows(classes, verdicts)},
+            {"judge_unavailable": judge_unavailable,
+             "judge_unparseable": judge_unparseable,
+             "unscored": unscored})
 
 
 def stage_sweep(ctx: RunContext, scored_extrapolated: list[TripleRecord],
-                calibration: CalibrationOutcome) -> dict:
+                calibration: CalibrationOutcome) -> tuple[dict, dict]:
     """Gap yield across shifted thresholds; no corpus synthesis involved."""
     if scored_extrapolated:
         taus = calibration.thresholds(Relation.SUBCLASS_OF)
@@ -460,13 +438,13 @@ def stage_sweep(ctx: RunContext, scored_extrapolated: list[TripleRecord],
         taus = []
     points = sweep_gap_offsets(scored_extrapolated, taus, ctx.config.gap.sweep_offsets,
                                mode=ctx.config.gap.mode)
-    _write_csv(ctx.paths.sweep, sweep_rows(points))
-    return {"offsets": len(points), "gap_mode": ctx.config.gap.mode}
+    return {"sweep": sweep_rows(points)}, {"offsets": len(points), "gap_mode": ctx.config.gap.mode}
 
 
 # Every stage: its body, the artifacts it reads and those it writes, by
-# Artifacts attribute. The runner loads the inputs and passes them to the
-# body by attribute name. `run` runs the stages in this order, sweep aside.
+# Artifacts attribute. The runner passes the inputs to the body by attribute
+# name; the body returns a value for each output, by attribute name, and its
+# tallies. `run` runs the stages in this order, sweep aside.
 TABLE: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
     "extract": (stage_extract, (), ("forest", "raw")),
     "calibrate": (stage_calibrate, ("raw",), ("scored_raw", "calibration", "roc_curve")),
@@ -485,6 +463,23 @@ TABLE: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
 STAGE_ORDER = tuple(name for name in TABLE if name != "sweep")
 # The body the runner calls, looked up at call time, so it can be wrapped.
 STAGES: dict[str, Callable] = {name: body for name, (body, _, _) in TABLE.items()}
+# The artifacts some stage reads: run_stage keeps what it wrote to them.
+_READ = {attr for _, inputs, _ in TABLE.values() for attr in inputs}
+
+
+def _write_output(path: Path, value):
+    """Write a stage's output value to path, atomically, as the file's kind
+    says: records as JSONL, rows as CSV, anything else as compact JSON.
+    Return it as _load_input would parse it back, records in file order."""
+    if path.suffix == ".jsonl":
+        return write_triple_file(path, value)
+    if path.suffix == ".csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(value)
+        write_atomic(path, buf.getvalue())
+    else:
+        _write_json(path, value.to_json_obj() if isinstance(value, CalibrationOutcome) else value)
+    return value
 
 
 def _load_input(attr: str, data: bytes):
@@ -548,12 +543,14 @@ def _holding(lock: Path) -> Iterator[None]:
 
 def run_stage(ctx: RunContext, name: str) -> None:
     """Run one stage of TABLE: refuse it if an input is missing or stale,
-    load its inputs, run its body, and record what it read and wrote.
+    load its inputs, run its body, write the outputs it returns, and record
+    what it read and wrote.
 
-    Each input file is read once, to hash it. An input that a stage of ctx
-    wrote and kept is handed over as kept if the file still has the hash
-    recorded when it was written; any other input is parsed from the bytes
-    just hashed. The stage holds the output directory's lock throughout."""
+    Each input file is read once, to hash it. An input that run_stage wrote
+    for ctx is handed over as written if the file still has the hash
+    recorded then; any other input is parsed from the bytes just hashed.
+    Nothing is written if the body raises. The stage holds the output
+    directory's lock throughout."""
     if name not in TABLE:
         raise ValueError(f"unknown stage {name!r}; expected one of {tuple(TABLE)}")
     with _holding(ctx.paths.lock):
@@ -589,14 +586,17 @@ def _run_held(ctx: RunContext, name: str) -> None:
         kept_digest, kept = ctx._kept.get(attr, (None, None))
         kwargs[attr] = kept if kept_digest == digests[attr] else _load_input(attr, blobs[attr])
     del blobs
-    ctx._written.clear()
-    tallies = STAGES[name](ctx, **kwargs)
+    values, tallies = STAGES[name](ctx, **kwargs)
     # The stage's responses are committed before its entry records it done.
     for gateway in ctx._open_gateways():
         gateway.commit()
-    hashes = {getattr(paths, attr).name: _file_hash(getattr(paths, attr)) for attr in outputs}
-    for attr, value in ctx._written.items():
-        ctx._kept[attr] = (hashes[getattr(paths, attr).name], value)
+    hashes = {}
+    for attr in outputs:
+        path = getattr(paths, attr)
+        written = _write_output(path, values[attr])
+        hashes[path.name] = _file_hash(path)
+        if attr in _READ:
+            ctx._kept[attr] = (hashes[path.name], written)
     provenance = {"config_hash": ctx.config.config_hash(), "model_identity": ctx.model_identity()}
     stages[name] = {
         "completed_at": _utc_now(),

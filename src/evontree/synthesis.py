@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EvontreeError, check_fields
 from .gateway import GenerateRequest, ModelGateway
-from .ontology import TripleRecord, write_jsonl
+from .ontology import TripleRecord
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +174,3 @@ def build_corpus(gateway: ModelGateway, gaps: Sequence[TripleRecord],
             entries.append(entry)
     entries.sort(key=lambda e: e.sort_key)
     return entries, tallies
-
-
-def write_corpus(path: Path, entries: Iterable[CorpusEntry]) -> None:
-    write_jsonl(path, [e.to_json_obj() for e in sorted(entries, key=lambda e: e.sort_key)])

@@ -33,11 +33,12 @@ from evontree.ontology import (
     TripleRecord,
     normalize_label,
     read_triple_file,
+    write_triple_file,
 )
 from evontree.pipeline import RunContext, run_all, run_stage
 from evontree.rules import extrapolate, select_reliable
 from evontree.scoring import confirm_value, perplexity
-from evontree.synthesis import HINT_TEMPLATE, SynthesisConfig, build_corpus, write_corpus
+from evontree.synthesis import HINT_TEMPLATE, SynthesisConfig, build_corpus
 from evontree.synthetic import NoiseProfile, SyntheticBackend, SyntheticModel, sample_ground_truth
 
 
@@ -340,9 +341,9 @@ def test_criterion_5_corpus_contract(tmp_path):
         assert entry.hint_included
 
     path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_corpus(path_a, entries)
+    write_triple_file(path_a, entries)
     entries_again, _ = build_corpus(gateway, gaps, config)  # warm cache replay
-    write_corpus(path_b, entries_again)
+    write_triple_file(path_b, entries_again)
     assert path_a.read_bytes() == path_b.read_bytes()
 
     for line in path_a.read_text(encoding="utf-8").splitlines():

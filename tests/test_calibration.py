@@ -244,7 +244,7 @@ class ScriptedLabelGateway:
         self.answers = answers
         self.prompts = []
 
-    def generate(self, request, bypass_cache=False):
+    def generate(self, request):
         self.prompts.append(request.prompt)
         return self.answers.get(request.prompt, "no idea")
 

@@ -77,6 +77,16 @@ class TestParseTreeResponse:
         text = tree_json("vIrUs", [{"name": "RNA Virus"}])
         children, _ = parse_tree_response(text, lbl("Virus"))
         assert children[0].label == lbl("RNA Virus")
+        # Matched as normalize_label keys it: inner whitespace runs collapse.
+        for key in ("Infectious  Disease", "Infectious\u00a0Disease", "Infectious\nDisease",
+                    " infectious disease\t"):
+            children, _ = parse_tree_response(tree_json(key, [{"name": "Sepsis"}]),
+                                              lbl("Infectious Disease"))
+            assert children[0].label == lbl("Sepsis"), key
+        for key in ("", "  ", "InfectiousDisease"):
+            with pytest.raises(SchemaMismatchError):
+                parse_tree_response(tree_json(key, [{"name": "Sepsis"}]),
+                                    lbl("Infectious Disease"))
 
     def test_wrong_top_key(self):
         with pytest.raises(SchemaMismatchError):

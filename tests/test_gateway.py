@@ -323,7 +323,7 @@ class TestCache:
         gw, backend = make_gateway(tmp_path)
         req = GenerateRequest(prompt="x", max_tokens=4, temperature=0.7)
         gw.generate(req)
-        gw.generate(req, bypass_cache=True)
+        list(gw.generate_many([req], bypass_cache=True))
         assert len(backend.calls) == 2
 
     def test_corrupt_entry_treated_as_miss(self, tmp_path):

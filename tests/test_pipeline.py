@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import itertools
 import json
@@ -29,7 +30,6 @@ from hypothesis import given, settings, strategies as st
 
 import evontree
 import evontree.gateway as gateway_module
-import evontree.ontology as ontology_module
 import evontree.pipeline as pipeline_module
 from evontree.calibration import CalibrationOutcome, calibrate_relation
 from evontree.cli import EXIT_GATEWAY, EXIT_OK, main as cli_main
@@ -933,16 +933,18 @@ class TestStaleInputs:
 
     def test_calibrate_failing_after_rewriting_scores_refuses_confirm(self, run_copy,
                                                                        monkeypatch):
-        def endpoint_down(*args, **kwargs):
-            raise TransportError("endpoint down")
+        def full_disk(path, text, write=pipeline_module.write_atomic):
+            if path.name == "calibration.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            write(path, text)
 
-        monkeypatch.setattr(pipeline_module, "collect_samples", endpoint_down)
+        monkeypatch.setattr(pipeline_module, "write_atomic", full_disk)
         scored_raw = run_copy.paths.scored_raw.read_bytes()
         # Another seed scores the same raw triples differently.
         reseeded = RunContext(replace_seed(run_copy.config, 8))
         try:
-            with pytest.raises(TransportError):
-                run_stage(reseeded, "calibrate")
+            with pytest.raises(OSError, match="calibration.json"):
+                run_stage(reseeded, "calibrate")  # after writing scored_raw.jsonl
         finally:
             reseeded.close()
         assert run_copy.paths.scored_raw.read_bytes() != scored_raw
@@ -950,6 +952,35 @@ class TestStaleInputs:
             run_stage(run_copy, "confirm")
         assert "scored_raw.jsonl (rerun 'calibrate')" in str(exc.value)
         assert str(exc.value).count("(rerun") == 1
+
+    def test_a_failed_calibrate_writes_none_of_its_outputs(self, run_copy, monkeypatch):
+        def endpoint_down(*args, **kwargs):
+            raise TransportError("endpoint down")
+
+        monkeypatch.setattr(pipeline_module, "collect_samples", endpoint_down)
+        paths = [run_copy.paths.scored_raw, run_copy.paths.calibration, run_copy.paths.roc_curve]
+        before = [path.read_bytes() for path in paths]
+        # Another seed would score the same raw triples differently.
+        reseeded = RunContext(replace_seed(run_copy.config, 8))
+        try:
+            with pytest.raises(TransportError):
+                run_stage(reseeded, "calibrate")
+        finally:
+            reseeded.close()
+        assert [path.read_bytes() for path in paths] == before
+        run_stage(run_copy, "confirm")
+
+    def test_a_failed_extrapolate_writes_none_of_its_outputs(self, run_copy, monkeypatch):
+        def endpoint_down(*args, **kwargs):
+            raise TransportError("endpoint down")
+
+        monkeypatch.setattr(pipeline_module, "score_triples", endpoint_down)
+        path = run_copy.paths.extrapolated
+        # A rewrite would give the same bytes, but a new file in place.
+        before = (path.read_bytes(), path.stat().st_ino)
+        with pytest.raises(TransportError):
+            run_stage(run_copy, "extrapolate")
+        assert (path.read_bytes(), path.stat().st_ino) == before
 
     def test_hand_edited_input_refuses_its_reader(self, run_copy):
         path = run_copy.paths.confirmed
@@ -999,8 +1030,8 @@ class TestStaleInputs:
 
 
 class TestHandoff:
-    """Under run, each stage hands the records it wrote to the stages after
-    it; the files are still written, hashed and checked."""
+    """Under run, the records run_stage wrote for each stage are handed to
+    the stages after it; the files are still written, hashed and checked."""
 
     def test_run_all_parses_no_artifact_it_wrote(self, tmp_path, monkeypatch):
         handed = []  # (stage, attr, value, the file's bytes as the stage began)
@@ -1041,8 +1072,8 @@ class TestHandoff:
             parsed = pipeline_module._load_input(attr, data)
             assert value == parsed, (stage, attr)
             if attr != "calibration":  # labels compare by key; their text too
-                assert ([ontology_module._record_to_obj(r) for r in value]
-                        == [ontology_module._record_to_obj(r) for r in parsed]), (stage, attr)
+                assert ([r.to_json_obj() for r in value]
+                        == [r.to_json_obj() for r in parsed]), (stage, attr)
 
     def test_a_file_rewritten_by_another_context_is_parsed(self, tmp_path):
         a = RunContext(make_config(tmp_path))
@@ -1065,7 +1096,7 @@ class TestHandoff:
 
         monkeypatch.setattr(pipeline_module, "collect_samples", endpoint_down)
         with pytest.raises(TransportError):
-            run_stage(run_copy, "calibrate")  # after rewriting scored_raw.jsonl
+            run_stage(run_copy, "calibrate")  # after scoring raw.jsonl
         assert "scored_raw" not in run_copy._kept
         monkeypatch.undo()
         run_stage(run_copy, "calibrate")

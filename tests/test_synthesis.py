@@ -5,7 +5,14 @@ import json
 import pytest
 
 from evontree.gateway import ASK_ATTEMPTS, ModelGateway
-from evontree.ontology import Relation, Triple, TripleClass, TripleRecord, normalize_label as lbl
+from evontree.ontology import (
+    Relation,
+    Triple,
+    TripleClass,
+    TripleRecord,
+    normalize_label as lbl,
+    write_triple_file,
+)
 from evontree.synthesis import (
     EXPLICIT_INSTRUCTION,
     EXPLICIT_OUTPUT,
@@ -17,7 +24,6 @@ from evontree.synthesis import (
     build_corpus,
     explicit_pair,
     implicit_instructions,
-    write_corpus,
 )
 from evontree.synthetic import NoiseProfile, SyntheticBackend, SyntheticModel, sample_ground_truth
 
@@ -244,8 +250,8 @@ class TestBuildCorpus:
                              SynthesisConfig(strategy="mix"))
         e2, _ = build_corpus(synthetic_gateway(tmp_path / "b"), list(reversed(gaps)),
                              SynthesisConfig(strategy="mix"))
-        write_corpus(p1, e1)
-        write_corpus(p2, e2)
+        write_triple_file(p1, e1)
+        write_triple_file(p2, e2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -255,7 +261,7 @@ class TestCorpusFile:
         entries, _ = build_corpus(gw, [gap_record("T0N3", "T0N1", "T0N0")],
                                   SynthesisConfig(strategy="mix"))
         path = tmp_path / "corpus.jsonl"
-        write_corpus(path, entries)
+        write_triple_file(path, entries)
         objs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         for obj in objs:
             assert set(obj) == {"instruction", "output", "strategy", "gap",
