@@ -7,11 +7,11 @@ exist or when one differs from what its stage last wrote (the manifest's
 hashes are checked; rerun the stages the message names), 4 when the model
 endpoint fails, and 1 for any other evontree error, such as a response
 cache file that is not a SQLite database or is in any format but this
-version's, including one written by an earlier version, for a database
-error of the response cache, such as a full disk, for a file that cannot be
-read or written, such as an artifact on a full disk (the message names the
-file), and for a stage started on an output directory where another process
-is running one.
+version's or the one before it, which is read in place, so one written by a
+still earlier or a later version, for a database error of the response
+cache, such as a full disk, for a file that cannot be read or written, such
+as an artifact on a full disk (the message names the file), and for a stage
+started on an output directory where another process is running one.
 """
 
 from __future__ import annotations

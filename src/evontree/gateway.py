@@ -8,13 +8,16 @@ replays stale responses. The cache is one SQLite database per cache
 directory, shared safely by threads, gateways and processes, that maps the
 first 16 bytes of each request's SHA-256 digest to the one field of its
 response the gateway reads: a score's token_logprobs as packed little-endian
-doubles, a generation's text as its UTF-8 bytes. A file in any other format
-is refused. Every gateway has a cache, and read_cache=False (the CLI's
---no-cache) is the only way to skip reading it.
+doubles, a generation's text as its UTF-8 bytes, or, for a text longer than
+DEFLATE_MIN_BYTES that deflate shortens, a 0xff byte and the raw deflate
+stream. A format-3 file, whose values are all plain, is read in place; a
+file in any other format is refused. Every gateway has a cache, and
+read_cache=False (the CLI's --no-cache) is the only way to skip reading it.
 
-A cache hit costs one digest, one B-tree probe and one decode: each request
-writes its canonical JSON text straight from its fields (body_text), and
-only a request sent to the backend is turned into a body dict (to_body).
+A cache hit costs one digest, one B-tree probe and one decode, with an
+inflate for a deflated text: each request writes its canonical JSON text
+straight from its fields (body_text), and only a request sent to the
+backend is turned into a body dict (to_body).
 The decode makes the caller's text or tuple of log-probabilities with the
 same checks a fetched response passes, so a stored value that fails them,
 such as a number or a NaN or positive log-probability, is a miss: it is
@@ -58,6 +61,7 @@ import sqlite3
 import struct
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -319,7 +323,8 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 # SQLite's page cache per connection, in KiB. A page it does not hold is
 # read again through the OS, and a write transaction larger than it spills
 # to the write-ahead log before its commit. The seed-42 benchmark forest's
-# file is 0.66 MB at format 3 (1.04 MB at format 2), which 4 MiB holds whole.
+# file is 0.46 MB at format 4 (0.66 MB at format 3, 1.04 MB at format 2),
+# which 4 MiB holds whole.
 # The syscall counts that follow were taken at format 2. At 256 KiB one cold
 # run_all of it made 15,114 read and 8,789 write syscalls (63.2 MB and
 # 30.9 MB), and a warm one 9,063 reads (38.4 MB), as each 256-key lookup read
@@ -331,8 +336,19 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 CACHE_PAGE_CACHE_KIB = 4096
 # The cache file's layout, kept in PRAGMA user_version: each entry keeps
 # only the field of the response that the gateway reads (see _KINDS). A new
-# file reads 0 until ResponseCache creates its table.
-CACHE_FORMAT = 3
+# file reads 0 until ResponseCache creates its table. Format 3 stored every
+# generation as its UTF-8 bytes, which format 4 still reads, so a format-3
+# file is raised to CACHE_FORMAT in place, and an older evontree, which would
+# refetch every deflated generation, refuses it from then on.
+CACHE_FORMAT = 4
+_READ_IN_PLACE_FORMAT = 3
+# A generation is stored deflated only if its UTF-8 form is longer than this
+# many bytes. On the seed-42 benchmark forest the 226 of its 4,951
+# generations that are, the elicited trees and the synthesis prose, hold 60%
+# of the value bytes. Deflating them added about 4.5 ms of CPU to a cold run
+# of about 0.35 s, and trying every generation about 23 ms (2 CPUs, Python
+# 3.11.7, zlib 1.2.13).
+DEFLATE_MIN_BYTES = 64
 # The age, in seconds, at which put_many commits the open write transaction.
 # Each commit writes every page the transaction changed to the write-ahead
 # log, and random keys change most leaf pages, so one commit per second
@@ -349,8 +365,10 @@ class ResponseCache:
     request kind. The cache never looks inside a value;
     ModelGateway decodes and checks it, and treats one that fails as a
     miss. A new file, empty or 0 bytes long, gets the table at its first
-    open; a file in any format but CACHE_FORMAT, such as one written by an
-    earlier version, is refused with CacheCorruptError and left as it is.
+    open, and a format-3 file is raised to CACHE_FORMAT at its first open,
+    no row rewritten; a file in any other format, such as one written by an
+    earlier version or by a later one, is refused with CacheCorruptError and
+    left as it is.
 
     put_many adds its entries to one open write transaction, begun with
     BEGIN IMMEDIATE at the first write after a commit, and commits it once
@@ -411,21 +429,23 @@ class ResponseCache:
 
     def _create(self) -> None:
         """Create the table of a new file, one at format 0 with no schema,
-        in one transaction, and refuse any other file. The format is read
-        again under the write lock, so of two processes opening one new file
-        only the first creates the table."""
+        or raise a format-3 file's user_version to CACHE_FORMAT, rewriting
+        no row, in one transaction, and refuse any other file. The format is
+        read again under the write lock, so of two processes opening one new
+        file only the first creates the table."""
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             version = self._format()
             if version == CACHE_FORMAT:
                 return
-            if version != 0 or self._conn.execute("SELECT 1 FROM sqlite_master").fetchone():
+            if version == 0 and not self._conn.execute("SELECT 1 FROM sqlite_master").fetchone():
+                self._conn.execute("CREATE TABLE responses "
+                                   "(key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID")
+            elif version != _READ_IN_PLACE_FORMAT:
                 raise CacheCorruptError(
                     f"response cache {self.path} has format {version}, which this version "
                     f"of evontree (format {CACHE_FORMAT}) cannot read; move or delete it "
                     "to start with an empty cache")
-            self._conn.execute("CREATE TABLE responses "
-                               "(key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID")
             self._conn.execute(f"PRAGMA user_version = {CACHE_FORMAT}")
 
     def get(self, key: bytes) -> bytes | None:
@@ -758,10 +778,42 @@ def _packed_logprobs(logprobs: tuple[float, ...]) -> bytes:
     return struct.pack(f"<{len(logprobs)}d", *logprobs)
 
 
+# The first byte of a deflated generation's stored value: no UTF-8 text
+# starts with it, so a plain value is never read as deflated.
+_DEFLATED = b"\xff"
+
+
+def _encoded_text(text: str) -> bytes:
+    """The stored value of a generation: its UTF-8 bytes, or _DEFLATED and
+    their raw deflate stream if they are longer than DEFLATE_MIN_BYTES and
+    that is shorter."""
+    plain = text.encode()
+    if len(plain) > DEFLATE_MIN_BYTES:
+        # A zlib stream is a 2-byte header, the raw deflate stream and a
+        # 4-byte Adler-32 (RFC 1950). zlib.compress takes wbits=-15 only
+        # from Python 3.11, and a compressobj took about twice its time to
+        # deflate the benchmark forest's long generations.
+        deflated = _DEFLATED + zlib.compress(plain)[2:-4]
+        if len(deflated) < len(plain):
+            return deflated
+    return plain
+
+
 def _decoded_text(value: bytes) -> str:
-    """The generation a stored value holds: its strict UTF-8 bytes."""
+    """The generation a stored value holds: its strict UTF-8 bytes, inflated
+    first if it starts with _DEFLATED, from one raw deflate stream that
+    ends where the value does."""
     if not isinstance(value, bytes):  # SQLite returns a number as int or float
         raise ValueError(f"cached text {value!r} is not bytes")
+    if value.startswith(_DEFLATED):
+        # zlib.decompress would drop bytes after the stream's end unseen.
+        inflate = zlib.decompressobj(wbits=-15)
+        try:
+            value = inflate.decompress(value[1:])
+        except zlib.error as exc:  # not a ValueError
+            raise ValueError(f"cached deflated text is no deflate stream: {exc}") from None
+        if not inflate.eof or inflate.unused_data:
+            raise ValueError("cached deflated text is not one whole deflate stream")
     return value.decode()
 
 
@@ -781,11 +833,15 @@ def _unpacked_logprobs(value: bytes) -> tuple[float, ...]:
 # result into the stored value, and decode turns a stored value back into
 # parse's result, with the same checks, raising ValueError for a value that
 # encode never writes for a body that parse accepts, such as a number. A
-# generation is kept as its UTF-8 bytes: str.encode and bytes.decode default
-# to strict UTF-8, so a stored encoded lone surrogate, a sequence cut short or
-# a byte that is no UTF-8 raises UnicodeDecodeError, a ValueError.
+# generation is kept as its UTF-8 bytes, deflated after a 0xff byte when it
+# is longer than DEFLATE_MIN_BYTES and deflate shortens it (_encoded_text).
+# str.encode and bytes.decode default to strict UTF-8, so a stored encoded
+# lone surrogate, a sequence cut short or a byte that is no UTF-8 raises
+# UnicodeDecodeError, a ValueError; so does a deflated value that does not
+# inflate to UTF-8, and one that is not a single whole deflate stream raises
+# ValueError too.
 _KINDS = {
-    "generate": (_generated_text, str.encode, _decoded_text),
+    "generate": (_generated_text, _encoded_text, _decoded_text),
     "score": (_score_response, _packed_logprobs, _unpacked_logprobs),
 }
 

@@ -16,6 +16,7 @@ import tempfile
 import textwrap
 import threading
 import time
+import zlib
 from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -35,6 +36,7 @@ from evontree.gateway import (
     BATCH_SIZE,
     CACHE_FILE,
     CACHE_FORMAT,
+    DEFLATE_MIN_BYTES,
     RETRY_AFTER_MAX_S,
     RETRY_ATTEMPTS,
     RETRY_BACKOFF_S,
@@ -163,7 +165,10 @@ class TestCache:
     @example(text="")
     @example(text='é "q" \\ \n\t\x00\x1f\x7f\u2028 😀')
     @example(text="abcdefé")  # 8 bytes, which also read as one packed double
-    def test_cached_text_is_its_utf8_bytes_and_reads_back_unchanged(self, text):
+    @example(text="ab" * 32)  # 64 bytes, plain though deflate shortens them
+    @example(text="ab" * 32 + "c")  # 65 bytes, 9 deflated
+    @example(text="".join(map(chr, range(33, 98))))  # 65 distinct bytes, 68 deflated
+    def test_cached_text_is_plain_or_deflated_utf8_and_reads_back_unchanged(self, text):
         _, encode, decode = _KINDS["generate"]
         key = bytes(16)
         with tempfile.TemporaryDirectory() as tmp:
@@ -173,7 +178,11 @@ class TestCache:
                 stored = cache.get(key)
             finally:
                 cache.close()
-        assert stored == text.encode("utf-8")
+        plain = text.encode("utf-8")
+        if len(plain) <= DEFLATE_MIN_BYTES or len(deflate(plain)) >= len(plain):
+            assert stored == plain
+        else:
+            assert stored == deflate(plain)
         assert decode(stored) == text
 
     @settings(deadline=None, max_examples=50)
@@ -348,12 +357,20 @@ class TestCache:
                                      (arg, keys[req]))
                 assert updated.rowcount == 1
 
+        # The right answer, deflated: read as a whole stream, it is a hit.
+        deflated = deflate(answers[gen].encode())
         bad = [
             # No UTF-8: an encoded lone surrogate, a sequence cut short, a
             # byte that UTF-8 never uses, and a bad continuation byte stored
             # as TEXT.
-            *((gen, "?", value) for value in [b"\xed\xa0\x80", b"\xc3", b"\xff"]),
+            *((gen, "?", value) for value in [b"\xed\xa0\x80", b"\xc3", b"\xfe"]),
             (gen, "CAST(? AS TEXT)", b"\xc3\x28"),
+            # The deflated mark and no whole stream: no stream at all, one cut
+            # short, one followed by a byte more, and one whose first block
+            # has the reserved type, which zlib.error reports. A stream that
+            # inflates to no UTF-8.
+            *((gen, "?", value) for value in [b"\xff", deflated[:-1], deflated + b"\x00",
+                                              b"\xff\x07", deflate(b"\xc3")]),
             # A score cut inside its first double.
             (score, "substr(value, 1, ?)", 7),
             # Whole doubles that no valid score holds: NaN, positive, +inf.
@@ -579,6 +596,13 @@ class TestCacheConcurrency:
             cache.close()
 
 
+def deflate(data: bytes) -> bytes:
+    """A deflated generation's stored value: a 0xff byte, then the raw
+    deflate stream of data."""
+    deflater = zlib.compressobj(wbits=-15)
+    return b"\xff" + deflater.compress(data) + deflater.flush()
+
+
 def sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -598,7 +622,9 @@ class TestCacheFormat:
                            "WITHOUT ROWID")
 
     def test_unknown_format_is_refused_and_left_alone(self, tmp_path, caplog):
-        assert CACHE_FORMAT == 3  # the format-2 file below is the one before it
+        # Format 3 is read in place (the test below), so the format-2 file
+        # below is the newest one refused.
+        assert CACHE_FORMAT == 4
         identity, request = FakeBackend().identity, prompts(1)[0]
         key = _cache_key(identity, "m1", "generate", request)
         body = json.dumps({"text": "cached", "finish_reason": "stop"})
@@ -660,6 +686,45 @@ class TestCacheFormat:
             assert sorted(p.name for p in cache_dir.iterdir()) == [CACHE_FILE], name
             with closing(sqlite3.connect(path)) as db:
                 assert db.execute("PRAGMA user_version").fetchone() == (version,), name
+
+    def test_format_3_file_is_read_in_place_and_raised_to_the_current_format(self, tmp_path):
+        # Laid out as format 3 was: 16-byte keys, a generation as its plain
+        # UTF-8 bytes, however long, and a score as packed doubles.
+        identity = FakeBackend().identity
+        gen = GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)
+        score = ScoreRequest(prompt="p", completion=" True")
+        text = "Mammal subsumes Primate; " * 4
+        assert len(text.encode()) > DEFLATE_MIN_BYTES
+        path = tmp_path / "cache" / CACHE_FILE
+        path.parent.mkdir()
+        with closing(sqlite3.connect(path)) as db:
+            db.execute("PRAGMA journal_mode=WAL")
+            with db:
+                db.execute("CREATE TABLE responses (key BLOB PRIMARY KEY, value BLOB NOT NULL) "
+                           "WITHOUT ROWID")
+                db.execute("INSERT INTO responses VALUES (?, ?)",
+                           (_cache_key(identity, "m1", "generate", gen), text.encode()))
+                db.execute("INSERT INTO responses VALUES (?, ?)",
+                           (_cache_key(identity, "m1", "score", score),
+                            struct.pack("<2d", -0.5, -1.5)))
+            db.execute("PRAGMA user_version = 3")
+
+        def rows():
+            with closing(sqlite3.connect(path)) as db:
+                return db.execute("SELECT key, typeof(value), value FROM responses "
+                                  "ORDER BY key").fetchall()
+
+        before = rows()
+        gw, backend = make_gateway(tmp_path)
+        try:
+            assert gw.generate(gen) == text
+            assert gw.score(score) == (-0.5, -1.5)
+        finally:
+            gw.close()
+        assert backend.calls == []
+        assert rows() == before
+        with closing(sqlite3.connect(path)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
 
 
 class TestRetry:
@@ -1275,7 +1340,8 @@ def stored_responses(gw: ModelGateway) -> dict[bytes, bytes]:
 
 def echoed(gw: ModelGateway, requests: list[GenerateRequest]) -> dict[bytes, bytes]:
     """The cache entries the echo server's answers to requests make: each
-    generated text as its UTF-8 bytes."""
+    generated text as its plain UTF-8 bytes, as the prompts these tests send
+    echo to no more than DEFLATE_MIN_BYTES."""
     return {_cache_key(gw.backend.identity, gw.model, "generate", r):
             f"echo:{r.prompt}".encode() for r in requests}
 
