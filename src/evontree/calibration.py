@@ -13,8 +13,9 @@ false (or no labels) gives the top of the range, which no confirm value
 clears under the default range [0, 1].
 
 calibration.json keeps each template's threshold, its Youden J and its
-label counts; the ROC curve a fit returns is written once, as the rows of
-roc_curve.csv, and is not part of the JSON.
+label counts. The ROC curve a fit returns holds every candidate threshold;
+it is not part of the JSON, and roc_curve.csv keeps only the points of it
+that shape it (see report.roc_rows).
 """
 
 from __future__ import annotations

@@ -167,12 +167,12 @@ def tree_to_triples(tree: OntologyTree) -> set[Triple]:
 
 @dataclass
 class TripleRecord:
-    """One line of the triple file format: a triple, its lifecycle class,
-    per-paraphrase confirm values (or None before scoring), and, for
-    extrapolated conclusions, the premise chains that derived it."""
+    """One line of the triple file format: a triple, its per-paraphrase
+    confirm values in the two scored files (None elsewhere), and, for
+    extrapolated conclusions, the premise chains that derived it. The
+    file a record is in names its class; the line does not."""
 
     triple: Triple
-    triple_class: TripleClass
     scores: list[float] | None = None
     chains: list[list[tuple[str, str]]] | None = None
 
@@ -190,15 +190,17 @@ class TripleRecord:
             "s": self.triple.subject.text,
             "r": self.triple.relation.value,
             "o": self.triple.object.text,
-            "class": self.triple_class.value,
-            "scores": self.scores,
         }
+        if self.scores is not None:
+            obj["scores"] = self.scores
         if self.chains is not None:
             obj["chains"] = [[[s, o] for s, o in chain] for chain in self.chains]
         return obj
 
 
 def _record_from_obj(obj: dict) -> TripleRecord:
+    """The record a line's object holds. A "class" key, which files written
+    before the class left the line carry, is ignored."""
     triple = Triple(
         normalize_label(obj["s"]),
         Relation(obj["r"]),
@@ -207,12 +209,7 @@ def _record_from_obj(obj: dict) -> TripleRecord:
     chains = None
     if obj.get("chains") is not None:
         chains = [[(s, o) for s, o in chain] for chain in obj["chains"]]
-    return TripleRecord(
-        triple=triple,
-        triple_class=TripleClass(obj["class"]),
-        scores=obj["scores"],
-        chains=chains,
-    )
+    return TripleRecord(triple=triple, scores=obj.get("scores"), chains=chains)
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -221,13 +218,6 @@ def write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     tmp.replace(path)
-
-
-def parse_jsonl(data: bytes) -> list[dict]:
-    """The JSON objects in the bytes of a JSONL file, decoded and split into
-    lines as reading the file in text mode does; blank lines are skipped."""
-    return [json.loads(line) for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-            if line.strip()]
 
 
 def write_triple_file(path: Path, records: Iterable) -> list:
@@ -243,8 +233,17 @@ def write_triple_file(path: Path, records: Iterable) -> list:
 
 
 def parse_triple_file(data: bytes) -> list[TripleRecord]:
-    """The records in the bytes of a triple file."""
-    return [_record_from_obj(obj) for obj in parse_jsonl(data)]
+    """The records in the bytes of a triple file, split into lines as
+    reading the file in text mode splits them; blank lines are skipped. A
+    line that holds no record raises ValueError naming its number."""
+    records = []
+    for number, line in enumerate(io.StringIO(data.decode("utf-8"), newline=None), 1):
+        if line.strip():
+            try:
+                records.append(_record_from_obj(json.loads(line)))
+            except (ValueError, KeyError, TypeError, EmptyLabelError) as exc:
+                raise ValueError(f"line {number}: {exc!r}") from exc
+    return records
 
 
 def read_triple_file(path: Path) -> list[TripleRecord]:

@@ -39,7 +39,13 @@ from what its stage last wrote, or a stage upstream read another version of
 an artifact than the one last written (say, extract reran with another seed
 after calibrate). The error names each such artifact and the stage to
 rerun; rerunning those and the stages after them clears it. An input whose
-producer has no manifest entry is accepted.
+producer has no manifest entry is accepted, if it parses: one that does not
+raises StaleUpstreamError too, naming the file, the line of a triple file,
+and the stage to rerun.
+
+Each triple fact is written once, by the stage that computes it: scores
+only in scored_raw.jsonl and scored_extrapolated.jsonl, chains from
+extrapolate on, and no line names its class, which its file does.
 
 Stages run sequentially and stream their model requests through the
 gateway (see evontree.gateway), which batches them, fans a batch out over
@@ -71,6 +77,7 @@ from .calibration import CalibrationOutcome, calibrate_relation, collect_samples
 from .config import RunConfig
 from .errors import (
     DirectoryBusyError,
+    EmptyLabelError,
     EmptySpanError,
     JudgeUnavailableError,
     MissingUpstreamError,
@@ -260,13 +267,13 @@ def stage_extract(ctx: RunContext) -> tuple[dict, dict]:
         ctx.paths.ground_truth.unlink(missing_ok=True)
     by_relation = Counter(t.relation.value for t in triples)
     return ({"forest": [tree.to_json_obj() for tree in forest],
-             "raw": [TripleRecord(t, TripleClass.RAW) for t in triples]},
+             "raw": [TripleRecord(t) for t in triples]},
             {**stats.to_json_obj(), "raw_triples": dict(sorted(by_relation.items()))})
 
 
 def _score_records(ctx: RunContext, records: Sequence[TripleRecord]) -> tuple[list, int]:
     """The records whose triples scored, in order, with their confirm values
-    as scores and their class and chains kept, and the count left unscored:
+    as scores and their chains kept, and the count left unscored:
     a triple with an empty span is dropped whole; transport failures
     propagate, since a dead endpoint should fail the stage."""
     scored = []
@@ -275,8 +282,7 @@ def _score_records(ctx: RunContext, records: Sequence[TripleRecord]) -> tuple[li
         if isinstance(result, EmptySpanError):
             log.warning("leaving %r unscored: %s", record.triple, result)
         else:
-            scored.append(TripleRecord(record.triple, record.triple_class,
-                                       scores=result, chains=record.chains))
+            scored.append(TripleRecord(record.triple, scores=result, chains=record.chains))
     return scored, len(records) - len(scored)
 
 
@@ -301,13 +307,10 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> tuple[dict, dic
 def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
                   calibration: CalibrationOutcome) -> tuple[dict, dict]:
     """Pure partition of the scored raw triples against the calibrated
-    thresholds; involves no model calls."""
-    confirmed = []
-    for record in scored_raw:
-        taus = calibration.thresholds(record.triple.relation)
-        if confirm_decision(record.scores, taus):
-            confirmed.append(TripleRecord(record.triple, TripleClass.CONFIRMED,
-                                          scores=record.scores))
+    thresholds; involves no model calls. Their scores stay in scored_raw."""
+    confirmed = [TripleRecord(record.triple) for record in scored_raw
+                 if confirm_decision(record.scores,
+                                     calibration.thresholds(record.triple.relation))]
     by_relation = Counter(r.triple.relation.value for r in confirmed)
     return ({"confirmed": confirmed},
             {"confirmed": dict(sorted(by_relation.items())),
@@ -316,11 +319,9 @@ def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
 
 def stage_reliable(ctx: RunContext, confirmed: list[TripleRecord]) -> tuple[dict, dict]:
     """Keep the confirmed subclass triples corroborated by a confirmed
-    synonym triangle; scores carry over from confirmation."""
-    scores_by_triple = {r.triple: r.scores for r in confirmed}
-    reliable = select_reliable(scores_by_triple.keys())
-    return ({"reliable": [TripleRecord(t, TripleClass.RELIABLE, scores=scores_by_triple[t])
-                          for t in reliable]},
+    synonym triangle."""
+    reliable = select_reliable({r.triple for r in confirmed})
+    return ({"reliable": [TripleRecord(t) for t in reliable]},
             {"reliable": len(reliable)})
 
 
@@ -338,7 +339,7 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord], confirmed: list[
 
     ext_records = [
         TripleRecord(
-            c.triple, TripleClass.EXTRAPOLATED,
+            c.triple,
             chains=[[(lower.subject.text, lower.object.text),
                      (upper.subject.text, upper.object.text)]
                     for lower, upper in c.chains])
@@ -354,7 +355,8 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord], confirmed: list[
 def stage_gap(ctx: RunContext, scored_extrapolated: list[TripleRecord],
               calibration: CalibrationOutcome) -> tuple[dict, dict]:
     """Classify scored extrapolations: above threshold everywhere extends
-    the ontology, below per the gap mode is a knowledge gap."""
+    the ontology, below per the gap mode is a knowledge gap. A gap keeps its
+    chains, for synthesis; its scores stay in scored_extrapolated."""
     counts = Counter()
     gaps = []
     for record in scored_extrapolated:
@@ -362,8 +364,7 @@ def stage_gap(ctx: RunContext, scored_extrapolated: list[TripleRecord],
         verdict = classify_extrapolated(record.scores, taus, ctx.config.gap.mode)
         counts[verdict] += 1
         if verdict == CLASS_GAP:
-            gaps.append(TripleRecord(record.triple, TripleClass.GAP,
-                                     scores=record.scores, chains=record.chains))
+            gaps.append(TripleRecord(record.triple, chains=record.chains))
     return ({"gaps": gaps},
             {"confirmed": counts.get(CLASS_CONFIRMED, 0),
              "gap": counts.get(CLASS_GAP, 0),
@@ -387,13 +388,20 @@ def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[Trip
                  extrapolated: list[TripleRecord], scored_extrapolated: list[TripleRecord],
                  gaps: list[TripleRecord]) -> tuple[dict, dict]:
     """Summarize every triple class into the stats table and histogram;
-    audit accuracy through the judge when one is configured."""
+    audit accuracy through the judge when one is configured. A class's
+    scores are those of its triples in scored_raw or scored_extrapolated."""
+
+    def scored(records: list[TripleRecord], scored_from: list[TripleRecord]) -> list:
+        """The records of scored_from whose triples are in records, in order."""
+        triples = {r.triple for r in records}
+        return [r for r in scored_from if r.triple in triples]
+
     classes = {
         TripleClass.RAW: (raw, scored_raw),
-        TripleClass.CONFIRMED: (confirmed, confirmed),
-        TripleClass.RELIABLE: (reliable, reliable),
+        TripleClass.CONFIRMED: (confirmed, scored(confirmed, scored_raw)),
+        TripleClass.RELIABLE: (reliable, scored(reliable, scored_raw)),
         TripleClass.EXTRAPOLATED: (extrapolated, scored_extrapolated),
-        TripleClass.GAP: (gaps, gaps),
+        TripleClass.GAP: (gaps, scored(gaps, scored_extrapolated)),
     }
 
     verdicts = None
@@ -465,6 +473,8 @@ STAGE_ORDER = tuple(name for name in TABLE if name != "sweep")
 STAGES: dict[str, Callable] = {name: body for name, (body, _, _) in TABLE.items()}
 # The artifacts some stage reads: run_stage keeps what it wrote to them.
 _READ = {attr for _, inputs, _ in TABLE.values() for attr in inputs}
+# The stage that writes each artifact.
+_PRODUCER = {attr: stage for stage, (_, _, outputs) in TABLE.items() for attr in outputs}
 
 
 def _write_output(path: Path, value):
@@ -483,10 +493,19 @@ def _write_output(path: Path, value):
 
 
 def _load_input(attr: str, data: bytes):
-    """An input artifact, parsed from its bytes, as its stage body takes it."""
-    if attr == "calibration":
-        return CalibrationOutcome.from_json_obj(json.loads(data.decode("utf-8")))
-    return parse_triple_file(data)
+    """An input artifact, parsed from its bytes, as its stage body takes it.
+    Bytes that hold no such artifact raise StaleUpstreamError, naming the
+    file, the line of a triple file, and the stage to rerun."""
+    try:
+        if attr == "calibration":
+            return CalibrationOutcome.from_json_obj(json.loads(data.decode("utf-8")))
+        return parse_triple_file(data)
+    except (ValueError, KeyError, TypeError, AttributeError, EmptyLabelError) as exc:
+        # A triple file's error names the line; a KeyError's text alone is a bare key.
+        detail = exc if attr != "calibration" else repr(exc)
+        raise StaleUpstreamError(
+            f"{getattr(Artifacts(Path()), attr).name} does not parse ({detail}); "
+            f"rerun {_PRODUCER[attr]!r} and the stages after it") from exc
 
 
 def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str]) -> list[str]:
@@ -494,8 +513,7 @@ def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str
     producer last recorded writing; then, going up the table, each input an
     upstream stage recorded reading that its producer has since rewritten,
     from the manifest's records alone. Each as "file (rerun 'stage')"."""
-    producer = {getattr(paths, attr).name: stage
-                for stage, (_, _, outputs) in TABLE.items() for attr in outputs}
+    producer = {getattr(paths, attr).name: stage for attr, stage in _PRODUCER.items()}
 
     def changed(digests: dict[str, str]) -> list[str]:
         """The files whose producer last recorded writing another hash."""

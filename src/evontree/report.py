@@ -1,15 +1,19 @@
 """Summary statistics over the pipeline's triple classes.
 
 The report reads one view of the triple classes: each class's records as
-counted and the subset with scores. The main product is a per-(class,
-relation) table: how many triples landed in each class, their average
-confirm value (mean over each triple's per-paraphrase mean), and, when a
-judge is available, the fraction the judge marks true. Counts come from the
-counted records; averages use only the scored subset, since unscored
-triples carry no values. Each class's scored records, both relations
-together, also feed a confirm-value histogram. roc_rows flattens the ROC
-curves of fresh per-template fits into the rows of roc_curve.csv, which the
-calibrate stage writes: calibration.json does not keep the curves.
+counted and the scored records of its triples, which the report stage takes
+from scored_raw.jsonl and scored_extrapolated.jsonl, the only files that
+hold scores. The main product is a per-(class, relation) table: how many
+triples landed in each class, their average confirm value (mean over each
+triple's per-paraphrase mean), and, when a judge is available, the fraction
+the judge marks true. Counts come from the counted records; averages use
+only the scored ones, since a triple left unscored has no values. Each
+class's scored records, both relations together, also feed a confirm-value
+histogram. roc_rows flattens the ROC curves of fresh per-template fits into
+the rows of roc_curve.csv, which the calibrate stage writes: calibration.json
+does not keep the curves. Each curve keeps only the points that shape it
+(see _shaping_points), as scikit-learn's roc_curve(drop_intermediate=True)
+does for a plot.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .calibration import CalibrationOutcome, one_shot_labels
+from .calibration import CalibrationOutcome, CalibrationResult, RocPoint, one_shot_labels
 from .errors import JudgeUnavailableError, TransportError
 from .gateway import ModelGateway
 from .ontology import Relation, Triple, TripleClass, TripleRecord
@@ -153,14 +157,34 @@ def histogram_rows(classes: ClassView, verdicts: dict[Triple, bool] | None) -> l
     return out
 
 
+def _shaping_points(fit: CalibrationResult) -> list[RocPoint]:
+    """The points of fit's curve that shape it, in order: its first and
+    last, each where it turns, and the one at tau_star. A point is dropped
+    when the step to it from the last point kept and the step from it to the
+    next point are parallel, decided exactly on the counts of positives and
+    negatives above tau. The counts only fall as tau rises, so a dropped
+    point lies on the segment between the points kept around it."""
+    kept: list[tuple[RocPoint, int, int]] = []
+    for point in fit.curve:
+        pos, neg = round(point.tpr * fit.n_pos), round(point.fpr * fit.n_neg)
+        while len(kept) >= 2 and kept[-1][0].tau != fit.tau_star:
+            (_, pos0, neg0), (_, pos1, neg1) = kept[-2:]
+            if (pos1 - pos0) * (neg - neg1) != (neg1 - neg0) * (pos - pos1):
+                break
+            kept.pop()
+        kept.append((point, pos, neg))
+    return [point for point, _, _ in kept]
+
+
 def roc_rows(outcome: CalibrationOutcome) -> list[list[str]]:
-    """Flatten the calibration curves: one line per (relation, template, tau).
-    The curves exist only on fits fit_threshold just returned, not on an
-    outcome read back from calibration.json."""
+    """Flatten the calibration curves, each thinned to its _shaping_points:
+    one line per (relation, template, tau) kept. The curves exist only on
+    fits fit_threshold just returned, not on an outcome read back from
+    calibration.json."""
     out = [["relation", "template", "tau", "tpr", "fpr"]]
     for relation in sorted(outcome.by_relation):
         for template_key in sorted(outcome.by_relation[relation]):
-            for point in outcome.by_relation[relation][template_key].curve:
+            for point in _shaping_points(outcome.by_relation[relation][template_key]):
                 out.append([relation, template_key, str(point.tau),
                             _fmt(point.tpr), _fmt(point.fpr)])
     return out

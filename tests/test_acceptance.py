@@ -29,7 +29,6 @@ from evontree.gateway import ModelGateway
 from evontree.ontology import (
     Relation,
     Triple,
-    TripleClass,
     TripleRecord,
     normalize_label,
     read_triple_file,
@@ -274,10 +273,17 @@ def test_criterion_4_end_to_end_synthetic(e2e_run, tmp_path):
     assert prec_raw < 1.0, "run planted no false raw triples; ordering would be vacuous"
     assert prec_rel >= prec_conf >= prec_raw
 
-    mean_cv = lambda rs: sum(r.mean_score() for r in rs) / len(rs)
+    def mean_cv(path: Path, scored_path: Path) -> float:
+        # A class's scores are its triples' lines in the scored file.
+        triples = {r.triple for r in read_triple_file(path)}
+        scored = [r for r in read_triple_file(scored_path) if r.triple in triples]
+        assert len(scored) == len(triples)
+        return sum(r.mean_score() for r in scored) / len(scored)
+
     gaps = read_triple_file(paths.gaps)
     assert gaps
-    assert mean_cv(gaps) < mean_cv(read_triple_file(paths.confirmed))
+    assert (mean_cv(paths.gaps, paths.scored_extrapolated)
+            < mean_cv(paths.confirmed, paths.scored_raw))
 
     spec = ctx.config.model.synthetic
     model = SyntheticModel(gt, spec.noise, seed=spec.seed,
@@ -312,7 +318,7 @@ CORPUS_KEYS = {"instruction", "output", "strategy", "gap", "chain",
 def _gap_record(d: str, c_mids: list[str], a: str) -> TripleRecord:
     triple = Triple(normalize_label(d), Relation.SUBCLASS_OF, normalize_label(a))
     chains = [[(d, mid), (mid, a)] for mid in c_mids]
-    return TripleRecord(triple, TripleClass.GAP, scores=[-0.5], chains=chains)
+    return TripleRecord(triple, chains=chains)
 
 
 def test_criterion_5_corpus_contract(tmp_path):

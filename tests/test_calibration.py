@@ -27,7 +27,7 @@ from evontree.errors import (
     UnparseableError,
 )
 from evontree.gateway import GenerateRequest, HttpBackend, ModelGateway
-from evontree.ontology import Relation, Triple, TripleClass, TripleRecord, normalize_label as lbl
+from evontree.ontology import Relation, Triple, TripleRecord, normalize_label as lbl
 from evontree.report import judge_triples
 from evontree.scoring import probe_requests, templates_for
 
@@ -221,8 +221,7 @@ class TestOneShotLabel:
 
 
 def scored_subclass(s, o, values):
-    return TripleRecord(Triple(lbl(s), Relation.SUBCLASS_OF, lbl(o)), TripleClass.RAW,
-                        scores=list(values))
+    return TripleRecord(Triple(lbl(s), Relation.SUBCLASS_OF, lbl(o)), scores=list(values))
 
 
 def samples_from(scored, labels):
@@ -274,8 +273,7 @@ class TestCollectSamples:
 
     def test_other_relation_is_ignored(self):
         a = scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6])
-        syn = TripleRecord(Triple(lbl("x"), Relation.SYNONYM_OF, lbl("y")), TripleClass.RAW,
-                           scores=[0.5] * 5)
+        syn = TripleRecord(Triple(lbl("x"), Relation.SYNONYM_OF, lbl("y")), scores=[0.5] * 5)
         gw = self.build_gateway(a, a)
         samples, _ = collect_samples(gw, [a, syn], Relation.SUBCLASS_OF)
         assert all(len(v) == 1 for v in samples.values())

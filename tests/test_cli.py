@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import hashlib
 import json
 import logging
 import math
@@ -140,6 +141,40 @@ class TestExitCodes:
         with caplog.at_level(logging.ERROR, logger="evontree.cli"):
             assert main(["confirm", *flags]) == EXIT_MISSING_UPSTREAM
         assert "raw.jsonl (rerun 'calibrate')" in caplog.text
+
+    @pytest.mark.parametrize(("line", "detail"), [
+        ("not json", "JSONDecodeError"),
+        ('{"class":"Raw","o":"b","r":"Foo","s":"a","scores":null}',
+         "'Foo' is not a valid Relation"),
+        ('{"class":"Raw","r":"SubclassOf","s":"a","scores":null}', "KeyError('o')"),
+    ])
+    def test_a_malformed_input_line_exits_3_naming_file_line_and_stage(
+            self, tmp_path, caplog, line, detail):
+        # A hand-written raw.jsonl, which no manifest entry vouches for, in
+        # the line format that still carried a class and null scores.
+        config = write_config(tmp_path, CONFIG_OBJ)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "raw.jsonl").write_text(
+            '{"class":"Raw","o":"T0N0","r":"SubclassOf","s":"T0N1","scores":null}\n'
+            + line + "\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["calibrate", "--config", str(config)]) == EXIT_MISSING_UPSTREAM
+        assert "raw.jsonl does not parse (line 2: " in caplog.text
+        assert detail in caplog.text
+        assert "rerun 'extract' and the stages after it" in caplog.text
+        assert not (tmp_path / "out" / "scored_raw.jsonl").exists()
+
+    def test_a_calibration_json_of_another_shape_exits_3(self, finished_run, tmp_path, caplog):
+        tmp, config = finished_run
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copyfile(tmp / "out" / "scored_raw.jsonl", out / "scored_raw.jsonl")
+        (out / "calibration.json").write_text('{"relations": []}\n', encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["confirm", "--config", str(config),
+                         "--stage-dir", str(out)]) == EXIT_MISSING_UPSTREAM
+        assert "calibration.json does not parse (AttributeError(" in caplog.text
+        assert "rerun 'calibrate' and the stages after it" in caplog.text
 
     def test_each_stage_entry_keeps_its_own_provenance(self, finished_run, tmp_path):
         tmp, config = finished_run
@@ -332,6 +367,59 @@ class TestOutputDirectory:
         assert {p.name for p in out.iterdir()} == hashed | {
             "manifest.json", "evontree.lock", "ground_truth.json", "cache"}
         assert (out / "cache").is_dir()
+
+
+# Each triple file's class, and the scored file its scores were copied from,
+# in the line format before each line lost its class and the copied scores.
+EARLIER_LINE_FORMAT = {
+    "raw.jsonl": ("Raw", None),
+    "scored_raw.jsonl": ("Raw", "scored_raw.jsonl"),
+    "confirmed.jsonl": ("Confirmed", "scored_raw.jsonl"),
+    "reliable.jsonl": ("Reliable", "scored_raw.jsonl"),
+    "extrapolated.jsonl": ("Extrapolated", None),
+    "scored_extrapolated.jsonl": ("Extrapolated", "scored_extrapolated.jsonl"),
+    "gaps.jsonl": ("Gap", "scored_extrapolated.jsonl"),
+}
+
+
+class TestEarlierLineFormat:
+    def test_triple_files_with_class_and_copied_scores_feed_report_and_sweep(
+            self, finished_run, tmp_path):
+        tmp, config = finished_run
+        out = tmp_path / "out"
+        shutil.copytree(tmp / "out", out)
+        flags = ["--config", str(config), "--stage-dir", str(out)]
+        assert main(["sweep", *flags]) == EXIT_OK
+        fresh = {name: (out / name).read_bytes()
+                 for name in ("report.json", "report.csv", "confirm_hist.csv", "sweep.csv")}
+
+        def lines(name: str) -> list[dict]:
+            return [json.loads(line) for line in (out / name).read_text("utf-8").splitlines()]
+
+        scores = {name: {(o["s"], o["r"], o["o"]): o["scores"] for o in lines(name)}
+                  for name in ("scored_raw.jsonl", "scored_extrapolated.jsonl")}
+        digests = {}
+        for name, (triple_class, scored) in EARLIER_LINE_FORMAT.items():
+            objs = lines(name)
+            for obj in objs:
+                obj["class"] = triple_class
+                obj["scores"] = scores[scored][obj["s"], obj["r"], obj["o"]] if scored else None
+            data = "".join(json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                                      separators=(",", ":")) + "\n" for obj in objs)
+            assert data.encode("utf-8") != (out / name).read_bytes()
+            (out / name).write_text(data, encoding="utf-8")
+            digests[name] = "sha256:" + hashlib.sha256(data.encode("utf-8")).hexdigest()
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry in manifest["stages"].values():
+            for recorded in (entry["inputs"], entry["outputs"]):
+                recorded.update((name, digests[name]) for name in recorded if name in digests)
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+        for name in fresh:
+            (out / name).unlink()
+        assert main(["report", *flags]) == EXIT_OK
+        assert main(["sweep", *flags]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in fresh} == fresh
 
 
 class TestFlags:

@@ -9,7 +9,6 @@ from evontree.ontology import (
     OntologyTree,
     Relation,
     Triple,
-    TripleClass,
     TripleRecord,
     TreeNode,
     normalize_label,
@@ -120,11 +119,11 @@ class TestTripleFile:
     def test_round_trip_and_sorted_output(self, tmp_path):
         records = [
             TripleRecord(Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe")),
-                         TripleClass.CONFIRMED, scores=[0.5, 0.25, 0.125, 0.0625]),
+                         scores=[0.5, 0.25, 0.125, 0.0625]),
             TripleRecord(Triple(lbl("flu"), Relation.SYNONYM_OF, lbl("influenza")),
-                         TripleClass.RAW, scores=None),
+                         scores=None),
             TripleRecord(Triple(lbl("Adenovirus"), Relation.SUBCLASS_OF, lbl("Virus")),
-                         TripleClass.EXTRAPOLATED, scores=None,
+                         scores=None,
                          chains=[[("adenovirus", "dna virus"), ("dna virus", "virus")]]),
         ]
         path = tmp_path / "triples.jsonl"
@@ -141,14 +140,51 @@ class TestTripleFile:
         by_triple = {r.triple: r for r in back}
         orig = {r.triple: r for r in records}
         for t, r in by_triple.items():
-            assert r.triple_class == orig[t].triple_class
             assert r.scores == orig[t].scores
             assert r.chains == orig[t].chains
 
+    def test_a_line_holds_no_class_and_scores_only_when_scored(self, tmp_path):
+        path = tmp_path / "triples.jsonl"
+        write_triple_file(path, [
+            TripleRecord(Triple(lbl("b"), Relation.SUBCLASS_OF, lbl("a")), scores=[0.5]),
+            TripleRecord(Triple(lbl("c"), Relation.SUBCLASS_OF, lbl("a"))),
+            TripleRecord(Triple(lbl("d"), Relation.SUBCLASS_OF, lbl("a")), chains=[]),
+        ])
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            '{"o":"a","r":"SubclassOf","s":"b","scores":[0.5]}',
+            '{"o":"a","r":"SubclassOf","s":"c"}',
+            '{"chains":[],"o":"a","r":"SubclassOf","s":"d"}',
+        ]
+
+    def test_a_line_with_a_class_and_null_scores_reads_as_without(self, tmp_path):
+        # The line format before the class left the line.
+        path = tmp_path / "triples.jsonl"
+        path.write_text('{"class":"Raw","o":"a","r":"SubclassOf","s":"b","scores":null}\n'
+                        '{"class":"Confirmed","o":"a","r":"SubclassOf","s":"c",'
+                        '"scores":[0.5]}\n', encoding="utf-8")
+        b, c = read_triple_file(path)
+        assert b == TripleRecord(Triple(lbl("b"), Relation.SUBCLASS_OF, lbl("a")))
+        assert c == TripleRecord(Triple(lbl("c"), Relation.SUBCLASS_OF, lbl("a")), scores=[0.5])
+
+    @pytest.mark.parametrize(("line", "error"), [
+        ("not json", "JSONDecodeError"),
+        ('{"s":"b","r":"Foo","o":"a"}', "'Foo' is not a valid Relation"),
+        ('{"s":"b","r":"SubclassOf"}', "KeyError('o')"),
+        ('{"s":" ","r":"SubclassOf","o":"a"}', "EmptyLabelError"),
+        ('["b","SubclassOf","a"]', "TypeError"),
+    ])
+    def test_a_line_that_holds_no_record_is_named_by_its_number(self, tmp_path, line, error):
+        path = tmp_path / "triples.jsonl"
+        path.write_text('{"s":"b","r":"SubclassOf","o":"a"}\n\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 3: ") as exc:
+            read_triple_file(path)
+        assert error in str(exc.value)
+
     def test_write_is_byte_deterministic(self, tmp_path):
         records = [
-            TripleRecord(Triple(lbl("b"), Relation.SUBCLASS_OF, lbl("a")), TripleClass.RAW),
-            TripleRecord(Triple(lbl("c"), Relation.SUBCLASS_OF, lbl("a")), TripleClass.RAW),
+            TripleRecord(Triple(lbl("b"), Relation.SUBCLASS_OF, lbl("a"))),
+            TripleRecord(Triple(lbl("c"), Relation.SUBCLASS_OF, lbl("a"))),
         ]
         p1, p2 = tmp_path / "x.jsonl", tmp_path / "y.jsonl"
         write_triple_file(p1, records)
@@ -156,7 +192,6 @@ class TestTripleFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_mean_score(self):
-        r = TripleRecord(Triple(lbl("b"), Relation.SUBCLASS_OF, lbl("a")),
-                         TripleClass.CONFIRMED, scores=[0.2, 0.4])
+        r = TripleRecord(Triple(lbl("b"), Relation.SUBCLASS_OF, lbl("a")), scores=[0.2, 0.4])
         assert r.mean_score() == pytest.approx(0.3)
-        assert TripleRecord(r.triple, TripleClass.RAW).mean_score() is None
+        assert TripleRecord(r.triple).mean_score() is None

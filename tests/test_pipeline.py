@@ -49,7 +49,6 @@ from evontree.gateway import (
 from evontree.ontology import (
     Relation,
     Triple,
-    TripleClass,
     TripleRecord,
     normalize_label as lbl,
     read_triple_file,
@@ -62,6 +61,7 @@ from evontree.scoring import (
     templates_for,
 )
 from evontree.synthetic import SyntheticBackend, SyntheticModel, sample_ground_truth
+from test_report import shaping_row_indices
 
 # Verified to produce every class non-empty: enough synonym pairs for both
 # label polarities, hallucinated children for false triples.
@@ -273,7 +273,8 @@ class TestRunAll:
         with ctx.paths.roc_curve.open(newline="") as f:
             rows = list(csv.reader(f))
         assert rows == pipeline_module.roc_rows(fresh)
-        assert len(rows) == 1 + sum(len(fit.curve) for fits in fitted for fit in fits.values())
+        # Each curve's rows are its shaping rows: ends and tau_star among them.
+        assert len(shaping_row_indices(rows, fresh)) == sum(map(len, fitted))
         assert {(row[0], row[1]) for row in rows[1:]} == {
             (relation.value, str(t.paraphrase_id)) for relation in Relation
             for t in templates_for(relation)}
@@ -789,17 +790,17 @@ class TestDegradation:
 
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(list(Relation)), st.sampled_from(list(TripleClass)),
+    @given(st.lists(st.tuples(st.sampled_from(list(Relation)),
                               st.booleans(), st.sampled_from([None, " True", " False"])),
                     max_size=60))
     def test_score_records_drops_exactly_the_empty_spans(self, specs):
-        # Each spec: relation, class, whether the record has chains, and which
+        # Each spec: relation, whether the record has chains, and which
         # completion of its probes, if any, scores no tokens. Up to 60
         # records, up to 600 probes, cross a batch of BATCH_SIZE requests.
-        records = [TripleRecord(Triple(lbl(f"S{i}"), relation, lbl(f"O{i}")), triple_class,
+        records = [TripleRecord(Triple(lbl(f"S{i}"), relation, lbl(f"O{i}")),
                                 chains=[[(f"S{i}", f"M{i}"), (f"M{i}", f"O{i}")]]
                                 if chained else None)
-                   for i, (relation, triple_class, chained, _) in enumerate(specs)]
+                   for i, (relation, chained, _) in enumerate(specs)]
         empty = {f"S{i}": completion for i, (*_, completion) in enumerate(specs)}
 
         class Backend:
@@ -818,7 +819,7 @@ class TestDegradation:
         value = confirm_value(perplexity([-0.5]), perplexity([-1.0]))
         kept = [r for r, (*_, completion) in zip(records, specs) if completion is None]
         assert scored == [
-            TripleRecord(r.triple, r.triple_class, chains=r.chains,
+            TripleRecord(r.triple, chains=r.chains,
                          scores=[value] * len(templates_for(r.triple.relation)))
             for r in kept]
         assert unscored == len(records) - len(kept)

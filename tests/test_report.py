@@ -6,13 +6,15 @@ import math
 from contextlib import closing
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evontree.calibration import (
     CalibrationConfig,
     CalibrationOutcome,
     CalibrationResult,
+    LabeledScore,
     RocPoint,
+    fit_threshold,
 )
 from evontree.errors import JudgeUnavailableError, TransportError
 from evontree.gateway import ModelGateway
@@ -34,8 +36,8 @@ def sub(a: str, b: str) -> Triple:
     return Triple(normalize_label(a), Relation.SUBCLASS_OF, normalize_label(b))
 
 
-def rec(a: str, b: str, scores=None, triple_class=TripleClass.RAW) -> TripleRecord:
-    return TripleRecord(sub(a, b), triple_class, scores=scores)
+def rec(a: str, b: str, scores=None) -> TripleRecord:
+    return TripleRecord(sub(a, b), scores=scores)
 
 
 class TestBuildRows:
@@ -67,7 +69,7 @@ class TestBuildRows:
 
     def test_each_row_takes_its_relation_from_the_class(self):
         syn = TripleRecord(Triple(normalize_label("x"), Relation.SYNONYM_OF,
-                                  normalize_label("y")), TripleClass.RAW, scores=[-0.4])
+                                  normalize_label("y")), scores=[-0.4])
         sub_records = [rec("a", "b", scores=[0.6]), rec("c", "d")]
         rows = build_rows({TripleClass.RAW: ([syn, *sub_records], [syn, sub_records[0]])}, None)
         by_key = {(r.triple_type, r.relation): (r.num, r.confirm_value_avg) for r in rows}
@@ -165,11 +167,49 @@ class TestHistogram:
 
     def test_classes_pool_relations(self):
         syn = TripleRecord(Triple(normalize_label("x"), Relation.SYNONYM_OF,
-                                  normalize_label("y")), TripleClass.RAW, scores=[0.0])
+                                  normalize_label("y")), scores=[0.0])
         records = [rec("a", "b", scores=[0.0]), syn]
         rows = histogram_rows({TripleClass.RAW: (records, records)}, None)
         target = [r for r in rows[1:] if r[0] == "Raw" and r[1] == "0.0"][0]
         assert target[3] == "2"
+
+
+ROC_HEADER = ["relation", "template", "tau", "tpr", "fpr"]
+
+
+def shaping_row_indices(rows: list[list[str]], outcome: CalibrationOutcome) -> list[list[int]]:
+    """For each curve of outcome, in the order roc_rows writes them, the
+    indices into its full curve of its rows in rows. Asserts that they are
+    a subsequence of the full curve's rows, each row byte for byte as
+    flattening every point writes it, with the first, the last and the
+    tau_star rows among them."""
+    assert rows[0] == ROC_HEADER
+    body, kept_by_curve = rows[1:], []
+    for relation in sorted(outcome.by_relation):
+        for key in sorted(outcome.by_relation[relation]):
+            fit = outcome.by_relation[relation][key]
+            full = [[relation, key, str(p.tau), f"{p.tpr:.6f}", f"{p.fpr:.6f}"]
+                    for p in fit.curve]
+            kept = []
+            while body and body[0][:2] == [relation, key]:
+                row = body.pop(0)
+                kept.append(full.index(row, kept[-1] + 1 if kept else 0))
+            assert kept[0] == 0 and kept[-1] == len(full) - 1, (relation, key)
+            assert [p.tau for p in fit.curve].index(fit.tau_star) in kept, (relation, key)
+            kept_by_curve.append(kept)
+    assert body == []
+    return kept_by_curve
+
+
+def one_curve(samples: list[LabeledScore]) -> tuple[CalibrationOutcome, CalibrationResult]:
+    fit = fit_threshold(samples)
+    return (CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
+                               by_relation={"SubclassOf": {"1": fit}}), fit)
+
+
+def cross(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
+    """The cross product of the steps a to b and b to c: 0 when they are parallel."""
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
 
 
 class TestRocRows:
@@ -179,9 +219,57 @@ class TestRocRows:
         outcome = CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
                                      by_relation={"SubclassOf": {"1": fit, "2": fit}})
         rows = roc_rows(outcome)
-        assert rows[0] == ["relation", "template", "tau", "tpr", "fpr"]
+        assert rows[0] == ROC_HEADER
         assert rows[1] == ["SubclassOf", "1", "0.0", "1.000000", "1.000000"]
         assert len(rows) == 1 + 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-0.5, 0.0, 0.125, 0.25, 0.375, 0.5, 0.625,
+                                               0.75, 0.875, 1.0, 1.5]), st.booleans()),
+                    max_size=40))
+    def test_thinning_drops_only_points_on_a_straight_run(self, pairs):
+        samples = [LabeledScore(score, label) for score, label in pairs]
+        outcome, fit = one_curve(samples)
+        [kept] = shaping_row_indices(roc_rows(outcome), outcome)
+        # The counts above each tau, from the samples themselves.
+        counts = [(sum(s.label and s.score > p.tau for s in samples),
+                   sum(not s.label and s.score > p.tau for s in samples)) for p in fit.curve]
+        star = [p.tau for p in fit.curve].index(fit.tau_star)
+        for before, after in zip(kept, kept[1:]):
+            a, b = counts[before], counts[after]
+            for dropped in range(before + 1, after):
+                c = counts[dropped]
+                assert cross(a, c, b) == 0
+                assert min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                assert min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        # Every point kept between the ends but tau_star's is a turn.
+        for before, point, after in zip(kept, kept[1:], kept[2:]):
+            if point != star:
+                assert cross(counts[before], counts[point], counts[after]) != 0
+
+    def test_tau_star_inside_a_straight_run_is_kept(self):
+        # Four (positive, negative) pairs tied at 0.2 to 0.8 make one straight
+        # run from (5, 4) to (1, 0) counted above tau, on which J is 0.2 at
+        # every point. In floats, 4/5 - 3/5 is the largest, so tau_star is 0.2,
+        # inside the run.
+        samples = [LabeledScore(-1.0, False), LabeledScore(0.9, True),
+                   *(LabeledScore(score, label) for score in (0.2, 0.4, 0.6, 0.8)
+                     for label in (True, False))]
+        outcome, fit = one_curve(samples)
+        assert fit.tau_star == 0.2
+        assert [p.tau for p in fit.curve] == [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0]
+        rows = roc_rows(outcome)
+        assert shaping_row_indices(rows, outcome) == [[0, 1, 4, 6]]
+        assert rows[1:] == [["SubclassOf", "1", "0.0", "1.000000", "0.800000"],
+                            ["SubclassOf", "1", "0.2", "0.800000", "0.600000"],
+                            ["SubclassOf", "1", "0.8", "0.200000", "0.000000"],
+                            ["SubclassOf", "1", "1.0", "0.000000", "0.000000"]]
+
+    def test_a_fit_read_back_has_no_rows(self):
+        fit = CalibrationResult(tau_star=0.5, n_pos=1, n_neg=1, max_j=1.0)
+        outcome = CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
+                                     by_relation={"SubclassOf": {"1": fit}})
+        assert roc_rows(outcome) == [ROC_HEADER]
 
 
 class TestSweep:

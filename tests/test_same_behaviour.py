@@ -37,21 +37,21 @@ CONFIG = {
 ARTIFACT_SHA256 = {
     "calibration.json": "36ed7b2a1d66f10cab952fd6186827252ddbb581484616553172464b7d0ffef8",
     "confirm_hist.csv": "224325f9d4f5b49a06a39b469676d7aac95e1ad450bc27652c7a49291dd07962",
-    "confirmed.jsonl": "70e90954aafd47c925eefb1821caa9978f30351b11ecf208351047b24cc1794d",
+    "confirmed.jsonl": "6a199c69ba27420783d4b647b9dd523cbdeeadcc0e07f9e1530ab476732d058d",
     "corpus.jsonl": "e03e0c1c64a6150b5e1ffacc762882f71378f358924020c6bbb1b9cf1235811d",
     "evontree.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "extrapolated.jsonl": "9c70e2f5259b8ebbdd3e835bedc9fccd5094600d5556fe02e0438446a3b27370",
+    "extrapolated.jsonl": "f499d12de9b19a5a176a6c33a33a583b21d1e8e559369e70dd5f794fc999e950",
     "forest.json": "e0277392cc8bf26c6e2259ef31cd3675bacb99b5a322193edc68954766451bed",
-    "gaps.jsonl": "30d68de57726245a5442d139d1119d8e75d86eb64cf01e105f2c27e8a963f827",
+    "gaps.jsonl": "75c42c3d432ed3442f6ace77fa77199c82726b947855c8f3c47846795c5cbe63",
     "ground_truth.json": "3b3b4cbdd808b01d3837a7da15bf95b6cbe608acc5fd80e8903b31d3e730e1a9",
-    "raw.jsonl": "3f944013090c67800f53d41a44bd59403cc765335f853c0d4b317834d44650b5",
-    "reliable.jsonl": "fa35cce3c023b43dbfbffc28d3e0468b800138c616d06b6b331f3a166dcc3538",
+    "raw.jsonl": "ff835507c6d0a38bf5d567f1488c12e5025962980a2e11bc5d56ecabd00a8895",
+    "reliable.jsonl": "7d1801f23e817b44ee6d0a90aec0728cb2ddc9bbc4a01ea4b63385a8d9930ca3",
     "report.csv": "83a36a95074b2af3bd33b825c9338066ef046bb3a62c892ebdec4bb77442d7b3",
     "report.json": "dd8da7549f18565d4ab49b198f62448e4a389c66f94a9e56d73377da049b0398",
-    "roc_curve.csv": "586f31652669e71b347820bebd1b8730b7fcd2e656f7d98e0089a7753f3e9f22",
+    "roc_curve.csv": "db1dcf4437458fd6683a401b3dfd8f844183ecf0698b4021d2d548903b1ac31d",
     "scored_extrapolated.jsonl":
-        "1e3d01acddf6c8a8a5527e13fbb835e6edc9086394e9eb37e9d4e2141953431d",
-    "scored_raw.jsonl": "ccca0caf8a8457a92d50dbb0c18cee63057dfdd9b8eb44f2a1454731438af6c6",
+        "7f7d2fdb6e900e6e542c5e9e0721b0e1b0ab087ae563668bcb2fa35b94fb8a7f",
+    "scored_raw.jsonl": "8946f61a413a60c05a9d2d0b6a239e883a3d45a485d47dd3e5aef27eb7ac2da9",
     "sweep.csv": "da816af94f315f892ed80b99beb41884db6b65748b6a110a9d17a608357572bc",
 }
 

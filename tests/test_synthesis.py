@@ -8,7 +8,6 @@ from evontree.gateway import ASK_ATTEMPTS, ModelGateway
 from evontree.ontology import (
     Relation,
     Triple,
-    TripleClass,
     TripleRecord,
     normalize_label as lbl,
     write_triple_file,
@@ -142,8 +141,6 @@ def gap_record(d="Retrovirus", c="RNA Virus", a="Virus", chains=None):
         chains = [[(d, c), (c, a)]]
     return TripleRecord(
         triple=Triple(lbl(d), Relation.SUBCLASS_OF, lbl(a)),
-        triple_class=TripleClass.GAP,
-        scores=[-0.5, -0.6, -0.7, -0.8],
         chains=chains,
     )
 
