@@ -1,17 +1,15 @@
 """Command-line entry point.
 
 One verb per pipeline stage plus `run` (every stage in order) and `sweep`
-(gap yield across shifted thresholds). Exit codes: 0 on success, 2 for a
-config problem, 3 when a stage is invoked before its upstream artifacts
-exist or when one differs from what its stage last wrote (the manifest's
-hashes are checked; rerun the stages the message names), 4 when the model
-endpoint fails, and 1 for any other evontree error, such as a response
-cache file that is not a SQLite database or is in any format but this
-version's or the one before it, which is read in place, so one written by a
-still earlier or a later version, for a database error of the response
-cache, such as a full disk, for a file that cannot be read or written, such
-as an artifact on a full disk (the message names the file), and for a stage
-started on an output directory where another process is running one.
+(gap yield across shifted thresholds). Exit codes, as in README's table:
+
+- 0: success.
+- 1: any other error: a response cache this version cannot read or write,
+  a file that cannot be read or written, or a busy output directory.
+- 2: a config problem, reported before any stage runs.
+- 3: an upstream artifact that is missing, differs from what its stage
+  last wrote, or does not parse; rerun the stages the message names.
+- 4: a model endpoint failure.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import EmptyLabelError
 
@@ -198,18 +198,29 @@ class TripleRecord:
         return obj
 
 
+def _is_list(value, item: Callable[[object], bool]) -> bool:
+    return isinstance(value, list) and all(map(item, value))
+
+
+def _is_label_pair(pair) -> bool:
+    return _is_list(pair, lambda label: isinstance(label, str)) and len(pair) == 2
+
+
 def _record_from_obj(obj: dict) -> TripleRecord:
     """The record a line's object holds. A "class" key, which files written
-    before the class left the line carry, is ignored."""
-    triple = Triple(
-        normalize_label(obj["s"]),
-        Relation(obj["r"]),
-        normalize_label(obj["o"]),
-    )
-    chains = None
-    if obj.get("chains") is not None:
-        chains = [[(s, o) for s, o in chain] for chain in obj["chains"]]
-    return TripleRecord(triple=triple, scores=obj.get("scores"), chains=chains)
+    before the class left the line carry, is ignored. Scores that are not a
+    list of numbers, or chains that are not lists of [str, str] pairs, raise
+    ValueError."""
+    triple = Triple(normalize_label(obj["s"]), Relation(obj["r"]), normalize_label(obj["o"]))
+    scores, chains = obj.get("scores"), obj.get("chains")
+    if scores is not None and not _is_list(
+            scores, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)):
+        raise ValueError(f"scores must be a list of numbers, not {scores!r}")
+    if chains is not None:
+        if not _is_list(chains, lambda chain: _is_list(chain, _is_label_pair)):
+            raise ValueError(f"chains must be lists of [str, str] pairs, not {chains!r}")
+        chains = [[(s, o) for s, o in chain] for chain in chains]
+    return TripleRecord(triple=triple, scores=scores, chains=chains)
 
 
 def write_atomic(path: Path, text: str) -> None:

@@ -1,9 +1,9 @@
 """Stage-oriented pipeline: extract, calibrate, confirm, reliable,
 extrapolate, gap, synthesize, report, plus a threshold sweep.
 
-TABLE names each stage's body and the artifacts it reads and writes;
-run_stage does the rest. It loads the inputs for the body, which returns a
-value for each of its outputs and its tallies; run_stage then writes each
+TABLE names each stage's body and the files it reads and writes. run_stage
+passes the body its inputs in TABLE order; the body returns each output's
+value, by file name, and its tallies; run_stage then writes each
 output atomically (records as JSONL, rows as CSV, the rest as JSON) and
 records in the manifest the hashes of those inputs and outputs, plus the
 provenance (config hash, prompt and template set versions, model identity)
@@ -115,52 +115,36 @@ from .rules import (
 from .scoring import PROMPT_SET_VERSION, confirm_decision, score_triples
 from .scoring import score_triple  # noqa: F401  no stage calls it; perfbench/spans.py wraps it here
 from .synthesis import TEMPLATE_SET_VERSION, build_corpus
-from .synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
+from .synthetic import (
+    GroundTruth,
+    SyntheticBackend,
+    SyntheticModel,
+    sample_ground_truth,
+    synthetic_identity,
+)
 
 log = logging.getLogger(__name__)
 
 
-class Artifacts:
-    """Where every pipeline product lives under the output directory."""
-
-    def __init__(self, out_dir: Path) -> None:
-        self.out_dir = out_dir
-        self.forest = out_dir / "forest.json"
-        self.ground_truth = out_dir / "ground_truth.json"
-        self.raw = out_dir / "raw.jsonl"
-        self.scored_raw = out_dir / "scored_raw.jsonl"
-        self.calibration = out_dir / "calibration.json"
-        self.confirmed = out_dir / "confirmed.jsonl"
-        self.reliable = out_dir / "reliable.jsonl"
-        self.extrapolated = out_dir / "extrapolated.jsonl"
-        self.scored_extrapolated = out_dir / "scored_extrapolated.jsonl"
-        self.gaps = out_dir / "gaps.jsonl"
-        self.corpus = out_dir / "corpus.jsonl"
-        self.report_json = out_dir / "report.json"
-        self.report_csv = out_dir / "report.csv"
-        self.roc_curve = out_dir / "roc_curve.csv"
-        self.confirm_hist = out_dir / "confirm_hist.csv"
-        self.sweep = out_dir / "sweep.csv"
-        self.manifest = out_dir / "manifest.json"
-        self.lock = out_dir / "evontree.lock"
+# The files in the output directory beside the TABLE artifacts; no stage reads them.
+MANIFEST, LOCK, GROUND_TRUTH = "manifest.json", "evontree.lock", "ground_truth.json"
 
 
 class RunContext:
-    """Shared state for one invocation: config, paths, and lazily built
-    gateways so a pure stage never touches the model layer."""
+    """Shared state for one invocation: config, and lazily built gateways
+    so a pure stage never touches the model layer."""
 
     def __init__(self, config: RunConfig, read_cache: bool = True) -> None:
         self.config = config
         self.read_cache = read_cache
-        self.paths = Artifacts(config.output.dir)
-        self.paths.out_dir.mkdir(parents=True, exist_ok=True)
+        config.output.dir.mkdir(parents=True, exist_ok=True)
         self._ground_truth: GroundTruth | None = None
         self._gateway: ModelGateway | None = None
         self._judge_gateway: ModelGateway | None = None
         self._counted = dict.fromkeys(GATEWAY_COUNTERS, 0)
-        # What run_stage wrote to each artifact a stage reads, by Artifacts
-        # attribute, as _load_input would parse it back, with the file's
-        # hash: handed to later stages in place of parsing the file.
+        # What run_stage wrote to each artifact a stage reads, by file name,
+        # as _load_input would parse it back, with the file's hash: handed
+        # to later stages in place of parsing the file.
         self._kept: dict[str, tuple[str, object]] = {}
 
     def ground_truth(self) -> GroundTruth:
@@ -223,12 +207,14 @@ class RunContext:
         return delta
 
     def model_identity(self) -> str:
+        """The model's backend identity and name, as a gateway's backend
+        gives them, without opening one."""
         model_cfg = self.config.model
         if model_cfg.kind == "synthetic":
-            spec = model_cfg.synthetic
-            gt_hash = self.ground_truth().content_hash()[:8]
-            return f"synthetic://{spec.seed}/{gt_hash}#{model_cfg.name}"
-        return f"{endpoint_identity(model_cfg.endpoint)}#{model_cfg.name}"
+            identity = synthetic_identity(model_cfg.synthetic.seed, self.ground_truth())
+        else:
+            identity = endpoint_identity(model_cfg.endpoint)
+        return f"{identity}#{model_cfg.name}"
 
     def map_concurrent(self, fn: Callable, items: Sequence, gateway: ModelGateway) -> list:
         """fn over items, in order, fanned out as gateway.fan_out does. No
@@ -242,10 +228,6 @@ def _utc_now() -> str:
 
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _file_hash(path: Path) -> str:
-    return _digest(path.read_bytes())
 
 
 def _write_json(path: Path, obj) -> None:
@@ -262,12 +244,12 @@ def stage_extract(ctx: RunContext) -> tuple[dict, dict]:
     # No stage reads ground_truth.json, so it is no TABLE output and is not
     # hashed: model.synthetic, which config_hash records, fixes its content.
     if config.model.kind == "synthetic":
-        _write_json(ctx.paths.ground_truth, ctx.ground_truth().to_json_obj())
+        _write_json(config.output.dir / GROUND_TRUTH, ctx.ground_truth().to_json_obj())
     else:
-        ctx.paths.ground_truth.unlink(missing_ok=True)
+        (config.output.dir / GROUND_TRUTH).unlink(missing_ok=True)
     by_relation = Counter(t.relation.value for t in triples)
-    return ({"forest": [tree.to_json_obj() for tree in forest],
-             "raw": [TripleRecord(t) for t in triples]},
+    return ({"forest.json": [tree.to_json_obj() for tree in forest],
+             "raw.jsonl": [TripleRecord(t) for t in triples]},
             {**stats.to_json_obj(), "raw_triples": dict(sorted(by_relation.items()))})
 
 
@@ -300,7 +282,8 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> tuple[dict, dic
         by_relation[relation.value] = calibrate_relation(samples, ctx.config.calibration)
     outcome = CalibrationOutcome(sweep=ctx.config.calibration, prompt_set=PROMPT_SET_VERSION,
                                  by_relation=by_relation, unparseable=unparseable)
-    return ({"scored_raw": scored, "calibration": outcome, "roc_curve": roc_rows(outcome)},
+    return ({"scored_raw.jsonl": scored, "calibration.json": outcome,
+             "roc_curve.csv": roc_rows(outcome)},
             {"unscored": unscored, "unparseable_labels": unparseable})
 
 
@@ -312,7 +295,7 @@ def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
                  if confirm_decision(record.scores,
                                      calibration.thresholds(record.triple.relation))]
     by_relation = Counter(r.triple.relation.value for r in confirmed)
-    return ({"confirmed": confirmed},
+    return ({"confirmed.jsonl": confirmed},
             {"confirmed": dict(sorted(by_relation.items())),
              "rejected": len(scored_raw) - len(confirmed)})
 
@@ -321,7 +304,7 @@ def stage_reliable(ctx: RunContext, confirmed: list[TripleRecord]) -> tuple[dict
     """Keep the confirmed subclass triples corroborated by a confirmed
     synonym triangle."""
     reliable = select_reliable({r.triple for r in confirmed})
-    return ({"reliable": [TripleRecord(t) for t in reliable]},
+    return ({"reliable.jsonl": [TripleRecord(t) for t in reliable]},
             {"reliable": len(reliable)})
 
 
@@ -346,7 +329,7 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord], confirmed: list[
         for c in candidates
     ]
     scored, unscored = _score_records(ctx, ext_records)
-    return ({"extrapolated": ext_records, "scored_extrapolated": scored},
+    return ({"extrapolated.jsonl": ext_records, "scored_extrapolated.jsonl": scored},
             {"compositions": compositions,
              "extrapolated_new": len(ext_records),
              "unscored": unscored})
@@ -365,7 +348,7 @@ def stage_gap(ctx: RunContext, scored_extrapolated: list[TripleRecord],
         counts[verdict] += 1
         if verdict == CLASS_GAP:
             gaps.append(TripleRecord(record.triple, chains=record.chains))
-    return ({"gaps": gaps},
+    return ({"gaps.jsonl": gaps},
             {"confirmed": counts.get(CLASS_CONFIRMED, 0),
              "gap": counts.get(CLASS_GAP, 0),
              "undecided": counts.get(CLASS_UNDECIDED, 0),
@@ -376,7 +359,7 @@ def stage_synthesize(ctx: RunContext, gaps: list[TripleRecord]) -> tuple[dict, d
     """Distill a training corpus targeting the mined gaps."""
     entries, tallies = build_corpus(ctx.gateway(), gaps, ctx.config.synthesis)
     by_strategy = Counter(e.strategy for e in entries)
-    return ({"corpus": entries},
+    return ({"corpus.jsonl": entries},
             {**tallies.to_json_obj(),
              "entries": dict(sorted(by_strategy.items())),
              "strategy": ctx.config.synthesis.strategy,
@@ -429,9 +412,9 @@ def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[Trip
         "judge_unparseable": judge_unparseable,
         "unscored": unscored,
     }
-    return ({"report_json": report,
-             "report_csv": rows_to_csv(rows, with_acc=verdicts is not None),
-             "confirm_hist": histogram_rows(classes, verdicts)},
+    return ({"report.json": report,
+             "report.csv": rows_to_csv(rows, with_acc=verdicts is not None),
+             "confirm_hist.csv": histogram_rows(classes, verdicts)},
             {"judge_unavailable": judge_unavailable,
              "judge_unparseable": judge_unparseable,
              "unscored": unscored})
@@ -446,35 +429,37 @@ def stage_sweep(ctx: RunContext, scored_extrapolated: list[TripleRecord],
         taus = []
     points = sweep_gap_offsets(scored_extrapolated, taus, ctx.config.gap.sweep_offsets,
                                mode=ctx.config.gap.mode)
-    return {"sweep": sweep_rows(points)}, {"offsets": len(points), "gap_mode": ctx.config.gap.mode}
+    return ({"sweep.csv": sweep_rows(points)},
+            {"offsets": len(points), "gap_mode": ctx.config.gap.mode})
 
 
-# Every stage: its body, the artifacts it reads and those it writes, by
-# Artifacts attribute. The runner passes the inputs to the body by attribute
-# name; the body returns a value for each output, by attribute name, and its
-# tallies. `run` runs the stages in this order, sweep aside.
+# Every stage: its body, the files it reads and those it writes. The runner
+# passes the inputs to the body in this order, after ctx, as the parameters
+# named by their stems; the body returns a value for each output, by file
+# name, and its tallies. `run` runs the stages in this order, sweep aside.
 TABLE: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
-    "extract": (stage_extract, (), ("forest", "raw")),
-    "calibrate": (stage_calibrate, ("raw",), ("scored_raw", "calibration", "roc_curve")),
-    "confirm": (stage_confirm, ("scored_raw", "calibration"), ("confirmed",)),
-    "reliable": (stage_reliable, ("confirmed",), ("reliable",)),
-    "extrapolate": (stage_extrapolate, ("raw", "confirmed", "reliable"),
-                    ("extrapolated", "scored_extrapolated")),
-    "gap": (stage_gap, ("scored_extrapolated", "calibration"), ("gaps",)),
-    "synthesize": (stage_synthesize, ("gaps",), ("corpus",)),
+    "extract": (stage_extract, (), ("forest.json", "raw.jsonl")),
+    "calibrate": (stage_calibrate, ("raw.jsonl",),
+                  ("scored_raw.jsonl", "calibration.json", "roc_curve.csv")),
+    "confirm": (stage_confirm, ("scored_raw.jsonl", "calibration.json"), ("confirmed.jsonl",)),
+    "reliable": (stage_reliable, ("confirmed.jsonl",), ("reliable.jsonl",)),
+    "extrapolate": (stage_extrapolate, ("raw.jsonl", "confirmed.jsonl", "reliable.jsonl"),
+                    ("extrapolated.jsonl", "scored_extrapolated.jsonl")),
+    "gap": (stage_gap, ("scored_extrapolated.jsonl", "calibration.json"), ("gaps.jsonl",)),
+    "synthesize": (stage_synthesize, ("gaps.jsonl",), ("corpus.jsonl",)),
     "report": (stage_report,
-               ("raw", "scored_raw", "confirmed", "reliable",
-                "extrapolated", "scored_extrapolated", "gaps"),
-               ("report_json", "report_csv", "confirm_hist")),
-    "sweep": (stage_sweep, ("scored_extrapolated", "calibration"), ("sweep",)),
+               ("raw.jsonl", "scored_raw.jsonl", "confirmed.jsonl", "reliable.jsonl",
+                "extrapolated.jsonl", "scored_extrapolated.jsonl", "gaps.jsonl"),
+               ("report.json", "report.csv", "confirm_hist.csv")),
+    "sweep": (stage_sweep, ("scored_extrapolated.jsonl", "calibration.json"), ("sweep.csv",)),
 }
 STAGE_ORDER = tuple(name for name in TABLE if name != "sweep")
 # The body the runner calls, looked up at call time, so it can be wrapped.
 STAGES: dict[str, Callable] = {name: body for name, (body, _, _) in TABLE.items()}
 # The artifacts some stage reads: run_stage keeps what it wrote to them.
-_READ = {attr for _, inputs, _ in TABLE.values() for attr in inputs}
+_READ = {file for _, inputs, _ in TABLE.values() for file in inputs}
 # The stage that writes each artifact.
-_PRODUCER = {attr: stage for stage, (_, _, outputs) in TABLE.items() for attr in outputs}
+_PRODUCER = {file: stage for stage, (_, _, outputs) in TABLE.items() for file in outputs}
 
 
 def _write_output(path: Path, value):
@@ -492,45 +477,43 @@ def _write_output(path: Path, value):
     return value
 
 
-def _load_input(attr: str, data: bytes):
+def _load_input(file: str, data: bytes):
     """An input artifact, parsed from its bytes, as its stage body takes it.
     Bytes that hold no such artifact raise StaleUpstreamError, naming the
     file, the line of a triple file, and the stage to rerun."""
     try:
-        if attr == "calibration":
+        if file == "calibration.json":
             return CalibrationOutcome.from_json_obj(json.loads(data.decode("utf-8")))
         return parse_triple_file(data)
     except (ValueError, KeyError, TypeError, AttributeError, EmptyLabelError) as exc:
         # A triple file's error names the line; a KeyError's text alone is a bare key.
-        detail = exc if attr != "calibration" else repr(exc)
+        detail = exc if file != "calibration.json" else repr(exc)
         raise StaleUpstreamError(
-            f"{getattr(Artifacts(Path()), attr).name} does not parse ({detail}); "
-            f"rerun {_PRODUCER[attr]!r} and the stages after it") from exc
+            f"{file} does not parse ({detail}); "
+            f"rerun {_PRODUCER[file]!r} and the stages after it") from exc
 
 
-def _stale_inputs(paths: Artifacts, stages: dict, name: str, read: dict[str, str]) -> list[str]:
+def _stale_inputs(stages: dict, name: str, read: dict[str, str]) -> list[str]:
     """Each input of stage name whose hash, in read, is not the one its
     producer last recorded writing; then, going up the table, each input an
     upstream stage recorded reading that its producer has since rewritten,
     from the manifest's records alone. Each as "file (rerun 'stage')"."""
-    producer = {getattr(paths, attr).name: stage for attr, stage in _PRODUCER.items()}
 
     def changed(digests: dict[str, str]) -> list[str]:
         """The files whose producer last recorded writing another hash."""
         return [file for file, digest in digests.items()
-                if stages.get(producer.get(file), {}).get("outputs", {}).get(file, digest)
+                if stages.get(_PRODUCER.get(file), {}).get("outputs", {}).get(file, digest)
                 != digest]
 
-    stale = {f"{file} (rerun {producer[file]!r})" for file in changed(read)}
-    todo, seen = [name], set()
+    stale = {f"{file} (rerun {_PRODUCER[file]!r})" for file in changed(read)}
+    upstream, todo = set(), [name]
     while todo:
-        for attr in TABLE[todo.pop()][1]:
-            upstream = producer[getattr(paths, attr).name]
-            if upstream not in seen:
-                seen.add(upstream)
-                todo.append(upstream)
-                recorded = stages.get(upstream, {}).get("inputs", {})
-                stale |= {f"{file} (rerun {upstream!r})" for file in changed(recorded)}
+        found = {_PRODUCER[file] for file in TABLE[todo.pop()][1]} - upstream
+        upstream |= found
+        todo.extend(found)
+    for stage in upstream:
+        recorded = stages.get(stage, {}).get("inputs", {})
+        stale |= {f"{file} (rerun {stage!r})" for file in changed(recorded)}
     return sorted(stale)
 
 
@@ -571,7 +554,7 @@ def run_stage(ctx: RunContext, name: str) -> None:
     directory's lock throughout."""
     if name not in TABLE:
         raise ValueError(f"unknown stage {name!r}; expected one of {tuple(TABLE)}")
-    with _holding(ctx.paths.lock):
+    with _holding(ctx.config.output.dir / LOCK):
         _run_held(ctx, name)
 
 
@@ -579,42 +562,38 @@ def _run_held(ctx: RunContext, name: str) -> None:
     """run_stage's work, with the output directory's lock held."""
     log.info("stage %s starting", name)
     start = time.perf_counter()
-    paths = ctx.paths
+    out = ctx.config.output.dir
     _, inputs, outputs = TABLE[name]
-    missing = [str(getattr(paths, attr)) for attr in inputs if not getattr(paths, attr).exists()]
+    missing = [str(out / file) for file in inputs if not (out / file).exists()]
     if missing:
         raise MissingUpstreamError(
             f"stage {name!r} needs upstream artifact(s) {missing}; "
             "run the earlier stages first")
     stages = {}
-    if paths.manifest.exists():
-        stages = json.loads(paths.manifest.read_text(encoding="utf-8")).get("stages", {})
-    blobs = {attr: getattr(paths, attr).read_bytes() for attr in inputs}
-    digests = {attr: _digest(blob) for attr, blob in blobs.items()}
-    read = {getattr(paths, attr).name: digest for attr, digest in digests.items()}
-    stale = _stale_inputs(paths, stages, name, read)
+    if (out / MANIFEST).exists():
+        stages = json.loads((out / MANIFEST).read_text(encoding="utf-8")).get("stages", {})
+    blobs = {file: (out / file).read_bytes() for file in inputs}
+    read = {file: _digest(blob) for file, blob in blobs.items()}
+    stale = _stale_inputs(stages, name, read)
     if stale:
         raise StaleUpstreamError(
             f"stage {name!r} refused: upstream artifact(s) changed since the stages "
             f"that wrote or read them last ran: {', '.join(stale)}; rerun the named "
             "stages and the ones after them")
 
-    kwargs = {}
-    for attr in inputs:
-        kept_digest, kept = ctx._kept.get(attr, (None, None))
-        kwargs[attr] = kept if kept_digest == digests[attr] else _load_input(attr, blobs[attr])
+    kept = {file: value for file, (digest, value) in ctx._kept.items() if read.get(file) == digest}
+    args = [kept[file] if file in kept else _load_input(file, blobs[file]) for file in inputs]
     del blobs
-    values, tallies = STAGES[name](ctx, **kwargs)
+    values, tallies = STAGES[name](ctx, *args)
     # The stage's responses are committed before its entry records it done.
     for gateway in ctx._open_gateways():
         gateway.commit()
     hashes = {}
-    for attr in outputs:
-        path = getattr(paths, attr)
-        written = _write_output(path, values[attr])
-        hashes[path.name] = _file_hash(path)
-        if attr in _READ:
-            ctx._kept[attr] = (hashes[path.name], written)
+    for file in outputs:
+        written = _write_output(out / file, values[file])
+        hashes[file] = _digest((out / file).read_bytes())
+        if file in _READ:
+            ctx._kept[file] = (hashes[file], written)
     provenance = {"config_hash": ctx.config.config_hash(), "model_identity": ctx.model_identity()}
     stages[name] = {
         "completed_at": _utc_now(),
@@ -627,7 +606,7 @@ def _run_held(ctx: RunContext, name: str) -> None:
     }
     # Only the stage entries carry over; the top level is written afresh, so
     # no key an earlier version wrote outlives it.
-    _write_json(paths.manifest, {
+    _write_json(out / MANIFEST, {
         "tool_version": __version__,
         "prompt_set": PROMPT_SET_VERSION,
         "template_set": TEMPLATE_SET_VERSION,

@@ -379,6 +379,11 @@ class SyntheticModel:
         raise UnrecognizedPromptError(f"unexpected completion {completion!r}")
 
 
+def synthetic_identity(seed: int, gt: GroundTruth) -> str:
+    """A synthetic model's identity, as cache keys and the manifest name it."""
+    return f"synthetic://{seed}/{gt.content_hash()[:8]}"
+
+
 @dataclass
 class SyntheticBackend:
     """Gateway backend adapter for a SyntheticModel."""
@@ -387,7 +392,7 @@ class SyntheticBackend:
     identity: str = field(init=False)
 
     def __post_init__(self) -> None:
-        self.identity = f"synthetic://{self.model.seed}/{self.model.gt.content_hash()[:8]}"
+        self.identity = synthetic_identity(self.model.seed, self.model.gt)
 
     def generate(self, body: dict) -> dict:
         return {"text": self.model.respond_generate(body)}

@@ -264,11 +264,11 @@ def test_criterion_4_end_to_end_synthetic(e2e_run, tmp_path):
     ctx, started = e2e_run
     gt = ctx.ground_truth()
     assert 450 <= len(gt.vocabulary) <= 600  # roughly 500 concepts
-    paths = ctx.paths
+    out = ctx.config.output.dir
 
-    raw = _subclass_records(paths.raw)
-    confirmed = _subclass_records(paths.confirmed)
-    reliable = _subclass_records(paths.reliable)
+    raw = _subclass_records(out / "raw.jsonl")
+    confirmed = _subclass_records(out / "confirmed.jsonl")
+    reliable = _subclass_records(out / "reliable.jsonl")
     prec_raw, prec_conf, prec_rel = (_precision(gt, rs) for rs in (raw, confirmed, reliable))
     assert prec_raw < 1.0, "run planted no false raw triples; ordering would be vacuous"
     assert prec_rel >= prec_conf >= prec_raw
@@ -280,15 +280,15 @@ def test_criterion_4_end_to_end_synthetic(e2e_run, tmp_path):
         assert len(scored) == len(triples)
         return sum(r.mean_score() for r in scored) / len(scored)
 
-    gaps = read_triple_file(paths.gaps)
+    gaps = read_triple_file(out / "gaps.jsonl")
     assert gaps
-    assert (mean_cv(paths.gaps, paths.scored_extrapolated)
-            < mean_cv(paths.confirmed, paths.scored_raw))
+    assert (mean_cv(out / "gaps.jsonl", out / "scored_extrapolated.jsonl")
+            < mean_cv(out / "confirmed.jsonl", out / "scored_raw.jsonl"))
 
     spec = ctx.config.model.synthetic
     model = SyntheticModel(gt, spec.noise, seed=spec.seed,
                            hallucination_rate=spec.hallucination_rate)
-    extrapolated = read_triple_file(paths.extrapolated)
+    extrapolated = read_triple_file(out / "extrapolated.jsonl")
     targets = [r.triple for r in extrapolated
                if gt.is_true(r.triple.relation, r.triple.subject.key, r.triple.object.key)
                and not model._familiar(r.triple.relation, r.triple.subject.key,
@@ -301,8 +301,8 @@ def test_criterion_4_end_to_end_synthetic(e2e_run, tmp_path):
     rerun = RunContext(e2e_config(tmp_path, "rerun"), read_cache=False)
     run_all(rerun)
     for name in ("raw.jsonl", "calibration.json", "gaps.jsonl", "corpus.jsonl"):
-        assert ((rerun.paths.out_dir / name).read_bytes()
-                == (paths.out_dir / name).read_bytes()), f"{name} not deterministic"
+        assert ((rerun.config.output.dir / name).read_bytes()
+                == (out / name).read_bytes()), f"{name} not deterministic"
 
     elapsed = budget(4, started, 60.0)
     report(4, f"precision {prec_raw:.3f}<={prec_conf:.3f}<={prec_rel:.3f}, "
@@ -372,7 +372,7 @@ def test_criterion_5_corpus_contract(tmp_path):
 def test_criterion_6_report_contract(e2e_run):
     started = time.monotonic()
     ctx, _ = e2e_run
-    with ctx.paths.report_csv.open(encoding="utf-8") as fh:
+    with (ctx.config.output.dir / "report.csv").open(encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["Triple Type", "Relation", "Num", "ConfirmValue Avg.", "Acc."]
 
@@ -383,7 +383,7 @@ def test_criterion_6_report_contract(e2e_run):
     assert num[("Raw", "SynonymOf")] >= num[("Confirmed", "SynonymOf")]
 
     run_stage(ctx, "sweep")
-    sweep_lines = ctx.paths.sweep.read_text(encoding="utf-8").splitlines()
+    sweep_lines = (ctx.config.output.dir / "sweep.csv").read_text(encoding="utf-8").splitlines()
     counts = [int(line.split(",")[1]) for line in sweep_lines[1:]]
     assert counts and counts == sorted(counts)
 

@@ -48,7 +48,7 @@ from evontree.gateway import (
     _cache_key,
 )
 from evontree.ontology import normalize_label, read_triple_file
-from evontree.pipeline import STAGE_ORDER, TABLE, Artifacts
+from evontree.pipeline import STAGE_ORDER, TABLE
 from evontree.scoring import probe_requests
 from evontree.synthetic import SyntheticBackend
 from test_pipeline import stored_rows
@@ -163,6 +163,34 @@ class TestExitCodes:
         assert detail in caplog.text
         assert "rerun 'extract' and the stages after it" in caplog.text
         assert not (tmp_path / "out" / "scored_raw.jsonl").exists()
+
+    @pytest.mark.parametrize(("stage", "file", "key", "value", "detail", "producer"), [
+        ("confirm", "scored_raw.jsonl", "scores", "abcd",
+         "scores must be a list of numbers, not 'abcd'", "calibrate"),
+        ("confirm", "scored_raw.jsonl", "scores", [True, 0.5, 0.5],
+         "scores must be a list of numbers", "calibrate"),
+        ("synthesize", "gaps.jsonl", "chains", [[[1, 2], [3, 4]]],
+         "chains must be lists of [str, str] pairs, not [[[1, 2], [3, 4]]]", "gap"),
+        ("synthesize", "gaps.jsonl", "chains", [[["a", "b", "c"]]],
+         "chains must be lists of [str, str] pairs", "gap"),
+    ])
+    def test_a_malformed_scores_or_chains_value_exits_3(
+            self, finished_run, tmp_path, caplog, stage, file, key, value, detail, producer):
+        # A copy of a finished run with no manifest, so that nothing vouches
+        # for the input and it is parsed; its first line's value is replaced.
+        tmp, config = finished_run
+        out = tmp_path / "out"
+        shutil.copytree(tmp / "out", out, ignore=shutil.ignore_patterns("cache"))
+        (out / "manifest.json").unlink()
+        first, *rest = (out / file).read_text(encoding="utf-8").splitlines(keepends=True)
+        (out / file).write_text(json.dumps({**json.loads(first), key: value}) + "\n"
+                                + "".join(rest), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main([stage, "--config", str(config),
+                         "--stage-dir", str(out)]) == EXIT_MISSING_UPSTREAM
+        assert f"{file} does not parse (line 1: " in caplog.text
+        assert detail in caplog.text
+        assert f"rerun {producer!r} and the stages after it" in caplog.text
 
     def test_a_calibration_json_of_another_shape_exits_3(self, finished_run, tmp_path, caplog):
         tmp, config = finished_run
@@ -361,9 +389,7 @@ class TestOutputDirectory:
         out = tmp_path / "out"
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         hashed = {name for entry in stages.values() for name in entry["outputs"]}
-        paths = Artifacts(out)
-        assert hashed == {getattr(paths, attr).name
-                          for _, _, outputs in TABLE.values() for attr in outputs}
+        assert hashed == {file for _, _, outputs in TABLE.values() for file in outputs}
         assert {p.name for p in out.iterdir()} == hashed | {
             "manifest.json", "evontree.lock", "ground_truth.json", "cache"}
         assert (out / "cache").is_dir()
@@ -633,7 +659,7 @@ HOLD_STAGE = textwrap.dedent("""
     import evontree.pipeline as pipeline
     from evontree.cli import main
 
-    def hold(ctx, **inputs):
+    def hold(ctx, *inputs):
         print("holding", flush=True)
         time.sleep(120)
 

@@ -1,13 +1,16 @@
 """Source checks that need no linter: every name a module of evontree
-imports is used in that module, and every name the benchmark's tracer
-wraps exists."""
+imports is used in that module, every name the benchmark's tracer wraps
+exists, and every stage body takes the inputs its TABLE row names."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+from evontree.pipeline import TABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "evontree"
@@ -74,3 +77,15 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
     proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "perfbench"), str(SRC.parent)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_each_stage_body_takes_its_inputs_in_table_order():
+    # run_stage passes a body its inputs by position, in TABLE order: each
+    # parameter after ctx is named by the stem of the file passed to it.
+    for name, (body, inputs, _) in TABLE.items():
+        parameters = list(inspect.signature(body).parameters)
+        assert parameters == ["ctx", *(Path(file).stem for file in inputs)], name
+    # Each input is some stage's output, and no output has two producers.
+    outputs = [file for _, _, written in TABLE.values() for file in written]
+    assert len(outputs) == len(set(outputs))
+    assert {file for _, inputs, _ in TABLE.values() for file in inputs} <= set(outputs)

@@ -187,6 +187,11 @@ def serve_over_http(backend, faults: dict | None = None, faulted: list | None = 
         server.server_close()
 
 
+def artifact(ctx: RunContext, file: str) -> Path:
+    """The path of file in ctx's output directory."""
+    return ctx.config.output.dir / file
+
+
 @pytest.fixture(scope="module")
 def completed_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("run")
@@ -197,51 +202,50 @@ def completed_run(tmp_path_factory):
 
 class TestRunAll:
     def test_all_artifacts_exist(self, completed_run):
-        out = completed_run.paths.out_dir
+        out = completed_run.config.output.dir
         for name in ARTIFACT_NAMES:
             assert (out / name).exists(), name
 
     def test_one_tree_file_per_root(self, completed_run):
-        forest = json.loads(completed_run.paths.forest.read_text())
+        forest = json.loads(artifact(completed_run, "forest.json").read_text())
         assert [tree["nodes"][0]["label"] for tree in forest] == ["T0N0"]
 
     def test_counts_shrink_along_the_lifecycle(self, completed_run):
-        paths = completed_run.paths
-        n = {p.stem: len(read_triple_file(p)) for p in (
-            paths.raw, paths.confirmed, paths.reliable,
-            paths.extrapolated, paths.gaps)}
+        out = completed_run.config.output.dir
+        n = {stem: len(read_triple_file(out / f"{stem}.jsonl")) for stem in (
+            "raw", "confirmed", "reliable", "extrapolated", "gaps")}
         assert n["raw"] >= n["confirmed"] >= n["reliable"]
         assert n["extrapolated"] >= n["gaps"]
         assert n["gaps"] > 0  # this config plants unfamiliar true triples
 
     def test_every_stage_recorded_in_manifest(self, completed_run):
-        manifest = json.loads(completed_run.paths.manifest.read_text())
+        manifest = json.loads(artifact(completed_run, "manifest.json").read_text())
         assert set(manifest["stages"]) == set(STAGE_ORDER)
         assert manifest["model_identity"].startswith("synthetic://7/")
         assert manifest["perplexity_base"] == "e"
         assert manifest["prompt_set"] == "v1"
-        calibration = json.loads(completed_run.paths.calibration.read_text())
+        calibration = json.loads(artifact(completed_run, "calibration.json").read_text())
         assert "SubclassOf" in calibration["relations"]
 
     def test_manifest_hashes_match_artifact_bytes(self, completed_run):
         import hashlib
 
-        manifest = json.loads(completed_run.paths.manifest.read_text())
+        manifest = json.loads(artifact(completed_run, "manifest.json").read_text())
         outputs = manifest["stages"]["confirm"]["outputs"]
-        path = completed_run.paths.confirmed
+        path = artifact(completed_run, "confirmed.jsonl")
         expected = "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
         assert outputs["confirmed.jsonl"] == expected
 
     def test_manifest_names_each_stages_inputs_and_outputs(self, completed_run):
         run_stage(completed_run, "sweep")
-        stages = json.loads(completed_run.paths.manifest.read_text())["stages"]
+        stages = json.loads(artifact(completed_run, "manifest.json").read_text())["stages"]
         assert set(stages) == set(MANIFEST_NAMES)
         for name, (inputs, outputs) in MANIFEST_NAMES.items():
             assert sorted(stages[name]["inputs"]) == sorted(inputs), name
             assert sorted(stages[name]["outputs"]) == sorted(outputs), name
 
     def test_json_artifacts_are_compact(self, completed_run):
-        written = sorted(completed_run.paths.out_dir.rglob("*.json"))
+        written = sorted(completed_run.config.output.dir.rglob("*.json"))
         assert {p.name for p in written} >= {
             "calibration.json", "manifest.json", "report.json", "ground_truth.json", "forest.json"}
         for path in written:
@@ -264,13 +268,14 @@ class TestRunAll:
             run_all(ctx)
         finally:
             ctx.close()
-        outcome = CalibrationOutcome.from_json_obj(json.loads(ctx.paths.calibration.read_text()))
+        outcome = CalibrationOutcome.from_json_obj(
+            json.loads(artifact(ctx, "calibration.json").read_text()))
         assert len(fitted) == len(outcome.by_relation) == 2
         # The fits calibrate_relation returned, with their curves, by relation.
         fresh = replace(outcome, by_relation={
             relation: next(f for f in fitted if f == fits)
             for relation, fits in outcome.by_relation.items()})
-        with ctx.paths.roc_curve.open(newline="") as f:
+        with artifact(ctx, "roc_curve.csv").open(newline="") as f:
             rows = list(csv.reader(f))
         assert rows == pipeline_module.roc_rows(fresh)
         # Each curve's rows are its shaping rows: ends and tau_star among them.
@@ -280,27 +285,28 @@ class TestRunAll:
             for t in templates_for(relation)}
 
     def test_the_lock_file_is_left_empty(self, completed_run):
-        assert completed_run.paths.lock.read_bytes() == b""
+        assert artifact(completed_run, "evontree.lock").read_bytes() == b""
 
     def test_ground_truth_round_trips(self, completed_run):
-        obj = json.loads(completed_run.paths.ground_truth.read_text())
+        obj = json.loads(artifact(completed_run, "ground_truth.json").read_text())
         assert obj == completed_run.ground_truth().to_json_obj()
 
     def test_confirmed_matches_threshold_oracle(self, completed_run):
         from evontree.calibration import CalibrationOutcome
 
-        paths = completed_run.paths
-        outcome = CalibrationOutcome.from_json_obj(json.loads(paths.calibration.read_text()))
-        scored = read_triple_file(paths.scored_raw)
+        out = completed_run.config.output.dir
+        outcome = CalibrationOutcome.from_json_obj(
+            json.loads((out / "calibration.json").read_text()))
+        scored = read_triple_file(out / "scored_raw.jsonl")
         expected = {r.triple for r in scored
                     if confirm_decision(r.scores, outcome.thresholds(r.triple.relation))}
-        assert {r.triple for r in read_triple_file(paths.confirmed)} == expected
+        assert {r.triple for r in read_triple_file(out / "confirmed.jsonl")} == expected
 
     def test_gap_chains_survive_into_corpus(self, completed_run):
-        paths = completed_run.paths
-        gaps = read_triple_file(paths.gaps)
+        out = completed_run.config.output.dir
+        gaps = read_triple_file(out / "gaps.jsonl")
         assert all(r.chains for r in gaps)
-        corpus = [json.loads(line) for line in paths.corpus.read_text().splitlines()]
+        corpus = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
         assert corpus
         gap_pairs = {(r.triple.subject.text, r.triple.object.text) for r in gaps}
         assert {(e["gap"]["s"], e["gap"]["o"]) for e in corpus} <= gap_pairs
@@ -351,8 +357,8 @@ class TestCrash:
             [sys.executable, "-c", KILLED_MID_CALIBRATE, json.dumps(config_obj()),
              str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 9, proc.stderr
-        paths = pipeline_module.Artifacts(tmp_path / "out")
-        assert list(json.loads(paths.manifest.read_text())["stages"]) == ["extract"]
+        out = tmp_path / "out"
+        assert list(json.loads((out / "manifest.json").read_text())["stages"]) == ["extract"]
 
         # Every entry left is what the clean run stored under its key.
         left = stored_rows(tmp_path / "cache")
@@ -368,13 +374,13 @@ class TestCrash:
             ctx.close()
         for name in (*ARTIFACT_NAMES, "forest.json"):
             if name != "manifest.json":
-                assert ((paths.out_dir / name).read_bytes()
-                        == (completed_run.paths.out_dir / name).read_bytes()), name
+                assert ((out / name).read_bytes()
+                        == (completed_run.config.output.dir / name).read_bytes()), name
 
 
 class TestDeterminism:
     def test_stage_rerun_reproduces_artifact_hash(self, completed_run):
-        path = completed_run.paths.confirmed
+        path = artifact(completed_run, "confirmed.jsonl")
         before = path.read_bytes()
         run_stage(completed_run, "confirm")
         assert path.read_bytes() == before
@@ -568,16 +574,16 @@ class TestMapConcurrent:
             finally:
                 ctx.close()
         assert pools == [4]  # the judge's calls only
-        report = json.loads(ctx.paths.report_json.read_text())
+        report = json.loads(artifact(ctx, "report.json").read_text())
         assert report["judge"] == "http" and not report["judge_unavailable"]
         # The served model judges from the same reference as the self judge.
-        assert (ctx.paths.report_csv.read_bytes()
-                == completed_run.paths.report_csv.read_bytes())
+        assert (artifact(ctx, "report.csv").read_bytes()
+                == artifact(completed_run, "report.csv").read_bytes())
 
 
 class TestGatewayCounts:
     def test_each_stage_records_its_own_counts(self, completed_run):
-        manifest = json.loads(completed_run.paths.manifest.read_text())
+        manifest = json.loads(artifact(completed_run, "manifest.json").read_text())
         counts = {name: entry["gateway"] for name, entry in manifest["stages"].items()}
         assert all(set(c) == set(GATEWAY_COUNTERS) for c in counts.values())
         for stage in ("confirm", "reliable", "gap"):
@@ -618,7 +624,7 @@ class TestGatewayCounts:
             run_stage(ctx, "calibrate")
         finally:
             ctx.close()
-        stages = json.loads(ctx.paths.manifest.read_text())["stages"]
+        stages = json.loads(artifact(ctx, "manifest.json").read_text())["stages"]
         assert stages["extract"]["gateway"]["retries"] == 2
         assert stages["calibrate"]["gateway"]["retries"] == 0
 
@@ -633,7 +639,7 @@ class TestGatewayCounts:
             open_after_stage = conn.in_transaction
         finally:
             ctx.close()
-        raw = read_triple_file(ctx.paths.raw)
+        raw = read_triple_file(artifact(ctx, "raw.jsonl"))
         pairs = Counter()
         for record in raw:
             pairs[record.triple.relation] += len(templates_for(record.triple.relation))
@@ -641,7 +647,7 @@ class TestGatewayCounts:
         # labels per relation, each cut into batches by the gateway.
         streams = (2 * sum(pairs.values()), *pairs.values())
         batches = sum(math.ceil(n / BATCH_SIZE) for n in streams)
-        entry = json.loads(ctx.paths.manifest.read_text())["stages"]["calibrate"]
+        entry = json.loads(artifact(ctx, "manifest.json").read_text())["stages"]["calibrate"]
         counts = entry["gateway"]
         commits = [s for s in statements if s == "COMMIT"]
         inserts = [s for s in statements if s.startswith("INSERT")]
@@ -673,11 +679,11 @@ class TestPerfectSignal:
         for stage in ("extract", "calibrate", "confirm"):
             run_stage(ctx, stage)
         gt = ctx.ground_truth()
-        raw = read_triple_file(ctx.paths.raw)
+        raw = read_triple_file(artifact(ctx, "raw.jsonl"))
         true_raw = {r.triple for r in raw
                     if gt.is_true(r.triple.relation, r.triple.subject.key,
                                   r.triple.object.key)}
-        confirmed = {r.triple for r in read_triple_file(ctx.paths.confirmed)}
+        confirmed = {r.triple for r in read_triple_file(artifact(ctx, "confirmed.jsonl"))}
         assert confirmed == true_raw
         assert true_raw and len(true_raw) < len(raw)  # both polarities present
 
@@ -779,13 +785,13 @@ class TestDegradation:
             run_stage(ctx, "calibrate")
         finally:
             ctx.close()
-        raw = read_triple_file(ctx.paths.raw)
-        scored = read_triple_file(ctx.paths.scored_raw)
+        raw = read_triple_file(artifact(ctx, "raw.jsonl"))
+        scored = read_triple_file(artifact(ctx, "scored_raw.jsonl"))
         poisoned = {r.triple for r in raw
                     if "T0N1" in (r.triple.subject.text, r.triple.object.text)}
         assert poisoned
         assert {r.triple for r in scored} == {r.triple for r in raw} - poisoned
-        manifest = json.loads(ctx.paths.manifest.read_text())
+        manifest = json.loads(artifact(ctx, "manifest.json").read_text())
         assert manifest["stages"]["calibrate"]["tallies"]["unscored"] == len(poisoned)
 
 
@@ -828,11 +834,12 @@ class TestDegradation:
 class TestSweepStage:
     def test_sweep_csv_is_monotone(self, completed_run):
         run_stage(completed_run, "sweep")
-        lines = completed_run.paths.sweep.read_text().splitlines()
+        lines = artifact(completed_run, "sweep.csv").read_text().splitlines()
         assert lines[0] == "offset,gap_count,mean_confirm_value"
         counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert counts == sorted(counts)
-        assert counts[-1] == len(read_triple_file(completed_run.paths.scored_extrapolated))
+        assert counts[-1] == len(
+            read_triple_file(artifact(completed_run, "scored_extrapolated.jsonl")))
         assert counts[0] == 0
 
 
@@ -860,7 +867,8 @@ def extract_outputs(cfg) -> set[str]:
         run_stage(ctx, "extract")
     finally:
         ctx.close()
-    return set(json.loads(ctx.paths.manifest.read_text())["stages"]["extract"]["outputs"])
+    manifest = json.loads(artifact(ctx, "manifest.json").read_text())
+    return set(manifest["stages"]["extract"]["outputs"])
 
 
 def forest_roots(out: Path) -> list[str]:
@@ -909,7 +917,7 @@ class TestExtractOutputs:
 def run_copy(completed_run, tmp_path):
     """A context over a copy of the completed run's artifacts, sharing its cache."""
     out = tmp_path / "copy"
-    shutil.copytree(completed_run.paths.out_dir, out)
+    shutil.copytree(completed_run.config.output.dir, out)
     ctx = RunContext(replace(completed_run.config,
                              output=replace(completed_run.config.output, dir=out)))
     yield ctx
@@ -921,11 +929,11 @@ class TestStaleInputs:
         reseeded = RunContext(replace_seed(run_copy.config, 8))
         try:
             run_stage(reseeded, "extract")
-            confirmed = run_copy.paths.confirmed.read_bytes()
+            confirmed = artifact(run_copy, "confirmed.jsonl").read_bytes()
             for stage in ("confirm", "report"):
                 with pytest.raises(StaleUpstreamError, match=r"raw\.jsonl \(rerun 'calibrate'\)"):
                     run_stage(run_copy, stage)
-            assert run_copy.paths.confirmed.read_bytes() == confirmed
+            assert artifact(run_copy, "confirmed.jsonl").read_bytes() == confirmed
             for stage in STAGE_ORDER[1:] + ("sweep",):
                 run_stage(reseeded, stage)
         finally:
@@ -940,7 +948,7 @@ class TestStaleInputs:
             write(path, text)
 
         monkeypatch.setattr(pipeline_module, "write_atomic", full_disk)
-        scored_raw = run_copy.paths.scored_raw.read_bytes()
+        scored_raw = artifact(run_copy, "scored_raw.jsonl").read_bytes()
         # Another seed scores the same raw triples differently.
         reseeded = RunContext(replace_seed(run_copy.config, 8))
         try:
@@ -948,7 +956,7 @@ class TestStaleInputs:
                 run_stage(reseeded, "calibrate")  # after writing scored_raw.jsonl
         finally:
             reseeded.close()
-        assert run_copy.paths.scored_raw.read_bytes() != scored_raw
+        assert artifact(run_copy, "scored_raw.jsonl").read_bytes() != scored_raw
         with pytest.raises(StaleUpstreamError) as exc:
             run_stage(run_copy, "confirm")
         assert "scored_raw.jsonl (rerun 'calibrate')" in str(exc.value)
@@ -959,7 +967,8 @@ class TestStaleInputs:
             raise TransportError("endpoint down")
 
         monkeypatch.setattr(pipeline_module, "collect_samples", endpoint_down)
-        paths = [run_copy.paths.scored_raw, run_copy.paths.calibration, run_copy.paths.roc_curve]
+        paths = [artifact(run_copy, file)
+                 for file in ("scored_raw.jsonl", "calibration.json", "roc_curve.csv")]
         before = [path.read_bytes() for path in paths]
         # Another seed would score the same raw triples differently.
         reseeded = RunContext(replace_seed(run_copy.config, 8))
@@ -976,7 +985,7 @@ class TestStaleInputs:
             raise TransportError("endpoint down")
 
         monkeypatch.setattr(pipeline_module, "score_triples", endpoint_down)
-        path = run_copy.paths.extrapolated
+        path = artifact(run_copy, "extrapolated.jsonl")
         # A rewrite would give the same bytes, but a new file in place.
         before = (path.read_bytes(), path.stat().st_ino)
         with pytest.raises(TransportError):
@@ -984,7 +993,7 @@ class TestStaleInputs:
         assert (path.read_bytes(), path.stat().st_ino) == before
 
     def test_hand_edited_input_refuses_its_reader(self, run_copy):
-        path = run_copy.paths.confirmed
+        path = artifact(run_copy, "confirmed.jsonl")
         path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         with pytest.raises(StaleUpstreamError, match=r"confirmed\.jsonl \(rerun 'confirm'\)"):
             run_stage(run_copy, "reliable")
@@ -994,26 +1003,27 @@ class TestStaleInputs:
     def test_calibration_json_in_an_older_format_is_refused(self, run_copy):
         # A run directory from before the pooled fit was dropped: its
         # manifest recorded the calibration.json it holds.
-        path = run_copy.paths.calibration
+        path = artifact(run_copy, "calibration.json")
         obj = json.loads(path.read_text())
         fits = obj["relations"]["SubclassOf"]
         fits["pooled"] = dict(fits["1"], curve=[])
         path.write_text(json.dumps(obj))
-        manifest = json.loads(run_copy.paths.manifest.read_text())
-        manifest["stages"]["calibrate"]["outputs"]["calibration.json"] = pipeline_module._file_hash(path)
-        run_copy.paths.manifest.write_text(json.dumps(manifest))
-        confirmed = run_copy.paths.confirmed.read_bytes()
+        manifest = json.loads(artifact(run_copy, "manifest.json").read_text())
+        manifest["stages"]["calibrate"]["outputs"]["calibration.json"] = (
+            pipeline_module._digest(path.read_bytes()))
+        artifact(run_copy, "manifest.json").write_text(json.dumps(manifest))
+        confirmed = artifact(run_copy, "confirmed.jsonl").read_bytes()
         with pytest.raises(StaleUpstreamError, match=r"calibration\.json .*rerun 'calibrate'"):
             run_stage(run_copy, "confirm")
-        assert run_copy.paths.confirmed.read_bytes() == confirmed
+        assert artifact(run_copy, "confirmed.jsonl").read_bytes() == confirmed
 
     def test_manifest_top_level_is_rewritten_and_stages_kept(self, run_copy):
-        manifest = json.loads(run_copy.paths.manifest.read_text())
+        manifest = json.loads(artifact(run_copy, "manifest.json").read_text())
         stages = manifest["stages"]
         manifest["thresholds"] = {"SubclassOf": [0.5]}  # a key this version does not write
-        run_copy.paths.manifest.write_text(json.dumps(manifest))
+        artifact(run_copy, "manifest.json").write_text(json.dumps(manifest))
         run_stage(run_copy, "confirm")
-        after = json.loads(run_copy.paths.manifest.read_text())
+        after = json.loads(artifact(run_copy, "manifest.json").read_text())
         assert "thresholds" not in after
         assert set(after) == {"tool_version", "prompt_set", "template_set", "perplexity_base",
                               "judge", "config_hash", "model_identity", "stages"}
@@ -1022,10 +1032,10 @@ class TestStaleInputs:
             k: v for k, v in stages.items() if k != "confirm"}
 
     def test_input_without_a_recorded_producer_is_accepted(self, run_copy):
-        manifest = json.loads(run_copy.paths.manifest.read_text())
+        manifest = json.loads(artifact(run_copy, "manifest.json").read_text())
         del manifest["stages"]["confirm"]
-        run_copy.paths.manifest.write_text(json.dumps(manifest))
-        path = run_copy.paths.confirmed
+        artifact(run_copy, "manifest.json").write_text(json.dumps(manifest))
+        path = artifact(run_copy, "confirmed.jsonl")
         path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         run_stage(run_copy, "reliable")
 
@@ -1035,13 +1045,13 @@ class TestHandoff:
     the stages after it; the files are still written, hashed and checked."""
 
     def test_run_all_parses_no_artifact_it_wrote(self, tmp_path, monkeypatch):
-        handed = []  # (stage, attr, value, the file's bytes as the stage began)
+        handed = []  # (stage, file, value, the file's bytes as the stage began)
 
         def recording(name, body):
-            def run(ctx, **inputs):
-                handed.extend((name, attr, value, getattr(ctx.paths, attr).read_bytes())
-                              for attr, value in inputs.items())
-                return body(ctx, **inputs)
+            def run(ctx, *inputs):
+                handed.extend((name, file, value, artifact(ctx, file).read_bytes())
+                              for file, value in zip(TABLE[name][1], inputs, strict=True))
+                return body(ctx, *inputs)
             return run
 
         parses = Counter()
@@ -1067,29 +1077,29 @@ class TestHandoff:
         monkeypatch.undo()
 
         assert parses == Counter()
-        assert ({(stage, attr) for stage, attr, _, _ in handed}
-                == {(stage, attr) for stage in STAGE_ORDER for attr in TABLE[stage][1]})
-        for stage, attr, value, data in handed:
-            parsed = pipeline_module._load_input(attr, data)
-            assert value == parsed, (stage, attr)
-            if attr != "calibration":  # labels compare by key; their text too
+        assert ({(stage, file) for stage, file, _, _ in handed}
+                == {(stage, file) for stage in STAGE_ORDER for file in TABLE[stage][1]})
+        for stage, file, value, data in handed:
+            parsed = pipeline_module._load_input(file, data)
+            assert value == parsed, (stage, file)
+            if file != "calibration.json":  # labels compare by key; their text too
                 assert ([r.to_json_obj() for r in value]
-                        == [r.to_json_obj() for r in parsed]), (stage, attr)
+                        == [r.to_json_obj() for r in parsed]), (stage, file)
 
     def test_a_file_rewritten_by_another_context_is_parsed(self, tmp_path):
         a = RunContext(make_config(tmp_path))
         b = RunContext(replace_seed(a.config, 8))
         try:
             run_stage(a, "extract")
-            raw_a = {r.triple for r in read_triple_file(a.paths.raw)}
+            raw_a = {r.triple for r in read_triple_file(artifact(a, "raw.jsonl"))}
             run_stage(b, "extract")
-            raw_b = {r.triple for r in read_triple_file(a.paths.raw)}
+            raw_b = {r.triple for r in read_triple_file(artifact(a, "raw.jsonl"))}
             run_stage(a, "calibrate")
         finally:
             a.close()
             b.close()
         assert raw_a != raw_b
-        assert {r.triple for r in read_triple_file(a.paths.scored_raw)} == raw_b
+        assert {r.triple for r in read_triple_file(artifact(a, "scored_raw.jsonl"))} == raw_b
 
     def test_a_failed_stage_hands_nothing_on(self, run_copy, monkeypatch):
         def endpoint_down(*args, **kwargs):
@@ -1098,10 +1108,10 @@ class TestHandoff:
         monkeypatch.setattr(pipeline_module, "collect_samples", endpoint_down)
         with pytest.raises(TransportError):
             run_stage(run_copy, "calibrate")  # after scoring raw.jsonl
-        assert "scored_raw" not in run_copy._kept
+        assert "scored_raw.jsonl" not in run_copy._kept
         monkeypatch.undo()
         run_stage(run_copy, "calibrate")
-        assert set(run_copy._kept) == {"scored_raw", "calibration"}
+        assert set(run_copy._kept) == {"scored_raw.jsonl", "calibration.json"}
 
 
 class TestModelIdentity:
@@ -1119,11 +1129,34 @@ class TestModelIdentity:
                     run_stage(ctx, "extract")
                 finally:
                     ctx.close()
-                entries.append(json.loads(ctx.paths.manifest.read_text())["stages"]["extract"])
+                manifest = json.loads(artifact(ctx, "manifest.json").read_text())
+                entries.append(manifest["stages"]["extract"])
         assert entries[0]["model_identity"] == entries[1]["model_identity"] == f"{url}#synthetic"
         assert entries[0]["gateway"]["backend_calls"] > 0
         assert entries[1]["gateway"]["cache_hits"] == entries[1]["gateway"]["requests"] > 0
         assert entries[1]["gateway"]["backend_calls"] == 0
+
+
+    def test_the_identity_is_the_gateway_backends(self, tmp_path, monkeypatch):
+        # model_identity gives, without opening a gateway, the identity the
+        # backend of the gateway it would open gives, for either kind.
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        with serve_over_http(synthetic_backend(make_config(tmp_path, **SMALL_FOREST))) as url:
+            for model in (SMALL_FOREST["model"],
+                          {"kind": "http", "name": "served", "endpoint": url + "/"}):
+                ctx = RunContext(make_config(tmp_path, **{**SMALL_FOREST, "model": model}))
+                try:
+                    identity = ctx.model_identity()
+                    assert ctx._open_gateways() == []
+                    name = ctx.config.model.name
+                    assert identity == f"{ctx.gateway().backend.identity}#{name}"
+                finally:
+                    ctx.close()
+
+    def test_a_pure_stage_opens_no_gateway(self, run_copy):
+        for stage in ("confirm", "reliable", "gap"):
+            run_stage(run_copy, stage)
+        assert run_copy._open_gateways() == []
 
 
 class TestStageEntries:
@@ -1135,7 +1168,7 @@ class TestStageEntries:
             elapsed = time.perf_counter() - start
         finally:
             ctx.close()
-        stages = json.loads(ctx.paths.manifest.read_text())["stages"]
+        stages = json.loads(artifact(ctx, "manifest.json").read_text())["stages"]
         assert set(stages) == set(STAGE_ORDER)
         walls = [entry["wall_s"] for entry in stages.values()]
         assert all(wall >= 0 for wall in walls)
