@@ -28,12 +28,7 @@ from functools import partial
 from itertools import tee
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    InvalidParamsError,
-    MissingThresholdError,
-    StaleUpstreamError,
-    UnparseableError,
-)
+from .errors import InvalidParamsError, StaleUpstreamError, UnparseableError
 from .gateway import GenerateRequest, ModelGateway
 from .ontology import Relation, TripleRecord
 from .scoring import templates_for
@@ -195,9 +190,13 @@ class CalibrationOutcome:
     unparseable: int = 0
 
     def thresholds(self, relation: Relation) -> list[float]:
-        """Per-template threshold vector, ordered by paraphrase id."""
+        """Per-template threshold vector, ordered by paraphrase id. calibrate
+        fits every relation it scored a triple of, so a scored triple of a
+        relation with no fits raises StaleUpstreamError."""
         if relation.value not in self.by_relation:
-            raise MissingThresholdError(f"no calibrated thresholds for {relation.value}")
+            raise StaleUpstreamError(
+                f"calibration.json holds no fits for {relation.value}; "
+                "rerun 'calibrate' and the stages after it")
         fits = self.by_relation[relation.value]
         return [fits[str(t.paraphrase_id)].tau_star for t in templates_for(relation)]
 
@@ -214,15 +213,15 @@ class CalibrationOutcome:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CalibrationOutcome":
-        """The outcome calibration.json holds. A file in an older format, whose
-        fits are not exactly one per template of their relation, each with
-        the keys FIT_KEYS, raises StaleUpstreamError."""
+        """The outcome calibration.json holds. A file in an older format, or a
+        malformed one, whose fits are not exactly one per template of their
+        relation, each as _current_fits checks it, raises StaleUpstreamError."""
         stale = sorted(rel for rel, fits in obj["relations"].items()
                        if not _current_fits(rel, fits))
         if stale:
             raise StaleUpstreamError(
-                f"calibration.json holds fits for {stale} in an older format; "
-                "rerun 'calibrate' and the stages after it")
+                f"calibration.json holds fits for {stale} that are malformed or in an "
+                "older format; rerun 'calibrate' and the stages after it")
         return cls(
             sweep=CalibrationConfig(sweep_lo=obj["sweep"]["lo"], sweep_hi=obj["sweep"]["hi"]),
             prompt_set=obj["prompt_set"],
@@ -236,13 +235,18 @@ class CalibrationOutcome:
 
 def _current_fits(relation: str, fits: dict) -> bool:
     """Whether fits are one per template of relation, as calibrate_relation
-    returns them, each with the keys FIT_KEYS."""
+    returns them, each with the keys FIT_KEYS: numbers tau_star and max_j,
+    and counts of non-negative ints pos and neg."""
     try:
         templates = templates_for(Relation(relation))
     except ValueError:  # no such relation
         return False
-    return (set(fits) == {str(t.paraphrase_id) for t in templates}
-            and all(set(fit) == FIT_KEYS for fit in fits.values()))
+    return set(fits) == {str(t.paraphrase_id) for t in templates} and all(
+        set(fit) == FIT_KEYS and isinstance(fit["counts"], dict)
+        and all(type(fit[key]) in (int, float) for key in ("tau_star", "max_j"))
+        and all(type(fit["counts"].get(key)) is int and fit["counts"][key] >= 0
+                for key in ("pos", "neg"))
+        for fit in fits.values())
 
 
 def calibrate_relation(samples: dict[int, list[LabeledScore]],

@@ -48,10 +48,6 @@ class UnrecognizedPromptError(EvontreeError):
     """The synthetic model received a prompt matching no known template."""
 
 
-class MissingThresholdError(EvontreeError):
-    """No calibrated threshold available for a prompt template."""
-
-
 class UnparseableError(EvontreeError):
     """A one-shot reply contained neither 'true' nor 'false'."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .errors import EmptyLabelError
 
@@ -206,16 +206,19 @@ def _is_label_pair(pair) -> bool:
     return _is_list(pair, lambda label: isinstance(label, str)) and len(pair) == 2
 
 
-def _record_from_obj(obj: dict) -> TripleRecord:
+def _record_from_obj(obj: dict, score_counts: Mapping[Relation, int] | None) -> TripleRecord:
     """The record a line's object holds. A "class" key, which files written
     before the class left the line carry, is ignored. Scores that are not a
-    list of numbers, or chains that are not lists of [str, str] pairs, raise
+    list of numbers, or not as many as score_counts gives for the triple's
+    relation, or chains that are not lists of [str, str] pairs, raise
     ValueError."""
     triple = Triple(normalize_label(obj["s"]), Relation(obj["r"]), normalize_label(obj["o"]))
     scores, chains = obj.get("scores"), obj.get("chains")
-    if scores is not None and not _is_list(
-            scores, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)):
+    if scores is not None and not _is_list(scores, lambda v: type(v) in (int, float)):
         raise ValueError(f"scores must be a list of numbers, not {scores!r}")
+    if scores is not None and score_counts and len(scores) != score_counts[triple.relation]:
+        raise ValueError(f"a {triple.relation.value} triple needs "
+                         f"{score_counts[triple.relation]} scores, not {len(scores)}")
     if chains is not None:
         if not _is_list(chains, lambda chain: _is_list(chain, _is_label_pair)):
             raise ValueError(f"chains must be lists of [str, str] pairs, not {chains!r}")
@@ -243,15 +246,18 @@ def write_triple_file(path: Path, records: Iterable) -> list:
     return records
 
 
-def parse_triple_file(data: bytes) -> list[TripleRecord]:
+def parse_triple_file(data: bytes,
+                      score_counts: Mapping[Relation, int] | None = None) -> list[TripleRecord]:
     """The records in the bytes of a triple file, split into lines as
     reading the file in text mode splits them; blank lines are skipped. A
-    line that holds no record raises ValueError naming its number."""
+    line that holds no record, or, given score_counts, scores of another
+    number than it gives for the line's relation, raises ValueError naming
+    its number."""
     records = []
     for number, line in enumerate(io.StringIO(data.decode("utf-8"), newline=None), 1):
         if line.strip():
             try:
-                records.append(_record_from_obj(json.loads(line)))
+                records.append(_record_from_obj(json.loads(line), score_counts))
             except (ValueError, KeyError, TypeError, EmptyLabelError) as exc:
                 raise ValueError(f"line {number}: {exc!r}") from exc
     return records

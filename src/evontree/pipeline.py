@@ -9,13 +9,12 @@ records in the manifest the hashes of those inputs and outputs, plus the
 provenance (config hash, prompt and template set versions, model identity)
 of the artifacts. A body that raises leaves every output as it was. Every
 file a stage writes is one of its TABLE outputs, written by run_stage at
-the top of the output directory, but the synthetic model's
-ground_truth.json, which extract's body writes for reference and no stage
-reads. Each stage's entry holds its own config_hash, model_identity and
-wall_s (from the input check to the manifest write); the top-level keys
-name the stage run last. A run can be resumed or re-executed from any
-stage, and given the same config and a warm response cache, re-running a
-stage reproduces its outputs byte for byte.
+the top of the output directory; no body writes one itself. Each stage's
+entry holds its own config_hash, model_identity and wall_s (from the input
+check to the manifest write); the top-level keys name the stage run last.
+A run can be resumed or re-executed from any stage, and given the same
+config and a warm response cache, re-running a stage reproduces its
+outputs byte for byte.
 
 One stage at a time writes to an output directory: run_stage holds an
 exclusive flock on its lock file from reading the manifest to writing it,
@@ -112,7 +111,7 @@ from .rules import (
     extrapolate,
     select_reliable,
 )
-from .scoring import PROMPT_SET_VERSION, confirm_decision, score_triples
+from .scoring import PROMPT_SET_VERSION, confirm_decision, score_triples, templates_for
 from .scoring import score_triple  # noqa: F401  no stage calls it; perfbench/spans.py wraps it here
 from .synthesis import TEMPLATE_SET_VERSION, build_corpus
 from .synthetic import (
@@ -127,7 +126,7 @@ log = logging.getLogger(__name__)
 
 
 # The files in the output directory beside the TABLE artifacts; no stage reads them.
-MANIFEST, LOCK, GROUND_TRUTH = "manifest.json", "evontree.lock", "ground_truth.json"
+MANIFEST, LOCK = "manifest.json", "evontree.lock"
 
 
 class RunContext:
@@ -238,15 +237,8 @@ def _write_json(path: Path, obj) -> None:
 def stage_extract(ctx: RunContext) -> tuple[dict, dict]:
     """Elicit one tree per configured root, for forest.json in root order;
     flatten the forest to raw triples."""
-    config = ctx.config
-    forest, stats = extract_forest(ctx.gateway(), config.extraction)
+    forest, stats = extract_forest(ctx.gateway(), ctx.config.extraction)
     triples = set().union(*map(tree_to_triples, forest))
-    # No stage reads ground_truth.json, so it is no TABLE output and is not
-    # hashed: model.synthetic, which config_hash records, fixes its content.
-    if config.model.kind == "synthetic":
-        _write_json(config.output.dir / GROUND_TRUTH, ctx.ground_truth().to_json_obj())
-    else:
-        (config.output.dir / GROUND_TRUTH).unlink(missing_ok=True)
     by_relation = Counter(t.relation.value for t in triples)
     return ({"forest.json": [tree.to_json_obj() for tree in forest],
              "raw.jsonl": [TripleRecord(t) for t in triples]},
@@ -460,6 +452,8 @@ STAGES: dict[str, Callable] = {name: body for name, (body, _, _) in TABLE.items(
 _READ = {file for _, inputs, _ in TABLE.values() for file in inputs}
 # The stage that writes each artifact.
 _PRODUCER = {file: stage for stage, (_, _, outputs) in TABLE.items() for file in outputs}
+# The scores a scored record holds: one per template of its relation.
+_SCORE_COUNTS = {relation: len(templates_for(relation)) for relation in Relation}
 
 
 def _write_output(path: Path, value):
@@ -484,7 +478,7 @@ def _load_input(file: str, data: bytes):
     try:
         if file == "calibration.json":
             return CalibrationOutcome.from_json_obj(json.loads(data.decode("utf-8")))
-        return parse_triple_file(data)
+        return parse_triple_file(data, _SCORE_COUNTS)
     except (ValueError, KeyError, TypeError, AttributeError, EmptyLabelError) as exc:
         # A triple file's error names the line; a KeyError's text alone is a bare key.
         detail = exc if file != "calibration.json" else repr(exc)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, tee
 from typing import Iterable, Iterator
 
-from .errors import EmptySpanError, MissingThresholdError
+from .errors import EmptySpanError
 from .gateway import ModelGateway, ScoreRequest
 from .ontology import ConceptLabel, Relation, Triple
 
@@ -146,17 +146,11 @@ def score_triple(gateway: ModelGateway, triple: Triple) -> list[float]:
     return result
 
 
-def _check_lengths(values: list[float], taus: list[float]) -> None:
-    if len(values) != len(taus):
-        raise MissingThresholdError(
-            f"{len(values)} confirm values but {len(taus)} thresholds")
-
-
 def confirm_decision(values: list[float], taus: list[float]) -> bool:
     """A triple is confirmed only when every paraphrase clears its threshold
-    strictly; a value equal to the threshold does not confirm."""
-    _check_lengths(values, taus)
-    return all(v > tau for v, tau in zip(values, taus))
+    strictly; a value equal to the threshold does not confirm. Lengths
+    that differ raise ValueError: the list makes zip read every pair."""
+    return all([v > tau for v, tau in zip(values, taus, strict=True)])
 
 
 GAP_MODES = ("all_below", "mean_below", "any_below")
@@ -165,12 +159,13 @@ GAP_MODES = ("all_below", "mean_below", "any_below")
 def gap_decision(values: list[float], taus: list[float], mode: str = "all_below") -> bool:
     """A triple is a knowledge gap when its confirm values sit below the
     calibrated thresholds. all_below is the strict dual of confirmation;
-    the looser modes exist for sweeps over gap sensitivity."""
-    _check_lengths(values, taus)
+    the looser modes exist for sweeps over gap sensitivity. Lengths that
+    differ raise ValueError."""
+    pairs = list(zip(values, taus, strict=True))
     if mode == "all_below":
-        return all(v < tau for v, tau in zip(values, taus))
+        return all(v < tau for v, tau in pairs)
     if mode == "mean_below":
         return sum(values) / len(values) < sum(taus) / len(taus)
     if mode == "any_below":
-        return any(v < tau for v, tau in zip(values, taus))
+        return any(v < tau for v, tau in pairs)
     raise ValueError(f"unknown gap mode {mode!r}; expected one of {GAP_MODES}")

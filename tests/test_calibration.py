@@ -407,3 +407,22 @@ class TestCalibrationOutcome:
             CalibrationOutcome.from_json_obj(obj)
         assert "calibration.json" in str(exc.value) and "rerun 'calibrate'" in str(exc.value)
 
+    @pytest.mark.parametrize(("key", "value"), [
+        ("tau_star", "0.0"), ("tau_star", None), ("tau_star", False), ("max_j", True),
+        ("max_j", [0.5]), ("counts", {"pos": -1, "neg": 1}), ("counts", {"pos": 1, "neg": 1.0}),
+        ("counts", {"pos": True, "neg": 1}), ("counts", {"pos": 1}), ("counts", [1, 1])])
+    def test_a_malformed_fit_is_refused(self, key, value):
+        obj = self.build().to_json_obj()
+        obj["relations"]["SubclassOf"]["3"][key] = value
+        with pytest.raises(StaleUpstreamError) as exc:
+            CalibrationOutcome.from_json_obj(obj)
+        assert str(exc.value) == (
+            "calibration.json holds fits for ['SubclassOf'] that are malformed or in an "
+            "older format; rerun 'calibrate' and the stages after it")
+
+    def test_thresholds_of_a_relation_with_no_fits_are_refused(self):
+        with pytest.raises(StaleUpstreamError) as exc:
+            self.build().thresholds(Relation.SYNONYM_OF)
+        assert str(exc.value) == ("calibration.json holds no fits for SynonymOf; "
+                                  "rerun 'calibrate' and the stages after it")
+

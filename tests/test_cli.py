@@ -48,7 +48,7 @@ from evontree.gateway import (
     _cache_key,
 )
 from evontree.ontology import normalize_label, read_triple_file
-from evontree.pipeline import STAGE_ORDER, TABLE
+from evontree.pipeline import STAGE_ORDER, TABLE, RunContext
 from evontree.scoring import probe_requests
 from evontree.synthetic import SyntheticBackend
 from test_pipeline import stored_rows
@@ -169,6 +169,9 @@ class TestExitCodes:
          "scores must be a list of numbers, not 'abcd'", "calibrate"),
         ("confirm", "scored_raw.jsonl", "scores", [True, 0.5, 0.5],
          "scores must be a list of numbers", "calibrate"),
+        ("confirm", "scored_raw.jsonl", "scores", [0.5], "scores, not 1", "calibrate"),
+        ("gap", "scored_extrapolated.jsonl", "scores", [0.5, 0.5, 0.5, 0.5, 0.5],
+         "a SubclassOf triple needs 4 scores, not 5", "extrapolate"),
         ("synthesize", "gaps.jsonl", "chains", [[[1, 2], [3, 4]]],
          "chains must be lists of [str, str] pairs, not [[[1, 2], [3, 4]]]", "gap"),
         ("synthesize", "gaps.jsonl", "chains", [[["a", "b", "c"]]],
@@ -202,6 +205,31 @@ class TestExitCodes:
             assert main(["confirm", "--config", str(config),
                          "--stage-dir", str(out)]) == EXIT_MISSING_UPSTREAM
         assert "calibration.json does not parse (AttributeError(" in caplog.text
+        assert "rerun 'calibrate' and the stages after it" in caplog.text
+
+    @pytest.mark.parametrize(("edit", "detail"), [
+        (lambda fits: fits["SubclassOf"]["1"].update(tau_star="0.0"),
+         "holds fits for ['SubclassOf'] that are malformed"),
+        (lambda fits: fits["SubclassOf"]["2"].update(max_j=True),
+         "holds fits for ['SubclassOf'] that are malformed"),
+        (lambda fits: fits["SynonymOf"]["1"]["counts"].update(pos=-1),
+         "holds fits for ['SynonymOf'] that are malformed"),
+        (lambda fits: fits.pop("SynonymOf"), "holds no fits for SynonymOf"),
+    ], ids=["text tau_star", "bool max_j", "negative count", "no fits"])
+    def test_a_malformed_calibration_fit_exits_3(self, finished_run, tmp_path, caplog,
+                                                 edit, detail):
+        # Nothing vouches for the copy's calibration.json: its fits are checked.
+        tmp, config = finished_run
+        out = tmp_path / "out"
+        shutil.copytree(tmp / "out", out, ignore=shutil.ignore_patterns("cache"))
+        (out / "manifest.json").unlink()
+        obj = json.loads((out / "calibration.json").read_text(encoding="utf-8"))
+        edit(obj["relations"])
+        (out / "calibration.json").write_text(json.dumps(obj), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert main(["confirm", "--config", str(config),
+                         "--stage-dir", str(out)]) == EXIT_MISSING_UPSTREAM
+        assert f"calibration.json {detail}" in caplog.text
         assert "rerun 'calibrate' and the stages after it" in caplog.text
 
     def test_each_stage_entry_keeps_its_own_provenance(self, finished_run, tmp_path):
@@ -380,9 +408,8 @@ class TestExitCodes:
 
 class TestOutputDirectory:
     def test_every_file_is_a_declared_output(self, tmp_path):
-        # A fresh run and sweep write, besides the manifest, the lock, the
-        # synthetic model's ground truth and the cache, only the TABLE
-        # outputs, each hashed in its stage's entry.
+        # A fresh run and sweep write, besides the manifest, the lock and
+        # the cache, only the TABLE outputs, each hashed in its stage's entry.
         config = write_config(tmp_path, CONFIG_OBJ)
         assert main(["run", "--config", str(config)]) == EXIT_OK
         assert main(["sweep", "--config", str(config)]) == EXIT_OK
@@ -391,7 +418,7 @@ class TestOutputDirectory:
         hashed = {name for entry in stages.values() for name in entry["outputs"]}
         assert hashed == {file for _, _, outputs in TABLE.values() for file in outputs}
         assert {p.name for p in out.iterdir()} == hashed | {
-            "manifest.json", "evontree.lock", "ground_truth.json", "cache"}
+            "manifest.json", "evontree.lock", "cache"}
         assert (out / "cache").is_dir()
 
 
@@ -458,14 +485,17 @@ class TestFlags:
 
     def test_seed_changes_the_sampled_ontology(self, finished_run, tmp_path):
         _, config = finished_run
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["extract", "--config", str(config), "--stage-dir", str(a),
-                     "--seed", "1"]) == EXIT_OK
-        assert main(["extract", "--config", str(config), "--stage-dir", str(b),
-                     "--seed", "2"]) == EXIT_OK
-        gt_a = (a / "ground_truth.json").read_text()
-        gt_b = (b / "ground_truth.json").read_text()
-        assert gt_a != gt_b
+        # Each run's manifest names the model of the truth its seed samples.
+        truths = []
+        for seed in (1, 2):
+            out = tmp_path / str(seed)
+            assert main(["extract", "--config", str(config), "--stage-dir", str(out),
+                         "--seed", str(seed)]) == EXIT_OK
+            ctx = RunContext(load_config(config, stage_dir=out, seed=seed))
+            truths.append(ctx.ground_truth().to_json_obj())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["model_identity"] == ctx.model_identity()
+        assert truths[0] != truths[1]
 
     def test_no_cache_still_reproduces_artifacts(self, finished_run, tmp_path):
         tmp, config = finished_run

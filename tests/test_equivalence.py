@@ -75,7 +75,7 @@ def reference(request, tmp_path_factory):
         return parse_config(config_obj(spec, tmp, out, cache, **overrides), base_dir=tmp)
 
     artifacts = run(make("ref"))
-    assert "corpus.jsonl" in artifacts and "ground_truth.json" in artifacts
+    assert "corpus.jsonl" in artifacts
     return SimpleNamespace(spec=spec, tmp=tmp, make=make, artifacts=artifacts)
 
 
@@ -112,17 +112,14 @@ def test_a_filled_cache_not_read_gives_the_same_run(reference):
 
 def test_over_http_at_1_and_4_in_flight_equals_in_process(reference, pools, monkeypatch):
     # Only requests to an HTTP endpoint fan out. Each run has its own cache,
-    # so every request reaches the server. An HTTP model has no ground
-    # truth, so its run writes no ground_truth.json.
+    # so every request reaches the server.
     monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
-    expected = {name: data for name, data in reference.artifacts.items()
-                if name != "ground_truth.json"}
     with serve_over_http(synthetic_backend(reference.make("unused"))) as url:
         model = {"kind": "http", "name": "synthetic", "endpoint": url, "judge": {"kind": "self"}}
         for workers in (1, 4):
             cfg = reference.make(f"http{workers}", f"http{workers}-cache", model=model,
                                  scoring={"max_in_flight": workers})
-            assert run(cfg) == expected, workers
+            assert run(cfg) == reference.artifacts, workers
     assert pools and set(pools) == {4}  # the concurrent run used a real pool
 
 

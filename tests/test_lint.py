@@ -1,6 +1,7 @@
 """Source checks that need no linter: every name a module of evontree
 imports is used in that module, every name the benchmark's tracer wraps
-exists, and every stage body takes the inputs its TABLE row names."""
+exists, and every stage body takes the inputs its TABLE row names and
+writes no file."""
 
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ SRC = ROOT / "src" / "evontree"
 # Imported for perfbench/spans.py to wrap, by module and name, each marked
 # `noqa: F401` where it is imported.
 KEPT_FOR_THE_TRACER = {("pipeline", "read_triple_file"), ("pipeline", "score_triple")}
+
+# The calls that write or remove a file, by the name called.
+FILE_WRITES = {"write_atomic", "_write_json", "write_triple_file", "write_text", "write_bytes",
+               "unlink", "open"}
 
 
 def imported_names(tree: ast.Module, lines: list[str]) -> dict[str, tuple[int, bool]]:
@@ -89,3 +94,16 @@ def test_each_stage_body_takes_its_inputs_in_table_order():
     outputs = [file for _, _, written in TABLE.values() for file in written]
     assert len(outputs) == len(set(outputs))
     assert {file for _, inputs, _ in TABLE.values() for file in inputs} <= set(outputs)
+
+
+def test_no_stage_body_writes_or_removes_a_file():
+    # run_stage alone writes an output directory: a body returns its outputs.
+    calls = []
+    for name, (body, _, _) in TABLE.items():
+        for node in ast.walk(ast.parse(inspect.getsource(body))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called in FILE_WRITES:
+                    calls.append(f"{body.__name__} ({name}) calls {called}")
+    assert calls == []

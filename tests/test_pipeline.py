@@ -60,7 +60,7 @@ from evontree.scoring import (
     perplexity,
     templates_for,
 )
-from evontree.synthetic import SyntheticBackend, SyntheticModel, sample_ground_truth
+from evontree.synthetic import GroundTruth, SyntheticBackend, SyntheticModel, sample_ground_truth
 from test_report import shaping_row_indices
 
 # Verified to produce every class non-empty: enough synonym pairs for both
@@ -91,7 +91,7 @@ ARTIFACT_NAMES = (
     "raw.jsonl", "scored_raw.jsonl", "calibration.json", "confirmed.jsonl",
     "reliable.jsonl", "extrapolated.jsonl", "scored_extrapolated.jsonl",
     "gaps.jsonl", "corpus.jsonl", "report.json", "report.csv",
-    "roc_curve.csv", "confirm_hist.csv", "manifest.json", "ground_truth.json",
+    "roc_curve.csv", "confirm_hist.csv", "manifest.json",
 )
 
 # What each stage's manifest entry names as read and written, after run_all
@@ -247,7 +247,7 @@ class TestRunAll:
     def test_json_artifacts_are_compact(self, completed_run):
         written = sorted(completed_run.config.output.dir.rglob("*.json"))
         assert {p.name for p in written} >= {
-            "calibration.json", "manifest.json", "report.json", "ground_truth.json", "forest.json"}
+            "calibration.json", "manifest.json", "report.json", "forest.json"}
         for path in written:
             text = path.read_text(encoding="utf-8")
             compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"),
@@ -288,8 +288,13 @@ class TestRunAll:
         assert artifact(completed_run, "evontree.lock").read_bytes() == b""
 
     def test_ground_truth_round_trips(self, completed_run):
-        obj = json.loads(artifact(completed_run, "ground_truth.json").read_text())
-        assert obj == completed_run.ground_truth().to_json_obj()
+        # No file keeps the truth: the config rebuilds it, and the manifest's
+        # model_identity pins its content hash.
+        truth = completed_run.ground_truth()
+        back = GroundTruth(**json.loads(json.dumps(truth.to_json_obj())))
+        assert back.to_json_obj() == truth.to_json_obj()
+        manifest = json.loads(artifact(completed_run, "manifest.json").read_text())
+        assert f"/{back.content_hash()[:8]}#" in manifest["model_identity"]
 
     def test_confirmed_matches_threshold_oracle(self, completed_run):
         from evontree.calibration import CalibrationOutcome
@@ -878,8 +883,7 @@ def forest_roots(out: Path) -> list[str]:
 
 
 class TestExtractOutputs:
-    """extract writes exactly its TABLE outputs, whole on every run, plus the
-    synthetic model's ground truth, which it does not hash."""
+    """extract writes exactly its TABLE outputs, whole on every run."""
 
     def test_a_rerun_removes_the_tree_files_of_dropped_roots(self, tmp_path):
         model = {**BASE_MODEL, "synthetic": {**BASE_MODEL["synthetic"], "n_roots": 2}}
@@ -891,17 +895,6 @@ class TestExtractOutputs:
             tmp_path, model=model, extraction={"roots": ["T0N0"], "max_depth": 1}))
         assert outputs == {"forest.json", "raw.jsonl"}
         assert forest_roots(tmp_path / "out") == ["T0N0"]
-
-    def test_an_http_rerun_removes_the_synthetic_ground_truth(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
-        cfg = make_config(tmp_path, **SMALL_FOREST)
-        assert "ground_truth.json" not in extract_outputs(cfg)
-        assert (tmp_path / "out" / "ground_truth.json").exists()
-        with serve_over_http(synthetic_backend(cfg)) as url:
-            model = {"kind": "http", "name": "synthetic", "endpoint": url}
-            outputs = extract_outputs(make_config(tmp_path, **{**SMALL_FOREST, "model": model}))
-        assert outputs == {"forest.json", "raw.jsonl"}
-        assert not (tmp_path / "out" / "ground_truth.json").exists()
 
     def test_roots_whose_slugs_collide_get_a_file_each(self, tmp_path):
         # Roots that differ only in punctuation each keep their own tree.

@@ -43,7 +43,6 @@ ARTIFACT_SHA256 = {
     "extrapolated.jsonl": "f499d12de9b19a5a176a6c33a33a583b21d1e8e559369e70dd5f794fc999e950",
     "forest.json": "e0277392cc8bf26c6e2259ef31cd3675bacb99b5a322193edc68954766451bed",
     "gaps.jsonl": "75c42c3d432ed3442f6ace77fa77199c82726b947855c8f3c47846795c5cbe63",
-    "ground_truth.json": "3b3b4cbdd808b01d3837a7da15bf95b6cbe608acc5fd80e8903b31d3e730e1a9",
     "raw.jsonl": "ff835507c6d0a38bf5d567f1488c12e5025962980a2e11bc5d56ecabd00a8895",
     "reliable.jsonl": "7d1801f23e817b44ee6d0a90aec0728cb2ddc9bbc4a01ea4b63385a8d9930ca3",
     "report.csv": "83a36a95074b2af3bd33b825c9338066ef046bb3a62c892ebdec4bb77442d7b3",

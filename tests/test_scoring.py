@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from evontree.errors import EmptySpanError, MissingThresholdError
+from evontree.errors import EmptySpanError
 from evontree.gateway import ModelGateway
 from evontree.ontology import Relation, Triple, normalize_label as lbl
 from evontree.scoring import (
@@ -284,9 +284,9 @@ class TestDecisions:
         assert confirm_decision([0.5, -0.1], [0.0, 0.0]) is False
 
     def test_length_mismatch(self):
-        with pytest.raises(MissingThresholdError):
+        with pytest.raises(ValueError):
             confirm_decision([0.5], [0.0, 0.0])
-        with pytest.raises(MissingThresholdError):
+        with pytest.raises(ValueError):
             gap_decision([0.5], [0.0, 0.0])
 
     def test_gap_all_below(self):
