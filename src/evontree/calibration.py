@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParamsError, StaleUpstreamError, UnparseableError
 from .gateway import GenerateRequest, ModelGateway
-from .ontology import Relation, TripleRecord
+from .ontology import Relation, TripleRecord, is_finite_number
 from .scoring import templates_for
 
 log = logging.getLogger(__name__)
@@ -235,15 +235,15 @@ class CalibrationOutcome:
 
 def _current_fits(relation: str, fits: dict) -> bool:
     """Whether fits are one per template of relation, as calibrate_relation
-    returns them, each with the keys FIT_KEYS: numbers tau_star and max_j,
-    and counts of non-negative ints pos and neg."""
+    returns them, each with the keys FIT_KEYS: finite numbers tau_star and
+    max_j (is_finite_number), and counts of non-negative ints pos and neg."""
     try:
         templates = templates_for(Relation(relation))
     except ValueError:  # no such relation
         return False
     return set(fits) == {str(t.paraphrase_id) for t in templates} and all(
         set(fit) == FIT_KEYS and isinstance(fit["counts"], dict)
-        and all(type(fit[key]) in (int, float) for key in ("tau_star", "max_j"))
+        and all(is_finite_number(fit[key]) for key in ("tau_star", "max_j"))
         and all(type(fit["counts"].get(key)) is int and fit["counts"][key] >= 0
                 for key in ("pos", "neg"))
         for fit in fits.values())

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the pipeline, and the check of a value
-against the domain a dataclass field declares in its metadata."""
+against the domain a dataclass field declares in its metadata.
+
+A reader of model answers refuses one it cannot use with UnparseableError
+alone; every other error a reader raises is a fault, not a refusal."""
 
 from __future__ import annotations
 
@@ -36,20 +39,14 @@ class EmptySpanError(EvontreeError):
     """A completion tokenized to zero tokens, so no span can be scored."""
 
 
-class ParseFailureError(EvontreeError):
-    """Model output is not valid JSON, even after code-fence stripping."""
-
-
-class SchemaMismatchError(EvontreeError):
-    """Model output parsed as JSON but misses required tree keys."""
-
-
 class UnrecognizedPromptError(EvontreeError):
     """The synthetic model received a prompt matching no known template."""
 
 
 class UnparseableError(EvontreeError):
-    """A one-shot reply contained neither 'true' nor 'false'."""
+    """A model answer its reader cannot use: a tree that is not JSON or not
+    of the asked shape, a one-shot reply with neither 'true' nor 'false', a
+    blank distilled answer. The one error a reader refuses an answer with."""
 
 
 class InvalidParamsError(EvontreeError, ValueError):
@@ -71,10 +68,6 @@ class StaleUpstreamError(MissingUpstreamError):
 
 class DirectoryBusyError(EvontreeError):
     """Another process is running a stage on the same output directory."""
-
-
-class JudgeUnavailableError(EvontreeError):
-    """The judge endpoint failed; reports degrade to accuracy-free mode."""
 
 
 class CacheCorruptError(EvontreeError):

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 
-from .errors import EmptyLabelError, EvontreeError, ParseFailureError, SchemaMismatchError
+from .errors import EmptyLabelError, UnparseableError
 from .gateway import GenerateRequest, ModelGateway
 from .ontology import ConceptLabel, OntologyTree, TreeNode, normalize_label
 
@@ -87,33 +87,33 @@ def parse_tree_response(text: str, concept: ConceptLabel) -> tuple[list[ChildSpe
 
     Returns (children, skipped) where skipped counts entries dropped for an
     empty name, the usual symptom of the model echoing the skeleton back.
-    Malformed JSON raises ParseFailureError; well-formed JSON of the wrong
-    shape raises SchemaMismatchError.
+    Malformed JSON, or well-formed JSON of the wrong shape, raises
+    UnparseableError.
     """
     try:
         obj = json.loads(_strip_fences(text).strip())
     except ValueError as exc:
-        raise ParseFailureError(f"response is not JSON: {exc}") from exc
+        raise UnparseableError(f"response is not JSON: {exc}") from exc
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise SchemaMismatchError("expected a single-key object at the top level")
+        raise UnparseableError("expected a single-key object at the top level")
     (top_key, payload), = obj.items()
     # Matched as normalize_label keys it; a blank key matches nothing.
     if not top_key.split() or normalize_label(top_key) != concept:
-        raise SchemaMismatchError(f"top-level key {top_key!r} does not match {concept.text!r}")
+        raise UnparseableError(f"top-level key {top_key!r} does not match {concept.text!r}")
     if not isinstance(payload, dict) or not isinstance(payload.get("subclasses"), list):
-        raise SchemaMismatchError("payload must carry a subclasses list")
+        raise UnparseableError("payload must carry a subclasses list")
     children: list[ChildSpec] = []
     skipped = 0
     for entry in payload["subclasses"]:
         if not isinstance(entry, dict) or "name" not in entry:
-            raise SchemaMismatchError(f"subclass entry without a name: {entry!r:.120}")
+            raise UnparseableError(f"subclass entry without a name: {entry!r:.120}")
         if not isinstance(entry["name"], str):
-            raise SchemaMismatchError(f"subclass name is not a string: {entry['name']!r}")
+            raise UnparseableError(f"subclass name is not a string: {entry['name']!r}")
         description = entry.get("description", "")
         synonyms = entry.get("synonyms", [])
         if not isinstance(description, str) or not isinstance(synonyms, list) \
                 or not all(isinstance(s, str) for s in synonyms):
-            raise SchemaMismatchError(f"malformed subclass entry for {entry['name']!r}")
+            raise UnparseableError(f"malformed subclass entry for {entry['name']!r}")
         try:
             label = normalize_label(entry["name"])
         except EmptyLabelError:
@@ -181,7 +181,7 @@ def extract_forest(gateway: ModelGateway,
              partial(parse_tree_response, concept=label)) for label in labels)
         frontiers = [[] for _ in forest]
         for (t, index), label, answer in zip(level, labels, answers):
-            if isinstance(answer, EvontreeError):
+            if isinstance(answer, UnparseableError):
                 if index == 0:
                     raise answer
                 stats.parse_failures += 1

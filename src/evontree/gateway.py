@@ -73,9 +73,9 @@ from urllib.parse import urlsplit
 from .errors import (
     URL_DOMAIN,
     CacheCorruptError,
-    EvontreeError,
     ProtocolError,
     TransportError,
+    UnparseableError,
     check_domain,
 )
 
@@ -691,17 +691,18 @@ class ModelGateway:
         return self._call_many("generate", requests, bypass_cache)
 
     def generate_read(self, pairs: Iterable[tuple[GenerateRequest, Callable[[str], T]]]
-                      ) -> list[T | EvontreeError]:
+                      ) -> list[T | UnparseableError]:
         """For each (request, read) pair, in order, what read makes of the
-        request's generated text, or the EvontreeError read raised at the
-        last attempt.
+        request's generated text, or the UnparseableError read refused it
+        with at the last attempt.
 
         The distinct requests go as one generate_many stream, so pairs with
         equal requests share every answer. Those whose text a read refused
         go again as one stream with the cache bypassed, so a sampling server
         draws afresh and a cached refused answer is never trusted twice, up
-        to ASK_ATTEMPTS in all. A transport failure raises, as in
-        generate_many.
+        to ASK_ATTEMPTS in all. UnparseableError is the one refusal: any
+        other error a read raises propagates, as a transport failure does
+        in generate_many.
         """
         pairs = list(pairs)
         results: list = [None] * len(pairs)
@@ -714,7 +715,7 @@ class ModelGateway:
                 request, read = pairs[i]
                 try:
                     results[i] = read(texts[request])
-                except EvontreeError as exc:
+                except UnparseableError as exc:
                     results[i] = exc
                     refused.append(i)
                     log.warning("refused answer (attempt %d/%d) to %r: %s",

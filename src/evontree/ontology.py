@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -198,6 +199,13 @@ class TripleRecord:
         return obj
 
 
+def is_finite_number(value) -> bool:
+    """Whether a value JSON gave is a number a float holds finitely: an int
+    or a float, not a bool, and neither NaN, an infinity nor beyond float
+    range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _is_list(value, item: Callable[[object], bool]) -> bool:
     return isinstance(value, list) and all(map(item, value))
 
@@ -209,16 +217,17 @@ def _is_label_pair(pair) -> bool:
 def _record_from_obj(obj: dict, score_counts: Mapping[Relation, int] | None) -> TripleRecord:
     """The record a line's object holds. A "class" key, which files written
     before the class left the line carry, is ignored. Scores that are not a
-    list of numbers, or not as many as score_counts gives for the triple's
-    relation, or chains that are not lists of [str, str] pairs, raise
+    list of finite numbers (is_finite_number), or, given score_counts, not as
+    many as it gives for the triple's relation (a line with no scores has
+    none), or chains that are not lists of [str, str] pairs, raise
     ValueError."""
     triple = Triple(normalize_label(obj["s"]), Relation(obj["r"]), normalize_label(obj["o"]))
     scores, chains = obj.get("scores"), obj.get("chains")
-    if scores is not None and not _is_list(scores, lambda v: type(v) in (int, float)):
+    if scores is not None and not _is_list(scores, is_finite_number):
         raise ValueError(f"scores must be a list of numbers, not {scores!r}")
-    if scores is not None and score_counts and len(scores) != score_counts[triple.relation]:
+    if score_counts and len(scores or ()) != score_counts[triple.relation]:
         raise ValueError(f"a {triple.relation.value} triple needs "
-                         f"{score_counts[triple.relation]} scores, not {len(scores)}")
+                         f"{score_counts[triple.relation]} scores, not {len(scores or ())}")
     if chains is not None:
         if not _is_list(chains, lambda chain: _is_list(chain, _is_label_pair)):
             raise ValueError(f"chains must be lists of [str, str] pairs, not {chains!r}")
@@ -246,19 +255,29 @@ def write_triple_file(path: Path, records: Iterable) -> list:
     return records
 
 
+def decode_utf8(data: bytes) -> str:
+    """data as UTF-8 text. Bytes that are not raise ValueError naming the
+    line of the first, as reading the file in text mode splits lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The text before the byte, and one character for the byte's line.
+        before = io.StringIO(data[:exc.start].decode("utf-8") + "|", newline=None)
+        raise ValueError(f"line {len(before.readlines())}: {exc}") from None
+
+
 def parse_triple_file(data: bytes,
                       score_counts: Mapping[Relation, int] | None = None) -> list[TripleRecord]:
     """The records in the bytes of a triple file, split into lines as
     reading the file in text mode splits them; blank lines are skipped. A
-    line that holds no record, or, given score_counts, scores of another
-    number than it gives for the line's relation, raises ValueError naming
-    its number."""
+    line that holds no record, or, given score_counts, not as many scores as
+    it gives for the line's relation, raises ValueError naming its number."""
     records = []
-    for number, line in enumerate(io.StringIO(data.decode("utf-8"), newline=None), 1):
+    for number, line in enumerate(io.StringIO(decode_utf8(data), newline=None), 1):
         if line.strip():
             try:
                 records.append(_record_from_obj(json.loads(line), score_counts))
-            except (ValueError, KeyError, TypeError, EmptyLabelError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, EmptyLabelError) as exc:
                 raise ValueError(f"line {number}: {exc!r}") from exc
     return records
 

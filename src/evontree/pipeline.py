@@ -78,9 +78,9 @@ from .errors import (
     DirectoryBusyError,
     EmptyLabelError,
     EmptySpanError,
-    JudgeUnavailableError,
     MissingUpstreamError,
     StaleUpstreamError,
+    TransportError,
 )
 from .extraction import extract_forest
 from .gateway import GATEWAY_COUNTERS, HttpBackend, ModelGateway, close_all, endpoint_identity
@@ -88,6 +88,7 @@ from .ontology import (
     Relation,
     TripleClass,
     TripleRecord,
+    decode_utf8,
     parse_triple_file,
     read_triple_file,  # noqa: F401  no stage calls it; perfbench/spans.py wraps it here
     tree_to_triples,
@@ -388,8 +389,9 @@ def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[Trip
                          key=lambda t: t.sort_key)
         try:
             verdicts, judge_unparseable = judge_triples(judge_gateway, audited)
-        except JudgeUnavailableError as exc:
-            log.warning("judge unavailable, reporting without accuracy: %s", exc)
+        except TransportError as exc:
+            log.warning("judge unavailable, reporting without accuracy: "
+                        "judge endpoint failed: %s", exc)
             judge_unavailable = True
 
     rows = build_rows(classes, verdicts)
@@ -452,7 +454,7 @@ STAGES: dict[str, Callable] = {name: body for name, (body, _, _) in TABLE.items(
 _READ = {file for _, inputs, _ in TABLE.values() for file in inputs}
 # The stage that writes each artifact.
 _PRODUCER = {file: stage for stage, (_, _, outputs) in TABLE.items() for file in outputs}
-# The scores a scored record holds: one per template of its relation.
+# The scores a line of a scored file holds: one per template of its relation.
 _SCORE_COUNTS = {relation: len(templates_for(relation)) for relation in Relation}
 
 
@@ -477,8 +479,9 @@ def _load_input(file: str, data: bytes):
     file, the line of a triple file, and the stage to rerun."""
     try:
         if file == "calibration.json":
-            return CalibrationOutcome.from_json_obj(json.loads(data.decode("utf-8")))
-        return parse_triple_file(data, _SCORE_COUNTS)
+            return CalibrationOutcome.from_json_obj(json.loads(decode_utf8(data)))
+        # Only the scored files carry scores, and each line of theirs does.
+        return parse_triple_file(data, _SCORE_COUNTS if file.startswith("scored_") else None)
     except (ValueError, KeyError, TypeError, AttributeError, EmptyLabelError) as exc:
         # A triple file's error names the line; a KeyError's text alone is a bare key.
         detail = exc if file != "calibration.json" else repr(exc)

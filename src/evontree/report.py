@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .calibration import CalibrationOutcome, CalibrationResult, RocPoint, one_shot_labels
-from .errors import JudgeUnavailableError, TransportError
 from .gateway import ModelGateway
 from .ontology import Relation, Triple, TripleClass, TripleRecord
 from .scoring import gap_decision, judge_prompt
@@ -74,19 +73,16 @@ def judge_triples(gateway: ModelGateway,
     question, every triple's in one stream through one_shot_labels.
 
     Unparseable answers drop the triple from the audit and are tallied.
-    A transport failure means the judge endpoint is down, which degrades
-    the whole report to accuracy-free rather than failing the run.
+    A transport failure raises TransportError: the judge endpoint is down,
+    which stage_report degrades to an accuracy-free report.
     """
     verdicts: dict[Triple, bool] = {}
     unparseable = 0
-    try:
-        for triple, label in zip(triples, one_shot_labels(gateway, map(judge_prompt, triples))):
-            if label is None:
-                unparseable += 1
-            else:
-                verdicts[triple] = label
-    except TransportError as exc:
-        raise JudgeUnavailableError(f"judge endpoint failed: {exc}") from exc
+    for triple, label in zip(triples, one_shot_labels(gateway, map(judge_prompt, triples))):
+        if label is None:
+            unparseable += 1
+        else:
+            verdicts[triple] = label
     return verdicts, unparseable
 
 

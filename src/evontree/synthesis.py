@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import EvontreeError, check_fields
+from .errors import UnparseableError, check_fields
 from .gateway import GenerateRequest, ModelGateway
 from .ontology import TripleRecord
 
@@ -108,7 +108,7 @@ class SynthesisTallies:
 def _nonblank(text: str) -> str:
     """A distilled answer, stripped; a blank one is refused, to be asked again."""
     if not text.strip():
-        raise EvontreeError("blank answer")
+        raise UnparseableError("blank answer")
     return text.strip()
 
 
@@ -167,7 +167,7 @@ def build_corpus(gateway: ModelGateway, gaps: Sequence[TripleRecord],
                          temperature=config.temperature), _nonblank)
         for _, prompt in implicit)
     for (entry, _), answer in zip(implicit, answers):
-        if isinstance(answer, EvontreeError):
+        if isinstance(answer, UnparseableError):
             tallies.distill_drops += 1
         else:
             entry.output = answer

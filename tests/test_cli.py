@@ -176,6 +176,12 @@ class TestExitCodes:
          "chains must be lists of [str, str] pairs, not [[[1, 2], [3, 4]]]", "gap"),
         ("synthesize", "gaps.jsonl", "chains", [[["a", "b", "c"]]],
          "chains must be lists of [str, str] pairs", "gap"),
+        ("confirm", "scored_raw.jsonl", "scores", [math.nan, 0.5, 0.5, 0.5],
+         "scores must be a list of numbers, not [nan, ", "calibrate"),
+        ("confirm", "scored_raw.jsonl", "scores", [0.5, math.inf, 0.5, 0.5],
+         "scores must be a list of numbers, not [0.5, inf, ", "calibrate"),
+        ("gap", "scored_extrapolated.jsonl", "scores", [0.5, 0.5, 0.5, -math.inf],
+         "scores must be a list of numbers, not [0.5, 0.5, 0.5, -inf]", "extrapolate"),
     ])
     def test_a_malformed_scores_or_chains_value_exits_3(
             self, finished_run, tmp_path, caplog, stage, file, key, value, detail, producer):
@@ -214,8 +220,15 @@ class TestExitCodes:
          "holds fits for ['SubclassOf'] that are malformed"),
         (lambda fits: fits["SynonymOf"]["1"]["counts"].update(pos=-1),
          "holds fits for ['SynonymOf'] that are malformed"),
+        (lambda fits: fits["SubclassOf"]["1"].update(tau_star=math.nan),
+         "holds fits for ['SubclassOf'] that are malformed"),
+        (lambda fits: fits["SynonymOf"]["3"].update(max_j=math.inf),
+         "holds fits for ['SynonymOf'] that are malformed"),
+        (lambda fits: fits["SubclassOf"]["4"].update(tau_star=-math.inf),
+         "holds fits for ['SubclassOf'] that are malformed"),
         (lambda fits: fits.pop("SynonymOf"), "holds no fits for SynonymOf"),
-    ], ids=["text tau_star", "bool max_j", "negative count", "no fits"])
+    ], ids=["text tau_star", "bool max_j", "negative count", "NaN tau_star", "Infinity max_j",
+            "-Infinity tau_star", "no fits"])
     def test_a_malformed_calibration_fit_exits_3(self, finished_run, tmp_path, caplog,
                                                  edit, detail):
         # Nothing vouches for the copy's calibration.json: its fits are checked.

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evontree.errors import ParseFailureError, SchemaMismatchError, TransportError
+from evontree.errors import TransportError, UnparseableError
 from evontree.extraction import (
     DEFAULT_ROOTS,
     ExtractionConfig,
@@ -84,34 +84,34 @@ class TestParseTreeResponse:
                                               lbl("Infectious Disease"))
             assert children[0].label == lbl("Sepsis"), key
         for key in ("", "  ", "InfectiousDisease"):
-            with pytest.raises(SchemaMismatchError):
+            with pytest.raises(UnparseableError):
                 parse_tree_response(tree_json(key, [{"name": "Sepsis"}]),
                                     lbl("Infectious Disease"))
 
     def test_wrong_top_key(self):
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(UnparseableError):
             parse_tree_response(tree_json("Bacterium", [{"name": "x"}]), lbl("Virus"))
 
     def test_not_json(self):
-        with pytest.raises(ParseFailureError):
+        with pytest.raises(UnparseableError):
             parse_tree_response("A virus is small.", lbl("Virus"))
 
     def test_top_level_not_single_key_object(self):
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(UnparseableError):
             parse_tree_response("[1, 2]", lbl("Virus"))
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(UnparseableError):
             parse_tree_response('{"a": {}, "b": {}}', lbl("Virus"))
 
     def test_subclasses_must_be_list(self):
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(UnparseableError):
             parse_tree_response('{"Virus": {"subclasses": "none"}}', lbl("Virus"))
 
     def test_entry_without_name(self):
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(UnparseableError):
             parse_tree_response(tree_json("Virus", [{"description": "x"}]), lbl("Virus"))
 
     def test_non_string_synonyms(self):
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(UnparseableError):
             parse_tree_response(
                 tree_json("Virus", [{"name": "x", "synonyms": [1]}]), lbl("Virus"))
 
@@ -266,7 +266,7 @@ class TestExtractionFailures:
     def test_root_parse_exhaustion_fatal(self, tmp_path):
         gw, _ = scripted_gateway(tmp_path, ["bad", "bad", "bad"])
         config = ExtractionConfig(roots=("Root",), max_depth=1)
-        with pytest.raises(ParseFailureError):
+        with pytest.raises(UnparseableError):
             extract_one(gw, config)
 
     def test_child_parse_exhaustion_tallied(self, tmp_path):

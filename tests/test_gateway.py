@@ -31,8 +31,10 @@ from evontree.errors import (
     InvalidParamsError,
     ProtocolError,
     TransportError,
+    UnparseableError,
 )
 from evontree.gateway import (
+    ASK_ATTEMPTS,
     BATCH_SIZE,
     CACHE_FILE,
     CACHE_FORMAT,
@@ -725,6 +727,60 @@ class TestCacheFormat:
         assert rows() == before
         with closing(sqlite3.connect(path)) as db:
             assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
+
+
+class CountingBackend(FakeBackend):
+    """Answers the nth ask of a prompt, counting from 0, with "prompt#n"."""
+
+    def generate(self, body):
+        self.calls.append(("generate", body))
+        asked = sum(called["prompt"] == body["prompt"] for _, called in self.calls)
+        return {"text": f"{body['prompt']}#{asked - 1}"}
+
+
+def refuse(text: str) -> str:
+    raise UnparseableError(f"refused {text}")
+
+
+class TestGenerateRead:
+    def test_a_refused_answer_is_asked_again_with_the_cache_bypassed(self, tmp_path):
+        gw, backend = make_gateway(tmp_path, backend=CountingBackend())
+        request = prompts(1)[0]
+        assert list(gw.generate_many([request])) == ["p0#0"]
+        [result] = gw.generate_read([(request, refuse)])
+        assert isinstance(result, UnparseableError)
+        assert str(result) == f"refused p0#{ASK_ATTEMPTS - 1}"
+        # The first ask read the cached answer; each later one asked the backend.
+        assert gw.cache_hits == 1
+        assert len(backend.calls) == ASK_ATTEMPTS
+        gw.close()
+
+    def test_the_accepted_answer_replaces_the_cached_one(self, tmp_path):
+        def accept_a_second_answer(text: str) -> str:
+            if text.endswith("#0"):
+                refuse(text)
+            return text.upper()
+
+        gw, backend = make_gateway(tmp_path, backend=CountingBackend())
+        request = prompts(1)[0]
+        list(gw.generate_many([request]))
+        assert gw.generate_read([(request, accept_a_second_answer)]) == ["P0#1"]
+        assert len(backend.calls) == 2
+        gw.close()
+        fresh, fresh_backend = make_gateway(tmp_path, backend=CountingBackend())
+        assert list(fresh.generate_many([request])) == ["p0#1"]
+        assert fresh_backend.calls == []
+        fresh.close()
+
+    def test_another_error_of_a_reader_propagates(self, tmp_path):
+        def invalid(text: str) -> str:
+            raise InvalidParamsError(f"no refusal: {text}")
+
+        gw, backend = make_gateway(tmp_path, backend=CountingBackend())
+        with pytest.raises(InvalidParamsError, match="no refusal: p0#0"):
+            gw.generate_read([(prompts(1)[0], invalid)])
+        assert len(backend.calls) == 1  # not asked again
+        gw.close()
 
 
 class TestRetry:

@@ -1,7 +1,7 @@
 """Source checks that need no linter: every name a module of evontree
 imports is used in that module, every name the benchmark's tracer wraps
-exists, and every stage body takes the inputs its TABLE row names and
-writes no file."""
+exists, every stage body takes the inputs its TABLE row names and writes no
+file, and only the command line catches every package error."""
 
 from __future__ import annotations
 
@@ -107,3 +107,30 @@ def test_no_stage_body_writes_or_removes_a_file():
                 if called in FILE_WRITES:
                     calls.append(f"{body.__name__} ({name}) calls {called}")
     assert calls == []
+
+
+def except_clauses_naming(tree: ast.AST, name: str, where: str = "") -> list[str]:
+    """The function or class, by dotted name, of each except clause in tree
+    that names name, alone or in a tuple."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += except_clauses_naming(node, name,
+                                           f"{where}.{node.name}" if where else node.name)
+            continue
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(t, ast.Name) and t.id == name for t in types):
+                found.append(where)
+        found += except_clauses_naming(node, name, where)
+    return found
+
+
+def test_only_the_command_line_catches_every_package_error():
+    # A reader refuses a model answer with UnparseableError, and each caller
+    # catches the errors it handles by name; any other error reaches
+    # cli.main, which reports it.
+    catchers = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+                for where in except_clauses_naming(ast.parse(path.read_text(encoding="utf-8")),
+                                                   "EvontreeError")]
+    assert catchers == ["cli.main"]

