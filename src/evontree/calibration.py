@@ -12,10 +12,13 @@ all true keeps the largest threshold that recalls every positive, and all
 false (or no labels) gives the top of the range, which no confirm value
 clears under the default range [0, 1].
 
-calibration.json keeps each template's threshold, its Youden J and its
-label counts. The ROC curve a fit returns holds every candidate threshold;
-it is not part of the JSON, and roc_curve.csv keeps only the points of it
-that shape it (see report.roc_rows).
+calibration.json is the map relation -> paraphrase id -> fit, each fit a
+template's threshold tau_star, its Youden J max_j and its label counts, as
+CalibrationResult.to_json_obj gives it; stages read it parsed, as that map,
+through checked_calibration and thresholds. The ROC curve a fit returns
+holds every candidate threshold; it is not part of the JSON, and
+roc_curve.csv keeps only the points of it that shape it (see
+report.roc_rows).
 """
 
 from __future__ import annotations
@@ -77,9 +80,8 @@ class CalibrationResult:
     n_pos: int
     n_neg: int
     max_j: float
-    # The fitted curve, for roc_curve.csv; not stored in calibration.json,
-    # so a fit read back has none, and equality ignores it.
-    curve: list[RocPoint] = field(default_factory=list, compare=False)
+    # The fitted curve, for roc_curve.csv; not stored in calibration.json.
+    curve: list[RocPoint] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
         return {
@@ -87,11 +89,6 @@ class CalibrationResult:
             "max_j": self.max_j,
             "counts": {"pos": self.n_pos, "neg": self.n_neg},
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CalibrationResult":
-        return cls(tau_star=obj["tau_star"], max_j=obj["max_j"],
-                   n_pos=obj["counts"]["pos"], n_neg=obj["counts"]["neg"])
 
 
 def parse_label(text: str) -> bool:
@@ -179,70 +176,44 @@ def fit_threshold(samples: Sequence[LabeledScore],
                              max_j=best.j, curve=curve)
 
 
-@dataclass
-class CalibrationOutcome:
-    """Per-relation fits, one per paraphrase template, keyed by its id as a
-    string. Read back from calibration.json, the fits carry no curve."""
-
-    sweep: CalibrationConfig
-    prompt_set: str
-    by_relation: dict[str, dict[str, CalibrationResult]]
-    unparseable: int = 0
-
-    def thresholds(self, relation: Relation) -> list[float]:
-        """Per-template threshold vector, ordered by paraphrase id. calibrate
-        fits every relation it scored a triple of, so a scored triple of a
-        relation with no fits raises StaleUpstreamError."""
-        if relation.value not in self.by_relation:
-            raise StaleUpstreamError(
-                f"calibration.json holds no fits for {relation.value}; "
-                "rerun 'calibrate' and the stages after it")
-        fits = self.by_relation[relation.value]
-        return [fits[str(t.paraphrase_id)].tau_star for t in templates_for(relation)]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "prompt_set": self.prompt_set,
-            "sweep": {"lo": self.sweep.sweep_lo, "hi": self.sweep.sweep_hi},
-            "unparseable": self.unparseable,
-            "relations": {
-                rel: {key: res.to_json_obj() for key, res in sorted(fits.items())}
-                for rel, fits in sorted(self.by_relation.items())
-            },
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CalibrationOutcome":
-        """The outcome calibration.json holds. A file in an older format, or a
-        malformed one, whose fits are not exactly one per template of their
-        relation, each as _current_fits checks it, raises StaleUpstreamError."""
-        stale = sorted(rel for rel, fits in obj["relations"].items()
-                       if not _current_fits(rel, fits))
-        if stale:
-            raise StaleUpstreamError(
-                f"calibration.json holds fits for {stale} that are malformed or in an "
-                "older format; rerun 'calibrate' and the stages after it")
-        return cls(
-            sweep=CalibrationConfig(sweep_lo=obj["sweep"]["lo"], sweep_hi=obj["sweep"]["hi"]),
-            prompt_set=obj["prompt_set"],
-            unparseable=obj.get("unparseable", 0),
-            by_relation={
-                rel: {key: CalibrationResult.from_json_obj(r) for key, r in fits.items()}
-                for rel, fits in obj["relations"].items()
-            },
-        )
+def thresholds(calibration: dict, relation: Relation) -> list[float]:
+    """The per-template threshold vector of relation in calibration, the map
+    calibration.json holds, ordered by paraphrase id. calibrate fits every
+    relation it scored a triple of, so a scored triple of a relation with no
+    fits raises StaleUpstreamError."""
+    if relation.value not in calibration:
+        raise StaleUpstreamError(
+            f"calibration.json holds no fits for {relation.value}; "
+            "rerun 'calibrate' and the stages after it")
+    fits = calibration[relation.value]
+    return [fits[str(t.paraphrase_id)]["tau_star"] for t in templates_for(relation)]
 
 
-def _current_fits(relation: str, fits: dict) -> bool:
-    """Whether fits are one per template of relation, as calibrate_relation
-    returns them, each with the keys FIT_KEYS: finite numbers tau_star and
-    max_j (is_finite_number), and counts of non-negative ints pos and neg."""
+def checked_calibration(obj: dict) -> dict:
+    """obj, calibration.json as json.loads parsed it, if each of its
+    relations holds fits as _current_fits checks them. A file in an older
+    format, or a malformed one, raises StaleUpstreamError."""
+    stale = sorted(rel for rel, fits in obj.items() if not _current_fits(rel, fits))
+    if stale:
+        raise StaleUpstreamError(
+            f"calibration.json holds fits for {stale} that are malformed or in an "
+            "older format; rerun 'calibrate' and the stages after it")
+    return obj
+
+
+def _current_fits(relation: str, fits) -> bool:
+    """Whether fits are an object of one fit per template of relation, as
+    calibrate_relation returns them, each an object with the keys FIT_KEYS:
+    finite numbers tau_star and max_j (is_finite_number), and counts of
+    non-negative ints pos and neg."""
     try:
         templates = templates_for(Relation(relation))
     except ValueError:  # no such relation
         return False
-    return set(fits) == {str(t.paraphrase_id) for t in templates} and all(
-        set(fit) == FIT_KEYS and isinstance(fit["counts"], dict)
+    if not isinstance(fits, dict) or set(fits) != {str(t.paraphrase_id) for t in templates}:
+        return False
+    return all(
+        isinstance(fit, dict) and set(fit) == FIT_KEYS and isinstance(fit["counts"], dict)
         and all(is_finite_number(fit[key]) for key in ("tau_star", "max_j"))
         and all(type(fit["counts"].get(key)) is int and fit["counts"][key] >= 0
                 for key in ("pos", "neg"))

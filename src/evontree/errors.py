@@ -25,9 +25,8 @@ class TransportError(EvontreeError):
     retry_after_s is the wait, in seconds, that a 429 or 503 reply asked for
     in its Retry-After header, if it gave one."""
 
-    def __init__(self, message: str, attempts: int = 1, retry_after_s: float | None = None):
+    def __init__(self, message: str, retry_after_s: float | None = None):
         super().__init__(message)
-        self.attempts = attempts
         self.retry_after_s = retry_after_s
 
 

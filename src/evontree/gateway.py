@@ -224,7 +224,6 @@ class HttpBackend:
 
         check_domain(endpoint, URL_DOMAIN, "endpoint")
         self.endpoint = self.identity = endpoint_identity(endpoint)
-        self.timeout_s = timeout_s
         url = urlsplit(self.endpoint)
         self._path_prefix = url.path
         if url.scheme == "https":
@@ -620,7 +619,7 @@ class ModelGateway:
                     log.warning("transport failure (attempt %d/%d), retrying in %.2fs: %s",
                                 attempt + 1, RETRY_ATTEMPTS, delay, exc)
                     self._sleep(delay)
-        raise TransportError(str(last_exc), attempts=RETRY_ATTEMPTS)
+        raise TransportError(str(last_exc))
 
     def _call_many(self, kind: str, requests: Iterable, bypass_cache: bool) -> Iterator:
         """What kind's parser makes of each request's response, in order, as

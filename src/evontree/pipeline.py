@@ -11,7 +11,7 @@ of the artifacts. A body that raises leaves every output as it was. Every
 file a stage writes is one of its TABLE outputs, written by run_stage at
 the top of the output directory; no body writes one itself. Each stage's
 entry holds its own config_hash, model_identity and wall_s (from the input
-check to the manifest write); the top-level keys name the stage run last.
+check to the manifest write).
 A run can be resumed or re-executed from any stage, and given the same
 config and a warm response cache, re-running a stage reproduces its
 outputs byte for byte.
@@ -24,8 +24,8 @@ lock when its holder dies, so a killed stage leaves nothing to clean up.
 
 Under run_all, stages hand records over in memory: for each output some
 stage reads, run_stage keeps what its writer returns, as parsing the file
-would return it (the records in the file's order, or the
-CalibrationOutcome), and a later stage of the same RunContext receives the
+would return it (the records in the file's order, or calibration.json's
+map of fits), and a later stage of the same RunContext receives the
 kept value if the file still has the hash recorded when it was written.
 Every file is still written, hashed and checked as below; a stage run
 alone, or one whose input another process rewrote, parses the input from
@@ -72,7 +72,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .calibration import CalibrationOutcome, calibrate_relation, collect_samples
+from .calibration import calibrate_relation, checked_calibration, collect_samples, thresholds
 from .config import RunConfig
 from .errors import (
     DirectoryBusyError,
@@ -273,20 +273,20 @@ def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> tuple[dict, dic
         samples, dropped = collect_samples(ctx.gateway(), scored, relation)
         unparseable += dropped
         by_relation[relation.value] = calibrate_relation(samples, ctx.config.calibration)
-    outcome = CalibrationOutcome(sweep=ctx.config.calibration, prompt_set=PROMPT_SET_VERSION,
-                                 by_relation=by_relation, unparseable=unparseable)
-    return ({"scored_raw.jsonl": scored, "calibration.json": outcome,
-             "roc_curve.csv": roc_rows(outcome)},
+    calibration = {relation: {key: fit.to_json_obj() for key, fit in fits.items()}
+                   for relation, fits in by_relation.items()}
+    return ({"scored_raw.jsonl": scored, "calibration.json": calibration,
+             "roc_curve.csv": roc_rows(by_relation)},
             {"unscored": unscored, "unparseable_labels": unparseable})
 
 
 def stage_confirm(ctx: RunContext, scored_raw: list[TripleRecord],
-                  calibration: CalibrationOutcome) -> tuple[dict, dict]:
+                  calibration: dict) -> tuple[dict, dict]:
     """Pure partition of the scored raw triples against the calibrated
     thresholds; involves no model calls. Their scores stay in scored_raw."""
     confirmed = [TripleRecord(record.triple) for record in scored_raw
                  if confirm_decision(record.scores,
-                                     calibration.thresholds(record.triple.relation))]
+                                     thresholds(calibration, record.triple.relation))]
     by_relation = Counter(r.triple.relation.value for r in confirmed)
     return ({"confirmed.jsonl": confirmed},
             {"confirmed": dict(sorted(by_relation.items())),
@@ -329,14 +329,14 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord], confirmed: list[
 
 
 def stage_gap(ctx: RunContext, scored_extrapolated: list[TripleRecord],
-              calibration: CalibrationOutcome) -> tuple[dict, dict]:
+              calibration: dict) -> tuple[dict, dict]:
     """Classify scored extrapolations: above threshold everywhere extends
     the ontology, below per the gap mode is a knowledge gap. A gap keeps its
     chains, for synthesis; its scores stay in scored_extrapolated."""
     counts = Counter()
     gaps = []
     for record in scored_extrapolated:
-        taus = calibration.thresholds(record.triple.relation)
+        taus = thresholds(calibration, record.triple.relation)
         verdict = classify_extrapolated(record.scores, taus, ctx.config.gap.mode)
         counts[verdict] += 1
         if verdict == CLASS_GAP:
@@ -415,10 +415,10 @@ def stage_report(ctx: RunContext, raw: list[TripleRecord], scored_raw: list[Trip
 
 
 def stage_sweep(ctx: RunContext, scored_extrapolated: list[TripleRecord],
-                calibration: CalibrationOutcome) -> tuple[dict, dict]:
+                calibration: dict) -> tuple[dict, dict]:
     """Gap yield across shifted thresholds; no corpus synthesis involved."""
     if scored_extrapolated:
-        taus = calibration.thresholds(Relation.SUBCLASS_OF)
+        taus = thresholds(calibration, Relation.SUBCLASS_OF)
     else:
         taus = []
     points = sweep_gap_offsets(scored_extrapolated, taus, ctx.config.gap.sweep_offsets,
@@ -469,7 +469,7 @@ def _write_output(path: Path, value):
         csv.writer(buf, lineterminator="\n").writerows(value)
         write_atomic(path, buf.getvalue())
     else:
-        _write_json(path, value.to_json_obj() if isinstance(value, CalibrationOutcome) else value)
+        _write_json(path, value)
     return value
 
 
@@ -479,7 +479,7 @@ def _load_input(file: str, data: bytes):
     file, the line of a triple file, and the stage to rerun."""
     try:
         if file == "calibration.json":
-            return CalibrationOutcome.from_json_obj(json.loads(decode_utf8(data)))
+            return checked_calibration(json.loads(decode_utf8(data)))
         # Only the scored files carry scores, and each line of theirs does.
         return parse_triple_file(data, _SCORE_COUNTS if file.startswith("scored_") else None)
     except (ValueError, KeyError, TypeError, AttributeError, EmptyLabelError) as exc:
@@ -591,10 +591,10 @@ def _run_held(ctx: RunContext, name: str) -> None:
         hashes[file] = _digest((out / file).read_bytes())
         if file in _READ:
             ctx._kept[file] = (hashes[file], written)
-    provenance = {"config_hash": ctx.config.config_hash(), "model_identity": ctx.model_identity()}
     stages[name] = {
         "completed_at": _utc_now(),
-        **provenance,
+        "config_hash": ctx.config.config_hash(),
+        "model_identity": ctx.model_identity(),
         "inputs": read,
         "outputs": hashes,
         "tallies": tallies,
@@ -609,7 +609,6 @@ def _run_held(ctx: RunContext, name: str) -> None:
         "template_set": TEMPLATE_SET_VERSION,
         "perplexity_base": "e",
         "judge": ctx.config.model.judge.kind,
-        **provenance,
         "stages": stages,
     })
     log.info("stage %s done", name)

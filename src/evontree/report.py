@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .calibration import CalibrationOutcome, CalibrationResult, RocPoint, one_shot_labels
+from .calibration import CalibrationResult, RocPoint, one_shot_labels
 from .gateway import ModelGateway
 from .ontology import Relation, Triple, TripleClass, TripleRecord
 from .scoring import gap_decision, judge_prompt
@@ -172,15 +172,14 @@ def _shaping_points(fit: CalibrationResult) -> list[RocPoint]:
     return [point for point, _, _ in kept]
 
 
-def roc_rows(outcome: CalibrationOutcome) -> list[list[str]]:
-    """Flatten the calibration curves, each thinned to its _shaping_points:
-    one line per (relation, template, tau) kept. The curves exist only on
-    fits fit_threshold just returned, not on an outcome read back from
-    calibration.json."""
+def roc_rows(by_relation: Mapping[str, Mapping[str, CalibrationResult]]) -> list[list[str]]:
+    """Flatten the curves of fresh fits, by relation and template key as
+    calibrate_relation returns them, each thinned to its _shaping_points:
+    one line per (relation, template, tau) kept."""
     out = [["relation", "template", "tau", "tpr", "fpr"]]
-    for relation in sorted(outcome.by_relation):
-        for template_key in sorted(outcome.by_relation[relation]):
-            for point in _shaping_points(outcome.by_relation[relation][template_key]):
+    for relation in sorted(by_relation):
+        for template_key in sorted(by_relation[relation]):
+            for point in _shaping_points(by_relation[relation][template_key]):
                 out.append([relation, template_key, str(point.tau),
                             _fmt(point.tpr), _fmt(point.fpr)])
     return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -12,14 +13,15 @@ import evontree.gateway as gateway_module
 import evontree.report as report_module
 from evontree.calibration import (
     CalibrationConfig,
-    CalibrationOutcome,
     CalibrationResult,
     LabeledScore,
     calibrate_relation,
+    checked_calibration,
     collect_samples,
     fit_threshold,
     one_shot_labels,
     parse_label,
+    thresholds,
 )
 from evontree.errors import (
     InvalidParamsError,
@@ -354,57 +356,62 @@ class TestCalibrateRelation:
 
 
 class TestCalibrationOutcome:
-    def build(self):
+    """The map of fits calibration.json holds, relation -> paraphrase id ->
+    fit, as stage_calibrate builds it and checked_calibration and thresholds
+    read it."""
+
+    def fits(self):
         scored = [
             scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6]),
             scored_subclass("c", "root", [-0.1, -0.2, -0.3, -0.4]),
         ]
-        fits = calibrate_relation(samples_from(scored, [True, False]))
-        return CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
-                                  by_relation={Relation.SUBCLASS_OF.value: fits},
-                                  unparseable=3)
+        return calibrate_relation(samples_from(scored, [True, False]))
+
+    def build(self):
+        return {Relation.SUBCLASS_OF.value: {
+            key: fit.to_json_obj() for key, fit in self.fits().items()}}
 
     def test_thresholds_ordered_by_paraphrase(self):
-        outcome = self.build()
-        taus = outcome.thresholds(Relation.SUBCLASS_OF)
+        calibration = self.build()
+        taus = thresholds(calibration, Relation.SUBCLASS_OF)
         assert len(taus) == 4
-        assert taus == [outcome.by_relation["SubclassOf"][str(i)].tau_star
-                        for i in (1, 2, 3, 4)]
+        assert taus == [calibration["SubclassOf"][str(i)]["tau_star"] for i in (1, 2, 3, 4)]
 
     def test_json_round_trip_preserves_fits(self):
-        outcome = self.build()
-        back = CalibrationOutcome.from_json_obj(outcome.to_json_obj())
-        assert back.prompt_set == "v1"
-        assert back.sweep == outcome.sweep
-        assert back.unparseable == 3
-        assert back.thresholds(Relation.SUBCLASS_OF) == outcome.thresholds(Relation.SUBCLASS_OF)
-        assert back.by_relation == outcome.by_relation
-        # Curves live in roc_curve.csv; a fit read back has none.
-        assert all(fit.curve for fit in outcome.by_relation["SubclassOf"].values())
-        assert not any(fit.curve for fit in back.by_relation["SubclassOf"].values())
+        fits, calibration = self.fits(), self.build()
+        back = checked_calibration(json.loads(json.dumps(calibration)))
+        assert back == calibration
+        assert thresholds(back, Relation.SUBCLASS_OF) == [fits[str(i)].tau_star
+                                                          for i in (1, 2, 3, 4)]
+        # Curves live in roc_curve.csv; the map holds none.
+        assert all(fit.curve for fit in fits.values())
+        assert not any("curve" in fit for fit in back["SubclassOf"].values())
 
     def test_json_obj_carries_threshold_and_counts_per_template(self):
-        obj = self.build().to_json_obj()
-        assert set(obj["relations"]["SubclassOf"]) == {"1", "2", "3", "4"}
-        entry = obj["relations"]["SubclassOf"]["1"]
+        obj = self.build()
+        assert set(obj["SubclassOf"]) == {"1", "2", "3", "4"}
+        entry = obj["SubclassOf"]["1"]
         assert set(entry) == {"tau_star", "max_j", "counts"}
         assert entry["counts"] == {"pos": 1, "neg": 1}
 
     @pytest.mark.parametrize("edit", ["pooled_fit", "curve_key", "missing_template",
-                                      "unknown_relation"])
+                                      "unknown_relation", "relations_key"])
     def test_older_format_is_refused(self, edit):
-        obj = self.build().to_json_obj()
-        fits = obj["relations"]["SubclassOf"]
+        obj = self.build()
+        fits = obj["SubclassOf"]
         if edit == "pooled_fit":  # written before the pooled fit was dropped
             fits["pooled"] = dict(fits["1"])
         elif edit == "curve_key":  # written before curves left the JSON
             fits["2"]["curve"] = [{"tau": 0.0, "tpr": 1.0, "fpr": 1.0}]
         elif edit == "missing_template":
             del fits["4"]
-        else:
-            obj["relations"]["PartOf"] = fits
+        elif edit == "unknown_relation":
+            obj["PartOf"] = fits
+        else:  # written before the fits were the whole file
+            obj = {"prompt_set": "v1", "relations": obj, "sweep": {"hi": 1.0, "lo": 0.0},
+                   "unparseable": 0}
         with pytest.raises(StaleUpstreamError) as exc:
-            CalibrationOutcome.from_json_obj(obj)
+            checked_calibration(obj)
         assert "calibration.json" in str(exc.value) and "rerun 'calibrate'" in str(exc.value)
 
     @pytest.mark.parametrize(("key", "value"), [
@@ -412,17 +419,17 @@ class TestCalibrationOutcome:
         ("max_j", [0.5]), ("counts", {"pos": -1, "neg": 1}), ("counts", {"pos": 1, "neg": 1.0}),
         ("counts", {"pos": True, "neg": 1}), ("counts", {"pos": 1}), ("counts", [1, 1])])
     def test_a_malformed_fit_is_refused(self, key, value):
-        obj = self.build().to_json_obj()
-        obj["relations"]["SubclassOf"]["3"][key] = value
+        obj = self.build()
+        obj["SubclassOf"]["3"][key] = value
         with pytest.raises(StaleUpstreamError) as exc:
-            CalibrationOutcome.from_json_obj(obj)
+            checked_calibration(obj)
         assert str(exc.value) == (
             "calibration.json holds fits for ['SubclassOf'] that are malformed or in an "
             "older format; rerun 'calibrate' and the stages after it")
 
     def test_thresholds_of_a_relation_with_no_fits_are_refused(self):
         with pytest.raises(StaleUpstreamError) as exc:
-            self.build().thresholds(Relation.SYNONYM_OF)
+            thresholds(self.build(), Relation.SYNONYM_OF)
         assert str(exc.value) == ("calibration.json holds no fits for SynonymOf; "
                                   "rerun 'calibrate' and the stages after it")
 

@@ -210,7 +210,8 @@ class TestExitCodes:
         with caplog.at_level(logging.ERROR, logger="evontree.cli"):
             assert main(["confirm", "--config", str(config),
                          "--stage-dir", str(out)]) == EXIT_MISSING_UPSTREAM
-        assert "calibration.json does not parse (AttributeError(" in caplog.text
+        assert ("calibration.json holds fits for ['relations'] that are malformed or in an "
+                "older format") in caplog.text
         assert "rerun 'calibrate' and the stages after it" in caplog.text
 
     @pytest.mark.parametrize(("edit", "detail"), [
@@ -227,8 +228,12 @@ class TestExitCodes:
         (lambda fits: fits["SubclassOf"]["4"].update(tau_star=-math.inf),
          "holds fits for ['SubclassOf'] that are malformed"),
         (lambda fits: fits.pop("SynonymOf"), "holds no fits for SynonymOf"),
+        (lambda fits: fits.update(SubclassOf=3),
+         "holds fits for ['SubclassOf'] that are malformed"),
+        (lambda fits: fits.update(PartOf=fits["SubclassOf"]),
+         "holds fits for ['PartOf'] that are malformed"),
     ], ids=["text tau_star", "bool max_j", "negative count", "NaN tau_star", "Infinity max_j",
-            "-Infinity tau_star", "no fits"])
+            "-Infinity tau_star", "no fits", "fits not an object", "unknown relation"])
     def test_a_malformed_calibration_fit_exits_3(self, finished_run, tmp_path, caplog,
                                                  edit, detail):
         # Nothing vouches for the copy's calibration.json: its fits are checked.
@@ -236,9 +241,9 @@ class TestExitCodes:
         out = tmp_path / "out"
         shutil.copytree(tmp / "out", out, ignore=shutil.ignore_patterns("cache"))
         (out / "manifest.json").unlink()
-        obj = json.loads((out / "calibration.json").read_text(encoding="utf-8"))
-        edit(obj["relations"])
-        (out / "calibration.json").write_text(json.dumps(obj), encoding="utf-8")
+        fits = json.loads((out / "calibration.json").read_text(encoding="utf-8"))
+        edit(fits)
+        (out / "calibration.json").write_text(json.dumps(fits), encoding="utf-8")
         with caplog.at_level(logging.ERROR, logger="evontree.cli"):
             assert main(["confirm", "--config", str(config),
                          "--stage-dir", str(out)]) == EXIT_MISSING_UPSTREAM
@@ -259,9 +264,8 @@ class TestExitCodes:
         assert stages["extract"]["config_hash"] != before["extract"]["config_hash"]
         assert stages["calibrate"] == before["calibrate"]
         assert stages["calibrate"]["model_identity"].startswith("synthetic://7/")
-        # The top-level keys name the stage that ran last.
-        assert manifest["model_identity"] == stages["extract"]["model_identity"]
-        assert manifest["config_hash"] == stages["extract"]["config_hash"]
+        # Only the stage entries hold provenance.
+        assert "model_identity" not in manifest and "config_hash" not in manifest
 
     def test_endpoint_without_scheme_exits_2_before_any_request(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
@@ -507,7 +511,7 @@ class TestFlags:
             ctx = RunContext(load_config(config, stage_dir=out, seed=seed))
             truths.append(ctx.ground_truth().to_json_obj())
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["model_identity"] == ctx.model_identity()
+            assert manifest["stages"]["extract"]["model_identity"] == ctx.model_identity()
         assert truths[0] != truths[1]
 
     def test_no_cache_still_reproduces_artifacts(self, finished_run, tmp_path):
@@ -528,7 +532,7 @@ class TestFlags:
         out = tmp_path / "out"
         shutil.copytree(tmp / "out", out)
         manifest = json.loads((out / "manifest.json").read_text())
-        identity, model = manifest["model_identity"].split("#")
+        identity, model = manifest["stages"]["extract"]["model_identity"].split("#")
         extraction = load_config(config).extraction
         tree_question = GenerateRequest(build_tree_prompt(normalize_label("T0N0")),
                                         extraction.gen_max_tokens, extraction.gen_temperature)

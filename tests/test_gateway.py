@@ -815,9 +815,8 @@ class TestRetry:
         backend = FakeBackend(failures=10)
         gw = ModelGateway(backend, model="m1", cache_dir=tmp_path,
                           sleep=lambda s: None)
-        with pytest.raises(TransportError) as exc_info:
+        with pytest.raises(TransportError):
             gw.generate(GenerateRequest(prompt="x", max_tokens=4, temperature=0.0))
-        assert exc_info.value.attempts == 3
         assert len(backend.calls) == 3
         assert gw.retries == 2  # the third failure is raised, not retried
 
@@ -1438,9 +1437,8 @@ class TestHttpFaults:
         gw = http_gateway(timeout_s=0.1)
         fault_server.faults = [fault] * RETRY_ATTEMPTS
         [first, second] = prompts(2)
-        with pytest.raises(TransportError) as exc_info:
+        with pytest.raises(TransportError):
             gw.generate(first)
-        assert exc_info.value.attempts == RETRY_ATTEMPTS
         assert len(fault_server.seen) == RETRY_ATTEMPTS
         assert gw.delays == list(RETRY_BACKOFF_S)
         assert stored_responses(gw) == {}

@@ -7,6 +7,7 @@ import errno
 import functools
 import itertools
 import json
+import logging
 import math
 import os
 import re
@@ -31,8 +32,8 @@ from hypothesis import given, settings, strategies as st
 import evontree
 import evontree.gateway as gateway_module
 import evontree.pipeline as pipeline_module
-from evontree.calibration import CalibrationOutcome, calibrate_relation
-from evontree.cli import EXIT_GATEWAY, EXIT_OK, main as cli_main
+from evontree.calibration import calibrate_relation, checked_calibration, thresholds
+from evontree.cli import EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main as cli_main
 from evontree.config import ENDPOINT_ENV_VAR, parse_config, replace_seed
 from evontree.errors import MissingUpstreamError, StaleUpstreamError, TransportError
 from evontree.gateway import (
@@ -221,11 +222,12 @@ class TestRunAll:
     def test_every_stage_recorded_in_manifest(self, completed_run):
         manifest = json.loads(artifact(completed_run, "manifest.json").read_text())
         assert set(manifest["stages"]) == set(STAGE_ORDER)
-        assert manifest["model_identity"].startswith("synthetic://7/")
+        assert all(entry["model_identity"].startswith("synthetic://7/")
+                   for entry in manifest["stages"].values())
         assert manifest["perplexity_base"] == "e"
         assert manifest["prompt_set"] == "v1"
         calibration = json.loads(artifact(completed_run, "calibration.json").read_text())
-        assert "SubclassOf" in calibration["relations"]
+        assert "SubclassOf" in calibration
 
     def test_manifest_hashes_match_artifact_bytes(self, completed_run):
         import hashlib
@@ -268,13 +270,12 @@ class TestRunAll:
             run_all(ctx)
         finally:
             ctx.close()
-        outcome = CalibrationOutcome.from_json_obj(
-            json.loads(artifact(ctx, "calibration.json").read_text()))
-        assert len(fitted) == len(outcome.by_relation) == 2
+        calibration = json.loads(artifact(ctx, "calibration.json").read_text())
+        assert len(fitted) == len(calibration) == 2
         # The fits calibrate_relation returned, with their curves, by relation.
-        fresh = replace(outcome, by_relation={
-            relation: next(f for f in fitted if f == fits)
-            for relation, fits in outcome.by_relation.items()})
+        fresh = {relation: next(f for f in fitted
+                                if {key: fit.to_json_obj() for key, fit in f.items()} == fits)
+                 for relation, fits in calibration.items()}
         with artifact(ctx, "roc_curve.csv").open(newline="") as f:
             rows = list(csv.reader(f))
         assert rows == pipeline_module.roc_rows(fresh)
@@ -294,17 +295,14 @@ class TestRunAll:
         back = GroundTruth(**json.loads(json.dumps(truth.to_json_obj())))
         assert back.to_json_obj() == truth.to_json_obj()
         manifest = json.loads(artifact(completed_run, "manifest.json").read_text())
-        assert f"/{back.content_hash()[:8]}#" in manifest["model_identity"]
+        assert f"/{back.content_hash()[:8]}#" in manifest["stages"]["extract"]["model_identity"]
 
     def test_confirmed_matches_threshold_oracle(self, completed_run):
-        from evontree.calibration import CalibrationOutcome
-
         out = completed_run.config.output.dir
-        outcome = CalibrationOutcome.from_json_obj(
-            json.loads((out / "calibration.json").read_text()))
+        calibration = checked_calibration(json.loads((out / "calibration.json").read_text()))
         scored = read_triple_file(out / "scored_raw.jsonl")
         expected = {r.triple for r in scored
-                    if confirm_decision(r.scores, outcome.thresholds(r.triple.relation))}
+                    if confirm_decision(r.scores, thresholds(calibration, r.triple.relation))}
         assert {r.triple for r in read_triple_file(out / "confirmed.jsonl")} == expected
 
     def test_gap_chains_survive_into_corpus(self, completed_run):
@@ -860,7 +858,7 @@ class TestOneSidedLabels:
             assert cli_main(["run", "--config", str(config)]) == EXIT_OK
             assert cli_main(["sweep", "--config", str(config)]) == EXIT_OK
             calibration = json.loads((tmp_path / f"out{seed}" / "calibration.json").read_text())
-            fits = calibration["relations"]["SynonymOf"].values()
+            fits = calibration["SynonymOf"].values()
             assert all(fit["counts"]["pos"] > 0 and fit["counts"]["neg"] == 0 for fit in fits)
             assert all((fit["tau_star"], fit["max_j"]) == (0.0, 1.0) for fit in fits)
 
@@ -993,22 +991,35 @@ class TestStaleInputs:
         run_stage(run_copy, "confirm")
         run_stage(run_copy, "reliable")
 
-    def test_calibration_json_in_an_older_format_is_refused(self, run_copy):
-        # A run directory from before the pooled fit was dropped: its
-        # manifest recorded the calibration.json it holds.
+    def test_calibration_json_in_an_older_format_is_refused(self, run_copy, tmp_path, caplog):
+        # A run directory from before calibration.json was the bare map of
+        # fits: its manifest recorded the calibration.json it holds, as
+        # written and as read.
         path = artifact(run_copy, "calibration.json")
-        obj = json.loads(path.read_text())
-        fits = obj["relations"]["SubclassOf"]
-        fits["pooled"] = dict(fits["1"], curve=[])
-        path.write_text(json.dumps(obj))
+        fresh = path.read_bytes()
+        path.write_text(json.dumps({"prompt_set": "v1", "relations": json.loads(fresh),
+                                    "sweep": {"hi": 1.0, "lo": 0.0}, "unparseable": 0}))
+        old, new = pipeline_module._digest(fresh), pipeline_module._digest(path.read_bytes())
         manifest = json.loads(artifact(run_copy, "manifest.json").read_text())
-        manifest["stages"]["calibrate"]["outputs"]["calibration.json"] = (
-            pipeline_module._digest(path.read_bytes()))
+        for entry in manifest["stages"].values():
+            for hashes in (entry["inputs"], entry["outputs"]):
+                hashes.update({file: new for file, digest in hashes.items() if digest == old})
         artifact(run_copy, "manifest.json").write_text(json.dumps(manifest))
-        confirmed = artifact(run_copy, "confirmed.jsonl").read_bytes()
-        with pytest.raises(StaleUpstreamError, match=r"calibration\.json .*rerun 'calibrate'"):
-            run_stage(run_copy, "confirm")
-        assert artifact(run_copy, "confirmed.jsonl").read_bytes() == confirmed
+        out, cache = run_copy.config.output.dir, run_copy.config.output.resolved_cache_dir()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_obj(str(out), str(cache))))
+        flags = ["--config", str(config), "--stage-dir", str(out)]
+        written = {file: (out / file).read_bytes() for file in ("confirmed.jsonl", "gaps.jsonl")}
+        for stage in ("confirm", "gap", "sweep"):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+                assert cli_main([stage, *flags]) == EXIT_MISSING_UPSTREAM, stage
+            assert ("calibration.json holds fits for ['prompt_set', 'relations', 'sweep', "
+                    "'unparseable'] that are malformed or in an older format; rerun "
+                    "'calibrate' and the stages after it") in caplog.text, stage
+        assert {file: (out / file).read_bytes() for file in written} == written
+        assert cli_main(["calibrate", *flags]) == EXIT_OK
+        assert path.read_bytes() == fresh
 
     def test_manifest_top_level_is_rewritten_and_stages_kept(self, run_copy):
         manifest = json.loads(artifact(run_copy, "manifest.json").read_text())
@@ -1019,7 +1030,7 @@ class TestStaleInputs:
         after = json.loads(artifact(run_copy, "manifest.json").read_text())
         assert "thresholds" not in after
         assert set(after) == {"tool_version", "prompt_set", "template_set", "perplexity_base",
-                              "judge", "config_hash", "model_identity", "stages"}
+                              "judge", "stages"}
         assert list(after["stages"]) == list(stages)
         assert {k: v for k, v in after["stages"].items() if k != "confirm"} == {
             k: v for k, v in stages.items() if k != "confirm"}
@@ -1060,8 +1071,8 @@ class TestHandoff:
         for name in ("_load_input", "parse_triple_file", "read_triple_file"):
             monkeypatch.setattr(pipeline_module, name,
                                 counting(name, getattr(pipeline_module, name)))
-        monkeypatch.setattr(CalibrationOutcome, "from_json_obj", classmethod(
-            counting("from_json_obj", CalibrationOutcome.from_json_obj.__func__)))
+        monkeypatch.setattr(pipeline_module, "checked_calibration",
+                            counting("checked_calibration", checked_calibration))
         ctx = RunContext(make_config(tmp_path))
         try:
             run_all(ctx)

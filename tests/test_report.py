@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evontree.calibration import (
-    CalibrationConfig,
-    CalibrationOutcome,
     CalibrationResult,
     LabeledScore,
     RocPoint,
@@ -177,17 +175,18 @@ class TestHistogram:
 ROC_HEADER = ["relation", "template", "tau", "tpr", "fpr"]
 
 
-def shaping_row_indices(rows: list[list[str]], outcome: CalibrationOutcome) -> list[list[int]]:
-    """For each curve of outcome, in the order roc_rows writes them, the
-    indices into its full curve of its rows in rows. Asserts that they are
-    a subsequence of the full curve's rows, each row byte for byte as
-    flattening every point writes it, with the first, the last and the
+def shaping_row_indices(rows: list[list[str]],
+                        by_relation: dict[str, dict[str, CalibrationResult]]) -> list[list[int]]:
+    """For each curve of the fits by_relation, in the order roc_rows writes
+    them, the indices into its full curve of its rows in rows. Asserts that
+    they are a subsequence of the full curve's rows, each row byte for byte
+    as flattening every point writes it, with the first, the last and the
     tau_star rows among them."""
     assert rows[0] == ROC_HEADER
     body, kept_by_curve = rows[1:], []
-    for relation in sorted(outcome.by_relation):
-        for key in sorted(outcome.by_relation[relation]):
-            fit = outcome.by_relation[relation][key]
+    for relation in sorted(by_relation):
+        for key in sorted(by_relation[relation]):
+            fit = by_relation[relation][key]
             full = [[relation, key, str(p.tau), f"{p.tpr:.6f}", f"{p.fpr:.6f}"]
                     for p in fit.curve]
             kept = []
@@ -201,10 +200,9 @@ def shaping_row_indices(rows: list[list[str]], outcome: CalibrationOutcome) -> l
     return kept_by_curve
 
 
-def one_curve(samples: list[LabeledScore]) -> tuple[CalibrationOutcome, CalibrationResult]:
+def one_curve(samples: list[LabeledScore]) -> tuple[dict, CalibrationResult]:
     fit = fit_threshold(samples)
-    return (CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
-                               by_relation={"SubclassOf": {"1": fit}}), fit)
+    return {"SubclassOf": {"1": fit}}, fit
 
 
 def cross(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
@@ -216,9 +214,7 @@ class TestRocRows:
     def test_flattens_relations_and_templates(self):
         fit = CalibrationResult(tau_star=0.5, n_pos=1, n_neg=1, max_j=1.0,
                                 curve=[RocPoint(0.0, 1.0, 1.0), RocPoint(0.5, 1.0, 0.0)])
-        outcome = CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
-                                     by_relation={"SubclassOf": {"1": fit, "2": fit}})
-        rows = roc_rows(outcome)
+        rows = roc_rows({"SubclassOf": {"1": fit, "2": fit}})
         assert rows[0] == ROC_HEADER
         assert rows[1] == ["SubclassOf", "1", "0.0", "1.000000", "1.000000"]
         assert len(rows) == 1 + 4
@@ -229,8 +225,8 @@ class TestRocRows:
                     max_size=40))
     def test_thinning_drops_only_points_on_a_straight_run(self, pairs):
         samples = [LabeledScore(score, label) for score, label in pairs]
-        outcome, fit = one_curve(samples)
-        [kept] = shaping_row_indices(roc_rows(outcome), outcome)
+        by_relation, fit = one_curve(samples)
+        [kept] = shaping_row_indices(roc_rows(by_relation), by_relation)
         # The counts above each tau, from the samples themselves.
         counts = [(sum(s.label and s.score > p.tau for s in samples),
                    sum(not s.label and s.score > p.tau for s in samples)) for p in fit.curve]
@@ -255,11 +251,11 @@ class TestRocRows:
         samples = [LabeledScore(-1.0, False), LabeledScore(0.9, True),
                    *(LabeledScore(score, label) for score in (0.2, 0.4, 0.6, 0.8)
                      for label in (True, False))]
-        outcome, fit = one_curve(samples)
+        by_relation, fit = one_curve(samples)
         assert fit.tau_star == 0.2
         assert [p.tau for p in fit.curve] == [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0]
-        rows = roc_rows(outcome)
-        assert shaping_row_indices(rows, outcome) == [[0, 1, 4, 6]]
+        rows = roc_rows(by_relation)
+        assert shaping_row_indices(rows, by_relation) == [[0, 1, 4, 6]]
         assert rows[1:] == [["SubclassOf", "1", "0.0", "1.000000", "0.800000"],
                             ["SubclassOf", "1", "0.2", "0.800000", "0.600000"],
                             ["SubclassOf", "1", "0.8", "0.200000", "0.000000"],
@@ -267,9 +263,7 @@ class TestRocRows:
 
     def test_a_fit_read_back_has_no_rows(self):
         fit = CalibrationResult(tau_star=0.5, n_pos=1, n_neg=1, max_j=1.0)
-        outcome = CalibrationOutcome(sweep=CalibrationConfig(), prompt_set="v1",
-                                     by_relation={"SubclassOf": {"1": fit}})
-        assert roc_rows(outcome) == [ROC_HEADER]
+        assert roc_rows({"SubclassOf": {"1": fit}}) == [ROC_HEADER]
 
 
 class TestSweep:

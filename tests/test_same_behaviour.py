@@ -35,7 +35,7 @@ CONFIG = {
 # SHA-256 of every file under the output directory after `run` and then
 # `sweep`, but the manifest (it holds times) and the response cache.
 ARTIFACT_SHA256 = {
-    "calibration.json": "36ed7b2a1d66f10cab952fd6186827252ddbb581484616553172464b7d0ffef8",
+    "calibration.json": "4825118eb41fe78524784d65c49d6fb4a4ff6e2ac1346fc7d12f7c23785cc9e1",
     "confirm_hist.csv": "224325f9d4f5b49a06a39b469676d7aac95e1ad450bc27652c7a49291dd07962",
     "confirmed.jsonl": "6a199c69ba27420783d4b647b9dd523cbdeeadcc0e07f9e1530ab476732d058d",
     "corpus.jsonl": "e03e0c1c64a6150b5e1ffacc762882f71378f358924020c6bbb1b9cf1235811d",
