@@ -169,13 +169,14 @@ def tree_to_triples(tree: OntologyTree) -> set[Triple]:
 @dataclass
 class TripleRecord:
     """One line of the triple file format: a triple, its per-paraphrase
-    confirm values in the two scored files (None elsewhere), and, for
-    extrapolated conclusions, the premise chains that derived it. The
-    file a record is in names its class; the line does not."""
+    confirm values in the two scored files (None elsewhere), and, for an
+    extrapolated conclusion D under A, its derivations, each named by the
+    label text of its middle concept C (D under C, C under A). The file a
+    record is in names its class; the line does not."""
 
     triple: Triple
     scores: list[float] | None = None
-    chains: list[list[tuple[str, str]]] | None = None
+    chains: list[str] | None = None
 
     def mean_score(self) -> float | None:
         if not self.scores:
@@ -195,7 +196,7 @@ class TripleRecord:
         if self.scores is not None:
             obj["scores"] = self.scores
         if self.chains is not None:
-            obj["chains"] = [[[s, o] for s, o in chain] for chain in self.chains]
+            obj["chains"] = self.chains
         return obj
 
 
@@ -210,17 +211,14 @@ def _is_list(value, item: Callable[[object], bool]) -> bool:
     return isinstance(value, list) and all(map(item, value))
 
 
-def _is_label_pair(pair) -> bool:
-    return _is_list(pair, lambda label: isinstance(label, str)) and len(pair) == 2
-
-
 def _record_from_obj(obj: dict, score_counts: Mapping[Relation, int] | None) -> TripleRecord:
     """The record a line's object holds. A "class" key, which files written
     before the class left the line carry, is ignored. Scores that are not a
     list of finite numbers (is_finite_number), or, given score_counts, not as
     many as it gives for the triple's relation (a line with no scores has
-    none), or chains that are not lists of [str, str] pairs, raise
-    ValueError."""
+    none), or chains that are not a list of strings, the middle labels, raise
+    ValueError: so does a file of the older format, whose chains were
+    [[subject, middle], [middle, object]] pairs."""
     triple = Triple(normalize_label(obj["s"]), Relation(obj["r"]), normalize_label(obj["o"]))
     scores, chains = obj.get("scores"), obj.get("chains")
     if scores is not None and not _is_list(scores, is_finite_number):
@@ -228,10 +226,8 @@ def _record_from_obj(obj: dict, score_counts: Mapping[Relation, int] | None) -> 
     if score_counts and len(scores or ()) != score_counts[triple.relation]:
         raise ValueError(f"a {triple.relation.value} triple needs "
                          f"{score_counts[triple.relation]} scores, not {len(scores or ())}")
-    if chains is not None:
-        if not _is_list(chains, lambda chain: _is_list(chain, _is_label_pair)):
-            raise ValueError(f"chains must be lists of [str, str] pairs, not {chains!r}")
-        chains = [[(s, o) for s, o in chain] for chain in chains]
+    if chains is not None and not _is_list(chains, lambda label: isinstance(label, str)):
+        raise ValueError(f"chains must be a list of middle labels, not {chains!r}")
     return TripleRecord(triple=triple, scores=scores, chains=chains)
 
 

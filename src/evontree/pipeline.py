@@ -43,8 +43,9 @@ raises StaleUpstreamError too, naming the file, the line of a triple file,
 and the stage to rerun.
 
 Each triple fact is written once, by the stage that computes it: scores
-only in scored_raw.jsonl and scored_extrapolated.jsonl, chains from
-extrapolate on, and no line names its class, which its file does.
+only in scored_raw.jsonl and scored_extrapolated.jsonl, chains (one middle
+label per derivation) from extrapolate on, and no line names its class,
+which its file does.
 
 Stages run sequentially and stream their model requests through the
 gateway (see evontree.gateway), which batches them, fans a batch out over
@@ -313,14 +314,8 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord], confirmed: list[
     by_subject = Counter(t.subject.key for t in reliable_sub)
     compositions = sum(by_subject.get(t.object.key, 0) for t in reliable_sub)
 
-    ext_records = [
-        TripleRecord(
-            c.triple,
-            chains=[[(lower.subject.text, lower.object.text),
-                     (upper.subject.text, upper.object.text)]
-                    for lower, upper in c.chains])
-        for c in candidates
-    ]
+    ext_records = [TripleRecord(c.triple, chains=[m.text for m in c.chains])
+                   for c in candidates]
     scored, unscored = _score_records(ctx, ext_records)
     return ({"extrapolated.jsonl": ext_records, "scored_extrapolated.jsonl": scored},
             {"compositions": compositions,

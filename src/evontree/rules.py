@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Collection, Iterable
 
 from .ontology import ConceptLabel, Relation, Triple
@@ -65,11 +66,11 @@ def select_reliable(confirmed: Collection[Triple]) -> set[Triple]:
 
 @dataclass(frozen=True)
 class ExtrapolatedCandidate:
-    """A proposed subclass triple with the premise pairs that derived it.
-    Each chain is (lower premise, upper premise): subject-to-mid, mid-to-object."""
+    """A proposed subclass triple (D, A) with the middle concepts C of the
+    premise pairs (D, C) and (C, A) that derived it, in key order."""
 
     triple: Triple
-    chains: tuple[tuple[Triple, Triple], ...]
+    chains: tuple[ConceptLabel, ...]
 
 
 def extrapolate(reliable: Iterable[Triple],
@@ -79,33 +80,31 @@ def extrapolate(reliable: Iterable[Triple],
     `existing` holds everything already known (raw, confirmed, and reliable
     together). A candidate is kept only if it is new: not equal, up to the
     synonym classes present in `existing`, to any known subclass triple, and
-    not reflexive at the class level.
+    not reflexive at the class level. Premises are taken in sort_key order,
+    so a concept spelled two ways is spelled the same in every process.
     """
     reliable_set = {t for t in reliable if t.relation is Relation.SUBCLASS_OF}
     uf = synonym_classes(t for t in existing if t.relation is Relation.SYNONYM_OF)
     existing_pairs = {(uf.find(t.subject.key), uf.find(t.object.key))
                       for t in chain(existing, reliable_set)
                       if t.relation is Relation.SUBCLASS_OF}
+    ordered = sorted(reliable_set, key=attrgetter("sort_key"))
     by_subject: dict[str, list[Triple]] = {}
-    for t in reliable_set:
+    for t in ordered:
         by_subject.setdefault(t.subject.key, []).append(t)
-    chains_by_candidate: dict[Triple, set[tuple[Triple, Triple]]] = {}
-    for lower in reliable_set:
+    # A candidate's lower premises differ only by middle, so come in middle key order.
+    middles_by_candidate: dict[Triple, list[ConceptLabel]] = {}
+    for lower in ordered:
         for upper in by_subject.get(lower.object.key, ()):
             if uf.find(lower.subject.key) == uf.find(upper.object.key):
                 continue
             if (uf.find(lower.subject.key), uf.find(upper.object.key)) in existing_pairs:
                 continue
             candidate = Triple(lower.subject, Relation.SUBCLASS_OF, upper.object)
-            chains_by_candidate.setdefault(candidate, set()).add((lower, upper))
-    return [
-        ExtrapolatedCandidate(
-            triple=candidate,
-            chains=tuple(sorted(chains, key=lambda c: (c[0].sort_key, c[1].sort_key))),
-        )
-        for candidate, chains in sorted(chains_by_candidate.items(),
-                                        key=lambda kv: kv[0].sort_key)
-    ]
+            middles_by_candidate.setdefault(candidate, []).append(lower.object)
+    return [ExtrapolatedCandidate(triple=candidate, chains=tuple(middles))
+            for candidate, middles in sorted(middles_by_candidate.items(),
+                                             key=lambda kv: kv[0].sort_key)]
 
 
 CLASS_CONFIRMED = "confirmed"

@@ -1,7 +1,7 @@
 """Corpus synthesis for knowledge gaps.
 
-Each gap arrives as a subclass triple (D under A) plus the premise chain
-that derived it (D under C, C under A). Two strategies turn it into
+Each gap arrives as a subclass triple (D under A) plus the middle concept
+C of each derivation (D under C, C under A). Two strategies turn it into
 training text. The explicit strategy writes a question-answer pair that
 states the chain outright. The implicit strategy asks the tuned-model-to-be
 for open prose about the three concepts and distills the answers from the
@@ -99,7 +99,7 @@ class CorpusEntry:
 @dataclass
 class SynthesisTallies:
     distill_drops: int = 0
-    malformed_chains: int = 0
+    malformed_chains: int = 0  # gaps with no chain, which contribute nothing
 
     def to_json_obj(self) -> dict:
         return dict(vars(self))
@@ -112,43 +112,26 @@ def _nonblank(text: str) -> str:
     return text.strip()
 
 
-def _unpack_chain(record: TripleRecord, chain: list[tuple[str, str]]) -> tuple[str, str, str] | None:
-    """Unpack one chain as (D, C, A); None when the premises do not line up
-    with the gap triple."""
-    if len(chain) != 2:
-        return None
-    (d, c1), (c2, a) = chain
-    if c1.casefold() != c2.casefold():
-        return None
-    if d.casefold() != record.triple.subject.key or a.casefold() != record.triple.object.key:
-        return None
-    return d, c1, a
-
-
 def build_corpus(gateway: ModelGateway, gaps: Sequence[TripleRecord],
                  config: SynthesisConfig) -> tuple[list[CorpusEntry], SynthesisTallies]:
     """Every chain of every gap contributes its own examples: distinct
-    derivations state the relationship through different intermediates.
-    Every implicit instruction is distilled in one generate_read stream; an
-    entry whose answer stays blank is dropped rather than shipped blank."""
+    derivations state the relationship through different intermediates. A
+    chain is D under C under A: D and A are the gap triple's subject and
+    object, C is the chain's middle label. Every implicit instruction is
+    distilled in one generate_read stream; an entry whose answer stays blank
+    is dropped rather than shipped blank."""
     tallies = SynthesisTallies()
     entries: list[CorpusEntry] = []
     implicit: list[tuple[CorpusEntry, str]] = []  # each awaiting the answer to its prompt
     for record in sorted(gaps, key=lambda r: r.triple.sort_key):
-        gap_s, gap_o = record.triple.subject.text, record.triple.object.text
-        for raw_chain in record.chains or []:
-            unpacked = _unpack_chain(record, raw_chain)
-            if unpacked is None:
-                tallies.malformed_chains += 1
-                log.warning("gap %r has an unusable chain; skipped", record.triple)
-                continue
-            d, c, a = unpacked
+        d, a = record.triple.subject.text, record.triple.object.text
+        for c in record.chains or []:
             chain = [(d, c), (c, a)]
             if config.strategy in ("explicit", "mix"):
                 instruction, output = explicit_pair(d, c, a)
                 entries.append(CorpusEntry(
                     instruction=instruction, output=output, strategy="explicit",
-                    gap_subject=gap_s, gap_object=gap_o, chain=chain,
+                    gap_subject=d, gap_object=a, chain=chain,
                     template_id=0, hint_included=False))
             if config.strategy in ("implicit", "mix"):
                 hint = _fill(HINT_TEMPLATE, d, c, a)
@@ -156,7 +139,7 @@ def build_corpus(gateway: ModelGateway, gaps: Sequence[TripleRecord],
                     implicit.append((CorpusEntry(
                         instruction=instruction if config.strip_hint else instruction + hint,
                         output="", strategy="implicit",
-                        gap_subject=gap_s, gap_object=gap_o, chain=chain,
+                        gap_subject=d, gap_object=a, chain=chain,
                         template_id=template_id, hint_included=not config.strip_hint),
                         instruction + hint))
         if not record.chains:

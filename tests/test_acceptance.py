@@ -317,8 +317,7 @@ CORPUS_KEYS = {"instruction", "output", "strategy", "gap", "chain",
 
 def _gap_record(d: str, c_mids: list[str], a: str) -> TripleRecord:
     triple = Triple(normalize_label(d), Relation.SUBCLASS_OF, normalize_label(a))
-    chains = [[(d, mid), (mid, a)] for mid in c_mids]
-    return TripleRecord(triple, chains=chains)
+    return TripleRecord(triple, chains=c_mids)
 
 
 def test_criterion_5_corpus_contract(tmp_path):

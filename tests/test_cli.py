@@ -172,10 +172,11 @@ class TestExitCodes:
         ("confirm", "scored_raw.jsonl", "scores", [0.5], "scores, not 1", "calibrate"),
         ("gap", "scored_extrapolated.jsonl", "scores", [0.5, 0.5, 0.5, 0.5, 0.5],
          "a SubclassOf triple needs 4 scores, not 5", "extrapolate"),
-        ("synthesize", "gaps.jsonl", "chains", [[[1, 2], [3, 4]]],
-         "chains must be lists of [str, str] pairs, not [[[1, 2], [3, 4]]]", "gap"),
-        ("synthesize", "gaps.jsonl", "chains", [[["a", "b", "c"]]],
-         "chains must be lists of [str, str] pairs", "gap"),
+        ("synthesize", "gaps.jsonl", "chains", [1, 2],
+         "chains must be a list of middle labels, not [1, 2]", "gap"),
+        # The older format: each chain a [[subject, middle], [middle, object]] pair.
+        ("synthesize", "gaps.jsonl", "chains", [[["a", "b"], ["b", "c"]]],
+         "chains must be a list of middle labels, not [[['a', 'b'], ['b', 'c']]]", "gap"),
         ("confirm", "scored_raw.jsonl", "scores", [math.nan, 0.5, 0.5, 0.5],
          "scores must be a list of numbers, not [nan, ", "calibrate"),
         ("confirm", "scored_raw.jsonl", "scores", [0.5, math.inf, 0.5, 0.5],

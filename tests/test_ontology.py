@@ -124,7 +124,7 @@ class TestTripleFile:
                          scores=None),
             TripleRecord(Triple(lbl("Adenovirus"), Relation.SUBCLASS_OF, lbl("Virus")),
                          scores=None,
-                         chains=[[("adenovirus", "dna virus"), ("dna virus", "virus")]]),
+                         chains=["dna virus", "Enveloped Virus"]),
         ]
         path = tmp_path / "triples.jsonl"
         write_triple_file(path, records)

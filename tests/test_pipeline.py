@@ -807,8 +807,7 @@ class TestDegradation:
         # completion of its probes, if any, scores no tokens. Up to 60
         # records, up to 600 probes, cross a batch of BATCH_SIZE requests.
         records = [TripleRecord(Triple(lbl(f"S{i}"), relation, lbl(f"O{i}")),
-                                chains=[[(f"S{i}", f"M{i}"), (f"M{i}", f"O{i}")]]
-                                if chained else None)
+                                chains=[f"M{i}"] if chained else None)
                    for i, (relation, chained, _) in enumerate(specs)]
         empty = {f"S{i}": completion for i, (*_, completion) in enumerate(specs)}
 
@@ -1020,6 +1019,40 @@ class TestStaleInputs:
         assert {file: (out / file).read_bytes() for file in written} == written
         assert cli_main(["calibrate", *flags]) == EXIT_OK
         assert path.read_bytes() == fresh
+
+    def test_chains_in_the_older_pair_format_are_refused(self, run_copy, tmp_path, caplog):
+        # A run directory from before a chain was its middle label: each
+        # chain was [[subject, middle], [middle, object]], and its manifest
+        # recorded the files it holds, as written and as read.
+        out, cache = run_copy.config.output.dir, run_copy.config.output.resolved_cache_dir()
+        fresh = artifact_bytes(out)
+        manifest = json.loads(artifact(run_copy, "manifest.json").read_text())
+        for file in ("gaps.jsonl", "scored_extrapolated.jsonl"):
+            objs = [json.loads(line) for line in fresh[file].decode().splitlines()]
+            assert objs and all(obj["chains"] for obj in objs)
+            (out / file).write_text("".join(json.dumps(
+                {**obj, "chains": [[[obj["s"], m], [m, obj["o"]]] for m in obj["chains"]]}) + "\n"
+                for obj in objs))
+            old = pipeline_module._digest(fresh[file])
+            new = pipeline_module._digest((out / file).read_bytes())
+            for entry in manifest["stages"].values():
+                for hashes in (entry["inputs"], entry["outputs"]):
+                    hashes.update({f: new for f, digest in hashes.items() if digest == old})
+        artifact(run_copy, "manifest.json").write_text(json.dumps(manifest))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_obj(str(out), str(cache))))
+        flags = ["--config", str(config), "--stage-dir", str(out)]
+        for stage, file, producer in (("synthesize", "gaps.jsonl", "gap"),
+                                      ("gap", "scored_extrapolated.jsonl", "extrapolate")):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+                assert cli_main([stage, *flags]) == EXIT_MISSING_UPSTREAM, stage
+            assert f"{file} does not parse (line 1: " in caplog.text, stage
+            assert "chains must be a list of middle labels" in caplog.text, stage
+            assert f"rerun {producer!r} and the stages after it" in caplog.text, stage
+        for stage in STAGE_ORDER[STAGE_ORDER.index("extrapolate"):]:
+            assert cli_main([stage, *flags]) == EXIT_OK, stage
+        assert artifact_bytes(out) == fresh
 
     def test_manifest_top_level_is_rewritten_and_stages_kept(self, run_copy):
         manifest = json.loads(artifact(run_copy, "manifest.json").read_text())

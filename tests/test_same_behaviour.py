@@ -40,16 +40,16 @@ ARTIFACT_SHA256 = {
     "confirmed.jsonl": "6a199c69ba27420783d4b647b9dd523cbdeeadcc0e07f9e1530ab476732d058d",
     "corpus.jsonl": "e03e0c1c64a6150b5e1ffacc762882f71378f358924020c6bbb1b9cf1235811d",
     "evontree.lock": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "extrapolated.jsonl": "f499d12de9b19a5a176a6c33a33a583b21d1e8e559369e70dd5f794fc999e950",
+    "extrapolated.jsonl": "941d33bf1deb373088066aced41613ebb4f68fed17a4044f873e9ec4133dd2b4",
     "forest.json": "e0277392cc8bf26c6e2259ef31cd3675bacb99b5a322193edc68954766451bed",
-    "gaps.jsonl": "75c42c3d432ed3442f6ace77fa77199c82726b947855c8f3c47846795c5cbe63",
+    "gaps.jsonl": "4a910f09d85a51706e755154e8204eaf6fd1fe629d152c6a8702429577f3b124",
     "raw.jsonl": "ff835507c6d0a38bf5d567f1488c12e5025962980a2e11bc5d56ecabd00a8895",
     "reliable.jsonl": "7d1801f23e817b44ee6d0a90aec0728cb2ddc9bbc4a01ea4b63385a8d9930ca3",
     "report.csv": "83a36a95074b2af3bd33b825c9338066ef046bb3a62c892ebdec4bb77442d7b3",
     "report.json": "dd8da7549f18565d4ab49b198f62448e4a389c66f94a9e56d73377da049b0398",
     "roc_curve.csv": "db1dcf4437458fd6683a401b3dfd8f844183ecf0698b4021d2d548903b1ac31d",
     "scored_extrapolated.jsonl":
-        "7f7d2fdb6e900e6e542c5e9e0721b0e1b0ab087ae563668bcb2fa35b94fb8a7f",
+        "be743fa873db01696862aca6fd09b59f3f67f6ffc5cd2ca723169b26079fbd39",
     "scored_raw.jsonl": "8946f61a413a60c05a9d2d0b6a239e883a3d45a485d47dd3e5aef27eb7ac2da9",
     "sweep.csv": "da816af94f315f892ed80b99beb41884db6b65748b6a110a9d17a608357572bc",
 }

@@ -138,7 +138,7 @@ class TestDistill:
 
 def gap_record(d="Retrovirus", c="RNA Virus", a="Virus", chains=None):
     if chains is None:
-        chains = [[(d, c), (c, a)]]
+        chains = [c]
     return TripleRecord(
         triple=Triple(lbl(d), Relation.SUBCLASS_OF, lbl(a)),
         chains=chains,
@@ -205,40 +205,24 @@ class TestBuildCorpus:
 
     def test_malformed_chain_skipped(self, tmp_path):
         gw, backend = scripted_gateway(tmp_path, [])
-        bad_mid = gap_record(chains=[[("Retrovirus", "RNA Virus"), ("Lentivirus", "Virus")]])
         no_chain = gap_record()
         no_chain.chains = None
         # gaps.jsonl from a run without a manifest entry is read as it is,
-        # so a chain may have another length or miss the gap's ends.
-        one_pair = gap_record(chains=[[("Retrovirus", "Virus")]])
-        wrong_ends = gap_record(chains=[[("Lentivirus", "RNA Virus"), ("RNA Virus", "Virus")],
-                                        [("Retrovirus", "RNA Virus"), ("RNA Virus", "Cell")]])
-        entries, tallies = build_corpus(gw, [bad_mid, no_chain, one_pair, wrong_ends],
+        # so a gap may list no chain.
+        empty = gap_record(chains=[])
+        entries, tallies = build_corpus(gw, [no_chain, empty],
                                         SynthesisConfig(strategy="explicit"))
         assert entries == []
-        assert tallies.malformed_chains == 5
+        assert tallies.malformed_chains == 2
 
     def test_every_chain_contributes(self, tmp_path):
         gw, _ = scripted_gateway(tmp_path, [])
-        record = gap_record(chains=[
-            [("Retrovirus", "RNA Virus"), ("RNA Virus", "Virus")],
-            [("Retrovirus", "Oncovirus"), ("Oncovirus", "Virus")],
-        ])
+        record = gap_record(chains=["RNA Virus", "Oncovirus"])
         entries, _ = build_corpus(gw, [record], SynthesisConfig(strategy="explicit"))
         assert [e.chain for e in entries] == [
             [("Retrovirus", "Oncovirus"), ("Oncovirus", "Virus")],
             [("Retrovirus", "RNA Virus"), ("RNA Virus", "Virus")],
         ]
-
-    def test_good_chain_survives_bad_sibling(self, tmp_path):
-        gw, _ = scripted_gateway(tmp_path, [])
-        record = gap_record(chains=[
-            [("Retrovirus", "RNA Virus"), ("Lentivirus", "Virus")],  # mid mismatch
-            [("Retrovirus", "Oncovirus"), ("Oncovirus", "Virus")],
-        ])
-        entries, tallies = build_corpus(gw, [record], SynthesisConfig(strategy="explicit"))
-        assert len(entries) == 1
-        assert tallies.malformed_chains == 1
 
     def test_deterministic_bytes(self, tmp_path):
         gaps = [gap_record("T0N3", "T0N1", "T0N0"), gap_record("T0N5", "T0N2", "T0N0")]
