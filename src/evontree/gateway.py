@@ -1,29 +1,36 @@
 """Model access layer: wire protocol, on-disk response cache, and retries.
 
-Two request kinds exist. Generation returns free text; scoring returns the
-log-probabilities a model assigns to the tokens of a fixed completion after
-a prompt. Both go through a content-addressed cache keyed by the request
-plus the serving endpoint's identity, so switching endpoints or models never
-replays stale responses. The cache is one SQLite database per cache
-directory, shared safely by threads, gateways and processes, that maps the
-first 16 bytes of each request's SHA-256 digest to the one field of its
-response the gateway reads: a score's token_logprobs as packed little-endian
-doubles, a generation's text as its UTF-8 bytes, or, for a text longer than
-DEFLATE_MIN_BYTES that deflate shortens, a 0xff byte and the raw deflate
-stream. A format-3 file, whose values are all plain, is read in place; a
-file in any other format is refused. Every gateway has a cache, and
-read_cache=False (the CLI's --no-cache) is the only way to skip reading it.
+Two request kinds exist. Generation returns free text; scoring returns, for
+each of a request's completions, the log-probabilities a model assigns to
+its tokens after the request's prompt. A score request is one gateway
+request, one cache key and one cache row, however many completions it
+holds; on a miss each completion is one backend call, sent in order. Both
+kinds go through a content-addressed cache keyed by the request plus the
+serving endpoint's identity, so switching endpoints or models never replays
+stale responses. The cache is one SQLite database per cache directory,
+shared safely by threads, gateways and processes, that maps the first 16
+bytes of each request's SHA-256 digest to the one field of its responses
+the gateway reads: a score's token counts and token_logprobs (a header of
+LEB128 varints, the completion count and each completion's token count,
+then the packed little-endian doubles), a generation's text as its UTF-8
+bytes, or, for a text longer than DEFLATE_MIN_BYTES that deflate shortens,
+a 0xff byte and the raw deflate stream. A format-3 or format-4 file is
+raised to format 5 in place: its generations are read as they are, and its
+rows of single-completion scores are never looked up again. A file in any
+other format is refused. Every gateway has a cache, and read_cache=False
+(the CLI's --no-cache) is the only way to skip reading it.
 
 A cache hit costs one digest, one B-tree probe and one decode, with an
 inflate for a deflated text: each request writes its canonical JSON text
 straight from its fields (body_text), and only a request sent to the
-backend is turned into a body dict (to_body).
-The decode makes the caller's text or tuple of log-probabilities with the
-same checks a fetched response passes, so a stored value that fails them,
-such as a number or a NaN or positive log-probability, is a miss: it is
-fetched again and replaced.
-A score that spans no tokens is well-formed: it is cached and returned as
-an empty tuple, and evontree.scoring decides what it means.
+backend is turned into the bodies it is sent with (to_body, to_bodies).
+The decode makes the caller's text or tuple of log-probability tuples with
+the same checks a fetched response passes, so a stored value that fails
+them, such as a number, a NaN or positive log-probability, or a score of
+another number of completions than the request's, is a miss: it is fetched
+again and replaced.
+A completion that spans no tokens is well-formed: it is cached and returned
+as an empty tuple, and evontree.scoring decides what it means.
 
 Requests travel in batches, cut here alone: ModelGateway.score_many and
 generate_many take any iterable of requests and return an iterator of the
@@ -166,16 +173,22 @@ class GenerateRequest:
 
 @dataclass(frozen=True)
 class ScoreRequest:
-    prompt: str
-    completion: str
+    """A prompt and the completions to score after it, such as the pair
+    (" True", " False"): one gateway request, one backend call each."""
 
-    def to_body(self, model: str) -> dict:
-        return {"model": model, "prompt": self.prompt, "completion": self.completion}
+    prompt: str
+    completions: tuple[str, ...]
+
+    def to_bodies(self, model: str) -> list[dict]:
+        """The body each completion is sent with, in order."""
+        return [{"model": model, "prompt": self.prompt, "completion": completion}
+                for completion in self.completions]
 
     def body_text(self, model: str) -> str:
-        """to_body(model) as canonical JSON text, like GenerateRequest's."""
-        return '{"completion":%s,"model":%s,"prompt":%s}' % (
-            _string(self.completion), _string(model), _string(self.prompt))
+        """{"completions": [...], "model": model, "prompt": ...} as canonical
+        JSON text, like GenerateRequest's."""
+        return '{"completions":[%s],"model":%s,"prompt":%s}' % (
+            ",".join(map(_string, self.completions)), _string(model), _string(self.prompt))
 
 
 class Backend(Protocol):
@@ -306,9 +319,10 @@ def _cache_key(identity: str, model: str, kind: str,
                request: GenerateRequest | ScoreRequest) -> bytes:
     """The first 16 bytes of the SHA-256 digest of the request's canonical
     JSON text: the same bytes as json.dumps({"endpoint": identity, "model":
-    model, "kind": kind, "body": request.to_body(model)}, sort_keys=True,
-    separators=(",", ":"), ensure_ascii=False), written without building the
-    body."""
+    model, "kind": kind, "body": body}, sort_keys=True, separators=(",", ":"),
+    ensure_ascii=False), written without building the body, which is a
+    generation's to_body(model) and a score's {"completions": [...],
+    "model": model, "prompt": ...}."""
     canonical = '{"body":%s,"endpoint":%s,"kind":%s,"model":%s}' % (
         request.body_text(model), _string(identity), _string(kind), _string(model))
     # 128 bits: among 2x10^5 rows two distinct requests collide with odds
@@ -322,8 +336,8 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 # SQLite's page cache per connection, in KiB. A page it does not hold is
 # read again through the OS, and a write transaction larger than it spills
 # to the write-ahead log before its commit. The seed-42 benchmark forest's
-# file is 0.46 MB at format 4 (0.66 MB at format 3, 1.04 MB at format 2),
-# which 4 MiB holds whole.
+# file is 0.38 MB at format 5 (0.46 MB at format 4, 0.66 MB at format 3,
+# 1.04 MB at format 2), which 4 MiB holds whole.
 # The syscall counts that follow were taken at format 2. At 256 KiB one cold
 # run_all of it made 15,114 read and 8,789 write syscalls (63.2 MB and
 # 30.9 MB), and a warm one 9,063 reads (38.4 MB), as each 256-key lookup read
@@ -334,13 +348,16 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 # ways).
 CACHE_PAGE_CACHE_KIB = 4096
 # The cache file's layout, kept in PRAGMA user_version: each entry keeps
-# only the field of the response that the gateway reads (see _KINDS). A new
-# file reads 0 until ResponseCache creates its table. Format 3 stored every
-# generation as its UTF-8 bytes, which format 4 still reads, so a format-3
-# file is raised to CACHE_FORMAT in place, and an older evontree, which would
-# refetch every deflated generation, refuses it from then on.
-CACHE_FORMAT = 4
-_READ_IN_PLACE_FORMAT = 3
+# only the field of the responses that the gateway reads (see _KINDS). A new
+# file reads 0 until ResponseCache creates its table. Formats 3 and 4 keyed
+# and stored each scored completion on its own, and format 5 keys and stores
+# a request's completions together, so their score rows are never looked up
+# again; their generations are still read (format 3 stored each as its UTF-8
+# bytes, which format 4 deflated when long). So a format-3 or format-4 file
+# is raised to CACHE_FORMAT in place, no row rewritten, and an older
+# evontree refuses it from then on.
+CACHE_FORMAT = 5
+_RAISED_IN_PLACE_FORMATS = (3, 4)
 # A generation is stored deflated only if its UTF-8 form is longer than this
 # many bytes. On the seed-42 benchmark forest the 226 of its 4,951
 # generations that are, the elicited trees and the synthesis prose, hold 60%
@@ -364,10 +381,10 @@ class ResponseCache:
     request kind. The cache never looks inside a value;
     ModelGateway decodes and checks it, and treats one that fails as a
     miss. A new file, empty or 0 bytes long, gets the table at its first
-    open, and a format-3 file is raised to CACHE_FORMAT at its first open,
-    no row rewritten; a file in any other format, such as one written by an
-    earlier version or by a later one, is refused with CacheCorruptError and
-    left as it is.
+    open, and a format-3 or format-4 file is raised to CACHE_FORMAT at its
+    first open, no row rewritten; a file in any other format, such as one
+    written by an earlier version or by a later one, is refused with
+    CacheCorruptError and left as it is.
 
     put_many adds its entries to one open write transaction, begun with
     BEGIN IMMEDIATE at the first write after a commit, and commits it once
@@ -428,10 +445,10 @@ class ResponseCache:
 
     def _create(self) -> None:
         """Create the table of a new file, one at format 0 with no schema,
-        or raise a format-3 file's user_version to CACHE_FORMAT, rewriting
-        no row, in one transaction, and refuse any other file. The format is
-        read again under the write lock, so of two processes opening one new
-        file only the first creates the table."""
+        or raise a format-3 or format-4 file's user_version to CACHE_FORMAT,
+        rewriting no row, in one transaction, and refuse any other file. The
+        format is read again under the write lock, so of two processes
+        opening one new file only the first creates the table."""
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             version = self._format()
@@ -440,7 +457,7 @@ class ResponseCache:
             if version == 0 and not self._conn.execute("SELECT 1 FROM sqlite_master").fetchone():
                 self._conn.execute("CREATE TABLE responses "
                                    "(key BLOB PRIMARY KEY, value BLOB NOT NULL) WITHOUT ROWID")
-            elif version != _READ_IN_PLACE_FORMAT:
+            elif version not in _RAISED_IN_PLACE_FORMATS:
                 raise CacheCorruptError(
                     f"response cache {self.path} has format {version}, which this version "
                     f"of evontree (format {CACHE_FORMAT}) cannot read; move or delete it "
@@ -533,11 +550,13 @@ class ModelGateway:
     file's write lock: another gateway on the same file waits for it.
 
     Counters, for the run manifest: requests asked for, cache_hits (found
-    in the cache, or repeating a key earlier in the same batch), calls
-    (responses fetched from the backend; retries not counted),
-    cache_commits (committed write transactions of fetched responses; see
-    commit) and retries (transport failures that were tried again, counted
-    under a lock since fanned-out threads retry at once).
+    in the cache, or repeating a key earlier in the same batch), so a score
+    request counts once in each however many completions it holds; calls
+    (responses the backend returned, one per completion of a fetched score
+    request; retries not counted), cache_commits (committed write
+    transactions of fetched responses; see commit) and retries (transport
+    failures that were tried again). calls and retries are counted under a
+    lock, since fanned-out threads fetch at once.
     """
 
     def __init__(self, backend: Backend, model: str, cache_dir: Path, read_cache: bool = True,
@@ -555,7 +574,7 @@ class ModelGateway:
         self.cache_hits = 0
         self.cache_commits = 0
         self.retries = 0
-        self._retries_lock = threading.Lock()
+        self._counts_lock = threading.Lock()
 
     def counters(self) -> dict[str, int]:
         """The running totals named in GATEWAY_COUNTERS."""
@@ -603,14 +622,16 @@ class ModelGateway:
             wait(futures)
 
     def _fetch(self, kind: str, body: dict) -> dict:
+        """The backend's response to one body, retried on a transport
+        failure, and counted in calls."""
         last_exc: TransportError | None = None
         for attempt in range(RETRY_ATTEMPTS):
             try:
-                return getattr(self.backend, kind)(body)
+                response = getattr(self.backend, kind)(body)
             except TransportError as exc:
                 last_exc = exc
                 if attempt + 1 < RETRY_ATTEMPTS:
-                    with self._retries_lock:
+                    with self._counts_lock:
                         self.retries += 1
                     if exc.retry_after_s is None:
                         delay = _JITTER.uniform(0.0, RETRY_BACKOFF_S[attempt])
@@ -619,59 +640,71 @@ class ModelGateway:
                     log.warning("transport failure (attempt %d/%d), retrying in %.2fs: %s",
                                 attempt + 1, RETRY_ATTEMPTS, delay, exc)
                     self._sleep(delay)
+            else:
+                with self._counts_lock:
+                    self.calls += 1
+                return response
         raise TransportError(str(last_exc))
 
+    def _fetched_text(self, request: GenerateRequest) -> str:
+        return _generated_text(self._fetch("generate", request.to_body(self.model)))
+
+    def _fetched_scores(self, request: ScoreRequest) -> tuple[tuple[float, ...], ...]:
+        """Each completion's log-probabilities, fetched and parsed in order,
+        so a failure on one leaves those after it unsent."""
+        return tuple(_score_response(self._fetch("score", body))
+                     for body in request.to_bodies(self.model))
+
     def _call_many(self, kind: str, requests: Iterable, bypass_cache: bool) -> Iterator:
-        """What kind's parser makes of each request's response, in order, as
-        the caller reads them: the first read sends the first BATCH_SIZE
-        requests as one batch, and the read after a batch's last result
-        sends the next."""
+        """Each request's result, in order, as the caller reads them: the
+        first read sends the first BATCH_SIZE requests as one batch, and the
+        read after a batch's last result sends the next."""
         it = iter(requests)
         batches = iter(lambda: list(islice(it, BATCH_SIZE)), [])
         return chain.from_iterable(map(partial(self._call_batch, kind, bypass_cache), batches))
 
     def _call_batch(self, kind: str, bypass_cache: bool, batch: list) -> list:
-        """What kind's parser makes of each response to batch, in order.
+        """Each request's result, in order, as kind's fetch makes it.
 
-        Each distinct key is looked up once and fetched at most once; only
-        a fetched request is turned into a body. A cached value that decode
+        Each distinct key is looked up once and fetched at most once, on one
+        fan-out worker: a score request's completions one after another. Only
+        a fetched request is turned into bodies. A cached value that decode
         refuses is a miss, so the request is fetched again and its new value
-        replaces the old. A fetched body is parsed before it is stored, so
-        one that the parser rejects (ProtocolError) is never cached and a
-        rerun asks the backend again. Valid responses fetched before a
-        failure are still stored, and committed before the failure is
-        raised.
+        replaces the old. Every response to a request is parsed before its
+        result is stored, so a request one of whose responses the parser
+        rejects (ProtocolError), or whose later completion fails, is never
+        cached and a rerun asks the backend for all of it again. Results
+        fetched whole before a failure are still stored, and committed
+        before the failure is raised.
         """
-        parse, encode, decode = _KINDS[kind]
+        fetch, encode, decode = _KINDS[kind]
         identity, model = self.backend.identity, self.model
-        fetched: dict[bytes, dict] = {}  # every response the backend returned
-        parsed = {}  # the valid ones, parsed
+        fetched = {}  # each request fetched whole, its result
 
-        def fetch(item: tuple[bytes, GenerateRequest | ScoreRequest]) -> None:
+        def fetch_one(item: tuple[bytes, GenerateRequest | ScoreRequest]) -> None:
             key, request = item
-            fetched[key] = self._fetch(kind, request.to_body(model))
-            parsed[key] = parse(fetched[key])
+            fetched[key] = fetch(self, request)
 
         try:
             keys = [_cache_key(identity, model, kind, request) for request in batch]
             self.requests += len(keys)
+            requests = dict(zip(keys, batch))
             found = {}  # what decode makes of each stored value it accepts
             if self.read_cache and not bypass_cache:
-                for key, value in self.cache.get_many(sorted(set(keys))).items():
+                for key, value in self.cache.get_many(sorted(requests)).items():
                     try:
-                        found[key] = decode(value)
+                        found[key] = decode(value, requests[key])
                     except ValueError as exc:
                         log.warning("fetching again cache entry %s in %s, which fails its "
                                     "checks: %s", key.hex(), self.cache.path, exc)
-            missing = {key: request for key, request in zip(keys, batch) if key not in found}
+            missing = {key: request for key, request in requests.items() if key not in found}
             try:
-                self.fan_out(fetch, missing.items())
+                self.fan_out(fetch_one, missing.items())
             finally:
-                self.calls += len(fetched)
-                if parsed:
+                if fetched:
                     # put_many says whether it committed.
                     self.cache_commits += self.cache.put_many(
-                        {key: encode(result) for key, result in parsed.items()})
+                        {key: encode(result) for key, result in fetched.items()})
             if self.remote:
                 # Never hold the write lock while the next batch waits on the
                 # network.
@@ -679,8 +712,8 @@ class ModelGateway:
         except BaseException:
             self.commit()
             raise
-        self.cache_hits += len(keys) - len(fetched)
-        found.update(parsed)
+        self.cache_hits += len(keys) - len(missing)
+        found.update(fetched)
         return list(map(found.__getitem__, keys))
 
     def generate_many(self, requests: Iterable[GenerateRequest],
@@ -727,16 +760,17 @@ class ModelGateway:
         by name."""
         return self._call_batch("generate", False, [request])[0]
 
-    def score_many(self, requests: Iterable[ScoreRequest]) -> Iterator[tuple[float, ...]]:
-        """The completion's token log-probabilities for each request, in
-        order, as _score_response parsed them, sent as generate_many's
-        requests are. One that scores no tokens is well-formed, so it is
-        cached and returned, from the cache on a rerun too, as an empty
-        tuple. Any other malformed response raises ProtocolError and is not
-        cached."""
+    def score_many(self, requests: Iterable[ScoreRequest]
+                   ) -> Iterator[tuple[tuple[float, ...], ...]]:
+        """For each request, in order, each completion's token
+        log-probabilities, as _score_response parsed them, sent as
+        generate_many's requests are. A completion that scores no tokens is
+        well-formed, so it is cached and returned, from the cache on a rerun
+        too, as an empty tuple. Any other malformed response raises
+        ProtocolError, and its request is not cached."""
         return self._call_many("score", requests, False)
 
-    def score(self, request: ScoreRequest) -> tuple[float, ...]:
+    def score(self, request: ScoreRequest) -> tuple[tuple[float, ...], ...]:
         return self._call_batch("score", False, [request])[0]
 
 
@@ -774,8 +808,19 @@ def _score_response(raw: dict) -> tuple[float, ...]:
     return tuple(logprobs)
 
 
-def _packed_logprobs(logprobs: tuple[float, ...]) -> bytes:
-    return struct.pack(f"<{len(logprobs)}d", *logprobs)
+def _packed_scores(scores: tuple[tuple[float, ...], ...]) -> bytes:
+    """The stored value of a score request's result: a header of unsigned
+    LEB128 varints, the number of completions and then each one's token
+    count, then every log-probability as a little-endian double, in order.
+    A pair of one-token completions takes 3 + 16 bytes."""
+    header = bytearray()
+    for n in (len(scores), *map(len, scores)):
+        while n > 0x7F:
+            header.append(n & 0x7F | 0x80)
+            n >>= 7
+        header.append(n)
+    logprobs = [lp for completion in scores for lp in completion]
+    return bytes(header) + struct.pack(f"<{len(logprobs)}d", *logprobs)
 
 
 # The first byte of a deflated generation's stored value: no UTF-8 text
@@ -817,31 +862,60 @@ def _decoded_text(value: bytes) -> str:
     return value.decode()
 
 
-def _unpacked_logprobs(value: bytes) -> tuple[float, ...]:
-    """The score a stored value holds: whole little-endian doubles, each at
-    most 0, which NaN is not."""
-    if not isinstance(value, bytes) or len(value) % 8:
-        raise ValueError(f"cached logprobs {value!r:.60} are no whole doubles")
-    logprobs = struct.unpack(f"<{len(value) // 8}d", value)
+def _varint(value: bytes, at: int) -> tuple[int, int]:
+    """The unsigned LEB128 varint that starts at value[at], and the offset
+    after it."""
+    n = shift = 0
+    while at < len(value):
+        byte = value[at]
+        at += 1
+        n |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return n, at
+        shift += 7
+    raise ValueError(f"cached scores {value!r:.60} end inside their header")
+
+
+def _unpacked_scores(value: bytes, request: ScoreRequest) -> tuple[tuple[float, ...], ...]:
+    """The result a stored value holds for request: as many completions as
+    the request has, the header's token counts filled exactly by the
+    doubles after it, each at most 0, which NaN is not."""
+    if not isinstance(value, bytes):  # SQLite returns a number as int or float
+        raise ValueError(f"cached scores {value!r} are not bytes")
+    completions, at = _varint(value, 0)
+    if completions != len(request.completions):
+        raise ValueError(f"cached scores hold {completions} completions, "
+                         f"not the request's {len(request.completions)}")
+    counts = []
+    for _ in range(completions):
+        count, at = _varint(value, at)
+        counts.append(count)
+    if len(value) - at != 8 * sum(counts):
+        raise ValueError(f"cached scores' header gives {sum(counts)} doubles, "
+                         f"not the {len(value) - at} bytes after it")
+    logprobs = struct.unpack_from(f"<{sum(counts)}d", value, at)
     if not all(lp <= 0.0 for lp in logprobs):
         raise ValueError(f"cached logprobs {logprobs} are not all at most 0")
-    return logprobs
+    it = iter(logprobs)
+    return tuple(tuple(islice(it, count)) for count in counts)
 
 
-# Per request kind: parse, which checks a response body and returns what the
-# gateway reads of it, and how the cache keeps that: encode turns parse's
-# result into the stored value, and decode turns a stored value back into
-# parse's result, with the same checks, raising ValueError for a value that
-# encode never writes for a body that parse accepts, such as a number. A
-# generation is kept as its UTF-8 bytes, deflated after a 0xff byte when it
-# is longer than DEFLATE_MIN_BYTES and deflate shortens it (_encoded_text).
-# str.encode and bytes.decode default to strict UTF-8, so a stored encoded
-# lone surrogate, a sequence cut short or a byte that is no UTF-8 raises
-# UnicodeDecodeError, a ValueError; so does a deflated value that does not
-# inflate to UTF-8, and one that is not a single whole deflate stream raises
-# ValueError too.
+# Per request kind: fetch, which asks the backend for a request's responses
+# and checks each (_generated_text, _score_response), returning the
+# request's result, and how the cache keeps that result: encode turns it
+# into the stored value, and decode turns a stored value and its request back
+# into it, with the same checks, raising ValueError for a value that encode
+# never writes for responses that fetch accepts, such as a number, or a
+# score of another number of completions than the request's. A generation
+# is kept as its UTF-8 bytes, deflated after a 0xff byte when it is longer
+# than DEFLATE_MIN_BYTES and deflate shortens it (_encoded_text); a score
+# request's completions as one value (_packed_scores). str.encode and
+# bytes.decode default to strict UTF-8, so a stored encoded lone surrogate,
+# a sequence cut short or a byte that is no UTF-8 raises UnicodeDecodeError,
+# a ValueError; so does a deflated value that does not inflate to UTF-8, and
+# one that is not a single whole deflate stream raises ValueError too.
 _KINDS = {
-    "generate": (_generated_text, _encoded_text, _decoded_text),
-    "score": (_score_response, _packed_logprobs, _unpacked_logprobs),
+    "generate": (ModelGateway._fetched_text, _encoded_text,
+                 lambda value, request: _decoded_text(value)),
+    "score": (ModelGateway._fetched_scores, _packed_scores, _unpacked_scores),
 }
-

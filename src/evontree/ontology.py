@@ -218,7 +218,9 @@ def _record_from_obj(obj: dict, score_counts: Mapping[Relation, int] | None) -> 
     many as it gives for the triple's relation (a line with no scores has
     none), or chains that are not a list of strings, the middle labels, raise
     ValueError: so does a file of the older format, whose chains were
-    [[subject, middle], [middle, object]] pairs."""
+    [[subject, middle], [middle, object]] pairs. Each middle label is
+    normalized (normalize_label), and one that is blank (EmptyLabelError) or
+    keyed as the line's subject or object raises ValueError too."""
     triple = Triple(normalize_label(obj["s"]), Relation(obj["r"]), normalize_label(obj["o"]))
     scores, chains = obj.get("scores"), obj.get("chains")
     if scores is not None and not _is_list(scores, is_finite_number):
@@ -226,8 +228,15 @@ def _record_from_obj(obj: dict, score_counts: Mapping[Relation, int] | None) -> 
     if score_counts and len(scores or ()) != score_counts[triple.relation]:
         raise ValueError(f"a {triple.relation.value} triple needs "
                          f"{score_counts[triple.relation]} scores, not {len(scores or ())}")
-    if chains is not None and not _is_list(chains, lambda label: isinstance(label, str)):
-        raise ValueError(f"chains must be a list of middle labels, not {chains!r}")
+    if chains is not None:
+        if not _is_list(chains, lambda label: isinstance(label, str)):
+            raise ValueError(f"chains must be a list of middle labels, not {chains!r}")
+        middles = list(map(normalize_label, chains))
+        ends = {triple.subject.key, triple.object.key}
+        if any(middle.key in ends for middle in middles):
+            raise ValueError(f"chains {chains!r} name the line's own subject or object "
+                             "as a middle label")
+        chains = [middle.text for middle in middles]
     return TripleRecord(triple=triple, scores=scores, chains=chains)
 
 

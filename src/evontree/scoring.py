@@ -11,7 +11,8 @@ Positive values mean the model finds " True" easier to produce than
 the value always lies in [-1, 1]; a perplexity past the largest float is
 inf, and equal perplexities, inf included, give 0.0. A completion that
 scores no tokens has none: the gateway only caches it, and score_triples
-turns it into the EmptySpanError that leaves its triple unscored.
+turns it into the EmptySpanError that leaves its triple unscored. Each
+paraphrase is one gateway request that scores both completions.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .ontology import ConceptLabel, Relation, Triple
 
 COMPLETION_TRUE = " True"
 COMPLETION_FALSE = " False"
+PROBE_COMPLETIONS = (COMPLETION_TRUE, COMPLETION_FALSE)
 
 _PREAMBLE = (
     "Please determine if the statement is true or false, "
@@ -105,25 +107,26 @@ def confirm_value(ppl_true: float, ppl_false: float) -> float:
 
 
 def probe_requests(triple: Triple) -> list[ScoreRequest]:
-    """Both completions of every paraphrase of the triple's relation, True
-    first, in paraphrase order."""
-    return [ScoreRequest(template.instantiate(triple.subject, triple.object), completion)
-            for template in templates_for(triple.relation)
-            for completion in (COMPLETION_TRUE, COMPLETION_FALSE)]
+    """One request per paraphrase of the triple's relation, in paraphrase
+    order, each scoring PROBE_COMPLETIONS, True first."""
+    return [ScoreRequest(template.instantiate(triple.subject, triple.object), PROBE_COMPLETIONS)
+            for template in templates_for(triple.relation)]
 
 
 def _confirm_values(requests: list[ScoreRequest],
-                    responses: list[tuple[float, ...]]) -> list[float] | EmptySpanError:
+                    responses: list[tuple[tuple[float, ...], ...]]
+                    ) -> list[float] | EmptySpanError:
     """Each paraphrase's confirm value from the token log-probabilities that
     answer probe_requests, or the EmptySpanError naming the first completion
     that scored no tokens."""
-    ppls = []
-    for request, logprobs in zip(requests, responses):
-        if not logprobs:
-            return EmptySpanError(
-                f"no completion tokens scored for completion {request.completion!r}")
-        ppls.append(perplexity(logprobs))
-    return [confirm_value(t, f) for t, f in zip(ppls[::2], ppls[1::2])]
+    values = []
+    for request, scores in zip(requests, responses):
+        for completion, logprobs in zip(request.completions, scores):
+            if not logprobs:
+                return EmptySpanError(
+                    f"no completion tokens scored for completion {completion!r}")
+        values.append(confirm_value(*map(perplexity, scores)))
+    return values
 
 
 def score_triples(gateway: ModelGateway,

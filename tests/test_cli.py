@@ -525,10 +525,11 @@ class TestFlags:
 
     def test_cached_values_that_fail_their_checks_are_fetched_again(self, finished_run,
                                                                      tmp_path):
-        # One score row holding a packed NaN and one generation row that is
-        # not UTF-8: each is a miss, fetched again and replaced. Each row is
-        # found by the key of a request the run sent: the root's tree
-        # question, and the first probe of the first raw triple.
+        # One score row whose pair holds a packed NaN and one generation row
+        # that is not UTF-8: each is a miss, fetched again and replaced, the
+        # pair with one backend call per completion. Each row is found by the
+        # key of a request the run sent: the root's tree question, and the
+        # first probe of the first raw triple.
         tmp, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(tmp / "out", out)
@@ -539,12 +540,13 @@ class TestFlags:
                                         extraction.gen_max_tokens, extraction.gen_temperature)
         first_probe = probe_requests(read_triple_file(out / "raw.jsonl")[0].triple)[0]
         with closing(sqlite3.connect(out / "cache" / CACHE_FILE)) as db, db:
-            for kind, request, value in [("score", first_probe, struct.pack("<d", math.nan)),
+            for kind, request, value in [("score", first_probe,
+                                          b"\x02\x01\x01" + struct.pack("<2d", -0.5, math.nan)),
                                          ("generate", tree_question, b"\xff")]:
                 assert db.execute("UPDATE responses SET value = ? WHERE key = ?", (
                     value, _cache_key(identity, model, kind, request))).rowcount == 1
         flags = ["--config", str(config), "--stage-dir", str(out)]
-        for expected_calls in (2, 0):  # then replayed
+        for expected_calls in (3, 0):  # then replayed
             assert main(["run", *flags]) == EXIT_OK
             stages = json.loads((out / "manifest.json").read_text())["stages"]
             assert sum(entry["gateway"]["backend_calls"]

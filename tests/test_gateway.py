@@ -50,8 +50,8 @@ from evontree.gateway import (
     _JITTER,
     _KINDS,
     _cache_key,
-    _packed_logprobs,
-    _unpacked_logprobs,
+    _packed_scores,
+    _unpacked_scores,
 )
 
 
@@ -89,13 +89,33 @@ json_values = st.recursive(
     max_leaves=6)
 
 
-def canonical_digest(identity, model, kind, request) -> bytes:
-    """The SHA-256 digest of the request's canonical JSON text, by its
+PAIR = (" True", " False")
+
+
+def keyed_body(request, model) -> dict:
+    """The body a request's cache key hashes: a score's holds its completions."""
+    if isinstance(request, GenerateRequest):
+        return request.to_body(model)
+    return {"completions": list(request.completions), "model": model, "prompt": request.prompt}
+
+
+def single_score_body(prompt: str, completion: str, model: str) -> dict:
+    """The body that cache formats 2 to 4 keyed a score by: one completion's."""
+    return {"model": model, "prompt": prompt, "completion": completion}
+
+
+def canonical_digest(identity, model, kind, body: dict) -> bytes:
+    """The SHA-256 digest of a request's canonical JSON text, by its
     json.dumps definition: format 2 keyed each entry by all 32 bytes of it."""
-    canonical = json.dumps({"endpoint": identity, "model": model, "kind": kind,
-                            "body": request.to_body(model)},
+    canonical = json.dumps({"endpoint": identity, "model": model, "kind": kind, "body": body},
                            sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).digest()
+
+
+def bits(scores) -> list[list[bytes]]:
+    """Each completion's log-probabilities as packed doubles, so that -0.0
+    and 0.0 differ."""
+    return [[struct.pack("<d", lp) for lp in completion] for completion in scores]
 
 
 def make_gateway(tmp_path, backend=None, **kw):
@@ -126,9 +146,12 @@ class TestCache:
             assert _cache_key("ep1", "m1", "generate", changed) != base
         assert _cache_key("ep1", "m1", "generate",
                           GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)) == base
-        score = ScoreRequest(prompt="p", completion=" True")
-        assert _cache_key("ep1", "m1", "score", score) != _cache_key(
-            "ep1", "m1", "score", ScoreRequest(prompt="p", completion=" False"))
+        score = ScoreRequest(prompt="p", completions=PAIR)
+        for changed in (ScoreRequest(prompt="p", completions=(" False", " True")),
+                        ScoreRequest(prompt="p", completions=(" True",)),
+                        ScoreRequest(prompt="q", completions=PAIR)):
+            assert _cache_key("ep1", "m1", "score", score) != _cache_key(
+                "ep1", "m1", "score", changed)
         assert len(base) == 16
 
     def test_key_is_pinned(self):
@@ -145,7 +168,8 @@ class TestCache:
         st.builds(GenerateRequest, prompt=st.text(), max_tokens=st.integers(),
                   temperature=st.one_of(st.floats(), st.integers()),
                   stop=st.lists(st.text(), max_size=3).map(tuple)),
-        st.builds(ScoreRequest, prompt=st.text(), completion=st.text())))
+        st.builds(ScoreRequest, prompt=st.text(),
+                  completions=st.lists(st.text(), max_size=3).map(tuple))))
     @example(identity="synthetic://1/ab", model="m", kind="generate",
              request=GenerateRequest(prompt='é "q" \\ \n\t\x00\x1f\x7f\u2028 😀',
                                      max_tokens=-1, temperature=math.nan, stop=("\n\n", "")))
@@ -156,10 +180,11 @@ class TestCache:
     @example(identity="", model="", kind="", request=GenerateRequest(
         prompt="", max_tokens=0, temperature=-0.0))
     @example(identity="é", model='"', kind="score", request=ScoreRequest(
-        prompt="Säugetier\r\n", completion=' "True"'))
+        prompt="Säugetier\r\n", completions=(' "True"', " False")))
+    @example(identity="", model="", kind="score", request=ScoreRequest(prompt="", completions=()))
     def test_key_is_the_digest_of_the_canonical_json(self, identity, model, kind, request):
         assert (_cache_key(identity, model, kind, request)
-                == canonical_digest(identity, model, kind, request)[:16])
+                == canonical_digest(identity, model, kind, keyed_body(request, model))[:16])
 
     @settings(deadline=None)
     # st.text() draws no surrogate, so every text has a UTF-8 form.
@@ -185,7 +210,7 @@ class TestCache:
             assert stored == plain
         else:
             assert stored == deflate(plain)
-        assert decode(stored) == text
+        assert decode(stored, None) == text
 
     @settings(deadline=None, max_examples=50)
     @given(text=st.text(), logprobs=st.lists(st.floats(max_value=0.0), max_size=5))
@@ -201,7 +226,7 @@ class TestCache:
                 return {"token_logprobs": logprobs}
 
         gen = GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)
-        score = ScoreRequest(prompt="p", completion=" True")
+        score = ScoreRequest(prompt="p", completions=PAIR)
         answers = []
         with tempfile.TemporaryDirectory() as tmp:
             for _ in range(2):  # the backend, then a fresh gateway on its cache
@@ -213,34 +238,62 @@ class TestCache:
                     gw.close()
         (first, first_calls, first_lps), (again, again_calls, again_lps) = answers
         assert first == again == text
-        assert len(first_calls) == 2 and again_calls == []
+        assert len(first_calls) == 3 and again_calls == []  # one per completion
         # Bit for bit, so that -0.0 stays -0.0.
-        assert [struct.pack("<d", lp) for lp in again_lps] == [
-            struct.pack("<d", lp) for lp in first_lps] == [
-            struct.pack("<d", lp) for lp in logprobs]
+        assert bits(again_lps) == bits(first_lps) == bits((logprobs, logprobs))
 
-    @given(logprobs=st.lists(st.floats(max_value=0.0), max_size=8))
-    @example(logprobs=[-math.inf, -0.0, 0.0])
-    def test_packed_logprobs_decode_to_themselves(self, logprobs):
-        value = _packed_logprobs(tuple(logprobs))
-        assert len(value) == 8 * len(logprobs)
-        decoded = _unpacked_logprobs(value)
-        assert [struct.pack("<d", lp) for lp in decoded] == [
-            struct.pack("<d", lp) for lp in logprobs]
+    @given(scores=st.lists(st.lists(st.floats(max_value=0.0), max_size=8), max_size=3))
+    @example(scores=[[-math.inf, -0.0, 0.0], []])
+    @example(scores=[[-1.0] * 128, [-2.0] * 300])  # token counts of two varint bytes
+    @example(scores=[[-0.1], [-2.3]])  # a one-token pair: 3 + 16 bytes
+    def test_packed_logprobs_decode_to_themselves(self, scores):
+        scores = tuple(map(tuple, scores))
+        request = ScoreRequest(prompt="p", completions=(" x",) * len(scores))
+        value = _packed_scores(scores)
+        header = sum(1 + (n > 127) + (n > 16383) for n in (len(scores), *map(len, scores)))
+        assert len(value) == header + 8 * sum(map(len, scores))
+        assert bits(_unpacked_scores(value, request)) == bits(scores)
 
-    @given(logprobs=st.lists(st.floats(max_value=0.0), max_size=4), at=st.integers(0, 4),
+    @given(scores=st.lists(st.lists(st.floats(max_value=0.0), max_size=3), min_size=1,
+                           max_size=3),
+           which=st.integers(0, 2), at=st.integers(0, 3),
            refused=st.one_of(st.just(math.nan), st.floats(min_value=0.0, exclude_min=True)))
-    @example(logprobs=[-1.0], at=1, refused=math.nan)
-    @example(logprobs=[], at=0, refused=0.5)
-    @example(logprobs=[-0.0], at=0, refused=math.inf)
-    def test_packed_logprobs_above_zero_or_nan_are_refused(self, logprobs, at, refused):
-        logprobs.insert(at, refused)
+    @example(scores=[[-1.0], [-0.5]], which=1, at=1, refused=math.nan)
+    @example(scores=[[]], which=0, at=0, refused=0.5)
+    @example(scores=[[-0.0], []], which=0, at=0, refused=math.inf)
+    def test_packed_logprobs_above_zero_or_nan_are_refused(self, scores, which, at, refused):
+        scores[which % len(scores)].insert(at, refused)
+        request = ScoreRequest(prompt="p", completions=(" x",) * len(scores))
         with pytest.raises(ValueError, match="are not all at most 0"):
-            _unpacked_logprobs(struct.pack(f"<{len(logprobs)}d", *logprobs))
+            _unpacked_scores(_packed_scores(tuple(map(tuple, scores))), request)
+
+    @given(scores=st.lists(st.lists(st.floats(max_value=0.0), max_size=3), max_size=3),
+           cut=st.integers(1, 8), extra=st.binary(min_size=1, max_size=8),
+           other_count=st.integers(0, 4))
+    @example(scores=[[-1.0], [-0.5]], cut=1, extra=b"\x00", other_count=1)
+    def test_packed_logprobs_whose_header_disagrees_are_refused(self, scores, cut, extra,
+                                                                 other_count):
+        # A value cut short or run long, whose header and doubles disagree,
+        # or one of another number of completions than the request's.
+        scores = tuple(map(tuple, scores))
+        request = ScoreRequest(prompt="p", completions=(" x",) * len(scores))
+        value = _packed_scores(scores)
+        for malformed in (value[:max(0, len(value) - cut)], value + extra):
+            with pytest.raises(ValueError, match="header"):
+                _unpacked_scores(malformed, request)
+        other = ScoreRequest(prompt="p", completions=(" x",) * other_count)
+        if other_count != len(scores):
+            with pytest.raises(ValueError, match=f"hold {len(scores)} completions, "
+                                                 f"not the request's {other_count}"):
+                _unpacked_scores(value, other)
+        # SQLite returns a number as an int or a float, not bytes.
+        for number in (5, -0.5):
+            with pytest.raises(ValueError, match="are not bytes"):
+                _unpacked_scores(number, request)
 
     def test_a_batch_of_hits_builds_no_body(self, tmp_path, monkeypatch):
         generates = prompts(3)
-        scores = [ScoreRequest(prompt=f"s{i}", completion=" True") for i in range(3)]
+        scores = [ScoreRequest(prompt=f"s{i}", completions=PAIR) for i in range(3)]
         gw, backend = make_gateway(tmp_path)
         first = (list(gw.generate_many(generates)), list(gw.score_many(scores)))
         gw.close()
@@ -249,14 +302,14 @@ class TestCache:
             raise AssertionError(f"a body was built for {request}")
 
         monkeypatch.setattr(GenerateRequest, "to_body", no_body)
-        monkeypatch.setattr(ScoreRequest, "to_body", no_body)
+        monkeypatch.setattr(ScoreRequest, "to_bodies", no_body)
         again, again_backend = make_gateway(tmp_path)
         try:
             assert (list(again.generate_many(generates)),
                     list(again.score_many(scores))) == first
         finally:
             again.close()
-        assert len(backend.calls) == 6 and again_backend.calls == []
+        assert len(backend.calls) == 9 and again_backend.calls == []  # 3 + 2 x 3
         assert again.cache_hits == 6
 
     @pytest.mark.parametrize("read_cache", [True, False])
@@ -304,8 +357,8 @@ class TestCache:
                     [result] = gw.generate_many(
                         [GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)])
                 else:
-                    [result] = gw.score_many([ScoreRequest(prompt="p", completion=" True")])
-                    result = [struct.pack("<d", lp) for lp in result]
+                    [result] = gw.score_many([ScoreRequest(prompt="p", completions=PAIR)])
+                    result = bits(result)
             except ProtocolError:
                 result = ProtocolError
             finally:
@@ -315,8 +368,11 @@ class TestCache:
         with tempfile.TemporaryDirectory() as tmp:
             cold, warm, unread = (answer(Path(tmp)), answer(Path(tmp)),
                                   answer(Path(tmp), read_cache=False))
-        assert unread == cold == (cold[0], 1)
-        assert warm == (cold[0], 1 if cold[0] is ProtocolError else 0)
+        # A score that parses is fetched once per completion; a refused one
+        # stops at its first.
+        calls = 2 if kind == "score" and cold[0] is not ProtocolError else 1
+        assert unread == cold == (cold[0], calls)
+        assert warm == (cold[0], calls if cold[0] is ProtocolError else 0)
 
     def test_read_cache_false_still_writes(self, tmp_path):
         gw, backend = make_gateway(tmp_path, read_cache=False)
@@ -340,7 +396,7 @@ class TestCache:
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
         gw, backend = make_gateway(tmp_path)
         gen = GenerateRequest(prompt="x", max_tokens=4, temperature=0.0)
-        score = ScoreRequest(prompt="x", completion=" True")
+        score = ScoreRequest(prompt="x", completions=PAIR)
 
         def call(req):
             if req is gen:
@@ -348,7 +404,9 @@ class TestCache:
             return gw.score(req)
 
         answers = {gen: call(gen), score: call(score)}
-        assert answers == {gen: "gen:x", score: (-0.5, -1.5)}
+        assert answers == {gen: "gen:x", score: ((-0.5, -1.5), (-0.5, -1.5))}
+        # One backend call per generation, one per completion of a score.
+        calls_per_fetch = {gen: 1, score: 2}
         keys = {req: _cache_key(backend.identity, "m1", kind, req)
                 for req, kind in ((gen, "generate"), (score, "score"))}
 
@@ -361,6 +419,7 @@ class TestCache:
 
         # The right answer, deflated: read as a whole stream, it is a hit.
         deflated = deflate(answers[gen].encode())
+        header = b"\x02\x02\x02"  # two completions of two tokens each
         bad = [
             # No UTF-8: an encoded lone surrogate, a sequence cut short, a
             # byte that UTF-8 never uses, and a bad continuation byte stored
@@ -373,26 +432,35 @@ class TestCache:
             # inflates to no UTF-8.
             *((gen, "?", value) for value in [b"\xff", deflated[:-1], deflated + b"\x00",
                                               b"\xff\x07", deflate(b"\xc3")]),
-            # A score cut inside its first double.
+            # A score cut inside its header, and inside its first double.
+            (score, "substr(value, 1, ?)", 2),
             (score, "substr(value, 1, ?)", 7),
+            # A header that gives more doubles than follow it, and fewer.
+            *((score, "?", header + struct.pack(f"<{n}d", *[-0.5] * n)) for n in (3, 5)),
+            # One completion's doubles, as format 4 stored a score, and a
+            # header of one completion: not the request's two.
+            (score, "?", struct.pack("<2d", -0.5, -1.5)),
+            (score, "?", b"\x01\x02" + struct.pack("<2d", -0.5, -1.5)),
             # Whole doubles that no valid score holds: NaN, positive, +inf.
-            *((score, "?", struct.pack("<2d", -0.5, lp)) for lp in (math.nan, 0.5, math.inf)),
+            *((score, "?", header + struct.pack("<4d", -0.5, -1.5, -0.5, lp))
+              for lp in (math.nan, 0.5, math.inf)),
             # Numbers, which SQLite stores as INTEGER or REAL and returns as
             # an int or a float, not bytes.
             *((req, "?", number) for req in (gen, score) for number in (5, -0.5)),
         ]
-        for n, (req, new_value, arg) in enumerate(bad, start=3):
+        calls = len(backend.calls)
+        for req, new_value, arg in bad:
             store(req, new_value, arg)
             assert call(req) == answers[req]
-            assert len(backend.calls) == n
+            calls += calls_per_fetch[req]
+            assert len(backend.calls) == calls
             # The refetched response replaced the bad row: the next call is a hit.
             assert call(req) == answers[req]
-            assert len(backend.calls) == n
+            assert len(backend.calls) == calls
         # -0.0 and -inf are log-probabilities, and replay as they are.
-        store(score, "?", struct.pack("<2d", -0.0, -math.inf))
-        assert [struct.pack("<d", lp) for lp in call(score)] == [
-            struct.pack("<d", -0.0), struct.pack("<d", -math.inf)]
-        assert len(backend.calls) == 2 + len(bad)
+        store(score, "?", b"\x02\x01\x01" + struct.pack("<2d", -0.0, -math.inf))
+        assert bits(call(score)) == bits(((-0.0,), (-math.inf,)))
+        assert len(backend.calls) == calls
 
     def test_file_that_is_not_a_database_is_reported(self, tmp_path):
         path = tmp_path / CACHE_FILE
@@ -624,15 +692,15 @@ class TestCacheFormat:
                            "WITHOUT ROWID")
 
     def test_unknown_format_is_refused_and_left_alone(self, tmp_path, caplog):
-        # Format 3 is read in place (the test below), so the format-2 file
-        # below is the newest one refused.
-        assert CACHE_FORMAT == 4
+        # Formats 3 and 4 are raised in place (the test below), so the
+        # format-2 file below is the newest one refused.
+        assert CACHE_FORMAT == 5
         identity, request = FakeBackend().identity, prompts(1)[0]
         key = _cache_key(identity, "m1", "generate", request)
         body = json.dumps({"text": "cached", "finish_reason": "stop"})
-        digest = canonical_digest(identity, "m1", "generate", request)
+        digest = canonical_digest(identity, "m1", "generate", request.to_body("m1"))
         score_digest = canonical_digest(identity, "m1", "score",
-                                        ScoreRequest(prompt="p0", completion=" True"))
+                                        single_score_body("p0", " True", "m1"))
         # Per kind of file: its user_version, whether it is in WAL mode, and
         # the statements that fill it. The first three are laid out as
         # earlier versions of evontree wrote them. Formats 0 and 1 hold whole
@@ -690,13 +758,26 @@ class TestCacheFormat:
                 assert db.execute("PRAGMA user_version").fetchone() == (version,), name
 
     def test_format_3_file_is_read_in_place_and_raised_to_the_current_format(self, tmp_path):
-        # Laid out as format 3 was: 16-byte keys, a generation as its plain
-        # UTF-8 bytes, however long, and a score as packed doubles.
+        self.check_raised_in_place(tmp_path, 3)
+
+    def test_format_4_file_is_raised_in_place_and_its_scores_fetched_again(self, tmp_path):
+        self.check_raised_in_place(tmp_path, 4)
+
+    @staticmethod
+    def check_raised_in_place(tmp_path, version):
+        # Laid out as formats 3 and 4 were: 16-byte keys, a generation as its
+        # UTF-8 bytes (deflated by format 4 when long and shorter so), and
+        # each scored completion under its own key as packed doubles.
         identity = FakeBackend().identity
-        gen = GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)
-        score = ScoreRequest(prompt="p", completion=" True")
-        text = "Mammal subsumes Primate; " * 4
-        assert len(text.encode()) > DEFLATE_MIN_BYTES
+        gens = [GenerateRequest(prompt=f"p{i}", max_tokens=4, temperature=0.0) for i in (0, 1)]
+        texts = ["Mammal subsumes Primate; " * 4, "short"]
+        assert len(texts[0].encode()) > DEFLATE_MIN_BYTES
+        stored_texts = [texts[0].encode() if version == 3 else deflate(texts[0].encode()),
+                        texts[1].encode()]
+        score = ScoreRequest(prompt="p", completions=PAIR)
+        old_score_keys = [canonical_digest(identity, "m1", "score",
+                                           single_score_body("p", completion, "m1"))[:16]
+                          for completion in PAIR]
         path = tmp_path / "cache" / CACHE_FILE
         path.parent.mkdir()
         with closing(sqlite3.connect(path)) as db:
@@ -704,12 +785,11 @@ class TestCacheFormat:
             with db:
                 db.execute("CREATE TABLE responses (key BLOB PRIMARY KEY, value BLOB NOT NULL) "
                            "WITHOUT ROWID")
-                db.execute("INSERT INTO responses VALUES (?, ?)",
-                           (_cache_key(identity, "m1", "generate", gen), text.encode()))
-                db.execute("INSERT INTO responses VALUES (?, ?)",
-                           (_cache_key(identity, "m1", "score", score),
-                            struct.pack("<2d", -0.5, -1.5)))
-            db.execute("PRAGMA user_version = 3")
+                db.executemany("INSERT INTO responses VALUES (?, ?)", [
+                    *((_cache_key(identity, "m1", "generate", gen), value)
+                      for gen, value in zip(gens, stored_texts)),
+                    *((key, struct.pack("<2d", -0.25, -0.75)) for key in old_score_keys)])
+            db.execute(f"PRAGMA user_version = {version}")
 
         def rows():
             with closing(sqlite3.connect(path)) as db:
@@ -719,12 +799,18 @@ class TestCacheFormat:
         before = rows()
         gw, backend = make_gateway(tmp_path)
         try:
-            assert gw.generate(gen) == text
-            assert gw.score(score) == (-0.5, -1.5)
+            # The generations are hits; the pair is a miss, one call per
+            # completion, as no row is keyed by it.
+            assert list(gw.generate_many(gens)) == texts
+            assert gw.score(score) == ((-0.5, -1.5), (-0.5, -1.5))
         finally:
             gw.close()
-        assert backend.calls == []
-        assert rows() == before
+        assert [(kind, body["completion"]) for kind, body in backend.calls] == [
+            ("score", completion) for completion in PAIR]
+        assert gw.counters()["cache_hits"] == 2
+        # No row rewritten: the old score rows stay, unread, beside the new pair.
+        after = rows()
+        assert set(before) < set(after) and len(after) == len(before) + 1
         with closing(sqlite3.connect(path)) as db:
             assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
 
@@ -875,18 +961,19 @@ class TestBatches:
             for i in itertools.count():
                 # A gateway that read the stream to its end would never stop.
                 assert i < 4 * BATCH_SIZE, "read far ahead of the results"
-                yield ScoreRequest(prompt=f"p{i}", completion=" True")
+                yield ScoreRequest(prompt=f"p{i}", completions=PAIR)
 
         gw, backend = make_gateway(tmp_path)
         requests = endless()
         results = gw.score_many(requests)
         assert backend.calls == []  # nothing is sent before the first read
         next(results)
-        assert len(backend.calls) == BATCH_SIZE
-        assert len(list(itertools.islice(results, BATCH_SIZE - 1))) == BATCH_SIZE - 1
-        assert len(backend.calls) == BATCH_SIZE  # the first batch's results, all read
-        next(results)
+        # Two calls per request, one per completion.
         assert len(backend.calls) == 2 * BATCH_SIZE
+        assert len(list(itertools.islice(results, BATCH_SIZE - 1))) == BATCH_SIZE - 1
+        assert len(backend.calls) == 2 * BATCH_SIZE  # the first batch's results, all read
+        next(results)
+        assert len(backend.calls) == 4 * BATCH_SIZE
         # The stream was read no further than the batches sent.
         assert next(requests).prompt == f"p{2 * BATCH_SIZE}"
         gw.close()
@@ -1050,7 +1137,7 @@ class TestBatches:
                 return {"wrong": "shape"} if body["prompt"] == "p2" else answer
 
         requests = prompts(4) if kind == "generate" else [
-            ScoreRequest(prompt=f"p{i}", completion=" True") for i in range(4)]
+            ScoreRequest(prompt=f"p{i}", completions=PAIR) for i in range(4)]
 
         def call(gw):
             return list((gw.generate_many if kind == "generate" else gw.score_many)(requests))
@@ -1058,7 +1145,8 @@ class TestBatches:
         gw, backend = make_gateway(tmp_path, backend=WrongShapeOnP2())
         with pytest.raises(ProtocolError):
             call(gw)
-        assert gw.calls == 3 and gw.cache_commits == 1
+        # p0 and p1 whole, a call per completion of a score, then p2's first.
+        assert gw.calls == (3 if kind == "generate" else 5) and gw.cache_commits == 1
         gw.close()
         # A rerun on the same cache gets p0 and p1 from it, and asks the
         # backend for the malformed p2 again instead of replaying it.
@@ -1079,16 +1167,50 @@ class TestBatches:
                 self.calls.append(("score", body))
                 return {"token_logprobs": []}
 
-        request = ScoreRequest(prompt="p", completion=" True")
+        request = ScoreRequest(prompt="p", completions=PAIR)
         gw, _ = make_gateway(tmp_path, backend=EmptyBackend())
         [first] = gw.score_many([request])
         gw.close()
-        assert first == () and gw.cache_commits == 1
+        assert first == ((), ()) and gw.cache_commits == 1
         again, again_backend = make_gateway(tmp_path, backend=EmptyBackend())
         [second] = again.score_many([request])
-        assert second == ()
+        assert second == ((), ())
         assert again_backend.calls == [] and again.cache_hits == 1
         again.close()
+
+    @pytest.mark.parametrize("failure", [TransportError, ProtocolError])
+    def test_a_failure_on_the_second_completion_stores_nothing(self, tmp_path, failure):
+        class FailsOnFalse(FakeBackend):
+            failing = True
+
+            def score(self, body):
+                answer = super().score(body)
+                if self.failing and body["completion"] == " False":
+                    if failure is TransportError:
+                        raise TransportError("scripted failure")
+                    return {"wrong": "shape"}
+                return answer
+
+        request = ScoreRequest(prompt="p", completions=PAIR)
+        gw, backend = make_gateway(tmp_path, backend=FailsOnFalse())
+        with pytest.raises(failure):
+            gw.score(request)
+        gw.close()
+        # " True" once, then " False" until it fails for good.
+        tries = RETRY_ATTEMPTS if failure is TransportError else 1
+        assert [body["completion"] for _, body in backend.calls] == [" True"] + [" False"] * tries
+        assert gw.calls == 1 + (failure is ProtocolError)  # the responses that came back
+        assert gw.cache_hits == 0 and committed(tmp_path / "cache") == {}
+        # The rerun asks for both completions, and stores the pair.
+        again, again_backend = make_gateway(tmp_path, backend=FailsOnFalse())
+        again_backend.failing = False
+        try:
+            assert again.score(request) == ((-0.5, -1.5), (-0.5, -1.5))
+        finally:
+            again.close()
+        assert [body["completion"] for _, body in again_backend.calls] == list(PAIR)
+        assert list(committed(tmp_path / "cache")) == [
+            _cache_key(backend.identity, "m1", "score", request)]
 
 
 class TestScoreValidation:
@@ -1099,7 +1221,7 @@ class TestScoreValidation:
 
         gw, _ = make_gateway(tmp_path, backend=PosBackend())
         with pytest.raises(ProtocolError):
-            gw.score(ScoreRequest(prompt="p", completion=" True"))
+            gw.score(ScoreRequest(prompt="p", completions=PAIR))
 
     def test_zero_logprob_allowed(self, tmp_path):
         class ZeroBackend(FakeBackend):
@@ -1107,7 +1229,7 @@ class TestScoreValidation:
                 return {"token_logprobs": [0.0, -1.0]}
 
         gw, _ = make_gateway(tmp_path, backend=ZeroBackend())
-        assert gw.score(ScoreRequest(prompt="p", completion=" True")) == (0.0, -1.0)
+        assert gw.score(ScoreRequest(prompt="p", completions=PAIR)) == ((0.0, -1.0),) * 2
 
     def test_non_numeric_logprob_rejected(self, tmp_path):
         class StrBackend(FakeBackend):
@@ -1116,7 +1238,7 @@ class TestScoreValidation:
 
         gw, _ = make_gateway(tmp_path, backend=StrBackend())
         with pytest.raises(ProtocolError):
-            gw.score(ScoreRequest(prompt="p", completion=" True"))
+            gw.score(ScoreRequest(prompt="p", completions=PAIR))
 
     @pytest.mark.parametrize("logprob, message", [
         ("false", "non-numeric logprob False"),
@@ -1133,9 +1255,9 @@ class TestScoreValidation:
 
         gw, backend = make_gateway(tmp_path, backend=JsonBackend())
         with pytest.raises(ProtocolError, match=message):
-            gw.score(ScoreRequest(prompt="p", completion=" True"))
+            gw.score(ScoreRequest(prompt="p", completions=PAIR))
         gw.close()
-        assert len(backend.calls) == 1  # not retried
+        assert len(backend.calls) == 1  # not retried, nor the second completion sent
         assert committed(tmp_path / "cache") == {}  # nor cached
 
 
@@ -1199,12 +1321,12 @@ class TestHttpWireFormat:
     def test_score_posts_expected_body(self, wire_server, tmp_path):
         gw = ModelGateway(HttpBackend(wire_server), model="med-model",
                           cache_dir=tmp_path, sleep=lambda s: None)
-        resp = gw.score(ScoreRequest(prompt="statement. Answer:", completion=" True"))
-        assert resp == (-0.1, -0.2, -0.3)
-        path, body = _WireHandler.seen[0]
-        assert path == "/v1/score"
-        assert body == {"model": "med-model", "prompt": "statement. Answer:",
-                        "completion": " True"}
+        resp = gw.score(ScoreRequest(prompt="statement. Answer:", completions=PAIR))
+        assert resp == ((-0.1, -0.2, -0.3),) * 2
+        # One POST per completion, in order, each body as before pairs.
+        assert _WireHandler.seen == [
+            ("/v1/score", {"model": "med-model", "prompt": "statement. Answer:",
+                           "completion": completion}) for completion in PAIR]
 
     def test_http_404_is_protocol_error_tried_once_and_not_cached(self, wire_server, tmp_path):
         # _WireHandler answers 404 on any path but the two routes.

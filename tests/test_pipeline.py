@@ -56,6 +56,7 @@ from evontree.ontology import (
 )
 from evontree.pipeline import STAGE_ORDER, TABLE, RunContext, run_all, run_stage
 from evontree.scoring import (
+    PROBE_COMPLETIONS,
     confirm_decision,
     confirm_value,
     perplexity,
@@ -129,7 +130,8 @@ SLOW_S = 0.5
 
 
 @contextmanager
-def serve_over_http(backend, faults: dict | None = None, faulted: list | None = None):
+def serve_over_http(backend, faults: dict | None = None, faulted: list | None = None,
+                    handled: list | None = None):
     """Serve backend on a loopback port as an HTTP model endpoint; yields its
     URL. faults maps a route to an iterator of the faults its requests meet
     in turn; a request whose route has no fault left is served. A fault is
@@ -138,7 +140,8 @@ def serve_over_http(backend, faults: dict | None = None, faulted: list | None = 
     the connection closes; "slow", no reply for SLOW_S, then the connection
     closes; "wrong_shape", a 200 whose JSON is not the route's answer. The
     map is read at each request, so clearing it clears the faults. Each
-    faulted request's route and body go to faulted, when given."""
+    faulted request's route and body go to faulted, and the route of every
+    POST to handled, when given."""
     routes = {"/v1/generate": backend.generate, "/v1/score": backend.score}
     faults = {} if faults is None else faults
     faults_lock = threading.Lock()
@@ -149,6 +152,8 @@ def serve_over_http(backend, faults: dict | None = None, faulted: list | None = 
 
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            if handled is not None:
+                handled.append(self.path)
             with faults_lock:
                 fault = next(faults.get(self.path, iter(())), None)
                 if fault is not None and faulted is not None:
@@ -420,17 +425,21 @@ def artifact_bytes(out: Path) -> dict[str, bytes]:
 def http_model(tmp_path_factory):
     """The synthetic model of SMALL_FOREST served over HTTP with the fault
     map of serve_over_http, and a clean run on it into clean/, with its own
-    cache in clean-cache/."""
+    cache in clean-cache/: its artifacts, cache rows, manifest stages and
+    the route of each POST the server handled for it, in order."""
     tmp = tmp_path_factory.mktemp("http")
-    faults, faulted = {}, []
+    faults, faulted, handled = {}, [], []
     backend = synthetic_backend(make_config(tmp, **SMALL_FOREST))
-    with serve_over_http(backend, faults, faulted) as url:
+    with serve_over_http(backend, faults, faulted, handled) as url:
         with pytest.MonkeyPatch.context() as patch:
             patch.delenv(ENDPOINT_ENV_VAR, raising=False)
             assert run_over_http(tmp, url, "clean", "clean-cache") == EXIT_OK
         yield SimpleNamespace(url=url, faults=faults, faulted=faulted,
                               clean=artifact_bytes(tmp / "clean"),
-                              clean_rows=stored_rows(tmp / "clean-cache"))
+                              clean_rows=stored_rows(tmp / "clean-cache"),
+                              clean_stages=json.loads(
+                                  (tmp / "clean" / "manifest.json").read_text())["stages"],
+                              clean_posts=list(handled))
 
 
 @pytest.fixture
@@ -447,6 +456,21 @@ def faulty_http(http_model, monkeypatch):
 
 class TestHttpFaults:
     """Whole runs through the CLI against an endpoint that fails."""
+
+    def test_backend_calls_are_the_posts_the_server_handled(self, http_model):
+        # A fetched score request is one gateway request and one POST per
+        # completion; every other fetched request is one of each.
+        stages, posts = http_model.clean_stages, iter(http_model.clean_posts)
+        assert (sum(entry["gateway"]["backend_calls"] for entry in stages.values())
+                == len(http_model.clean_posts) > 0)
+        pairs = {}
+        for name in STAGE_ORDER:  # the order the run sent them in
+            counts = stages[name]["gateway"]
+            routes = list(itertools.islice(posts, counts["backend_calls"]))
+            pairs[name], odd = divmod(routes.count("/v1/score"), len(PROBE_COMPLETIONS))
+            assert odd == 0 and counts["cache_hits"] == 0, name
+            assert counts["requests"] == counts["backend_calls"] - pairs[name], name
+        assert pairs["calibrate"] > 0 and pairs["extrapolate"] > 0
 
     def test_transient_faults_are_retried_to_the_clean_artifacts(self, tmp_path, faulty_http):
         faults = faulty_http.faults
@@ -469,7 +493,7 @@ class TestHttpFaults:
         # and no score: every score request met the fault.
         assert stored and stored.items() <= faulty_http.clean_rows.items()
         score_keys = {gateway_module._cache_key(faulty_http.url, body["model"], "score",
-                                                ScoreRequest(body["prompt"], body["completion"]))
+                                                ScoreRequest(body["prompt"], PROBE_COMPLETIONS))
                       for route, body in faulty_http.faulted if route == "/v1/score"}
         assert score_keys and not stored.keys() & score_keys
         faulty_http.faults.clear()
@@ -498,7 +522,7 @@ class TestHttpFaults:
         assert list(stages) == ["extract"]
         [(_, body)] = faulty_http.faulted
         key = gateway_module._cache_key(faulty_http.url, body["model"], "score",
-                                        ScoreRequest(body["prompt"], body["completion"]))
+                                        ScoreRequest(body["prompt"], PROBE_COMPLETIONS))
         stored = stored_rows(tmp_path / "cache")
         assert key in faulty_http.clean_rows and key not in stored
         # What the run stored before the fault is what the clean run stored.
@@ -591,10 +615,17 @@ class TestGatewayCounts:
         assert all(set(c) == set(GATEWAY_COUNTERS) for c in counts.values())
         for stage in ("confirm", "reliable", "gap"):
             assert counts[stage] == dict.fromkeys(GATEWAY_COUNTERS, 0)
-        for stage in ("extract", "calibrate", "extrapolate", "synthesize", "report"):
+        # A fetched generation is one backend call, and a fetched score
+        # request two, one per completion: calibrate sends both kinds.
+        for stage, calls_per_request in (("extract", 1), ("calibrate", None),
+                                         ("extrapolate", 2), ("synthesize", 1), ("report", 1)):
             c = counts[stage]
+            fetched = c["requests"] - c["cache_hits"]
             assert c["requests"] > 0, stage
-            assert c["requests"] == c["cache_hits"] + c["backend_calls"], stage
+            if calls_per_request is None:
+                assert fetched < c["backend_calls"] < 2 * fetched, stage
+            else:
+                assert c["backend_calls"] == calls_per_request * fetched, stage
         # Extraction sends one request at a time, and its fetches still
         # commit about once a second, plus once as the stage ends.
         extract = manifest["stages"]["extract"]
@@ -643,12 +674,12 @@ class TestGatewayCounts:
         finally:
             ctx.close()
         raw = read_triple_file(artifact(ctx, "raw.jsonl"))
-        pairs = Counter()
+        paraphrases = Counter()
         for record in raw:
-            pairs[record.triple.relation] += len(templates_for(record.triple.relation))
-        # One stream of probes, two completions per pair, then one stream of
-        # labels per relation, each cut into batches by the gateway.
-        streams = (2 * sum(pairs.values()), *pairs.values())
+            paraphrases[record.triple.relation] += len(templates_for(record.triple.relation))
+        # One stream of probes, one request per paraphrase, then one stream
+        # of labels per relation, each cut into batches by the gateway.
+        streams = (sum(paraphrases.values()), *paraphrases.values())
         batches = sum(math.ceil(n / BATCH_SIZE) for n in streams)
         entry = json.loads(artifact(ctx, "manifest.json").read_text())["stages"]["calibrate"]
         counts = entry["gateway"]
@@ -656,8 +687,8 @@ class TestGatewayCounts:
         inserts = [s for s in statements if s.startswith("INSERT")]
         assert 0 < len(commits) == counts["cache_commits"] < batches
         assert len(commits) <= 1 + entry["wall_s"] / COMMIT_INTERVAL_S
-        # Every response fetched went into a transaction.
-        assert len(inserts) == counts["backend_calls"] > len(commits)
+        # Every request fetched went into a transaction, as one row.
+        assert len(inserts) == counts["requests"] - counts["cache_hits"] > len(commits)
         in_transaction = False
         for statement in statements:
             if statement.startswith(("BEGIN", "COMMIT")):
@@ -805,7 +836,7 @@ class TestDegradation:
     def test_score_records_drops_exactly_the_empty_spans(self, specs):
         # Each spec: relation, whether the record has chains, and which
         # completion of its probes, if any, scores no tokens. Up to 60
-        # records, up to 600 probes, cross a batch of BATCH_SIZE requests.
+        # records, up to 300 probe requests, cross a batch of BATCH_SIZE.
         records = [TripleRecord(Triple(lbl(f"S{i}"), relation, lbl(f"O{i}")),
                                 chains=[f"M{i}"] if chained else None)
                    for i, (relation, chained, _) in enumerate(specs)]
@@ -1053,6 +1084,31 @@ class TestStaleInputs:
         for stage in STAGE_ORDER[STAGE_ORDER.index("extrapolate"):]:
             assert cli_main([stage, *flags]) == EXIT_OK, stage
         assert artifact_bytes(out) == fresh
+
+    @pytest.mark.parametrize(("middles", "message"), [
+        (lambda gap: ["", "T0N0"], "EmptyLabelError"),
+        (lambda gap: [gap["o"]], "name the line's own subject or object"),
+        (lambda gap: [f"  {gap['s'].lower()} "], "name the line's own subject or object"),
+    ], ids=["blank", "object", "subject-respelt"])
+    def test_a_blank_middle_or_one_keyed_as_an_end_is_refused(self, run_copy, tmp_path,
+                                                              caplog, middles, message):
+        # A gaps.jsonl that no manifest vouches for: such a middle would
+        # reach corpus.jsonl as training text.
+        out, cache = run_copy.config.output.dir, run_copy.config.output.resolved_cache_dir()
+        artifact(run_copy, "manifest.json").unlink()
+        corpus = artifact(run_copy, "corpus.jsonl").read_bytes()
+        first, *rest = artifact(run_copy, "gaps.jsonl").read_text().splitlines(keepends=True)
+        gap = json.loads(first)
+        artifact(run_copy, "gaps.jsonl").write_text(
+            json.dumps({**gap, "chains": middles(gap)}) + "\n" + "".join(rest))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_obj(str(out), str(cache))))
+        with caplog.at_level(logging.ERROR, logger="evontree.cli"):
+            assert cli_main(["synthesize", "--config", str(config), "--stage-dir",
+                             str(out)]) == EXIT_MISSING_UPSTREAM
+        assert "gaps.jsonl does not parse (line 1: " in caplog.text
+        assert message in caplog.text and "rerun 'gap'" in caplog.text
+        assert artifact(run_copy, "corpus.jsonl").read_bytes() == corpus
 
     def test_manifest_top_level_is_rewritten_and_stages_kept(self, run_copy):
         manifest = json.loads(artifact(run_copy, "manifest.json").read_text())

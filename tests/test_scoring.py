@@ -169,8 +169,9 @@ class FakeScoringGateway:
 
     def score(self, request):
         self.requests.append(request)
-        p = self.p_true if request.completion == COMPLETION_TRUE else 1.0 - self.p_true
-        return (math.log(p),)
+        return tuple((math.log(self.p_true if completion == COMPLETION_TRUE
+                               else 1.0 - self.p_true),)
+                     for completion in request.completions)
 
     def score_many(self, requests):
         return [self.score(request) for request in requests]
@@ -187,15 +188,16 @@ class TestScoreTriple:
         gw = FakeScoringGateway(p_true=0.8)
         triple = Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe"))
         values = score_triple(gw, triple)
-        assert len(gw.requests) == 8  # two completions per paraphrase
-        assert [r.prompt for r in gw.requests[::2]] == probed_prompts(triple)
+        # One request per paraphrase, scoring both completions.
+        assert [r.prompt for r in gw.requests] == probed_prompts(triple)
+        assert {r.completions for r in gw.requests} == {(COMPLETION_TRUE, COMPLETION_FALSE)}
         assert values == pytest.approx([0.8] * 4, abs=1e-9)
 
     def test_synonym_produces_five_breakdowns(self):
         gw = FakeScoringGateway(p_true=0.3)
         triple = Triple(lbl("flu"), Relation.SYNONYM_OF, lbl("influenza"))
         values = score_triple(gw, triple)
-        assert [r.prompt for r in gw.requests[::2]] == probed_prompts(triple)
+        assert [r.prompt for r in gw.requests] == probed_prompts(triple)
         assert values == pytest.approx([-0.7] * 5, abs=1e-9)
 
     @pytest.mark.parametrize("relation", list(Relation))
@@ -231,6 +233,20 @@ class TestScoreTriple:
         gw = ModelGateway(EmptyBackend(), model="m", cache_dir=tmp_path)
         try:
             with pytest.raises(EmptySpanError, match="for completion ' True'"):
+                score_triple(gw, Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe")))
+        finally:
+            gw.close()
+
+    def test_an_empty_span_on_false_names_false(self, tmp_path):
+        class EmptyFalseBackend:
+            identity = "fake://empty-false"
+
+            def score(self, body):
+                return {"token_logprobs": [] if body["completion"] == COMPLETION_FALSE else [-0.5]}
+
+        gw = ModelGateway(EmptyFalseBackend(), model="m", cache_dir=tmp_path)
+        try:
+            with pytest.raises(EmptySpanError, match="for completion ' False'"):
                 score_triple(gw, Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe")))
         finally:
             gw.close()
