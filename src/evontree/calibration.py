@@ -3,7 +3,11 @@
 Labels come from the model itself: each (triple, template) pair is judged
 once by generating from the same instantiated statement at temperature 0,
 so every template is calibrated against its own wording. Scores are the
-per-template confirm values. The calibrated threshold for a template
+per-template confirm values. The answer, of at most LABEL_MAX_TOKENS
+tokens, is asked for in the same gateway request as the statement's scores,
+a probe (scoring.score_triples with answer_tokens), and collect_samples
+reads each label from it with parse_label; one_shot_labels asks the same
+generation alone, for the report's judge. The calibrated threshold for a template
 maximizes the Youden index J = TPR - FPR over a candidate grid built from
 the observed scores inside the sweep range plus the range endpoints; ties
 resolve to the largest threshold, the conservative choice for confirmation.
@@ -39,6 +43,8 @@ from .scoring import templates_for
 log = logging.getLogger(__name__)
 
 _ANSWER_RE = re.compile(r"\b(true|false)\b", re.IGNORECASE)
+# The most tokens a one-shot answer may take: a label's and a judge verdict's.
+LABEL_MAX_TOKENS = 8
 
 
 @dataclass(frozen=True)
@@ -101,44 +107,50 @@ def parse_label(text: str) -> bool:
     return match.group(1).casefold() == "true"
 
 
+def _label_or_none(text: str, prompt: str) -> bool | None:
+    """parse_label of the answer text to prompt, or None, logged, for an
+    answer it cannot read."""
+    try:
+        return parse_label(text)
+    except UnparseableError as exc:
+        log.warning("dropping unparseable answer to %r: %s", prompt, exc)
+        return None
+
+
 def one_shot_labels(gateway: ModelGateway, prompts: Iterable[str]) -> Iterator[bool | None]:
-    """The model's one-shot answer to each prompt, in order, for calibration
-    labels and the report's judge alike: one greedy generation of at most 8
-    tokens, streamed through gateway.generate_many and read by parse_label.
-    An answer it cannot read is logged and comes back as None."""
+    """The model's one-shot answer to each prompt, in order, for the
+    report's judge: one greedy generation of at most LABEL_MAX_TOKENS
+    tokens, the one a calibration probe asks with, streamed through
+    gateway.generate_many and read by parse_label. An answer it cannot read
+    is logged and comes back as None."""
     prompts, asked = tee(prompts)
-    texts = gateway.generate_many(map(partial(GenerateRequest, max_tokens=8, temperature=0.0),
-                                      asked))
-    for prompt, text in zip(prompts, texts):
-        try:
-            yield parse_label(text)
-        except UnparseableError as exc:
-            log.warning("dropping unparseable answer to %r: %s", prompt, exc)
-            yield None
+    texts = gateway.generate_many(map(
+        partial(GenerateRequest, max_tokens=LABEL_MAX_TOKENS, temperature=0.0), asked))
+    return map(_label_or_none, texts, prompts)
 
 
 def collect_samples(
-    gateway: ModelGateway,
     scored: Sequence[TripleRecord],
+    answers: Sequence[Sequence[str]],
     relation: Relation,
 ) -> tuple[dict[int, list[LabeledScore]], int]:
-    """Label each (record, template) pair of relation's scored records by
-    one_shot_labels on the instantiated statement, and pair the label with
-    that template's confirm value.
+    """Pair each confirm value of relation's scored records with the label
+    parse_label reads in the model's answer to that template's statement:
+    answers holds each scored record's answers, in template order, as
+    scoring.score_triples gives them. No model is asked.
 
     Unparseable answers drop the single sample and are tallied, never fatal:
     one garbled response should not sink a calibration run.
     """
     templates = templates_for(relation)
-    records = [record for record in scored if record.triple.relation is relation]
-    labels = one_shot_labels(gateway, (
-        template.instantiate(record.triple.subject, record.triple.object)
-        for record in records for template, _ in zip(templates, record.scores)))
     samples: dict[int, list[LabeledScore]] = {t.paraphrase_id: [] for t in templates}
     unparseable = 0
-    for record in records:
-        # zip reads a label only once the template and the value are there.
-        for template, value, label in zip(templates, record.scores, labels):
+    for record, texts in zip(scored, answers, strict=True):
+        if record.triple.relation is not relation:
+            continue
+        triple = record.triple
+        for template, value, text in zip(templates, record.scores, texts, strict=True):
+            label = _label_or_none(text, template.instantiate(triple.subject, triple.object))
             if label is None:
                 unparseable += 1
             else:

@@ -2,32 +2,37 @@
 
 Two request kinds exist. Generation returns free text; scoring returns, for
 each of a request's completions, the log-probabilities a model assigns to
-its tokens after the request's prompt. A score request is one gateway
-request, one cache key and one cache row, however many completions it
-holds; on a miss each completion is one backend call, sent in order. Both
-kinds go through a content-addressed cache keyed by the request plus the
-serving endpoint's identity, so switching endpoints or models never replays
-stale responses. The cache is one SQLite database per cache directory,
-shared safely by threads, gateways and processes, that maps the first 16
-bytes of each request's SHA-256 digest to the one field of its responses
-the gateway reads: a score's token counts and token_logprobs (a header of
-LEB128 varints, the completion count and each completion's token count,
-then the packed little-endian doubles), a generation's text as its UTF-8
-bytes, or, for a text longer than DEFLATE_MIN_BYTES that deflate shortens,
-a 0xff byte and the raw deflate stream. A format-3 or format-4 file is
-raised to format 5 in place: its generations are read as they are, and its
-rows of single-completion scores are never looked up again. A file in any
-other format is refused. Every gateway has a cache, and read_cache=False
-(the CLI's --no-cache) is the only way to skip reading it.
+its tokens after the request's prompt, and, for a request that asks for an
+answer (a probe: answer_tokens above 0), the model's greedy answer to that
+prompt as well. A score request is one gateway request, one cache key and
+one cache row, however many completions it holds and whether or not it asks
+for an answer; on a miss each completion is one backend call, sent in
+order, and the answer one generate call after them. Both kinds go through a
+content-addressed cache keyed by the request plus the serving endpoint's
+identity, so switching endpoints or models never replays stale responses.
+The cache is one SQLite database per cache directory, shared safely by
+threads, gateways and processes, that maps the first 16 bytes of each
+request's SHA-256 digest to the one field of its responses the gateway
+reads: a score's token counts and token_logprobs (a header of LEB128
+varints, the completion count and each completion's token count, then the
+packed little-endian doubles), followed for a probe by its answer's UTF-8
+bytes; a generation's text as its UTF-8 bytes, or, for a text longer than
+DEFLATE_MIN_BYTES that deflate shortens, a 0xff byte and the raw deflate
+stream. A format-3, -4 or -5 file is raised to format 6 in place: its
+generations and its answer-less pairs are read as they are, and its other
+score rows are never looked up again. A file in any other format is
+refused. Every gateway has a cache, and read_cache=False (the CLI's
+--no-cache) is the only way to skip reading it.
 
 A cache hit costs one digest, one B-tree probe and one decode, with an
 inflate for a deflated text: each request writes its canonical JSON text
 straight from its fields (body_text), and only a request sent to the
-backend is turned into the bodies it is sent with (to_body, to_bodies).
-The decode makes the caller's text or tuple of log-probability tuples with
-the same checks a fetched response passes, so a stored value that fails
-them, such as a number, a NaN or positive log-probability, or a score of
-another number of completions than the request's, is a miss: it is fetched
+backend is turned into the bodies it is sent with (to_body, to_bodies,
+answer_request).
+The decode makes the caller's text or Scored with the same checks a fetched response passes, so a stored value
+that fails them, such as a number, a NaN or positive log-probability, a
+score of another number of completions than the request's, or a probe's
+value with no answer or one that is not UTF-8, is a miss: it is fetched
 again and replaced.
 A completion that spans no tokens is well-formed: it is cached and returned
 as an empty tuple, and evontree.scoring decides what it means.
@@ -74,7 +79,16 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    TypeVar,
+)
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -174,21 +188,44 @@ class GenerateRequest:
 @dataclass(frozen=True)
 class ScoreRequest:
     """A prompt and the completions to score after it, such as the pair
-    (" True", " False"): one gateway request, one backend call each."""
+    (" True", " False"): one gateway request, one backend call each. With
+    answer_tokens above 0 it is a probe, which also asks for the model's
+    greedy answer to the prompt, of at most that many tokens: one more
+    backend call, a generate, after the scores."""
 
     prompt: str
     completions: tuple[str, ...]
+    answer_tokens: int = 0
 
     def to_bodies(self, model: str) -> list[dict]:
         """The body each completion is sent with, in order."""
         return [{"model": model, "prompt": self.prompt, "completion": completion}
                 for completion in self.completions]
 
+    def answer_request(self) -> GenerateRequest:
+        """The generation a probe's answer is asked with: at most
+        answer_tokens tokens, at temperature 0, with no stop."""
+        return GenerateRequest(self.prompt, self.answer_tokens, 0.0)
+
     def body_text(self, model: str) -> str:
         """{"completions": [...], "model": model, "prompt": ...} as canonical
-        JSON text, like GenerateRequest's."""
-        return '{"completions":[%s],"model":%s,"prompt":%s}' % (
-            ",".join(map(_string, self.completions)), _string(model), _string(self.prompt))
+        JSON text, like GenerateRequest's, led by "answer_tokens" for a
+        probe only, so an answer-less request keeps its key."""
+        answer = ""
+        if self.answer_tokens > 0:
+            answer = f'"answer_tokens":{_number(self.answer_tokens)},'
+        return '{%s"completions":[%s],"model":%s,"prompt":%s}' % (
+            answer, ",".join(map(_string, self.completions)), _string(model),
+            _string(self.prompt))
+
+
+class Scored(NamedTuple):
+    """What a ScoreRequest gets back: each completion's token
+    log-probabilities, and, for a probe (answer_tokens above 0), the
+    answer's text, which is None for any other request."""
+
+    scores: tuple[tuple[float, ...], ...]
+    answer: str | None
 
 
 class Backend(Protocol):
@@ -322,7 +359,7 @@ def _cache_key(identity: str, model: str, kind: str,
     model, "kind": kind, "body": body}, sort_keys=True, separators=(",", ":"),
     ensure_ascii=False), written without building the body, which is a
     generation's to_body(model) and a score's {"completions": [...],
-    "model": model, "prompt": ...}."""
+    "model": model, "prompt": ...}, with "answer_tokens" first for a probe."""
     canonical = '{"body":%s,"endpoint":%s,"kind":%s,"model":%s}' % (
         request.body_text(model), _string(identity), _string(kind), _string(model))
     # 128 bits: among 2x10^5 rows two distinct requests collide with odds
@@ -336,8 +373,8 @@ CACHE_BUSY_TIMEOUT_S = 60.0
 # SQLite's page cache per connection, in KiB. A page it does not hold is
 # read again through the OS, and a write transaction larger than it spills
 # to the write-ahead log before its commit. The seed-42 benchmark forest's
-# file is 0.38 MB at format 5 (0.46 MB at format 4, 0.66 MB at format 3,
-# 1.04 MB at format 2), which 4 MiB holds whole.
+# file is 0.29 MB at format 6 (0.38 MB at format 5, 0.46 MB at format 4,
+# 0.66 MB at format 3, 1.04 MB at format 2), which 4 MiB holds whole.
 # The syscall counts that follow were taken at format 2. At 256 KiB one cold
 # run_all of it made 15,114 read and 8,789 write syscalls (63.2 MB and
 # 30.9 MB), and a warm one 9,063 reads (38.4 MB), as each 256-key lookup read
@@ -350,14 +387,17 @@ CACHE_PAGE_CACHE_KIB = 4096
 # The cache file's layout, kept in PRAGMA user_version: each entry keeps
 # only the field of the responses that the gateway reads (see _KINDS). A new
 # file reads 0 until ResponseCache creates its table. Formats 3 and 4 keyed
-# and stored each scored completion on its own, and format 5 keys and stores
-# a request's completions together, so their score rows are never looked up
-# again; their generations are still read (format 3 stored each as its UTF-8
-# bytes, which format 4 deflated when long). So a format-3 or format-4 file
-# is raised to CACHE_FORMAT in place, no row rewritten, and an older
-# evontree refuses it from then on.
-CACHE_FORMAT = 5
-_RAISED_IN_PLACE_FORMATS = (3, 4)
+# and stored each scored completion on its own, format 5 a request's
+# completions together, and format 6 a probe's completions and answer
+# together, under a key of its own. So the score rows of formats 3 and 4 and
+# the probe rows of format 5 (its calibrate pairs and their one-shot labels,
+# stored apart) are never looked up again, while their generations and
+# format 5's answer-less pairs are still read as they are (format 3 stored
+# each generation as its UTF-8 bytes, which format 4 deflated when long).
+# So a format-3, -4 or -5 file is raised to CACHE_FORMAT in place, no row
+# rewritten, and an older evontree refuses it from then on.
+CACHE_FORMAT = 6
+_RAISED_IN_PLACE_FORMATS = (3, 4, 5)
 # A generation is stored deflated only if its UTF-8 form is longer than this
 # many bytes. On the seed-42 benchmark forest the 226 of its 4,951
 # generations that are, the elicited trees and the synthesis prose, hold 60%
@@ -381,7 +421,7 @@ class ResponseCache:
     request kind. The cache never looks inside a value;
     ModelGateway decodes and checks it, and treats one that fails as a
     miss. A new file, empty or 0 bytes long, gets the table at its first
-    open, and a format-3 or format-4 file is raised to CACHE_FORMAT at its
+    open, and a format-3, -4 or -5 file is raised to CACHE_FORMAT at its
     first open, no row rewritten; a file in any other format, such as one
     written by an earlier version or by a later one, is refused with
     CacheCorruptError and left as it is.
@@ -445,7 +485,7 @@ class ResponseCache:
 
     def _create(self) -> None:
         """Create the table of a new file, one at format 0 with no schema,
-        or raise a format-3 or format-4 file's user_version to CACHE_FORMAT,
+        or raise a format-3, -4 or -5 file's user_version to CACHE_FORMAT,
         rewriting no row, in one transaction, and refuse any other file. The
         format is read again under the write lock, so of two processes
         opening one new file only the first creates the table."""
@@ -551,9 +591,10 @@ class ModelGateway:
 
     Counters, for the run manifest: requests asked for, cache_hits (found
     in the cache, or repeating a key earlier in the same batch), so a score
-    request counts once in each however many completions it holds; calls
-    (responses the backend returned, one per completion of a fetched score
-    request; retries not counted), cache_commits (committed write
+    request counts once in each however many completions it holds and
+    whether or not it asks for an answer; calls (responses the backend
+    returned, one per completion of a fetched score request and one for a
+    probe's answer; retries not counted), cache_commits (committed write
     transactions of fetched responses; see commit) and retries (transport
     failures that were tried again). calls and retries are counted under a
     lock, since fanned-out threads fetch at once.
@@ -649,11 +690,17 @@ class ModelGateway:
     def _fetched_text(self, request: GenerateRequest) -> str:
         return _generated_text(self._fetch("generate", request.to_body(self.model)))
 
-    def _fetched_scores(self, request: ScoreRequest) -> tuple[tuple[float, ...], ...]:
+    def _fetched_scores(self, request: ScoreRequest) -> Scored:
         """Each completion's log-probabilities, fetched and parsed in order,
-        so a failure on one leaves those after it unsent."""
-        return tuple(_score_response(self._fetch("score", body))
-                     for body in request.to_bodies(self.model))
+        then, for a probe, its answer, generated last: a failure on one call
+        leaves those after it unsent."""
+        scores = tuple(_score_response(self._fetch("score", body))
+                       for body in request.to_bodies(self.model))
+        answer = None
+        if request.answer_tokens > 0:
+            answer = _generated_text(
+                self._fetch("generate", request.answer_request().to_body(self.model)))
+        return Scored(scores, answer)
 
     def _call_many(self, kind: str, requests: Iterable, bypass_cache: bool) -> Iterator:
         """Each request's result, in order, as the caller reads them: the
@@ -667,15 +714,15 @@ class ModelGateway:
         """Each request's result, in order, as kind's fetch makes it.
 
         Each distinct key is looked up once and fetched at most once, on one
-        fan-out worker: a score request's completions one after another. Only
-        a fetched request is turned into bodies. A cached value that decode
-        refuses is a miss, so the request is fetched again and its new value
-        replaces the old. Every response to a request is parsed before its
-        result is stored, so a request one of whose responses the parser
-        rejects (ProtocolError), or whose later completion fails, is never
-        cached and a rerun asks the backend for all of it again. Results
-        fetched whole before a failure are still stored, and committed
-        before the failure is raised.
+        fan-out worker: a score request's completions one after another,
+        then a probe's answer. Only a fetched request is turned into bodies.
+        A cached value that decode refuses is a miss, so the request is
+        fetched again and its new value replaces the old. Every response to a
+        request is parsed before its result is stored, so a request one of
+        whose responses the parser rejects (ProtocolError), or whose later
+        completion or answer fails, is never cached and a rerun asks the
+        backend for all of it again. Results fetched whole before a failure
+        are still stored, and committed before the failure is raised.
         """
         fetch, encode, decode = _KINDS[kind]
         identity, model = self.backend.identity, self.model
@@ -760,17 +807,16 @@ class ModelGateway:
         by name."""
         return self._call_batch("generate", False, [request])[0]
 
-    def score_many(self, requests: Iterable[ScoreRequest]
-                   ) -> Iterator[tuple[tuple[float, ...], ...]]:
-        """For each request, in order, each completion's token
-        log-probabilities, as _score_response parsed them, sent as
-        generate_many's requests are. A completion that scores no tokens is
-        well-formed, so it is cached and returned, from the cache on a rerun
-        too, as an empty tuple. Any other malformed response raises
-        ProtocolError, and its request is not cached."""
+    def score_many(self, requests: Iterable[ScoreRequest]) -> Iterator[Scored]:
+        """For each request, in order, a Scored of each completion's token
+        log-probabilities, as _score_response parsed them, and a probe's
+        answer, sent as generate_many's requests are. A completion that scores no tokens is well-formed, so
+        it is cached and returned, from the cache on a rerun too, as an
+        empty tuple. Any other malformed response raises ProtocolError, and
+        its request is not cached."""
         return self._call_many("score", requests, False)
 
-    def score(self, request: ScoreRequest) -> tuple[tuple[float, ...], ...]:
+    def score(self, request: ScoreRequest) -> Scored:
         return self._call_batch("score", False, [request])[0]
 
 
@@ -826,6 +872,10 @@ def _packed_scores(scores: tuple[tuple[float, ...], ...]) -> bytes:
 # The first byte of a deflated generation's stored value: no UTF-8 text
 # starts with it, so a plain value is never read as deflated.
 _DEFLATED = b"\xff"
+# What a probe's value holds after its doubles for an empty answer: a byte
+# that is no UTF-8 text, so a value with no byte there, such as a format-5
+# pair, is never read as a probe's.
+_EMPTY_ANSWER = b"\xff"
 
 
 def _encoded_text(text: str) -> bytes:
@@ -876,10 +926,21 @@ def _varint(value: bytes, at: int) -> tuple[int, int]:
     raise ValueError(f"cached scores {value!r:.60} end inside their header")
 
 
-def _unpacked_scores(value: bytes, request: ScoreRequest) -> tuple[tuple[float, ...], ...]:
+def _packed_result(result: Scored) -> bytes:
+    """The stored value of a score request's result: _packed_scores, then
+    for a probe its answer's UTF-8 bytes, or _EMPTY_ANSWER for an empty
+    one, so that every probe's value has bytes after its doubles."""
+    if result.answer is None:
+        return _packed_scores(result.scores)
+    return _packed_scores(result.scores) + (result.answer.encode() or _EMPTY_ANSWER)
+
+
+def _unpacked_scores(value: bytes, request: ScoreRequest) -> Scored:
     """The result a stored value holds for request: as many completions as
-    the request has, the header's token counts filled exactly by the
-    doubles after it, each at most 0, which NaN is not."""
+    the request has, the header's token counts filled by the doubles after
+    it, each at most 0, which NaN is not; then, for a probe, its answer, in
+    the bytes after the doubles, which must be _EMPTY_ANSWER or strict
+    UTF-8, and for any other request no byte."""
     if not isinstance(value, bytes):  # SQLite returns a number as int or float
         raise ValueError(f"cached scores {value!r} are not bytes")
     completions, at = _varint(value, 0)
@@ -890,14 +951,21 @@ def _unpacked_scores(value: bytes, request: ScoreRequest) -> tuple[tuple[float, 
     for _ in range(completions):
         count, at = _varint(value, at)
         counts.append(count)
-    if len(value) - at != 8 * sum(counts):
+    end = at + 8 * sum(counts)
+    if len(value) < end or len(value) > end and request.answer_tokens <= 0:
         raise ValueError(f"cached scores' header gives {sum(counts)} doubles, "
                          f"not the {len(value) - at} bytes after it")
     logprobs = struct.unpack_from(f"<{sum(counts)}d", value, at)
     if not all(lp <= 0.0 for lp in logprobs):
         raise ValueError(f"cached logprobs {logprobs} are not all at most 0")
     it = iter(logprobs)
-    return tuple(tuple(islice(it, count)) for count in counts)
+    scores = tuple(tuple(islice(it, count)) for count in counts)
+    if request.answer_tokens <= 0:
+        return Scored(scores, None)
+    answer = value[end:]
+    if not answer:
+        raise ValueError("cached scores hold no answer, which the probe asks for")
+    return Scored(scores, "" if answer == _EMPTY_ANSWER else answer.decode())
 
 
 # Per request kind: fetch, which asks the backend for a request's responses
@@ -906,16 +974,18 @@ def _unpacked_scores(value: bytes, request: ScoreRequest) -> tuple[tuple[float, 
 # into the stored value, and decode turns a stored value and its request back
 # into it, with the same checks, raising ValueError for a value that encode
 # never writes for responses that fetch accepts, such as a number, or a
-# score of another number of completions than the request's. A generation
-# is kept as its UTF-8 bytes, deflated after a 0xff byte when it is longer
-# than DEFLATE_MIN_BYTES and deflate shortens it (_encoded_text); a score
-# request's completions as one value (_packed_scores). str.encode and
-# bytes.decode default to strict UTF-8, so a stored encoded lone surrogate,
-# a sequence cut short or a byte that is no UTF-8 raises UnicodeDecodeError,
-# a ValueError; so does a deflated value that does not inflate to UTF-8, and
-# one that is not a single whole deflate stream raises ValueError too.
+# score of another number of completions than the request's, or a probe's
+# with no answer. A generation is kept as its UTF-8 bytes, deflated after a
+# 0xff byte when it is longer than DEFLATE_MIN_BYTES and deflate shortens it
+# (_encoded_text); a score request's completions as one value
+# (_packed_scores), and a probe's answer after them, as UTF-8 bytes too, in
+# the same row (_packed_result). str.encode and bytes.decode default to
+# strict UTF-8, so a stored encoded lone surrogate, a sequence cut short or
+# a byte that is no UTF-8 raises UnicodeDecodeError, a ValueError; so does a
+# deflated value that does not inflate to UTF-8, and one that is not a
+# single whole deflate stream raises ValueError too.
 _KINDS = {
     "generate": (ModelGateway._fetched_text, _encoded_text,
                  lambda value, request: _decoded_text(value)),
-    "score": (ModelGateway._fetched_scores, _packed_scores, _unpacked_scores),
+    "score": (ModelGateway._fetched_scores, _packed_result, _unpacked_scores),
 }

@@ -73,7 +73,13 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .calibration import calibrate_relation, checked_calibration, collect_samples, thresholds
+from .calibration import (
+    LABEL_MAX_TOKENS,
+    calibrate_relation,
+    checked_calibration,
+    collect_samples,
+    thresholds,
+)
 from .config import RunConfig
 from .errors import (
     DirectoryBusyError,
@@ -247,31 +253,38 @@ def stage_extract(ctx: RunContext) -> tuple[dict, dict]:
             {**stats.to_json_obj(), "raw_triples": dict(sorted(by_relation.items()))})
 
 
-def _score_records(ctx: RunContext, records: Sequence[TripleRecord]) -> tuple[list, int]:
+def _score_records(ctx: RunContext, records: Sequence[TripleRecord],
+                   answer_tokens: int = 0) -> tuple[list, list, int]:
     """The records whose triples scored, in order, with their confirm values
-    as scores and their chains kept, and the count left unscored:
-    a triple with an empty span is dropped whole; transport failures
-    propagate, since a dead endpoint should fail the stage."""
-    scored = []
-    results = score_triples(ctx.gateway(), (record.triple for record in records))
+    as scores and their chains kept, each one's answers as score_triples
+    gives them for answer_tokens, and the count left unscored: a triple
+    with an empty span is dropped whole; transport failures propagate,
+    since a dead endpoint should fail the stage."""
+    scored, answers = [], []
+    results = score_triples(ctx.gateway(), (record.triple for record in records), answer_tokens)
     for record, result in zip(records, results):
         if isinstance(result, EmptySpanError):
             log.warning("leaving %r unscored: %s", record.triple, result)
         else:
-            scored.append(TripleRecord(record.triple, scores=result, chains=record.chains))
-    return scored, len(records) - len(scored)
+            values, texts = result
+            scored.append(TripleRecord(record.triple, scores=values, chains=record.chains))
+            answers.append(texts)
+    return scored, answers, len(records) - len(scored)
 
 
 def stage_calibrate(ctx: RunContext, raw: list[TripleRecord]) -> tuple[dict, dict]:
-    """Score every raw triple, then fit per-template confirm thresholds
-    against the model's own one-shot labels, with their ROC curves."""
-    scored, unscored = _score_records(ctx, raw)
+    """Probe every raw triple in one stream, each paraphrase one request for
+    its scores and the model's one-shot answer, then fit per-template
+    confirm thresholds against the labels those answers give, with their
+    ROC curves. A triple with an empty span is left unscored, its answers
+    unread."""
+    scored, answers, unscored = _score_records(ctx, raw, LABEL_MAX_TOKENS)
     by_relation = {}
     unparseable = 0
     for relation in Relation:
         if not any(r.triple.relation is relation for r in scored):
             continue
-        samples, dropped = collect_samples(ctx.gateway(), scored, relation)
+        samples, dropped = collect_samples(scored, answers, relation)
         unparseable += dropped
         by_relation[relation.value] = calibrate_relation(samples, ctx.config.calibration)
     calibration = {relation: {key: fit.to_json_obj() for key, fit in fits.items()}
@@ -316,7 +329,7 @@ def stage_extrapolate(ctx: RunContext, raw: list[TripleRecord], confirmed: list[
 
     ext_records = [TripleRecord(c.triple, chains=[m.text for m in c.chains])
                    for c in candidates]
-    scored, unscored = _score_records(ctx, ext_records)
+    scored, _, unscored = _score_records(ctx, ext_records)
     return ({"extrapolated.jsonl": ext_records, "scored_extrapolated.jsonl": scored},
             {"compositions": compositions,
              "extrapolated_new": len(ext_records),

@@ -12,7 +12,9 @@ the value always lies in [-1, 1]; a perplexity past the largest float is
 inf, and equal perplexities, inf included, give 0.0. A completion that
 scores no tokens has none: the gateway only caches it, and score_triples
 turns it into the EmptySpanError that leaves its triple unscored. Each
-paraphrase is one gateway request that scores both completions.
+paraphrase is one gateway request that scores both completions; calibration
+asks in that same request for the model's one-shot answer to the paraphrase
+(score_triples with answer_tokens).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import chain, islice, tee
 from typing import Iterable, Iterator
 
 from .errors import EmptySpanError
-from .gateway import ModelGateway, ScoreRequest
+from .gateway import ModelGateway, ScoreRequest, Scored
 from .ontology import ConceptLabel, Relation, Triple
 
 COMPLETION_TRUE = " True"
@@ -106,21 +108,22 @@ def confirm_value(ppl_true: float, ppl_false: float) -> float:
     return math.copysign(1.0, ppl_false - ppl_true) / min(ppl_true, ppl_false)
 
 
-def probe_requests(triple: Triple) -> list[ScoreRequest]:
+def probe_requests(triple: Triple, answer_tokens: int = 0) -> list[ScoreRequest]:
     """One request per paraphrase of the triple's relation, in paraphrase
-    order, each scoring PROBE_COMPLETIONS, True first."""
-    return [ScoreRequest(template.instantiate(triple.subject, triple.object), PROBE_COMPLETIONS)
+    order, each scoring PROBE_COMPLETIONS, True first, and asking for an
+    answer of at most answer_tokens tokens if that is above 0."""
+    return [ScoreRequest(template.instantiate(triple.subject, triple.object), PROBE_COMPLETIONS,
+                         answer_tokens)
             for template in templates_for(triple.relation)]
 
 
-def _confirm_values(requests: list[ScoreRequest],
-                    responses: list[tuple[tuple[float, ...], ...]]
+def _confirm_values(requests: list[ScoreRequest], results: list[Scored]
                     ) -> list[float] | EmptySpanError:
     """Each paraphrase's confirm value from the token log-probabilities that
     answer probe_requests, or the EmptySpanError naming the first completion
     that scored no tokens."""
     values = []
-    for request, scores in zip(requests, responses):
+    for request, (scores, _) in zip(requests, results):
         for completion, logprobs in zip(request.completions, scores):
             if not logprobs:
                 return EmptySpanError(
@@ -129,15 +132,22 @@ def _confirm_values(requests: list[ScoreRequest],
     return values
 
 
-def score_triples(gateway: ModelGateway,
-                  triples: Iterable[Triple]) -> Iterator[list[float] | EmptySpanError]:
-    """Each triple's _confirm_values, in order, its probes streamed through
-    gateway.score_many with the others': a triple with an empty span gets
-    its EmptySpanError, so only it is dropped and its neighbours are scored."""
-    sent, paired = tee(map(probe_requests, triples))
+def score_triples(gateway: ModelGateway, triples: Iterable[Triple], answer_tokens: int = 0
+                  ) -> Iterator[tuple[list[float], list[str | None]] | EmptySpanError]:
+    """Each triple's _confirm_values, in order, with the model's answer to
+    each of its paraphrases, of at most answer_tokens tokens (None for each
+    when that is 0), its probes streamed through gateway.score_many with the
+    others': a triple with an empty span gets its EmptySpanError, so only it
+    is dropped and its neighbours are scored."""
+    sent, paired = tee(probe_requests(triple, answer_tokens) for triple in triples)
     responses = iter(gateway.score_many(chain.from_iterable(sent)))
     for requests in paired:
-        yield _confirm_values(requests, list(islice(responses, len(requests))))
+        results = list(islice(responses, len(requests)))
+        values = _confirm_values(requests, results)
+        if isinstance(values, EmptySpanError):
+            yield values
+        else:
+            yield values, [result.answer for result in results]
 
 
 def score_triple(gateway: ModelGateway, triple: Triple) -> list[float]:
@@ -146,7 +156,7 @@ def score_triple(gateway: ModelGateway, triple: Triple) -> list[float]:
     result = next(score_triples(gateway, [triple]))
     if isinstance(result, EmptySpanError):
         raise result
-    return result
+    return result[0]
 
 
 def confirm_decision(values: list[float], taus: list[float]) -> bool:

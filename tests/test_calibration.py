@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import evontree.gateway as gateway_module
 import evontree.report as report_module
 from evontree.calibration import (
+    LABEL_MAX_TOKENS,
     CalibrationConfig,
     CalibrationResult,
     LabeledScore,
@@ -28,10 +29,10 @@ from evontree.errors import (
     StaleUpstreamError,
     UnparseableError,
 )
-from evontree.gateway import GenerateRequest, HttpBackend, ModelGateway
+from evontree.gateway import GenerateRequest, HttpBackend, ModelGateway, Scored
 from evontree.ontology import Relation, Triple, TripleRecord, normalize_label as lbl
 from evontree.report import judge_triples
-from evontree.scoring import probe_requests, templates_for
+from evontree.scoring import probe_requests, score_triples, templates_for
 
 SUB_TPL = templates_for(Relation.SUBCLASS_OF)[0]
 
@@ -164,7 +165,8 @@ class TestFitThreshold:
 
 
 class RecordingGateway:
-    """Answers every generation with "True", recording each request."""
+    """Answers every generation, and every probe's answer, with "True",
+    recording each request."""
 
     def __init__(self):
         self.requests = []
@@ -174,18 +176,39 @@ class RecordingGateway:
         self.requests += requests
         return ["True"] * len(requests)
 
+    def score_many(self, requests):
+        requests = list(requests)
+        self.requests += requests
+        return [Scored(((-0.1,), (-2.0,)), "True") for _ in requests]
+
+
+def probe_and_collect(gateway, records, relation):
+    """What calibrate makes of records: their probes, sent through gateway
+    as one stream, then collect_samples on the confirm values and answers
+    they give."""
+    scored, answers = [], []
+    for record, (values, texts) in zip(records, score_triples(
+            gateway, [r.triple for r in records], LABEL_MAX_TOKENS)):
+        scored.append(TripleRecord(record.triple, scores=values))
+        answers.append(texts)
+    return collect_samples(scored, answers, relation)
+
 
 class TestOneShotLabel:
-    """A one-shot label: one_shot_labels's greedy request, its answer read by parse_label."""
+    """A one-shot label: the greedy answer a calibration probe asks for, or
+    one_shot_labels's request, read by parse_label."""
 
     def test_parses_true_from_template_prompt(self):
         t = Triple(lbl("Virus"), Relation.SUBCLASS_OF, lbl("Microbe"))
         gw = RecordingGateway()
-        collect_samples(gw, [scored_subclass("Virus", "Microbe", [0.5] * 4)], Relation.SUBCLASS_OF)
-        req = gw.requests[0]
+        samples, _ = probe_and_collect(gw, [TripleRecord(t)], Relation.SUBCLASS_OF)
+        assert all(s.label is True for v in samples.values() for s in v)
+        req = gw.requests[0].answer_request()
         assert req == GenerateRequest(prompt=req.prompt, max_tokens=8, temperature=0.0)
-        # The label prompt is the same instantiated statement the scorer uses.
+        # The label prompt is the same instantiated statement the scorer
+        # uses, asked in the same request as its scores.
         assert req.prompt == SUB_TPL.instantiate(t.subject, t.object)
+        assert gw.requests == probe_requests(t, LABEL_MAX_TOKENS)
         assert [r.prompt for r in gw.requests] == [r.prompt for r in probe_requests(t)]
         assert parse_label("True.") is True
 
@@ -201,10 +224,9 @@ class TestOneShotLabel:
         monkeypatch.setattr(report_module, "judge_prompt",
                             lambda triple: SUB_TPL.instantiate(triple.subject, triple.object))
         labels, judge = RecordingGateway(), RecordingGateway()
-        collect_samples(labels, [scored_subclass("Virus", "Microbe", [0.5] * 4)],
-                        Relation.SUBCLASS_OF)
+        probe_and_collect(labels, [TripleRecord(t)], Relation.SUBCLASS_OF)
         assert judge_triples(judge, [t]) == ({t: True}, 0)
-        assert judge.requests == labels.requests[:1]
+        assert judge.requests == [labels.requests[0].answer_request()]
 
     def test_parses_false_case_insensitive(self):
         assert parse_label("  fAlSe, because...") is False
@@ -253,21 +275,39 @@ class ScriptedLabelGateway:
         return [self.generate(request) for request in requests]
 
 
+class UnreadAnswers:
+    """The answers of a record that collect_samples must not read."""
+
+    def __iter__(self):
+        raise AssertionError("read the answers of a record of another relation")
+
+
 class TestCollectSamples:
-    def build_gateway(self, scored_a, scored_b):
+    @staticmethod
+    def scripted_answers(scored_a, scored_b):
+        """Each subclass statement of a, answered True, and of b, answered
+        False but for template 4, whose statement gets no answer here."""
         answers = {}
         for tpl in templates_for(Relation.SUBCLASS_OF):
             a, b = scored_a.triple, scored_b.triple
             answers[tpl.instantiate(a.subject, a.object)] = "True"
             if tpl.paraphrase_id != 4:
                 answers[tpl.instantiate(b.subject, b.object)] = "False"
-        return ScriptedLabelGateway(answers)
+        return answers
+
+    @staticmethod
+    def answers_to(records, answers):
+        """Each record's answers in template order, by prompt lookup; a
+        statement with no scripted answer gets a non-answer, exercising the
+        unparseable path."""
+        return [[answers.get(tpl.instantiate(r.triple.subject, r.triple.object), "no idea")
+                 for tpl in templates_for(r.triple.relation)] for r in records]
 
     def test_pairs_each_label_with_its_templates_value(self):
         a = scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6])
         b = scored_subclass("b", "root", [-0.1, -0.2, -0.3, -0.4])
-        gw = self.build_gateway(a, b)
-        samples, unparseable = collect_samples(gw, [a, b], Relation.SUBCLASS_OF)
+        answers = self.answers_to([a, b], self.scripted_answers(a, b))
+        samples, unparseable = collect_samples([a, b], answers, Relation.SUBCLASS_OF)
         assert unparseable == 1  # triple b, template 4, answered with garbage
         assert [s.score for s in samples[2]] == [0.8, -0.2]
         assert [s.label for s in samples[2]] == [True, False]
@@ -276,21 +316,24 @@ class TestCollectSamples:
     def test_other_relation_is_ignored(self):
         a = scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6])
         syn = TripleRecord(Triple(lbl("x"), Relation.SYNONYM_OF, lbl("y")), scores=[0.5] * 5)
-        gw = self.build_gateway(a, a)
-        samples, _ = collect_samples(gw, [a, syn], Relation.SUBCLASS_OF)
+        [answers] = self.answers_to([a], self.scripted_answers(a, a))
+        samples, _ = collect_samples([a, syn], [answers, UnreadAnswers()],
+                                     Relation.SUBCLASS_OF)
         assert all(len(v) == 1 for v in samples.values())
-        assert all("'x'" not in p for p in gw.prompts)
 
     def test_executor_map_matches_serial(self, tmp_path, monkeypatch):
-        # Label requests to an HTTP endpoint fan out over max_in_flight
-        # threads inside the gateway; the samples must not depend on it.
+        # Probes sent to an HTTP endpoint fan out over max_in_flight threads
+        # inside the gateway; the samples must not depend on it.
         a = scored_subclass("a", "root", [0.9, 0.8, 0.7, 0.6])
         b = scored_subclass("b", "root", [-0.1, -0.2, -0.3, -0.4])
-        answers = self.build_gateway(a, b).answers
+        answers = self.scripted_answers(a, b)
 
         class ScriptedHttpBackend(HttpBackend):
             def generate(self, body):
                 return {"text": answers.get(body["prompt"], "no idea")}
+
+            def score(self, body):
+                return {"token_logprobs": [-0.5]}
 
         pools = []
 
@@ -307,7 +350,9 @@ class TestCollectSamples:
                               cache_dir=tmp_path / f"cache{max_in_flight}",
                               max_in_flight=max_in_flight)
             try:
-                return collect_samples(gw, [a, b], Relation.SUBCLASS_OF)
+                probed = score_triples(gw, [a.triple, b.triple], LABEL_MAX_TOKENS)
+                return collect_samples([a, b], [texts for _, texts in probed],
+                                       Relation.SUBCLASS_OF)
             finally:
                 gw.close()
 
@@ -316,7 +361,7 @@ class TestCollectSamples:
         threaded = collect(4)
         assert pools == [4]
         assert serial == threaded
-        assert serial == collect_samples(self.build_gateway(a, b), [a, b],
+        assert serial == collect_samples([a, b], self.answers_to([a, b], answers),
                                          Relation.SUBCLASS_OF)
 
 

@@ -35,6 +35,7 @@ from evontree.cli import (
     EXIT_OTHER,
     main,
 )
+from evontree.calibration import LABEL_MAX_TOKENS
 from evontree.config import ENDPOINT_ENV_VAR, load_config
 from evontree.errors import TransportError
 from evontree.extraction import build_tree_prompt
@@ -525,11 +526,11 @@ class TestFlags:
 
     def test_cached_values_that_fail_their_checks_are_fetched_again(self, finished_run,
                                                                      tmp_path):
-        # One score row whose pair holds a packed NaN and one generation row
+        # One probe row whose pair holds a packed NaN and one generation row
         # that is not UTF-8: each is a miss, fetched again and replaced, the
-        # pair with one backend call per completion. Each row is found by the
-        # key of a request the run sent: the root's tree question, and the
-        # first probe of the first raw triple.
+        # probe with one backend call per completion and one for its answer.
+        # Each row is found by the key of a request the run sent: the root's
+        # tree question, and the first probe of the first raw triple.
         tmp, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(tmp / "out", out)
@@ -538,15 +539,16 @@ class TestFlags:
         extraction = load_config(config).extraction
         tree_question = GenerateRequest(build_tree_prompt(normalize_label("T0N0")),
                                         extraction.gen_max_tokens, extraction.gen_temperature)
-        first_probe = probe_requests(read_triple_file(out / "raw.jsonl")[0].triple)[0]
+        first_probe = probe_requests(read_triple_file(out / "raw.jsonl")[0].triple,
+                                     LABEL_MAX_TOKENS)[0]
+        nan_pair = b"\x02\x01\x01" + struct.pack("<2d", -0.5, math.nan)
         with closing(sqlite3.connect(out / "cache" / CACHE_FILE)) as db, db:
-            for kind, request, value in [("score", first_probe,
-                                          b"\x02\x01\x01" + struct.pack("<2d", -0.5, math.nan)),
+            for kind, request, value in [("score", first_probe, nan_pair + b"True"),
                                          ("generate", tree_question, b"\xff")]:
                 assert db.execute("UPDATE responses SET value = ? WHERE key = ?", (
                     value, _cache_key(identity, model, kind, request))).rowcount == 1
         flags = ["--config", str(config), "--stage-dir", str(out)]
-        for expected_calls in (3, 0):  # then replayed
+        for expected_calls in (4, 0):  # then replayed
             assert main(["run", *flags]) == EXIT_OK
             stages = json.loads((out / "manifest.json").read_text())["stages"]
             assert sum(entry["gateway"]["backend_calls"]

@@ -45,11 +45,13 @@ from evontree.gateway import (
     GenerateRequest,
     HttpBackend,
     ModelGateway,
+    Scored,
     ResponseCache,
     ScoreRequest,
     _JITTER,
     _KINDS,
     _cache_key,
+    _packed_result,
     _packed_scores,
     _unpacked_scores,
 )
@@ -90,13 +92,19 @@ json_values = st.recursive(
 
 
 PAIR = (" True", " False")
+# The most tokens a calibration probe's answer may take.
+ANSWER_TOKENS = 8
 
 
 def keyed_body(request, model) -> dict:
-    """The body a request's cache key hashes: a score's holds its completions."""
+    """The body a request's cache key hashes: a score's holds its
+    completions, and a probe's its answer_tokens too."""
     if isinstance(request, GenerateRequest):
         return request.to_body(model)
-    return {"completions": list(request.completions), "model": model, "prompt": request.prompt}
+    body = {"completions": list(request.completions), "model": model, "prompt": request.prompt}
+    if request.answer_tokens > 0:
+        body["answer_tokens"] = request.answer_tokens
+    return body
 
 
 def single_score_body(prompt: str, completion: str, model: str) -> dict:
@@ -149,9 +157,15 @@ class TestCache:
         score = ScoreRequest(prompt="p", completions=PAIR)
         for changed in (ScoreRequest(prompt="p", completions=(" False", " True")),
                         ScoreRequest(prompt="p", completions=(" True",)),
-                        ScoreRequest(prompt="q", completions=PAIR)):
+                        ScoreRequest(prompt="q", completions=PAIR),
+                        ScoreRequest(prompt="p", completions=PAIR, answer_tokens=8),
+                        ScoreRequest(prompt="p", completions=PAIR, answer_tokens=9)):
             assert _cache_key("ep1", "m1", "score", score) != _cache_key(
                 "ep1", "m1", "score", changed)
+        # A request that asks for no answer keys as one that names none.
+        assert _cache_key("ep1", "m1", "score", ScoreRequest(
+            prompt="p", completions=PAIR, answer_tokens=0)) == _cache_key(
+            "ep1", "m1", "score", score)
         assert len(base) == 16
 
     def test_key_is_pinned(self):
@@ -162,6 +176,13 @@ class TestCache:
                                   max_tokens=8, temperature=0.0)
         assert (_cache_key("synthetic://42/ab12cd34", "synthetic", "generate", request).hex()
                 == "b13eb010e33e8a26c1b4806e151a48dd")
+        # A pair that asks for no answer, as extrapolate scores it, keeps the
+        # key cache format 5 gave it.
+        pair = ScoreRequest("Please determine if the statement is true or false, then answer "
+                            "with True or False: 'Säugetier' is a strict subclass of 'Tier'. "
+                            "Answer:", PAIR)
+        assert (_cache_key("synthetic://42/ab12cd34", "synthetic", "score", pair).hex()
+                == "ab0d0b71b453be930d2f0b807e9646f6")
 
     @settings(deadline=None)
     @given(identity=st.text(), model=st.text(), kind=st.text(), request=st.one_of(
@@ -169,7 +190,8 @@ class TestCache:
                   temperature=st.one_of(st.floats(), st.integers()),
                   stop=st.lists(st.text(), max_size=3).map(tuple)),
         st.builds(ScoreRequest, prompt=st.text(),
-                  completions=st.lists(st.text(), max_size=3).map(tuple))))
+                  completions=st.lists(st.text(), max_size=3).map(tuple),
+                  answer_tokens=st.integers())))
     @example(identity="synthetic://1/ab", model="m", kind="generate",
              request=GenerateRequest(prompt='é "q" \\ \n\t\x00\x1f\x7f\u2028 😀',
                                      max_tokens=-1, temperature=math.nan, stop=("\n\n", "")))
@@ -182,6 +204,8 @@ class TestCache:
     @example(identity="é", model='"', kind="score", request=ScoreRequest(
         prompt="Säugetier\r\n", completions=(' "True"', " False")))
     @example(identity="", model="", kind="score", request=ScoreRequest(prompt="", completions=()))
+    @example(identity="synthetic://1/ab", model="m", kind="score",
+             request=ScoreRequest(prompt="p", completions=PAIR, answer_tokens=8))
     def test_key_is_the_digest_of_the_canonical_json(self, identity, model, kind, request):
         assert (_cache_key(identity, model, kind, request)
                 == canonical_digest(identity, model, kind, keyed_body(request, model))[:16])
@@ -240,7 +264,8 @@ class TestCache:
         assert first == again == text
         assert len(first_calls) == 3 and again_calls == []  # one per completion
         # Bit for bit, so that -0.0 stays -0.0.
-        assert bits(again_lps) == bits(first_lps) == bits((logprobs, logprobs))
+        assert again_lps.answer is first_lps.answer is None
+        assert bits(again_lps.scores) == bits(first_lps.scores) == bits((logprobs, logprobs))
 
     @given(scores=st.lists(st.lists(st.floats(max_value=0.0), max_size=8), max_size=3))
     @example(scores=[[-math.inf, -0.0, 0.0], []])
@@ -252,7 +277,9 @@ class TestCache:
         value = _packed_scores(scores)
         header = sum(1 + (n > 127) + (n > 16383) for n in (len(scores), *map(len, scores)))
         assert len(value) == header + 8 * sum(map(len, scores))
-        assert bits(_unpacked_scores(value, request)) == bits(scores)
+        assert _packed_result(Scored(scores, None)) == value  # an answer-less result's
+        decoded = _unpacked_scores(value, request)
+        assert decoded.answer is None and bits(decoded.scores) == bits(scores)
 
     @given(scores=st.lists(st.lists(st.floats(max_value=0.0), max_size=3), min_size=1,
                            max_size=3),
@@ -290,6 +317,51 @@ class TestCache:
         for number in (5, -0.5):
             with pytest.raises(ValueError, match="are not bytes"):
                 _unpacked_scores(number, request)
+
+    @given(scores=st.lists(st.lists(st.floats(max_value=0.0), max_size=4), max_size=3),
+           answer=st.text())
+    @example(scores=[[-0.1], [-2.3]], answer="True")  # a calibration probe's
+    @example(scores=[[-0.1], [-2.3]], answer="")
+    @example(scores=[[], []], answer="é\x00 False 😀")
+    def test_packed_probes_decode_to_themselves(self, scores, answer):
+        scores = tuple(map(tuple, scores))
+        request = ScoreRequest(prompt="p", completions=(" x",) * len(scores),
+                               answer_tokens=ANSWER_TOKENS)
+        value = _packed_result(Scored(scores, answer))
+        # The pair's value, then the answer's UTF-8 bytes, or one 0xff byte.
+        assert value == _packed_scores(scores) + (answer.encode() or b"\xff")
+        decoded = _unpacked_scores(value, request)
+        assert isinstance(decoded, Scored) and decoded.answer == answer
+        assert bits(decoded.scores) == bits(scores)
+
+    @given(scores=st.lists(st.lists(st.floats(max_value=0.0), max_size=3), min_size=1,
+                           max_size=3).filter(lambda scores: any(scores)),
+           answer=st.text(), cut=st.integers(1, 24))
+    @example(scores=[[-0.1], [-2.3]], answer="True", cut=1)
+    @example(scores=[[-0.1], [-2.3]], answer="", cut=8)
+    def test_packed_probes_cut_in_their_doubles_or_without_utf8_answers_are_refused(
+            self, scores, answer, cut):
+        scores = tuple(map(tuple, scores))
+        request = ScoreRequest(prompt="p", completions=(" x",) * len(scores),
+                               answer_tokens=ANSWER_TOKENS)
+        pair = _packed_scores(scores)
+        # Cut inside the doubles, so the answer's bytes are gone too.
+        with pytest.raises(ValueError, match="header gives"):
+            _unpacked_scores(pair[:len(pair) - min(cut, 8 * sum(map(len, scores)))], request)
+        # An answer that is no UTF-8: a byte that starts none, a sequence cut
+        # short, an encoded lone surrogate, and the empty answer's 0xff
+        # before an answer.
+        for answer_bytes in (b"\x80", "é".encode()[:1], b"\xed\xa0\x80",
+                             b"\xff" + answer.encode() + b"."):
+            with pytest.raises(UnicodeDecodeError):
+                _unpacked_scores(pair + answer_bytes, request)
+        # An answer-less pair, as format 5 stored it, under a probe's key;
+        # and a probe's value under an answer-less request's key.
+        with pytest.raises(ValueError, match="hold no answer, which the probe asks for"):
+            _unpacked_scores(pair, request)
+        with pytest.raises(ValueError, match="header gives"):
+            _unpacked_scores(_packed_result(Scored(scores, answer)),
+                             ScoreRequest(prompt="p", completions=request.completions))
 
     def test_a_batch_of_hits_builds_no_body(self, tmp_path, monkeypatch):
         generates = prompts(3)
@@ -358,7 +430,8 @@ class TestCache:
                         [GenerateRequest(prompt="p", max_tokens=4, temperature=0.0)])
                 else:
                     [result] = gw.score_many([ScoreRequest(prompt="p", completions=PAIR)])
-                    result = bits(result)
+                    assert result.answer is None
+                    result = bits(result.scores)
             except ProtocolError:
                 result = ProtocolError
             finally:
@@ -404,7 +477,7 @@ class TestCache:
             return gw.score(req)
 
         answers = {gen: call(gen), score: call(score)}
-        assert answers == {gen: "gen:x", score: ((-0.5, -1.5), (-0.5, -1.5))}
+        assert answers == {gen: "gen:x", score: Scored(((-0.5, -1.5), (-0.5, -1.5)), None)}
         # One backend call per generation, one per completion of a score.
         calls_per_fetch = {gen: 1, score: 2}
         keys = {req: _cache_key(backend.identity, "m1", kind, req)
@@ -459,7 +532,7 @@ class TestCache:
             assert len(backend.calls) == calls
         # -0.0 and -inf are log-probabilities, and replay as they are.
         store(score, "?", b"\x02\x01\x01" + struct.pack("<2d", -0.0, -math.inf))
-        assert bits(call(score)) == bits(((-0.0,), (-math.inf,)))
+        assert bits(call(score).scores) == bits(((-0.0,), (-math.inf,)))
         assert len(backend.calls) == calls
 
     def test_file_that_is_not_a_database_is_reported(self, tmp_path):
@@ -692,9 +765,9 @@ class TestCacheFormat:
                            "WITHOUT ROWID")
 
     def test_unknown_format_is_refused_and_left_alone(self, tmp_path, caplog):
-        # Formats 3 and 4 are raised in place (the test below), so the
+        # Formats 3, 4 and 5 are raised in place (the tests below), so the
         # format-2 file below is the newest one refused.
-        assert CACHE_FORMAT == 5
+        assert CACHE_FORMAT == 6
         identity, request = FakeBackend().identity, prompts(1)[0]
         key = _cache_key(identity, "m1", "generate", request)
         body = json.dumps({"text": "cached", "finish_reason": "stop"})
@@ -802,7 +875,7 @@ class TestCacheFormat:
             # The generations are hits; the pair is a miss, one call per
             # completion, as no row is keyed by it.
             assert list(gw.generate_many(gens)) == texts
-            assert gw.score(score) == ((-0.5, -1.5), (-0.5, -1.5))
+            assert gw.score(score) == Scored(((-0.5, -1.5), (-0.5, -1.5)), None)
         finally:
             gw.close()
         assert [(kind, body["completion"]) for kind, body in backend.calls] == [
@@ -813,6 +886,53 @@ class TestCacheFormat:
         assert set(before) < set(after) and len(after) == len(before) + 1
         with closing(sqlite3.connect(path)) as db:
             assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
+
+
+    def test_format_5_file_is_raised_in_place_and_its_probes_fetched_again(self, tmp_path):
+        # Laid out as format 5 was: a generation as its UTF-8 bytes, a score
+        # request's pair as one value under its key, and a calibration probe
+        # as two rows, its pair under that pair's key and its one-shot label
+        # under the key of the generation that asked for it.
+        identity = FakeBackend().identity
+        gen = GenerateRequest(prompt="tree?", max_tokens=4, temperature=0.0)
+        pair = ScoreRequest(prompt="extrapolated. Answer:", completions=PAIR)
+        probe = ScoreRequest(prompt="raw. Answer:", completions=PAIR,
+                             answer_tokens=ANSWER_TOKENS)
+        stored_pair = _packed_scores(((-0.25,), (-0.75,)))
+        path = tmp_path / "cache" / CACHE_FILE
+        path.parent.mkdir()
+        with closing(sqlite3.connect(path)) as db:
+            db.execute("PRAGMA journal_mode=WAL")
+            with db:
+                db.execute("CREATE TABLE responses (key BLOB PRIMARY KEY, value BLOB NOT NULL) "
+                           "WITHOUT ROWID")
+                db.executemany("INSERT INTO responses VALUES (?, ?)", [
+                    (_cache_key(identity, "m1", "generate", gen), b"short"),
+                    (_cache_key(identity, "m1", "score", pair), stored_pair),
+                    (_cache_key(identity, "m1", "score", ScoreRequest(probe.prompt, PAIR)),
+                     stored_pair),
+                    (_cache_key(identity, "m1", "generate", probe.answer_request()), b"True")])
+            db.execute("PRAGMA user_version = 5")
+            before = set(db.execute("SELECT key, value FROM responses"))
+        gw, backend = make_gateway(tmp_path)
+        try:
+            # The generation and the extrapolate pair are hits; the probe is
+            # a miss, a call per completion and one for its answer.
+            assert list(gw.generate_many([gen])) == ["short"]
+            assert gw.score(pair) == Scored(((-0.25,), (-0.75,)), None)
+            assert gw.score(probe) == Scored(((-0.5, -1.5),) * 2, "gen:raw. Answer:")
+        finally:
+            gw.close()
+        assert backend.calls == [
+            *(("score", body) for body in probe.to_bodies("m1")),
+            ("generate", {"model": "m1", "prompt": "raw. Answer:", "max_tokens": 8,
+                          "temperature": 0.0, "stop": []})]
+        assert gw.counters()["cache_hits"] == 2
+        # No row rewritten: the probe's old rows stay, unread, beside its new one.
+        with closing(sqlite3.connect(path)) as db:
+            after = set(db.execute("SELECT key, value FROM responses"))
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_FORMAT,)
+        assert before < after and len(after) == len(before) + 1
 
 
 class CountingBackend(FakeBackend):
@@ -1171,10 +1291,10 @@ class TestBatches:
         gw, _ = make_gateway(tmp_path, backend=EmptyBackend())
         [first] = gw.score_many([request])
         gw.close()
-        assert first == ((), ()) and gw.cache_commits == 1
+        assert first == Scored(((), ()), None) and gw.cache_commits == 1
         again, again_backend = make_gateway(tmp_path, backend=EmptyBackend())
         [second] = again.score_many([request])
-        assert second == ((), ())
+        assert second == Scored(((), ()), None)
         assert again_backend.calls == [] and again.cache_hits == 1
         again.close()
 
@@ -1205,12 +1325,48 @@ class TestBatches:
         again, again_backend = make_gateway(tmp_path, backend=FailsOnFalse())
         again_backend.failing = False
         try:
-            assert again.score(request) == ((-0.5, -1.5), (-0.5, -1.5))
+            assert again.score(request) == Scored(((-0.5, -1.5), (-0.5, -1.5)), None)
         finally:
             again.close()
         assert [body["completion"] for _, body in again_backend.calls] == list(PAIR)
         assert list(committed(tmp_path / "cache")) == [
             _cache_key(backend.identity, "m1", "score", request)]
+
+
+    @pytest.mark.parametrize("failure", [TransportError, ProtocolError])
+    def test_a_failure_on_a_probes_answer_stores_nothing(self, tmp_path, failure):
+        class FailsOnAnswer(FakeBackend):
+            failing = True
+
+            def generate(self, body):
+                answer = super().generate(body)
+                if self.failing:
+                    if failure is TransportError:
+                        raise TransportError("scripted failure")
+                    return {"wrong": "shape"}
+                return answer
+
+        probe = ScoreRequest(prompt="p", completions=PAIR, answer_tokens=ANSWER_TOKENS)
+        gw, backend = make_gateway(tmp_path, backend=FailsOnAnswer())
+        with pytest.raises(failure):
+            gw.score(probe)
+        gw.close()
+        # " True", " False", then the answer until it fails for good.
+        tries = RETRY_ATTEMPTS if failure is TransportError else 1
+        assert [kind for kind, _ in backend.calls] == ["score", "score"] + ["generate"] * tries
+        assert gw.calls == 2 + (failure is ProtocolError)  # the responses that came back
+        assert gw.cache_hits == 0 and committed(tmp_path / "cache") == {}
+        # The rerun asks for all three replies, and stores the probe as one row.
+        again, again_backend = make_gateway(tmp_path, backend=FailsOnAnswer())
+        again_backend.failing = False
+        try:
+            assert again.score(probe) == Scored(((-0.5, -1.5),) * 2, "gen:p")
+        finally:
+            again.close()
+        assert [kind for kind, _ in again_backend.calls] == ["score", "score", "generate"]
+        assert committed(tmp_path / "cache") == {
+            _cache_key(backend.identity, "m1", "score", probe):
+                _packed_scores(((-0.5, -1.5),) * 2) + b"gen:p"}
 
 
 class TestScoreValidation:
@@ -1229,7 +1385,8 @@ class TestScoreValidation:
                 return {"token_logprobs": [0.0, -1.0]}
 
         gw, _ = make_gateway(tmp_path, backend=ZeroBackend())
-        assert gw.score(ScoreRequest(prompt="p", completions=PAIR)) == ((0.0, -1.0),) * 2
+        assert gw.score(ScoreRequest(prompt="p", completions=PAIR)) == Scored(
+            ((0.0, -1.0),) * 2, None)
 
     def test_non_numeric_logprob_rejected(self, tmp_path):
         class StrBackend(FakeBackend):
@@ -1322,11 +1479,28 @@ class TestHttpWireFormat:
         gw = ModelGateway(HttpBackend(wire_server), model="med-model",
                           cache_dir=tmp_path, sleep=lambda s: None)
         resp = gw.score(ScoreRequest(prompt="statement. Answer:", completions=PAIR))
-        assert resp == ((-0.1, -0.2, -0.3),) * 2
+        assert resp == Scored(((-0.1, -0.2, -0.3),) * 2, None)
         # One POST per completion, in order, each body as before pairs.
         assert _WireHandler.seen == [
             ("/v1/score", {"model": "med-model", "prompt": "statement. Answer:",
                            "completion": completion}) for completion in PAIR]
+
+    def test_probe_posts_its_scores_then_its_answer(self, wire_server, tmp_path):
+        gw = ModelGateway(HttpBackend(wire_server), model="med-model",
+                          cache_dir=tmp_path, sleep=lambda s: None)
+        probe = ScoreRequest(prompt="statement. Answer:", completions=PAIR,
+                             answer_tokens=ANSWER_TOKENS)
+        try:
+            assert gw.score(probe) == Scored(((-0.1, -0.2, -0.3),) * 2, "ok")
+        finally:
+            gw.close()
+        # The score POSTs as for a pair, then the generation a one-shot
+        # label has always been asked with.
+        assert _WireHandler.seen == [
+            *(("/v1/score", {"model": "med-model", "prompt": "statement. Answer:",
+                             "completion": completion}) for completion in PAIR),
+            ("/v1/generate", {"model": "med-model", "prompt": "statement. Answer:",
+                              "max_tokens": 8, "temperature": 0.0, "stop": []})]
 
     def test_http_404_is_protocol_error_tried_once_and_not_cached(self, wire_server, tmp_path):
         # _WireHandler answers 404 on any path but the two routes.

@@ -32,7 +32,12 @@ from hypothesis import given, settings, strategies as st
 import evontree
 import evontree.gateway as gateway_module
 import evontree.pipeline as pipeline_module
-from evontree.calibration import calibrate_relation, checked_calibration, thresholds
+from evontree.calibration import (
+    LABEL_MAX_TOKENS,
+    calibrate_relation,
+    checked_calibration,
+    thresholds,
+)
 from evontree.cli import EXIT_GATEWAY, EXIT_MISSING_UPSTREAM, EXIT_OK, main as cli_main
 from evontree.config import ENDPOINT_ENV_VAR, parse_config, replace_seed
 from evontree.errors import MissingUpstreamError, StaleUpstreamError, TransportError
@@ -459,18 +464,31 @@ class TestHttpFaults:
 
     def test_backend_calls_are_the_posts_the_server_handled(self, http_model):
         # A fetched score request is one gateway request and one POST per
-        # completion; every other fetched request is one of each.
+        # completion, and a calibration probe one more POST, a generate, for
+        # its answer; every other fetched request is one of each.
         stages, posts = http_model.clean_stages, iter(http_model.clean_posts)
         assert (sum(entry["gateway"]["backend_calls"] for entry in stages.values())
                 == len(http_model.clean_posts) > 0)
-        pairs = {}
+        routes = {}
         for name in STAGE_ORDER:  # the order the run sent them in
             counts = stages[name]["gateway"]
-            routes = list(itertools.islice(posts, counts["backend_calls"]))
-            pairs[name], odd = divmod(routes.count("/v1/score"), len(PROBE_COMPLETIONS))
-            assert odd == 0 and counts["cache_hits"] == 0, name
-            assert counts["requests"] == counts["backend_calls"] - pairs[name], name
-        assert pairs["calibrate"] > 0 and pairs["extrapolate"] > 0
+            sent = list(itertools.islice(posts, counts["backend_calls"]))
+            routes[name] = generate, score = sent.count("/v1/generate"), sent.count("/v1/score")
+            assert counts["cache_hits"] == 0 and score % len(PROBE_COMPLETIONS) == 0, name
+            # A probe's generate, for its answer, is part of its request.
+            answers = generate if name == "calibrate" else 0
+            assert (counts["requests"]
+                    == generate - answers + score // len(PROBE_COMPLETIONS)), name
+        # Each stage's POSTs, as (generate, score), on the cold cache.
+        assert routes == {"extract": (5, 0), "calibrate": (104, 208), "confirm": (0, 0),
+                          "reliable": (0, 0), "extrapolate": (0, 16), "gap": (0, 0),
+                          "synthesize": (20, 0), "report": (27, 0)}
+        # Every calibrate request is a probe: two scores and an answer.
+        calibrate, extrapolate = stages["calibrate"]["gateway"], stages["extrapolate"]["gateway"]
+        assert calibrate["backend_calls"] == 3 * calibrate["requests"] > 0
+        assert routes["calibrate"] == (calibrate["requests"], 2 * calibrate["requests"])
+        # Every extrapolate request is a pair, with no answer.
+        assert extrapolate["backend_calls"] == 2 * extrapolate["requests"] > 0
 
     def test_transient_faults_are_retried_to_the_clean_artifacts(self, tmp_path, faulty_http):
         faults = faulty_http.faults
@@ -490,12 +508,14 @@ class TestHttpFaults:
         assert list(stages) == ["extract"]
         stored = stored_rows(tmp_path / "cache")  # sound, in the current format
         # What the run stored before the fault is what the clean run stored,
-        # and no score: every score request met the fault.
+        # and no probe: every calibrate probe met the fault.
         assert stored and stored.items() <= faulty_http.clean_rows.items()
-        score_keys = {gateway_module._cache_key(faulty_http.url, body["model"], "score",
-                                                ScoreRequest(body["prompt"], PROBE_COMPLETIONS))
-                      for route, body in faulty_http.faulted if route == "/v1/score"}
-        assert score_keys and not stored.keys() & score_keys
+        score_keys = {gateway_module._cache_key(
+            faulty_http.url, body["model"], "score",
+            ScoreRequest(body["prompt"], PROBE_COMPLETIONS, LABEL_MAX_TOKENS))
+            for route, body in faulty_http.faulted if route == "/v1/score"}
+        assert score_keys and score_keys <= faulty_http.clean_rows.keys()
+        assert not stored.keys() & score_keys
         faulty_http.faults.clear()
         assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_OK
         assert artifact_bytes(tmp_path / "out") == faulty_http.clean
@@ -520,9 +540,10 @@ class TestHttpFaults:
         assert run_over_http(tmp_path, faulty_http.url, "out", "cache") == EXIT_GATEWAY
         stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
         assert list(stages) == ["extract"]
-        [(_, body)] = faulty_http.faulted
-        key = gateway_module._cache_key(faulty_http.url, body["model"], "score",
-                                        ScoreRequest(body["prompt"], PROBE_COMPLETIONS))
+        [(_, body)] = faulty_http.faulted  # a calibrate probe's
+        key = gateway_module._cache_key(
+            faulty_http.url, body["model"], "score",
+            ScoreRequest(body["prompt"], PROBE_COMPLETIONS, LABEL_MAX_TOKENS))
         stored = stored_rows(tmp_path / "cache")
         assert key in faulty_http.clean_rows and key not in stored
         # What the run stored before the fault is what the clean run stored.
@@ -615,17 +636,15 @@ class TestGatewayCounts:
         assert all(set(c) == set(GATEWAY_COUNTERS) for c in counts.values())
         for stage in ("confirm", "reliable", "gap"):
             assert counts[stage] == dict.fromkeys(GATEWAY_COUNTERS, 0)
-        # A fetched generation is one backend call, and a fetched score
-        # request two, one per completion: calibrate sends both kinds.
-        for stage, calls_per_request in (("extract", 1), ("calibrate", None),
+        # A fetched generation is one backend call, a fetched score request
+        # two, one per completion, and a fetched calibration probe three, one
+        # more for its answer.
+        for stage, calls_per_request in (("extract", 1), ("calibrate", 3),
                                          ("extrapolate", 2), ("synthesize", 1), ("report", 1)):
             c = counts[stage]
             fetched = c["requests"] - c["cache_hits"]
             assert c["requests"] > 0, stage
-            if calls_per_request is None:
-                assert fetched < c["backend_calls"] < 2 * fetched, stage
-            else:
-                assert c["backend_calls"] == calls_per_request * fetched, stage
+            assert c["backend_calls"] == calls_per_request * fetched, stage
         # Extraction sends one request at a time, and its fetches still
         # commit about once a second, plus once as the stage ends.
         extract = manifest["stages"]["extract"]
@@ -674,13 +693,10 @@ class TestGatewayCounts:
         finally:
             ctx.close()
         raw = read_triple_file(artifact(ctx, "raw.jsonl"))
-        paraphrases = Counter()
-        for record in raw:
-            paraphrases[record.triple.relation] += len(templates_for(record.triple.relation))
-        # One stream of probes, one request per paraphrase, then one stream
-        # of labels per relation, each cut into batches by the gateway.
-        streams = (sum(paraphrases.values()), *paraphrases.values())
-        batches = sum(math.ceil(n / BATCH_SIZE) for n in streams)
+        paraphrases = sum(len(templates_for(record.triple.relation)) for record in raw)
+        # One stream of probes, one request per paraphrase for its scores
+        # and its one-shot label, cut into batches by the gateway.
+        batches = math.ceil(paraphrases / BATCH_SIZE)
         entry = json.loads(artifact(ctx, "manifest.json").read_text())["stages"]["calibrate"]
         counts = entry["gateway"]
         commits = [s for s in statements if s == "COMMIT"]
@@ -828,6 +844,48 @@ class TestDegradation:
         manifest = json.loads(artifact(ctx, "manifest.json").read_text())
         assert manifest["stages"]["calibrate"]["tallies"]["unscored"] == len(poisoned)
 
+    def test_an_answer_with_neither_word_is_cached_and_counted(self, tmp_path):
+        class ShrugBackend:
+            """The synthetic model, but a one-shot answer about T0N1 is a shrug."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.identity = inner.identity + "+shrug"
+                self.calls = 0
+
+            def generate(self, body):
+                self.calls += 1
+                if body["max_tokens"] == LABEL_MAX_TOKENS and "'T0N1'" in body["prompt"]:
+                    return {"text": "Hard to say."}
+                return self.inner.generate(body)
+
+            def score(self, body):
+                self.calls += 1
+                return self.inner.score(body)
+
+        cfg = make_config(tmp_path)
+        backend = ShrugBackend(synthetic_backend(cfg))
+        tallies, calls = [], []
+        for _ in range(2):  # the model, then the cache the first run filled
+            ctx = RunContext(cfg)
+            ctx._gateway = ModelGateway(backend, model="synthetic",
+                                        cache_dir=cfg.output.resolved_cache_dir())
+            backend.calls = 0
+            try:
+                run_stage(ctx, "extract")
+                run_stage(ctx, "calibrate")
+            finally:
+                ctx.close()
+            stages = json.loads(artifact(ctx, "manifest.json").read_text())["stages"]
+            tallies.append(stages["calibrate"]["tallies"])
+            calls.append(backend.calls)
+        raw = read_triple_file(artifact(ctx, "raw.jsonl"))
+        shrugged = sum(len(templates_for(r.triple.relation)) for r in raw
+                       if "T0N1" in (r.triple.subject.text, r.triple.object.text))
+        assert shrugged > 0
+        assert tallies == [{"unparseable_labels": shrugged, "unscored": 0}] * 2
+        assert calls[0] > 0 and calls[1] == 0
+
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(list(Relation)),
@@ -853,7 +911,7 @@ class TestDegradation:
 
         with tempfile.TemporaryDirectory() as tmp, closing(
                 ModelGateway(Backend(), model="m", cache_dir=Path(tmp))) as gateway:
-            scored, unscored = pipeline_module._score_records(
+            scored, answers, unscored = pipeline_module._score_records(
                 SimpleNamespace(gateway=lambda: gateway), records)
         value = confirm_value(perplexity([-0.5]), perplexity([-1.0]))
         kept = [r for r, (*_, completion) in zip(records, specs) if completion is None]
@@ -861,6 +919,7 @@ class TestDegradation:
             TripleRecord(r.triple, chains=r.chains,
                          scores=[value] * len(templates_for(r.triple.relation)))
             for r in kept]
+        assert answers == [[None] * len(templates_for(r.triple.relation)) for r in kept]
         assert unscored == len(records) - len(kept)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from evontree.errors import EmptySpanError
-from evontree.gateway import ModelGateway
+from evontree.gateway import ModelGateway, Scored
 from evontree.ontology import Relation, Triple, normalize_label as lbl
 from evontree.scoring import (
     COMPLETION_FALSE,
@@ -169,9 +169,9 @@ class FakeScoringGateway:
 
     def score(self, request):
         self.requests.append(request)
-        return tuple((math.log(self.p_true if completion == COMPLETION_TRUE
-                               else 1.0 - self.p_true),)
-                     for completion in request.completions)
+        return Scored(tuple((math.log(self.p_true if completion == COMPLETION_TRUE
+                                      else 1.0 - self.p_true),)
+                            for completion in request.completions), None)
 
     def score_many(self, requests):
         return [self.score(request) for request in requests]
@@ -286,8 +286,9 @@ class TestScoreTriples:
             gw.close()
         assert isinstance(results[1], EmptySpanError)
         assert str(results[1]) == "no completion tokens scored for completion ' True'"
-        for result in (results[0], results[2]):
-            assert result == pytest.approx([0.8] * 4, abs=1e-9)
+        for values, answers in (results[0], results[2]):
+            assert values == pytest.approx([0.8] * 4, abs=1e-9)
+            assert answers == [None] * 4  # none asked for
         # All three triples travelled in one batch: one lookup, one commit.
         assert len(backend.bodies) == gw.calls == 24
         assert gw.cache_commits == 1
